@@ -23,7 +23,14 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import ValidationError
 from .fields import Ray, SiteMap
-from .flux import FluxField, analyze, assemble_field, index_by_odd_trace, selfcheck_against_operator
+from .flux import (
+    FluxField,
+    analyze,
+    assemble_field,
+    check_rank_formula,
+    index_by_odd_trace,
+    selfcheck_against_operator,
+)
 from .lattice import LatticeState, Site
 from .operators import LocalUnitary
 
@@ -308,41 +315,13 @@ class DualPath:
                 raise ValidationError(f"middle step {a} -> {b} is not a unit step")
         if len(set(self.middle)) != len(self.middle):
             raise ValidationError("path revisits a dual vertex")
-        pre_ray = Ray(self._pre_base(), self.pre_dir)
-        post_ray = Ray(self._post_base(), self.post_dir)
+        pre_ray = Ray(self.vertex(-1), self.pre_dir)
+        post_ray = Ray(self.vertex(self.m_last + 1), self.post_dir)
         for v in self.middle:
             if pre_ray.locate(v) is not None or post_ray.locate(v) is not None:
                 raise ValidationError("path ray re-enters the explicit middle")
-        # the two rays must not meet
-        if self.pre_dir == self.post_dir or self.pre_dir == tuple(-c for c in self.post_dir):
-            b0, b1 = pre_ray.base, post_ray.base
-            offset = (b1[0] - b0[0], b1[1] - b0[1])
-            m = None
-            ok = True
-            for o, s in zip(offset, self.pre_dir):
-                if s != 0:
-                    m = o // s if o % s == 0 else None
-                    if m is None:
-                        ok = False
-                elif o != 0:
-                    ok = False
-            if ok and m is not None:
-                if self.pre_dir == self.post_dir or m >= 0:
-                    raise ValidationError("path rays intersect")
-        else:
-            # perpendicular rays meet in at most one lattice point
-            b0, b1 = pre_ray.base, post_ray.base
-            k = sum((b1[i] - b0[i]) * self.pre_dir[i] for i in (0, 1))
-            kp = sum((b0[i] - b1[i]) * self.post_dir[i] for i in (0, 1))
-            if k >= 0 and kp >= 0 and pre_ray.site_at(k) == post_ray.site_at(kp):
-                raise ValidationError("path rays intersect")
-
-    def _pre_base(self) -> Site:
-        return (self.middle[0][0] + self.pre_dir[0], self.middle[0][1] + self.pre_dir[1])
-
-    def _post_base(self) -> Site:
-        last = self.middle[-1]
-        return (last[0] + self.post_dir[0], last[1] + self.post_dir[1])
+        if pre_ray.meet(post_ray) is not None:
+            raise ValidationError("path rays intersect")
 
     @property
     def m_last(self) -> int:
@@ -364,13 +343,6 @@ class DualPath:
 
     def steps(self, t0: int, t1: int) -> list[CrossedEdge]:
         return [self.step(t) for t in range(t0, t1)]
-
-    def cells(self, t0: int, t1: int) -> list[Site]:
-        seen = []
-        for e in self.steps(t0, t1):
-            if e.cell not in seen:
-                seen.append(e.cell)
-        return seen
 
     def is_pure(self, t0: int, t1: int, tag: str) -> bool:
         return all(e.tag == tag for e in self.steps(t0, t1))
@@ -551,23 +523,19 @@ class CCGeometry:
         return total
 
 
-def cc_flux(
-    scattering: ScatteringField,
-    path: DualPath,
-    tol: Tolerances = DEFAULT,
-    selfcheck: bool = True,
-    pad: int = 4,
-) -> FluxField:
-    """Blockwise flux of the left-region projection of a dual path.
+def cc_flux(scattering: ScatteringField, path: DualPath, tol: Tolerances = DEFAULT) -> FluxField:
+    """Blockwise flux of the left-region projection of a dual path, checked
+    against the operator on random states.
 
     Block at cell z in the incoming basis: conj(S) D_out S^T - D_in with the
     0/1 region memberships of the outgoing and incoming points on the
-    diagonals.
+    diagonals.  The window covers the path and the scattering features plus
+    a margin of 4.
     """
     (plo, phi_) = path.bounds()
     s_lo, s_hi = scattering.bounds()
-    lo = [min(s_lo[0], plo[0]) - pad, min(s_lo[1], plo[1]) - pad]
-    hi = [max(s_hi[0], phi_[0]) + pad, max(s_hi[1], phi_[1]) + pad]
+    lo = [min(s_lo[0], plo[0]) - 4, min(s_lo[1], plo[1]) - 4]
+    hi = [max(s_hi[0], phi_[0]) + 4, max(s_hi[1], phi_[1]) + 4]
     lo[1] -= lo[1] % 2
     hi[1] += hi[1] % 2
     per = scattering.periods()
@@ -591,8 +559,7 @@ def cc_flux(
 
     geometry = CCGeometry(scattering, split, lo, hi)
     flux = assemble_field(geometry, block_fn, lo, hi, bands, steps, tol)
-    if selfcheck:
-        selfcheck_against_operator(flux, CCUnitary(scattering))
+    selfcheck_against_operator(flux, CCUnitary(scattering))
     return flux
 
 
@@ -601,11 +568,7 @@ def cc_index(scattering: ScatteringField, path: DualPath, tol: Tolerances = DEFA
     kernel counting."""
     flux = cc_flux(scattering, path, tol)
     report = analyze(flux)
-    if report.index != flux.rank_difference:
-        raise ValidationError(
-            f"kernel count {report.index} disagrees with the cell rank formula "
-            f"{flux.rank_difference}"
-        )
+    check_rank_formula(report, flux, "the cell rank formula")
     return report, flux
 
 

@@ -11,19 +11,13 @@ infinity by inspecting a finite shell of representative cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import (
-    LatticeState,
-    Site,
-    all_direction_vectors,
-    direction_vector,
-    is_unitary,
-)
+from .lattice import LatticeState, Site, all_direction_vectors, is_unitary, sub
 
 
 @dataclass(frozen=True)
@@ -52,6 +46,26 @@ class Ray:
 
     def site_at(self, t: int) -> Site:
         return tuple(b + t * s for b, s in zip(self.base, self.step))
+
+    def meet(self, other: "Ray"):
+        """Where two unit-step rays meet: ``None``, the finite list of shared
+        sites in order along this ray, or the shared tail as a ``Ray`` (same
+        step on one line)."""
+        if sum(map(abs, self.step)) != 1 or sum(map(abs, other.step)) != 1:
+            raise ValidationError("rays must take unit lattice steps to meet")
+        offset = sub(other.base, self.base)
+        k = sum(o * s for o, s in zip(offset, self.step))
+        if other.step in (self.step, tuple(-c for c in self.step)):
+            if offset != tuple(k * s for s in self.step):
+                return None  # parallel lines
+            if other.step == self.step:
+                return Ray(other.base if k >= 0 else self.base, self.step)
+            return [self.site_at(t) for t in range(k + 1)] if k >= 0 else None
+        # rays along different axes share at most one site
+        k_other = -sum(o * s for o, s in zip(offset, other.step))
+        if k >= 0 and k_other >= 0 and self.site_at(k) == other.site_at(k_other):
+            return [self.site_at(k)]
+        return None
 
 
 @dataclass(frozen=True)
@@ -265,10 +279,6 @@ class AdaptedProjection:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def empty(cls, d: int) -> "AdaptedProjection":
-        return cls(d, SiteMap(d, combine="union", background=frozenset()))
-
-    @classmethod
     def from_layers(
         cls,
         d: int,
@@ -306,9 +316,6 @@ class AdaptedProjection:
         for k in self.open_slots(site):
             diag[k] = 1.0
         return diag
-
-    def matrix(self, site: Site) -> np.ndarray:
-        return np.diag(self.diagonal(site)).astype(complex)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         data = {}
@@ -357,12 +364,6 @@ class _ShiftConjugate(AdaptedProjection):
     def periods(self):
         return self.parent.periods()
 
-    def shift_conjugate(self):
-        raise NotImplementedError("iterated shift conjugation is not needed")
-
-    def complement(self):
-        return _Complement(self)
-
 
 class _Complement(AdaptedProjection):
     def __init__(self, parent: AdaptedProjection):
@@ -379,9 +380,6 @@ class _Complement(AdaptedProjection):
 
     def periods(self):
         return self.parent.periods()
-
-    def shift_conjugate(self):
-        return _ShiftConjugate(self)
 
     def complement(self):
         return self.parent

@@ -16,7 +16,6 @@ there), which a second "tripwire" band re-checks numerically.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +29,12 @@ from .errors import (
 )
 from .lattice import (
     LatticeState,
-    Site,
     is_hermitian,
     random_state,
     spectral_norm_hermitian,
     trace_norm_hermitian,
 )
+from .operators import compress
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,23 @@ class IndexReport:
 
 
 class FluxField:
-    """Block-diagonal flux with a finite window plus certified tail."""
+    """Block-diagonal flux with a finite window plus certified tail.
+
+    The geometry passed in adapts block labels to lattice states.  Together,
+    ``assemble_field``, this class, ``selfcheck_against_operator`` and
+    ``kitaev_sum`` need exactly these eight members of it:
+
+    - ``kind``: short model name, e.g. ``"walk"`` or ``"cc"``;
+    - ``state_dim``: internal dimension of the lattice states;
+    - ``touched_labels(psi)``: labels of every block that meets the support
+      of ``psi``;
+    - ``gather(psi, label)``: coordinates of ``psi`` in the block basis;
+    - ``make_state(label, coords)``: the state with those block coordinates;
+    - ``project(psi)``: the projection P applied to ``psi``;
+    - ``probe_sites(rng)``: random sites inside the window, for self-checks;
+    - ``kitaev(labels)``: the Kitaev double sum over the given labels,
+      computed from the operator's sources rather than from the blocks.
+    """
 
     def __init__(
         self,
@@ -266,12 +281,13 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     )
 
 
-def selfcheck_against_operator(flux: FluxField, unitary, seed: int = 7, states: int = 3) -> float:
-    """Compare blockwise action against U*(P(U psi)) - P psi on random states."""
-    rng = np.random.default_rng(seed)
+def selfcheck_against_operator(flux: FluxField, unitary) -> float:
+    """Compare blockwise action against U*(P(U psi)) - P psi on three random
+    states from a fixed seed."""
+    rng = np.random.default_rng(7)
     geom = flux.geometry
     worst = 0.0
-    for _ in range(states):
+    for _ in range(3):
         psi = random_state(rng, geom.probe_sites(rng), geom.state_dim)
         via_op = unitary.apply_adjoint(geom.project(unitary.apply(psi))) - geom.project(psi)
         via_blocks = flux.apply(psi)
@@ -291,34 +307,48 @@ def certify_isolated(flux: FluxField) -> tuple[bool, int, float]:
     return cert.ok, cert.radius, cert.bound
 
 
+def classify_unit(evals, tol: Tolerances, label):
+    """Split flux eigenvalues into those counted as +1 and as -1.
+
+    Returns ``(plus_idx, minus_idx, max_inside)``: the indices within
+    ``tol.eigenvalue_unit`` of +1 and of -1, and the largest modulus among
+    the rest.  Each eigenvalue is checked in turn: a modulus above 1 is
+    invalid for a flux, and one inside the guard band but outside the unit
+    window is ambiguous; both raise.  ``label`` names the block in errors.
+    """
+    plus_idx = []
+    minus_idx = []
+    max_inside = 0.0
+    for i, lam in enumerate(evals):
+        if abs(lam) > 1.0 + 1e-10:
+            raise ValidationError(
+                f"flux eigenvalue {lam:g} at {label} exceeds 1 in modulus"
+            )
+        d_plus = abs(lam - 1.0)
+        d_minus = abs(lam + 1.0)
+        if d_plus <= tol.eigenvalue_unit:
+            plus_idx.append(i)
+        elif d_minus <= tol.eigenvalue_unit:
+            minus_idx.append(i)
+        elif min(d_plus, d_minus) <= tol.guard_band:
+            raise EigenvalueAmbiguityError(label, float(lam), tol.eigenvalue_unit)
+        else:
+            max_inside = max(max_inside, abs(float(lam)))
+    return plus_idx, minus_idx, max_inside
+
+
 def _count_unit_eigenvalues(flux: FluxField):
-    tol = flux.tol
     plus = minus = 0
     phi_less = 0.0
     kernel_vectors: dict = {}
-    for label, blk in flux.blocks.items():
+    for label in flux.blocks:
         evals, evecs = flux.eigensystem(label)
-        sel_plus = []
-        sel_minus = []
-        for i, lam in enumerate(evals):
-            if abs(lam) > 1.0 + 1e-10:
-                raise ValidationError(
-                    f"flux eigenvalue {lam:g} at {label} exceeds 1 in modulus"
-                )
-            d_plus = abs(lam - 1.0)
-            d_minus = abs(lam + 1.0)
-            if d_plus <= tol.eigenvalue_unit:
-                sel_plus.append(i)
-            elif d_minus <= tol.eigenvalue_unit:
-                sel_minus.append(i)
-            elif min(d_plus, d_minus) <= tol.guard_band:
-                raise EigenvalueAmbiguityError(label, float(lam), tol.eigenvalue_unit)
-            else:
-                phi_less = max(phi_less, abs(float(lam)))
+        sel_plus, sel_minus, inside = classify_unit(evals, flux.tol, label)
+        phi_less = max(phi_less, inside)
         plus += len(sel_plus)
         minus += len(sel_minus)
         if sel_plus or sel_minus:
-            kernel_vectors[label] = (evals, evecs, sel_plus, sel_minus)
+            kernel_vectors[label] = (evecs, sel_plus, sel_minus)
     for blk in flux.shell.values():
         v = blk.norm()
         if v > 1.0 - flux.tol.certificate_margin:
@@ -330,16 +360,18 @@ def _count_unit_eigenvalues(flux: FluxField):
     return plus, minus, phi_less, kernel_vectors
 
 
-def index_by_kernels(flux: FluxField) -> IndexReport:
-    """dim ker(flux - 1) - dim ker(flux + 1), counted block by block."""
+def index_with_kernels(flux: FluxField) -> tuple[IndexReport, dict]:
+    """The kernel-count report together with the unit eigenvectors it
+    counted: ``label -> (evecs, plus columns, minus columns)`` for every
+    block with a unit eigenvalue."""
     ok, radius, bound = certify_isolated(flux)
     if not ok:
         raise CertificationError(
             f"certificate failed: tail bound {bound:g} at radius {radius}",
             witness=flux.certificate.witness,
         )
-    plus, minus, phi_less, _ = _count_unit_eigenvalues(flux)
-    return IndexReport(
+    plus, minus, phi_less, kernel_vectors = _count_unit_eigenvalues(flux)
+    report = IndexReport(
         index=plus - minus,
         dim_ker_plus=plus,
         dim_ker_minus=minus,
@@ -350,6 +382,12 @@ def index_by_kernels(flux: FluxField) -> IndexReport:
         trace_norm=None,
         certificate=flux.certificate,
     )
+    return report, kernel_vectors
+
+
+def index_by_kernels(flux: FluxField) -> IndexReport:
+    """dim ker(flux - 1) - dim ker(flux + 1), counted block by block."""
+    return index_with_kernels(flux)[0]
 
 
 def _require_trace_class(flux: FluxField) -> None:
@@ -398,22 +436,38 @@ def block_trace_norm(flux: FluxField) -> float:
     return float(sum(trace_norm_hermitian(b.matrix) for b in flux.blocks.values()))
 
 
-def analyze(flux: FluxField, odd_j: int = 0, super_j: int = 1) -> IndexReport:
-    """Full report: kernel counts plus every applicable trace formula."""
+def analyze(flux: FluxField) -> IndexReport:
+    """Full report: kernel counts plus every applicable trace formula (the
+    first odd power and the square)."""
     report = index_by_kernels(flux)
     report.rank_difference = flux.rank_difference
     if flux.tail_zero:
-        report.odd_trace = index_by_odd_trace(flux, odd_j)
-        report.supertrace = index_by_supertrace(flux, super_j)
+        report.odd_trace = index_by_odd_trace(flux)
+        report.supertrace = index_by_supertrace(flux)
         report.kitaev_sum = kitaev_sum(flux)
         report.trace_norm = block_trace_norm(flux)
     return report
+
+
+def check_rank_formula(report: IndexReport, flux: FluxField, formula: str) -> None:
+    """The geometric rank difference must equal the kernel count exactly;
+    ``formula`` names the geometric side in the error."""
+    if report.index != flux.rank_difference:
+        raise ValidationError(
+            f"kernel count {report.index} disagrees with {formula} "
+            f"{flux.rank_difference}"
+        )
 
 
 def phi_less_norm(flux: FluxField) -> float:
     """Largest eigenvalue modulus strictly inside (-1, 1), over all blocks."""
     _, _, phi_less, _ = _count_unit_eigenvalues(flux)
     return phi_less
+
+
+def max_block_norm(flux: FluxField) -> float:
+    """Largest block norm over the window and the shell."""
+    return max((b.norm() for b in (*flux.blocks.values(), *flux.shell.values())), default=0.0)
 
 
 def verify_internal_identities(flux: FluxField) -> dict:
@@ -446,30 +500,15 @@ def dense_window_index(unitary, project, box_sites, n_internal: int, tol: Tolera
     diagonalized as a whole.
     """
     sites = sorted(tuple(s) for s in box_sites)
-    dim = len(sites) * n_internal
-    index_of = {s: i for i, s in enumerate(sites)}
-    m = np.zeros((dim, dim), dtype=complex)
-    for js, site in enumerate(sites):
-        for slot in range(n_internal):
-            e = LatticeState.basis(site, slot, n_internal)
-            image = unitary.apply_adjoint(project(unitary.apply(e))) - project(e)
-            for target, vec in image.items():
-                i = index_of.get(target)
-                if i is not None:
-                    m[i * n_internal : (i + 1) * n_internal, js * n_internal + slot] = vec
+
+    def flux_apply(e: LatticeState) -> LatticeState:
+        return unitary.apply_adjoint(project(unitary.apply(e))) - project(e)
+
+    m = compress(flux_apply, sites, n_internal)
     if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise ValidationError("window compression of the flux is not Hermitian")
-    evals = np.linalg.eigvalsh(m)
-    plus = minus = 0
-    for lam in evals:
-        d_plus, d_minus = abs(lam - 1.0), abs(lam + 1.0)
-        if d_plus <= tol.eigenvalue_unit:
-            plus += 1
-        elif d_minus <= tol.eigenvalue_unit:
-            minus += 1
-        elif min(d_plus, d_minus) <= tol.guard_band:
-            raise EigenvalueAmbiguityError(("dense", sites[0]), float(lam), tol.eigenvalue_unit)
-    return plus - minus
+    plus, minus, _ = classify_unit(np.linalg.eigvalsh(m), tol, ("dense", sites[0]))
+    return len(plus) - len(minus)
 
 
 # ---------------------------------------------------------------------------

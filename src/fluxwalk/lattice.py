@@ -16,10 +16,6 @@ from .errors import DimensionMismatchError
 Site = tuple
 
 
-def n_directions(d: int) -> int:
-    return 2 * d
-
-
 def direction_index(axis: int, sign: int) -> int:
     """Internal slot of the classical direction ``sign * e_axis`` (1-based axis)."""
     if sign not in (1, -1):

@@ -99,8 +99,7 @@ class BandUnitary(LocalUnitary):
 
     ``entries`` maps (target_site, source_site) to an internal block; sites
     not mentioned as a source act as the identity.  Meant for small test
-    constructions; unitarity is the caller's responsibility and can be probed
-    with :func:`isometry_defect`.
+    constructions; unitarity is the caller's responsibility.
     """
 
     kind = "explicit-band"
@@ -146,6 +145,25 @@ class BandUnitary(LocalUnitary):
         return LatticeState(self.n_internal, out, _take=True)
 
 
+def compress(apply, sites, n: int) -> np.ndarray:
+    """Dense matrix of the linear map ``apply`` on the span of ``sites``, each
+    with ``n`` internal slots.
+
+    Basis order is the order of ``sites``, then internal slot.  Images are
+    taken of every basis vector; their parts leaving the sites are dropped.
+    """
+    index = {site: i for i, site in enumerate(sites)}
+    m = np.zeros((len(sites) * n, len(sites) * n), dtype=complex)
+    for j_site, site in enumerate(sites):
+        for slot in range(n):
+            image = apply(LatticeState.basis(site, slot, n))
+            for target, vec in image.items():
+                i_site = index.get(target)
+                if i_site is not None:
+                    m[i_site * n : (i_site + 1) * n, j_site * n + slot] = vec
+    return m
+
+
 def matrix_on_window(u: LocalUnitary, sites) -> np.ndarray:
     """Compression of ``u`` to a finite site set as a dense matrix.
 
@@ -156,19 +174,4 @@ def matrix_on_window(u: LocalUnitary, sites) -> np.ndarray:
     sites = sorted(tuple(s) for s in sites)
     if not sites:
         raise ValidationError("window must be nonempty")
-    n = u.n_internal
-    dim = len(sites) * n
-    index = {site: i for i, site in enumerate(sites)}
-    m = np.zeros((dim, dim), dtype=complex)
-    for j_site, site in enumerate(sites):
-        for slot in range(n):
-            image = u.apply(LatticeState.basis(site, slot, n))
-            for target, vec in image.items():
-                i_site = index.get(target)
-                if i_site is not None:
-                    m[i_site * n : (i_site + 1) * n, j_site * n + slot] = vec
-    return m
-
-
-def isometry_defect(u: LocalUnitary, psi: LatticeState) -> float:
-    return abs(u.apply(psi).norm() - psi.norm())
+    return compress(u.apply, sites, u.n_internal)

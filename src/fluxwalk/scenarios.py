@@ -9,23 +9,20 @@ reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cc as ccm
-from .config import DEFAULT, PROFILES, Tolerances
-from .errors import CertificationError, ValidationError
-from .fields import HalfSpace, MatrixField, SiteMap, interpolate_matrix_fields
-from .flux import (
-    analyze,
-    dense_window_index,
-    index_stability_probe,
-    phi_less_norm,
-)
+from .config import PROFILES
+from .errors import FluxwalkError, ValidationError
+from .fields import HalfSpace, MatrixField, Ray, SiteMap, interpolate_matrix_fields
+from .flux import analyze, dense_window_index, index_stability_probe, max_block_norm
 from .lattice import LatticeState, haar_unitary, index_of_vector
-from .report import SCHEMA_VERSION, index_report_dict, jsonable
+from .operators import matrix_on_window
+from .report import SCHEMA_VERSION, index_report_dict
 from .shift import build_perturbed, extract_kernels, verify_shift_structure
 from .walks import (
     BoundarySpec,
@@ -170,15 +167,11 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         n = 2 * d
         slot = index_of_vector(tuple([sign] + [0] * (d - 1)))
         window = {}
-        import itertools as it
-
-        for site in it.product(*([range(-box, box + 1)] * d)):
+        for site in itertools.product(*([range(-box, box + 1)] * d)):
             window[site] = haar_unitary(rng, n)
         for x in range(1, box + 1):
             site = tuple([x] + [0] * (d - 1))
             window[site] = _commuting_coin(rng, n, slot)
-        from .fields import Ray
-
         ray_coin = _commuting_coin(rng, n, slot)
         base = tuple([1] + [0] * (d - 1))
         step = tuple([1] + [0] * (d - 1))
@@ -251,12 +244,17 @@ def _scattering_from_json(spec: dict, rng: np.random.Generator, window_extent: i
     raise ValidationError(f"unknown phase mode {phases!r}")
 
 
-def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
-    path = _path_from_json(_need(spec, "path", "scenario"))
+def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -> ccm.ScatteringField:
+    """The scenario's scattering field; a random-phase window reaches 8 cells
+    beyond the path's explicit vertices."""
     (lo, lo2), (hi, hi2) = path.bounds()
     extent = max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8
-    scattering = _scattering_from_json(_need(spec, "scattering", "scenario"), rng, extent)
-    return CCSetup(scattering, path, spec)
+    return _scattering_from_json(_need(spec, "scattering", "scenario"), rng, extent)
+
+
+def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
+    path = _path_from_json(_need(spec, "path", "scenario"))
+    return CCSetup(_path_scattering(spec, path, rng), path, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -322,25 +320,34 @@ def validate_scenario(spec: dict) -> list[str]:
 # analyses: walk
 
 
-def _walk_index_analysis(setup, analysis, rng, tol, files):
-    if setup.network is not None:
-        report, flux = lead_flux_index(setup.network, setup.coin, tol)
-    else:
-        report, flux = walk_index(setup.coin, setup.projection, tol)
+def _index_analysis_dict(report, analysis) -> dict:
+    """Index report fields plus the verdict on the analysis' expectation."""
     out = index_report_dict(report)
     if "expect" in analysis:
         out["expected"] = analysis["expect"]
         out["pass"] = report.index == analysis["expect"]
+    elif "expect_abs" in analysis:
+        out["expected_abs"] = analysis["expect_abs"]
+        out["pass"] = abs(report.index) == analysis["expect_abs"]
     else:
         out["pass"] = True
     return out
 
 
+def _walk_index(setup, tol):
+    """Index report and flux: lead networks also check n_out - n_in."""
+    if setup.network is not None:
+        return lead_flux_index(setup.network, setup.coin, tol)
+    return walk_index(setup.coin, setup.projection, tol)
+
+
+def _walk_index_analysis(setup, analysis, rng, tol, files):
+    report, _ = _walk_index(setup, tol)
+    return _index_analysis_dict(report, analysis)
+
+
 def _walk_flux_zero_analysis(setup, analysis, rng, tol, files):
-    flux = build_walk_flux(setup.coin, setup.projection, tol)
-    worst = 0.0
-    for blk in list(flux.blocks.values()) + list(flux.shell.values()):
-        worst = max(worst, blk.norm())
+    worst = max_block_norm(build_walk_flux(setup.coin, setup.projection, tol))
     return {"max_block_norm": worst, "pass": worst <= 1e-12}
 
 
@@ -375,20 +382,17 @@ def _walk_wandering_analysis(setup, analysis, rng, tol, files):
 def _walk_confinement_analysis(setup, analysis, rng, tol, files):
     steps = int(analysis.get("steps", 30))
     walk = build_walk(setup.coin, tol)
-    leak = verify_confinement(walk, rng, steps=steps, box=int(analysis.get("box", 3)), tol=tol)
+    leak = verify_confinement(walk, rng, steps=steps, box=int(analysis.get("box", 3)))
     return {"steps": steps, "max_leak": leak, "pass": leak <= tol.wandering}
 
 
 def _walk_shift_analysis(setup, analysis, rng, tol, files):
     steps = int(analysis.get("steps", 30))
-    if setup.network is not None:
-        report, flux = lead_flux_index(setup.network, setup.coin, tol)
-    else:
-        report, flux = walk_index(setup.coin, setup.projection, tol)
+    report, flux = _walk_index(setup, tol)
     walk = build_walk(setup.coin, tol)
-    kernels = extract_kernels(flux, tol)
-    perturbed = build_perturbed(walk, flux, kernels, tol)
-    shift_report = verify_shift_structure(perturbed, kernels, k_max=steps, tol=tol)
+    kernels = extract_kernels(flux)
+    perturbed = build_perturbed(walk, flux, kernels)
+    shift_report = verify_shift_structure(perturbed, kernels, k_max=steps)
     out = shift_report.as_dict()
     out["index"] = report.index
     out["pass"] = shift_report.ok
@@ -427,9 +431,7 @@ def _walk_oracle_analysis(setup, analysis, rng, tol, files):
     if any(h - l + 1 > 7 for l, h in zip(lo, hi)):
         return {"applicable": False, "pass": True}
     pad = int(analysis.get("pad", 2))
-    import itertools as it
-
-    box = list(it.product(*[range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]))
+    box = list(itertools.product(*[range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]))
     walk = build_walk(setup.coin, tol)
     proj = setup.projection
     dense = dense_window_index(walk, proj.apply, box, walk.n_internal, tol)
@@ -461,18 +463,14 @@ def _walk_network_ensemble_analysis(setup, analysis, rng, tol, files):
 
 
 def _spectrum_window_analysis(setup, analysis, rng, tol, files):
-    from .operators import matrix_on_window
-
     box = int(analysis.get("box", 5))
-    import itertools as it
-
     if setup.__class__.__name__ == "CCSetup":
         unitary = ccm.build_cc(setup.scattering)
         d = 2
     else:
         unitary = build_walk(setup.coin, tol)
         d = setup.coin.d
-    sites = list(it.product(*([range(-box, box + 1)] * d)))
+    sites = list(itertools.product(*([range(-box, box + 1)] * d)))
     m = matrix_on_window(unitary, sites)
     evals = np.linalg.eigvals(m)
     rows = ["phase,modulus"]
@@ -491,24 +489,9 @@ def _spectrum_window_analysis(setup, analysis, rng, tol, files):
 # analyses: network model
 
 
-def _cc_fresh_scattering(setup: CCSetup, rng) -> ccm.ScatteringField:
-    (lo, lo2), (hi, hi2) = setup.path.bounds()
-    extent = max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8
-    return _scattering_from_json(_need(setup.spec, "scattering", "scenario"), rng, extent)
-
-
 def _cc_index_analysis(setup, analysis, rng, tol, files):
-    report, flux = ccm.cc_index(setup.scattering, setup.path, tol)
-    out = index_report_dict(report)
-    if "expect" in analysis:
-        out["expected"] = analysis["expect"]
-        out["pass"] = report.index == analysis["expect"]
-    elif "expect_abs" in analysis:
-        out["expected_abs"] = analysis["expect_abs"]
-        out["pass"] = abs(report.index) == analysis["expect_abs"]
-    else:
-        out["pass"] = True
-    return out
+    report, _ = ccm.cc_index(setup.scattering, setup.path, tol)
+    return _index_analysis_dict(report, analysis)
 
 
 def _cc_ensemble_analysis(setup, analysis, rng, tol, files):
@@ -516,7 +499,7 @@ def _cc_ensemble_analysis(setup, analysis, rng, tol, files):
     seeds = _child_seeds(int(setup.spec["seed"]) + 1, draws)
     indices = []
     for s in seeds:
-        scattering = _cc_fresh_scattering(setup, _rng(s))
+        scattering = _path_scattering(setup.spec, setup.path, _rng(s))
         report, _ = ccm.cc_index(scattering, setup.path, tol)
         indices.append(report.index)
     out = {"draws": draws, "distinct": sorted(set(indices))}
@@ -621,7 +604,7 @@ def _cc_anomalous_analysis(setup, analysis, rng, tol, files):
     ok = True
     base_index = None
     for s in seeds:
-        scattering = _cc_fresh_scattering(setup, _rng(s))
+        scattering = _path_scattering(setup.spec, setup.path, _rng(s))
         result = ccm.anomalous_transport(scattering, setup.path, epsilons, tol)
         if base_index is None:
             base_index = result["index"]
@@ -697,7 +680,7 @@ def run_scenario(
         handler = ANALYSES[kind][analysis["type"]]
         try:
             result = handler(setup, analysis, rng, tol, files)
-        except (CertificationError, ValidationError) as exc:
+        except FluxwalkError as exc:
             result = {"pass": False, "error": str(exc)}
         key = analysis.get("label", f"{analysis['type']}#{i}")
         analyses_out[key] = result

@@ -9,13 +9,12 @@ P.  Everything here is built block by block and verified by lazy evolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
 from .errors import ValidationError
-from .flux import FluxField, index_by_kernels, phi_less_norm
+from .flux import FluxField, classify_unit, index_with_kernels, phi_less_norm
 from .lattice import LatticeState, random_state
 
 
@@ -36,49 +35,42 @@ class KernelData:
     small: list
     index: int
     flipped: bool
-    minus_by_block: dict
-    plus_by_block: dict
 
     @property
     def multiplicity(self) -> int:
         return len(self.wandering)
 
 
-def extract_kernels(flux: FluxField, tol: Tolerances | None = None) -> KernelData:
+def extract_kernels(flux: FluxField) -> KernelData:
     """Per-block unit eigenvectors of the flux, orthonormal by construction.
 
     The -1 eigenspace must lie inside Ran P and the +1 eigenspace inside its
     complement; both inclusions are verified on every vector.
     """
-    tol = tol or flux.tol
-    report = index_by_kernels(flux)
+    tol = flux.tol
+    report, kernel_vectors = index_with_kernels(flux)
     geometry = flux.geometry
     ker_minus: list[LatticeState] = []
     ker_plus: list[LatticeState] = []
-    minus_by_block: dict = {}
-    plus_by_block: dict = {}
-    for label in sorted(flux.blocks):
-        evals, evecs = flux.eigensystem(label)
-        blk = flux.blocks[label]
-        for i, lam in enumerate(evals):
-            if abs(lam + 1.0) <= tol.eigenvalue_unit:
-                coords = evecs[:, i]
-                defect = float(np.linalg.norm(blk.p_diag * coords - coords))
-                if defect > tol.kernel_membership:
-                    raise ValidationError(
-                        f"-1 eigenvector at {label} leaves Ran P by {defect:g}"
-                    )
-                ker_minus.append(geometry.make_state(label, coords))
-                minus_by_block.setdefault(label, []).append(coords)
-            elif abs(lam - 1.0) <= tol.eigenvalue_unit:
-                coords = evecs[:, i]
-                defect = float(np.linalg.norm(blk.p_diag * coords))
-                if defect > tol.kernel_membership:
-                    raise ValidationError(
-                        f"+1 eigenvector at {label} meets Ran P by {defect:g}"
-                    )
-                ker_plus.append(geometry.make_state(label, coords))
-                plus_by_block.setdefault(label, []).append(coords)
+    for label in sorted(kernel_vectors):
+        evecs, sel_plus, sel_minus = kernel_vectors[label]
+        p_diag = flux.blocks[label].p_diag
+        for i in sel_minus:
+            coords = evecs[:, i]
+            defect = float(np.linalg.norm(p_diag * coords - coords))
+            if defect > tol.kernel_membership:
+                raise ValidationError(
+                    f"-1 eigenvector at {label} leaves Ran P by {defect:g}"
+                )
+            ker_minus.append(geometry.make_state(label, coords))
+        for i in sel_plus:
+            coords = evecs[:, i]
+            defect = float(np.linalg.norm(p_diag * coords))
+            if defect > tol.kernel_membership:
+                raise ValidationError(
+                    f"+1 eigenvector at {label} meets Ran P by {defect:g}"
+                )
+            ker_plus.append(geometry.make_state(label, coords))
     if len(ker_plus) != report.dim_ker_plus or len(ker_minus) != report.dim_ker_minus:
         raise ValidationError("kernel extraction disagrees with kernel counting")
     index = report.index
@@ -95,8 +87,6 @@ def extract_kernels(flux: FluxField, tol: Tolerances | None = None) -> KernelDat
         small=small,
         index=index,
         flipped=flipped,
-        minus_by_block=minus_by_block,
-        plus_by_block=plus_by_block,
     )
 
 
@@ -110,11 +100,11 @@ class PerturbedUnitary:
     rest of each block.
     """
 
-    def __init__(self, base, flux: FluxField, kernels: KernelData, tol: Tolerances | None = None):
+    def __init__(self, base, flux: FluxField, kernels: KernelData):
         self.base = base
         self.flux = flux
         self.kernels = kernels
-        self.tol = tol or flux.tol
+        self.tol = flux.tol
         self.n_internal = flux.geometry.state_dim
         self._block_maps: dict = {}
         self._finite_rank = list(zip(kernels.paired, kernels.small))
@@ -129,8 +119,8 @@ class PerturbedUnitary:
         """(U0 - 1)Q0 on one block; None when it vanishes."""
         blk = self.flux.blocks[label]
         evals, evecs = self.flux.eigensystem(label)
-        tol = self.tol
-        inside = [i for i, lam in enumerate(evals) if min(abs(lam - 1), abs(lam + 1)) > tol.eigenvalue_unit]
+        plus, minus, _ = classify_unit(evals, self.tol, label)
+        inside = [i for i in range(len(evals)) if i not in plus and i not in minus]
         if not inside:
             return None
         e0 = evecs[:, inside]
@@ -212,10 +202,10 @@ class PerturbedUnitary:
         return worst
 
 
-def build_perturbed(base, flux: FluxField, kernels: KernelData | None = None, tol: Tolerances | None = None) -> PerturbedUnitary:
+def build_perturbed(base, flux: FluxField, kernels: KernelData | None = None) -> PerturbedUnitary:
     if kernels is None:
-        kernels = extract_kernels(flux, tol)
-    return PerturbedUnitary(base, flux, kernels, tol)
+        kernels = extract_kernels(flux)
+    return PerturbedUnitary(base, flux, kernels)
 
 
 # ---------------------------------------------------------------------------
@@ -237,45 +227,32 @@ class ShiftReport:
     expected_rank: int
 
     def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "multiplicity": self.multiplicity,
-            "steps": self.steps,
-            "unitary_defect": self.unitary_defect,
-            "gram_defect": self.gram_defect,
-            "no_return_defect": self.no_return_defect,
-            "commute_defect": self.commute_defect,
-            "remainder_norm": self.remainder_norm,
-            "small_flux_norm": self.small_flux_norm,
-            "finite_rank": self.finite_rank,
-            "expected_rank": self.expected_rank,
-        }
+        return asdict(self)
 
 
 def verify_shift_structure(
     perturbed: PerturbedUnitary,
     kernels: KernelData | None = None,
     k_max: int = 30,
-    seed: int = 11,
-    tol: Tolerances | None = None,
 ) -> ShiftReport:
     """Drive the perturbed unitary and check the shift identities.
 
     (a) iterates of the wandering basis are orthonormal across all steps
     |k| <= k_max; (b) forward iterates never return to the wandering
     subspace; (c) off the computed shift span, the perturbed unitary
-    commutes with P after the wandering component is removed.
+    commutes with P after the wandering component is removed.  Random probe
+    states come from a fixed seed.
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     kernels = kernels or perturbed.kernels
-    tol = tol or perturbed.tol
+    tol = perturbed.tol
     flux = perturbed.flux
     geom = flux.geometry
     basis = kernels.wandering
     mult = len(basis)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     unitary_defect = 0.0
     for _ in range(3):
         psi = random_state(rng, geom.probe_sites(rng), geom.state_dim)
@@ -333,13 +310,14 @@ def verify_shift_structure(
     small = phi_less_norm(flux)
     # the finite-rank part has one independent range vector per swapped pair
     expected_rank = len(kernels.small)
+    finite_rank = perturbed.finite_rank_rank()
     report = ShiftReport(
         ok=(
             unitary_defect <= tol.shift_check
             and gram_defect <= tol.shift_check
             and no_return_defect <= tol.shift_check
             and commute_defect <= tol.shift_check
-            and perturbed.finite_rank_rank() == expected_rank
+            and finite_rank == expected_rank
             and remainder <= 3.0 * small + 1e-12
         ),
         multiplicity=mult,
@@ -350,7 +328,7 @@ def verify_shift_structure(
         commute_defect=commute_defect,
         remainder_norm=remainder,
         small_flux_norm=small,
-        finite_rank=perturbed.finite_rank_rank(),
+        finite_rank=finite_rank,
         expected_rank=expected_rank,
     )
     return report

@@ -9,6 +9,7 @@ counts outgoing minus incoming leads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -17,7 +18,14 @@ import numpy as np
 from .config import DEFAULT, Tolerances
 from .errors import ValidationError
 from .fields import AdaptedProjection, HalfSpace, MatrixField, Plane, Ray, SiteMap
-from .flux import FluxField, analyze, assemble_field, selfcheck_against_operator
+from .flux import (
+    FluxField,
+    analyze,
+    assemble_field,
+    check_rank_formula,
+    max_block_norm,
+    selfcheck_against_operator,
+)
 from .lattice import (
     LatticeState,
     Site,
@@ -95,29 +103,29 @@ def build_walk_flux(
     proj: AdaptedProjection,
     tol: Tolerances = DEFAULT,
     selfcheck: bool = True,
-    pad: int = 3,
 ) -> FluxField:
     """Assemble the blockwise flux of an adapted projection under a walk.
 
     Block at x: coin(x)^* phat(x) coin(x) - p(x) with phat the projection
     conjugated by the conditional shift.  Exact for every site; the window
-    covers all features plus a margin, and the shell certifies the tail.
+    covers all features plus a margin of 3, and the shell certifies the tail.
     """
     if isinstance(walk, MatrixField):
         walk = build_walk(walk, tol)
     if proj.d != walk.d:
         raise ValidationError("projection and walk dimensions differ")
     coin = walk.coin
-    phat = proj.shift_conjugate()
 
     lo_c, hi_c = coin.bounds()
     lo_p, hi_p = proj.bounds()
-    lo = [min(a, b - 1) - pad for a, b in zip(lo_c, lo_p)]
-    hi = [max(a, b + 1) + pad for a, b in zip(hi_c, hi_p)]
+    lo = [min(a, b - 1) - 3 for a, b in zip(lo_c, lo_p)]
+    hi = [max(a, b + 1) + 3 for a, b in zip(hi_c, hi_p)]
     bands = [
         math.lcm(a, b) for a, b in zip(coin.periods(), proj.periods())
     ]
     steps = [1] * walk.d
+    geometry = WalkGeometry(walk, proj, lo, hi)
+    phat = geometry.phat
 
     def block_fn(label):
         c = coin.value(label)
@@ -126,7 +134,6 @@ def build_walk_flux(
         m = (c.conj().T * ph) @ c - np.diag(p).astype(complex)
         return m, p, int(round(ph.sum() - p.sum()))
 
-    geometry = WalkGeometry(walk, proj, lo, hi)
     flux = assemble_field(geometry, block_fn, lo, hi, bands, steps, tol)
     if selfcheck:
         selfcheck_against_operator(flux, walk)
@@ -138,11 +145,7 @@ def walk_index(coin: MatrixField, proj: AdaptedProjection, tol: Tolerances = DEF
     with the kernel count exactly."""
     flux = build_walk_flux(coin, proj, tol)
     report = analyze(flux)
-    if report.index != flux.rank_difference:
-        raise ValidationError(
-            f"kernel count {report.index} disagrees with rank-difference "
-            f"formula {flux.rank_difference}"
-        )
+    check_rank_formula(report, flux, "rank-difference formula")
     return report, flux
 
 
@@ -253,10 +256,8 @@ class LeadSpec:
         return add(self.prefix[0], tuple(c * (-t - m) for c in self.ray_dir))
 
     def tangent(self, t: int) -> Site:
-        if self.kind == "outgoing":
-            if t == 1:
-                t = 2
-            return sub(self.site(t), self.site(t - 1))
+        if self.kind == "outgoing" and t == 1:
+            t = 2  # the head takes the tangent of the first step
         return sub(self.site(t), self.site(t - 1))
 
     def head_pair(self) -> tuple[Site, Site]:
@@ -383,33 +384,18 @@ def validate_network(network: NetworkSpec) -> None:
                     raise ValidationError(
                         f"tangential crossing at site {site} with tangent {tangent}"
                     )
-    # ray against ray: same constant tangent on one overlapping line
+    # ray against ray: same constant tangent on shared sites
     for i, lead in enumerate(leads):
         base_i, step_i, tan_i = lead.ray_pair_family()
         for j in range(i + 1, len(leads)):
             base_j, step_j, tan_j = leads[j].ray_pair_family()
-            if tan_i != tan_j:
-                continue
-            offset = sub(base_j, base_i)
-            m = None
-            for o, s in zip(offset, step_i):
-                if s != 0:
-                    if o % s != 0 or (m is not None and o // s != m):
-                        m = None
-                        break
-                    m = o // s
-                elif o != 0:
-                    m = None
-                    break
-            if m is None:
-                continue  # rays on different lines
-            if step_i == step_j or m >= 0:
+            if tan_i == tan_j and Ray(base_i, step_i).meet(Ray(base_j, step_j)) is not None:
                 raise ValidationError(
                     f"lead rays overlap tangentially along tangent {tan_i}"
                 )
 
 
-def network_projection(network: NetworkSpec, include_bulk: bool = True) -> AdaptedProjection:
+def network_projection(network: NetworkSpec) -> AdaptedProjection:
     """Total quantum projection of the network: one open tangent slot per
     lead site, plus the half-space bulk symbol when a boundary is present."""
     validate_network(network)
@@ -426,7 +412,7 @@ def network_projection(network: NetworkSpec, include_bulk: bool = True) -> Adapt
         rays.append((Ray(base, step), [{slot}]))
     planes = []
     halfspaces = []
-    if network.boundary is not None and include_bulk:
+    if network.boundary is not None:
         b = network.boundary
         up, down = b.normal_slots()
         planes.append((Plane(b.axis, 0), {down}))
@@ -464,35 +450,6 @@ def _complete_unitary(n: int, pairs: dict[int, int]) -> np.ndarray:
     return m
 
 
-def _ray_meetings(base_i: Site, step_i: Site, base_j: Site, step_j: Site):
-    """How two constraint rays meet: nothing, finitely many shared sites, or
-    a shared infinite tail (same direction, same line)."""
-    if step_i == step_j or step_i == tuple(-c for c in step_j):
-        offset = sub(base_j, base_i)
-        m = None
-        for o, s in zip(offset, step_i):
-            if s != 0:
-                if o % s != 0:
-                    return "none", None
-                m = o // s
-            elif o != 0:
-                return "none", None
-        if step_i == step_j:
-            start = base_j if m >= 0 else base_i
-            return "tail", (start, step_i)
-        if m < 0:
-            return "none", None
-        return "segment", [add(base_i, tuple(c * k for c in step_i)) for k in range(m + 1)]
-    # perpendicular rays meet in at most one site
-    k = sum((bj - bi) * s for bi, bj, s in zip(base_i, base_j, step_i))
-    kp = sum((bi - bj) * s for bi, bj, s in zip(base_i, base_j, step_j))
-    if k >= 0 and kp >= 0:
-        site = add(base_i, tuple(c * k for c in step_i))
-        if site == add(base_j, tuple(c * kp for c in step_j)):
-            return "segment", [site]
-    return "none", None
-
-
 def synthesize_lead_coin(
     network: NetworkSpec,
     background: MatrixField,
@@ -524,21 +481,20 @@ def synthesize_lead_coin(
     # wherever two lead rays share sites, or a ray meets an explicit
     # constraint site, the joint constraint must live in the window or in a
     # merged ray layer so that layer precedence cannot shadow it
-    ray_rules = [lead.ray_constraint() for lead in leads]
+    ray_rules = [
+        (Ray(base, step), slot) for base, step, slot in map(LeadSpec.ray_constraint, leads)
+    ]
     merged_tails: list[tuple[Ray, dict[int, int]]] = []
-    for i, (base_i, step_i, slot_i) in enumerate(ray_rules):
-        for j in range(i + 1, len(ray_rules)):
-            base_j, step_j, slot_j = ray_rules[j]
-            how, where = _ray_meetings(base_i, step_i, base_j, step_j)
-            if how == "segment":
+    for i, (ray_i, slot_i) in enumerate(ray_rules):
+        for ray_j, slot_j in ray_rules[i + 1 :]:
+            where = ray_i.meet(ray_j)
+            if isinstance(where, Ray):
+                merged_tails.append((where, {slot_i: slot_i, slot_j: slot_j}))
+            elif where:
                 for site in where:
                     add_constraint(site, slot_i, slot_i)
                     add_constraint(site, slot_j, slot_j)
-            elif how == "tail":
-                start, step = where
-                merged_tails.append((Ray(start, step), {slot_i: slot_i, slot_j: slot_j}))
-    for base, step, slot in ray_rules:
-        ray = Ray(base, step)
+    for ray, slot in ray_rules:
         for site in list(constraints):
             if ray.locate(site) is not None:
                 add_constraint(site, slot, slot)
@@ -556,15 +512,14 @@ def synthesize_lead_coin(
 
     for ray, pairs in merged_tails:
         ray_layers.append((ray, [_complete_unitary(n, reflect_pairs(pairs))]))
-    for lead in leads:
-        base, step, slot = lead.ray_constraint()
+    for ray, slot in ray_rules:
         pairs = reflect_pairs({slot: slot})
-        ray_layers.append((Ray(base, step), [_complete_unitary(n, pairs)]))
+        ray_layers.append((ray, [_complete_unitary(n, pairs)]))
         # explicit entries where the ray passes through the background window,
         # so window precedence cannot shadow the conduction constraint
         k = 0
         while True:
-            site = add(base, tuple(c * k for c in step))
+            site = ray.site_at(k)
             if any(x < l - 2 or x > h + 2 for x, l, h in zip(site, bg_lo, bg_hi)):
                 break
             add_constraint(site, slot, slot)
@@ -618,8 +573,7 @@ def verify_lead_condition(coin: MatrixField, network: NetworkSpec, tol: Toleranc
         probes = set()
         for lead in network.leads():
             probes.update(site for site, _ in lead.pairs_window())
-        axis = network.boundary.axis
-        probes.add(tuple(0 if j != axis else 0 for j in range(network.boundary.d_total)))
+        probes.add((0,) * network.boundary.d_total)
         for site in probes:
             c = coin.value(site)
             if abs(abs(c[down, up]) - 1.0) > tol.unitary or abs(abs(c[up, down]) - 1.0) > tol.unitary:
@@ -681,14 +635,12 @@ def verify_wandering(
     report = WanderingReport(ok, worst, worst_k, overlaps=overlaps)
     if lead is not None:
         n_int = seed.n_internal
+        head, tangent = lead.head_pair()
+        state = LatticeState.basis(head, index_of_vector(tangent), n_int)
         if lead.kind == "outgoing":
-            head, tangent = lead.head_pair()
-            state = LatticeState.basis(head, index_of_vector(tangent), n_int)
             evolve = unitary.apply
             target = lambda k: (lead.site(1 + k), lead.tangent(1 + k))
         else:
-            head, tangent = lead.head_pair()
-            state = LatticeState.basis(head, index_of_vector(tangent), n_int)
             evolve = unitary.apply_adjoint
             target = lambda k: (lead.site(-1 - k), lead.tangent(-1 - k))
         defect = 0.0
@@ -720,12 +672,7 @@ def boundary_projection_full(d_total: int) -> AdaptedProjection:
     )
 
 
-def reflecting_coin(
-    d_total: int,
-    rng: np.random.Generator,
-    box: int = 4,
-    bulk_random: bool = True,
-) -> MatrixField:
+def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> MatrixField:
     """Coin that reflects the normal on the plane x_last = 0 and is otherwise
     arbitrary: random tangent blocks on the plane, random bulk coins inside a
     finite box, identity far away."""
@@ -744,13 +691,10 @@ def reflecting_coin(
         return m
 
     window = {}
-    axes = [range(-box, box + 1)] * d_total
-    import itertools as _it
-
-    for site in _it.product(*axes):
+    for site in itertools.product(*([range(-box, box + 1)] * d_total)):
         if site[b.axis] == 0:
             window[site] = reflecting(haar_unitary(rng, len(tangents)))
-        elif bulk_random:
+        else:
             window[site] = haar_unitary(rng, n)
     plane_matrix = reflecting(haar_unitary(rng, len(tangents)))
     sitemap = SiteMap(
@@ -765,14 +709,8 @@ def reflecting_coin(
 def bulk_boundary_flux(coin: MatrixField, tol: Tolerances = DEFAULT) -> FluxField:
     """Flux of the homogeneous half-space symbol under a reflecting coin;
     every block must vanish."""
-    d_total = coin.d
-    proj = boundary_projection_full(d_total)
-    flux = build_walk_flux(coin, proj, tol)
-    worst = 0.0
-    for blk in flux.blocks.values():
-        worst = max(worst, blk.norm())
-    for blk in flux.shell.values():
-        worst = max(worst, blk.norm())
+    flux = build_walk_flux(coin, boundary_projection_full(coin.d), tol)
+    worst = max_block_norm(flux)
     if worst > 1e-12:
         raise ValidationError(
             f"reflecting configuration has a nonzero flux block (norm {worst:g})"
@@ -785,18 +723,12 @@ def verify_confinement(
     rng: np.random.Generator,
     steps: int = 30,
     box: int = 3,
-    tol: Tolerances = DEFAULT,
 ) -> float:
     """Evolve a random state supported strictly above the plane and measure
     the worst leakage below it."""
     d_total = walk.d
     axis = d_total - 1
-    import itertools as _it
-
-    sites = [
-        s
-        for s in _it.product(*([range(-box, box + 1)] * (d_total - 1) + [range(1, box + 2)]))
-    ]
+    sites = list(itertools.product(*([range(-box, box + 1)] * (d_total - 1) + [range(1, box + 2)])))
     psi = random_state(rng, sites, walk.n_internal)
     worst = 0.0
     for _ in range(steps):
@@ -818,15 +750,14 @@ def random_network(
     n_incoming: int,
     n_outgoing: int,
     box: int = 10,
-    prefix_range: tuple[int, int] = (2, 6),
-    max_attempts: int = 200,
 ) -> NetworkSpec:
-    """Sample admissible leads with no tangential crossings inside a box."""
+    """Sample admissible leads with no tangential crossings inside a box:
+    prefixes of 2 to 6 sites, up to 200 attempts."""
     d = 2
     dirs = all_direction_vectors(d)
 
     def sample_lead(kind: str) -> LeadSpec:
-        length = int(rng.integers(prefix_range[0], prefix_range[1] + 1))
+        length = int(rng.integers(2, 7))
         start = tuple(int(rng.integers(-box, box + 1)) for _ in range(d))
         sites = [start]
         for _ in range(length - 1):
@@ -850,7 +781,7 @@ def random_network(
         ray = ray_options[int(rng.integers(len(ray_options)))]
         return LeadSpec(kind, tuple(chrono), ray)
 
-    for _ in range(max_attempts):
+    for _ in range(200):
         try:
             incoming = tuple(sample_lead("incoming") for _ in range(n_incoming))
             outgoing = tuple(sample_lead("outgoing") for _ in range(n_outgoing))
@@ -888,16 +819,9 @@ def perturb_coin_window(
     return MatrixField(coin.d, n, sitemap, tag=coin.tag)
 
 
-def random_background(
-    rng: np.random.Generator, d: int, box: int = 6, identity_tail: bool = True
-) -> MatrixField:
+def random_background(rng: np.random.Generator, d: int, box: int = 6) -> MatrixField:
     """Random unitary coins inside a box, identity outside."""
-    import itertools as _it
-
     n = 2 * d
-    window = {
-        site: haar_unitary(rng, n)
-        for site in _it.product(*([range(-box, box + 1)] * d))
-    }
+    window = {site: haar_unitary(rng, n) for site in itertools.product(*([range(-box, box + 1)] * d))}
     sitemap = SiteMap(d, window=window, background=np.eye(n, dtype=complex))
     return MatrixField(d, n, sitemap, tag="unitary")

@@ -167,6 +167,9 @@ def test_path_validation():
     with pytest.raises(ValidationError):
         # perpendicular rays meeting at a point
         DualPath([(0, 0), (0, 1), (1, 1), (1, 0)], (0, 1), (0, 1))
+    with pytest.raises(ValidationError):
+        # rays facing each other on one line share a segment
+        DualPath([(0, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 0)], (1, 0), (-1, 0))
 
 
 def test_region_split_sides():

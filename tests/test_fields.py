@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import (
@@ -23,6 +25,36 @@ def test_ray_locate():
     assert ray.locate((0, 0)) is None
     assert ray.locate((3, 1)) is None
     assert ray.site_at(2) == (3, 0)
+
+
+unit_rays_2d = st.builds(
+    Ray,
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
+    st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+)
+
+
+@given(unit_rays_2d, unit_rays_2d)
+def test_ray_meet_matches_brute_force(a, b):
+    # bases lie within 10 steps of each other, so 40 sites per ray reach past
+    # every finite meeting and 30 sites into a shared tail
+    shared = {a.site_at(t) for t in range(40)} & {b.site_at(t) for t in range(40)}
+    where = a.meet(b)
+    if where is None:
+        assert not shared
+    elif isinstance(where, Ray):
+        assert where.step == a.step == b.step
+        assert all(where.locate(s) is not None for s in shared)
+        assert {where.site_at(t) for t in range(30)} <= shared
+    else:
+        assert where and set(where) == shared
+        ts = [a.locate(s) for s in where]
+        assert ts == sorted(set(ts))
+
+
+def test_ray_meet_needs_unit_steps():
+    with pytest.raises(ValidationError):
+        Ray((0, 0), (2, 0)).meet(Ray((0, 0), (1, 0)))
 
 
 def test_sitemap_first_match_precedence():

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from fluxwalk.config import DEFAULT, Tolerances
+from fluxwalk.config import DEFAULT, STRICT, Tolerances
 from fluxwalk.errors import (
     CertificationError,
     EigenvalueAmbiguityError,
     NonSummableError,
+    ValidationError,
 )
 from fluxwalk.fields import HalfSpace, MatrixField, SiteMap
 from fluxwalk.flux import (
     analyze,
     certify_isolated,
+    classify_unit,
     dense_window_index,
     index_by_kernels,
     index_by_odd_trace,
@@ -216,3 +218,15 @@ def test_strict_profile_still_counts_exactly():
     coin, proj = make_basic_example(seed=23)
     flux = build_walk_flux(coin, proj, tol=STRICT)
     assert index_by_kernels(flux).index == 1
+
+
+@pytest.mark.parametrize("tol", [DEFAULT, STRICT], ids=["default", "strict"])
+def test_classify_unit(tol):
+    label = (0,)
+    assert classify_unit(np.array([1 - 1e-11]), tol, label) == ([0], [], 0.0)
+    assert classify_unit(np.array([-1 + 1e-11]), tol, label) == ([], [0], 0.0)
+    assert classify_unit(np.array([0.5]), tol, label) == ([], [], 0.5)
+    with pytest.raises(EigenvalueAmbiguityError):
+        classify_unit(np.array([1 - 3 * tol.eigenvalue_unit]), tol, label)
+    with pytest.raises(ValidationError, match="exceeds 1 in modulus"):
+        classify_unit(np.array([1 + 2e-10]), tol, label)

@@ -6,9 +6,9 @@ from pathlib import Path
 import pytest
 
 from fluxwalk.cli import bundled_scenarios, main
-from fluxwalk.errors import ValidationError
+from fluxwalk.errors import EigenvalueAmbiguityError, NonSummableError, ValidationError
 from fluxwalk.report import dump_report
-from fluxwalk.scenarios import run_scenario, validate_scenario
+from fluxwalk.scenarios import ANALYSES, run_scenario, validate_scenario
 
 
 def load(name):
@@ -84,6 +84,28 @@ def test_failed_expectation_reports_failure():
     result = run_scenario(spec)
     assert not result.ok
     assert result.report["analyses"]["index#0"]["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "error",
+    [EigenvalueAmbiguityError((0,), 1.0 - 5e-8, 1e-8), NonSummableError("tail does not sum")],
+    ids=["ambiguity", "non-summable"],
+)
+def test_failing_analysis_keeps_the_rest_of_the_report(tmp_path, monkeypatch, error):
+    def failing(setup, analysis, rng, tol, files):
+        raise error
+
+    monkeypatch.setitem(ANALYSES["walk"], "index", failing)
+    spec = load("basic_example")
+    spec["analyses"] = [{"type": "index", "expect": 1}, {"type": "oracle_equivalence"}]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "basic_example" / "report.json").read_text())
+    assert report["pass"] is False
+    assert report["analyses"]["index#0"] == {"pass": False, "error": str(error)}
+    oracle = report["analyses"]["oracle_equivalence#1"]
+    assert oracle["pass"] is True and oracle["blockwise"] == oracle["dense"] == 1
 
 
 # ---------------------------------------------------------------------------
