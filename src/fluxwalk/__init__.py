@@ -10,7 +10,7 @@ from .errors import (
     NonSummableError,
     ValidationError,
 )
-from .fields import AdaptedProjection, HalfSpace, MatrixField, Plane, Ray, SiteMap
+from .fields import AdaptedProjection, HalfSpace, Plane, Ray, SiteMap
 from .flux import (
     Certificate,
     FluxBlock,

@@ -91,10 +91,10 @@ class ScatteringParams:
     r: complex
     t: complex
 
-    def validate(self, tol: float = 1e-12) -> None:
-        if abs(abs(self.q) - 1.0) > tol:
+    def __post_init__(self):
+        if abs(abs(self.q) - 1.0) > 1e-12:
             raise ValidationError(f"|q| = {abs(self.q):.6g} is not unimodular")
-        if abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0) > tol:
+        if abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0) > 1e-12:
             raise ValidationError("|r|^2 + |t|^2 must equal 1")
 
     def matrix(self) -> np.ndarray:
@@ -106,55 +106,6 @@ class ScatteringParams:
 CRITICAL = ScatteringParams(1.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
 FULL_REFLECTION = ScatteringParams(1.0, 1.0, 0.0)   # identity matrix
 FULL_TRANSMISSION = ScatteringParams(1.0, 0.0, 1.0)  # antidiagonal [[0,-1],[1,0]]
-
-
-class ScatteringField:
-    """Total assignment z -> scattering parameters (window, rays, background)."""
-
-    def __init__(self, sitemap: SiteMap):
-        self.map = sitemap
-        for desc, params in sitemap.template_values():
-            if not isinstance(params, ScatteringParams):
-                raise ValidationError(f"{desc} is not a ScatteringParams")
-            params.validate()
-
-    @classmethod
-    def constant(cls, params: ScatteringParams) -> "ScatteringField":
-        return cls(SiteMap(2, background=params))
-
-    @classmethod
-    def with_window(cls, window: dict, background: ScatteringParams) -> "ScatteringField":
-        for z in window:
-            if z[1] % 2 != 0:
-                raise ValidationError(f"cell label {z} has odd second coordinate")
-        return cls(SiteMap(2, window=window, background=background))
-
-    def value(self, z: Site) -> ScatteringParams:
-        return self.map.value(z)
-
-    def matrix(self, z: Site) -> np.ndarray:
-        return self.value(z).matrix()
-
-    def bounds(self):
-        return self.map.bounds()
-
-    def periods(self):
-        return self.map.periods()
-
-    def overridden(self, window: dict | None = None, rays=()) -> "ScatteringField":
-        """New field with extra overrides taking precedence."""
-        merged = dict(self.map.window)
-        merged.update({tuple(k): v for k, v in (window or {}).items()})
-        return ScatteringField(
-            SiteMap(
-                2,
-                window=merged,
-                rays=list(rays) + list(self.map.rays),
-                planes=self.map.planes,
-                halfspaces=self.map.halfspaces,
-                background=self.map.background,
-            )
-        )
 
 
 def random_phase_window(
@@ -179,20 +130,35 @@ def random_phase_window(
 
 class CCUnitary(LocalUnitary):
     """The network unitary: each cell's incoming pair scatters to its
-    outgoing pair through the cell's matrix."""
+    outgoing pair through the cell's matrix.
+
+    ``scattering`` maps cell labels in Z x 2Z to ``ScatteringParams``; every
+    template value and every window label is checked here.
+    """
 
     kind = "cc-model"
     n_internal = 1
 
-    def __init__(self, scattering: ScatteringField):
+    def __init__(self, scattering: SiteMap):
+        if scattering.d != 2:
+            raise ValidationError(f"scattering data live on Z^2, got d = {scattering.d}")
+        for z in scattering.window:
+            if z[1] % 2 != 0:
+                raise ValidationError(f"cell label {z} has odd second coordinate")
+        for desc, params in scattering.template_values():
+            if not isinstance(params, ScatteringParams):
+                raise ValidationError(f"{desc} is not a ScatteringParams")
         self.scattering = scattering
+
+    def matrix(self, z: Site) -> np.ndarray:
+        return self.scattering.value(z).matrix()
 
     def apply(self, psi: LatticeState) -> LatticeState:
         self._check(psi)
         out: dict[Site, np.ndarray] = {}
         for site, vec in psi.items():
             z, j = in_cell(site)
-            s = self.scattering.matrix(z)
+            s = self.matrix(z)
             outs = cell_out_basis(z)
             for b in (0, 1):
                 amp = s[j, b] * vec[0]
@@ -210,7 +176,7 @@ class CCUnitary(LocalUnitary):
         out: dict[Site, np.ndarray] = {}
         for site, vec in psi.items():
             z, b = out_cell(site)
-            s = self.scattering.matrix(z)
+            s = self.matrix(z)
             ins = cell_in_basis(z)
             for j in (0, 1):
                 amp = np.conj(s[j, b]) * vec[0]
@@ -222,10 +188,6 @@ class CCUnitary(LocalUnitary):
                     out[ins[j]] = buf
                 buf[0] += amp
         return LatticeState(1, out, _take=True)
-
-
-def build_cc(scattering: ScatteringField) -> CCUnitary:
-    return CCUnitary(scattering)
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +436,8 @@ class CCGeometry:
     kind = "cc"
     state_dim = 1
 
-    def __init__(self, scattering: ScatteringField, split: RegionSplit, lo, hi):
-        self.scattering = scattering
+    def __init__(self, unitary: CCUnitary, split: RegionSplit, lo, hi):
+        self.unitary = unitary
         self.split = split
         self.lo = list(lo)
         self.hi = list(hi)
@@ -510,7 +472,7 @@ class CCGeometry:
     def kitaev(self, labels) -> float:
         total = 0.0
         for z in labels:
-            a2 = np.abs(self.scattering.matrix(z)) ** 2
+            a2 = np.abs(self.unitary.matrix(z)) ** 2
             ins = cell_in_basis(z)
             outs = cell_out_basis(z)
             d = np.array([self.split.side(p) for p in ins], dtype=float)
@@ -523,7 +485,7 @@ class CCGeometry:
         return total
 
 
-def cc_flux(scattering: ScatteringField, path: DualPath, tol: Tolerances = DEFAULT) -> FluxField:
+def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT) -> FluxField:
     """Blockwise flux of the left-region projection of a dual path, checked
     against the operator on random states.
 
@@ -532,6 +494,7 @@ def cc_flux(scattering: ScatteringField, path: DualPath, tol: Tolerances = DEFAU
     diagonals.  The window covers the path and the scattering features plus
     a margin of 4.
     """
+    unitary = CCUnitary(scattering)
     (plo, phi_) = path.bounds()
     s_lo, s_hi = scattering.bounds()
     lo = [min(s_lo[0], plo[0]) - 4, min(s_lo[1], plo[1]) - 4]
@@ -547,7 +510,7 @@ def cc_flux(scattering: ScatteringField, path: DualPath, tol: Tolerances = DEFAU
     split = RegionSplit(path, point_lo, point_hi)
 
     def block_fn(z):
-        s = scattering.matrix(z)
+        s = unitary.matrix(z)
         ins = cell_in_basis(z)
         outs = cell_out_basis(z)
         d = np.array([split.side(p) for p in ins], dtype=float)
@@ -557,13 +520,13 @@ def cc_flux(scattering: ScatteringField, path: DualPath, tol: Tolerances = DEFAU
         rank_diff = int(round(dh.sum() - d.sum()))
         return m, d, rank_diff
 
-    geometry = CCGeometry(scattering, split, lo, hi)
+    geometry = CCGeometry(unitary, split, lo, hi)
     flux = assemble_field(geometry, block_fn, lo, hi, bands, steps, tol)
-    selfcheck_against_operator(flux, CCUnitary(scattering))
+    selfcheck_against_operator(flux, unitary)
     return flux
 
 
-def cc_index(scattering: ScatteringField, path: DualPath, tol: Tolerances = DEFAULT):
+def cc_index(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT):
     """Index report with the geometric rank formula cross-checked against
     kernel counting."""
     flux = cc_flux(scattering, path, tol)
@@ -676,7 +639,7 @@ def _deep_cell_ray(path: DualPath, ts: list[int]) -> tuple[Site, Site]:
 
 
 def anomalous_transport(
-    scattering: ScatteringField,
+    scattering: SiteMap,
     path: DualPath,
     epsilons,
     tol: Tolerances = DEFAULT,

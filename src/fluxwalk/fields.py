@@ -1,11 +1,17 @@
 """Total site-indexed fields: explicit window plus structured tails.
 
-A field assigns a value (matrix, parameter tuple, open-direction set) to every
-site of the lattice.  Outside a finite window the value comes from structured
-layers -- rays, planes, half-spaces, a constant or periodic background -- so
-evaluation is total and the behaviour at infinity is described by finitely
-many translation classes.  That is what lets flux operators be certified at
-infinity by inspecting a finite shell of representative cells.
+A field assigns a value to every site of the lattice.  Outside a finite
+window the value comes from structured layers -- rays, planes, half-spaces,
+a constant background -- so evaluation is total and the behaviour at infinity
+is described by finitely many translation classes.  That is what lets flux
+operators be certified at infinity by inspecting a finite shell of
+representative cells.
+
+``SiteMap`` is the one field type; the models differ only in its values.
+Coins of a walk on Z^d are ``(2d, 2d)`` complex unitary matrices, checked by
+``walks.build_walk``.  Scattering data of a Chalker--Coddington network are
+``cc.ScatteringParams`` on cells of Z x 2Z, checked by ``cc.CCUnitary``.
+Adapted projections store sets of open internal slots.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import LatticeState, Site, all_direction_vectors, is_unitary, sub
+from .lattice import LatticeState, Site, all_direction_vectors, sub
 
 
 @dataclass(frozen=True)
@@ -91,25 +97,15 @@ class HalfSpace:
         return self.sign * site[self.axis] >= self.threshold
 
 
-@dataclass(frozen=True)
-class PeriodicBackground:
-    """Background value depending on coordinate residues."""
-
-    period: Site
-    table: dict  # residue tuple -> value
-
-    def value(self, site: Site):
-        key = tuple(x % p for x, p in zip(site, self.period))
-        return self.table[key]
-
-
 class SiteMap:
-    """Layered total lookup.
+    """Layered total lookup, first match wins.
 
-    Precedence for ``combine='first'``: window, rays (in order), planes,
-    half-spaces, background.  For ``combine='union'`` all matching layers are
-    united (used for direction-set projections, where distinct layers carry
-    orthogonal contributions).
+    Precedence: window, rays (in order), planes, half-spaces, background.
+    Values are stored as given and checked where a model's operator is
+    built: coins are ``(2d, 2d)`` complex unitaries (``walks.build_walk``),
+    scattering data are ``cc.ScatteringParams`` on cells of Z x 2Z
+    (``cc.CCUnitary``).  ``AdaptedProjection`` stores frozensets of open
+    slots and unites the matching layers instead of taking the first.
     """
 
     def __init__(
@@ -120,17 +116,13 @@ class SiteMap:
         planes: Sequence[tuple[Plane, Any]] = (),
         halfspaces: Sequence[tuple[HalfSpace, Any]] = (),
         background: Any = None,
-        combine: str = "first",
     ):
-        if combine not in ("first", "union"):
-            raise ValidationError(f"unknown combine mode {combine!r}")
         self.d = int(d)
         self.window = {tuple(k): v for k, v in (window or {}).items()}
         self.rays = [(ray, tuple(pattern)) for ray, pattern in rays]
         self.planes = list(planes)
         self.halfspaces = list(halfspaces)
         self.background = background
-        self.combine = combine
         for ray, pattern in self.rays:
             if len(ray.base) != self.d or len(ray.step) != self.d:
                 raise ValidationError("ray dimension mismatch")
@@ -139,43 +131,37 @@ class SiteMap:
 
     def value(self, site: Site):
         site = tuple(site)
-        if self.combine == "first":
-            if site in self.window:
-                return self.window[site]
-            for ray, pattern in self.rays:
-                t = ray.locate(site)
-                if t is not None:
-                    return pattern[t % len(pattern)]
-            for plane, v in self.planes:
-                if plane.contains(site):
-                    return v
-            for hs, v in self.halfspaces:
-                if hs.contains(site):
-                    return v
-            return self._background_value(site)
-        # union semantics: matching layers contribute orthogonal slot sets
-        acc: set = set()
         if site in self.window:
-            acc |= set(self.window[site])
+            return self.window[site]
         for ray, pattern in self.rays:
             t = ray.locate(site)
             if t is not None:
-                acc |= set(pattern[t % len(pattern)])
+                return pattern[t % len(pattern)]
         for plane, v in self.planes:
             if plane.contains(site):
-                acc |= set(v)
+                return v
         for hs, v in self.halfspaces:
             if hs.contains(site):
-                acc |= set(v)
-        bg = self._background_value(site)
-        if bg:
-            acc |= set(bg)
-        return frozenset(acc)
-
-    def _background_value(self, site: Site):
-        if isinstance(self.background, PeriodicBackground):
-            return self.background.value(site)
+                return v
         return self.background
+
+    def overridden(self, window: dict | None = None, rays=()) -> "SiteMap":
+        """New map whose extra window entries and rays take precedence.
+
+        The new window entries come first in iteration order, then the old
+        ones they leave untouched, so callers that draw random numbers per
+        window entry stay reproducible; the new rays come before the old ones.
+        """
+        new = {tuple(k): v for k, v in (window or {}).items()}
+        merged = {**new, **{k: v for k, v in self.window.items() if k not in new}}
+        return SiteMap(
+            self.d,
+            window=merged,
+            rays=list(rays) + self.rays,
+            planes=self.planes,
+            halfspaces=self.halfspaces,
+            background=self.background,
+        )
 
     # -- structure queries used by the certification machinery ------------
 
@@ -212,13 +198,11 @@ class SiteMap:
             if len(nz) == 1:
                 j, s = nz[0]
                 per[j] = math.lcm(per[j], len(pattern) * abs(s))
-        if isinstance(self.background, PeriodicBackground):
-            for j, p in enumerate(self.background.period):
-                per[j] = math.lcm(per[j], p)
         return per
 
     def template_values(self) -> Iterator[tuple[str, Any]]:
-        """Every distinct structural value with a short description."""
+        """Every structural value, the background included, with a short
+        description."""
         for site, v in sorted(self.window.items()):
             yield f"window{site}", v
         for i, (ray, pattern) in enumerate(self.rays):
@@ -228,39 +212,7 @@ class SiteMap:
             yield f"plane{i}", v
         for i, (hs, v) in enumerate(self.halfspaces):
             yield f"halfspace{i}", v
-        if isinstance(self.background, PeriodicBackground):
-            for key, v in sorted(self.background.table.items()):
-                yield f"background{key}", v
-        elif self.background is not None:
-            yield "background", self.background
-
-
-class MatrixField:
-    """Site-indexed field of small dense complex matrices."""
-
-    def __init__(self, d: int, n: int, sitemap: SiteMap, tag: str | None = None, tol: float = 1e-12):
-        self.d = d
-        self.n = n
-        self.map = sitemap
-        self.tag = tag
-        if tag == "unitary":
-            for desc, m in sitemap.template_values():
-                if not is_unitary(np.asarray(m), tol):
-                    raise ValidationError(f"matrix at {desc} is not unitary to {tol:g}")
-
-    @classmethod
-    def constant(cls, d: int, matrix: np.ndarray, tag: str | None = None) -> "MatrixField":
-        m = np.asarray(matrix, dtype=complex)
-        return cls(d, m.shape[0], SiteMap(d, background=m), tag=tag)
-
-    def value(self, site: Site) -> np.ndarray:
-        return np.asarray(self.map.value(site), dtype=complex)
-
-    def bounds(self):
-        return self.map.bounds()
-
-    def periods(self):
-        return self.map.periods()
+        yield "background", self.background
 
 
 class AdaptedProjection:
@@ -292,21 +244,29 @@ class AdaptedProjection:
         rys = [(ray, tuple(frozenset(p) for p in pat)) for ray, pat in rays]
         pls = [(plane, frozenset(v)) for plane, v in planes]
         hss = [(hs, frozenset(v)) for hs, v in halfspaces]
-        sm = SiteMap(
-            d,
-            window=win,
-            rays=rys,
-            planes=pls,
-            halfspaces=hss,
-            background=frozenset(background),
-            combine="union",
-        )
+        sm = SiteMap(d, window=win, rays=rys, planes=pls, halfspaces=hss, background=frozenset(background))
         return cls(d, sm)
 
     # -- evaluation --------------------------------------------------------
 
     def open_slots(self, site: Site) -> frozenset[int]:
-        return self.map.value(site)
+        """Union over every matching layer: distinct layers carry orthogonal
+        slot sets, e.g. two leads crossing a site in different directions."""
+        m = self.map
+        site = tuple(site)
+        acc = set(m.window.get(site, ()))
+        for ray, pattern in m.rays:
+            t = ray.locate(site)
+            if t is not None:
+                acc |= pattern[t % len(pattern)]
+        for plane, v in m.planes:
+            if plane.contains(site):
+                acc |= v
+        for hs, v in m.halfspaces:
+            if hs.contains(site):
+                acc |= v
+        acc |= m.background
+        return frozenset(acc)
 
     def rank(self, site: Site) -> int:
         return len(self.open_slots(site))
@@ -394,31 +354,27 @@ def interpolate_unitaries(u0: np.ndarray, u1: np.ndarray, s: float) -> np.ndarra
     return u0 @ powered
 
 
-def interpolate_matrix_fields(f0: MatrixField, f1: MatrixField, s: float) -> MatrixField:
+def interpolate_matrix_fields(f0: SiteMap, f1: SiteMap, s: float) -> SiteMap:
     """Interpolate two unitary fields with identical layer structure."""
-    m0, m1 = f0.map, f1.map
-    if set(m0.window) != set(m1.window) or len(m0.rays) != len(m1.rays):
-        raise ValidationError("fields must share their layer structure")
-    window = {k: interpolate_unitaries(np.asarray(m0.window[k]), np.asarray(m1.window[k]), s) for k in m0.window}
-    rays = []
-    for (r0, p0), (r1, p1) in zip(m0.rays, m1.rays):
-        if r0 != r1 or len(p0) != len(p1):
-            raise ValidationError("ray layers must match")
-        rays.append((r0, tuple(interpolate_unitaries(np.asarray(a), np.asarray(b), s) for a, b in zip(p0, p1))))
-    planes = []
-    for (pl0, v0), (pl1, v1) in zip(m0.planes, m1.planes):
-        if pl0 != pl1:
-            raise ValidationError("plane layers must match")
-        planes.append((pl0, interpolate_unitaries(np.asarray(v0), np.asarray(v1), s)))
-    halfspaces = []
-    for (h0, v0), (h1, v1) in zip(m0.halfspaces, m1.halfspaces):
-        if h0 != h1:
-            raise ValidationError("half-space layers must match")
-        halfspaces.append((h0, interpolate_unitaries(np.asarray(v0), np.asarray(v1), s)))
-    if (m0.background is None) != (m1.background is None):
+    if f0.d != f1.d or set(f0.window) != set(f1.window):
+        raise ValidationError("fields must share their window and dimension")
+    for kind in ("rays", "planes", "halfspaces"):
+        l0, l1 = getattr(f0, kind), getattr(f1, kind)
+        if len(l0) != len(l1) or any(a != b for (a, _), (b, _) in zip(l0, l1)):
+            raise ValidationError(f"{kind} layers must match")
+    if any(len(p0) != len(p1) for (_, p0), (_, p1) in zip(f0.rays, f1.rays)):
+        raise ValidationError("ray patterns must have equal lengths")
+    if (f0.background is None) != (f1.background is None):
         raise ValidationError("background layers must match")
-    bg = None
-    if m0.background is not None:
-        bg = interpolate_unitaries(np.asarray(m0.background), np.asarray(m1.background), s)
-    sm = SiteMap(m0.d, window=window, rays=rays, planes=planes, halfspaces=halfspaces, background=bg)
-    return MatrixField(f0.d, f0.n, sm, tag=f0.tag)
+
+    def geo(a, b):
+        return interpolate_unitaries(np.asarray(a), np.asarray(b), s)
+
+    return SiteMap(
+        f0.d,
+        window={k: geo(v, f1.window[k]) for k, v in f0.window.items()},
+        rays=[(r, tuple(map(geo, p0, p1))) for (r, p0), (_, p1) in zip(f0.rays, f1.rays)],
+        planes=[(pl, geo(v0, v1)) for (pl, v0), (_, v1) in zip(f0.planes, f1.planes)],
+        halfspaces=[(h, geo(v0, v1)) for (h, v0), (_, v1) in zip(f0.halfspaces, f1.halfspaces)],
+        background=None if f0.background is None else geo(f0.background, f1.background),
+    )

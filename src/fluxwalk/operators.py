@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
-from .fields import MatrixField
+from .fields import SiteMap
 from .lattice import LatticeState, Site, all_direction_vectors, add, sub
 
 
@@ -37,19 +37,16 @@ class CoinedWalk(LocalUnitary):
     """One step of a coined walk: site-dependent coin, then conditional shift.
 
     Acting on a state, the coin reshuffles the internal slots at each site and
-    the slot-k component then moves one site along direction k.
+    the slot-k component then moves one site along direction k.  The coin
+    values are taken as given; ``walks.build_walk`` checks them.
     """
 
     kind = "coined-walk"
 
-    def __init__(self, coin: MatrixField):
-        if coin.n != 2 * coin.d:
-            raise ValidationError(
-                f"coin has block size {coin.n}, expected {2 * coin.d} for d={coin.d}"
-            )
+    def __init__(self, coin: SiteMap):
         self.coin = coin
         self.d = coin.d
-        self.n_internal = coin.n
+        self.n_internal = 2 * coin.d
         self._dirs = all_direction_vectors(coin.d)
 
     def apply(self, psi: LatticeState) -> LatticeState:
@@ -85,8 +82,8 @@ class CoinedWalk(LocalUnitary):
         return LatticeState(self.n_internal, out, _take=True)
 
 
-def identity_coin(d: int) -> MatrixField:
-    return MatrixField.constant(d, np.eye(2 * d, dtype=complex), tag="unitary")
+def identity_coin(d: int) -> SiteMap:
+    return SiteMap(d, background=np.eye(2 * d, dtype=complex))
 
 
 def conditional_shift(d: int) -> CoinedWalk:

@@ -18,7 +18,7 @@ import numpy as np
 from . import cc as ccm
 from .config import PROFILES
 from .errors import FluxwalkError, ValidationError
-from .fields import HalfSpace, MatrixField, Ray, SiteMap, interpolate_matrix_fields
+from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
 from .flux import analyze, dense_window_index, index_stability_probe, max_block_norm
 from .lattice import LatticeState, haar_unitary, index_of_vector
 from .operators import matrix_on_window
@@ -108,7 +108,7 @@ def _path_from_json(obj: dict) -> ccm.DualPath:
 
 @dataclass
 class WalkSetup:
-    coin: MatrixField
+    coin: SiteMap
     projection: object
     network: NetworkSpec | None = None
     boundary: BoundarySpec | None = None
@@ -145,13 +145,12 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         for x in range(n_cut, n_cut + box):
             window[(x,)] = _commuting_coin(rng, 2, slot)
         tail = _commuting_coin(rng, 2, slot)
-        sitemap = SiteMap(
+        coin = SiteMap(
             1,
             window=window,
             halfspaces=[(HalfSpace(0, 1, n_cut), tail)],
             background=np.eye(2, dtype=complex),
         )
-        coin = MatrixField(1, 2, sitemap, tag="unitary")
         if ptype != "basic_halfspace":
             raise ValidationError("basic_example coin pairs with basic_halfspace")
         interior = {
@@ -175,13 +174,12 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         ray_coin = _commuting_coin(rng, n, slot)
         base = tuple([1] + [0] * (d - 1))
         step = tuple([1] + [0] * (d - 1))
-        sitemap = SiteMap(
+        coin = SiteMap(
             d,
             window=window,
             rays=[(Ray(base, step), [ray_coin])],
             background=np.eye(n, dtype=complex),
         )
-        coin = MatrixField(d, n, sitemap, tag="unitary")
         if ptype != "halfline":
             raise ValidationError("halfline_commuting coin pairs with halfline")
         proj = halfline_projection(d, int(proj_spec.get("sign", sign)))
@@ -217,12 +215,12 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
 
 @dataclass
 class CCSetup:
-    scattering: ccm.ScatteringField
+    scattering: SiteMap
     path: ccm.DualPath
     spec: dict
 
 
-def _scattering_from_json(spec: dict, rng: np.random.Generator, window_extent: int) -> ccm.ScatteringField:
+def _scattering_from_json(spec: dict, rng: np.random.Generator, window_extent: int) -> SiteMap:
     template = spec.get("template")
     if template == "critical":
         base = ccm.CRITICAL
@@ -234,17 +232,17 @@ def _scattering_from_json(spec: dict, rng: np.random.Generator, window_extent: i
         base = ccm.ScatteringParams(1.0, r_abs, math.sqrt(max(0.0, 1.0 - r_abs**2)))
     phases = spec.get("phases", "unity")
     if phases == "unity":
-        return ccm.ScatteringField.constant(base)
+        return SiteMap(2, background=base)
     if phases == "random":
         extent = int(spec.get("window", window_extent))
         window = ccm.random_phase_window(
             rng, r_abs, range(-extent, extent + 1), range(-extent, extent + 1)
         )
-        return ccm.ScatteringField.with_window(window, base)
+        return SiteMap(2, window=window, background=base)
     raise ValidationError(f"unknown phase mode {phases!r}")
 
 
-def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -> ccm.ScatteringField:
+def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -> SiteMap:
     """The scenario's scattering field; a random-phase window reaches 8 cells
     beyond the path's explicit vertices."""
     (lo, lo2), (hi, hi2) = path.bounds()
@@ -261,8 +259,10 @@ def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
 # validation without heavy computation
 
 
-def validate_scenario(spec: dict) -> list[str]:
-    """Structural and precondition checks; raises on the first violation."""
+def _checked_setup(spec: dict):
+    """Structural and precondition checks, raising on the first violation;
+    returns the setup they build, the generator that built it (to be reused
+    by the analyses) and notes on what was checked."""
     notes = []
     if not isinstance(spec, dict):
         raise ValidationError("scenario must be a JSON object")
@@ -313,7 +313,12 @@ def validate_scenario(spec: dict) -> list[str]:
             raise ValidationError(
                 f"analysis type {analysis['type']!r} not available for kind {kind!r}"
             )
-    return notes
+    return setup, rng, notes
+
+
+def validate_scenario(spec: dict) -> list[str]:
+    """Structural and precondition checks; raises on the first violation."""
+    return _checked_setup(spec)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +469,8 @@ def _walk_network_ensemble_analysis(setup, analysis, rng, tol, files):
 
 def _spectrum_window_analysis(setup, analysis, rng, tol, files):
     box = int(analysis.get("box", 5))
-    if setup.__class__.__name__ == "CCSetup":
-        unitary = ccm.build_cc(setup.scattering)
+    if isinstance(setup, CCSetup):
+        unitary = ccm.CCUnitary(setup.scattering)
         d = 2
     else:
         unitary = build_walk(setup.coin, tol)
@@ -666,13 +671,11 @@ def run_scenario(
     if profile not in PROFILES:
         raise ValidationError(f"unknown tolerance profile {profile!r}")
     tol = PROFILES[profile]
-    validate_scenario(spec)
-    seed = int(seed_override if seed_override is not None else spec["seed"])
-    spec = dict(spec)
-    spec["seed"] = seed
+    if seed_override is not None and isinstance(spec, dict):
+        spec = {**spec, "seed": seed_override}
+    setup, rng, _ = _checked_setup(spec)
+    seed = spec["seed"]
     kind = spec["kind"]
-    rng = _rng(seed)
-    setup = build_walk_setup(spec, rng) if kind == "walk" else build_cc_setup(spec, rng)
     files: dict[str, str] = {}
     analyses_out = {}
     all_ok = True

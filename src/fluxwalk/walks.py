@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import DEFAULT, Tolerances
 from .errors import ValidationError
-from .fields import AdaptedProjection, HalfSpace, MatrixField, Plane, Ray, SiteMap
+from .fields import AdaptedProjection, HalfSpace, Plane, Ray, SiteMap
 from .flux import (
     FluxField,
     analyze,
@@ -41,10 +41,14 @@ from .lattice import (
 from .operators import CoinedWalk
 
 
-def build_walk(coin: MatrixField, tol: Tolerances = DEFAULT) -> CoinedWalk:
-    """Walk from a coin field; every template matrix must be unitary."""
-    for desc, m in coin.map.template_values():
-        if not is_unitary(np.asarray(m, dtype=complex), tol.unitary):
+def build_walk(coin: SiteMap, tol: Tolerances = DEFAULT) -> CoinedWalk:
+    """Walk from a coin field; every template must be a (2d, 2d) unitary."""
+    n = 2 * coin.d
+    for desc, m in coin.template_values():
+        m = np.asarray(m, dtype=complex)
+        if m.shape != (n, n):
+            raise ValidationError(f"coin matrix at {desc} has shape {m.shape}, expected {(n, n)}")
+        if not is_unitary(m, tol.unitary):
             raise ValidationError(f"coin matrix at {desc} is not unitary")
     return CoinedWalk(coin)
 
@@ -99,7 +103,7 @@ class WalkGeometry:
 
 
 def build_walk_flux(
-    walk: CoinedWalk | MatrixField,
+    coin: SiteMap,
     proj: AdaptedProjection,
     tol: Tolerances = DEFAULT,
     selfcheck: bool = True,
@@ -110,11 +114,9 @@ def build_walk_flux(
     conjugated by the conditional shift.  Exact for every site; the window
     covers all features plus a margin of 3, and the shell certifies the tail.
     """
-    if isinstance(walk, MatrixField):
-        walk = build_walk(walk, tol)
+    walk = build_walk(coin, tol)
     if proj.d != walk.d:
         raise ValidationError("projection and walk dimensions differ")
-    coin = walk.coin
 
     lo_c, hi_c = coin.bounds()
     lo_p, hi_p = proj.bounds()
@@ -140,7 +142,7 @@ def build_walk_flux(
     return flux
 
 
-def walk_index(coin: MatrixField, proj: AdaptedProjection, tol: Tolerances = DEFAULT):
+def walk_index(coin: SiteMap, proj: AdaptedProjection, tol: Tolerances = DEFAULT):
     """Full index report; the geometric rank-difference formula must agree
     with the kernel count exactly."""
     flux = build_walk_flux(coin, proj, tol)
@@ -452,9 +454,9 @@ def _complete_unitary(n: int, pairs: dict[int, int]) -> np.ndarray:
 
 def synthesize_lead_coin(
     network: NetworkSpec,
-    background: MatrixField,
+    background: SiteMap,
     tol: Tolerances = DEFAULT,
-) -> MatrixField:
+) -> SiteMap:
     """Coin equal to the background off the leads, conducting along each lead
     and reflecting the normal on the boundary plane."""
     validate_network(network)
@@ -532,27 +534,13 @@ def synthesize_lead_coin(
                 add_constraint(site, up, down)
                 add_constraint(site, down, up)
 
-    window = {}
-    for site, pairs in constraints.items():
-        window[site] = _complete_unitary(n, pairs)
-    for site, m in background.map.window.items():
-        if site not in window:
-            window[site] = np.asarray(m, dtype=complex)
-
-    sitemap = SiteMap(
-        d,
-        window=window,
-        rays=ray_layers + list(background.map.rays),
-        planes=list(background.map.planes),
-        halfspaces=list(background.map.halfspaces),
-        background=background.map.background,
-    )
-    coin = MatrixField(d, n, sitemap, tag="unitary")
+    window = {site: _complete_unitary(n, pairs) for site, pairs in constraints.items()}
+    coin = background.overridden(window=window, rays=ray_layers)
     verify_lead_condition(coin, network, tol)
     return coin
 
 
-def verify_lead_condition(coin: MatrixField, network: NetworkSpec, tol: Tolerances = DEFAULT) -> None:
+def verify_lead_condition(coin: SiteMap, network: NetworkSpec, tol: Tolerances = DEFAULT) -> None:
     """Re-check perfect conduction on every lead and reflection on the
     boundary, including one period of every ray template."""
     for lead in network.leads():
@@ -580,7 +568,7 @@ def verify_lead_condition(coin: MatrixField, network: NetworkSpec, tol: Toleranc
                 raise ValidationError(f"boundary reflection violated at {site}")
 
 
-def lead_flux_index(network: NetworkSpec, coin: MatrixField, tol: Tolerances = DEFAULT):
+def lead_flux_index(network: NetworkSpec, coin: SiteMap, tol: Tolerances = DEFAULT):
     """Index of the total lead projection (plus bulk symbol if bounded)."""
     verify_lead_condition(coin, network, tol)
     proj = network_projection(network)
@@ -672,7 +660,7 @@ def boundary_projection_full(d_total: int) -> AdaptedProjection:
     )
 
 
-def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> MatrixField:
+def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> SiteMap:
     """Coin that reflects the normal on the plane x_last = 0 and is otherwise
     arbitrary: random tangent blocks on the plane, random bulk coins inside a
     finite box, identity far away."""
@@ -697,16 +685,15 @@ def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> Mat
         else:
             window[site] = haar_unitary(rng, n)
     plane_matrix = reflecting(haar_unitary(rng, len(tangents)))
-    sitemap = SiteMap(
+    return SiteMap(
         d_total,
         window=window,
         planes=[(Plane(b.axis, 0), plane_matrix)],
         background=np.eye(n, dtype=complex),
     )
-    return MatrixField(d_total, n, sitemap, tag="unitary")
 
 
-def bulk_boundary_flux(coin: MatrixField, tol: Tolerances = DEFAULT) -> FluxField:
+def bulk_boundary_flux(coin: SiteMap, tol: Tolerances = DEFAULT) -> FluxField:
     """Flux of the homogeneous half-space symbol under a reflecting coin;
     every block must vanish."""
     flux = build_walk_flux(coin, boundary_projection_full(coin.d), tol)
@@ -794,34 +781,25 @@ def random_network(
 
 
 def perturb_coin_window(
-    coin: MatrixField, rng: np.random.Generator, strength: float
-) -> MatrixField:
+    coin: SiteMap, rng: np.random.Generator, strength: float
+) -> SiteMap:
     """Multiply every window coin by a small random unitary, leaving all tail
     layers untouched.  The result differs from the input by a summable
     (finite-window) perturbation of size ``strength``."""
     window = {}
-    n = coin.n
-    for site, m in coin.map.window.items():
+    n = 2 * coin.d
+    for site, m in coin.window.items():
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = (a - a.conj().T) / 2.0
         a *= strength / max(np.linalg.norm(a, 2), 1e-12)
         evals, evecs = np.linalg.eigh(1j * a)
         rot = (evecs * np.exp(-1j * evals)) @ evecs.conj().T
         window[site] = np.asarray(m, dtype=complex) @ rot
-    sitemap = SiteMap(
-        coin.d,
-        window=window,
-        rays=coin.map.rays,
-        planes=coin.map.planes,
-        halfspaces=coin.map.halfspaces,
-        background=coin.map.background,
-    )
-    return MatrixField(coin.d, n, sitemap, tag=coin.tag)
+    return coin.overridden(window=window)
 
 
-def random_background(rng: np.random.Generator, d: int, box: int = 6) -> MatrixField:
+def random_background(rng: np.random.Generator, d: int, box: int = 6) -> SiteMap:
     """Random unitary coins inside a box, identity outside."""
     n = 2 * d
     window = {site: haar_unitary(rng, n) for site in itertools.product(*([range(-box, box + 1)] * d))}
-    sitemap = SiteMap(d, window=window, background=np.eye(n, dtype=complex))
-    return MatrixField(d, n, sitemap, tag="unitary")
+    return SiteMap(d, window=window, background=np.eye(n, dtype=complex))

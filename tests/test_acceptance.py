@@ -11,7 +11,6 @@ import pytest
 
 from fluxwalk.cc import (
     CRITICAL,
-    ScatteringField,
     ScatteringParams,
     anomalous_transport,
     cc_index,
@@ -22,7 +21,7 @@ from fluxwalk.cc import (
     straight_r_path,
 )
 from fluxwalk.errors import ValidationError
-from fluxwalk.fields import HalfSpace, MatrixField, SiteMap, interpolate_matrix_fields
+from fluxwalk.fields import HalfSpace, SiteMap, interpolate_matrix_fields
 from fluxwalk.flux import (
     analyze,
     dense_window_index,
@@ -72,16 +71,11 @@ def make_basic_example(seed=101, n_cut=2):
     for x in range(n_cut, n_cut + 5):
         window[(x,)] = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
     tail = np.diag(np.exp(1j * np.array([0.5, -0.2])))
-    coin = MatrixField(
+    coin = SiteMap(
         1,
-        2,
-        SiteMap(
-            1,
-            window=window,
-            halfspaces=[(HalfSpace(0, 1, n_cut), tail)],
-            background=np.eye(2, dtype=complex),
-        ),
-        tag="unitary",
+        window=window,
+        halfspaces=[(HalfSpace(0, 1, n_cut), tail)],
+        background=np.eye(2, dtype=complex),
     )
     return coin, basic_halfspace_projection(n_cut)
 
@@ -110,13 +104,12 @@ def make_halfline(seed, sign):
         window[site] = haar_unitary(rng, n)
     for x in range(1, 4):
         window[(x, 0)] = commuting_coin(rng, n, slot)
-    sitemap = SiteMap(
+    coin = SiteMap(
         2,
         window=window,
         rays=[(Ray((1, 0), (1, 0)), [commuting_coin(rng, n, slot)])],
         background=np.eye(n, dtype=complex),
     )
-    coin = MatrixField(2, n, sitemap, tag="unitary")
     return coin, halfline_projection(2, sign)
 
 
@@ -262,8 +255,8 @@ def test_criterion_07_cc_rpath_ensemble():
     worst_eig = 0.0
     for _ in range(100):
         window = random_phase_window(rng, 0.3, range(-7, 8), range(-7, 8))
-        field = ScatteringField.with_window(
-            window, ScatteringParams(1.0, 0.3, np.sqrt(1 - 0.09))
+        field = SiteMap(
+            2, window=window, background=ScatteringParams(1.0, 0.3, np.sqrt(1 - 0.09))
         )
         report, flux = cc_index(field, path)
         assert report.index == 0
@@ -283,8 +276,8 @@ def test_criterion_08_cc_crossover_ensembles():
         signs = set()
         for _ in range(100):
             window = random_phase_window(rng, r_abs, range(-7, 8), range(-7, 8))
-            field = ScatteringField.with_window(
-                window, ScatteringParams(1.0, r_abs, t_abs)
+            field = SiteMap(
+                2, window=window, background=ScatteringParams(1.0, r_abs, t_abs)
             )
             report, _ = cc_index(field, crossover_path())
             assert abs(report.index) == 1
@@ -329,10 +322,10 @@ def _random_r_bump(path, rng):
 
 def test_criterion_09_path_surgery():
     rng = np.random.default_rng(909)
-    field_r = ScatteringField.constant(ScatteringParams(1.0, 0.3, np.sqrt(0.91)))
+    field_r = SiteMap(2, background=ScatteringParams(1.0, 0.3, np.sqrt(0.91)))
     base_r = straight_r_path().extended(10, 10)
     report_r, _ = cc_index(field_r, base_r)
-    field_x = ScatteringField.constant(CRITICAL)
+    field_x = SiteMap(2, background=CRITICAL)
     base_x = crossover_path().extended(10, 10)
     report_x, _ = cc_index(field_x, base_x)
     done = 0
@@ -358,8 +351,8 @@ def test_criterion_10_anomalous_transport():
     sign = None
     for _ in range(50):
         window = random_phase_window(rng, 0.2, range(-7, 8), range(-7, 8))
-        field = ScatteringField.with_window(
-            window, ScatteringParams(1.0, 0.2, np.sqrt(0.96))
+        field = SiteMap(
+            2, window=window, background=ScatteringParams(1.0, 0.2, np.sqrt(0.96))
         )
         result = anomalous_transport(field, path, [0.25, 0.125, 0.0625])
         assert abs(result["index"]) == 1

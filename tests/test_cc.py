@@ -8,10 +8,9 @@ from fluxwalk.cc import (
     CCUnitary,
     DualPath,
     RegionSplit,
-    ScatteringField,
     ScatteringParams,
+    _deep_cell_ray,
     anomalous_transport,
-    build_cc,
     cc_flux,
     cc_index,
     cell_in_basis,
@@ -28,6 +27,7 @@ from fluxwalk.cc import (
     wiggled_r_path,
 )
 from fluxwalk.errors import ValidationError
+from fluxwalk.fields import Ray, SiteMap
 from fluxwalk.flux import analyze, index_by_odd_trace, index_by_supertrace, kitaev_sum
 from fluxwalk.lattice import LatticeState, random_state
 
@@ -63,7 +63,7 @@ def test_in_out_cells_are_neighbors():
 
 def test_defining_relations_even_cell():
     # expansion of the even coupling: in1 scatters to (r out1, -t out2)
-    u = build_cc(ScatteringField.constant(CRITICAL))
+    u = CCUnitary(SiteMap(2, background=CRITICAL))
     s = 1 / np.sqrt(2)
     out = u.apply(LatticeState.basis((0, 0), 0, 1))
     assert abs(out.vector_at((0, -1))[0] - s) < 1e-15
@@ -74,7 +74,7 @@ def test_defining_relations_even_cell():
 
 
 def test_defining_relations_odd_cell():
-    u = build_cc(ScatteringField.constant(CRITICAL))
+    u = CCUnitary(SiteMap(2, background=CRITICAL))
     s = 1 / np.sqrt(2)
     out = u.apply(LatticeState.basis((1, 0), 0, 1))
     assert abs(out.vector_at((2, 0))[0] - s) < 1e-15
@@ -83,20 +83,38 @@ def test_defining_relations_odd_cell():
 
 def test_pure_channels():
     # r = 0: even in1 goes to the horizontal neighbour
-    u = build_cc(ScatteringField.constant(FULL_TRANSMISSION))
+    u = CCUnitary(SiteMap(2, background=FULL_TRANSMISSION))
     out = u.apply(LatticeState.basis((0, 0), 0, 1))
     assert out.sites() == [(1, 0)]
     # t = 0: even in1 drops straight down
-    u = build_cc(ScatteringField.constant(FULL_REFLECTION))
+    u = CCUnitary(SiteMap(2, background=FULL_REFLECTION))
     out = u.apply(LatticeState.basis((0, 0), 0, 1))
     assert out.sites() == [(0, -1)]
+
+
+def test_scattering_params_reject_bad_values():
+    with pytest.raises(ValidationError, match="unimodular"):
+        ScatteringParams(1.1, 1.0, 0.0)
+    with pytest.raises(ValidationError, match=r"\|r\|\^2"):
+        ScatteringParams(1.0, 0.6, 0.6)
+
+
+def test_cc_unitary_rejects_bad_scattering_fields():
+    with pytest.raises(ValidationError, match="odd second coordinate"):
+        CCUnitary(SiteMap(2, window={(0, 1): CRITICAL}, background=CRITICAL))
+    with pytest.raises(ValidationError, match="is not a ScatteringParams"):
+        CCUnitary(SiteMap(2, window={(0, 2): np.eye(2)}, background=CRITICAL))
+    with pytest.raises(ValidationError, match="is not a ScatteringParams"):
+        cc_flux(SiteMap(2), straight_r_path())
+    with pytest.raises(ValidationError, match="Z\\^2"):
+        CCUnitary(SiteMap(1, background=CRITICAL))
 
 
 def test_unitarity_and_adjoint():
     rng = np.random.default_rng(3)
     window = random_phase_window(rng, 0.6, range(-4, 5), range(-4, 5))
-    field = ScatteringField.with_window(window, params_r(0.6))
-    u = build_cc(field)
+    field = SiteMap(2, window=window, background=params_r(0.6))
+    u = CCUnitary(field)
     sites = [(i, j) for i in range(-3, 4) for j in range(-3, 4)]
     psi = random_state(rng, sites, 1)
     phi = random_state(rng, sites, 1)
@@ -110,7 +128,7 @@ def test_out_cells_do_not_depend_on_scattering():
     # the incoming span onto it for any choice of matrices
     rng = np.random.default_rng(4)
     for params in (CRITICAL, params_r(0.3, np.exp(0.7j)), FULL_REFLECTION):
-        u = build_cc(ScatteringField.constant(params))
+        u = CCUnitary(SiteMap(2, background=params))
         for z in [(0, 0), (1, 2), (-3, -2)]:
             outs = set(cell_out_basis(z))
             for p in cell_in_basis(z):
@@ -191,7 +209,7 @@ def test_region_split_sides():
 def test_rpath_block_law():
     # every block of a pure-r separating line squares to |r|^2 and is
     # traceless: its eigenvalues are exactly +-|r|
-    field = ScatteringField.constant(params_r(0.3))
+    field = SiteMap(2, background=params_r(0.3))
     report, flux = cc_index(field, straight_r_path())
     assert report.index == 0
     assert flux.certificate.bound == pytest.approx(0.3, abs=1e-12)
@@ -203,14 +221,14 @@ def test_rpath_block_law():
 
 
 def test_rpath_zero_weight_gives_zero_flux():
-    field = ScatteringField.constant(FULL_TRANSMISSION)  # |r| = 0
+    field = SiteMap(2, background=FULL_TRANSMISSION)  # |r| = 0
     report, flux = cc_index(field, straight_r_path())
     assert report.index == 0
     assert not flux.blocks
 
 
 def test_block_commutes_with_cell_and_projection():
-    field = ScatteringField.constant(params_r(0.45, np.exp(1.1j)))
+    field = SiteMap(2, background=params_r(0.45, np.exp(1.1j)))
     _, flux = cc_index(field, straight_r_path())
     for blk in flux.blocks.values():
         p = np.diag(blk.p_diag)
@@ -223,24 +241,24 @@ def test_phase_independence_of_norm():
     path = straight_r_path()
     for _ in range(20):
         window = random_phase_window(rng, 0.3, range(-6, 7), range(-6, 7))
-        field = ScatteringField.with_window(window, params_r(0.3))
+        field = SiteMap(2, window=window, background=params_r(0.3))
         _, flux = cc_index(field, path)
         worst = max(blk.norm() for blk in flux.blocks.values())
         assert abs(worst - 0.3) < 1e-10
 
 
 def test_crossover_critical_index():
-    report, flux = cc_index(ScatteringField.constant(CRITICAL), crossover_path())
+    report, flux = cc_index(SiteMap(2, background=CRITICAL), crossover_path())
     assert abs(report.index) == 1
     assert flux.certificate.bound == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     # the mirrored geometry also carries a unit index
-    report2, _ = cc_index(ScatteringField.constant(CRITICAL), crossover_path(False))
+    report2, _ = cc_index(SiteMap(2, background=CRITICAL), crossover_path(False))
     assert abs(report2.index) == 1
 
 
 def test_crossover_sign_flips_with_complementary_region():
     # complementing the region negates the flux, hence the index
-    field = ScatteringField.constant(CRITICAL)
+    field = SiteMap(2, background=CRITICAL)
     up = crossover_path()
     report, flux = cc_index(field, up)
     mirrored = DualPath([(0, 1), (0, 0)], (1, 0), (-1, 0))
@@ -250,7 +268,7 @@ def test_crossover_sign_flips_with_complementary_region():
 
 def test_crossover_certificate_fails_at_unit_modulus():
     # |r| = 1 along the reflection ray means no gap at infinity
-    field = ScatteringField.constant(FULL_REFLECTION)
+    field = SiteMap(2, background=FULL_REFLECTION)
     from fluxwalk.errors import CertificationError
 
     flux = cc_flux(field, crossover_path())
@@ -263,7 +281,7 @@ def test_crossover_certificate_fails_at_unit_modulus():
 
 def test_intermediate_moduli_crossover():
     for r_abs in (0.2, 0.5, 0.9):
-        report, _ = cc_index(ScatteringField.constant(params_r(r_abs)), crossover_path())
+        report, _ = cc_index(SiteMap(2, background=params_r(r_abs)), crossover_path())
         assert abs(report.index) == 1
 
 
@@ -272,7 +290,7 @@ def test_trace_formulas_on_capped_flux():
     # formula must reproduce the kernel count
     rng = np.random.default_rng(9)
     window = random_phase_window(rng, 0.2, range(-9, 10), range(-9, 10))
-    field = ScatteringField.with_window(window, params_r(0.2))
+    field = SiteMap(2, window=window, background=params_r(0.2))
     result = anomalous_transport(field, crossover_path(), [0.25])
     assert abs(result["index"]) == 1
     for eps, trace in result["traces"]:
@@ -282,27 +300,17 @@ def test_trace_formulas_on_capped_flux():
 def test_kitaev_sum_on_capped_flux():
     rng = np.random.default_rng(19)
     path = crossover_path()
-    field = ScatteringField.constant(params_r(0.2))
+    field = SiteMap(2, background=params_r(0.2))
     # manually capped: transmission far left, reflection far right
-    capped = field.overridden(
-        window={e.cell: FULL_TRANSMISSION for e in path.steps(-40, -4)}
-        | {e.cell: FULL_REFLECTION for e in path.steps(4, 40)}
-    )
-    from fluxwalk.cc import _deep_cell_ray
-    from fluxwalk.fields import Ray
-
     r_base, r_in = _deep_cell_ray(path, list(range(-40, -31)))
     t_base, t_in = _deep_cell_ray(path, list(range(39, 30, -1)))
-    capped = ScatteringField(
-        type(capped.map)(
-            2,
-            window=capped.map.window,
-            rays=[
-                (Ray(r_base, tuple(-c for c in r_in)), [FULL_TRANSMISSION]),
-                (Ray(t_base, tuple(-c for c in t_in)), [FULL_REFLECTION]),
-            ],
-            background=capped.map.background,
-        )
+    capped = field.overridden(
+        window={e.cell: FULL_TRANSMISSION for e in path.steps(-40, -4)}
+        | {e.cell: FULL_REFLECTION for e in path.steps(4, 40)},
+        rays=[
+            (Ray(r_base, tuple(-c for c in r_in)), [FULL_TRANSMISSION]),
+            (Ray(t_base, tuple(-c for c in t_in)), [FULL_REFLECTION]),
+        ],
     )
     report, flux = cc_index(capped, path)
     assert flux.tail_zero
@@ -322,7 +330,7 @@ def test_surgery_identity_replacement():
 
 
 def test_surgery_wiggle_keeps_index():
-    field = ScatteringField.constant(params_r(0.3))
+    field = SiteMap(2, background=params_r(0.3))
     base = straight_r_path().extended(8, 8)
     report0, _ = cc_index(field, base)
     # bump over two columns starting at an odd column
@@ -352,7 +360,7 @@ def test_surgery_rejects_mismatched_endpoints():
 
 
 def test_surgery_on_crossover_keeps_unit_index():
-    field = ScatteringField.constant(CRITICAL)
+    field = SiteMap(2, background=CRITICAL)
     base = crossover_path().extended(10, 10)
     report0, _ = cc_index(field, base)
     t_from = base.middle.index((-5, 0))
@@ -371,7 +379,7 @@ def test_surgery_on_crossover_keeps_unit_index():
 def test_anomalous_transport_family():
     rng = np.random.default_rng(23)
     window = random_phase_window(rng, 0.2, range(-9, 10), range(-9, 10))
-    field = ScatteringField.with_window(window, params_r(0.2))
+    field = SiteMap(2, window=window, background=params_r(0.2))
     result = anomalous_transport(field, crossover_path(), [0.25, 0.125, 0.0625])
     assert abs(result["index"]) == 1
     for eps, trace in result["traces"]:
@@ -379,7 +387,7 @@ def test_anomalous_transport_family():
 
 
 def test_anomalous_rejects_bad_epsilon():
-    field = ScatteringField.constant(params_r(0.2))
+    field = SiteMap(2, background=params_r(0.2))
     with pytest.raises(ValidationError):
         anomalous_transport(field, crossover_path(), [0.0])
 
@@ -387,7 +395,7 @@ def test_anomalous_rejects_bad_epsilon():
 def test_trace_norm_bound_measured_constant():
     # block trace norm is exactly 2|r| per cell, so the measured constant in
     # the summed bound is 2
-    field = ScatteringField.constant(params_r(0.3))
+    field = SiteMap(2, background=params_r(0.3))
     _, flux = cc_index(field, straight_r_path())
     from fluxwalk.lattice import trace_norm_hermitian
 

@@ -7,15 +7,14 @@ from fluxwalk.errors import ValidationError
 from fluxwalk.fields import (
     AdaptedProjection,
     HalfSpace,
-    MatrixField,
-    PeriodicBackground,
     Plane,
     Ray,
     SiteMap,
+    interpolate_matrix_fields,
     interpolate_unitaries,
 )
 from fluxwalk.lattice import direction_index, haar_unitary
-from fluxwalk.walks import alternating_halfline_projection, halfline_projection
+from fluxwalk.walks import alternating_halfline_projection, build_walk, halfline_projection
 
 
 def test_ray_locate():
@@ -73,24 +72,30 @@ def test_sitemap_first_match_precedence():
 
 
 def test_sitemap_union_mode():
+    # an adapted projection unites the open slots of every matching layer
+    proj = AdaptedProjection.from_layers(
+        1,
+        window={(0,): {0}},
+        rays=[(Ray((0,), (1,)), [{1}])],
+    )
+    assert proj.open_slots((0,)) == {0, 1}
+    assert proj.open_slots((3,)) == {1}
+    assert proj.open_slots((-2,)) == frozenset()
+
+
+def test_sitemap_overridden_order_and_precedence():
     sm = SiteMap(
         1,
-        window={(0,): frozenset({0})},
-        rays=[(Ray((0,), (1,)), [frozenset({1})])],
-        background=frozenset(),
-        combine="union",
+        window={(0,): "a", (1,): "b"},
+        rays=[(Ray((5,), (1,)), ["r"])],
+        background="bg",
     )
-    assert sm.value((0,)) == {0, 1}
-    assert sm.value((3,)) == {1}
-    assert sm.value((-2,)) == frozenset()
-
-
-def test_periodic_background():
-    bg = PeriodicBackground((2,), {(0,): "even", (1,): "odd"})
-    sm = SiteMap(1, background=bg)
-    assert sm.value((4,)) == "even"
-    assert sm.value((-3,)) == "odd"
-    assert sm.periods() == [2]
+    out = sm.overridden(window={(1,): "B", (2,): "C"}, rays=[(Ray((7,), (1,)), ["R"])])
+    # new window entries first, then the untouched old ones
+    assert list(out.window) == [(1,), (2,), (0,)]
+    assert out.value((0,)) == "a" and out.value((1,)) == "B" and out.value((2,)) == "C"
+    assert out.value((6,)) == "r" and out.value((7,)) == "R" and out.value((-1,)) == "bg"
+    assert sm.value((1,)) == "b" and sm.value((7,)) == "r"
 
 
 def test_bounds_and_periods():
@@ -108,9 +113,13 @@ def test_bounds_and_periods():
 
 def test_unitary_tag_validation():
     good = np.eye(2, dtype=complex)
-    MatrixField(1, 2, SiteMap(1, background=good), tag="unitary")
-    with pytest.raises(ValidationError):
-        MatrixField(1, 2, SiteMap(1, background=1.1 * good), tag="unitary")
+    assert build_walk(SiteMap(1, background=good)).n_internal == 2
+    with pytest.raises(ValidationError, match="not unitary"):
+        build_walk(SiteMap(1, background=1.1 * good))
+    with pytest.raises(ValidationError, match="shape"):
+        build_walk(SiteMap(1, background=np.eye(4, dtype=complex)))
+    with pytest.raises(ValidationError, match="shape"):
+        build_walk(SiteMap(2, window={(0, 0): good}, background=np.eye(4, dtype=complex)))
 
 
 def test_halfline_hat_is_homogeneous_where_expected():
@@ -174,3 +183,38 @@ def test_interpolate_unitaries_stays_unitary():
         assert np.max(np.abs(us.conj().T @ us - np.eye(4))) < 1e-12
     assert np.max(np.abs(interpolate_unitaries(u0, u1, 0.0) - u0)) < 1e-12
     assert np.max(np.abs(interpolate_unitaries(u0, u1, 1.0) - u1)) < 1e-12
+
+
+def _interpolation_pair(layer, extra):
+    eye = np.eye(4, dtype=complex)
+    return SiteMap(2, background=eye, **{layer: extra}), SiteMap(2, background=eye)
+
+
+@pytest.mark.parametrize(
+    "layer,extra",
+    [
+        ("planes", [(Plane(0, 5), -np.eye(4, dtype=complex))]),
+        ("halfspaces", [(HalfSpace(0, 1, 5), -np.eye(4, dtype=complex))]),
+    ],
+    ids=["plane", "halfspace"],
+)
+def test_interpolation_rejects_a_missing_layer(layer, extra):
+    f0, f1 = _interpolation_pair(layer, extra)
+    for a, b in ((f0, f1), (f1, f0)):
+        with pytest.raises(ValidationError, match=layer):
+            interpolate_matrix_fields(a, b, 0.0)
+    # with matching layers, s = 0 reproduces the first field
+    same = interpolate_matrix_fields(f0, f0, 0.0)
+    assert np.allclose(same.value((5, 0)), f0.value((5, 0)))
+
+
+def test_interpolation_rejects_mismatched_geometry_and_patterns():
+    eye = np.eye(2, dtype=complex)
+    f0 = SiteMap(1, planes=[(Plane(0, 5), eye)], background=eye)
+    f1 = SiteMap(1, planes=[(Plane(0, 6), eye)], background=eye)
+    with pytest.raises(ValidationError, match="planes"):
+        interpolate_matrix_fields(f0, f1, 0.5)
+    r0 = SiteMap(1, rays=[(Ray((0,), (1,)), [eye])], background=eye)
+    r1 = SiteMap(1, rays=[(Ray((0,), (1,)), [eye, eye])], background=eye)
+    with pytest.raises(ValidationError, match="pattern"):
+        interpolate_matrix_fields(r0, r1, 0.5)

@@ -8,7 +8,7 @@ from fluxwalk.errors import (
     NonSummableError,
     ValidationError,
 )
-from fluxwalk.fields import HalfSpace, MatrixField, SiteMap
+from fluxwalk.fields import HalfSpace, SiteMap
 from fluxwalk.flux import (
     analyze,
     certify_isolated,
@@ -41,16 +41,11 @@ def make_basic_example(seed=1, n_cut=2):
     for x in range(n_cut, n_cut + 5):
         window[(x,)] = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
     tail = np.diag(np.exp(1j * np.array([0.3, -0.8])))
-    coin = MatrixField(
+    coin = SiteMap(
         1,
-        2,
-        SiteMap(
-            1,
-            window=window,
-            halfspaces=[(HalfSpace(0, 1, n_cut), tail)],
-            background=np.eye(2, dtype=complex),
-        ),
-        tag="unitary",
+        window=window,
+        halfspaces=[(HalfSpace(0, 1, n_cut), tail)],
+        background=np.eye(2, dtype=complex),
     )
     return coin, basic_halfspace_projection(n_cut)
 
@@ -153,7 +148,7 @@ def test_blockwise_spectrum_bound_and_identities():
 def test_certificate_failure_reports_witness():
     # a coin that swaps the two directions makes the tail flux have norm 1
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    coin = MatrixField.constant(1, swap, tag="unitary")
+    coin = SiteMap(1, background=swap)
     proj = halfline_projection(1, 1)
     flux = build_walk_flux(coin, proj)
     ok, radius, bound = certify_isolated(flux)
@@ -184,7 +179,7 @@ def test_trace_formulas_require_summable_tail():
     rot = np.array(
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]], dtype=complex
     )
-    coin = MatrixField.constant(1, rot, tag="unitary")
+    coin = SiteMap(1, background=rot)
     proj = halfline_projection(1, 1)
     flux = build_walk_flux(coin, proj)
     assert not flux.tail_zero

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxwalk.errors import DimensionMismatchError, ValidationError
-from fluxwalk.fields import MatrixField
+from fluxwalk.fields import SiteMap
 from fluxwalk.lattice import LatticeState, direction_index, haar_unitary, random_state
 from fluxwalk.operators import (
     BandUnitary,
@@ -35,7 +35,7 @@ def test_apply_zero_state():
 
 def test_hadamard_step():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    walk = CoinedWalk(MatrixField.constant(1, h))
+    walk = CoinedWalk(SiteMap(1, background=h))
     out = walk.apply(LatticeState.basis((0,), 0, 2))
     assert abs(out.vector_at((1,))[0] - 1 / np.sqrt(2)) < 1e-15
     assert abs(out.vector_at((-1,))[1] - 1 / np.sqrt(2)) < 1e-15

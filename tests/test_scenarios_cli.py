@@ -72,6 +72,31 @@ def test_seed_override_changes_data_not_conclusions():
     assert a.report["seed"] != b.report["seed"]
 
 
+def test_run_scenario_builds_its_setup_once(monkeypatch):
+    # validation and the run share one setup and one generator stream
+    import fluxwalk.scenarios as scenarios
+
+    calls = []
+    build = scenarios.build_walk_setup
+
+    def counting(spec, rng):
+        calls.append(spec["seed"])
+        return build(spec, rng)
+
+    monkeypatch.setattr(scenarios, "build_walk_setup", counting)
+    result = run_scenario(load("half_line_plus"), seed_override=5)
+    assert result.ok and calls == [5]
+
+
+def test_run_scenario_validates_seed_override_and_spec_type():
+    with pytest.raises(ValidationError, match="seed"):
+        run_scenario(load("half_line_plus"), seed_override=-1)
+    with pytest.raises(ValidationError, match="JSON object"):
+        run_scenario([load("half_line_plus")])
+    with pytest.raises(ValidationError, match="JSON object"):
+        run_scenario([], seed_override=1)
+
+
 def test_strict_profile_runs():
     result = run_scenario(load("basic_example"), profile="strict")
     assert result.ok

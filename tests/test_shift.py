@@ -4,14 +4,13 @@ import pytest
 from fluxwalk.cc import (
     FULL_REFLECTION,
     FULL_TRANSMISSION,
-    ScatteringField,
+    CCUnitary,
     ScatteringParams,
-    build_cc,
     cc_index,
     crossover_path,
     _deep_cell_ray,
 )
-from fluxwalk.fields import HalfSpace, MatrixField, Ray, SiteMap
+from fluxwalk.fields import HalfSpace, Ray, SiteMap
 from fluxwalk.flux import analyze, phi_less_norm
 from fluxwalk.lattice import direction_index, haar_unitary, trace_norm_hermitian
 from fluxwalk.shift import (
@@ -40,16 +39,11 @@ def basic_example(seed=1, n_cut=2):
     for x in range(n_cut, n_cut + 5):
         window[(x,)] = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, size=2)))
     tail = np.diag(np.exp(1j * np.array([0.2, 1.4])))
-    coin = MatrixField(
+    coin = SiteMap(
         1,
-        2,
-        SiteMap(
-            1,
-            window=window,
-            halfspaces=[(HalfSpace(0, 1, n_cut), tail)],
-            background=np.eye(2, dtype=complex),
-        ),
-        tag="unitary",
+        window=window,
+        halfspaces=[(HalfSpace(0, 1, n_cut), tail)],
+        background=np.eye(2, dtype=complex),
     )
     from fluxwalk.walks import basic_halfspace_projection
 
@@ -178,21 +172,19 @@ def test_cc_shift_decomposition_with_trace_class_flux():
         decay_window[e.cell] = ScatteringParams(1.0, np.sqrt(1 - t_abs**2), t_abs)
     r_base, r_in = _deep_cell_ray(path, list(range(-44, -35)))
     t_base, t_in = _deep_cell_ray(path, list(range(43, 34, -1)))
-    field = ScatteringField(
-        SiteMap(
-            2,
-            window=decay_window,
-            rays=[
-                (Ray(r_base, tuple(-c for c in r_in)), [FULL_TRANSMISSION]),
-                (Ray(t_base, tuple(-c for c in t_in)), [FULL_REFLECTION]),
-            ],
-            background=ScatteringParams(1.0, 0.4, np.sqrt(1 - 0.16)),
-        )
+    field = SiteMap(
+        2,
+        window=decay_window,
+        rays=[
+            (Ray(r_base, tuple(-c for c in r_in)), [FULL_TRANSMISSION]),
+            (Ray(t_base, tuple(-c for c in t_in)), [FULL_REFLECTION]),
+        ],
+        background=ScatteringParams(1.0, 0.4, np.sqrt(1 - 0.16)),
     )
     report, flux = cc_index(field, path)
     assert abs(report.index) == 1
     assert flux.tail_zero
-    unitary = build_cc(field)
+    unitary = CCUnitary(field)
     kd = extract_kernels(flux)
     perturbed = build_perturbed(unitary, flux, kd)
     sreport = verify_shift_structure(perturbed, kd, k_max=25)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fluxwalk.errors import ValidationError
-from fluxwalk.fields import MatrixField, Ray, SiteMap, interpolate_matrix_fields
+from fluxwalk.fields import Ray, SiteMap, interpolate_matrix_fields
 from fluxwalk.flux import analyze, index_stability_probe
 from fluxwalk.lattice import (
     LatticeState,
@@ -57,13 +57,12 @@ def halfline_coin(rng, d, sign, box=3):
         window[tuple([x] + [0] * (d - 1))] = commuting_coin(rng, n, slot)
     base = tuple([1] + [0] * (d - 1))
     step = tuple([1] + [0] * (d - 1))
-    sitemap = SiteMap(
+    return SiteMap(
         d,
         window=window,
         rays=[(Ray(base, step), [commuting_coin(rng, n, slot)])],
         background=np.eye(n, dtype=complex),
     )
-    return MatrixField(d, n, sitemap, tag="unitary")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def test_wandering_failure_detected():
     # cannot move it coherently; an eigen-seed of U has constant overlap
     theta = np.pi / 2
     rot = np.array([[0, -1], [1, 0]], dtype=complex)
-    coin = MatrixField.constant(1, rot, tag="unitary")
+    coin = SiteMap(1, background=rot)
     walk = build_walk(coin)
     # build a 2-site eigenvector of the walk numerically
     from fluxwalk.operators import matrix_on_window
@@ -344,7 +343,7 @@ def test_stability_probe_flags_gap_closing():
             ],
             dtype=complex,
         )
-        coin_t = MatrixField.constant(1, rot, tag="unitary")
+        coin_t = SiteMap(1, background=rot)
         return build_walk_flux(coin_t, proj, selfcheck=False)
 
     probes = index_stability_probe(family, 10)
