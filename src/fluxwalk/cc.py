@@ -4,7 +4,8 @@ The model lives on l^2(Z^2) and is assembled from 2x2 scattering matrices
 S = q [[r, -t], [conj(t), conj(r)]] indexed by cells z in Z x 2Z.  Each cell
 carries a two-dimensional incoming subspace and a two-dimensional outgoing
 subspace; the unitary maps one onto the other cell by cell, so the flux of a
-region projection is block diagonal over cells.
+region projection is block diagonal over cells and ``flux.CellGeometry``
+assembles it exactly as for coined walks.
 
 A separating curve is given on the dual lattice (vertices at face centers).
 Each dual step bisects exactly one primal edge; the crossed edge carries the
@@ -24,6 +25,7 @@ from .config import DEFAULT, Tolerances
 from .errors import ValidationError
 from .fields import Ray, SiteMap
 from .flux import (
+    CellGeometry,
     FluxField,
     analyze,
     assemble_field,
@@ -133,10 +135,11 @@ class CCUnitary(LocalUnitary):
     outgoing pair through the cell's matrix.
 
     ``scattering`` maps cell labels in Z x 2Z to ``ScatteringParams``; every
-    template value and every window label is checked here.
+    template value and every window label is checked here.  For
+    ``flux.CellGeometry``, cell z maps its incoming pair onto its outgoing
+    pair through S(z)^T (outgoing x incoming).
     """
 
-    kind = "cc-model"
     n_internal = 1
 
     def __init__(self, scattering: SiteMap):
@@ -153,41 +156,31 @@ class CCUnitary(LocalUnitary):
     def matrix(self, z: Site) -> np.ndarray:
         return self.scattering.value(z).matrix()
 
+    def cell_of(self, site: Site) -> Site:
+        return in_cell(site)[0]
+
+    def cell(self, z: Site):
+        (a, b), (c, d) = cell_in_basis(z), cell_out_basis(z)
+        return self.matrix(z).T, [(a, (0,)), (b, (0,))], [(c, (0,)), (d, (0,))]
+
     def apply(self, psi: LatticeState) -> LatticeState:
-        self._check(psi)
-        out: dict[Site, np.ndarray] = {}
-        for site, vec in psi.items():
-            z, j = in_cell(site)
-            s = self.matrix(z)
-            outs = cell_out_basis(z)
-            for b in (0, 1):
-                amp = s[j, b] * vec[0]
-                if amp == 0:
-                    continue
-                buf = out.get(outs[b])
-                if buf is None:
-                    buf = np.zeros(1, dtype=complex)
-                    out[outs[b]] = buf
-                buf[0] += amp
-        return LatticeState(1, out, _take=True)
+        return self._scatter(psi, in_cell, cell_out_basis, lambda s, j: s[j])
 
     def apply_adjoint(self, psi: LatticeState) -> LatticeState:
+        return self._scatter(psi, out_cell, cell_in_basis, lambda s, b: s[:, b].conj())
+
+    def _scatter(self, psi: LatticeState, locate, targets, weights) -> LatticeState:
+        """Send the amplitude at each point, which ``locate`` places in a cell
+        z and slot k, to the points ``targets(z)`` with ``weights(S(z), k)``."""
         self._check(psi)
-        out: dict[Site, np.ndarray] = {}
+        out: dict[Site, complex] = {}
         for site, vec in psi.items():
-            z, b = out_cell(site)
-            s = self.matrix(z)
-            ins = cell_in_basis(z)
-            for j in (0, 1):
-                amp = np.conj(s[j, b]) * vec[0]
-                if amp == 0:
-                    continue
-                buf = out.get(ins[j])
-                if buf is None:
-                    buf = np.zeros(1, dtype=complex)
-                    out[ins[j]] = buf
-                buf[0] += amp
-        return LatticeState(1, out, _take=True)
+            z, k = locate(site)
+            for target, weight in zip(targets(z), weights(self.matrix(z), k)):
+                amp = weight * vec[0]
+                if amp != 0:
+                    out[target] = out.get(target, 0) + amp
+        return LatticeState(1, {p: np.array([a]) for p, a in out.items()}, _take=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +335,18 @@ class DualPath:
 # region to the left of the curve
 
 
+_OPEN_SLOTS = (frozenset(), frozenset((0,)))  # outside, inside
+
+
 class RegionSplit:
     """Membership in the subgraph left of an oriented dual curve.
 
     Every dual step bisects one primal edge and labels its two endpoints
     (left point inside, right point outside).  Labels propagate by flood fill
     over uncut lattice edges inside a finite box; beyond the box the labels
-    are constant along outward directions, so clamping is exact.
+    are constant along outward directions, so clamping is exact.  As a
+    projection it offers what ``AdaptedProjection`` does: ``open_slots`` and
+    ``apply``.
     """
 
     def __init__(self, path: DualPath, lo: Site, hi: Site):
@@ -409,13 +407,17 @@ class RegionSplit:
         )
 
     def side(self, point: Site) -> int:
+        return len(self.open_slots(point))
+
+    def open_slots(self, point: Site) -> frozenset:
+        """The one internal slot inside the region, nothing outside."""
         p = (
             min(max(point[0], self.lo[0]), self.hi[0]),
             min(max(point[1], self.lo[1]), self.hi[1]),
         )
-        return self._labels[p]
+        return _OPEN_SLOTS[self._labels[p]]
 
-    def project(self, psi: LatticeState) -> LatticeState:
+    def apply(self, psi: LatticeState) -> LatticeState:
         data = {}
         for site, vec in psi.items():
             if self.side(site):
@@ -430,69 +432,14 @@ class RegionSplit:
 # flux over cells
 
 
-class CCGeometry:
-    """Adapter between cell-labelled flux blocks and lattice states."""
-
-    kind = "cc"
-    state_dim = 1
-
-    def __init__(self, unitary: CCUnitary, split: RegionSplit, lo, hi):
-        self.unitary = unitary
-        self.split = split
-        self.lo = list(lo)
-        self.hi = list(hi)
-
-    def touched_labels(self, psi: LatticeState):
-        return {in_cell(site)[0] for site, _ in psi.items()}
-
-    def gather(self, psi: LatticeState, label) -> np.ndarray:
-        s1, s2 = cell_in_basis(label)
-        return np.array([psi.vector_at(s1)[0], psi.vector_at(s2)[0]], dtype=complex)
-
-    def make_state(self, label, coords) -> LatticeState:
-        s1, s2 = cell_in_basis(label)
-        return LatticeState(
-            1, {s1: np.array([coords[0]]), s2: np.array([coords[1]])}
-        )
-
-    def project(self, psi: LatticeState) -> LatticeState:
-        return self.split.project(psi)
-
-    def probe_sites(self, rng: np.random.Generator):
-        sites = set()
-        for _ in range(8):
-            sites.add(
-                (
-                    int(rng.integers(self.lo[0], self.hi[0] + 1)),
-                    int(rng.integers(self.lo[1], self.hi[1] + 1)),
-                )
-            )
-        return sites
-
-    def kitaev(self, labels) -> float:
-        total = 0.0
-        for z in labels:
-            a2 = np.abs(self.unitary.matrix(z)) ** 2
-            ins = cell_in_basis(z)
-            outs = cell_out_basis(z)
-            d = np.array([self.split.side(p) for p in ins], dtype=float)
-            dh = np.array([self.split.side(p) for p in outs], dtype=float)
-            if not d.any() and not dh.any():
-                continue
-            term1 = float(((1.0 - d) @ a2) @ dh)
-            term2 = float((d @ a2) @ (1.0 - dh))
-            total += term1 - term2
-        return total
-
-
 def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT) -> FluxField:
     """Blockwise flux of the left-region projection of a dual path, checked
     against the operator on random states.
 
     Block at cell z in the incoming basis: conj(S) D_out S^T - D_in with the
     0/1 region memberships of the outgoing and incoming points on the
-    diagonals.  The window covers the path and the scattering features plus
-    a margin of 4.
+    diagonals (``flux.CellGeometry`` with matrix S^T).  The window covers the
+    path and the scattering features plus a margin of 4.
     """
     unitary = CCUnitary(scattering)
     (plo, phi_) = path.bounds()
@@ -509,19 +456,8 @@ def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT) -> F
     point_hi = (hi[0] + 2 * bands[0] + 4, hi[1] + 2 * bands[1] + 4)
     split = RegionSplit(path, point_lo, point_hi)
 
-    def block_fn(z):
-        s = unitary.matrix(z)
-        ins = cell_in_basis(z)
-        outs = cell_out_basis(z)
-        d = np.array([split.side(p) for p in ins], dtype=float)
-        dh = np.array([split.side(p) for p in outs], dtype=float)
-        # conj(S) diag(dh) S^T - diag(d), in the incoming basis of the cell
-        m = (s.conj() * dh) @ s.T - np.diag(d).astype(complex)
-        rank_diff = int(round(dh.sum() - d.sum()))
-        return m, d, rank_diff
-
-    geometry = CCGeometry(unitary, split, lo, hi)
-    flux = assemble_field(geometry, block_fn, lo, hi, bands, steps, tol)
+    geometry = CellGeometry(unitary, split, lo, hi, probes=8)
+    flux = assemble_field(geometry, geometry.block, lo, hi, bands, steps, tol)
     selfcheck_against_operator(flux, unitary)
     return flux
 

@@ -1,9 +1,9 @@
 """Flux operators as block fields, spectral certificates, and index formulas.
 
-The flux of a projection P under a band-width-1 unitary U is U*PU - P.  For
-the operators built here it is block diagonal: one small Hermitian block per
-site (coined walks) or per scattering cell (network models).  The index is
-computed four independent ways -- kernel counts, odd-power traces, even-power
+The flux of a projection P under a band-width-1 unitary U is U*PU - P.  Walks
+and networks map each cell's incoming basis onto its outgoing basis, so the
+flux is block diagonal over cells (``CellGeometry``).  The index is computed
+four independent ways -- kernel counts, odd-power traces, even-power
 supertraces, and the Kitaev-style double sum over matrix elements -- and all
 of them must agree.
 
@@ -85,24 +85,101 @@ class IndexReport:
     rank_difference: int | None = None
 
 
-class FluxField:
-    """Block-diagonal flux with a finite window plus certified tail.
+class CellGeometry:
+    """Adapter between cell-labelled flux blocks and lattice states.
 
-    The geometry passed in adapts block labels to lattice states.  Together,
-    ``assemble_field``, this class, ``selfcheck_against_operator`` and
-    ``kitaev_sum`` need exactly these eight members of it:
-
-    - ``kind``: short model name, e.g. ``"walk"`` or ``"cc"``;
-    - ``state_dim``: internal dimension of the lattice states;
-    - ``touched_labels(psi)``: labels of every block that meets the support
-      of ``psi``;
-    - ``gather(psi, label)``: coordinates of ``psi`` in the block basis;
-    - ``make_state(label, coords)``: the state with those block coordinates;
-    - ``project(psi)``: the projection P applied to ``psi``;
-    - ``probe_sites(rng)``: random sites inside the window, for self-checks;
-    - ``kitaev(labels)``: the Kitaev double sum over the given labels,
-      computed from the operator's sources rather than from the blocks.
+    The unitary provides ``cell_of(site)``, the label of the cell whose
+    incoming basis holds ``site``, and ``cell(label) -> (matrix, ins, outs)``:
+    ``ins`` and ``outs`` list ``(site, slots)`` with distinct sites, spelling
+    out the cell's incoming and outgoing bases in order, and ``matrix``
+    (outgoing x incoming) is U between them.  The cells' incoming bases
+    partition the lattice basis, and so do their outgoing bases.  The
+    projection provides ``open_slots(site)`` and ``apply(psi)``.  With P_in
+    and P_out the 0/1 diagonals of P on the two bases, the flux block in the
+    incoming basis is ``matrix* P_out matrix - P_in``.  Self-checks draw
+    ``probes`` random window sites.
     """
+
+    def __init__(self, unitary, proj, lo, hi, probes: int):
+        self.unitary = unitary
+        self.proj = proj
+        self.state_dim = unitary.n_internal
+        self.lo = list(lo)
+        self.hi = list(hi)
+        self.probes = probes
+
+    def mask(self, points) -> np.ndarray:
+        """The 0/1 diagonal of P on the basis listed by ``(site, slots)``."""
+        open_slots = self.proj.open_slots
+        return np.array(
+            [k in at for site, slots in points for at in (open_slots(site),) for k in slots],
+            dtype=float,
+        )
+
+    def cell(self, label):
+        """``(matrix, P_in diagonal, P_out diagonal)`` of one cell."""
+        m, ins, outs = self.unitary.cell(label)
+        return m, self.mask(ins), self.mask(outs)
+
+    def block(self, label):
+        """``(flux block, P_in diagonal, rank P_out - rank P_in)``; the
+        ``block_fn`` of ``assemble_field``."""
+        m, p_in, p_out = self.cell(label)
+        flux = (m.conj().T * p_out) @ m - np.diag(p_in).astype(complex)
+        return flux, p_in, int(round(p_out.sum() - p_in.sum()))
+
+    def touched_labels(self, psi: LatticeState) -> set:
+        """Labels of every cell that meets the support of ``psi``."""
+        return {self.unitary.cell_of(site) for site, _ in psi.items()}
+
+    def gather(self, psi: LatticeState, label) -> np.ndarray:
+        """Coordinates of ``psi`` in the incoming basis of the cell."""
+        ins = self.unitary.cell(label)[1]
+        return np.concatenate([psi.vector_at(site)[list(slots)] for site, slots in ins])
+
+    def make_state(self, label, coords) -> LatticeState:
+        """The state with the given incoming-basis coordinates."""
+        data, i = {}, 0
+        for site, slots in self.unitary.cell(label)[1]:
+            data[site] = np.zeros(self.state_dim, dtype=complex)
+            data[site][list(slots)] = coords[i : i + len(slots)]
+            i += len(slots)
+        return LatticeState(self.state_dim, data, _take=True)
+
+    def apply_blocks(self, psi: LatticeState, matrix_at) -> LatticeState:
+        """Apply ``matrix_at(label)`` to each touched cell's coordinates of
+        ``psi`` and sum the images; cells where it is ``None`` are skipped."""
+        out = LatticeState.zero(self.state_dim)
+        for label in sorted(self.touched_labels(psi)):
+            m = matrix_at(label)
+            if m is not None:
+                out = out + self.make_state(label, m @ self.gather(psi, label))
+        return out
+
+    def probe_sites(self, rng: np.random.Generator) -> set:
+        """``probes`` random sites inside the window."""
+        return {
+            tuple(int(rng.integers(l, h + 1)) for l, h in zip(self.lo, self.hi))
+            for _ in range(self.probes)
+        }
+
+    def kitaev(self, labels) -> float:
+        """Kitaev double sum over the given cells, from the unitary's cells
+        rather than from the assembled blocks: the |matrix|^2-weighted
+        difference of outgoing and incoming memberships."""
+        total = 0.0
+        for label in labels:
+            m, p_in, p_out = self.cell(label)
+            if not p_in.any() and not p_out.any():
+                continue
+            a2 = np.abs(m) ** 2
+            total += float(p_out @ a2.sum(axis=1) - a2.sum(axis=0) @ p_in)
+        return total
+
+
+class FluxField:
+    """Block-diagonal flux with a finite window plus certified tail, over a
+    ``CellGeometry`` whose ``block`` method is ``block_fn``."""
 
     def __init__(
         self,
@@ -132,10 +209,6 @@ class FluxField:
         self._eig_cache: dict = {}
 
     # -- basic queries -------------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        return self.geometry.kind
 
     @property
     def tail_zero(self) -> bool:
@@ -171,16 +244,7 @@ class FluxField:
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Apply the flux to a finitely supported state, exactly."""
-        out = LatticeState.zero(psi.n_internal)
-        for label in sorted(self.geometry.touched_labels(psi)):
-            blk = self.block_at(label)
-            coords = self.geometry.gather(psi, label)
-            image = blk.matrix @ coords
-            out = out + self.geometry.make_state(label, image)
-        return out
-
-    def project(self, psi: LatticeState) -> LatticeState:
-        return self.geometry.project(psi)
+        return self.geometry.apply_blocks(psi, lambda label: self.block_at(label).matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +353,7 @@ def selfcheck_against_operator(flux: FluxField, unitary) -> float:
     worst = 0.0
     for _ in range(3):
         psi = random_state(rng, geom.probe_sites(rng), geom.state_dim)
-        via_op = unitary.apply_adjoint(geom.project(unitary.apply(psi))) - geom.project(psi)
+        via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - geom.proj.apply(psi)
         via_blocks = flux.apply(psi)
         worst = max(worst, (via_op - via_blocks).norm())
     if worst > 1e-12:

@@ -7,6 +7,8 @@ no truncation ever happens.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
@@ -17,7 +19,6 @@ from .lattice import LatticeState, Site, all_direction_vectors, add, sub
 class LocalUnitary:
     """Base class: a unitary with band width one in lattice distance."""
 
-    kind = "abstract"
     n_internal: int
 
     def apply(self, psi: LatticeState) -> LatticeState:
@@ -39,15 +40,25 @@ class CoinedWalk(LocalUnitary):
     Acting on a state, the coin reshuffles the internal slots at each site and
     the slot-k component then moves one site along direction k.  The coin
     values are taken as given; ``walks.build_walk`` checks them.
-    """
 
-    kind = "coined-walk"
+    The cells of ``flux.CellGeometry`` are the sites: the coin at x maps
+    every slot of x onto slot k of x + dir_k.
+    """
 
     def __init__(self, coin: SiteMap):
         self.coin = coin
         self.d = coin.d
         self.n_internal = 2 * coin.d
         self._dirs = all_direction_vectors(coin.d)
+        self._all_slots = tuple(range(self.n_internal))
+        self._out_slots = [(step, (k,)) for k, step in enumerate(self._dirs)]
+
+    def cell_of(self, site: Site) -> Site:
+        return site
+
+    def cell(self, x: Site):
+        outs = [(tuple(map(operator.add, x, step)), slot) for step, slot in self._out_slots]
+        return self.coin.value(x), [(x, self._all_slots)], outs
 
     def apply(self, psi: LatticeState) -> LatticeState:
         self._check(psi)
@@ -98,8 +109,6 @@ class BandUnitary(LocalUnitary):
     not mentioned as a source act as the identity.  Meant for small test
     constructions; unitarity is the caller's responsibility.
     """
-
-    kind = "explicit-band"
 
     def __init__(self, n_internal: int, entries: dict):
         self.n_internal = n_internal

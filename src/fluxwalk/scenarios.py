@@ -30,7 +30,7 @@ from .walks import (
     NetworkSpec,
     build_walk,
     build_walk_flux,
-    lead_flux_index,
+    check_lead_count,
     network_projection,
     basic_halfspace_projection,
     halfline_projection,
@@ -340,10 +340,13 @@ def _index_analysis_dict(report, analysis) -> dict:
 
 
 def _walk_index(setup, tol):
-    """Index report and flux: lead networks also check n_out - n_in."""
+    """Index report and flux: lead networks also check n_out - n_in.  The
+    setup's coin and projection were checked against its network when it was
+    built, so they are used as they are."""
+    report, flux = walk_index(setup.coin, setup.projection, tol)
     if setup.network is not None:
-        return lead_flux_index(setup.network, setup.coin, tol)
-    return walk_index(setup.coin, setup.projection, tol)
+        check_lead_count(report, setup.network)
+    return report, flux
 
 
 def _walk_index_analysis(setup, analysis, rng, tol, files):
@@ -394,9 +397,8 @@ def _walk_confinement_analysis(setup, analysis, rng, tol, files):
 def _walk_shift_analysis(setup, analysis, rng, tol, files):
     steps = int(analysis.get("steps", 30))
     report, flux = _walk_index(setup, tol)
-    walk = build_walk(setup.coin, tol)
     kernels = extract_kernels(flux)
-    perturbed = build_perturbed(walk, flux, kernels)
+    perturbed = build_perturbed(flux.geometry.unitary, flux, kernels)
     shift_report = verify_shift_structure(perturbed, kernels, k_max=steps)
     out = shift_report.as_dict()
     out["index"] = report.index
@@ -437,9 +439,8 @@ def _walk_oracle_analysis(setup, analysis, rng, tol, files):
         return {"applicable": False, "pass": True}
     pad = int(analysis.get("pad", 2))
     box = list(itertools.product(*[range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]))
-    walk = build_walk(setup.coin, tol)
-    proj = setup.projection
-    dense = dense_window_index(walk, proj.apply, box, walk.n_internal, tol)
+    walk = flux.geometry.unitary
+    dense = dense_window_index(walk, setup.projection.apply, box, walk.n_internal, tol)
     blockwise = analyze(flux).index
     return {
         "applicable": True,
@@ -461,7 +462,7 @@ def _walk_network_ensemble_analysis(setup, analysis, rng, tol, files):
             n_out = 1
         network = random_network(rng, n_in, n_out, box=box)
         coin = synthesize_lead_coin(network, random_background(rng, 2, box=4))
-        report, _ = lead_flux_index(network, coin, tol)
+        report, _ = walk_index(coin, network_projection(network), tol)
         if report.index != n_out - n_in:
             failures.append({"draw": k, "expected": n_out - n_in, "got": report.index})
     return {"draws": draws, "failures": failures, "pass": not failures}

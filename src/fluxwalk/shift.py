@@ -155,16 +155,12 @@ class PerturbedUnitary:
             b = small.inner(psi)
             if a != 0 or b != 0:
                 out = out + small.scaled(a) - paired.scaled(a) + paired.scaled(b) - small.scaled(b)
-        geom = self.flux.geometry
-        for label in geom.touched_labels(psi):
-            m = self._block_maps.get(tuple(label))
-            if m is None:
-                continue
-            coords = geom.gather(psi, label)
-            delta = (m.conj().T if adjoint else m) @ coords
-            if np.any(delta):
-                out = out + geom.make_state(label, delta)
-        return out
+
+        def matrix_at(label):
+            m = self._block_maps.get(label)
+            return m.conj().T if adjoint and m is not None else m
+
+        return out + self.flux.geometry.apply_blocks(psi, matrix_at)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         return self.base.apply(self._correction(psi, adjoint=False))
@@ -298,12 +294,12 @@ def verify_shift_structure(
         for e in basis:
             chopped = chopped - e.scaled(e.inner(psi))
         # [perturbed (1 - Q_L), P] psi = perturbed(1-Q_L) P psi - P perturbed(1-Q_L) psi
-        p_psi = geom.project(psi)
+        p_psi = geom.proj.apply(psi)
         p_chopped = p_psi
         for e in basis:
             p_chopped = p_chopped - e.scaled(e.inner(p_psi))
         lhs = perturbed.apply(p_chopped)
-        rhs = geom.project(perturbed.apply(chopped))
+        rhs = geom.proj.apply(perturbed.apply(chopped))
         commute_defect = max(commute_defect, (lhs - rhs).norm())
 
     remainder = perturbed.correction_minus_finite_rank_norm()

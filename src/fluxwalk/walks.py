@@ -1,5 +1,9 @@
 """Coined walks with engineered transport: half-lines, leads, bulk boundaries.
 
+The flux of a walk is assembled by ``flux.CellGeometry`` from the walk's
+cells: the cell at x is the site itself, and its coin maps every slot of x
+onto slot k of x + dir_k.
+
 A lead is an unbounded self-avoiding lattice path together with its tangent
 sequence; its quantum projection opens exactly the tangent direction at each
 path site.  Coins that carry each tangent to the next with a unimodular
@@ -19,6 +23,7 @@ from .config import DEFAULT, Tolerances
 from .errors import ValidationError
 from .fields import AdaptedProjection, HalfSpace, Plane, Ray, SiteMap
 from .flux import (
+    CellGeometry,
     FluxField,
     analyze,
     assemble_field,
@@ -53,55 +58,6 @@ def build_walk(coin: SiteMap, tol: Tolerances = DEFAULT) -> CoinedWalk:
     return CoinedWalk(coin)
 
 
-# ---------------------------------------------------------------------------
-# flux geometry for walks
-
-
-class WalkGeometry:
-    """Adapter between site-labelled flux blocks and lattice states."""
-
-    kind = "walk"
-
-    def __init__(self, walk: CoinedWalk, proj: AdaptedProjection, lo, hi):
-        self.walk = walk
-        self.proj = proj
-        self.phat = proj.shift_conjugate()
-        self.state_dim = walk.n_internal
-        self.lo = list(lo)
-        self.hi = list(hi)
-
-    def touched_labels(self, psi: LatticeState):
-        return {site for site, _ in psi.items()}
-
-    def gather(self, psi: LatticeState, label) -> np.ndarray:
-        return psi.vector_at(label)
-
-    def make_state(self, label, coords: np.ndarray) -> LatticeState:
-        return LatticeState(self.state_dim, {tuple(label): np.asarray(coords, dtype=complex)})
-
-    def project(self, psi: LatticeState) -> LatticeState:
-        return self.proj.apply(psi)
-
-    def probe_sites(self, rng: np.random.Generator):
-        sites = []
-        for _ in range(6):
-            sites.append(tuple(int(rng.integers(l, h + 1)) for l, h in zip(self.lo, self.hi)))
-        return set(sites)
-
-    def kitaev(self, labels) -> float:
-        """Sum over coin sites of |U|^2-weighted membership differences."""
-        total = 0.0
-        coin = self.walk.coin
-        for x in labels:
-            p = self.proj.diagonal(x)
-            ph = self.phat.diagonal(x)
-            if not p.any() and not ph.any():
-                continue
-            a2 = np.abs(coin.value(x)) ** 2
-            total += float(ph @ a2.sum(axis=1) - a2.sum(axis=0) @ p)
-        return total
-
-
 def build_walk_flux(
     coin: SiteMap,
     proj: AdaptedProjection,
@@ -110,7 +66,8 @@ def build_walk_flux(
 ) -> FluxField:
     """Assemble the blockwise flux of an adapted projection under a walk.
 
-    Block at x: coin(x)^* phat(x) coin(x) - p(x) with phat the projection
+    The cells of a walk are its sites (``CoinedWalk.cell``), so the block at
+    x is coin(x)^* phat(x) coin(x) - p(x), with phat the projection
     conjugated by the conditional shift.  Exact for every site; the window
     covers all features plus a margin of 3, and the shell certifies the tail.
     """
@@ -126,17 +83,8 @@ def build_walk_flux(
         math.lcm(a, b) for a, b in zip(coin.periods(), proj.periods())
     ]
     steps = [1] * walk.d
-    geometry = WalkGeometry(walk, proj, lo, hi)
-    phat = geometry.phat
-
-    def block_fn(label):
-        c = coin.value(label)
-        p = proj.diagonal(label)
-        ph = phat.diagonal(label)
-        m = (c.conj().T * ph) @ c - np.diag(p).astype(complex)
-        return m, p, int(round(ph.sum() - p.sum()))
-
-    flux = assemble_field(geometry, block_fn, lo, hi, bands, steps, tol)
+    geometry = CellGeometry(walk, proj, lo, hi, probes=6)
+    flux = assemble_field(geometry, geometry.block, lo, hi, bands, steps, tol)
     if selfcheck:
         selfcheck_against_operator(flux, walk)
     return flux
@@ -571,15 +519,19 @@ def verify_lead_condition(coin: SiteMap, network: NetworkSpec, tol: Tolerances =
 def lead_flux_index(network: NetworkSpec, coin: SiteMap, tol: Tolerances = DEFAULT):
     """Index of the total lead projection (plus bulk symbol if bounded)."""
     verify_lead_condition(coin, network, tol)
-    proj = network_projection(network)
-    report, flux = walk_index(coin, proj, tol)
+    report, flux = walk_index(coin, network_projection(network), tol)
+    check_lead_count(report, network)
+    return report, flux
+
+
+def check_lead_count(report, network: NetworkSpec) -> None:
+    """The index of a lead network must be n_out - n_in."""
     expected = len(network.outgoing) - len(network.incoming)
     if report.index != expected:
         raise ValidationError(
             f"lead network index {report.index} differs from "
             f"n_out - n_in = {expected}"
         )
-    return report, flux
 
 
 # ---------------------------------------------------------------------------

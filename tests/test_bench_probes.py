@@ -4,8 +4,14 @@
 breaks a traced benchmark run (``--trace 1``) with a ``KeyError``.  This
 resolves each probe the way ``Tracer.install`` does, without wrapping
 anything.  The file is read with ``runpy``, which leaves no bytecode behind.
+
+``fluxbench/selftest.py`` also pins, in ``REBOUND``, the ``from .x import f``
+copies that tracing must reach.  Each must still be bound in its module to a
+probed module-level function.  ``REBOUND`` is read with ``ast``; nothing in
+that file runs.
 """
 
+import ast
 import importlib
 import runpy
 from pathlib import Path
@@ -14,6 +20,21 @@ import pytest
 
 SPANS = Path(__file__).resolve().parents[1] / "fluxbench" / "spans.py"
 PROBES = runpy.run_path(str(SPANS))["PROBES"]
+
+
+def _rebound() -> list:
+    """``REBOUND``: a set comprehension over ``{module: names}.items()``."""
+    tree = ast.parse(SPANS.with_name("selftest.py").read_text())
+    (comp,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["REBOUND"]
+    ]
+    table = ast.literal_eval(comp.generators[0].iter.func.value)
+    return sorted((f"fluxwalk.{mod}", name) for mod, names in table.items() for name in names)
+
+
+REBOUND = _rebound()
 
 
 @pytest.mark.parametrize(
@@ -27,3 +48,15 @@ def test_probe_target_resolves(module_name, path):
     for part in outer:
         owner = getattr(owner, part)
     assert attr in owner.__dict__, f"{module_name}.{path} is not defined there"
+
+
+@pytest.mark.parametrize("module_name,name", REBOUND, ids=[f"{m}:{n}" for m, n in REBOUND])
+def test_rebound_binding_is_a_probed_function(module_name, name):
+    bound = vars(importlib.import_module(module_name)).get(name)
+    assert bound is not None, f"{module_name} no longer binds {name}"
+    probed = [
+        getattr(importlib.import_module(module), path)
+        for module, path, *_ in PROBES
+        if "." not in path
+    ]
+    assert any(bound is fn for fn in probed), f"{module_name}.{name} is not a probed function"

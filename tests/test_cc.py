@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,13 @@ from fluxwalk.cc import (
 )
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import Ray, SiteMap
-from fluxwalk.flux import analyze, index_by_odd_trace, index_by_supertrace, kitaev_sum
+from fluxwalk.flux import (
+    analyze,
+    dense_window_index,
+    index_by_odd_trace,
+    index_by_supertrace,
+    kitaev_sum,
+)
 from fluxwalk.lattice import LatticeState, random_state
 
 
@@ -297,14 +305,12 @@ def test_trace_formulas_on_capped_flux():
         assert abs(trace - result["index"]) < 1e-9
 
 
-def test_kitaev_sum_on_capped_flux():
-    rng = np.random.default_rng(19)
-    path = crossover_path()
-    field = SiteMap(2, background=params_r(0.2))
-    # manually capped: transmission far left, reflection far right
+def capped(field, path):
+    """Manually capped crossover: transmission far along the r-ray,
+    reflection far along the t-ray, so only finitely many blocks are nonzero."""
     r_base, r_in = _deep_cell_ray(path, list(range(-40, -31)))
     t_base, t_in = _deep_cell_ray(path, list(range(39, 30, -1)))
-    capped = field.overridden(
+    return field.overridden(
         window={e.cell: FULL_TRANSMISSION for e in path.steps(-40, -4)}
         | {e.cell: FULL_REFLECTION for e in path.steps(4, 40)},
         rays=[
@@ -312,11 +318,31 @@ def test_kitaev_sum_on_capped_flux():
             (Ray(t_base, tuple(-c for c in t_in)), [FULL_REFLECTION]),
         ],
     )
-    report, flux = cc_index(capped, path)
+
+
+def test_kitaev_sum_on_capped_flux():
+    path = crossover_path()
+    report, flux = cc_index(capped(SiteMap(2, background=params_r(0.2)), path), path)
     assert flux.tail_zero
     assert abs(kitaev_sum(flux) - report.index) < 1e-9
     assert abs(index_by_odd_trace(flux, 1) - report.index) < 1e-9
     assert abs(index_by_supertrace(flux, 1) - report.index) < 1e-9
+
+
+@pytest.mark.parametrize("west_first", [True, False])
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_dense_window_oracle_on_capped_flux(west_first, seed):
+    # one dense compression of U*PU - P around every nonzero block must
+    # count the same index as the blockwise path
+    path = crossover_path(west_first)
+    window = random_phase_window(np.random.default_rng(seed), 0.2, range(-3, 4), range(-3, 4))
+    field = capped(SiteMap(2, window=window, background=params_r(0.2)), path)
+    report, flux = cc_index(field, path)
+    assert flux.tail_zero and abs(report.index) == 1
+    points = [p for z in flux.blocks for p in cell_in_basis(z)]
+    axes = [range(min(p[j] for p in points) - 2, max(p[j] for p in points) + 3) for j in (0, 1)]
+    box = itertools.product(*axes)
+    assert dense_window_index(CCUnitary(field), flux.geometry.proj.apply, box, 1) == report.index
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,49 @@ def test_run_scenario_builds_its_setup_once(monkeypatch):
     assert result.ok and calls == [5]
 
 
+def count_calls(monkeypatch, names):
+    """Count calls of ``walks`` functions, including the copies that
+    ``scenarios`` imported."""
+    import fluxwalk.scenarios as scenarios
+    import fluxwalk.walks as walks
+
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(walks, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (walks, scenarios):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+def test_walk_analyses_take_the_walk_from_the_flux(monkeypatch):
+    # one walk per analysis: shift_decomposition and oracle_equivalence
+    # reuse the walk their flux was built from (6 builds when they did not)
+    counts = count_calls(monkeypatch, ["build_walk"])
+    assert run_scenario(load("basic_example")).ok
+    assert counts == {"build_walk": 4}
+
+
+def test_lead_network_analyses_reuse_the_checked_setup(monkeypatch):
+    # index and shift_decomposition use the setup's projection and its
+    # synthesized (already verified) coin; the setup checks the network once
+    # when parsing, once in synthesize_lead_coin and once in network_projection
+    names = ["build_walk", "validate_network", "verify_lead_condition", "network_projection"]
+    counts = count_calls(monkeypatch, names)
+    assert run_scenario(load("two_incoming_leads")).ok
+    assert counts == {
+        "build_walk": 3,
+        "validate_network": 3,
+        "verify_lead_condition": 1,
+        "network_projection": 1,
+    }
+
+
 def test_run_scenario_validates_seed_override_and_spec_type():
     with pytest.raises(ValidationError, match="seed"):
         run_scenario(load("half_line_plus"), seed_override=-1)

@@ -19,6 +19,7 @@ from fluxwalk.walks import (
     build_walk,
     build_walk_flux,
     bulk_boundary_flux,
+    check_lead_count,
     halfline_projection,
     lead_flux_index,
     network_projection,
@@ -175,6 +176,18 @@ def test_named_examples_from_leads():
     assert report2.index == 0
 
 
+def test_lead_flux_index_checks_its_inputs():
+    # the coin must conduct along every lead, and the index must count leads
+    rng = np.random.default_rng(24)
+    net = NetworkSpec(outgoing=(LeadSpec("outgoing", [(0, 0)], (0, 1)),))
+    with pytest.raises(ValidationError, match="conduction violated"):
+        lead_flux_index(net, random_background(rng, 2, box=3))
+    report, _ = lead_flux_index(net, synthesize_lead_coin(net, random_background(rng, 2, box=3)))
+    check_lead_count(report, net)
+    with pytest.raises(ValidationError, match="n_out - n_in"):
+        check_lead_count(report, NetworkSpec(outgoing=net.outgoing * 2))
+
+
 def test_single_lead_flux_is_rank_one():
     # outgoing lead: the flux is the pulled-back head projection
     rng = np.random.default_rng(6)
@@ -301,6 +314,25 @@ def test_boundary_with_surface_lead():
     assert report.index == 1
     walk = build_walk(coin)
     assert verify_confinement(walk, rng, steps=30, box=3) <= 1e-12
+
+
+def test_cell_masks_match_the_shift_conjugate_reference():
+    # P_out of the walk cell at x opens slot k iff P opens it at x + dir_k;
+    # _ShiftConjugate computes that independently.  Every window and shell
+    # label of a lead network and of a bulk boundary is compared.
+    rng = np.random.default_rng(25)
+    a = LeadSpec("incoming", [(0, 1), (0, 0)], (0, 1))
+    b = LeadSpec("outgoing", [(6, 0), (7, 0)], (1, 0))
+    net = NetworkSpec(incoming=(a,), outgoing=(b,))
+    _, lead_flux = lead_flux_index(net, synthesize_lead_coin(net, random_background(rng, 2, box=3)))
+    for flux in (lead_flux, bulk_boundary_flux(reflecting_coin(2, rng, box=3))):
+        geom = flux.geometry
+        hat = geom.proj.shift_conjugate()
+        assert flux.shell
+        for label in [*flux.window_labels(), *flux.shell]:
+            _, p_in, p_out = geom.cell(label)
+            assert np.array_equal(p_in, geom.proj.diagonal(label)), label
+            assert np.array_equal(p_out, hat.diagonal(label)), label
 
 
 def test_off_boundary_lead_rejected():
