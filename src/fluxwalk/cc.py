@@ -16,7 +16,6 @@ left of the oriented curve defines the projection whose flux is analyzed.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +136,8 @@ class CCUnitary(LocalUnitary):
     ``scattering`` maps cell labels in Z x 2Z to ``ScatteringParams``; every
     template value and every window label is checked here.  For
     ``flux.CellGeometry``, cell z maps its incoming pair onto its outgoing
-    pair through S(z)^T (outgoing x incoming).
+    pair through S(z)^T (outgoing x incoming); ``cells`` builds every S^T of
+    a label array at once from arrays of q, r and t.
     """
 
     n_internal = 1
@@ -162,6 +162,28 @@ class CCUnitary(LocalUnitary):
     def cell(self, z: Site):
         (a, b), (c, d) = cell_in_basis(z), cell_out_basis(z)
         return self.matrix(z).T, [(a, (0,)), (b, (0,))], [(c, (0,)), (d, (0,))]
+
+    def cells(self, labels: np.ndarray):
+        labels = np.asarray(labels, dtype=np.int64)
+        params = [self.scattering.value(z) for z in map(tuple, labels.tolist())]
+        rows: dict[int, int] = {}
+        which = [rows.setdefault(id(p), len(rows)) for p in params]
+        distinct = list({id(p): p for p in params}.values())
+        # entries spelled as in ScatteringParams.matrix, so real parameters
+        # keep the same signed zeros
+        s = np.array(
+            [[[p.r, -p.t], [p.t.conjugate(), p.r.conjugate()]] for p in distinct], dtype=complex
+        )
+        q = np.array([p.q for p in distinct], dtype=complex)
+        a, b = labels[:, 0], labels[:, 1]
+        odd = a % 2
+        ins = np.stack([labels, np.stack([a + 1, b - 1 + 2 * odd], axis=1)], axis=1)
+        outs = np.stack(
+            [np.stack([a + odd, b - 1 + odd], axis=1), np.stack([a + 1 - odd, b + odd], axis=1)],
+            axis=1,
+        )
+        slots = np.zeros(2, dtype=np.int64)
+        return (q[:, None, None] * s).transpose(0, 2, 1)[which], (ins, slots), (outs, slots)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         return self._scatter(psi, in_cell, cell_out_basis, lambda s, j: s[j])
@@ -292,6 +314,15 @@ class DualPath:
         k = t - self.m_last
         return (vm[0] + k * self.post_dir[0], vm[1] + k * self.post_dir[1])
 
+    def vertices(self, t0: int, t1: int) -> np.ndarray:
+        """``vertex(t)`` for t0 <= t < t1 as a (t1 - t0, 2) integer array."""
+        t = np.arange(t0, t1)[:, None]
+        middle = np.array(self.middle)
+        inner = middle[np.clip(t[:, 0], 0, self.m_last)]
+        before = middle[0] - t * np.array(self.pre_dir)
+        after = middle[-1] + (t - self.m_last) * np.array(self.post_dir)
+        return np.where(t < 0, before, np.where(t <= self.m_last, inner, after))
+
     def step(self, t: int) -> CrossedEdge:
         """Crossed edge of the dual step t -> t+1."""
         return classify_step(t, self.vertex(t), self.vertex(t + 1))
@@ -342,11 +373,14 @@ class RegionSplit:
     """Membership in the subgraph left of an oriented dual curve.
 
     Every dual step bisects one primal edge and labels its two endpoints
-    (left point inside, right point outside).  Labels propagate by flood fill
-    over uncut lattice edges inside a finite box; beyond the box the labels
-    are constant along outward directions, so clamping is exact.  As a
-    projection it offers what ``AdaptedProjection`` does: ``open_slots`` and
-    ``apply``.
+    (left point inside, right point outside).  Inside a finite box the
+    labels are the parity of cut edges crossed on the way from one seed
+    point, taken down the seed's column and then along every row; every
+    seed and every vertical edge then confirms them (an uncut edge joins
+    equal labels, a cut edge unequal ones).  Beyond the box the labels are
+    constant along outward directions, so clamping is exact.  As a
+    projection it offers what ``AdaptedProjection`` does: ``open_slots``,
+    ``diagonal_entries`` and ``apply``.
     """
 
     def __init__(self, path: DualPath, lo: Site, hi: Site):
@@ -361,61 +395,67 @@ class RegionSplit:
             + abs(mx0) + abs(mx1) + abs(my0) + abs(my1)
             + 8
         )
-        cut: set[frozenset] = set()
+        vertices = path.vertices(-span, path.m_last + span + 1)
+        near = np.all(
+            (vertices >= np.subtract(self.lo, 2)) & (vertices <= np.add(self.hi, 2)), axis=1
+        )
+        shape = (self.hi[0] - self.lo[0] + 1, self.hi[1] - self.lo[1] + 1)
+        # cut[0][i, j] marks the edge (i, j)-(i+1, j), cut[1][i, j] the edge
+        # (i, j)-(i, j+1), in box coordinates
+        cut = [
+            np.zeros((shape[0] - 1, shape[1]), dtype=np.int64),
+            np.zeros((shape[0], shape[1] - 1), dtype=np.int64),
+        ]
         seeds: dict[Site, int] = {}
-        for t in range(-span, path.m_last + span):
-            v, w = path.vertex(t), path.vertex(t + 1)
-            if not (self._near_box(v) or self._near_box(w)):
-                continue
-            left, right = crossed_points(v, w)
-            cut.add(frozenset((left, right)))
+        for k in np.flatnonzero(near[:-1] | near[1:]).tolist():
+            v, w = vertices[k : k + 2].tolist()
+            left, right = crossed_points(tuple(v), tuple(w))
             for point, side in ((left, 1), (right, 0)):
                 if self._in_box(point):
                     prev = seeds.get(point)
                     if prev is not None and prev != side:
                         raise ValidationError(f"conflicting side labels at {point}")
                     seeds[point] = side
+            if self._in_box(left) and self._in_box(right):
+                axis = 0 if left[0] != right[0] else 1
+                low = min(left, right)
+                cut[axis][low[0] - self.lo[0], low[1] - self.lo[1]] = 1
         if not seeds:
             raise ValidationError("path does not meet the labeling box")
-        labels = dict(seeds)
-        queue = deque(seeds)
-        while queue:
-            p = queue.popleft()
-            side = labels[p]
-            for d in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                q = (p[0] + d[0], p[1] + d[1])
-                if not self._in_box(q) or frozenset((p, q)) in cut:
-                    continue
-                prev = labels.get(q)
-                if prev is None:
-                    labels[q] = side
-                    queue.append(q)
-                elif prev != side:
-                    raise ValidationError(f"inconsistent region labels at {q}")
-        expected = (self.hi[0] - self.lo[0] + 1) * (self.hi[1] - self.lo[1] + 1)
-        if len(labels) != expected:
-            raise ValidationError("region labeling did not cover the box")
+        (sx, sy), side = next(iter(seeds.items()))
+        i0, j0 = sx - self.lo[0], sy - self.lo[1]
+        column = np.concatenate([[0], np.cumsum(cut[1][i0])])
+        rows = np.concatenate([np.zeros((1, shape[1]), dtype=np.int64), np.cumsum(cut[0], axis=0)])
+        labels = (side + column - column[j0] + rows - rows[i0]) % 2
+        for (x, y), side in seeds.items():
+            if labels[x - self.lo[0], y - self.lo[1]] != side:
+                raise ValidationError(f"inconsistent region labels at {(x, y)}")
+        wrong = np.argwhere((labels[:, 1:] != labels[:, :-1]) != cut[1])
+        if len(wrong):
+            i, j = wrong[0].tolist()
+            raise ValidationError(
+                f"inconsistent region labels at {(self.lo[0] + i, self.lo[1] + j + 1)}"
+            )
         self._labels = labels
 
     def _in_box(self, p: Site) -> bool:
         return self.lo[0] <= p[0] <= self.hi[0] and self.lo[1] <= p[1] <= self.hi[1]
-
-    def _near_box(self, v: Site) -> bool:
-        return (
-            self.lo[0] - 2 <= v[0] <= self.hi[0] + 2
-            and self.lo[1] - 2 <= v[1] <= self.hi[1] + 2
-        )
 
     def side(self, point: Site) -> int:
         return len(self.open_slots(point))
 
     def open_slots(self, point: Site) -> frozenset:
         """The one internal slot inside the region, nothing outside."""
-        p = (
-            min(max(point[0], self.lo[0]), self.hi[0]),
-            min(max(point[1], self.lo[1]), self.hi[1]),
-        )
-        return _OPEN_SLOTS[self._labels[p]]
+        x = min(max(point[0], self.lo[0]), self.hi[0]) - self.lo[0]
+        y = min(max(point[1], self.lo[1]), self.hi[1]) - self.lo[1]
+        return _OPEN_SLOTS[self._labels[x, y]]
+
+    def diagonal_entries(self, sites: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """0/1 diagonal entries at an (M, 2) integer array of points (every
+        slot is 0), read from the label array at clamped coordinates."""
+        x = np.clip(sites[:, 0], self.lo[0], self.hi[0]) - self.lo[0]
+        y = np.clip(sites[:, 1], self.lo[1], self.hi[1]) - self.lo[1]
+        return self._labels[x, y].astype(float)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         data = {}
@@ -425,7 +465,7 @@ class RegionSplit:
         return LatticeState(psi.n_internal, data)
 
     def region_points(self) -> set[Site]:
-        return {p for p, s in self._labels.items() if s == 1}
+        return {(self.lo[0] + i, self.lo[1] + j) for i, j in np.argwhere(self._labels).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -268,6 +268,21 @@ class AdaptedProjection:
         acc |= m.background
         return frozenset(acc)
 
+    def diagonal_entries(self, sites: np.ndarray, slots: np.ndarray) -> np.ndarray:
+        """0/1 diagonal entries at slot ``slots[i]`` of site ``sites[i]``,
+        for an (M, d) integer site array; ``open_slots`` runs once per
+        distinct site."""
+        sites = np.asarray(sites, dtype=np.int64)
+        corner = sites.min(axis=0)
+        shape = tuple((sites.max(axis=0) - corner + 1).tolist())
+        flat = np.ravel_multi_index(tuple((sites - corner).T), shape)
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        points = np.stack(np.unravel_index(distinct, shape), axis=1) + corner
+        table = np.zeros((len(distinct), self.n))
+        for row, site in zip(table, map(tuple, points.tolist())):
+            row[list(self.open_slots(site))] = 1.0
+        return table[inverse.reshape(-1), slots]
+
     def rank(self, site: Site) -> int:
         return len(self.open_slots(site))
 

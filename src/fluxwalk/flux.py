@@ -2,10 +2,12 @@
 
 The flux of a projection P under a band-width-1 unitary U is U*PU - P.  Walks
 and networks map each cell's incoming basis onto its outgoing basis, so the
-flux is block diagonal over cells (``CellGeometry``).  The index is computed
-four independent ways -- kernel counts, odd-power traces, even-power
-supertraces, and the Kitaev-style double sum over matrix elements -- and all
-of them must agree.
+flux is block diagonal over cells (``CellGeometry``).  The index is counted
+by kernel dimensions and by odd-power traces and even-power supertraces of
+the blocks; the Kitaev-style double sum over matrix elements reduces, for
+unitary cells, to rank P_out - rank P_in per cell, so it cross-checks the
+rank formula rather than giving an independent count.  All of them must
+agree.
 
 Certification at infinity works by enumerating a shell of representative
 blocks just outside the feature window.  Every block beyond the window equals
@@ -15,8 +17,8 @@ there), which a second "tripwire" band re-checks numerically.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,27 +29,47 @@ from .errors import (
     NonSummableError,
     ValidationError,
 )
-from .lattice import (
-    LatticeState,
-    is_hermitian,
-    random_state,
-    spectral_norm_hermitian,
-    trace_norm_hermitian,
-)
+from .lattice import LatticeState, random_state
 from .operators import compress
 
 
 @dataclass(frozen=True)
 class FluxBlock:
-    """One Hermitian block of the flux and the projection diagonal on it."""
+    """One Hermitian block of the flux, the projection diagonal on it, and its
+    eigenvalues (from ``eigvalsh``)."""
 
     label: tuple
     matrix: np.ndarray
     p_diag: np.ndarray
     rank_difference: int
+    eigenvalues: np.ndarray
 
     def norm(self) -> float:
-        return spectral_norm_hermitian(self.matrix)
+        return float(np.max(np.abs(self.eigenvalues)))
+
+
+class StackedBox(NamedTuple):
+    """What assembly stacked for the window and shell labels, row by row in
+    enumeration order: the ``block_fn`` arrays, the ``eigvalsh``
+    eigenvalues, rank P_out - rank P_in, and which rows are window rows."""
+
+    labels: list
+    flux: np.ndarray
+    p_in: np.ndarray
+    p_out: np.ndarray
+    cells: np.ndarray
+    eigenvalues: np.ndarray
+    rank_differences: list
+    window: np.ndarray
+
+    def block(self, row: int) -> FluxBlock:
+        return FluxBlock(
+            self.labels[row],
+            self.flux[row],
+            self.p_in[row],
+            self.rank_differences[row],
+            self.eigenvalues[row],
+        )
 
 
 @dataclass
@@ -88,13 +110,22 @@ class IndexReport:
 class CellGeometry:
     """Adapter between cell-labelled flux blocks and lattice states.
 
-    The unitary provides ``cell_of(site)``, the label of the cell whose
-    incoming basis holds ``site``, and ``cell(label) -> (matrix, ins, outs)``:
-    ``ins`` and ``outs`` list ``(site, slots)`` with distinct sites, spelling
-    out the cell's incoming and outgoing bases in order, and ``matrix``
-    (outgoing x incoming) is U between them.  The cells' incoming bases
-    partition the lattice basis, and so do their outgoing bases.  The
-    projection provides ``open_slots(site)`` and ``apply(psi)``.  With P_in
+    The unitary describes its cells two ways.  ``cell(label) -> (matrix,
+    ins, outs)`` gives one cell: ``ins`` and ``outs`` list ``(site, slots)``
+    with distinct sites, spelling out the cell's incoming and outgoing bases
+    in order, and ``matrix`` (outgoing x incoming) is U between them.
+    ``cells(labels) -> (matrices, ins, outs)`` gives the same for an (N, d)
+    integer array of labels at once: ``matrices`` is (N, k, k), and ``ins``
+    and ``outs`` are ``(sites, slots)`` with ``sites`` an (N, k, d) integer
+    array and ``slots`` a length-k integer array, so that basis vector j of
+    cell i is slot ``slots[j]`` at site ``sites[i, j]``.  ``cell_of(site)``
+    is the label of the cell whose incoming basis holds ``site``.  The cells'
+    incoming bases partition the lattice basis, and so do their outgoing
+    bases.
+
+    The projection provides ``open_slots(site)``, ``apply(psi)`` and
+    ``diagonal_entries(sites, slots)``, the 0/1 diagonal entries of P at
+    the basis vectors given by an (M, d) site array and M slots.  With P_in
     and P_out the 0/1 diagonals of P on the two bases, the flux block in the
     incoming basis is ``matrix* P_out matrix - P_in``.  Self-checks draw
     ``probes`` random window sites.
@@ -108,25 +139,22 @@ class CellGeometry:
         self.hi = list(hi)
         self.probes = probes
 
-    def mask(self, points) -> np.ndarray:
-        """The 0/1 diagonal of P on the basis listed by ``(site, slots)``."""
-        open_slots = self.proj.open_slots
-        return np.array(
-            [k in at for site, slots in points for at in (open_slots(site),) for k in slots],
-            dtype=float,
-        )
-
-    def cell(self, label):
-        """``(matrix, P_in diagonal, P_out diagonal)`` of one cell."""
-        m, ins, outs = self.unitary.cell(label)
-        return m, self.mask(ins), self.mask(outs)
-
-    def block(self, label):
-        """``(flux block, P_in diagonal, rank P_out - rank P_in)``; the
-        ``block_fn`` of ``assemble_field``."""
-        m, p_in, p_out = self.cell(label)
-        flux = (m.conj().T * p_out) @ m - np.diag(p_in).astype(complex)
-        return flux, p_in, int(round(p_out.sum() - p_in.sum()))
+    def block(self, labels: np.ndarray):
+        """``(flux blocks, P_in, P_out, cell matrices)`` of the labelled
+        cells, stacked; the ``block_fn`` of ``assemble_field``.  One
+        ``diagonal_entries`` call covers both bases of every cell."""
+        m, (in_sites, in_slots), (out_sites, out_slots) = self.unitary.cells(labels)
+        n, k, d = in_sites.shape
+        sites = np.concatenate([in_sites, out_sites], axis=1).reshape(-1, d)
+        slots = np.tile(np.concatenate([in_slots, out_slots]), n)
+        masks = self.proj.diagonal_entries(sites, slots).reshape(n, 2 * k)
+        # C order: the Kitaev sum's per-cell dot products take contiguous rows
+        p_in, p_out = np.ascontiguousarray(masks[:, :k]), np.ascontiguousarray(masks[:, k:])
+        flux = m.conj().transpose(0, 2, 1)
+        flux *= p_out[:, None, :]
+        flux = flux @ m
+        flux[:, np.arange(k), np.arange(k)] -= p_in
+        return flux, p_in, p_out, m
 
     def touched_labels(self, psi: LatticeState) -> set:
         """Labels of every cell that meets the support of ``psi``."""
@@ -163,29 +191,21 @@ class CellGeometry:
             for _ in range(self.probes)
         }
 
-    def kitaev(self, labels) -> float:
-        """Kitaev double sum over the given cells, from the unitary's cells
-        rather than from the assembled blocks: the |matrix|^2-weighted
-        difference of outgoing and incoming memberships."""
-        total = 0.0
-        for label in labels:
-            m, p_in, p_out = self.cell(label)
-            if not p_in.any() and not p_out.any():
-                continue
-            a2 = np.abs(m) ** 2
-            total += float(p_out @ a2.sum(axis=1) - a2.sum(axis=0) @ p_in)
-        return total
-
 
 class FluxField:
     """Block-diagonal flux with a finite window plus certified tail, over a
-    ``CellGeometry`` whose ``block`` method is ``block_fn``."""
+    ``CellGeometry`` whose ``block`` method is ``block_fn``.
+
+    ``blocks`` holds the window blocks above ``tol.block_prune``, ``shell``
+    every shell block, and ``box`` everything assembly stacked for both.
+    """
 
     def __init__(
         self,
         geometry,
         blocks: dict,
         shell: dict,
+        box: StackedBox,
         lo,
         hi,
         bands,
@@ -194,10 +214,12 @@ class FluxField:
         rank_difference: int,
         block_fn,
         tol: Tolerances,
+        eig_cache: dict,
     ):
         self.geometry = geometry
         self.blocks = blocks
         self.shell = shell
+        self.box = box
         self.lo = list(lo)
         self.hi = list(hi)
         self.bands = list(bands)
@@ -206,7 +228,8 @@ class FluxField:
         self.rank_difference = rank_difference
         self._block_fn = block_fn
         self.tol = tol
-        self._eig_cache: dict = {}
+        self._eig_cache = eig_cache
+        self._rows = {label: i for i, label in enumerate(box.labels)}
 
     # -- basic queries -------------------------------------------------------
 
@@ -214,22 +237,21 @@ class FluxField:
     def tail_zero(self) -> bool:
         return self.certificate.bound <= self.tol.block_prune
 
-    def window_labels(self):
-        axes = [
-            range(l, h + 1, s) for l, h, s in zip(self.lo, self.hi, self.steps)
-        ]
-        return itertools.product(*axes)
-
     def block_at(self, label) -> FluxBlock:
+        """The block at any label: stored blocks first, then the assembled
+        box, then one ``block_fn`` call beyond it."""
         label = tuple(label)
-        blk = self.blocks.get(label)
-        if blk is not None:
-            return blk
-        blk = self.shell.get(label)
-        if blk is not None:
-            return blk
-        matrix, p_diag, rd = self._block_fn(label)
-        return FluxBlock(label, matrix, p_diag, rd)
+        for known in (self.blocks, self.shell):
+            blk = known.get(label)
+            if blk is not None:
+                return blk
+        row = self._rows.get(label)
+        if row is not None:
+            return self.box.block(row)
+        flux, p_in, p_out, _ = self._block_fn(np.array([label]))
+        return FluxBlock(
+            label, flux[0], p_in[0], _rank_differences(p_in, p_out)[0], np.linalg.eigvalsh(flux[0])
+        )
 
     def eigensystem(self, label):
         label = tuple(label)
@@ -251,13 +273,40 @@ class FluxField:
 # assembly
 
 
+def _rank_differences(p_in: np.ndarray, p_out: np.ndarray) -> list[int]:
+    """rank P_out - rank P_in per stacked cell."""
+    return np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int).tolist()
+
+
+def _tail_partners(labels: np.ndarray, lo, hi, bands) -> np.ndarray:
+    """Clamp labels beyond the shell into it, preserving each coordinate's
+    residue modulo the band width."""
+    above = hi + bands
+    below = lo - bands
+    offset_hi = (labels - hi) % bands
+    return np.where(
+        labels > above,
+        hi + np.where(offset_hi == 0, bands, offset_hi),
+        np.where(labels < below, below + (labels - below) % bands, labels),
+    )
+
+
 def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) -> FluxField:
     """Enumerate window, shell, and tripwire bands and build the field.
 
-    ``block_fn(label) -> (matrix, p_diag, rank_difference)`` must be total.
-    The shell band (width = one tail period per axis) carries one
-    representative of every translation class of blocks beyond the window;
-    the tripwire band re-checks that representativeness numerically.
+    ``block_fn(labels)`` takes an (N, d) integer array of labels and returns
+    ``(flux blocks, P_in, P_out, cell matrices)`` for them, stacked in that
+    order as (N, k, k), (N, k), (N, k) and (N, k, k) arrays; it must be
+    total.  It is called once for the window and shell labels together and
+    once for the tripwire labels.  The shell band (width = one tail period
+    per axis) carries one representative of every translation class of
+    blocks beyond the window; the tripwire band re-checks that
+    representativeness numerically.
+
+    Every block is checked for Hermiticity in one vectorised pass, the block
+    norms come from one stacked ``eigvalsh`` and are stored, and one stacked
+    ``eigh`` over the kept window blocks fills the eigensystem cache.  Errors
+    name the first offending label in enumeration order (lexicographic).
     """
     dims = len(lo)
     for j in range(dims):
@@ -265,74 +314,65 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
             raise ValidationError("band widths must be multiples of the label grid")
         if (hi[j] - lo[j]) % steps[j] != 0:
             raise ValidationError("window bounds must be grid aligned")
-
-    def zone(label) -> int:
-        out = 0
-        for c, l, h, band in zip(label, lo, hi, bands):
-            if l <= c <= h:
-                continue
-            if l - band <= c <= h + band:
-                out = max(out, 1)
-            else:
-                out = max(out, 2)
-        return out
-
-    def clamp(label):
-        fixed = []
-        for c, l, h, band in zip(label, lo, hi, bands):
-            if c > h + band:
-                c = h + steps_mod(c - h, band)
-            elif c < l - band:
-                c = l - band + ((c - (l - band)) % band)
-            fixed.append(c)
-        return tuple(fixed)
-
-    def steps_mod(offset, band):
-        # map offset > band into (0, band] preserving the residue mod band
-        r = offset % band
-        return band if r == 0 else r
+    lo_a, hi_a, bands_a = (np.array(v, dtype=np.int64) for v in (lo, hi, bands))
 
     axes = [
-        range(l - 2 * band, h + 2 * band + 1, s)
+        np.arange(l - 2 * band, h + 2 * band + 1, s)
         for l, h, band, s in zip(lo, hi, bands, steps)
     ]
-    blocks: dict = {}
-    shell: dict = {}
-    tripwire: list = []
-    rank_sum = 0
-    for label in itertools.product(*axes):
-        z = zone(label)
-        if z == 2:
-            tripwire.append(label)
-            continue
-        matrix, p_diag, rd = block_fn(label)
-        if not is_hermitian(matrix, tol.hermitian):
-            raise ValidationError(f"flux block at {label} is not Hermitian")
-        blk = FluxBlock(label, matrix, p_diag, rd)
-        if z == 0:
-            rank_sum += rd
-            if blk.norm() > tol.block_prune:
-                blocks[label] = blk
-        else:
-            shell[label] = blk
+    labels = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dims)
+    outside = np.maximum(lo_a - labels, labels - hi_a)
+    zone = np.where(outside <= 0, 0, np.where(outside <= bands_a, 1, 2)).max(axis=1)
 
-    for label in tripwire:
-        partner = clamp(label)
-        ref = shell.get(partner)
-        if ref is None:
-            raise ValidationError(f"tripwire label {label} clamped outside the shell")
-        matrix, _, _ = block_fn(label)
-        if np.max(np.abs(matrix - ref.matrix)) > 1e-12:
+    in_box = zone < 2
+    box_labels = [tuple(x) for x in labels[in_box].tolist()]
+    flux, p_in, p_out, cells = block_fn(labels[in_box])
+    deviation = np.abs(flux - flux.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(~(deviation <= tol.hermitian))
+    if bad.size:
+        raise ValidationError(f"flux block at {box_labels[bad[0]]} is not Hermitian")
+
+    zone_box = zone[in_box]
+    shell_rows = np.flatnonzero(zone_box == 1)
+    tripwire = labels[zone == 2]
+    if len(tripwire):
+        partners = [tuple(x) for x in _tail_partners(tripwire, lo_a, hi_a, bands_a).tolist()]
+        shell_row_of = {box_labels[i]: i for i in shell_rows.tolist()}
+        rows = np.array([shell_row_of.get(p, -1) for p in partners])
+        tw_flux = block_fn(tripwire)[0]
+        missing = rows < 0
+        differs = np.abs(tw_flux - flux[rows]).max(axis=(1, 2)) > 1e-12
+        bad = np.flatnonzero(missing | differs)
+        if bad.size:
+            i = bad[0]
+            label = tuple(tripwire[i].tolist())
+            if missing[i]:
+                raise ValidationError(f"tripwire label {label} clamped outside the shell")
             raise ValidationError(
-                f"tail is not translation invariant: block {label} differs from {partner}"
+                f"tail is not translation invariant: block {label} differs from {partners[i]}"
             )
+
+    evals = np.linalg.eigvalsh(flux)
+    norms = np.abs(evals).max(axis=1)
+    rank_differences = _rank_differences(p_in, p_out)
+    window = zone_box == 0
+    rank_sum = sum(rd for rd, w in zip(rank_differences, window.tolist()) if w)
+
+    box = StackedBox(box_labels, flux, p_in, p_out, cells, evals, rank_differences, window)
+    kept = np.flatnonzero(window & (norms > tol.block_prune)).tolist()
+    blocks = {box_labels[i]: box.block(i) for i in kept}
+    shell = {box_labels[i]: box.block(i) for i in shell_rows.tolist()}
+    eig_cache: dict = {}
+    if kept:
+        w, v = np.linalg.eigh(flux[kept])
+        eig_cache = {box_labels[i]: (w[j], v[j]) for j, i in enumerate(kept)}
 
     bound = 0.0
     witness = None
-    for label, blk in shell.items():
-        v = blk.norm()
-        if v > bound:
-            bound, witness = v, label
+    if shell_rows.size:
+        j = shell_rows[int(np.argmax(norms[shell_rows]))]
+        if norms[j] > 0.0:
+            bound, witness = float(norms[j]), box_labels[j]
     radius = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
     cert = Certificate(
         ok=bound < 1.0 - tol.certificate_margin,
@@ -341,7 +381,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
         witness=witness if bound >= 1.0 - tol.certificate_margin else None,
     )
     return FluxField(
-        geometry, blocks, shell, lo, hi, bands, steps, cert, rank_sum, block_fn, tol
+        geometry, blocks, shell, box, lo, hi, bands, steps, cert, rank_sum, block_fn, tol, eig_cache
     )
 
 
@@ -489,15 +529,25 @@ def index_by_supertrace(flux: FluxField, j: int = 1) -> complex:
 
 
 def kitaev_sum(flux: FluxField) -> complex:
-    """Double sum over matrix elements of U across P, from the sources
-    directly (independent of the assembled blocks)."""
+    """Double sum over matrix elements of U across P, from the cell matrices
+    and masks that assembly kept for the window rather than from the flux
+    blocks: the |matrix|^2-weighted difference of outgoing and incoming
+    memberships, cell by cell.  For unitary cells each term is rank P_out -
+    rank P_in, so this cross-checks the rank formula rather than counting
+    the index independently."""
     _require_trace_class(flux)
-    return complex(flux.geometry.kitaev(flux.window_labels()))
+    box = flux.box
+    rows = np.flatnonzero(box.window & (box.p_in.any(axis=1) | box.p_out.any(axis=1)))
+    total = 0.0
+    for i in rows.tolist():
+        a2 = np.abs(box.cells[i]) ** 2
+        total += float(box.p_out[i] @ a2.sum(axis=1) - a2.sum(axis=0) @ box.p_in[i])
+    return complex(total)
 
 
 def block_trace_norm(flux: FluxField) -> float:
     _require_trace_class(flux)
-    return float(sum(trace_norm_hermitian(b.matrix) for b in flux.blocks.values()))
+    return float(sum(float(np.sum(np.abs(b.eigenvalues))) for b in flux.blocks.values()))
 
 
 def analyze(flux: FluxField) -> IndexReport:

@@ -42,7 +42,8 @@ class CoinedWalk(LocalUnitary):
     values are taken as given; ``walks.build_walk`` checks them.
 
     The cells of ``flux.CellGeometry`` are the sites: the coin at x maps
-    every slot of x onto slot k of x + dir_k.
+    every slot of x onto slot k of x + dir_k.  ``cells`` stacks the coins
+    of many sites, one ``SiteMap.value`` call each.
     """
 
     def __init__(self, coin: SiteMap):
@@ -52,6 +53,8 @@ class CoinedWalk(LocalUnitary):
         self._dirs = all_direction_vectors(coin.d)
         self._all_slots = tuple(range(self.n_internal))
         self._out_slots = [(step, (k,)) for k, step in enumerate(self._dirs)]
+        self._slot_array = np.arange(self.n_internal)
+        self._step_array = np.array(self._dirs, dtype=np.int64)
 
     def cell_of(self, site: Site) -> Site:
         return site
@@ -59,6 +62,13 @@ class CoinedWalk(LocalUnitary):
     def cell(self, x: Site):
         outs = [(tuple(map(operator.add, x, step)), slot) for step, slot in self._out_slots]
         return self.coin.value(x), [(x, self._all_slots)], outs
+
+    def cells(self, labels: np.ndarray):
+        labels = np.asarray(labels, dtype=np.int64)
+        coins = np.array([self.coin.value(x) for x in map(tuple, labels.tolist())])
+        ins = np.repeat(labels[:, None, :], self.n_internal, axis=1)
+        outs = labels[:, None, :] + self._step_array
+        return coins, (ins, self._slot_array), (outs, self._slot_array)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         self._check(psi)

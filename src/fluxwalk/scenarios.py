@@ -528,7 +528,7 @@ def _cc_norm_law_analysis(setup, analysis, rng, tol, files):
     worst_norm = 0.0
     worst_eig = 0.0
     for blk in list(flux.blocks.values()) + [b for b in flux.shell.values() if b.norm() > tol.block_prune]:
-        evals = np.linalg.eigvalsh(blk.matrix)
+        evals = blk.eigenvalues
         worst_norm = max(worst_norm, abs(max(abs(evals)) - r_abs))
         for lam in evals:
             worst_eig = max(worst_eig, min(abs(lam - r_abs), abs(lam + r_abs)))

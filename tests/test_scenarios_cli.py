@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -13,6 +14,10 @@ from fluxwalk.scenarios import ANALYSES, run_scenario, validate_scenario
 
 def load(name):
     return json.loads(bundled_scenarios()[name].read_text())
+
+
+# sha256 of every bundled scenario's report.json, as `fluxwalk run` writes it
+REPORT_SHA256 = json.loads((Path(__file__).parent / "data" / "report_sha256.json").read_text())
 
 
 def test_every_bundled_scenario_validates():
@@ -260,3 +265,13 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "basic_example" in proc.stdout
+
+
+def test_golden_digests_cover_every_bundled_scenario():
+    assert sorted(REPORT_SHA256) == sorted(bundled_scenarios())
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_SHA256))
+def test_bundled_report_matches_its_golden_digest(name):
+    text = dump_report(run_scenario(load(name)).report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[name]

@@ -329,10 +329,11 @@ def test_cell_masks_match_the_shift_conjugate_reference():
         geom = flux.geometry
         hat = geom.proj.shift_conjugate()
         assert flux.shell
-        for label in [*flux.window_labels(), *flux.shell]:
-            _, p_in, p_out = geom.cell(label)
-            assert np.array_equal(p_in, geom.proj.diagonal(label)), label
-            assert np.array_equal(p_out, hat.diagonal(label)), label
+        labels = flux.box.labels  # every window and shell label
+        _, p_in, p_out, _ = geom.block(np.array(labels))
+        for label, p_in_row, p_out_row in zip(labels, p_in, p_out):
+            assert np.array_equal(p_in_row, geom.proj.diagonal(label)), label
+            assert np.array_equal(p_out_row, hat.diagonal(label)), label
 
 
 def test_off_boundary_lead_rejected():
