@@ -140,6 +140,7 @@ class CCUnitary(LocalUnitary):
     a label array at once from arrays of q, r and t.
     """
 
+    d = 2
     n_internal = 1
 
     def __init__(self, scattering: SiteMap):
@@ -276,12 +277,16 @@ def classify_step(t: int, v: Site, w: Site) -> CrossedEdge:
 class DualPath:
     """A bi-infinite simple dual-lattice curve: explicit middle vertices plus
     two straight rays.  vertex(t) = middle[0] - t*pre_dir for t <= 0, the
-    middle for 0 <= t <= m, and middle[m] + (t-m)*post_dir beyond."""
+    middle for 0 <= t <= m, and middle[m] + (t-m)*post_dir beyond.
+
+    The curve never changes, so each step is classified once: ``step`` keeps
+    the crossed edge of every t it has seen."""
 
     def __init__(self, middle, pre_dir: Site, post_dir: Site):
         self.middle = tuple(tuple(v) for v in middle)
         self.pre_dir = tuple(pre_dir)
         self.post_dir = tuple(post_dir)
+        self._edges: dict[int, CrossedEdge] = {}
         if not self.middle:
             raise ValidationError("path needs at least one explicit vertex")
         for d in (self.pre_dir, self.post_dir):
@@ -325,7 +330,10 @@ class DualPath:
 
     def step(self, t: int) -> CrossedEdge:
         """Crossed edge of the dual step t -> t+1."""
-        return classify_step(t, self.vertex(t), self.vertex(t + 1))
+        edge = self._edges.get(t)
+        if edge is None:
+            edge = self._edges[t] = classify_step(t, self.vertex(t), self.vertex(t + 1))
+        return edge
 
     def steps(self, t0: int, t1: int) -> list[CrossedEdge]:
         return [self.step(t) for t in range(t0, t1)]
@@ -578,6 +586,44 @@ def path_surgery(
                 )
     middle = list(path.middle[: t_from]) + replacement + list(path.middle[t_to + 1 :])
     return DualPath(middle, path.pre_dir, path.post_dir)
+
+
+def random_bump(path: DualPath, rng, t_lo: int, t_hi: int):
+    """Insert a parity-correct 2-column detour over a straight run between
+    steps t_lo and t_hi: (new path, region difference rank 4), or None."""
+    candidates = []
+    for t in range(max(1, t_lo), min(path.m_last - 3, t_hi)):
+        a = path.vertex(t)
+        b = path.vertex(t + 1)
+        c = path.vertex(t + 2)
+        if b[1] != a[1] or c[1] != a[1] or c[0] - a[0] not in (2, -2):
+            continue
+        # vertical detour links sit on columns a[0] and c[0]; their tag parity
+        # must match the straight run's tag
+        tag = path.step(t).tag
+        col_tag = "r" if a[0] % 2 != 0 else "t"
+        if col_tag != tag:
+            continue
+        candidates.append((t, a, b, c, tag))
+    if not candidates:
+        return None
+    t, a, b, c, tag = candidates[int(rng.integers(len(candidates)))]
+    up = 1 if rng.integers(2) else -1
+    y = a[1]
+    replacement = [
+        a,
+        (a[0], y + up),
+        (a[0], y + 2 * up),
+        (b[0], y + 2 * up),
+        (c[0], y + 2 * up),
+        (c[0], y + up),
+        c,
+    ]
+    try:
+        new_path = path_surgery(path, t, t + 2, replacement, require_tag=tag)
+    except ValidationError:
+        return None
+    return new_path, 4
 
 
 def region_difference_rank(path_a: DualPath, path_b: DualPath, box: int = 30) -> int:

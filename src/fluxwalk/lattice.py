@@ -145,15 +145,6 @@ class LatticeState:
     def __sub__(self, other: "LatticeState") -> "LatticeState":
         return self + other.scaled(-1.0)
 
-    def pruned(self, epsilon: float = 0.0) -> "LatticeState":
-        """Drop site vectors with norm <= epsilon (default: exact zeros only)."""
-        data = {
-            s: v.copy()
-            for s, v in self._data.items()
-            if np.sqrt(np.vdot(v, v).real) > epsilon
-        }
-        return LatticeState(self.n_internal, data, _take=True)
-
     def normalized(self) -> "LatticeState":
         n = self.norm()
         if n == 0:
@@ -162,17 +153,6 @@ class LatticeState:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LatticeState(n_internal={self.n_internal}, support={len(self._data)})"
-
-
-def state_from_pairs(pairs: Iterable[tuple[Site, int, complex]], n_internal: int) -> LatticeState:
-    """Build a state from (site, slot, amplitude) triples."""
-    data: dict[Site, np.ndarray] = {}
-    for site, slot, amp in pairs:
-        site = tuple(site)
-        if site not in data:
-            data[site] = np.zeros(n_internal, dtype=complex)
-        data[site][slot] += amp
-    return LatticeState(n_internal, data, _take=True)
 
 
 def random_state(rng: np.random.Generator, sites: Iterable[Site], n_internal: int) -> LatticeState:
@@ -197,20 +177,6 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     n = m.shape[0]
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= tol)
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
-
-
-def is_projection(m: np.ndarray, tol: float = 1e-12) -> bool:
-    return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
-
-
-def spectral_norm_hermitian(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.max(np.abs(np.linalg.eigvalsh(m))))
 
 
 def trace_norm_hermitian(m: np.ndarray) -> float:

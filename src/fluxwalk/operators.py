@@ -112,55 +112,6 @@ def conditional_shift(d: int) -> CoinedWalk:
     return CoinedWalk(identity_coin(d))
 
 
-class BandUnitary(LocalUnitary):
-    """Explicit band-width-1 operator given by its nonzero couplings.
-
-    ``entries`` maps (target_site, source_site) to an internal block; sites
-    not mentioned as a source act as the identity.  Meant for small test
-    constructions; unitarity is the caller's responsibility.
-    """
-
-    def __init__(self, n_internal: int, entries: dict):
-        self.n_internal = n_internal
-        self._by_source: dict[Site, list[tuple[Site, np.ndarray]]] = {}
-        self._by_target: dict[Site, list[tuple[Site, np.ndarray]]] = {}
-        for (target, source), block in entries.items():
-            target, source = tuple(target), tuple(source)
-            if max(abs(a - b) for a, b in zip(target, source)) > 1:
-                raise ValidationError(f"coupling {source}->{target} exceeds band width 1")
-            m = np.asarray(block, dtype=complex)
-            self._by_source.setdefault(source, []).append((target, m))
-            self._by_target.setdefault(target, []).append((source, m))
-
-    def apply(self, psi: LatticeState) -> LatticeState:
-        self._check(psi)
-        out: dict[Site, np.ndarray] = {}
-        for site, vec in psi.items():
-            couplings = self._by_source.get(site)
-            if couplings is None:
-                out.setdefault(site, np.zeros(self.n_internal, dtype=complex))
-                out[site] += vec
-                continue
-            for target, block in couplings:
-                out.setdefault(target, np.zeros(self.n_internal, dtype=complex))
-                out[target] += block @ vec
-        return LatticeState(self.n_internal, out, _take=True)
-
-    def apply_adjoint(self, psi: LatticeState) -> LatticeState:
-        self._check(psi)
-        out: dict[Site, np.ndarray] = {}
-        for site, vec in psi.items():
-            couplings = self._by_target.get(site)
-            if couplings is None:
-                out.setdefault(site, np.zeros(self.n_internal, dtype=complex))
-                out[site] += vec
-                continue
-            for source, block in couplings:
-                out.setdefault(source, np.zeros(self.n_internal, dtype=complex))
-                out[source] += block.conj().T @ vec
-        return LatticeState(self.n_internal, out, _take=True)
-
-
 def compress(apply, sites, n: int) -> np.ndarray:
     """Dense matrix of the linear map ``apply`` on the span of ``sites``, each
     with ``n`` internal slots.

@@ -1,10 +1,15 @@
-"""Scenario files: parsing, validation, construction, and batch analyses.
+"""Scenario files: parsing, validation, setups, and batch analyses.
 
 A scenario is a JSON object that names a model (walk or network), how to
 build its coin or scattering data from a seeded generator, the projection
-geometry, and a list of analyses with embedded expectations.  Running a
-scenario is deterministic: the same file and seed produce byte-identical
-reports.
+geometry, and a list of analyses with embedded expectations.
+
+Validation turns the file into a setup (``WalkSetup`` or ``CCSetup``) that
+owns the model's data, the scenario generator and the validation notes; it
+builds no operator and no flux.  A run gives the setup its tolerance profile
+and passes it to each analysis in turn.  The checked unitary, the base flux
+and the base index are built by the first analysis that reads them and then
+shared.  The same file and seed produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -12,14 +17,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import cc as ccm
-from .config import PROFILES
+from .config import DEFAULT, PROFILES, Tolerances
 from .errors import FluxwalkError, ValidationError
 from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
-from .flux import analyze, dense_window_index, index_stability_probe, max_block_norm
+from .flux import analyze, check_rank_formula, dense_window_index, index_stability_probe, max_block_norm
 from .lattice import LatticeState, haar_unitary, index_of_vector
 from .operators import matrix_on_window
 from .report import SCHEMA_VERSION, index_report_dict
@@ -103,15 +109,47 @@ def _path_from_json(obj: dict) -> ccm.DualPath:
 
 
 # ---------------------------------------------------------------------------
-# walk scenario construction
+# setups and walk scenario construction
+
+
+@dataclass(kw_only=True)
+class _Setup:
+    """A setup's generator, tolerance profile and notes.  ``unitary``, ``flux``
+    and ``index_report`` are built on first use and kept; a build that raises
+    keeps nothing, so the next reader retries."""
+
+    rng: np.random.Generator
+    tol: Tolerances = DEFAULT
+    notes: list[str] = field(default_factory=list)
+    network = None
+
+    @cached_property
+    def index_report(self):
+        """The base index, checked by the rank formula and any lead count."""
+        report = analyze(self.flux)
+        check_rank_formula(report, self.flux, self.rank_formula)
+        if self.network is not None:
+            check_lead_count(report, self.network)
+        return report
 
 
 @dataclass
-class WalkSetup:
+class WalkSetup(_Setup):
+    """A coined walk: coin field, adapted projection and lead network, if
+    any.  ``unitary`` is the checked walk; ``flux`` is self-checked."""
+
     coin: SiteMap
     projection: object
     network: NetworkSpec | None = None
-    boundary: BoundarySpec | None = None
+    rank_formula = "rank-difference formula"
+
+    @cached_property
+    def unitary(self):
+        return build_walk(self.coin, self.tol)
+
+    @cached_property
+    def flux(self):
+        return build_walk_flux(self.coin, self.projection, self.tol)
 
 
 def _commuting_coin(rng: np.random.Generator, n: int, slot: int) -> np.ndarray:
@@ -119,10 +157,7 @@ def _commuting_coin(rng: np.random.Generator, n: int, slot: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=complex)
     m[slot, slot] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     if rest:
-        u = haar_unitary(rng, len(rest))
-        for a, sa in enumerate(rest):
-            for c, sc in enumerate(rest):
-                m[sc, sa] = u[c, a]
+        m[np.ix_(rest, rest)] = haar_unitary(rng, len(rest))
     return m
 
 
@@ -158,9 +193,9 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
             for site, slots in proj_spec.get("interior", {}).items()
         } if isinstance(proj_spec.get("interior"), dict) else None
         proj = basic_halfspace_projection(int(proj_spec.get("n_cut", n_cut)), interior)
-        return WalkSetup(coin, proj)
+        setup = WalkSetup(coin, proj, rng=rng)
 
-    if ctype == "halfline_commuting":
+    elif ctype == "halfline_commuting":
         sign = int(coin_spec.get("sign", 1))
         box = int(coin_spec.get("box", 3))
         n = 2 * d
@@ -172,20 +207,19 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
             site = tuple([x] + [0] * (d - 1))
             window[site] = _commuting_coin(rng, n, slot)
         ray_coin = _commuting_coin(rng, n, slot)
-        base = tuple([1] + [0] * (d - 1))
-        step = tuple([1] + [0] * (d - 1))
+        e1 = tuple([1] + [0] * (d - 1))
         coin = SiteMap(
             d,
             window=window,
-            rays=[(Ray(base, step), [ray_coin])],
+            rays=[(Ray(e1, e1), [ray_coin])],
             background=np.eye(n, dtype=complex),
         )
         if ptype != "halfline":
             raise ValidationError("halfline_commuting coin pairs with halfline")
         proj = halfline_projection(d, int(proj_spec.get("sign", sign)))
-        return WalkSetup(coin, proj)
+        setup = WalkSetup(coin, proj, rng=rng)
 
-    if ctype == "lead_network":
+    elif ctype == "lead_network":
         if ptype != "network":
             raise ValidationError("lead_network coin pairs with a network projection")
         network = _network_from_json(proj_spec, d_total=d)
@@ -196,17 +230,25 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
             background = random_background(rng, d, box=box)
         coin = synthesize_lead_coin(network, background)
         proj = network_projection(network)
-        return WalkSetup(coin, proj, network=network, boundary=network.boundary)
+        setup = WalkSetup(coin, proj, network=network, rng=rng)
 
-    if ctype == "reflecting":
+    elif ctype == "reflecting":
         if ptype != "boundary_full":
             raise ValidationError("reflecting coin pairs with boundary_full")
         box = int(coin_spec.get("box", 3))
         coin = reflecting_coin(d, rng, box=box)
         proj = boundary_projection_full(d)
-        return WalkSetup(coin, proj, boundary=BoundarySpec(d))
+        setup = WalkSetup(coin, proj, rng=rng)
 
-    raise ValidationError(f"unknown coin type {ctype!r}")
+    else:
+        raise ValidationError(f"unknown coin type {ctype!r}")
+    setup.notes.append(f"coin and projection constructed (d = {setup.coin.d})")
+    if setup.network is not None:
+        setup.notes.append(
+            f"network valid: {len(setup.network.outgoing)} outgoing, "
+            f"{len(setup.network.incoming)} incoming"
+        )
+    return setup
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +256,29 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
 
 
 @dataclass
-class CCSetup:
+class CCSetup(_Setup):
+    """A Chalker-Coddington network: scattering field, the dual path whose
+    left region is the projection, and the spec, which seeds the ensembles.
+    ``unitary`` is the checked network; ``flux`` is self-checked."""
+
     scattering: SiteMap
     path: ccm.DualPath
     spec: dict
+    rank_formula = "the cell rank formula"
+
+    @cached_property
+    def unitary(self):
+        return ccm.CCUnitary(self.scattering)
+
+    @cached_property
+    def flux(self):
+        return ccm.cc_flux(self.scattering, self.path, self.tol)
 
 
-def _scattering_from_json(spec: dict, rng: np.random.Generator, window_extent: int) -> SiteMap:
+def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -> SiteMap:
+    """The scenario's scattering field; a random-phase window reaches 8 cells
+    beyond the path's explicit vertices unless the spec sets its extent."""
+    spec = _need(spec, "scattering", "scenario")
     template = spec.get("template")
     if template == "critical":
         base = ccm.CRITICAL
@@ -234,7 +292,8 @@ def _scattering_from_json(spec: dict, rng: np.random.Generator, window_extent: i
     if phases == "unity":
         return SiteMap(2, background=base)
     if phases == "random":
-        extent = int(spec.get("window", window_extent))
+        (lo, lo2), (hi, hi2) = path.bounds()
+        extent = int(spec.get("window", max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8))
         window = ccm.random_phase_window(
             rng, r_abs, range(-extent, extent + 1), range(-extent, extent + 1)
         )
@@ -242,17 +301,26 @@ def _scattering_from_json(spec: dict, rng: np.random.Generator, window_extent: i
     raise ValidationError(f"unknown phase mode {phases!r}")
 
 
-def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -> SiteMap:
-    """The scenario's scattering field; a random-phase window reaches 8 cells
-    beyond the path's explicit vertices."""
-    (lo, lo2), (hi, hi2) = path.bounds()
-    extent = max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8
-    return _scattering_from_json(_need(spec, "scattering", "scenario"), rng, extent)
-
-
 def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
+    """The setup, once the index is defined at infinity: a ray whose steps
+    all carry one weight tag must not conduct perfectly along that tag."""
     path = _path_from_json(_need(spec, "path", "scenario"))
-    return CCSetup(_path_scattering(spec, path, rng), path, spec)
+    setup = CCSetup(_path_scattering(spec, path, rng), path, spec, rng=rng)
+    t0, t1 = path.switch_window()
+    for side, t_lo, t_hi, far in (("pre", -30, t0, -50), ("post", t1, 30, 50)):
+        tags = {e.tag for e in path.steps(t_lo, t_hi)}
+        if len(tags) == 1:
+            tag = tags.pop()
+            deep = path.step(far)
+            params = setup.scattering.value(deep.cell)
+            weight = abs(params.r) if tag == "r" else abs(params.t)
+            if weight >= 1.0 - 1e-9:
+                raise ValidationError(
+                    f"index undefined at infinity: {tag}-ray tail carries "
+                    f"weight {weight:.6f} at cell {deep.cell}"
+                )
+            setup.notes.append(f"{side} ray is {tag}-pure with tail weight {weight:.6f}")
+    return setup
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +329,7 @@ def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
 
 def _checked_setup(spec: dict):
     """Structural and precondition checks, raising on the first violation;
-    returns the setup they build, the generator that built it (to be reused
-    by the analyses) and notes on what was checked."""
-    notes = []
+    returns the setup they build, with its generator and notes."""
     if not isinstance(spec, dict):
         raise ValidationError("scenario must be a JSON object")
     if spec.get("schema_version") != SCHEMA_VERSION:
@@ -278,55 +344,32 @@ def _checked_setup(spec: dict):
     analyses = _need(spec, "analyses", "scenario")
     if not isinstance(analyses, list) or not analyses:
         raise ValidationError("analyses must be a nonempty list")
-    rng = _rng(int(seed))
-    if kind == "walk":
-        setup = build_walk_setup(spec, rng)
-        notes.append(f"coin and projection constructed (d = {setup.coin.d})")
-        if setup.network is not None:
-            notes.append(
-                f"network valid: {len(setup.network.outgoing)} outgoing, "
-                f"{len(setup.network.incoming)} incoming"
-            )
-    elif kind == "cc":
-        setup = build_cc_setup(spec, rng)
-        t0, t1 = setup.path.switch_window()
-        probe = 30
-        for t_range, side in (((-probe, t0), "pre"), ((t1, probe), "post")):
-            tags = {e.tag for e in setup.path.steps(*t_range)}
-            if len(tags) == 1:
-                tag = tags.pop()
-                deep = setup.path.step(t_range[0] - 20 if side == "pre" else t_range[1] + 20)
-                params = setup.scattering.value(deep.cell)
-                weight = abs(params.r) if tag == "r" else abs(params.t)
-                if weight >= 1.0 - 1e-9:
-                    raise ValidationError(
-                        f"index undefined at infinity: {tag}-ray tail carries "
-                        f"weight {weight:.6f} at cell {deep.cell}"
-                    )
-                notes.append(f"{side} ray is {tag}-pure with tail weight {weight:.6f}")
-    else:
+    build_setup = {"walk": build_walk_setup, "cc": build_cc_setup}
+    if kind not in build_setup:
         raise ValidationError(f"unknown scenario kind {kind!r}")
+    setup = build_setup[kind](spec, _rng(int(seed)))
     for i, analysis in enumerate(analyses):
         if "type" not in analysis:
             raise ValidationError(f"analysis #{i} has no type")
-        if analysis["type"] not in ANALYSES.get(kind, {}):
+        if analysis["type"] not in ANALYSES[kind]:
             raise ValidationError(
                 f"analysis type {analysis['type']!r} not available for kind {kind!r}"
             )
-    return setup, rng, notes
+    return setup
 
 
 def validate_scenario(spec: dict) -> list[str]:
     """Structural and precondition checks; raises on the first violation."""
-    return _checked_setup(spec)[2]
+    return _checked_setup(spec).notes
 
 
 # ---------------------------------------------------------------------------
-# analyses: walk
+# analyses: both models, then walks
 
 
-def _index_analysis_dict(report, analysis) -> dict:
+def _index_analysis(setup, analysis, files):
     """Index report fields plus the verdict on the analysis' expectation."""
+    report = setup.index_report
     out = index_report_dict(report)
     if "expect" in analysis:
         out["expected"] = analysis["expect"]
@@ -339,29 +382,31 @@ def _index_analysis_dict(report, analysis) -> dict:
     return out
 
 
-def _walk_index(setup, tol):
-    """Index report and flux: lead networks also check n_out - n_in.  The
-    setup's coin and projection were checked against its network when it was
-    built, so they are used as they are."""
-    report, flux = walk_index(setup.coin, setup.projection, tol)
-    if setup.network is not None:
-        check_lead_count(report, setup.network)
-    return report, flux
+def _spectrum_window_analysis(setup, analysis, files):
+    box = int(analysis.get("box", 5))
+    unitary = setup.unitary
+    sites = list(itertools.product(*([range(-box, box + 1)] * unitary.d)))
+    m = matrix_on_window(unitary, sites)
+    evals = np.linalg.eigvals(m)
+    rows = ["phase,modulus"]
+    rows += [f"{np.angle(z):.12f},{abs(z):.12f}" for z in sorted(evals, key=np.angle)]
+    files["eigenphases.csv"] = "\n".join(rows) + "\n"
+    return {
+        "box": box,
+        "count": len(evals),
+        "note": "finite-window compression; boundary-affected, no assertion",
+        "pass": True,
+    }
 
 
-def _walk_index_analysis(setup, analysis, rng, tol, files):
-    report, _ = _walk_index(setup, tol)
-    return _index_analysis_dict(report, analysis)
-
-
-def _walk_flux_zero_analysis(setup, analysis, rng, tol, files):
-    worst = max_block_norm(build_walk_flux(setup.coin, setup.projection, tol))
+def _walk_flux_zero_analysis(setup, analysis, files):
+    worst = max_block_norm(setup.flux)
     return {"max_block_norm": worst, "pass": worst <= 1e-12}
 
 
-def _walk_wandering_analysis(setup, analysis, rng, tol, files):
+def _walk_wandering_analysis(setup, analysis, files):
     steps = int(analysis.get("steps", 50))
-    walk = build_walk(setup.coin, tol)
+    walk = setup.unitary
     results = []
     ok = True
     rows = ["lead,step,overlap"]
@@ -369,7 +414,7 @@ def _walk_wandering_analysis(setup, analysis, rng, tol, files):
         head, tangent = lead.head_pair()
         seed_state = LatticeState.basis(head, index_of_vector(tangent), walk.n_internal)
         rep = verify_wandering(
-            walk, seed_state, steps, lead=lead, adjoint=(lead.kind == "incoming"), tol=tol
+            walk, seed_state, steps, lead=lead, adjoint=(lead.kind == "incoming"), tol=setup.tol
         )
         ok = ok and rep.ok
         results.append(
@@ -387,34 +432,30 @@ def _walk_wandering_analysis(setup, analysis, rng, tol, files):
     return {"leads": results, "steps": steps, "pass": ok}
 
 
-def _walk_confinement_analysis(setup, analysis, rng, tol, files):
+def _walk_confinement_analysis(setup, analysis, files):
     steps = int(analysis.get("steps", 30))
-    walk = build_walk(setup.coin, tol)
-    leak = verify_confinement(walk, rng, steps=steps, box=int(analysis.get("box", 3)))
-    return {"steps": steps, "max_leak": leak, "pass": leak <= tol.wandering}
+    leak = verify_confinement(setup.unitary, setup.rng, steps=steps, box=int(analysis.get("box", 3)))
+    return {"steps": steps, "max_leak": leak, "pass": leak <= setup.tol.wandering}
 
 
-def _walk_shift_analysis(setup, analysis, rng, tol, files):
+def _walk_shift_analysis(setup, analysis, files):
     steps = int(analysis.get("steps", 30))
-    report, flux = _walk_index(setup, tol)
+    index = setup.index_report.index
+    flux = setup.flux
     kernels = extract_kernels(flux)
     perturbed = build_perturbed(flux.geometry.unitary, flux, kernels)
     shift_report = verify_shift_structure(perturbed, kernels, k_max=steps)
-    out = shift_report.as_dict()
-    out["index"] = report.index
-    out["pass"] = shift_report.ok
-    return out
+    return {**shift_report.as_dict(), "index": index, "pass": shift_report.ok}
 
 
-def _walk_stability_analysis(setup, analysis, rng, tol, files):
+def _walk_stability_analysis(setup, analysis, files):
     steps = int(analysis.get("steps", 20))
     strength = float(analysis.get("strength", 0.1))
-    target = perturb_coin_window(setup.coin, rng, strength)
-    proj = setup.projection
+    target = perturb_coin_window(setup.coin, setup.rng, strength)
 
     def family(t):
         coin_t = interpolate_matrix_fields(setup.coin, target, t)
-        return build_walk_flux(coin_t, proj, tol, selfcheck=False)
+        return build_walk_flux(coin_t, setup.projection, setup.tol, selfcheck=False)
 
     probes = index_stability_probe(family, steps)
     indices = sorted({p.index for p in probes if p.certified})
@@ -428,20 +469,19 @@ def _walk_stability_analysis(setup, analysis, rng, tol, files):
     }
 
 
-def _walk_oracle_analysis(setup, analysis, rng, tol, files):
-    flux = build_walk_flux(setup.coin, setup.projection, tol)
-    if not flux.blocks:
-        return {"applicable": True, "blockwise": 0, "dense": 0, "pass": True}
-    sites = sorted(flux.blocks)
-    lo = [min(s[j] for s in sites) for j in range(len(sites[0]))]
-    hi = [max(s[j] for s in sites) for j in range(len(sites[0]))]
-    if any(h - l + 1 > 7 for l, h in zip(lo, hi)):
+def _walk_oracle_analysis(setup, analysis, files):
+    """Dense index of the compression to a padded box around the kept window
+    blocks; not applicable without such blocks or when the box is wide."""
+    sites = sorted(setup.flux.blocks)
+    lo = [min(c) for c in zip(*sites)]
+    hi = [max(c) for c in zip(*sites)]
+    if not sites or any(h - l + 1 > 7 for l, h in zip(lo, hi)):
         return {"applicable": False, "pass": True}
     pad = int(analysis.get("pad", 2))
     box = list(itertools.product(*[range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]))
-    walk = flux.geometry.unitary
-    dense = dense_window_index(walk, setup.projection.apply, box, walk.n_internal, tol)
-    blockwise = analyze(flux).index
+    walk = setup.flux.geometry.unitary
+    dense = dense_window_index(walk, setup.projection.apply, box, walk.n_internal, setup.tol)
+    blockwise = setup.index_report.index
     return {
         "applicable": True,
         "blockwise": blockwise,
@@ -450,7 +490,8 @@ def _walk_oracle_analysis(setup, analysis, rng, tol, files):
     }
 
 
-def _walk_network_ensemble_analysis(setup, analysis, rng, tol, files):
+def _walk_network_ensemble_analysis(setup, analysis, files):
+    rng = setup.rng
     draws = int(analysis.get("draws", 100))
     max_leads = int(analysis.get("max_leads", 3))
     box = int(analysis.get("box", 10))
@@ -462,51 +503,23 @@ def _walk_network_ensemble_analysis(setup, analysis, rng, tol, files):
             n_out = 1
         network = random_network(rng, n_in, n_out, box=box)
         coin = synthesize_lead_coin(network, random_background(rng, 2, box=4))
-        report, _ = walk_index(coin, network_projection(network), tol)
+        report, _ = walk_index(coin, network_projection(network), setup.tol)
         if report.index != n_out - n_in:
             failures.append({"draw": k, "expected": n_out - n_in, "got": report.index})
     return {"draws": draws, "failures": failures, "pass": not failures}
-
-
-def _spectrum_window_analysis(setup, analysis, rng, tol, files):
-    box = int(analysis.get("box", 5))
-    if isinstance(setup, CCSetup):
-        unitary = ccm.CCUnitary(setup.scattering)
-        d = 2
-    else:
-        unitary = build_walk(setup.coin, tol)
-        d = setup.coin.d
-    sites = list(itertools.product(*([range(-box, box + 1)] * d)))
-    m = matrix_on_window(unitary, sites)
-    evals = np.linalg.eigvals(m)
-    rows = ["phase,modulus"]
-    for lam in sorted(evals, key=lambda z: np.angle(z)):
-        rows.append(f"{np.angle(lam):.12f},{abs(lam):.12f}")
-    files["eigenphases.csv"] = "\n".join(rows) + "\n"
-    return {
-        "box": box,
-        "count": len(evals),
-        "note": "finite-window compression; boundary-affected, no assertion",
-        "pass": True,
-    }
 
 
 # ---------------------------------------------------------------------------
 # analyses: network model
 
 
-def _cc_index_analysis(setup, analysis, rng, tol, files):
-    report, _ = ccm.cc_index(setup.scattering, setup.path, tol)
-    return _index_analysis_dict(report, analysis)
-
-
-def _cc_ensemble_analysis(setup, analysis, rng, tol, files):
+def _cc_ensemble_analysis(setup, analysis, files):
     draws = int(analysis.get("draws", 100))
     seeds = _child_seeds(int(setup.spec["seed"]) + 1, draws)
     indices = []
     for s in seeds:
         scattering = _path_scattering(setup.spec, setup.path, _rng(s))
-        report, _ = ccm.cc_index(scattering, setup.path, tol)
+        report, _ = ccm.cc_index(scattering, setup.path, setup.tol)
         indices.append(report.index)
     out = {"draws": draws, "distinct": sorted(set(indices))}
     ok = True
@@ -522,12 +535,13 @@ def _cc_ensemble_analysis(setup, analysis, rng, tol, files):
     return out
 
 
-def _cc_norm_law_analysis(setup, analysis, rng, tol, files):
+def _cc_norm_law_analysis(setup, analysis, files):
     r_abs = float(analysis.get("r_abs", abs(setup.scattering.value((0, 0)).r)))
-    _, flux = ccm.cc_index(setup.scattering, setup.path, tol)
+    flux = setup.flux
+    shell = [b for b in flux.shell.values() if b.norm() > setup.tol.block_prune]
     worst_norm = 0.0
     worst_eig = 0.0
-    for blk in list(flux.blocks.values()) + [b for b in flux.shell.values() if b.norm() > tol.block_prune]:
+    for blk in list(flux.blocks.values()) + shell:
         evals = blk.eigenvalues
         worst_norm = max(worst_norm, abs(max(abs(evals)) - r_abs))
         for lam in evals:
@@ -540,19 +554,19 @@ def _cc_norm_law_analysis(setup, analysis, rng, tol, files):
     }
 
 
-def _cc_surgery_analysis(setup, analysis, rng, tol, files):
+def _cc_surgery_analysis(setup, analysis, files):
     reroutes = int(analysis.get("reroutes", 20))
-    base_report, _ = ccm.cc_index(setup.scattering, setup.path, tol)
+    base_report = setup.index_report
+    extended = setup.path.extended(12, 12)
+    t0, t1 = extended.m_last // 2 - 8, extended.m_last // 2 + 8
     results = []
     ok = True
     for k in range(reroutes):
-        extended = setup.path.extended(12, 12)
-        t0, t1 = extended.m_last // 2 - 8, extended.m_last // 2 + 8
-        bumped = _random_bump(extended, rng, t0, t1)
+        bumped = ccm.random_bump(extended, setup.rng, t0, t1)
         if bumped is None:
             continue
         new_path, expected_diff = bumped
-        report, _ = ccm.cc_index(setup.scattering, new_path, tol)
+        report, _ = ccm.cc_index(setup.scattering, new_path, setup.tol)
         diff = ccm.region_difference_rank(extended, new_path, box=40)
         good = report.index == base_report.index and diff == expected_diff
         ok = ok and good
@@ -565,44 +579,7 @@ def _cc_surgery_analysis(setup, analysis, rng, tol, files):
     }
 
 
-def _random_bump(path: ccm.DualPath, rng, t_lo: int, t_hi: int):
-    """Insert a parity-correct 2-column detour over a straight run."""
-    candidates = []
-    for t in range(max(1, t_lo), min(path.m_last - 3, t_hi)):
-        a = path.vertex(t)
-        b = path.vertex(t + 1)
-        c = path.vertex(t + 2)
-        if b[1] != a[1] or c[1] != a[1] or c[0] - a[0] not in (2, -2):
-            continue
-        # vertical detour links sit on columns a[0] and c[0]; their tag parity
-        # must match the straight run's tag
-        tag = path.step(t).tag
-        col_tag = "r" if a[0] % 2 != 0 else "t"
-        if col_tag != tag:
-            continue
-        candidates.append((t, a, b, c, tag))
-    if not candidates:
-        return None
-    t, a, b, c, tag = candidates[int(rng.integers(len(candidates)))]
-    up = 1 if rng.integers(2) else -1
-    y = a[1]
-    replacement = [
-        a,
-        (a[0], y + up),
-        (a[0], y + 2 * up),
-        (b[0], y + 2 * up),
-        (c[0], y + 2 * up),
-        (c[0], y + up),
-        c,
-    ]
-    try:
-        new_path = ccm.path_surgery(path, t, t + 2, replacement, require_tag=tag)
-    except ValidationError:
-        return None
-    return new_path, 4
-
-
-def _cc_anomalous_analysis(setup, analysis, rng, tol, files):
+def _cc_anomalous_analysis(setup, analysis, files):
     epsilons = [float(e) for e in analysis.get("epsilons", [0.25, 0.125, 0.0625])]
     draws = int(analysis.get("draws", 1))
     seeds = _child_seeds(int(setup.spec["seed"]) + 2, draws)
@@ -611,12 +588,12 @@ def _cc_anomalous_analysis(setup, analysis, rng, tol, files):
     base_index = None
     for s in seeds:
         scattering = _path_scattering(setup.spec, setup.path, _rng(s))
-        result = ccm.anomalous_transport(scattering, setup.path, epsilons, tol)
+        result = ccm.anomalous_transport(scattering, setup.path, epsilons, setup.tol)
         if base_index is None:
             base_index = result["index"]
         ok = ok and result["index"] == base_index
         for eps, tr in result["traces"]:
-            ok = ok and abs(tr - result["index"]) <= tol.trace_match
+            ok = ok and abs(tr - result["index"]) <= setup.tol.trace_match
             traces.append([eps, tr])
     return {
         "index": base_index,
@@ -629,7 +606,7 @@ def _cc_anomalous_analysis(setup, analysis, rng, tol, files):
 
 ANALYSES = {
     "walk": {
-        "index": _walk_index_analysis,
+        "index": _index_analysis,
         "flux_zero": _walk_flux_zero_analysis,
         "wandering": _walk_wandering_analysis,
         "confinement": _walk_confinement_analysis,
@@ -640,7 +617,7 @@ ANALYSES = {
         "spectrum_window": _spectrum_window_analysis,
     },
     "cc": {
-        "index": _cc_index_analysis,
+        "index": _index_analysis,
         "ensemble_index": _cc_ensemble_analysis,
         "norm_law": _cc_norm_law_analysis,
         "surgery": _cc_surgery_analysis,
@@ -671,10 +648,10 @@ def run_scenario(
 ) -> ScenarioResult:
     if profile not in PROFILES:
         raise ValidationError(f"unknown tolerance profile {profile!r}")
-    tol = PROFILES[profile]
     if seed_override is not None and isinstance(spec, dict):
         spec = {**spec, "seed": seed_override}
-    setup, rng, _ = _checked_setup(spec)
+    setup = _checked_setup(spec)
+    setup.tol = PROFILES[profile]
     seed = spec["seed"]
     kind = spec["kind"]
     files: dict[str, str] = {}
@@ -683,7 +660,7 @@ def run_scenario(
     for i, analysis in enumerate(spec["analyses"]):
         handler = ANALYSES[kind][analysis["type"]]
         try:
-            result = handler(setup, analysis, rng, tol, files)
+            result = handler(setup, analysis, files)
         except FluxwalkError as exc:
             result = {"pass": False, "error": str(exc)}
         key = analysis.get("label", f"{analysis['type']}#{i}")

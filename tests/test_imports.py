@@ -40,3 +40,61 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Helpers kept although only tests use them.
+TEST_ONLY_HELPERS = {
+    "lattice.trace_norm_hermitian",  # reference trace norm in the CC and shift tests
+    "walks.alternating_halfline_projection",  # fixture with a period-2 ray
+}
+
+
+def top_level_definitions(tree: ast.Module) -> dict:
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def referenced_names(node: ast.AST) -> list[str]:
+    """Names read by a node: plain names, attributes and imported names."""
+    names = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.extend(alias.name for alias in sub.names)
+    return names
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes that no code of the package names,
+    apart from their own definitions."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts = {}
+    for tree in trees.values():
+        for name in referenced_names(tree):
+            counts[name] = counts.get(name, 0) + 1
+    dead = []
+    for module, tree in trees.items():
+        for name, node in top_level_definitions(tree).items():
+            if counts.get(name, 0) == referenced_names(node).count(name):
+                dead.append(f"{module}.{name}")
+    return dead
+
+
+def test_guard_finds_an_unreferenced_helper():
+    sources = {
+        "a": "def used():\n    pass\n\ndef recursive(n):\n    return recursive(n - 1)\n",
+        "b": "from .a import used\n\nclass Dead:\n    pass\n",
+    }
+    assert unreferenced_helpers(sources) == ["a.recursive", "b.Dead"]
+
+
+def test_package_has_no_dead_helpers():
+    # an allowlisted helper that gains a user must leave the list
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert set(unreferenced_helpers(sources)) == TEST_ONLY_HELPERS

@@ -8,11 +8,8 @@ from fluxwalk.lattice import (
     direction_vector,
     haar_unitary,
     index_of_vector,
-    is_projection,
     is_unitary,
     random_state,
-    spectral_norm_hermitian,
-    state_from_pairs,
     trace_norm_hermitian,
 )
 
@@ -48,15 +45,8 @@ def test_state_basics():
 def test_zero_vectors_are_pruned():
     psi = LatticeState(2, {(0,): np.zeros(2), (1,): np.array([1.0, 0.0])})
     assert psi.sites() == [(1,)]
-    # cancellation leaves exact zeros, which vanish after pruning
-    diff = psi - psi
-    assert diff.pruned().support_size() == 0
-
-
-def test_epsilon_pruning_is_opt_in():
-    psi = LatticeState(1, {(0,): np.array([1.0]), (5,): np.array([1e-9])})
-    assert psi.support_size() == 2
-    assert psi.pruned(1e-6).support_size() == 1
+    # cancellation leaves exact zeros, which are dropped as well
+    assert (psi - psi).support_size() == 0
 
 
 def test_inner_product_convention():
@@ -73,24 +63,15 @@ def test_dimension_mismatch_raises():
         a.inner(b)
 
 
-def test_state_from_pairs_accumulates():
-    psi = state_from_pairs([((0,), 0, 1.0), ((0,), 0, 1.0)], 2)
-    assert abs(psi.vector_at((0,))[0] - 2.0) < 1e-15
-
-
 def test_haar_unitary_and_checks():
     rng = np.random.default_rng(0)
     for n in (2, 4, 6):
         u = haar_unitary(rng, n)
         assert is_unitary(u)
-    p = np.diag([1.0, 0.0, 1.0]).astype(complex)
-    assert is_projection(p)
-    assert not is_projection(1.1 * p)
 
 
 def test_hermitian_norms():
     m = np.diag([0.5, -0.75]).astype(complex)
-    assert abs(spectral_norm_hermitian(m) - 0.75) < 1e-15
     assert abs(trace_norm_hermitian(m) - 1.25) < 1e-15
 
 

@@ -7,7 +7,6 @@ from fluxwalk.errors import DimensionMismatchError, ValidationError
 from fluxwalk.fields import SiteMap
 from fluxwalk.lattice import LatticeState, direction_index, haar_unitary, random_state
 from fluxwalk.operators import (
-    BandUnitary,
     CoinedWalk,
     conditional_shift,
     matrix_on_window,
@@ -106,25 +105,3 @@ def test_locality_one_ball():
     out = walk.apply(psi)
     for site in out.sites():
         assert sum(abs(c) for c in site) == 1
-
-
-def test_band_unitary_matches_shift():
-    shift = conditional_shift(1)
-    entries = {}
-    for x in range(-4, 5):
-        m_plus = np.zeros((2, 2), dtype=complex)
-        m_plus[0, 0] = 1.0
-        entries[((x + 1,), (x,))] = m_plus
-        m_minus = np.zeros((2, 2), dtype=complex)
-        m_minus[1, 1] = 1.0
-        entries[((x - 1,), (x,))] = m_minus
-    band = BandUnitary(2, entries)
-    rng = np.random.default_rng(13)
-    psi = random_state(rng, [(-2,), (0,), (1,)], 2)
-    assert (band.apply(psi) - shift.apply(psi)).norm() < 1e-14
-    assert (band.apply_adjoint(psi) - shift.apply_adjoint(psi)).norm() < 1e-14
-
-
-def test_band_unitary_rejects_long_hops():
-    with pytest.raises(ValidationError):
-        BandUnitary(1, {((2,), (0,)): np.eye(1)})

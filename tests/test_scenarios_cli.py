@@ -94,46 +94,121 @@ def test_run_scenario_builds_its_setup_once(monkeypatch):
 
 
 def count_calls(monkeypatch, names):
-    """Count calls of ``walks`` functions, including the copies that
-    ``scenarios`` imported."""
+    """Count calls of package functions, including the copies that other
+    modules imported with ``from .x import f``."""
+    import fluxwalk.cc as cc
+    import fluxwalk.flux as flux
     import fluxwalk.scenarios as scenarios
     import fluxwalk.walks as walks
 
+    modules = (flux, walks, cc, scenarios)
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(walks, name)
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (walks, scenarios):
+        for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     return counts
 
 
 def test_walk_analyses_take_the_walk_from_the_flux(monkeypatch):
-    # one walk per analysis: shift_decomposition and oracle_equivalence
-    # reuse the walk their flux was built from (6 builds when they did not)
+    # one walk inside the setup's flux, read by index, shift_decomposition and
+    # oracle_equivalence, and the setup's checked walk for spectrum_window
+    # (4 builds when each analysis built its own flux)
     counts = count_calls(monkeypatch, ["build_walk"])
     assert run_scenario(load("basic_example")).ok
-    assert counts == {"build_walk": 4}
+    assert counts == {"build_walk": 2}
 
 
 def test_lead_network_analyses_reuse_the_checked_setup(monkeypatch):
-    # index and shift_decomposition use the setup's projection and its
-    # synthesized (already verified) coin; the setup checks the network once
-    # when parsing, once in synthesize_lead_coin and once in network_projection
+    # index and shift_decomposition read the setup's flux, built from its
+    # projection and its synthesized (already verified) coin, and wandering
+    # the setup's walk; the setup checks the network once when parsing, once
+    # in synthesize_lead_coin and once in network_projection
     names = ["build_walk", "validate_network", "verify_lead_condition", "network_projection"]
     counts = count_calls(monkeypatch, names)
     assert run_scenario(load("two_incoming_leads")).ok
     assert counts == {
-        "build_walk": 3,
+        "build_walk": 2,
         "validate_network": 3,
         "verify_lead_condition": 1,
         "network_projection": 1,
     }
+
+
+@pytest.mark.parametrize(
+    "name, assembled",
+    # 3, 2, 2 and 123 when each analysis built its own base flux; cc_rpath
+    # adds 100 ensemble draws and 20 reroutes to its one base flux
+    [("basic_example", 1), ("half_line_plus", 1), ("two_incoming_leads", 1), ("cc_rpath", 121)],
+)
+def test_a_setup_assembles_its_base_flux_once(monkeypatch, name, assembled):
+    counts = count_calls(monkeypatch, ["assemble_field"])
+    assert run_scenario(load(name)).ok
+    assert counts == {"assemble_field": assembled}
+
+
+def test_validation_builds_no_model(monkeypatch):
+    names = ["build_walk", "cc_flux", "assemble_field"]
+    counts = count_calls(monkeypatch, names)
+    for path in bundled_scenarios().values():
+        validate_scenario(json.loads(path.read_text()))
+    assert counts == dict.fromkeys(names, 0)
+
+
+@pytest.mark.parametrize(
+    "name, module, build, readers",
+    [
+        ("basic_example", "scenarios", "build_walk_flux", ["index", "shift_decomposition", "oracle_equivalence"]),
+        ("cc_rpath", "cc", "cc_flux", ["index", "norm_law", "surgery"]),
+    ],
+)
+def test_a_failing_base_flux_fails_every_reader(monkeypatch, name, module, build, readers):
+    # failures are not kept: each reader builds again and records the error
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(build)
+        raise NonSummableError("tail does not sum")
+
+    monkeypatch.setattr(f"fluxwalk.{module}.{build}", failing)
+    spec = load(name)
+    spec["analyses"] = [{"type": t} for t in readers] + [{"type": "spectrum_window", "box": 2}]
+    analyses = run_scenario(spec).report["analyses"]
+    for i, t in enumerate(readers):
+        assert analyses[f"{t}#{i}"] == {"pass": False, "error": "tail does not sum"}
+    assert analyses[f"spectrum_window#{len(readers)}"]["pass"] is True
+    assert len(calls) == len(readers)
+
+
+def test_oracle_without_window_blocks_is_not_applicable():
+    # the reflecting boundary's flux vanishes, so there is no box to compress
+    spec = load("bulk_boundary")
+    spec["analyses"] = [{"type": "oracle_equivalence"}]
+    result = run_scenario(spec)
+    assert result.report["analyses"]["oracle_equivalence#0"] == {"applicable": False, "pass": True}
+
+
+def test_each_dual_step_is_classified_once(monkeypatch):
+    # 50 draws x 3 epsilons over one path (29 097 classifications when the
+    # path kept none)
+    import fluxwalk.cc as cc
+
+    steps = []
+    classify = cc.classify_step
+
+    def recording(t, v, w):
+        steps.append(t)
+        return classify(t, v, w)
+
+    monkeypatch.setattr(cc, "classify_step", recording)
+    assert run_scenario(load("cc_anomalous")).ok
+    assert steps and sorted(steps) == sorted(set(steps))
 
 
 def test_run_scenario_validates_seed_override_and_spec_type():
@@ -165,7 +240,7 @@ def test_failed_expectation_reports_failure():
     ids=["ambiguity", "non-summable"],
 )
 def test_failing_analysis_keeps_the_rest_of_the_report(tmp_path, monkeypatch, error):
-    def failing(setup, analysis, rng, tol, files):
+    def failing(setup, analysis, files):
         raise error
 
     monkeypatch.setitem(ANALYSES["walk"], "index", failing)
