@@ -164,6 +164,12 @@ class CCUnitary(LocalUnitary):
         (a, b), (c, d) = cell_in_basis(z), cell_out_basis(z)
         return self.matrix(z).T, [(a, (0,)), (b, (0,))], [(c, (0,)), (d, (0,))]
 
+    def in_basis(self, labels: np.ndarray):
+        labels = np.asarray(labels, dtype=np.int64)
+        a, b = labels[:, 0], labels[:, 1]
+        second = np.stack([a + 1, b - 1 + 2 * (a % 2)], axis=1)
+        return np.stack([labels, second], axis=1), np.zeros(2, dtype=np.int64)
+
     def cells(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
         params = [self.scattering.value(z) for z in map(tuple, labels.tolist())]
@@ -178,32 +184,56 @@ class CCUnitary(LocalUnitary):
         q = np.array([p.q for p in distinct], dtype=complex)
         a, b = labels[:, 0], labels[:, 1]
         odd = a % 2
-        ins = np.stack([labels, np.stack([a + 1, b - 1 + 2 * odd], axis=1)], axis=1)
         outs = np.stack(
             [np.stack([a + odd, b - 1 + odd], axis=1), np.stack([a + 1 - odd, b + odd], axis=1)],
             axis=1,
         )
         slots = np.zeros(2, dtype=np.int64)
-        return (q[:, None, None] * s).transpose(0, 2, 1)[which], (ins, slots), (outs, slots)
+        return (q[:, None, None] * s).transpose(0, 2, 1)[which], self.in_basis(labels), (outs, slots)
 
     def apply(self, psi: LatticeState) -> LatticeState:
-        return self._scatter(psi, in_cell, cell_out_basis, lambda s, j: s[j])
+        return self._scatter(psi, adjoint=False)
 
     def apply_adjoint(self, psi: LatticeState) -> LatticeState:
-        return self._scatter(psi, out_cell, cell_in_basis, lambda s, b: s[:, b].conj())
+        return self._scatter(psi, adjoint=True)
 
-    def _scatter(self, psi: LatticeState, locate, targets, weights) -> LatticeState:
-        """Send the amplitude at each point, which ``locate`` places in a cell
-        z and slot k, to the points ``targets(z)`` with ``weights(S(z), k)``."""
+    def _scatter(self, psi: LatticeState, adjoint: bool) -> LatticeState:
+        """Send the amplitude at each point, sitting in slot k of cell z, to
+        the two outgoing points of z with weights S(z)[k, :] (to the two
+        incoming points with conj(S(z)[:, k]) for the adjoint): one
+        ``cells`` call for every point's cell, one product, one scatter."""
         self._check(psi)
-        out: dict[Site, complex] = {}
-        for site, vec in psi.items():
-            z, k = locate(site)
-            for target, weight in zip(targets(z), weights(self.matrix(z), k)):
-                amp = weight * vec[0]
-                if amp != 0:
-                    out[target] = out.get(target, 0) + amp
-        return LatticeState(1, {p: np.array([a]) for p, a in out.items()}, _take=True)
+        points = psi.site_array
+        if not len(points):
+            return psi
+        m, n = points[:, 0], points[:, 1]
+        if adjoint:
+            # out_cell, for every point at once
+            k, even_n = m % 2, 1 - n % 2
+            labels = np.stack([m - even_n, n + (1 - even_n) * (1 - 2 * k)], axis=1)
+        else:
+            # in_cell, for every point at once
+            k = n % 2
+            labels = np.stack([m - k, n + k * (2 * (m % 2) - 1)], axis=1)
+        transposed, (ins, _), (outs, _) = self.cells(labels)
+        at = np.arange(len(points))
+        if adjoint:
+            targets, weights = ins, transposed[at, k, :].conj()
+        else:
+            targets, weights = outs, transposed[at, :, k]
+        amps = _scalar_products(weights, psi.value_array)
+        slots = np.zeros(2 * len(points), dtype=np.int64)
+        return LatticeState.scatter(1, targets.reshape(-1, 2), slots, amps.ravel())
+
+
+def _scalar_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` for complex arrays, rounded like the product of two NumPy
+    complex scalars: the array ufunc may fuse multiply and add, the scalar
+    product does not."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +496,11 @@ class RegionSplit:
         return self._labels[x, y].astype(float)
 
     def apply(self, psi: LatticeState) -> LatticeState:
-        data = {}
-        for site, vec in psi.items():
-            if self.side(site):
-                data[site] = vec
-        return LatticeState(psi.n_internal, data)
+        """Keep the rows of ``psi`` at points inside the region."""
+        if not psi.support_size():
+            return psi
+        inside = self.diagonal_entries(psi.site_array, None) > 0
+        return LatticeState(psi.n_internal, (psi.site_array[inside], psi.value_array[inside]), _take=True)
 
     def region_points(self) -> set[Site]:
         return {(self.lo[0] + i, self.lo[1] + j) for i, j in np.argwhere(self._labels).tolist()}

@@ -293,11 +293,11 @@ class AdaptedProjection:
         return diag
 
     def apply(self, psi: LatticeState) -> LatticeState:
-        data = {}
-        for site, vec in psi.items():
-            mask = self.diagonal(site)
-            data[site] = mask * vec
-        return LatticeState(psi.n_internal, data, _take=True)
+        """Multiply every row of ``psi`` by the 0/1 diagonal at its site, in
+        one array product; ``open_slots`` runs once per site."""
+        sites = map(tuple, psi.site_array.tolist())
+        masks = np.array([self.diagonal(site) for site in sites]).reshape(-1, self.n)
+        return LatticeState(psi.n_internal, (psi.site_array, masks * psi.value_array), _take=True)
 
     # -- derived projections -------------------------------------------------
 

@@ -29,7 +29,7 @@ from .errors import (
     NonSummableError,
     ValidationError,
 )
-from .lattice import LatticeState, random_state
+from .lattice import LatticeState, group_sites, random_state
 from .operators import compress
 
 
@@ -118,10 +118,10 @@ class CellGeometry:
     integer array of labels at once: ``matrices`` is (N, k, k), and ``ins``
     and ``outs`` are ``(sites, slots)`` with ``sites`` an (N, k, d) integer
     array and ``slots`` a length-k integer array, so that basis vector j of
-    cell i is slot ``slots[j]`` at site ``sites[i, j]``.  ``cell_of(site)``
-    is the label of the cell whose incoming basis holds ``site``.  The cells'
-    incoming bases partition the lattice basis, and so do their outgoing
-    bases.
+    cell i is slot ``slots[j]`` at site ``sites[i, j]``; ``in_basis(labels)``
+    is that ``ins`` alone.  ``cell_of(site)`` is the label of the cell whose
+    incoming basis holds ``site``.  The cells' incoming bases partition the
+    lattice basis, and so do their outgoing bases.
 
     The projection provides ``open_slots(site)``, ``apply(psi)`` and
     ``diagonal_entries(sites, slots)``, the 0/1 diagonal entries of P at
@@ -156,33 +156,48 @@ class CellGeometry:
         flux[:, np.arange(k), np.arange(k)] -= p_in
         return flux, p_in, p_out, m
 
-    def touched_labels(self, psi: LatticeState) -> set:
-        """Labels of every cell that meets the support of ``psi``."""
-        return {self.unitary.cell_of(site) for site, _ in psi.items()}
-
-    def gather(self, psi: LatticeState, label) -> np.ndarray:
-        """Coordinates of ``psi`` in the incoming basis of the cell."""
-        ins = self.unitary.cell(label)[1]
-        return np.concatenate([psi.vector_at(site)[list(slots)] for site, slots in ins])
-
     def make_state(self, label, coords) -> LatticeState:
         """The state with the given incoming-basis coordinates."""
-        data, i = {}, 0
-        for site, slots in self.unitary.cell(label)[1]:
-            data[site] = np.zeros(self.state_dim, dtype=complex)
-            data[site][list(slots)] = coords[i : i + len(slots)]
-            i += len(slots)
-        return LatticeState(self.state_dim, data, _take=True)
+        in_basis = self.unitary.in_basis(np.array([label], dtype=np.int64))
+        return self._place(*in_basis, np.asarray(coords)[None, :])
 
-    def apply_blocks(self, psi: LatticeState, matrix_at) -> LatticeState:
-        """Apply ``matrix_at(label)`` to each touched cell's coordinates of
-        ``psi`` and sum the images; cells where it is ``None`` are skipped."""
-        out = LatticeState.zero(self.state_dim)
-        for label in sorted(self.touched_labels(psi)):
+    def _place(self, in_sites: np.ndarray, in_slots: np.ndarray, coords: np.ndarray) -> LatticeState:
+        """The state with coordinates ``coords[i]`` in the incoming basis
+        ``(in_sites[i], in_slots)`` of distinct cells i, stored as given:
+        rows in cell order, then in each cell's incoming order."""
+        n_cells, _, d = in_sites.shape
+        sites = in_sites.reshape(-1, d)
+        first, rows = group_sites(sites)
+        values = np.zeros((len(first), self.state_dim), dtype=complex)
+        values[rows, np.tile(in_slots, n_cells)] = coords.ravel()
+        return LatticeState(self.state_dim, (sites[first], values), _take=True)
+
+    def apply_blocks(self, psi: LatticeState, matrix_at, adjoint: bool = False) -> LatticeState:
+        """Apply ``matrix_at(label)``, or its adjoint, to the incoming
+        coordinates of ``psi`` in every cell that meets its support, in one
+        stacked product; cells where it is ``None`` are skipped.  Cells come
+        in sorted label order, so the rows are those of adding the cells'
+        images one at a time."""
+        labels, mats = [], []
+        touched = {self.unitary.cell_of(site) for site in map(tuple, psi.site_array.tolist())}
+        for label in sorted(touched):
             m = matrix_at(label)
             if m is not None:
-                out = out + self.make_state(label, m @ self.gather(psi, label))
-        return out
+                labels.append(label)
+                mats.append(m)
+        if not labels:
+            return LatticeState.zero(self.state_dim)
+        in_sites, in_slots = self.unitary.in_basis(np.array(labels, dtype=np.int64))
+        n_cells, k, d = in_sites.shape
+        rows = psi.rows_of(in_sites.reshape(-1, d))
+        slots = np.tile(in_slots, n_cells)
+        coords = np.where(rows >= 0, psi.value_array[rows, slots], 0).reshape(n_cells, k)
+        # the adjoint as a transposed view, laid out as m.conj().T, so BLAS
+        # takes the same path and rounds the same way
+        mats = np.array(mats)
+        if adjoint:
+            mats = mats.conj().transpose(0, 2, 1)
+        return self._place(in_sites, in_slots, (mats @ coords[:, :, None])[:, :, 0])
 
     def probe_sites(self, rng: np.random.Generator) -> set:
         """``probes`` random sites inside the window."""

@@ -3,6 +3,11 @@
 Sites are plain integer tuples.  The internal space of a coined walk in
 dimension ``d`` has ``2d`` slots; slot ``2(j-1)`` is the direction ``+e_j``
 and slot ``2(j-1)+1`` is ``-e_j`` (1-based axis ``j``).
+
+A ``LatticeState`` packs its support into two arrays, an (S, d) site array
+and an (S, n) value array, so that operators act on all sites at once: they
+gather rows, multiply stacked matrices and build the image with
+``LatticeState.scatter`` or from a new pair of arrays.
 """
 
 from __future__ import annotations
@@ -55,92 +60,187 @@ def sub(a: Site, b: Site) -> Site:
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _site_keys(sites: np.ndarray) -> np.ndarray:
+    """One sortable key per row of an (S, d) int64 site array: the raw bytes
+    of the row, so distinct sites never share a key, however far out."""
+    sites = np.ascontiguousarray(sites, dtype=np.int64)
+    return sites.view(np.dtype((np.void, 8 * sites.shape[1])))[:, 0]
+
+
+def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an (E, d) site array in order of first appearance:
+    the entry index where each distinct site first appears, and for every
+    entry the number of its distinct site."""
+    _, first, inverse = np.unique(_site_keys(sites), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 class LatticeState:
     """Finitely supported vector over the (site, internal slot) basis.
 
-    Treated as an immutable value: every operation returns a new state.
-    Exactly-zero site vectors are dropped on construction; anything else is
-    kept, so supports stay exact for orthogonality checks.
+    Packed layout: ``site_array`` is an (S, d) int64 array of distinct sites
+    and ``value_array`` an (S, n) complex array whose row i is the vector at
+    site ``site_array[i]``.  Rows keep first-insertion order, never sorted:
+    the order of the mapping or arrays handed in, and for ``a + b`` the rows
+    of ``a`` followed by the sites new in ``b``, in ``b``'s order.  Exactly
+    zero rows are dropped on construction (one ``any`` over the rows);
+    anything else is kept, so supports stay exact for orthogonality checks.
+    Treated as an immutable value: every operation returns a new state, and
+    states may share arrays, which nothing writes to.
+
+    Sites are matched through their byte keys (``_site_keys``), sorted once
+    per state and kept in ``_sorted``.
+
+    Exactness: every result is bitwise the one of the per-site loop over a
+    dict of site vectors that this layout replaced.  Elementwise arithmetic
+    runs on whole arrays, which NumPy evaluates entry by entry exactly as on
+    single rows.  A vectorised dot product rounds differently from the BLAS
+    ``np.vdot``, so ``inner`` and ``norm`` keep one ``np.vdot`` per matched
+    row, summed in row order.
     """
 
-    __slots__ = ("n_internal", "_data")
+    __slots__ = ("n_internal", "site_array", "value_array", "_sorted")
 
     def __init__(self, n_internal: int, entries=None, _take=False):
-        self.n_internal = int(n_internal)
-        data: dict[Site, np.ndarray] = {}
-        if entries:
-            for site, vec in entries.items():
-                arr = vec if _take else np.asarray(vec, dtype=complex).copy()
-                if arr.shape != (self.n_internal,):
+        """``entries`` maps sites to length-``n_internal`` vectors, or is a
+        pair ``(sites, values)`` of an (S, d) integer and an (S, n) complex
+        array with distinct sites; ``_take`` hands the pair's arrays over
+        without copying."""
+        n = self.n_internal = int(n_internal)
+        if isinstance(entries, tuple):
+            sites, values = entries
+            if not _take:
+                sites, values = np.array(sites, dtype=np.int64), np.array(values, dtype=complex)
+            values = np.ascontiguousarray(values)
+            if values.shape != (len(sites), n):
+                raise DimensionMismatchError(
+                    f"site vectors have shape {values.shape}, expected ({len(sites)}, {n})"
+                )
+        elif entries:
+            vectors = [np.asarray(v, dtype=complex) for v in entries.values()]
+            for site, vec in zip(entries, vectors):
+                if vec.shape != (n,):
                     raise DimensionMismatchError(
-                        f"site vector at {site!r} has shape {arr.shape}, "
-                        f"expected ({self.n_internal},)"
+                        f"site vector at {site!r} has shape {vec.shape}, expected ({n},)"
                     )
-                if arr.any():
-                    data[tuple(site)] = arr
-        self._data = data
+            sites = np.array(list(entries), dtype=np.int64).reshape(len(vectors), -1)
+            values = np.array(vectors)
+        else:
+            sites, values = np.zeros((0, 0), dtype=np.int64), np.zeros((0, n), dtype=complex)
+        keep = values.any(axis=1)
+        if not keep.all():
+            sites, values = sites[keep], values[keep]
+        self.site_array = sites
+        self.value_array = values
+        self._sorted = None
 
     @classmethod
     def basis(cls, site: Site, slot: int, n_internal: int) -> "LatticeState":
-        vec = np.zeros(n_internal, dtype=complex)
-        vec[slot] = 1.0
-        return cls(n_internal, {tuple(site): vec}, _take=True)
+        values = np.zeros((1, n_internal), dtype=complex)
+        values[0, slot] = 1.0
+        return cls(n_internal, (np.array([site], dtype=np.int64), values), _take=True)
 
     @classmethod
     def zero(cls, n_internal: int) -> "LatticeState":
         return cls(n_internal)
 
+    @classmethod
+    def scatter(cls, n_internal: int, sites: np.ndarray, slots: np.ndarray, amps: np.ndarray):
+        """The state that adds ``amps[e]`` at slot ``slots[e]`` of site
+        ``sites[e]`` (an (E, d) array), entry by entry into zeros as
+        ``buf[slot] += amp`` does.  Zero amplitudes are skipped, so rows come
+        in order of each site's first nonzero amplitude."""
+        live = np.flatnonzero(amps)
+        if not len(live):
+            return cls(n_internal)
+        sites, slots, amps = sites[live], slots[live], amps[live]
+        first, rows = group_sites(sites)
+        values = np.zeros((len(first), n_internal), dtype=complex)
+        np.add.at(values, (rows, slots), amps)
+        return cls(n_internal, (sites[first], values), _take=True)
+
     def items(self) -> Iterator[tuple[Site, np.ndarray]]:
-        return iter(self._data.items())
+        return zip(map(tuple, self.site_array.tolist()), self.value_array)
 
     def sites(self) -> list[Site]:
-        return sorted(self._data)
+        return sorted(map(tuple, self.site_array.tolist()))
+
+    def _index(self):
+        """(site keys, sorted keys, sorting order), built once; the state
+        must have rows."""
+        if self._sorted is None:
+            keys = _site_keys(self.site_array)
+            order = np.argsort(keys)
+            self._sorted = (keys, keys[order], order)
+        return self._sorted
+
+    def _match(self, wanted: np.ndarray) -> np.ndarray:
+        """Row of each wanted site key in this state, -1 where absent."""
+        if not len(self.value_array) or not len(wanted):
+            return np.full(len(wanted), -1)
+        _, keys, order = self._index()
+        if wanted.dtype != keys.dtype:
+            raise DimensionMismatchError("site dimensions differ")
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(keys[at] == wanted, order[at], -1)
+
+    def rows_of(self, sites: np.ndarray) -> np.ndarray:
+        """Row of each site of an (M, d) array in this state, -1 where the
+        state vanishes."""
+        return self._match(_site_keys(sites))
 
     def vector_at(self, site: Site) -> np.ndarray:
-        vec = self._data.get(tuple(site))
-        if vec is None:
+        row = self.rows_of(np.array([site], dtype=np.int64))[0]
+        if row < 0:
             return np.zeros(self.n_internal, dtype=complex)
-        return vec.copy()
+        return self.value_array[row].copy()
 
     def support_size(self) -> int:
-        return len(self._data)
+        return len(self.value_array)
 
     def norm(self) -> float:
-        return float(np.sqrt(sum(np.vdot(v, v).real for v in self._data.values())))
+        return float(np.sqrt(sum(np.vdot(v, v).real for v in self.value_array)))
 
     def inner(self, other: "LatticeState") -> complex:
         """<self, other>, antilinear in self."""
         if other.n_internal != self.n_internal:
             raise DimensionMismatchError("internal dimensions differ")
-        small, big = self._data, other._data
-        if len(big) < len(small):
+        if len(other.value_array) < len(self.value_array):
             return np.conj(other.inner(self))
         acc = 0.0 + 0.0j
-        for site, vec in small.items():
-            w = big.get(site)
-            if w is not None:
-                acc += np.vdot(vec, w)
+        if len(self.value_array):
+            rows = other._match(self._index()[0])
+            mine = np.flatnonzero(rows >= 0)
+            a, b = self.value_array, other.value_array
+            for i, j in zip(mine.tolist(), rows[mine].tolist()):
+                acc += np.vdot(a[i], b[j])
         return complex(acc)
 
     def scaled(self, factor: complex) -> "LatticeState":
         if factor == 0:
             return LatticeState(self.n_internal)
-        return LatticeState(
-            self.n_internal,
-            {s: factor * v for s, v in self._data.items()},
-            _take=True,
-        )
+        return LatticeState(self.n_internal, (self.site_array, factor * self.value_array), _take=True)
 
     def __add__(self, other: "LatticeState") -> "LatticeState":
         if other.n_internal != self.n_internal:
             raise DimensionMismatchError("internal dimensions differ")
-        data = {s: v.copy() for s, v in self._data.items()}
-        for site, vec in other._data.items():
-            if site in data:
-                data[site] = data[site] + vec
-            else:
-                data[site] = vec.copy()
-        return LatticeState(self.n_internal, data, _take=True)
+        if not len(other.value_array):
+            return self
+        if not len(self.value_array):
+            return other
+        rows = self._match(other._index()[0])
+        hit = rows >= 0
+        values = self.value_array.copy()
+        values[rows[hit]] += other.value_array[hit]
+        sites = self.site_array
+        if not hit.all():
+            new = ~hit
+            sites = np.concatenate([sites, other.site_array[new]])
+            values = np.concatenate([values, other.value_array[new]])
+        return LatticeState(self.n_internal, (sites, values), _take=True)
 
     def __sub__(self, other: "LatticeState") -> "LatticeState":
         return self + other.scaled(-1.0)
@@ -152,7 +252,7 @@ class LatticeState:
         return self.scaled(1.0 / n)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"LatticeState(n_internal={self.n_internal}, support={len(self._data)})"
+        return f"LatticeState(n_internal={self.n_internal}, support={self.support_size()})"
 
 
 def random_state(rng: np.random.Generator, sites: Iterable[Site], n_internal: int) -> LatticeState:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .fields import SiteMap
-from .lattice import LatticeState, Site, all_direction_vectors, add, sub
+from .lattice import LatticeState, Site, all_direction_vectors
 
 
 class LocalUnitary:
@@ -42,19 +42,20 @@ class CoinedWalk(LocalUnitary):
     values are taken as given; ``walks.build_walk`` checks them.
 
     The cells of ``flux.CellGeometry`` are the sites: the coin at x maps
-    every slot of x onto slot k of x + dir_k.  ``cells`` stacks the coins
-    of many sites, one ``SiteMap.value`` call each.
+    every slot of x onto slot k of x + dir_k.  ``coins`` stacks the coins
+    of many sites, one ``SiteMap.value`` call each; ``cells``, ``apply`` and
+    ``apply_adjoint`` all go through it.
     """
 
     def __init__(self, coin: SiteMap):
         self.coin = coin
         self.d = coin.d
         self.n_internal = 2 * coin.d
-        self._dirs = all_direction_vectors(coin.d)
+        dirs = all_direction_vectors(coin.d)
         self._all_slots = tuple(range(self.n_internal))
-        self._out_slots = [(step, (k,)) for k, step in enumerate(self._dirs)]
+        self._out_slots = [(step, (k,)) for k, step in enumerate(dirs)]
         self._slot_array = np.arange(self.n_internal)
-        self._step_array = np.array(self._dirs, dtype=np.int64)
+        self._step_array = np.array(dirs, dtype=np.int64)
 
     def cell_of(self, site: Site) -> Site:
         return site
@@ -63,44 +64,44 @@ class CoinedWalk(LocalUnitary):
         outs = [(tuple(map(operator.add, x, step)), slot) for step, slot in self._out_slots]
         return self.coin.value(x), [(x, self._all_slots)], outs
 
+    def coins(self, sites: np.ndarray) -> np.ndarray:
+        """(S, n, n) stack of the coins at an (S, d) site array."""
+        return np.array([self.coin.value(x) for x in map(tuple, sites.tolist())], dtype=complex)
+
+    def in_basis(self, labels: np.ndarray):
+        labels = np.asarray(labels, dtype=np.int64)
+        return np.repeat(labels[:, None, :], self.n_internal, axis=1), self._slot_array
+
     def cells(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
-        coins = np.array([self.coin.value(x) for x in map(tuple, labels.tolist())])
-        ins = np.repeat(labels[:, None, :], self.n_internal, axis=1)
         outs = labels[:, None, :] + self._step_array
-        return coins, (ins, self._slot_array), (outs, self._slot_array)
+        return self.coins(labels), self.in_basis(labels), (outs, self._slot_array)
 
     def apply(self, psi: LatticeState) -> LatticeState:
+        """Coin every site in one stacked product, then scatter slot k of
+        each image one step along direction k."""
         self._check(psi)
-        out: dict[Site, np.ndarray] = {}
-        for site, vec in psi.items():
-            w = self.coin.value(site) @ vec
-            for k, amp in enumerate(w):
-                if amp == 0:
-                    continue
-                target = add(site, self._dirs[k])
-                buf = out.get(target)
-                if buf is None:
-                    buf = np.zeros(self.n_internal, dtype=complex)
-                    out[target] = buf
-                buf[k] += amp
-        return LatticeState(self.n_internal, out, _take=True)
+        sites = psi.site_array
+        if not len(sites):
+            return psi
+        images = (self.coins(sites) @ psi.value_array[:, :, None])[:, :, 0]
+        targets = (sites[:, None, :] + self._step_array).reshape(-1, self.d)
+        slots = np.tile(self._slot_array, len(sites))
+        return LatticeState.scatter(self.n_internal, targets, slots, images.ravel())
 
     def apply_adjoint(self, psi: LatticeState) -> LatticeState:
+        """Gather slot k of each site from one step back along direction k,
+        then apply every adjoint coin in one stacked product."""
         self._check(psi)
-        gathered: dict[Site, np.ndarray] = {}
-        for site, vec in psi.items():
-            for k, amp in enumerate(vec):
-                if amp == 0:
-                    continue
-                source = sub(site, self._dirs[k])
-                buf = gathered.get(source)
-                if buf is None:
-                    buf = np.zeros(self.n_internal, dtype=complex)
-                    gathered[source] = buf
-                buf[k] += amp
-        out = {s: self.coin.value(s).conj().T @ v for s, v in gathered.items()}
-        return LatticeState(self.n_internal, out, _take=True)
+        sites = psi.site_array
+        if not len(sites):
+            return psi
+        sources = (sites[:, None, :] - self._step_array).reshape(-1, self.d)
+        slots = np.tile(self._slot_array, len(sites))
+        gathered = LatticeState.scatter(self.n_internal, sources, slots, psi.value_array.ravel())
+        adjoints = self.coins(gathered.site_array).conj().transpose(0, 2, 1)
+        images = (adjoints @ gathered.value_array[:, :, None])[:, :, 0]
+        return LatticeState(self.n_internal, (gathered.site_array, images), _take=True)
 
 
 def identity_coin(d: int) -> SiteMap:

@@ -73,6 +73,24 @@ def _need(spec: dict, key: str, context: str):
     return spec[key]
 
 
+def _interior_from_json(obj) -> dict:
+    """Open slots chosen in the strip of a ``basic_halfspace`` projection.
+    JSON object keys are strings, so each key is the site's one integer
+    coordinate, bare or in brackets (``"-1"``, ``"[-1]"``)."""
+    if not isinstance(obj, dict):
+        raise ValidationError("projection interior must map sites to slot lists")
+    interior = {}
+    for key, slots in obj.items():
+        try:
+            site = (int(key.strip("[] ")),)
+        except ValueError:
+            raise ValidationError(f"interior key {key!r} is not one integer coordinate") from None
+        if not isinstance(slots, list) or not all(type(s) is int and 0 <= s < 2 for s in slots):
+            raise ValidationError(f"interior slots at {key!r} must be a list of slots 0 and 1")
+        interior[site] = set(slots)
+    return interior
+
+
 def _lead_from_json(obj: dict) -> LeadSpec:
     kind = _need(obj, "kind", "lead")
     prefix = [tuple(int(c) for c in site) for site in _need(obj, "prefix", "lead")]
@@ -149,7 +167,7 @@ class WalkSetup(_Setup):
 
     @cached_property
     def flux(self):
-        return build_walk_flux(self.coin, self.projection, self.tol)
+        return build_walk_flux(self.unitary, self.projection, self.tol)
 
 
 def _commuting_coin(rng: np.random.Generator, n: int, slot: int) -> np.ndarray:
@@ -188,10 +206,9 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         )
         if ptype != "basic_halfspace":
             raise ValidationError("basic_example coin pairs with basic_halfspace")
-        interior = {
-            tuple(site): set(slots)
-            for site, slots in proj_spec.get("interior", {}).items()
-        } if isinstance(proj_spec.get("interior"), dict) else None
+        interior = proj_spec.get("interior")
+        if interior is not None:
+            interior = _interior_from_json(interior)
         proj = basic_halfspace_projection(int(proj_spec.get("n_cut", n_cut)), interior)
         setup = WalkSetup(coin, proj, rng=rng)
 

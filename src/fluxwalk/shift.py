@@ -156,11 +156,7 @@ class PerturbedUnitary:
             if a != 0 or b != 0:
                 out = out + small.scaled(a) - paired.scaled(a) + paired.scaled(b) - small.scaled(b)
 
-        def matrix_at(label):
-            m = self._block_maps.get(label)
-            return m.conj().T if adjoint and m is not None else m
-
-        return out + self.flux.geometry.apply_blocks(psi, matrix_at)
+        return out + self.flux.geometry.apply_blocks(psi, self._block_maps.get, adjoint)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         return self.base.apply(self._correction(psi, adjoint=False))

@@ -59,19 +59,23 @@ def build_walk(coin: SiteMap, tol: Tolerances = DEFAULT) -> CoinedWalk:
 
 
 def build_walk_flux(
-    coin: SiteMap,
+    walk: CoinedWalk | SiteMap,
     proj: AdaptedProjection,
     tol: Tolerances = DEFAULT,
     selfcheck: bool = True,
 ) -> FluxField:
-    """Assemble the blockwise flux of an adapted projection under a walk.
+    """Assemble the blockwise flux of an adapted projection under a walk:
+    one that ``build_walk`` returned, or the walk of a coin field, which
+    ``build_walk`` checks first.
 
     The cells of a walk are its sites (``CoinedWalk.cell``), so the block at
     x is coin(x)^* phat(x) coin(x) - p(x), with phat the projection
     conjugated by the conditional shift.  Exact for every site; the window
     covers all features plus a margin of 3, and the shell certifies the tail.
     """
-    walk = build_walk(coin, tol)
+    if isinstance(walk, SiteMap):
+        walk = build_walk(walk, tol)
+    coin = walk.coin
     if proj.d != walk.d:
         raise ValidationError("projection and walk dimensions differ")
 

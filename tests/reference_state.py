@@ -1,0 +1,197 @@
+"""Per-site reference models for the packed ``LatticeState`` and the batched
+actions that consume it.
+
+``DictState`` is the dict-of-site-vectors state that ``fluxwalk.lattice``
+used before the packed layout, and the functions below are the per-site
+loops that the walk, projection, network and cell actions ran on it.  The
+tests compare the packed results against them bit for bit, row order
+included.
+"""
+
+from __future__ import annotations
+
+import operator
+
+import numpy as np
+
+from fluxwalk.cc import cell_in_basis, cell_out_basis, in_cell, out_cell
+from fluxwalk.errors import DimensionMismatchError
+from fluxwalk.lattice import LatticeState, all_direction_vectors
+
+
+class DictState:
+    """Finitely supported vector as an insertion-ordered dict of site vectors.
+
+    Exactly-zero site vectors are dropped on construction.
+    """
+
+    __slots__ = ("n_internal", "_data")
+
+    def __init__(self, n_internal: int, entries=None, _take=False):
+        self.n_internal = int(n_internal)
+        data: dict = {}
+        if entries:
+            for site, vec in entries.items():
+                arr = vec if _take else np.asarray(vec, dtype=complex).copy()
+                if arr.shape != (self.n_internal,):
+                    raise DimensionMismatchError(
+                        f"site vector at {site!r} has shape {arr.shape}, "
+                        f"expected ({self.n_internal},)"
+                    )
+                if arr.any():
+                    data[tuple(site)] = arr
+        self._data = data
+
+    def items(self):
+        return iter(self._data.items())
+
+    def support_size(self) -> int:
+        return len(self._data)
+
+    def norm(self) -> float:
+        return float(np.sqrt(sum(np.vdot(v, v).real for v in self._data.values())))
+
+    def inner(self, other: "DictState") -> complex:
+        if other.n_internal != self.n_internal:
+            raise DimensionMismatchError("internal dimensions differ")
+        small, big = self._data, other._data
+        if len(big) < len(small):
+            return np.conj(other.inner(self))
+        acc = 0.0 + 0.0j
+        for site, vec in small.items():
+            w = big.get(site)
+            if w is not None:
+                acc += np.vdot(vec, w)
+        return complex(acc)
+
+    def scaled(self, factor: complex) -> "DictState":
+        if factor == 0:
+            return DictState(self.n_internal)
+        return DictState(
+            self.n_internal, {s: factor * v for s, v in self._data.items()}, _take=True
+        )
+
+    def __add__(self, other: "DictState") -> "DictState":
+        if other.n_internal != self.n_internal:
+            raise DimensionMismatchError("internal dimensions differ")
+        data = {s: v.copy() for s, v in self._data.items()}
+        for site, vec in other._data.items():
+            if site in data:
+                data[site] = data[site] + vec
+            else:
+                data[site] = vec.copy()
+        return DictState(self.n_internal, data, _take=True)
+
+    def __sub__(self, other: "DictState") -> "DictState":
+        return self + other.scaled(-1.0)
+
+
+def to_dict(psi: LatticeState) -> DictState:
+    return DictState(psi.n_internal, {site: vec.copy() for site, vec in psi.items()}, _take=True)
+
+
+def same_state(packed: LatticeState, ref: DictState) -> bool:
+    """Same sites in the same row order, bitwise equal vectors."""
+    got = [(site, vec.tobytes()) for site, vec in packed.items()]
+    want = [(site, vec.tobytes()) for site, vec in ref.items()]
+    return packed.n_internal == ref.n_internal and got == want
+
+
+# ---------------------------------------------------------------------------
+# per-site actions
+
+
+def walk_apply(walk, psi: DictState) -> DictState:
+    dirs = all_direction_vectors(walk.d)
+    out: dict = {}
+    for site, vec in psi.items():
+        w = walk.coin.value(site) @ vec
+        for k, amp in enumerate(w):
+            if amp == 0:
+                continue
+            target = tuple(map(operator.add, site, dirs[k]))
+            buf = out.get(target)
+            if buf is None:
+                buf = np.zeros(walk.n_internal, dtype=complex)
+                out[target] = buf
+            buf[k] += amp
+    return DictState(walk.n_internal, out, _take=True)
+
+
+def walk_apply_adjoint(walk, psi: DictState) -> DictState:
+    dirs = all_direction_vectors(walk.d)
+    gathered: dict = {}
+    for site, vec in psi.items():
+        for k, amp in enumerate(vec):
+            if amp == 0:
+                continue
+            source = tuple(map(operator.sub, site, dirs[k]))
+            buf = gathered.get(source)
+            if buf is None:
+                buf = np.zeros(walk.n_internal, dtype=complex)
+                gathered[source] = buf
+            buf[k] += amp
+    out = {s: walk.coin.value(s).conj().T @ v for s, v in gathered.items()}
+    return DictState(walk.n_internal, out, _take=True)
+
+
+def projection_apply(proj, psi: DictState) -> DictState:
+    data = {}
+    for site, vec in psi.items():
+        mask = np.zeros(proj.n)
+        for k in proj.open_slots(site):
+            mask[k] = 1.0
+        data[site] = mask * vec
+    return DictState(psi.n_internal, data, _take=True)
+
+
+def region_apply(split, psi: DictState) -> DictState:
+    return DictState(psi.n_internal, {s: v for s, v in psi.items() if split.side(s)})
+
+
+def _cc_scatter(unitary, psi: DictState, locate, targets, weights) -> DictState:
+    out: dict = {}
+    for site, vec in psi.items():
+        z, k = locate(site)
+        for target, weight in zip(targets(z), weights(unitary.matrix(z), k)):
+            amp = weight * vec[0]
+            if amp != 0:
+                out[target] = out.get(target, 0) + amp
+    return DictState(1, {p: np.array([a]) for p, a in out.items()}, _take=True)
+
+
+def cc_apply(unitary, psi: DictState) -> DictState:
+    return _cc_scatter(unitary, psi, in_cell, cell_out_basis, lambda s, j: s[j])
+
+
+def cc_apply_adjoint(unitary, psi: DictState) -> DictState:
+    return _cc_scatter(unitary, psi, out_cell, cell_in_basis, lambda s, b: s[:, b].conj())
+
+
+def cell_state(geometry, label, coords) -> DictState:
+    """The state with the given coordinates in the cell's incoming basis."""
+    n = geometry.state_dim
+    data, i = {}, 0
+    for site, slots in geometry.unitary.cell(label)[1]:
+        data[site] = np.zeros(n, dtype=complex)
+        data[site][list(slots)] = coords[i : i + len(slots)]
+        i += len(slots)
+    return DictState(n, data, _take=True)
+
+
+def apply_blocks(geometry, psi: DictState, matrix_at) -> DictState:
+    """Per-cell gather, product and ``out = out + ...`` accumulation."""
+    n = geometry.state_dim
+    out = DictState(n)
+    for label in sorted({geometry.unitary.cell_of(site) for site, _ in psi.items()}):
+        m = matrix_at(label)
+        if m is None:
+            continue
+        coords = np.concatenate(
+            [
+                psi._data.get(site, np.zeros(n, dtype=complex))[list(slots)]
+                for site, slots in geometry.unitary.cell(label)[1]
+            ]
+        )
+        out = out + cell_state(geometry, label, m @ coords)
+    return out

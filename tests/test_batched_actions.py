@@ -1,0 +1,208 @@
+"""Batched state actions against their per-site references, bit for bit.
+
+Walk steps, projections, network steps and cell-block actions gather the
+rows of a packed state, multiply stacked matrices and scatter the result.
+Each must give exactly the state that the per-site loop in
+``reference_state`` gives, row order included.
+"""
+
+from functools import lru_cache
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_state as ref
+from fluxwalk.cc import (
+    CRITICAL,
+    FULL_REFLECTION,
+    CCUnitary,
+    cc_flux,
+    crossover_path,
+    random_phase_window,
+    wiggled_r_path,
+)
+from fluxwalk.fields import SiteMap
+from fluxwalk.lattice import LatticeState
+from fluxwalk.walks import (
+    boundary_projection_full,
+    build_walk_flux,
+    network_projection,
+    random_background,
+    random_network,
+    reflecting_coin,
+    synthesize_lead_coin,
+)
+from test_cc import capped
+from test_flux import make_basic_example
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def random_packed(rng, lo, hi, n, size):
+    """A state on up to ``size`` random sites of the box [lo, hi]; some
+    entries are exact zeros of either sign and some rows vanish."""
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    sites = {tuple(rng.integers(lo, hi + 1).tolist()) for _ in range(size)}
+    entries = {}
+    for site in sites:
+        vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        kind = rng.integers(4)
+        if kind == 1:
+            vec[rng.random(n) < 0.5] = rng.choice([0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)])
+        elif kind == 2:
+            vec[:] = 0.0
+        entries[site] = vec
+    return LatticeState(n, entries)
+
+
+# ---------------------------------------------------------------------------
+# models: layered coins (window, rays, planes, half-spaces, background) and
+# network fields on crossover and pure-r paths
+
+
+@lru_cache(maxsize=None)
+def walk_model(name):
+    rng = np.random.default_rng(5)
+    if name == "basic_example":
+        coin, proj = make_basic_example()
+    elif name == "lead_network":
+        network = random_network(rng, 2, 1, box=5)
+        coin = synthesize_lead_coin(network, random_background(rng, 2, box=3))
+        proj = network_projection(network)
+    else:
+        coin, proj = reflecting_coin(2, rng, box=2), boundary_projection_full(2)
+    return build_walk_flux(coin, proj)
+
+
+@lru_cache(maxsize=None)
+def cc_model(name):
+    rng = np.random.default_rng(9)
+    if name == "crossover_capped":
+        path = crossover_path()
+        field = capped(SiteMap(2, background=CRITICAL), path)
+    else:
+        path = wiggled_r_path()
+        window = random_phase_window(rng, 0.6, range(-4, 5), range(-4, 5))
+        field = SiteMap(2, window=window, background=FULL_REFLECTION)
+    return cc_flux(field, path)
+
+
+WALKS = ["basic_example", "lead_network", "reflecting"]
+NETWORKS = ["crossover_capped", "random_phases"]
+
+
+def _states(flux, seed, count=4, size=12):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.array(flux.lo) - 3, np.array(flux.hi) + 3
+    n = flux.geometry.state_dim
+    return [random_packed(rng, lo, hi, n, size) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# walk and network steps
+
+
+@pytest.mark.parametrize("name", WALKS)
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds)
+def test_walk_step_matches_per_site_reference(name, seed):
+    walk = walk_model(name).geometry.unitary
+    for psi in _states(walk_model(name), seed):
+        assert ref.same_state(walk.apply(psi), ref.walk_apply(walk, ref.to_dict(psi)))
+        assert ref.same_state(
+            walk.apply_adjoint(psi), ref.walk_apply_adjoint(walk, ref.to_dict(psi))
+        )
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+@settings(max_examples=15, deadline=None)
+@given(seed=seeds)
+def test_network_step_matches_per_site_reference(name, seed):
+    unitary = cc_model(name).geometry.unitary
+    assert isinstance(unitary, CCUnitary)
+    for psi in _states(cc_model(name), seed):
+        assert ref.same_state(unitary.apply(psi), ref.cc_apply(unitary, ref.to_dict(psi)))
+        assert ref.same_state(
+            unitary.apply_adjoint(psi), ref.cc_apply_adjoint(unitary, ref.to_dict(psi))
+        )
+
+
+# ---------------------------------------------------------------------------
+# projections
+
+
+@pytest.mark.parametrize("name", WALKS)
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_adapted_projection_matches_per_site_reference(name, seed):
+    proj = walk_model(name).geometry.proj
+    for psi in _states(walk_model(name), seed):
+        for p in (proj, proj.shift_conjugate(), proj.complement()):
+            assert ref.same_state(p.apply(psi), ref.projection_apply(p, ref.to_dict(psi)))
+
+
+@pytest.mark.parametrize("name", NETWORKS)
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_region_projection_matches_per_site_reference(name, seed):
+    split = cc_model(name).geometry.proj
+    for psi in _states(cc_model(name), seed, size=40):
+        assert ref.same_state(split.apply(psi), ref.region_apply(split, ref.to_dict(psi)))
+
+
+# ---------------------------------------------------------------------------
+# cell blocks
+
+
+@pytest.mark.parametrize("name", WALKS + NETWORKS)
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_cell_blocks_match_per_cell_reference(name, seed):
+    flux = walk_model(name) if name in WALKS else cc_model(name)
+    geometry = flux.geometry
+    rng = np.random.default_rng(seed)
+    k = flux.box.flux.shape[1]
+    # random maps on some of the box cells, as PerturbedUnitary keeps them
+    maps = {
+        label: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        for label in flux.box.labels
+        if rng.random() < 0.5
+    }
+
+    def adjoint_at(label):
+        m = maps.get(label)
+        return None if m is None else m.conj().T
+
+    for psi in _states(flux, seed, size=20):
+        assert ref.same_state(
+            flux.apply(psi),
+            ref.apply_blocks(geometry, ref.to_dict(psi), lambda label: flux.block_at(label).matrix),
+        )
+        assert ref.same_state(
+            geometry.apply_blocks(psi, maps.get), ref.apply_blocks(geometry, ref.to_dict(psi), maps.get)
+        )
+        assert ref.same_state(
+            geometry.apply_blocks(psi, maps.get, adjoint=True),
+            ref.apply_blocks(geometry, ref.to_dict(psi), adjoint_at),
+        )
+    label = flux.box.labels[rng.integers(len(flux.box.labels))]
+    coords = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    coords[0] = -0.0
+    assert ref.same_state(
+        geometry.make_state(label, coords), ref.cell_state(geometry, label, coords)
+    )
+
+
+def test_empty_states_pass_through_every_action():
+    for flux in (walk_model("basic_example"), cc_model("crossover_capped")):
+        geometry = flux.geometry
+        zero = LatticeState.zero(geometry.state_dim)
+        for action in (
+            geometry.unitary.apply,
+            geometry.unitary.apply_adjoint,
+            geometry.proj.apply,
+            flux.apply,
+        ):
+            assert action(zero).support_size() == 0

@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference_state import DictState, same_state
 
 from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.lattice import (
@@ -79,3 +84,93 @@ def test_random_state_normalized():
     rng = np.random.default_rng(1)
     psi = random_state(rng, [(0, 0), (1, 0), (2, 2)], 4)
     assert abs(psi.norm() - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# packed layout against the dict reference model, bit for bit
+
+FAR = 2**62
+# small coordinates make sites overlap; far ones test the keys
+coordinate = st.one_of(st.integers(-2, 2), st.integers(-(2**63), 2**63 - 1), st.sampled_from([FAR, -FAR]))
+part = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=True),
+)
+
+
+def _bits(z) -> bytes:
+    return np.complex128(z).tobytes()
+
+
+@st.composite
+def state_triples(draw):
+    """(n, three entry dicts) over one site pool, so supports overlap; rows
+    may be all zero (dropped) or carry signed zeros."""
+    n = draw(st.sampled_from([1, 2, 4]))
+    d = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=8, unique=True))
+    vector = st.lists(st.tuples(part, part), min_size=n, max_size=n).map(
+        lambda v: np.array([complex(a, b) for a, b in v])
+    )
+    sites = st.lists(st.sampled_from(pool), max_size=len(pool), unique=True)
+    return n, [{s: draw(vector) for s in draw(sites)} for _ in range(3)]
+
+
+factor = st.one_of(
+    st.sampled_from([0, 1.0, -1.0, 0.5, 1j, -0.0]),
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state_triples(), factor)
+def test_packed_state_matches_dict_reference(case, f):
+    n, entries = case
+    packed = [LatticeState(n, e) for e in entries]
+    ref = [DictState(n, e) for e in entries]
+    pairs = list(zip(packed, ref))
+    for p, r in pairs:
+        assert same_state(p, r)
+        assert p.support_size() == r.support_size()
+        assert np.float64(p.norm()).tobytes() == np.float64(r.norm()).tobytes()
+        assert same_state(p.scaled(f), r.scaled(f))
+        for site, vec in r.items():
+            assert p.vector_at(site).tobytes() == vec.tobytes()
+    for (a, ra), (b, rb) in itertools.product(pairs, repeat=2):
+        assert same_state(a + b, ra + rb)
+        assert same_state(a - b, ra - rb)
+        assert _bits(a.inner(b)) == _bits(ra.inner(rb))
+        c, rc = a - b.scaled(b.inner(a)), ra - rb.scaled(rb.inner(ra))
+        assert same_state(c, rc)
+        assert same_state(c + a.scaled(f), rc + ra.scaled(f))
+        assert np.float64(c.norm()).tobytes() == np.float64(rc.norm()).tobytes()
+
+
+def test_far_sites_never_share_a_key():
+    # sites that agree in their low 32 bits, or are swapped, stay distinct
+    sites = [(2**32, 0), (0, 2**32), (0, 0), (1, 2**40), (2**40, 1), (-(2**63), 2**63 - 1)]
+    psi = LatticeState(1, {s: [k + 1.0] for k, s in enumerate(sites)})
+    assert [s for s, _ in psi.items()] == sites
+    assert (psi + psi).support_size() == len(sites)
+    assert (psi - psi).support_size() == 0
+    for k, s in enumerate(sites):
+        assert psi.vector_at(s)[0] == k + 1.0
+    assert psi.vector_at((2**32, 2**32))[0] == 0.0
+    assert psi.inner(psi) == sum((k + 1.0) ** 2 for k in range(len(sites)))
+
+
+def test_states_of_different_site_dimension_do_not_mix():
+    a = LatticeState.basis((0,), 0, 2)
+    b = LatticeState.basis((0, 0), 0, 2)
+    with pytest.raises(DimensionMismatchError):
+        a + b
+    with pytest.raises(DimensionMismatchError):
+        a.inner(b)
+
+
+def test_rows_keep_first_insertion_order():
+    psi = LatticeState(1, {(3,): [1.0], (-1,): [2.0], (0,): [0.0], (2,): [3.0]})
+    assert [s for s, _ in psi.items()] == [(3,), (-1,), (2,)]
+    phi = LatticeState(1, {(2,): [1.0], (7,): [1.0], (3,): [-1.0], (5,): [1.0]})
+    # rows of psi, the cancelled (3,) dropped, then the new sites in phi's order
+    assert [s for s, _ in (psi + phi).items()] == [(-1,), (2,), (7,), (5,)]

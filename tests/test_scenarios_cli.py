@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fluxwalk.cli import bundled_scenarios, main
@@ -117,24 +118,25 @@ def count_calls(monkeypatch, names):
 
 
 def test_walk_analyses_take_the_walk_from_the_flux(monkeypatch):
-    # one walk inside the setup's flux, read by index, shift_decomposition and
-    # oracle_equivalence, and the setup's checked walk for spectrum_window
-    # (4 builds when each analysis built its own flux)
+    # the setup's checked walk, read by spectrum_window and by the flux that
+    # index, shift_decomposition and oracle_equivalence read (4 builds when
+    # each analysis built its own flux, 2 when the flux checked its own walk)
     counts = count_calls(monkeypatch, ["build_walk"])
     assert run_scenario(load("basic_example")).ok
-    assert counts == {"build_walk": 2}
+    assert counts == {"build_walk": 1}
 
 
 def test_lead_network_analyses_reuse_the_checked_setup(monkeypatch):
     # index and shift_decomposition read the setup's flux, built from its
-    # projection and its synthesized (already verified) coin, and wandering
-    # the setup's walk; the setup checks the network once when parsing, once
-    # in synthesize_lead_coin and once in network_projection
+    # projection and its checked walk of the synthesized (already verified)
+    # coin, and wandering reads that walk (2 builds when the flux checked its
+    # own); the setup checks the network once when parsing, once in
+    # synthesize_lead_coin and once in network_projection
     names = ["build_walk", "validate_network", "verify_lead_condition", "network_projection"]
     counts = count_calls(monkeypatch, names)
     assert run_scenario(load("two_incoming_leads")).ok
     assert counts == {
-        "build_walk": 2,
+        "build_walk": 1,
         "validate_network": 3,
         "verify_lead_condition": 1,
         "network_projection": 1,
@@ -307,6 +309,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert (tmp_path / "half_line_plus" / "report.json").exists()
 
     assert main(["run", "no_such_scenario", "--out", str(tmp_path)]) == 2
+
+
+def test_interior_keys_are_integer_sites(tmp_path, capsys):
+    from fluxwalk.scenarios import build_walk_setup
+
+    spec = load("basic_example")
+    spec["projection"]["interior"] = {"0": [0], "[-1]": [0, 1]}
+    validate_scenario(spec)
+    proj = build_walk_setup(spec, np.random.default_rng(0)).projection
+    assert proj.open_slots((0,)) == {0}
+    assert proj.open_slots((-1,)) == {0, 1}
+    assert proj.open_slots((1,)) == set()
+
+    for interior, message in [
+        ({"x": [0]}, "interior key 'x'"),
+        ({"0,1": [0]}, "interior key '0,1'"),
+        ({"0": [2]}, "interior slots at '0'"),
+        ([[0, 0]], "interior must map"),
+    ]:
+        spec["projection"]["interior"] = interior
+        with pytest.raises(ValidationError, match=message):
+            validate_scenario(spec)
+    bad = tmp_path / "bad_interior.json"
+    spec["projection"]["interior"] = {"x": [0]}
+    bad.write_text(json.dumps(spec))
+    assert main(["validate", str(bad)]) == 3
+    assert main(["run", str(bad), "--out", str(tmp_path)]) == 3
 
 
 def test_cli_env_out_dir(tmp_path, monkeypatch, capsys):
