@@ -167,11 +167,28 @@ class CCUnitary(LocalUnitary):
     def in_basis(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
         a, b = labels[:, 0], labels[:, 1]
-        second = np.stack([a + 1, b - 1 + 2 * (a % 2)], axis=1)
-        return np.stack([labels, second], axis=1), np.zeros(2, dtype=np.int64)
+        sites = np.empty((len(labels), 2, 2), dtype=np.int64)
+        sites[:, 0] = labels
+        sites[:, 1, 0] = a + 1
+        sites[:, 1, 1] = b - 1 + 2 * (a % 2)
+        return sites, _SLOTS
+
+    def out_basis(self, labels: np.ndarray):
+        a, b = labels[:, 0], labels[:, 1]
+        odd = a % 2
+        sites = np.empty((len(labels), 2, 2), dtype=np.int64)
+        sites[:, 0, 0] = a + odd
+        sites[:, 0, 1] = b - 1 + odd
+        sites[:, 1, 0] = a + 1 - odd
+        sites[:, 1, 1] = b + odd
+        return sites, _SLOTS
 
     def cells(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
+        return self._transposed(labels), self.in_basis(labels), self.out_basis(labels)
+
+    def _transposed(self, labels: np.ndarray) -> np.ndarray:
+        """The stacked S(z)^T of an (N, 2) label array."""
         params = [self.scattering.value(z) for z in map(tuple, labels.tolist())]
         rows: dict[int, int] = {}
         which = [rows.setdefault(id(p), len(rows)) for p in params]
@@ -182,14 +199,7 @@ class CCUnitary(LocalUnitary):
             [[[p.r, -p.t], [p.t.conjugate(), p.r.conjugate()]] for p in distinct], dtype=complex
         )
         q = np.array([p.q for p in distinct], dtype=complex)
-        a, b = labels[:, 0], labels[:, 1]
-        odd = a % 2
-        outs = np.stack(
-            [np.stack([a + odd, b - 1 + odd], axis=1), np.stack([a + 1 - odd, b + odd], axis=1)],
-            axis=1,
-        )
-        slots = np.zeros(2, dtype=np.int64)
-        return (q[:, None, None] * s).transpose(0, 2, 1)[which], self.in_basis(labels), (outs, slots)
+        return (q[:, None, None] * s).transpose(0, 2, 1)[which]
 
     def apply(self, psi: LatticeState) -> LatticeState:
         return self._scatter(psi, adjoint=False)
@@ -200,39 +210,45 @@ class CCUnitary(LocalUnitary):
     def _scatter(self, psi: LatticeState, adjoint: bool) -> LatticeState:
         """Send the amplitude at each point, sitting in slot k of cell z, to
         the two outgoing points of z with weights S(z)[k, :] (to the two
-        incoming points with conj(S(z)[:, k]) for the adjoint): one
-        ``cells`` call for every point's cell, one product, one scatter."""
+        incoming points with conj(S(z)[:, k]) for the adjoint): one stacked
+        S(z)^T for every point's cell, one product, one scatter."""
         self._check(psi)
         points = psi.site_array
         if not len(points):
             return psi
         m, n = points[:, 0], points[:, 1]
+        labels = np.empty_like(points)
         if adjoint:
             # out_cell, for every point at once
             k, even_n = m % 2, 1 - n % 2
-            labels = np.stack([m - even_n, n + (1 - even_n) * (1 - 2 * k)], axis=1)
+            labels[:, 0] = m - even_n
+            labels[:, 1] = n + (1 - even_n) * (1 - 2 * k)
         else:
             # in_cell, for every point at once
             k = n % 2
-            labels = np.stack([m - k, n + k * (2 * (m % 2) - 1)], axis=1)
-        transposed, (ins, _), (outs, _) = self.cells(labels)
+            labels[:, 0] = m - k
+            labels[:, 1] = n + k * (2 * (m % 2) - 1)
+        transposed = self._transposed(labels)
         at = np.arange(len(points))
         if adjoint:
-            targets, weights = ins, transposed[at, k, :].conj()
+            targets, weights = self.in_basis(labels), transposed[at, k, :].conj()
         else:
-            targets, weights = outs, transposed[at, :, k]
-        amps = _scalar_products(weights, psi.value_array)
-        slots = np.zeros(2 * len(points), dtype=np.int64)
-        return LatticeState.scatter(1, targets.reshape(-1, 2), slots, amps.ravel())
+            targets, weights = self.out_basis(labels), transposed[at, :, k]
+        return LatticeState.scatter(1, targets, _scalar_products(weights, psi.value_array))
+
+
+# every point of a cell's incoming or outgoing pair has the one slot 0
+_SLOTS = np.zeros(2, dtype=np.int64)
 
 
 def _scalar_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` for complex arrays, rounded like the product of two NumPy
-    complex scalars: the array ufunc may fuse multiply and add, the scalar
-    product does not."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
+    """``a * b`` for complex arrays, ``b`` broadcasting to ``a``'s shape,
+    rounded like the product of two NumPy complex scalars: the array ufunc
+    may fuse multiply and add, the scalar product does not."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    out = np.empty_like(a)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
     return out
 
 

@@ -295,9 +295,8 @@ class AdaptedProjection:
     def apply(self, psi: LatticeState) -> LatticeState:
         """Multiply every row of ``psi`` by the 0/1 diagonal at its site, in
         one array product; ``open_slots`` runs once per site."""
-        sites = map(tuple, psi.site_array.tolist())
-        masks = np.array([self.diagonal(site) for site in sites]).reshape(-1, self.n)
-        return LatticeState(psi.n_internal, (psi.site_array, masks * psi.value_array), _take=True)
+        masks = np.array([self.diagonal(site) for site in psi.site_list()]).reshape(-1, self.n)
+        return psi.with_values(masks * psi.value_array)
 
     # -- derived projections -------------------------------------------------
 

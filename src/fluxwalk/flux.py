@@ -165,12 +165,12 @@ class CellGeometry:
         """The state with coordinates ``coords[i]`` in the incoming basis
         ``(in_sites[i], in_slots)`` of distinct cells i, stored as given:
         rows in cell order, then in each cell's incoming order."""
-        n_cells, _, d = in_sites.shape
+        n_cells, k, d = in_sites.shape
         sites = in_sites.reshape(-1, d)
         first, rows = group_sites(sites)
         values = np.zeros((len(first), self.state_dim), dtype=complex)
-        values[rows, np.tile(in_slots, n_cells)] = coords.ravel()
-        return LatticeState(self.state_dim, (sites[first], values), _take=True)
+        values[rows.reshape(n_cells, k), in_slots] = coords
+        return LatticeState(self.state_dim, (sites.take(first, axis=0), values), _take=True)
 
     def apply_blocks(self, psi: LatticeState, matrix_at, adjoint: bool = False) -> LatticeState:
         """Apply ``matrix_at(label)``, or its adjoint, to the incoming
@@ -179,8 +179,7 @@ class CellGeometry:
         in sorted label order, so the rows are those of adding the cells'
         images one at a time."""
         labels, mats = [], []
-        touched = {self.unitary.cell_of(site) for site in map(tuple, psi.site_array.tolist())}
-        for label in sorted(touched):
+        for label in sorted({self.unitary.cell_of(site) for site in psi.site_list()}):
             m = matrix_at(label)
             if m is not None:
                 labels.append(label)
@@ -189,9 +188,8 @@ class CellGeometry:
             return LatticeState.zero(self.state_dim)
         in_sites, in_slots = self.unitary.in_basis(np.array(labels, dtype=np.int64))
         n_cells, k, d = in_sites.shape
-        rows = psi.rows_of(in_sites.reshape(-1, d))
-        slots = np.tile(in_slots, n_cells)
-        coords = np.where(rows >= 0, psi.value_array[rows, slots], 0).reshape(n_cells, k)
+        rows = psi.rows_of(map(tuple, in_sites.reshape(-1, d).tolist())).reshape(n_cells, k)
+        coords = np.where(rows >= 0, psi.value_array[rows, in_slots], 0)
         # the adjoint as a transposed view, laid out as m.conj().T, so BLAS
         # takes the same path and rounds the same way
         mats = np.array(mats)

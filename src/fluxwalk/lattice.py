@@ -60,18 +60,32 @@ def sub(a: Site, b: Site) -> Site:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _site_keys(sites: np.ndarray) -> np.ndarray:
-    """One sortable key per row of an (S, d) int64 site array: the raw bytes
-    of the row, so distinct sites never share a key, however far out."""
-    sites = np.ascontiguousarray(sites, dtype=np.int64)
-    return sites.view(np.dtype((np.void, 8 * sites.shape[1])))[:, 0]
+# Below this many entries a dict of site tuples groups sites faster than a
+# sort of row keys does (about 64 on 2 cores with NumPy 2.4).
+DICT_GROUPING = 64
 
 
 def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of an (E, d) site array in order of first appearance:
-    the entry index where each distinct site first appears, and for every
-    entry the number of its distinct site."""
-    _, first, inverse = np.unique(_site_keys(sites), return_index=True, return_inverse=True)
+    """Distinct rows of an (E, d) integer site array in order of first
+    appearance: the entry index where each distinct site first appears, and
+    for every entry the number of its distinct site.
+
+    Short arrays go through a dict of site tuples.  Longer ones are sorted
+    by the raw bytes of each row, a key that distinct sites never share,
+    however far out they lie."""
+    if len(sites) <= DICT_GROUPING:
+        index: dict[Site, int] = {}
+        first, rows = [], []
+        for e, site in enumerate(map(tuple, sites.tolist())):
+            row = index.get(site)
+            if row is None:
+                row = index[site] = len(first)
+                first.append(e)
+            rows.append(row)
+        return np.array(first, dtype=np.intp), np.array(rows, dtype=np.intp)
+    sites = np.ascontiguousarray(sites, dtype=np.int64)
+    keys = sites.view(np.dtype((np.void, 8 * sites.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
@@ -86,13 +100,13 @@ class LatticeState:
     site ``site_array[i]``.  Rows keep first-insertion order, never sorted:
     the order of the mapping or arrays handed in, and for ``a + b`` the rows
     of ``a`` followed by the sites new in ``b``, in ``b``'s order.  Exactly
-    zero rows are dropped on construction (one ``any`` over the rows);
+    zero rows are dropped on construction (one reduction over the rows);
     anything else is kept, so supports stay exact for orthogonality checks.
     Treated as an immutable value: every operation returns a new state, and
     states may share arrays, which nothing writes to.
 
-    Sites are matched through their byte keys (``_site_keys``), sorted once
-    per state and kept in ``_sorted``.
+    Sites are matched through a dict from site tuple to row, built once per
+    state on first use and kept, as is the list of site tuples.
 
     Exactness: every result is bitwise the one of the per-site loop over a
     dict of site vectors that this layout replaced.  Elementwise arithmetic
@@ -102,7 +116,7 @@ class LatticeState:
     row, summed in row order.
     """
 
-    __slots__ = ("n_internal", "site_array", "value_array", "_sorted")
+    __slots__ = ("n_internal", "site_array", "value_array", "_sites", "_rows")
 
     def __init__(self, n_internal: int, entries=None, _take=False):
         """``entries`` maps sites to length-``n_internal`` vectors, or is a
@@ -114,7 +128,6 @@ class LatticeState:
             sites, values = entries
             if not _take:
                 sites, values = np.array(sites, dtype=np.int64), np.array(values, dtype=complex)
-            values = np.ascontiguousarray(values)
             if values.shape != (len(sites), n):
                 raise DimensionMismatchError(
                     f"site vectors have shape {values.shape}, expected ({len(sites)}, {n})"
@@ -130,12 +143,12 @@ class LatticeState:
             values = np.array(vectors)
         else:
             sites, values = np.zeros((0, 0), dtype=np.int64), np.zeros((0, n), dtype=complex)
-        keep = values.any(axis=1)
-        if not keep.all():
+        keep = np.logical_or.reduce(values, axis=1)
+        if np.count_nonzero(keep) < len(keep):
             sites, values = sites[keep], values[keep]
         self.site_array = sites
         self.value_array = values
-        self._sorted = None
+        self._sites = self._rows = None
 
     @classmethod
     def basis(cls, site: Site, slot: int, n_internal: int) -> "LatticeState":
@@ -148,53 +161,57 @@ class LatticeState:
         return cls(n_internal)
 
     @classmethod
-    def scatter(cls, n_internal: int, sites: np.ndarray, slots: np.ndarray, amps: np.ndarray):
-        """The state that adds ``amps[e]`` at slot ``slots[e]`` of site
-        ``sites[e]`` (an (E, d) array), entry by entry into zeros as
-        ``buf[slot] += amp`` does.  Zero amplitudes are skipped, so rows come
+    def scatter(cls, n_internal: int, basis, amps: np.ndarray) -> "LatticeState":
+        """The state that adds amplitude ``amps[i, j]`` at slot ``slots[j]``
+        of site ``sites[i, j]``, for a basis ``(sites, slots)`` laid out as
+        in ``flux.CellGeometry`` ((N, k, d) and (k,) integer arrays).
+        Amplitudes go into zeros one at a time in row-major order, as
+        ``buf[slot] += amp`` does; zero amplitudes are skipped, so rows come
         in order of each site's first nonzero amplitude."""
-        live = np.flatnonzero(amps)
+        sites, slots = basis
+        amps = amps.ravel()
+        live = amps.nonzero()[0]
         if not len(live):
             return cls(n_internal)
-        sites, slots, amps = sites[live], slots[live], amps[live]
-        first, rows = group_sites(sites)
+        points = sites.reshape(-1, sites.shape[-1]).take(live, axis=0)
+        first, rows = group_sites(points)
         values = np.zeros((len(first), n_internal), dtype=complex)
-        np.add.at(values, (rows, slots), amps)
-        return cls(n_internal, (sites[first], values), _take=True)
+        np.add.at(values, (rows, slots.take(live % len(slots))), amps.take(live))
+        return cls(n_internal, (points.take(first, axis=0), values), _take=True)
+
+    def with_values(self, values: np.ndarray) -> "LatticeState":
+        """The state with the same sites and new (S, n) values; it shares
+        this state's site index unless a row turned zero."""
+        out = LatticeState(self.n_internal, (self.site_array, values), _take=True)
+        if out.site_array is self.site_array:
+            out._sites, out._rows = self._sites, self._rows
+        return out
+
+    def site_list(self) -> list[Site]:
+        """The sites as tuples, in row order."""
+        if self._sites is None:
+            self._sites = list(map(tuple, self.site_array.tolist()))
+        return self._sites
+
+    def _row_index(self) -> dict:
+        if self._rows is None:
+            self._rows = {site: row for row, site in enumerate(self.site_list())}
+        return self._rows
 
     def items(self) -> Iterator[tuple[Site, np.ndarray]]:
-        return zip(map(tuple, self.site_array.tolist()), self.value_array)
+        return zip(self.site_list(), self.value_array)
 
     def sites(self) -> list[Site]:
-        return sorted(map(tuple, self.site_array.tolist()))
+        return sorted(self.site_list())
 
-    def _index(self):
-        """(site keys, sorted keys, sorting order), built once; the state
-        must have rows."""
-        if self._sorted is None:
-            keys = _site_keys(self.site_array)
-            order = np.argsort(keys)
-            self._sorted = (keys, keys[order], order)
-        return self._sorted
-
-    def _match(self, wanted: np.ndarray) -> np.ndarray:
-        """Row of each wanted site key in this state, -1 where absent."""
-        if not len(self.value_array) or not len(wanted):
-            return np.full(len(wanted), -1)
-        _, keys, order = self._index()
-        if wanted.dtype != keys.dtype:
-            raise DimensionMismatchError("site dimensions differ")
-        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-        return np.where(keys[at] == wanted, order[at], -1)
-
-    def rows_of(self, sites: np.ndarray) -> np.ndarray:
-        """Row of each site of an (M, d) array in this state, -1 where the
-        state vanishes."""
-        return self._match(_site_keys(sites))
+    def rows_of(self, sites: Iterable[Site]) -> np.ndarray:
+        """Row of each site in this state, -1 where the state vanishes."""
+        index = self._row_index()
+        return np.array([index.get(site, -1) for site in sites], dtype=np.intp)
 
     def vector_at(self, site: Site) -> np.ndarray:
-        row = self.rows_of(np.array([site], dtype=np.int64))[0]
-        if row < 0:
+        row = self._row_index().get(tuple(site))
+        if row is None:
             return np.zeros(self.n_internal, dtype=complex)
         return self.value_array[row].copy()
 
@@ -206,40 +223,53 @@ class LatticeState:
 
     def inner(self, other: "LatticeState") -> complex:
         """<self, other>, antilinear in self."""
-        if other.n_internal != self.n_internal:
-            raise DimensionMismatchError("internal dimensions differ")
+        self._check(other)
         if len(other.value_array) < len(self.value_array):
             return np.conj(other.inner(self))
+        index = other._row_index()
+        a, b = self.value_array, other.value_array
         acc = 0.0 + 0.0j
-        if len(self.value_array):
-            rows = other._match(self._index()[0])
-            mine = np.flatnonzero(rows >= 0)
-            a, b = self.value_array, other.value_array
-            for i, j in zip(mine.tolist(), rows[mine].tolist()):
+        for i, site in enumerate(self.site_list()):
+            j = index.get(site)
+            if j is not None:
                 acc += np.vdot(a[i], b[j])
         return complex(acc)
 
     def scaled(self, factor: complex) -> "LatticeState":
         if factor == 0:
             return LatticeState(self.n_internal)
-        return LatticeState(self.n_internal, (self.site_array, factor * self.value_array), _take=True)
+        return self.with_values(factor * self.value_array)
 
-    def __add__(self, other: "LatticeState") -> "LatticeState":
+    def _check(self, other: "LatticeState") -> None:
         if other.n_internal != self.n_internal:
             raise DimensionMismatchError("internal dimensions differ")
+        if len(self.value_array) and len(other.value_array):
+            if other.site_array.shape[1] != self.site_array.shape[1]:
+                raise DimensionMismatchError("site dimensions differ")
+
+    def __add__(self, other: "LatticeState") -> "LatticeState":
+        self._check(other)
         if not len(other.value_array):
             return self
         if not len(self.value_array):
             return other
-        rows = self._match(other._index()[0])
-        hit = rows >= 0
-        values = self.value_array.copy()
-        values[rows[hit]] += other.value_array[hit]
-        sites = self.site_array
-        if not hit.all():
-            new = ~hit
-            sites = np.concatenate([sites, other.site_array[new]])
-            values = np.concatenate([values, other.value_array[new]])
+        index = self._row_index()
+        mine, theirs, new = [], [], []
+        for j, site in enumerate(other.site_list()):
+            i = index.get(site)
+            if i is None:
+                new.append(j)
+            else:
+                mine.append(i)
+                theirs.append(j)
+        if not new:
+            values = self.value_array.copy()
+            values[mine] += other.value_array.take(theirs, axis=0)
+            return self.with_values(values)
+        values = np.concatenate([self.value_array, other.value_array.take(new, axis=0)])
+        if mine:
+            values[mine] += other.value_array.take(theirs, axis=0)
+        sites = np.concatenate([self.site_array, other.site_array.take(new, axis=0)])
         return LatticeState(self.n_internal, (sites, values), _take=True)
 
     def __sub__(self, other: "LatticeState") -> "LatticeState":

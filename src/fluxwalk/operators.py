@@ -64,9 +64,12 @@ class CoinedWalk(LocalUnitary):
         outs = [(tuple(map(operator.add, x, step)), slot) for step, slot in self._out_slots]
         return self.coin.value(x), [(x, self._all_slots)], outs
 
-    def coins(self, sites: np.ndarray) -> np.ndarray:
-        """(S, n, n) stack of the coins at an (S, d) site array."""
-        return np.array([self.coin.value(x) for x in map(tuple, sites.tolist())], dtype=complex)
+    def coins(self, sites: list) -> np.ndarray:
+        """(S, n, n) stack of the coins at a list of S site tuples."""
+        out = np.empty((len(sites), self.n_internal, self.n_internal), dtype=complex)
+        for i, x in enumerate(sites):
+            out[i] = self.coin.value(x)
+        return out
 
     def in_basis(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
@@ -75,33 +78,28 @@ class CoinedWalk(LocalUnitary):
     def cells(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
         outs = labels[:, None, :] + self._step_array
-        return self.coins(labels), self.in_basis(labels), (outs, self._slot_array)
+        return self.coins(list(map(tuple, labels.tolist()))), self.in_basis(labels), (outs, self._slot_array)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Coin every site in one stacked product, then scatter slot k of
         each image one step along direction k."""
         self._check(psi)
-        sites = psi.site_array
-        if not len(sites):
+        if not len(psi.value_array):
             return psi
-        images = (self.coins(sites) @ psi.value_array[:, :, None])[:, :, 0]
-        targets = (sites[:, None, :] + self._step_array).reshape(-1, self.d)
-        slots = np.tile(self._slot_array, len(sites))
-        return LatticeState.scatter(self.n_internal, targets, slots, images.ravel())
+        images = self.coins(psi.site_list()) @ psi.value_array[:, :, None]
+        targets = psi.site_array[:, None, :] + self._step_array
+        return LatticeState.scatter(self.n_internal, (targets, self._slot_array), images)
 
     def apply_adjoint(self, psi: LatticeState) -> LatticeState:
         """Gather slot k of each site from one step back along direction k,
         then apply every adjoint coin in one stacked product."""
         self._check(psi)
-        sites = psi.site_array
-        if not len(sites):
+        if not len(psi.value_array):
             return psi
-        sources = (sites[:, None, :] - self._step_array).reshape(-1, self.d)
-        slots = np.tile(self._slot_array, len(sites))
-        gathered = LatticeState.scatter(self.n_internal, sources, slots, psi.value_array.ravel())
-        adjoints = self.coins(gathered.site_array).conj().transpose(0, 2, 1)
-        images = (adjoints @ gathered.value_array[:, :, None])[:, :, 0]
-        return LatticeState(self.n_internal, (gathered.site_array, images), _take=True)
+        sources = psi.site_array[:, None, :] - self._step_array
+        gathered = LatticeState.scatter(self.n_internal, (sources, self._slot_array), psi.value_array)
+        adjoints = self.coins(gathered.site_list()).conj().transpose(0, 2, 1)
+        return gathered.with_values((adjoints @ gathered.value_array[:, :, None])[:, :, 0])
 
 
 def identity_coin(d: int) -> SiteMap:

@@ -8,9 +8,11 @@ from reference_state import DictState, same_state
 
 from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.lattice import (
+    DICT_GROUPING,
     LatticeState,
     direction_index,
     direction_vector,
+    group_sites,
     haar_unitary,
     index_of_vector,
     is_unitary,
@@ -122,7 +124,7 @@ factor = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(state_triples(), factor)
 def test_packed_state_matches_dict_reference(case, f):
     n, entries = case
@@ -174,3 +176,26 @@ def test_rows_keep_first_insertion_order():
     phi = LatticeState(1, {(2,): [1.0], (7,): [1.0], (3,): [-1.0], (5,): [1.0]})
     # rows of psi, the cancelled (3,) dropped, then the new sites in phi's order
     assert [s for s, _ in (psi + phi).items()] == [(-1,), (2,), (7,), (5,)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.one_of(st.integers(-2, 2), st.sampled_from([FAR, -FAR, 2**32]))] * d),
+            min_size=1,
+            max_size=3 * DICT_GROUPING,
+        )
+    )
+)
+def test_group_sites_orders_by_first_appearance(sites):
+    # the sites as drawn, and repeated past the dict path's length so that
+    # the sort path runs too
+    for entries in (sites, sites * (DICT_GROUPING // len(sites) + 1)):
+        first_of: dict = {}
+        for e, site in enumerate(entries):
+            first_of.setdefault(site, e)
+        number = {site: k for k, site in enumerate(first_of)}
+        first, rows = group_sites(np.array(entries, dtype=np.int64))
+        assert first.tolist() == list(first_of.values())
+        assert rows.tolist() == [number[site] for site in entries]
