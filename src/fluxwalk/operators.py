@@ -64,12 +64,9 @@ class CoinedWalk(LocalUnitary):
         outs = [(tuple(map(operator.add, x, step)), slot) for step, slot in self._out_slots]
         return self.coin.value(x), [(x, self._all_slots)], outs
 
-    def coins(self, sites: list) -> np.ndarray:
-        """(S, n, n) stack of the coins at a list of S site tuples."""
-        out = np.empty((len(sites), self.n_internal, self.n_internal), dtype=complex)
-        for i, x in enumerate(sites):
-            out[i] = self.coin.value(x)
-        return out
+    def coins(self, sites) -> np.ndarray:
+        """(S, n, n) stack of the coins at S site tuples."""
+        return np.array([self.coin.value(x) for x in sites], dtype=complex)
 
     def in_basis(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
@@ -78,7 +75,7 @@ class CoinedWalk(LocalUnitary):
     def cells(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
         outs = labels[:, None, :] + self._step_array
-        return self.coins(list(map(tuple, labels.tolist()))), self.in_basis(labels), (outs, self._slot_array)
+        return self.coins(map(tuple, labels.tolist())), self.in_basis(labels), (outs, self._slot_array)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Coin every site in one stacked product, then scatter slot k of
