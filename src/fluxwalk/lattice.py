@@ -63,6 +63,7 @@ def sub(a: Site, b: Site) -> Site:
 # Below this many entries a dict of site tuples groups sites faster than a
 # sort of row keys does (about 64 on 2 cores with NumPy 2.4).
 DICT_GROUPING = 64
+_SINGLE = np.zeros(1, dtype=np.intp)
 
 
 def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,6 +74,8 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Short arrays go through a dict of site tuples.  Longer ones are sorted
     by the raw bytes of each row, a key that distinct sites never share,
     however far out they lie."""
+    if len(sites) == 1:
+        return _SINGLE, _SINGLE
     if len(sites) <= DICT_GROUPING:
         index: dict[Site, int] = {}
         first, rows = [], []
@@ -90,6 +93,18 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], rank[inverse]
+
+
+def scatter_rows(n_internal: int, basis, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The site and value arrays of ``LatticeState.scatter``."""
+    sites, slots = basis
+    amps = amps.ravel()
+    live = amps.nonzero()[0]
+    points = sites.reshape(-1, sites.shape[-1]).take(live, axis=0)
+    first, rows = group_sites(points)
+    values = np.zeros((len(first), n_internal), dtype=complex)
+    np.add.at(values, (rows, slots.take(live % len(slots))), amps.take(live))
+    return points.take(first, axis=0), values
 
 
 class LatticeState:
@@ -168,16 +183,7 @@ class LatticeState:
         Amplitudes go into zeros one at a time in row-major order, as
         ``buf[slot] += amp`` does; zero amplitudes are skipped, so rows come
         in order of each site's first nonzero amplitude."""
-        sites, slots = basis
-        amps = amps.ravel()
-        live = amps.nonzero()[0]
-        if not len(live):
-            return cls(n_internal)
-        points = sites.reshape(-1, sites.shape[-1]).take(live, axis=0)
-        first, rows = group_sites(points)
-        values = np.zeros((len(first), n_internal), dtype=complex)
-        np.add.at(values, (rows, slots.take(live % len(slots))), amps.take(live))
-        return cls(n_internal, (points.take(first, axis=0), values), _take=True)
+        return cls(n_internal, scatter_rows(n_internal, basis, amps), _take=True)
 
     def with_values(self, values: np.ndarray) -> "LatticeState":
         """The state with the same sites and new (S, n) values; it shares

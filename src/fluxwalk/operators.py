@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .fields import SiteMap
-from .lattice import LatticeState, Site, all_direction_vectors
+from .lattice import LatticeState, Site, all_direction_vectors, scatter_rows
 
 
 class LocalUnitary:
@@ -94,9 +94,9 @@ class CoinedWalk(LocalUnitary):
         if not len(psi.value_array):
             return psi
         sources = psi.site_array[:, None, :] - self._step_array
-        gathered = LatticeState.scatter(self.n_internal, (sources, self._slot_array), psi.value_array)
-        adjoints = self.coins(gathered.site_list()).conj().transpose(0, 2, 1)
-        return gathered.with_values((adjoints @ gathered.value_array[:, :, None])[:, :, 0])
+        sites, gathered = scatter_rows(self.n_internal, (sources, self._slot_array), psi.value_array)
+        adjoints = self.coins(map(tuple, sites.tolist())).conj().transpose(0, 2, 1)
+        return LatticeState(self.n_internal, (sites, (adjoints @ gathered[:, :, None])[:, :, 0]), _take=True)
 
 
 def identity_coin(d: int) -> SiteMap:
