@@ -63,6 +63,7 @@ def sub(a: Site, b: Site) -> Site:
 # Below this many entries a dict of site tuples groups sites faster than a
 # sort of row keys does (about 64 on 2 cores with NumPy 2.4).
 DICT_GROUPING = 64
+# the grouping of a single entry, shared: callers only read what they get
 _SINGLE = np.zeros(1, dtype=np.intp)
 
 
