@@ -66,18 +66,26 @@ def out_cell(site: Site) -> tuple[Site, int]:
     return (m, n - 1), 1
 
 
-def cell_in_basis(z: Site) -> tuple[Site, Site]:
-    a, b = z
-    if a % 2 == 0:
-        return (a, b), (a + 1, b - 1)
-    return (a, b), (a + 1, b + 1)
+def in_cells(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``in_cell`` of every row of an (M, 2) integer point array: the (M, 2)
+    cell labels and the M incoming slots."""
+    m, n = points[:, 0], points[:, 1]
+    slots = n % 2
+    labels = np.empty_like(points)
+    labels[:, 0] = m - slots
+    labels[:, 1] = n + slots * (2 * (m % 2) - 1)
+    return labels, slots
 
 
-def cell_out_basis(z: Site) -> tuple[Site, Site]:
-    a, b = z
-    if a % 2 == 0:
-        return (a, b - 1), (a + 1, b)
-    return (a + 1, b), (a, b + 1)
+def out_cells(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``out_cell`` of every row of an (M, 2) integer point array: the (M, 2)
+    cell labels and the M outgoing slots."""
+    m, n = points[:, 0], points[:, 1]
+    slots, odd_n = m % 2, n % 2
+    labels = np.empty_like(points)
+    labels[:, 0] = m - 1 + odd_n
+    labels[:, 1] = n + odd_n * (1 - 2 * slots)
+    return labels, slots
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +144,8 @@ class CCUnitary(LocalUnitary):
     ``scattering`` maps cell labels in Z x 2Z to ``ScatteringParams``; every
     template value and every window label is checked here.  For
     ``flux.CellGeometry``, cell z maps its incoming pair onto its outgoing
-    pair through S(z)^T (outgoing x incoming); ``cells`` builds every S^T of
-    a label array at once from arrays of q, r and t.
+    pair through S(z)^T (outgoing x incoming), and ``cell_labels`` is
+    ``in_cells``; ``cells`` builds every S^T of a label array at once.
     """
 
     d = 2
@@ -154,15 +162,8 @@ class CCUnitary(LocalUnitary):
                 raise ValidationError(f"{desc} is not a ScatteringParams")
         self.scattering = scattering
 
-    def matrix(self, z: Site) -> np.ndarray:
-        return self.scattering.value(z).matrix()
-
-    def cell_of(self, site: Site) -> Site:
-        return in_cell(site)[0]
-
-    def cell(self, z: Site):
-        (a, b), (c, d) = cell_in_basis(z), cell_out_basis(z)
-        return self.matrix(z).T, [(a, (0,)), (b, (0,))], [(c, (0,)), (d, (0,))]
+    def cell_labels(self, sites: np.ndarray) -> np.ndarray:
+        return in_cells(np.asarray(sites, dtype=np.int64))[0]
 
     def in_basis(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
@@ -216,18 +217,7 @@ class CCUnitary(LocalUnitary):
         points = psi.site_array
         if not len(points):
             return psi
-        m, n = points[:, 0], points[:, 1]
-        labels = np.empty_like(points)
-        if adjoint:
-            # out_cell, for every point at once
-            k, even_n = m % 2, 1 - n % 2
-            labels[:, 0] = m - even_n
-            labels[:, 1] = n + (1 - even_n) * (1 - 2 * k)
-        else:
-            # in_cell, for every point at once
-            k = n % 2
-            labels[:, 0] = m - k
-            labels[:, 1] = n + k * (2 * (m % 2) - 1)
+        labels, k = (out_cells if adjoint else in_cells)(points)
         transposed = self._transposed(labels)
         at = np.arange(len(points))
         if adjoint:
@@ -420,9 +410,6 @@ class DualPath:
 # region to the left of the curve
 
 
-_OPEN_SLOTS = (frozenset(), frozenset((0,)))  # outside, inside
-
-
 class RegionSplit:
     """Membership in the subgraph left of an oriented dual curve.
 
@@ -433,8 +420,7 @@ class RegionSplit:
     seed and every vertical edge then confirms them (an uncut edge joins
     equal labels, a cut edge unequal ones).  Beyond the box the labels are
     constant along outward directions, so clamping is exact.  As a
-    projection it offers what ``AdaptedProjection`` does: ``open_slots``,
-    ``diagonal_entries`` and ``apply``.
+    projection it offers ``diagonal_entries`` and ``apply``.
     """
 
     def __init__(self, path: DualPath, lo: Site, hi: Site):
@@ -494,15 +480,6 @@ class RegionSplit:
 
     def _in_box(self, p: Site) -> bool:
         return self.lo[0] <= p[0] <= self.hi[0] and self.lo[1] <= p[1] <= self.hi[1]
-
-    def side(self, point: Site) -> int:
-        return len(self.open_slots(point))
-
-    def open_slots(self, point: Site) -> frozenset:
-        """The one internal slot inside the region, nothing outside."""
-        x = min(max(point[0], self.lo[0]), self.hi[0]) - self.lo[0]
-        y = min(max(point[1], self.lo[1]), self.hi[1]) - self.lo[1]
-        return _OPEN_SLOTS[self._labels[x, y]]
 
     def diagonal_entries(self, sites: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """0/1 diagonal entries at an (M, 2) integer array of points (every

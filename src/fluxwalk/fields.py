@@ -283,19 +283,12 @@ class AdaptedProjection:
             row[list(self.open_slots(site))] = 1.0
         return table[inverse.reshape(-1), slots]
 
-    def rank(self, site: Site) -> int:
-        return len(self.open_slots(site))
-
-    def diagonal(self, site: Site) -> np.ndarray:
-        diag = np.zeros(self.n)
-        for k in self.open_slots(site):
-            diag[k] = 1.0
-        return diag
-
     def apply(self, psi: LatticeState) -> LatticeState:
         """Multiply every row of ``psi`` by the 0/1 diagonal at its site, in
-        one array product; ``open_slots`` runs once per site."""
-        masks = np.array([self.diagonal(site) for site in psi.site_list()]).reshape(-1, self.n)
+        one array product; ``open_slots`` runs once per row."""
+        masks = np.zeros((psi.support_size(), self.n))
+        for row, site in zip(masks, psi.site_list()):
+            row[list(self.open_slots(site))] = 1.0
         return psi.with_values(masks * psi.value_array)
 
     # -- derived projections -------------------------------------------------

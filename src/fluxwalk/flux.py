@@ -110,25 +110,21 @@ class IndexReport:
 class CellGeometry:
     """Adapter between cell-labelled flux blocks and lattice states.
 
-    The unitary describes its cells two ways.  ``cell(label) -> (matrix,
-    ins, outs)`` gives one cell: ``ins`` and ``outs`` list ``(site, slots)``
-    with distinct sites, spelling out the cell's incoming and outgoing bases
-    in order, and ``matrix`` (outgoing x incoming) is U between them.
-    ``cells(labels) -> (matrices, ins, outs)`` gives the same for an (N, d)
-    integer array of labels at once: ``matrices`` is (N, k, k), and ``ins``
-    and ``outs`` are ``(sites, slots)`` with ``sites`` an (N, k, d) integer
-    array and ``slots`` a length-k integer array, so that basis vector j of
-    cell i is slot ``slots[j]`` at site ``sites[i, j]``; ``in_basis(labels)``
-    is that ``ins`` alone.  ``cell_of(site)`` is the label of the cell whose
-    incoming basis holds ``site``.  The cells' incoming bases partition the
-    lattice basis, and so do their outgoing bases.
+    Labels, sites and slots are integer arrays.  The unitary gives
+    ``cells(labels) -> (matrices, ins, outs)`` for an (N, d) label array:
+    ``ins`` and ``outs`` are ``(sites, slots)``, an (N, k, d) site array and
+    a length-k slot array (basis vector j of cell i is slot ``slots[j]`` at
+    ``sites[i, j]``), and ``matrices`` (N, k, k) is U from each incoming
+    basis onto its outgoing one.  ``in_basis(labels)`` is ``ins`` alone, and
+    ``cell_labels(sites)`` maps an (M, d) site array to the labels of the
+    cells whose incoming bases hold those sites.  The incoming bases
+    partition the lattice basis, and so do the outgoing bases.
 
-    The projection provides ``open_slots(site)``, ``apply(psi)`` and
-    ``diagonal_entries(sites, slots)``, the 0/1 diagonal entries of P at
-    the basis vectors given by an (M, d) site array and M slots.  With P_in
-    and P_out the 0/1 diagonals of P on the two bases, the flux block in the
-    incoming basis is ``matrix* P_out matrix - P_in``.  Self-checks draw
-    ``probes`` random window sites.
+    The projection gives ``diagonal_entries(sites, slots)``, its 0/1 entries
+    at slot ``slots[i]`` of site ``sites[i]``, and ``apply(psi)``.  With P_in
+    and P_out those entries on the two bases, the flux block in the incoming
+    basis is ``matrix* P_out matrix - P_in``.  Self-checks draw ``probes``
+    random window sites.
     """
 
     def __init__(self, unitary, proj, lo, hi, probes: int):
@@ -178,8 +174,11 @@ class CellGeometry:
         stacked product; cells where it is ``None`` are skipped.  Cells come
         in sorted label order, so the rows are those of adding the cells'
         images one at a time."""
+        if not psi.support_size():
+            return LatticeState.zero(self.state_dim)
+        touched = self.unitary.cell_labels(psi.site_array).tolist()
         labels, mats = [], []
-        for label in sorted({self.unitary.cell_of(site) for site in psi.site_list()}):
+        for label in sorted(set(map(tuple, touched))):
             m = matrix_at(label)
             if m is not None:
                 labels.append(label)
@@ -251,13 +250,9 @@ class FluxField:
         return self.certificate.bound <= self.tol.block_prune
 
     def block_at(self, label) -> FluxBlock:
-        """The block at any label: stored blocks first, then the assembled
-        box, then one ``block_fn`` call beyond it."""
+        """The block at any label: a row of the assembled box, which holds
+        every window and shell label, else one ``block_fn`` call."""
         label = tuple(label)
-        for known in (self.blocks, self.shell):
-            blk = known.get(label)
-            if blk is not None:
-                return blk
         row = self._rows.get(label)
         if row is not None:
             return self.box.block(row)

@@ -155,6 +155,8 @@ class LatticeState:
                     raise DimensionMismatchError(
                         f"site vector at {site!r} has shape {vec.shape}, expected ({n},)"
                     )
+            if len({len(site) for site in entries}) > 1:
+                raise DimensionMismatchError("sites of different dimensions in one state")
             sites = np.array(list(entries), dtype=np.int64).reshape(len(vectors), -1)
             values = np.array(vectors)
         else:

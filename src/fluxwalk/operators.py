@@ -7,18 +7,17 @@ no truncation ever happens.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .fields import SiteMap
-from .lattice import LatticeState, Site, all_direction_vectors, scatter_rows
+from .lattice import LatticeState, all_direction_vectors, scatter_rows
 
 
 class LocalUnitary:
-    """Base class: a unitary with band width one in lattice distance."""
+    """Base class: a unitary with band width one in lattice distance on Z^d."""
 
+    d: int
     n_internal: int
 
     def apply(self, psi: LatticeState) -> LatticeState:
@@ -32,6 +31,10 @@ class LocalUnitary:
             raise DimensionMismatchError(
                 f"state has internal dimension {psi.n_internal}, operator needs {self.n_internal}"
             )
+        if len(psi.value_array) and psi.site_array.shape[1] != self.d:
+            raise DimensionMismatchError(
+                f"state has sites in Z^{psi.site_array.shape[1]}, operator acts on Z^{self.d}"
+            )
 
 
 class CoinedWalk(LocalUnitary):
@@ -41,28 +44,21 @@ class CoinedWalk(LocalUnitary):
     the slot-k component then moves one site along direction k.  The coin
     values are taken as given; ``walks.build_walk`` checks them.
 
-    The cells of ``flux.CellGeometry`` are the sites: the coin at x maps
-    every slot of x onto slot k of x + dir_k.  ``coins`` stacks the coins
-    of many sites, one ``SiteMap.value`` call each; ``cells``, ``apply`` and
-    ``apply_adjoint`` all go through it.
+    The cells of ``flux.CellGeometry`` are the sites (``cell_labels``
+    returns its input): the coin at x maps every slot of x onto slot k of
+    x + dir_k.  ``coins`` stacks the coins of many sites, one ``coin.value``
+    call each; ``cells``, ``apply`` and ``apply_adjoint`` all go through it.
     """
 
     def __init__(self, coin: SiteMap):
         self.coin = coin
         self.d = coin.d
         self.n_internal = 2 * coin.d
-        dirs = all_direction_vectors(coin.d)
-        self._all_slots = tuple(range(self.n_internal))
-        self._out_slots = [(step, (k,)) for k, step in enumerate(dirs)]
         self._slot_array = np.arange(self.n_internal)
-        self._step_array = np.array(dirs, dtype=np.int64)
+        self._step_array = np.array(all_direction_vectors(coin.d), dtype=np.int64)
 
-    def cell_of(self, site: Site) -> Site:
-        return site
-
-    def cell(self, x: Site):
-        outs = [(tuple(map(operator.add, x, step)), slot) for step, slot in self._out_slots]
-        return self.coin.value(x), [(x, self._all_slots)], outs
+    def cell_labels(self, sites: np.ndarray) -> np.ndarray:
+        return sites
 
     def coins(self, sites) -> np.ndarray:
         """(S, n, n) stack of the coins at S site tuples."""

@@ -73,6 +73,14 @@ def _need(spec: dict, key: str, context: str):
     return spec[key]
 
 
+def _number(value, name: str, kind=int):
+    """A numeric scenario or analysis field as ``kind``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+
+
 def _interior_from_json(obj) -> dict:
     """Open slots chosen in the strip of a ``basic_halfspace`` projection.
     JSON object keys are strings, so each key is the site's one integer
@@ -81,10 +89,7 @@ def _interior_from_json(obj) -> dict:
         raise ValidationError("projection interior must map sites to slot lists")
     interior = {}
     for key, slots in obj.items():
-        try:
-            site = (int(key.strip("[] ")),)
-        except ValueError:
-            raise ValidationError(f"interior key {key!r} is not one integer coordinate") from None
+        site = (_number(key.strip("[] "), f"interior key {key!r}"),)
         if not isinstance(slots, list) or not all(type(s) is int and 0 <= s < 2 for s in slots):
             raise ValidationError(f"interior slots at {key!r} must be a list of slots 0 and 1")
         interior[site] = set(slots)
@@ -93,8 +98,8 @@ def _interior_from_json(obj) -> dict:
 
 def _lead_from_json(obj: dict) -> LeadSpec:
     kind = _need(obj, "kind", "lead")
-    prefix = [tuple(int(c) for c in site) for site in _need(obj, "prefix", "lead")]
-    ray = tuple(int(c) for c in _need(obj, "ray", "lead"))
+    prefix = [tuple(_number(c, "lead site") for c in site) for site in _need(obj, "prefix", "lead")]
+    ray = tuple(_number(c, "lead ray") for c in _need(obj, "ray", "lead"))
     return LeadSpec(kind, prefix, ray)
 
 
@@ -112,7 +117,7 @@ def _network_from_json(obj: dict, d_total: int | None = None) -> NetworkSpec:
 def _path_from_json(obj: dict) -> ccm.DualPath:
     ptype = obj.get("type")
     if ptype == "straight_r":
-        return ccm.straight_r_path(obj.get("height", 0))
+        return ccm.straight_r_path(_number(obj.get("height", 0), "path height"))
     if ptype == "crossover":
         return ccm.crossover_path(obj.get("west_first", True))
     if ptype == "wiggled_r":
@@ -180,7 +185,7 @@ def _commuting_coin(rng: np.random.Generator, n: int, slot: int) -> np.ndarray:
 
 
 def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
-    d = int(_need(spec.get("geometry", {}), "d", "geometry"))
+    d = _number(_need(spec.get("geometry", {}), "d", "geometry"), "geometry d")
     coin_spec = _need(spec, "coin", "scenario")
     proj_spec = _need(spec, "projection", "scenario")
     ctype = _need(coin_spec, "type", "coin")
@@ -189,8 +194,8 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
     if ctype == "basic_example":
         if d != 1:
             raise ValidationError("basic_example coin requires d = 1")
-        n_cut = int(coin_spec.get("n_cut", 2))
-        box = int(coin_spec.get("box", n_cut + 4))
+        n_cut = _number(coin_spec.get("n_cut", 2), "coin n_cut")
+        box = _number(coin_spec.get("box", n_cut + 4), "coin box")
         slot = index_of_vector((1,))
         window = {}
         for x in range(-box, n_cut):
@@ -209,12 +214,12 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         interior = proj_spec.get("interior")
         if interior is not None:
             interior = _interior_from_json(interior)
-        proj = basic_halfspace_projection(int(proj_spec.get("n_cut", n_cut)), interior)
+        proj = basic_halfspace_projection(_number(proj_spec.get("n_cut", n_cut), "n_cut"), interior)
         setup = WalkSetup(coin, proj, rng=rng)
 
     elif ctype == "halfline_commuting":
-        sign = int(coin_spec.get("sign", 1))
-        box = int(coin_spec.get("box", 3))
+        sign = _number(coin_spec.get("sign", 1), "coin sign")
+        box = _number(coin_spec.get("box", 3), "coin box")
         n = 2 * d
         slot = index_of_vector(tuple([sign] + [0] * (d - 1)))
         window = {}
@@ -233,14 +238,14 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         )
         if ptype != "halfline":
             raise ValidationError("halfline_commuting coin pairs with halfline")
-        proj = halfline_projection(d, int(proj_spec.get("sign", sign)))
+        proj = halfline_projection(d, _number(proj_spec.get("sign", sign), "projection sign"))
         setup = WalkSetup(coin, proj, rng=rng)
 
     elif ctype == "lead_network":
         if ptype != "network":
             raise ValidationError("lead_network coin pairs with a network projection")
         network = _network_from_json(proj_spec, d_total=d)
-        box = int(coin_spec.get("background_box", 4))
+        box = _number(coin_spec.get("background_box", 4), "coin background_box")
         if network.boundary is not None:
             background = reflecting_coin(d, rng, box=box)
         else:
@@ -252,7 +257,7 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
     elif ctype == "reflecting":
         if ptype != "boundary_full":
             raise ValidationError("reflecting coin pairs with boundary_full")
-        box = int(coin_spec.get("box", 3))
+        box = _number(coin_spec.get("box", 3), "coin box")
         coin = reflecting_coin(d, rng, box=box)
         proj = boundary_projection_full(d)
         setup = WalkSetup(coin, proj, rng=rng)
@@ -301,7 +306,7 @@ def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -
         base = ccm.CRITICAL
         r_abs = float(abs(base.r))
     else:
-        r_abs = float(_need(spec, "r_abs", "scattering"))
+        r_abs = _number(_need(spec, "r_abs", "scattering"), "scattering r_abs", float)
         if not 0.0 <= r_abs <= 1.0:
             raise ValidationError("r_abs must lie in [0, 1]")
         base = ccm.ScatteringParams(1.0, r_abs, math.sqrt(max(0.0, 1.0 - r_abs**2)))
@@ -310,7 +315,7 @@ def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -
         return SiteMap(2, background=base)
     if phases == "random":
         (lo, lo2), (hi, hi2) = path.bounds()
-        extent = int(spec.get("window", max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8))
+        extent = _number(spec.get("window", max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8), "window")
         window = ccm.random_phase_window(
             rng, r_abs, range(-extent, extent + 1), range(-extent, extent + 1)
         )
@@ -366,6 +371,8 @@ def _checked_setup(spec: dict):
         raise ValidationError(f"unknown scenario kind {kind!r}")
     setup = build_setup[kind](spec, _rng(int(seed)))
     for i, analysis in enumerate(analyses):
+        if not isinstance(analysis, dict):
+            raise ValidationError(f"analysis #{i} is not a JSON object")
         if "type" not in analysis:
             raise ValidationError(f"analysis #{i} has no type")
         if analysis["type"] not in ANALYSES[kind]:
@@ -400,7 +407,7 @@ def _index_analysis(setup, analysis, files):
 
 
 def _spectrum_window_analysis(setup, analysis, files):
-    box = int(analysis.get("box", 5))
+    box = _number(analysis.get("box", 5), "box")
     unitary = setup.unitary
     sites = list(itertools.product(*([range(-box, box + 1)] * unitary.d)))
     m = matrix_on_window(unitary, sites)
@@ -422,7 +429,7 @@ def _walk_flux_zero_analysis(setup, analysis, files):
 
 
 def _walk_wandering_analysis(setup, analysis, files):
-    steps = int(analysis.get("steps", 50))
+    steps = _number(analysis.get("steps", 50), "steps")
     walk = setup.unitary
     results = []
     ok = True
@@ -450,13 +457,13 @@ def _walk_wandering_analysis(setup, analysis, files):
 
 
 def _walk_confinement_analysis(setup, analysis, files):
-    steps = int(analysis.get("steps", 30))
-    leak = verify_confinement(setup.unitary, setup.rng, steps=steps, box=int(analysis.get("box", 3)))
+    steps = _number(analysis.get("steps", 30), "steps")
+    leak = verify_confinement(setup.unitary, setup.rng, steps=steps, box=_number(analysis.get("box", 3), "box"))
     return {"steps": steps, "max_leak": leak, "pass": leak <= setup.tol.wandering}
 
 
 def _walk_shift_analysis(setup, analysis, files):
-    steps = int(analysis.get("steps", 30))
+    steps = _number(analysis.get("steps", 30), "steps")
     index = setup.index_report.index
     flux = setup.flux
     kernels = extract_kernels(flux)
@@ -466,8 +473,8 @@ def _walk_shift_analysis(setup, analysis, files):
 
 
 def _walk_stability_analysis(setup, analysis, files):
-    steps = int(analysis.get("steps", 20))
-    strength = float(analysis.get("strength", 0.1))
+    steps = _number(analysis.get("steps", 20), "steps")
+    strength = _number(analysis.get("strength", 0.1), "strength", float)
     target = perturb_coin_window(setup.coin, setup.rng, strength)
 
     def family(t):
@@ -494,7 +501,7 @@ def _walk_oracle_analysis(setup, analysis, files):
     hi = [max(c) for c in zip(*sites)]
     if not sites or any(h - l + 1 > 7 for l, h in zip(lo, hi)):
         return {"applicable": False, "pass": True}
-    pad = int(analysis.get("pad", 2))
+    pad = _number(analysis.get("pad", 2), "pad")
     box = list(itertools.product(*[range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]))
     walk = setup.flux.geometry.unitary
     dense = dense_window_index(walk, setup.projection.apply, box, walk.n_internal, setup.tol)
@@ -509,9 +516,9 @@ def _walk_oracle_analysis(setup, analysis, files):
 
 def _walk_network_ensemble_analysis(setup, analysis, files):
     rng = setup.rng
-    draws = int(analysis.get("draws", 100))
-    max_leads = int(analysis.get("max_leads", 3))
-    box = int(analysis.get("box", 10))
+    draws = _number(analysis.get("draws", 100), "draws")
+    max_leads = _number(analysis.get("max_leads", 3), "max_leads")
+    box = _number(analysis.get("box", 10), "box")
     failures = []
     for k in range(draws):
         n_in = int(rng.integers(0, max_leads + 1))
@@ -531,7 +538,7 @@ def _walk_network_ensemble_analysis(setup, analysis, files):
 
 
 def _cc_ensemble_analysis(setup, analysis, files):
-    draws = int(analysis.get("draws", 100))
+    draws = _number(analysis.get("draws", 100), "draws")
     seeds = _child_seeds(int(setup.spec["seed"]) + 1, draws)
     indices = []
     for s in seeds:
@@ -553,7 +560,7 @@ def _cc_ensemble_analysis(setup, analysis, files):
 
 
 def _cc_norm_law_analysis(setup, analysis, files):
-    r_abs = float(analysis.get("r_abs", abs(setup.scattering.value((0, 0)).r)))
+    r_abs = _number(analysis.get("r_abs", abs(setup.scattering.value((0, 0)).r)), "r_abs", float)
     flux = setup.flux
     shell = [b for b in flux.shell.values() if b.norm() > setup.tol.block_prune]
     worst_norm = 0.0
@@ -572,7 +579,7 @@ def _cc_norm_law_analysis(setup, analysis, files):
 
 
 def _cc_surgery_analysis(setup, analysis, files):
-    reroutes = int(analysis.get("reroutes", 20))
+    reroutes = _number(analysis.get("reroutes", 20), "reroutes")
     base_report = setup.index_report
     extended = setup.path.extended(12, 12)
     t0, t1 = extended.m_last // 2 - 8, extended.m_last // 2 + 8
@@ -597,8 +604,11 @@ def _cc_surgery_analysis(setup, analysis, files):
 
 
 def _cc_anomalous_analysis(setup, analysis, files):
-    epsilons = [float(e) for e in analysis.get("epsilons", [0.25, 0.125, 0.0625])]
-    draws = int(analysis.get("draws", 1))
+    epsilons = analysis.get("epsilons", [0.25, 0.125, 0.0625])
+    if not isinstance(epsilons, list):
+        raise ValidationError("epsilons must be a list of numbers")
+    epsilons = [_number(e, "epsilons", float) for e in epsilons]
+    draws = _number(analysis.get("draws", 1), "draws")
     seeds = _child_seeds(int(setup.spec["seed"]) + 2, draws)
     traces = []
     ok = True

@@ -1,9 +1,5 @@
 """Coined walks with engineered transport: half-lines, leads, bulk boundaries.
 
-The flux of a walk is assembled by ``flux.CellGeometry`` from the walk's
-cells: the cell at x is the site itself, and its coin maps every slot of x
-onto slot k of x + dir_k.
-
 A lead is an unbounded self-avoiding lattice path together with its tangent
 sequence; its quantum projection opens exactly the tangent direction at each
 path site.  Coins that carry each tangent to the next with a unimodular
@@ -68,8 +64,8 @@ def build_walk_flux(
     one that ``build_walk`` returned, or the walk of a coin field, which
     ``build_walk`` checks first.
 
-    The cells of a walk are its sites (``CoinedWalk.cell``), so the block at
-    x is coin(x)^* phat(x) coin(x) - p(x), with phat the projection
+    ``flux.CellGeometry`` takes the walk's sites as its cells, so the block
+    at x is coin(x)^* phat(x) coin(x) - p(x), with phat the projection
     conjugated by the conditional shift.  Exact for every site; the window
     covers all features plus a margin of 3, and the shell certifies the tail.
     """

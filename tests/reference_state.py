@@ -1,11 +1,12 @@
-"""Per-site reference models for the packed ``LatticeState`` and the batched
-actions that consume it.
+"""Per-site reference models for the packed ``LatticeState``, the batched
+actions that consume it and the array cell protocol of ``flux.CellGeometry``.
 
 ``DictState`` is the dict-of-site-vectors state that ``fluxwalk.lattice``
 used before the packed layout, and the functions below are the per-site
 loops that the walk, projection, network and cell actions ran on it.  The
 tests compare the packed results against them bit for bit, row order
-included.
+included.  The cell references describe one cell, or one site of a region,
+at a time, from the model's fields and the scalar ``in_cell``/``out_cell``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import operator
 
 import numpy as np
 
-from fluxwalk.cc import cell_in_basis, cell_out_basis, in_cell, out_cell
+from fluxwalk.cc import CCUnitary, RegionSplit, in_cell, out_cell
 from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.lattice import LatticeState, all_direction_vectors
 
@@ -98,6 +99,68 @@ def same_state(packed: LatticeState, ref: DictState) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# one cell, one site
+
+
+def cell_in_basis(z):
+    """The incoming pair of network cell z."""
+    a, b = z
+    if a % 2 == 0:
+        return (a, b), (a + 1, b - 1)
+    return (a, b), (a + 1, b + 1)
+
+
+def cell_out_basis(z):
+    """The outgoing pair of network cell z."""
+    a, b = z
+    if a % 2 == 0:
+        return (a, b - 1), (a + 1, b)
+    return (a + 1, b), (a, b + 1)
+
+
+def reference_cell(unitary, label):
+    """``(matrix, ins, outs)`` of one cell: U (outgoing x incoming) between
+    the bases ``ins`` and ``outs``, listed as ``(site, slots)``.  A walk cell
+    is a site whose coin sends every slot k to x + dir_k; a network cell
+    sends its incoming pair to its outgoing pair through S(z)^T."""
+    if isinstance(unitary, CCUnitary):
+        (a, b), (c, d) = cell_in_basis(label), cell_out_basis(label)
+        matrix = unitary.scattering.value(label).matrix().T
+        return matrix, [(a, (0,)), (b, (0,))], [(c, (0,)), (d, (0,))]
+    dirs = all_direction_vectors(unitary.d)
+    outs = [(tuple(map(operator.add, label, step)), (k,)) for k, step in enumerate(dirs)]
+    return unitary.coin.value(label), [(label, tuple(range(unitary.n_internal)))], outs
+
+
+def cell_of(unitary, site):
+    """Label of the cell whose incoming basis holds ``site``."""
+    return in_cell(site)[0] if isinstance(unitary, CCUnitary) else site
+
+
+def region_side(split, point) -> int:
+    """1 inside the region of a ``RegionSplit``, 0 outside, read from its
+    label array at the point clamped into the box."""
+    x = min(max(point[0], split.lo[0]), split.hi[0]) - split.lo[0]
+    y = min(max(point[1], split.lo[1]), split.hi[1]) - split.lo[1]
+    return int(split._labels[x, y])
+
+
+def open_slots(proj, site) -> frozenset:
+    """The slots a projection opens at one site."""
+    if isinstance(proj, RegionSplit):
+        return frozenset((0,)) if region_side(proj, site) else frozenset()
+    return proj.open_slots(site)
+
+
+def diagonal(proj, site) -> np.ndarray:
+    """The 0/1 diagonal of an adapted projection at one site."""
+    diag = np.zeros(proj.n)
+    for k in proj.open_slots(site):
+        diag[k] = 1.0
+    return diag
+
+
+# ---------------------------------------------------------------------------
 # per-site actions
 
 
@@ -136,24 +199,19 @@ def walk_apply_adjoint(walk, psi: DictState) -> DictState:
 
 
 def projection_apply(proj, psi: DictState) -> DictState:
-    data = {}
-    for site, vec in psi.items():
-        mask = np.zeros(proj.n)
-        for k in proj.open_slots(site):
-            mask[k] = 1.0
-        data[site] = mask * vec
+    data = {site: diagonal(proj, site) * vec for site, vec in psi.items()}
     return DictState(psi.n_internal, data, _take=True)
 
 
 def region_apply(split, psi: DictState) -> DictState:
-    return DictState(psi.n_internal, {s: v for s, v in psi.items() if split.side(s)})
+    return DictState(psi.n_internal, {s: v for s, v in psi.items() if region_side(split, s)})
 
 
 def _cc_scatter(unitary, psi: DictState, locate, targets, weights) -> DictState:
     out: dict = {}
     for site, vec in psi.items():
         z, k = locate(site)
-        for target, weight in zip(targets(z), weights(unitary.matrix(z), k)):
+        for target, weight in zip(targets(z), weights(unitary.scattering.value(z).matrix(), k)):
             amp = weight * vec[0]
             if amp != 0:
                 out[target] = out.get(target, 0) + amp
@@ -172,7 +230,7 @@ def cell_state(geometry, label, coords) -> DictState:
     """The state with the given coordinates in the cell's incoming basis."""
     n = geometry.state_dim
     data, i = {}, 0
-    for site, slots in geometry.unitary.cell(label)[1]:
+    for site, slots in reference_cell(geometry.unitary, label)[1]:
         data[site] = np.zeros(n, dtype=complex)
         data[site][list(slots)] = coords[i : i + len(slots)]
         i += len(slots)
@@ -183,14 +241,14 @@ def apply_blocks(geometry, psi: DictState, matrix_at) -> DictState:
     """Per-cell gather, product and ``out = out + ...`` accumulation."""
     n = geometry.state_dim
     out = DictState(n)
-    for label in sorted({geometry.unitary.cell_of(site) for site, _ in psi.items()}):
+    for label in sorted({cell_of(geometry.unitary, site) for site, _ in psi.items()}):
         m = matrix_at(label)
         if m is None:
             continue
         coords = np.concatenate(
             [
                 psi._data.get(site, np.zeros(n, dtype=complex))[list(slots)]
-                for site, slots in geometry.unitary.cell(label)[1]
+                for site, slots in reference_cell(geometry.unitary, label)[1]
             ]
         )
         out = out + cell_state(geometry, label, m @ coords)

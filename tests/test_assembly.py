@@ -1,8 +1,8 @@
 """Batched flux assembly and array region labelling against per-label references.
 
 Every block that ``assemble_field`` stacks (window, shell and tripwire) must
-equal, bit for bit, ``M* diag(P_out) M - diag(P_in)`` built from one
-``unitary.cell(label)`` and per-site ``proj.open_slots`` calls.
+equal, bit for bit, ``M* diag(P_out) M - diag(P_in)`` built from the one-cell
+``reference_state.reference_cell(unitary, label)`` and per-site open slots.
 ``RegionSplit``'s parity labelling must equal a flood fill over uncut edges.
 """
 
@@ -15,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fluxwalk.flux as flux_module
+import reference_state as ref
 from fluxwalk.cc import (
     DualPath,
     RegionSplit,
@@ -47,11 +48,11 @@ from test_flux import make_basic_example
 
 
 def reference_block(geometry, label):
-    """The flux block of one cell, from ``unitary.cell`` and ``open_slots``."""
-    m, ins, outs = geometry.unitary.cell(label)
+    """The flux block of one cell, from its reference cell and open slots."""
+    m, ins, outs = ref.reference_cell(geometry.unitary, label)
     p_in, p_out = (
         np.array(
-            [k in geometry.proj.open_slots(site) for site, slots in points for k in slots],
+            [k in ref.open_slots(geometry.proj, site) for site, slots in points for k in slots],
             dtype=float,
         )
         for points in (ins, outs)
@@ -254,7 +255,7 @@ def test_array_labelling_matches_a_flood_fill(path, lo, size):
     axes = (range(l - 3, h + 4) for l, h in zip(box_lo, box_hi))
     sites = np.array(list(itertools.product(*axes)))
     inside = split.diagonal_entries(sites, np.zeros(len(sites), dtype=int))
-    assert [split.side(tuple(p)) for p in sites.tolist()] == inside.tolist()
+    assert [ref.region_side(split, p) for p in sites.tolist()] == inside.tolist()
 
 
 def _unchecked_path(middle, pre_dir, post_dir):

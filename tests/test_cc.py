@@ -15,13 +15,11 @@ from fluxwalk.cc import (
     anomalous_transport,
     cc_flux,
     cc_index,
-    cell_in_basis,
-    cell_out_basis,
     classify_step,
     crossed_points,
     crossover_path,
-    in_cell,
-    out_cell,
+    in_cells,
+    out_cells,
     path_surgery,
     random_phase_window,
     region_difference_rank,
@@ -48,25 +46,26 @@ def params_r(r_abs, q=1.0):
 # cell geometry
 
 
+CELLS = CCUnitary(SiteMap(2, background=CRITICAL))
+
+
 def test_cells_partition_the_lattice():
-    for m in range(-4, 5):
-        for n in range(-4, 5):
-            z, j = in_cell((m, n))
-            assert z[1] % 2 == 0
-            assert cell_in_basis(z)[j] == (m, n)
-            zo, b = out_cell((m, n))
-            assert zo[1] % 2 == 0
-            assert cell_out_basis(zo)[b] == (m, n)
+    points = np.array(list(itertools.product(range(-4, 5), repeat=2)))
+    at = np.arange(len(points))
+    z, j = in_cells(points)
+    assert (z[:, 1] % 2 == 0).all()
+    assert (CELLS.in_basis(z)[0][at, j] == points).all()
+    zo, b = out_cells(points)
+    assert (zo[:, 1] % 2 == 0).all()
+    assert (CELLS.out_basis(zo)[0][at, b] == points).all()
 
 
 def test_in_out_cells_are_neighbors():
     # the network is band width 1: each cell's states stay within one step
-    for z in [(0, 0), (1, 0), (-2, 2), (3, -4)]:
-        ins = cell_in_basis(z)
-        outs = cell_out_basis(z)
-        for p in ins:
-            for q in outs:
-                assert max(abs(a - b) for a, b in zip(p, q)) <= 1
+    z = np.array([(0, 0), (1, 0), (-2, 2), (3, -4)])
+    ins, _ = CELLS.in_basis(z)
+    outs, _ = CELLS.out_basis(z)
+    assert (np.abs(ins[:, :, None, :] - outs[:, None, :, :]).max(axis=-1) <= 1).all()
 
 
 def test_defining_relations_even_cell():
@@ -135,13 +134,13 @@ def test_out_cells_do_not_depend_on_scattering():
     # the outgoing pair of each cell is a geometric fact: the unitary maps
     # the incoming span onto it for any choice of matrices
     rng = np.random.default_rng(4)
+    labels = np.array([(0, 0), (1, 2), (-3, -2)])
     for params in (CRITICAL, params_r(0.3, np.exp(0.7j)), FULL_REFLECTION):
         u = CCUnitary(SiteMap(2, background=params))
-        for z in [(0, 0), (1, 2), (-3, -2)]:
-            outs = set(cell_out_basis(z))
-            for p in cell_in_basis(z):
-                image = u.apply(LatticeState.basis(p, 0, 1))
-                assert set(image.sites()) <= outs
+        for ins, outs in zip(u.in_basis(labels)[0].tolist(), u.out_basis(labels)[0].tolist()):
+            for p in ins:
+                image = u.apply(LatticeState.basis(tuple(p), 0, 1))
+                assert set(image.sites()) <= set(map(tuple, outs))
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +199,15 @@ def test_path_validation():
 
 def test_region_split_sides():
     split = RegionSplit(straight_r_path(), (-6, -6), (6, 6))
+
+    def side(*points):
+        return split.diagonal_entries(np.array(points), np.zeros(len(points), dtype=int)).tolist()
+
     # west-to-east line at dual height -1/2: left is the upper half plane
     for x in range(-5, 6):
-        assert split.side((x, 0)) == 1
-        assert split.side((x, 3)) == 1
-        assert split.side((x, -1)) == 0
+        assert side((x, 0), (x, 3), (x, -1)) == [1, 1, 0]
     # clamping far outside the box stays exact
-    assert split.side((100, 40)) == 1
-    assert split.side((-100, -40)) == 0
+    assert side((100, 40), (-100, -40)) == [1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +339,8 @@ def test_dense_window_oracle_on_capped_flux(west_first, seed):
     field = capped(SiteMap(2, window=window, background=params_r(0.2)), path)
     report, flux = cc_index(field, path)
     assert flux.tail_zero and abs(report.index) == 1
-    points = [p for z in flux.blocks for p in cell_in_basis(z)]
-    axes = [range(min(p[j] for p in points) - 2, max(p[j] for p in points) + 3) for j in (0, 1)]
+    points = flux.geometry.unitary.in_basis(np.array(list(flux.blocks)))[0].reshape(-1, 2)
+    axes = [range(int(points[:, j].min()) - 2, int(points[:, j].max()) + 3) for j in (0, 1)]
     box = itertools.product(*axes)
     assert dense_window_index(CCUnitary(field), flux.geometry.proj.apply, box, 1) == report.index
 

@@ -70,6 +70,11 @@ def test_dimension_mismatch_raises():
         a.inner(b)
 
 
+def test_a_state_rejects_sites_of_different_dimensions():
+    with pytest.raises(DimensionMismatchError, match="different dimensions"):
+        LatticeState(2, {(0,): [1.0, 0.0], (0, 1): [0.0, 1.0]})
+
+
 def test_haar_unitary_and_checks():
     rng = np.random.default_rng(0)
     for n in (2, 4, 6):
@@ -168,6 +173,11 @@ def test_states_of_different_site_dimension_do_not_mix():
         a + b
     with pytest.raises(DimensionMismatchError):
         a.inner(b)
+
+
+def test_a_state_rejects_sites_of_different_dimensions():
+    with pytest.raises(DimensionMismatchError, match="different dimensions"):
+        LatticeState(2, {(0,): [1.0, 0.0], (0, 1): [0.0, 1.0]})
 
 
 def test_rows_keep_first_insertion_order():

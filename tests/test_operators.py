@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxwalk.cc import CRITICAL, CCUnitary
 from fluxwalk.errors import DimensionMismatchError, ValidationError
 from fluxwalk.fields import SiteMap
 from fluxwalk.lattice import LatticeState, direction_index, haar_unitary, random_state
@@ -44,6 +45,31 @@ def test_dimension_mismatch():
     shift = conditional_shift(2)
     with pytest.raises(DimensionMismatchError):
         shift.apply(LatticeState.basis((0, 0), 0, 2))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_walk_rejects_sites_of_another_dimension(adjoint):
+    # a 2-slot state at a site of Z^2 is not a state of the walk on Z
+    shift = conditional_shift(1)
+    action = shift.apply_adjoint if adjoint else shift.apply
+    with pytest.raises(DimensionMismatchError, match=r"Z\^2.*Z\^1"):
+        action(LatticeState.basis((0, 5), 0, 2))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_network_rejects_sites_in_three_dimensions(adjoint):
+    u = CCUnitary(SiteMap(2, background=CRITICAL))
+    action = u.apply_adjoint if adjoint else u.apply
+    with pytest.raises(DimensionMismatchError, match=r"Z\^3.*Z\^2"):
+        action(LatticeState.basis((0, 0, 7), 0, 1))
+
+
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_network_rejects_sites_on_a_line(adjoint):
+    u = CCUnitary(SiteMap(2, background=CRITICAL))
+    action = u.apply_adjoint if adjoint else u.apply
+    with pytest.raises(DimensionMismatchError, match=r"Z\^1.*Z\^2"):
+        action(LatticeState.basis((4,), 0, 1))
 
 
 def test_shift_window_matrix():

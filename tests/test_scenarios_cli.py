@@ -19,6 +19,8 @@ def load(name):
 
 # sha256 of every bundled scenario's report.json, as `fluxwalk run` writes it
 REPORT_SHA256 = json.loads((Path(__file__).parent / "data" / "report_sha256.json").read_text())
+# sha256 of every other file (CSV output) that run_scenario returns, by name
+FILES_SHA256 = json.loads((Path(__file__).parent / "data" / "files_sha256.json").read_text())
 
 
 def test_every_bundled_scenario_validates():
@@ -311,6 +313,62 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "no_such_scenario", "--out", str(tmp_path)]) == 2
 
 
+def _malformed_analyses(spec):
+    spec["analyses"] = [1]
+
+
+def _word_for_d(spec):
+    spec["geometry"]["d"] = "two"
+
+
+def _word_for_n_cut(spec):
+    spec["coin"]["n_cut"] = "x"
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (_malformed_analyses, "analysis #0 is not a JSON object"),
+        (_word_for_d, "geometry d must be a number, got 'two'"),
+        (_word_for_n_cut, "coin n_cut must be a number, got 'x'"),
+    ],
+    ids=["analysis", "geometry_d", "n_cut"],
+)
+def test_malformed_fields_fail_validation(tmp_path, capsys, malform, message):
+    spec = load("basic_example")
+    malform(spec)
+    with pytest.raises(ValidationError, match=message):
+        validate_scenario(spec)
+    with pytest.raises(ValidationError, match=message):
+        run_scenario(spec)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    assert main(["validate", str(path)]) == 3
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "basic_example").exists()
+
+
+def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys):
+    spec = load("two_incoming_leads")
+    good = run_scenario(spec).report["analyses"]
+    wandering = next(i for i, a in enumerate(spec["analyses"]) if a["type"] == "wandering")
+    spec["analyses"][wandering]["steps"] = "many"
+    validate_scenario(spec)
+    analyses = run_scenario(spec).report["analyses"]
+    key = f"wandering#{wandering}"
+    assert analyses[key] == {"pass": False, "error": "steps must be a number, got 'many'"}
+    assert {k: v for k, v in analyses.items() if k != key} == {
+        k: v for k, v in good.items() if k != key
+    }
+    path = tmp_path / "bad_steps.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "two_incoming_leads" / "report.json").read_text())
+    assert report["pass"] is False
+    assert report["analyses"] == json.loads(json.dumps(analyses))
+
+
 def test_interior_keys_are_integer_sites(tmp_path, capsys):
     from fluxwalk.scenarios import build_walk_setup
 
@@ -372,10 +430,17 @@ def test_console_script_entry_point():
 
 
 def test_golden_digests_cover_every_bundled_scenario():
-    assert sorted(REPORT_SHA256) == sorted(bundled_scenarios())
+    assert sorted(REPORT_SHA256) == sorted(FILES_SHA256) == sorted(bundled_scenarios())
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
 def test_bundled_report_matches_its_golden_digest(name):
     text = dump_report(run_scenario(load(name)).report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(FILES_SHA256))
+def test_bundled_files_match_their_golden_digests(name):
+    files = run_scenario(load(name)).files
+    digests = {f: hashlib.sha256(text.encode("utf-8")).hexdigest() for f, text in files.items()}
+    assert digests == FILES_SHA256[name]
