@@ -68,6 +68,8 @@ def _child_seeds(seed: int, count: int) -> list[int]:
 
 
 def _need(spec: dict, key: str, context: str):
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{context} must be a JSON object")
     if key not in spec:
         raise ValidationError(f"{context}: missing required key {key!r}")
     return spec[key]
@@ -115,7 +117,7 @@ def _network_from_json(obj: dict, d_total: int | None = None) -> NetworkSpec:
 
 
 def _path_from_json(obj: dict) -> ccm.DualPath:
-    ptype = obj.get("type")
+    ptype = _need(obj, "type", "path")
     if ptype == "straight_r":
         return ccm.straight_r_path(_number(obj.get("height", 0), "path height"))
     if ptype == "crossover":
@@ -371,14 +373,11 @@ def _checked_setup(spec: dict):
         raise ValidationError(f"unknown scenario kind {kind!r}")
     setup = build_setup[kind](spec, _rng(int(seed)))
     for i, analysis in enumerate(analyses):
-        if not isinstance(analysis, dict):
-            raise ValidationError(f"analysis #{i} is not a JSON object")
-        if "type" not in analysis:
-            raise ValidationError(f"analysis #{i} has no type")
-        if analysis["type"] not in ANALYSES[kind]:
-            raise ValidationError(
-                f"analysis type {analysis['type']!r} not available for kind {kind!r}"
-            )
+        atype = _need(analysis, "type", f"analysis #{i}")
+        if not isinstance(atype, str) or atype not in ANALYSES[kind]:
+            raise ValidationError(f"analysis type {atype!r} not available for kind {kind!r}")
+        if not isinstance(analysis.get("label", ""), str):
+            raise ValidationError(f"analysis #{i} label must be a string")
     return setup
 
 

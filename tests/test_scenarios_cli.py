@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -313,38 +314,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", "no_such_scenario", "--out", str(tmp_path)]) == 2
 
 
-def _malformed_analyses(spec):
-    spec["analyses"] = [1]
-
-
-def _word_for_d(spec):
-    spec["geometry"]["d"] = "two"
-
-
-def _word_for_n_cut(spec):
-    spec["coin"]["n_cut"] = "x"
-
-
 @pytest.mark.parametrize(
-    "malform, message",
+    "path, value, message",
     [
-        (_malformed_analyses, "analysis #0 is not a JSON object"),
-        (_word_for_d, "geometry d must be a number, got 'two'"),
-        (_word_for_n_cut, "coin n_cut must be a number, got 'x'"),
+        (["analyses"], [1], "analysis #0 must be a JSON object"),
+        (["analyses", 0, "type"], ["index"], "analysis type ['index'] not available"),
+        (["analyses", 0, "label"], [1], "analysis #0 label must be a string"),
+        (["coin"], 5, "coin must be a JSON object"),
+        (["geometry", "d"], "two", "geometry d must be a number, got 'two'"),
+        (["coin", "n_cut"], "x", "coin n_cut must be a number, got 'x'"),
     ],
-    ids=["analysis", "geometry_d", "n_cut"],
+    ids=["analysis", "analysis_type", "analysis_label", "coin", "geometry_d", "n_cut"],
 )
-def test_malformed_fields_fail_validation(tmp_path, capsys, malform, message):
+def test_malformed_fields_fail_validation(tmp_path, capsys, path, value, message):
     spec = load("basic_example")
-    malform(spec)
-    with pytest.raises(ValidationError, match=message):
+    *outer, key = path
+    target = spec
+    for part in outer:
+        target = target[part]
+    target[key] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
         validate_scenario(spec)
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
         run_scenario(spec)
-    path = tmp_path / "malformed.json"
-    path.write_text(json.dumps(spec))
-    assert main(["validate", str(path)]) == 3
-    assert main(["run", str(path), "--out", str(tmp_path)]) == 3
+    scenario_file = tmp_path / "malformed.json"
+    scenario_file.write_text(json.dumps(spec))
+    assert main(["validate", str(scenario_file)]) == 3
+    assert main(["run", str(scenario_file), "--out", str(tmp_path)]) == 3
     assert message in capsys.readouterr().err
     assert not (tmp_path / "basic_example").exists()
 
