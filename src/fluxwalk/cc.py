@@ -190,10 +190,7 @@ class CCUnitary(LocalUnitary):
 
     def _transposed(self, labels: np.ndarray) -> np.ndarray:
         """The stacked S(z)^T of an (N, 2) label array."""
-        params = [self.scattering.value(z) for z in map(tuple, labels.tolist())]
-        rows: dict[int, int] = {}
-        which = [rows.setdefault(id(p), len(rows)) for p in params]
-        distinct = list({id(p): p for p in params}.values())
+        distinct, which = self.scattering.distinct_values(labels)
         # entries spelled as in ScatteringParams.matrix, so real parameters
         # keep the same signed zeros
         s = np.array(

@@ -12,18 +12,40 @@ Coins of a walk on Z^d are ``(2d, 2d)`` complex unitary matrices, checked by
 ``walks.build_walk``.  Scattering data of a Chalker--Coddington network are
 ``cc.ScatteringParams`` on cells of Z x 2Z, checked by ``cc.CCUnitary``.
 Adapted projections store sets of open internal slots.
+
+Every lookup comes in two forms.  The array forms, ``SiteMap.value_index``
+and ``AdaptedProjection.slot_masks``, resolve a whole (M, d) site array with
+one NumPy pass per layer; block assembly uses them (``CoinedWalk.cells``,
+``CCUnitary`` cells and actions, ``AdaptedProjection.diagonal_entries``).
+The scalar forms, ``SiteMap.value``, ``Ray.locate`` and
+``AdaptedProjection.open_slots``, serve callers holding one site or a few:
+the walk and projection actions on small states, lead synthesis and its
+checks.  On one site the scalar forms cost a microsecond or two and the
+array forms some fifty, so small states keep the scalar forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .lattice import LatticeState, Site, all_direction_vectors, sub
+
+# largest window bounding box that ``SiteMap.value_index`` reads through a
+# dense grid; sparser windows fall back to one dict hit per site
+_GRID_CELLS = 1 << 16
+
+
+def _site_array(sites, d: int) -> np.ndarray:
+    """``sites`` as an (M, d) int64 array; an empty input has no rows."""
+    sites = np.asarray(sites, dtype=np.int64)
+    return sites.reshape(len(sites), d)
 
 
 @dataclass(frozen=True)
@@ -49,6 +71,18 @@ class Ray:
                     return None
                 t = q
         return t if t is not None and t >= 0 else None
+
+    def locate_all(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``locate`` for an (M, d) integer site array: a mask of the sites
+        on the ray and, where it is set, their ``t``.  ``np.divmod`` floors
+        like Python's ``divmod``, so negative and non-unit steps agree."""
+        step = np.array(self.step, dtype=np.int64)
+        offsets = sites - np.array(self.base, dtype=np.int64)
+        moving = step != 0
+        q, r = np.divmod(offsets[:, moving], step[moving])
+        t = q[:, 0]
+        hit = (r == 0).all(axis=1) & (q == t[:, None]).all(axis=1) & (t >= 0)
+        return hit & (offsets[:, ~moving] == 0).all(axis=1), t
 
     def site_at(self, t: int) -> Site:
         return tuple(b + t * s for b, s in zip(self.base, self.step))
@@ -106,6 +140,12 @@ class SiteMap:
     scattering data are ``cc.ScatteringParams`` on cells of Z x 2Z
     (``cc.CCUnitary``).  ``AdaptedProjection`` stores frozensets of open
     slots and unites the matching layers instead of taking the first.
+
+    The layers are read-only (a mapping proxy and tuples), so the lookup
+    table and window grid that ``value_index`` builds on first use stay
+    valid.  ``value_index`` and ``distinct_values`` serve block assembly and
+    the Chalker--Coddington actions; ``value`` serves one-site callers: the
+    walk actions, lead synthesis and its checks, setup probes.
     """
 
     def __init__(
@@ -118,10 +158,10 @@ class SiteMap:
         background: Any = None,
     ):
         self.d = int(d)
-        self.window = {tuple(k): v for k, v in (window or {}).items()}
-        self.rays = [(ray, tuple(pattern)) for ray, pattern in rays]
-        self.planes = list(planes)
-        self.halfspaces = list(halfspaces)
+        self.window = MappingProxyType({tuple(k): v for k, v in (window or {}).items()})
+        self.rays = tuple((ray, tuple(pattern)) for ray, pattern in rays)
+        self.planes = tuple(planes)
+        self.halfspaces = tuple(halfspaces)
         self.background = background
         for ray, pattern in self.rays:
             if len(ray.base) != self.d or len(ray.step) != self.d:
@@ -145,6 +185,83 @@ class SiteMap:
                 return v
         return self.background
 
+    # -- array lookups ---------------------------------------------------------
+
+    @cached_property
+    def table(self) -> tuple:
+        """Every layer entry's value, the rows ``value_index`` points at:
+        the window in its order, each ray's pattern, the planes, the
+        half-spaces, and the background last."""
+        return (
+            *self.window.values(),
+            *(v for _, pattern in self.rays for v in pattern),
+            *(v for _, v in self.planes),
+            *(v for _, v in self.halfspaces),
+            self.background,
+        )
+
+    @cached_property
+    def _window_grid(self):
+        """``(corner, grid)``: the table row of every window site, laid out
+        over the window's bounding box with a one-site border, and -1
+        elsewhere.  ``None`` when the box holds more than ``_GRID_CELLS``
+        sites and eight per window entry."""
+        sites = np.array(list(self.window), dtype=np.int64).reshape(-1, self.d)
+        corner = sites.min(axis=0) - 1
+        shape = (sites.max(axis=0) - corner + 2).tolist()
+        if math.prod(shape) > max(_GRID_CELLS, 8 * len(sites)):
+            return None
+        grid = np.full(shape, -1, dtype=np.intp)
+        grid[tuple((sites - corner).T)] = np.arange(len(sites))
+        return corner, grid
+
+    def _window_rows(self, sites: np.ndarray) -> np.ndarray:
+        if self._window_grid is None:
+            row = {site: i for i, site in enumerate(self.window)}
+            return np.array([row.get(s, -1) for s in map(tuple, sites.tolist())], dtype=np.intp)
+        # clipping moves every site outside the box onto the border
+        corner, grid = self._window_grid
+        flat = np.ravel_multi_index(tuple((sites - corner).T), grid.shape, mode="clip")
+        return grid.reshape(-1)[flat]
+
+    def _layer_rows(self, sites: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Per layer except the background, in precedence order: a mask of
+        the (M, d) sites it covers and their table rows, valid everywhere
+        and meaningful where the mask is set."""
+        first = 0
+        if self.window:
+            rows = self._window_rows(sites)
+            yield rows >= 0, rows
+            first = len(self.window)
+        for ray, pattern in self.rays:
+            hit, t = ray.locate_all(sites)
+            yield hit, first + t % len(pattern)
+            first += len(pattern)
+        for plane, _ in self.planes:
+            yield sites[:, plane.axis] == plane.value, first
+            first += 1
+        for hs, _ in self.halfspaces:
+            yield hs.sign * sites[:, hs.axis] >= hs.threshold, first
+            first += 1
+
+    def value_index(self, sites) -> np.ndarray:
+        """Rows of ``table`` holding ``value`` at each site of an (M, d)
+        integer array: one array pass per layer, first match wins."""
+        sites = _site_array(sites, self.d)
+        out = np.full(len(sites), len(self.table) - 1, dtype=np.intp)
+        for hit, rows in reversed(list(self._layer_rows(sites))):
+            out = np.where(hit, rows, out)
+        return out
+
+    def distinct_values(self, sites) -> tuple[list, np.ndarray]:
+        """The distinct values met on an (M, d) site array, in table order,
+        and each site's position among them."""
+        rows = self.value_index(sites)
+        met = np.zeros(len(self.table), dtype=bool)
+        met[rows] = True
+        position = np.cumsum(met) - 1
+        return [self.table[r] for r in np.flatnonzero(met).tolist()], position[rows]
+
     def overridden(self, window: dict | None = None, rays=()) -> "SiteMap":
         """New map whose extra window entries and rays take precedence.
 
@@ -157,7 +274,7 @@ class SiteMap:
         return SiteMap(
             self.d,
             window=merged,
-            rays=list(rays) + self.rays,
+            rays=(*rays, *self.rays),
             planes=self.planes,
             halfspaces=self.halfspaces,
             background=self.background,
@@ -220,7 +337,8 @@ class AdaptedProjection:
 
     The value at a site is the set of open internal slots; by construction it
     commutes with every direction projection, which is the adaptedness
-    condition.
+    condition.  ``slot_masks`` gives them for a site array (block assembly,
+    through ``diagonal_entries``), ``open_slots`` for one site (``apply``).
     """
 
     def __init__(self, d: int, sitemap: SiteMap):
@@ -268,20 +386,30 @@ class AdaptedProjection:
         acc |= m.background
         return frozenset(acc)
 
+    @cached_property
+    def _slot_table(self) -> np.ndarray:
+        """(T, 2d) boolean open slots of every row of the map's table."""
+        table = np.zeros((len(self.map.table), self.n), dtype=bool)
+        for row, slots in zip(table, self.map.table):
+            row[list(slots)] = True
+        return table
+
+    def slot_masks(self, sites) -> np.ndarray:
+        """(M, 2d) boolean open slots of an (M, d) integer site array, the
+        union over every matching layer as in ``open_slots``: one array
+        pass per layer."""
+        sites = _site_array(sites, self.d)
+        table = self._slot_table
+        out = np.repeat(table[-1:], len(sites), axis=0)
+        for hit, rows in self.map._layer_rows(sites):
+            out |= hit[:, None] & table[rows]
+        return out
+
     def diagonal_entries(self, sites: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """0/1 diagonal entries at slot ``slots[i]`` of site ``sites[i]``,
-        for an (M, d) integer site array; ``open_slots`` runs once per
-        distinct site."""
-        sites = np.asarray(sites, dtype=np.int64)
-        corner = sites.min(axis=0)
-        shape = tuple((sites.max(axis=0) - corner + 1).tolist())
-        flat = np.ravel_multi_index(tuple((sites - corner).T), shape)
-        distinct, inverse = np.unique(flat, return_inverse=True)
-        points = np.stack(np.unravel_index(distinct, shape), axis=1) + corner
-        table = np.zeros((len(distinct), self.n))
-        for row, site in zip(table, map(tuple, points.tolist())):
-            row[list(self.open_slots(site))] = 1.0
-        return table[inverse.reshape(-1), slots]
+        for an (M, d) integer site array, from one ``slot_masks`` call."""
+        masks = self.slot_masks(sites)
+        return masks[np.arange(len(masks)), slots].astype(float)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Multiply every row of ``psi`` by the 0/1 diagonal at its site, in
@@ -324,6 +452,12 @@ class _ShiftConjugate(AdaptedProjection):
                 out.add(k)
         return frozenset(out)
 
+    def slot_masks(self, sites) -> np.ndarray:
+        sites = _site_array(sites, self.d)
+        shifted = (sites[:, None, :] + np.array(self._dirs, dtype=np.int64)).reshape(-1, self.d)
+        masks = self.parent.slot_masks(shifted).reshape(len(sites), self.n, self.n)
+        return masks[:, np.arange(self.n), np.arange(self.n)]
+
     def bounds(self):
         lo, hi = self.parent.bounds()
         return [x - 1 for x in lo], [x + 1 for x in hi]
@@ -341,6 +475,9 @@ class _Complement(AdaptedProjection):
 
     def open_slots(self, site: Site) -> frozenset[int]:
         return self._full - self.parent.open_slots(site)
+
+    def slot_masks(self, sites) -> np.ndarray:
+        return ~self.parent.slot_masks(sites)
 
     def bounds(self):
         return self.parent.bounds()

@@ -46,8 +46,10 @@ class CoinedWalk(LocalUnitary):
 
     The cells of ``flux.CellGeometry`` are the sites (``cell_labels``
     returns its input): the coin at x maps every slot of x onto slot k of
-    x + dir_k.  ``coins`` stacks the coins of many sites, one ``coin.value``
-    call each; ``cells``, ``apply`` and ``apply_adjoint`` all go through it.
+    x + dir_k.  ``cells`` stacks the coins of a label array through one
+    ``coin.distinct_values`` lookup.  ``apply`` and ``apply_adjoint`` act on
+    states of a few sites, where one ``coin.value`` call per site (``coins``)
+    is cheaper than an array lookup.
     """
 
     def __init__(self, coin: SiteMap):
@@ -71,7 +73,8 @@ class CoinedWalk(LocalUnitary):
     def cells(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
         outs = labels[:, None, :] + self._step_array
-        return self.coins(map(tuple, labels.tolist())), self.in_basis(labels), (outs, self._slot_array)
+        coins, which = self.coin.distinct_values(labels)
+        return np.array(coins, dtype=complex)[which], self.in_basis(labels), (outs, self._slot_array)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Coin every site in one stacked product, then scatter slot k of

@@ -67,20 +67,45 @@ def _child_seeds(seed: int, count: int) -> list[int]:
 # parsing helpers
 
 
-def _need(spec: dict, key: str, context: str):
-    if not isinstance(spec, dict):
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
         raise ValidationError(f"{context} must be a JSON object")
-    if key not in spec:
+    return value
+
+
+def _list(value, context: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{context} must be a list")
+    return value
+
+
+def _need(spec: dict, key: str, context: str):
+    if key not in _object(spec, context):
         raise ValidationError(f"{context}: missing required key {key!r}")
     return spec[key]
 
 
 def _number(value, name: str, kind=int):
-    """A numeric scenario or analysis field as ``kind``."""
+    """A numeric scenario or analysis field as ``kind``.  Booleans are not
+    numbers, and an integer field takes only integral values (numbers or
+    strings such as the ``interior`` keys)."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{name} must be a number, got {value!r}") from None
+        out = None
+    if out is None or isinstance(value, bool):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and out != value:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return out
+
+
+def _numbers(value, name: str, length: int | None = None) -> tuple[int, ...]:
+    """A JSON list of integers, of ``length`` entries when given."""
+    if not isinstance(value, list) or length not in (None, len(value)):
+        count = "" if length is None else f"{length} "
+        raise ValidationError(f"{name} must be a list of {count}integers, got {value!r}")
+    return tuple(_number(c, name) for c in value)
 
 
 def _interior_from_json(obj) -> dict:
@@ -100,14 +125,14 @@ def _interior_from_json(obj) -> dict:
 
 def _lead_from_json(obj: dict) -> LeadSpec:
     kind = _need(obj, "kind", "lead")
-    prefix = [tuple(_number(c, "lead site") for c in site) for site in _need(obj, "prefix", "lead")]
-    ray = tuple(_number(c, "lead ray") for c in _need(obj, "ray", "lead"))
+    prefix = [_numbers(site, "lead site") for site in _list(_need(obj, "prefix", "lead"), "lead prefix")]
+    ray = _numbers(_need(obj, "ray", "lead"), "lead ray")
     return LeadSpec(kind, prefix, ray)
 
 
 def _network_from_json(obj: dict, d_total: int | None = None) -> NetworkSpec:
-    incoming = tuple(_lead_from_json(x) for x in obj.get("incoming", []))
-    outgoing = tuple(_lead_from_json(x) for x in obj.get("outgoing", []))
+    incoming = tuple(map(_lead_from_json, _list(obj.get("incoming", []), "network incoming")))
+    outgoing = tuple(map(_lead_from_json, _list(obj.get("outgoing", []), "network outgoing")))
     boundary = None
     if obj.get("boundary"):
         boundary = BoundarySpec(d_total or 2)
@@ -126,9 +151,9 @@ def _path_from_json(obj: dict) -> ccm.DualPath:
         return ccm.wiggled_r_path()
     if ptype == "explicit":
         return ccm.DualPath(
-            [tuple(v) for v in _need(obj, "middle", "path")],
-            tuple(_need(obj, "pre", "path")),
-            tuple(_need(obj, "post", "path")),
+            [_numbers(v, "path vertex", 2) for v in _list(_need(obj, "middle", "path"), "path middle")],
+            _numbers(_need(obj, "pre", "path"), "path pre", 2),
+            _numbers(_need(obj, "post", "path"), "path post", 2),
         )
     raise ValidationError(f"unknown path type {ptype!r}")
 
@@ -302,7 +327,7 @@ class CCSetup(_Setup):
 def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -> SiteMap:
     """The scenario's scattering field; a random-phase window reaches 8 cells
     beyond the path's explicit vertices unless the spec sets its extent."""
-    spec = _need(spec, "scattering", "scenario")
+    spec = _object(_need(spec, "scattering", "scenario"), "scattering")
     template = spec.get("template")
     if template == "critical":
         base = ccm.CRITICAL

@@ -60,3 +60,31 @@ def test_rebound_binding_is_a_probed_function(module_name, name):
         if "." not in path
     ]
     assert any(bound is fn for fn in probed), f"{module_name}.{name} is not a probed function"
+
+
+def test_scalar_field_probes_fire_on_a_lead_network(monkeypatch):
+    """Block assembly reads fields through the array lookups, but the
+    benchmark's ``fields.Ray.locate``, ``fields.open_slots`` and
+    ``fields.SiteMap.value`` metrics must still record work on the walk
+    workloads: the scalar lookups keep serving lead synthesis and the walk
+    actions on small states."""
+    import json
+
+    from fluxwalk import fields
+    from fluxwalk.cli import bundled_scenarios
+    from fluxwalk.scenarios import run_scenario
+
+    targets = ((fields.Ray, "locate"), (fields.AdaptedProjection, "open_slots"), (fields.SiteMap, "value"))
+    counts = {}
+    for owner, attr in targets:
+        key = f"{owner.__name__}.{attr}"
+        counts[key] = 0
+
+        def counting(*args, _key=key, _original=owner.__dict__[attr], **kwargs):
+            counts[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counting)
+    spec = json.loads(bundled_scenarios()["two_incoming_leads"].read_text())
+    assert run_scenario(spec).ok
+    assert all(counts.values()), counts

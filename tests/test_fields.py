@@ -218,3 +218,82 @@ def test_interpolation_rejects_mismatched_geometry_and_patterns():
     r1 = SiteMap(1, rays=[(Ray((0,), (1,)), [eye, eye])], background=eye)
     with pytest.raises(ValidationError, match="pattern"):
         interpolate_matrix_fields(r0, r1, 0.5)
+
+
+@st.composite
+def layered_maps(draw):
+    """A random layered map in d = 1 or 2, as a SiteMap with a distinct tag
+    per layer entry and as an AdaptedProjection with random slot sets on the
+    same layers.  Bases, plane values and thresholds crowd round the origin,
+    so rays overlap each other and the other layers."""
+    d = draw(st.integers(1, 2))
+    coord = st.integers(-3, 3)
+    site = st.tuples(*[coord] * d)
+    slots = st.frozensets(st.integers(0, 2 * d - 1))
+    window = draw(st.lists(site, max_size=6, unique=True))
+    steps = st.tuples(*[st.integers(-2, 2)] * d).filter(any)
+    rays = draw(st.lists(st.tuples(site, steps, st.integers(1, 3)), max_size=4))
+    planes = draw(st.lists(st.tuples(st.integers(0, d - 1), coord), max_size=2))
+    halfspaces = draw(
+        st.lists(st.tuples(st.integers(0, d - 1), st.sampled_from([-1, 1]), coord), max_size=2)
+    )
+    rays = [(Ray(base, step), length) for base, step, length in rays]
+    planes = [Plane(axis, v) for axis, v in planes]
+    halfspaces = [HalfSpace(*h) for h in halfspaces]
+    tags = SiteMap(
+        d,
+        window={s: f"w{s}" for s in window},
+        rays=[(ray, [f"r{i}[{k}]" for k in range(n)]) for i, (ray, n) in enumerate(rays)],
+        planes=[(p, f"p{i}") for i, p in enumerate(planes)],
+        halfspaces=[(h, f"h{i}") for i, h in enumerate(halfspaces)],
+        background=draw(st.sampled_from([None, "bg"])),
+    )
+    proj = AdaptedProjection.from_layers(
+        d,
+        window={s: draw(slots) for s in window},
+        rays=[(ray, [draw(slots) for _ in range(n)]) for ray, n in rays],
+        planes=[(p, draw(slots)) for p in planes],
+        halfspaces=[(h, draw(slots)) for h in halfspaces],
+        background=draw(slots),
+    )
+    return tags, proj
+
+
+def _probe_sites(d: int) -> np.ndarray:
+    """Every site of [-8, 8]^d: five sites or more beyond every layer's
+    features, more than any ray pattern's period."""
+    axes = np.meshgrid(*[np.arange(-8, 9)] * d, indexing="ij")
+    return np.stack([a.reshape(-1) for a in axes], axis=1)
+
+
+@given(layered_maps())
+def test_array_lookups_match_the_scalar_ones(maps):
+    tags, proj = maps
+    sites = _probe_sites(tags.d)
+    points = list(map(tuple, sites.tolist()))
+    assert [tags.table[i] for i in tags.value_index(sites)] == [tags.value(s) for s in points]
+    values, which = tags.distinct_values(sites)
+    assert [values[i] for i in which] == [tags.value(s) for s in points]
+    hat = proj.shift_conjugate()
+    for p in (proj, hat, proj.complement(), hat.complement(), hat.shift_conjugate()):
+        masks = p.slot_masks(sites)
+        assert masks.shape == (len(points), 2 * tags.d)
+        assert [set(np.flatnonzero(m).tolist()) for m in masks] == [p.open_slots(s) for s in points]
+
+
+def test_array_lookups_of_a_sparse_window():
+    # a window whose bounding box is too large for a grid is read per site
+    far = 10**6
+    sm = SiteMap(2, window={(0, 0): "a", (far, far): "b", (-far, 3): "c"}, background="bg")
+    sites = np.array([(0, 0), (far, far), (-far, 3), (1, 0), (far, 0)])
+    assert [sm.table[i] for i in sm.value_index(sites)] == ["a", "b", "c", "bg", "bg"]
+
+
+def test_sitemap_layers_are_read_only():
+    sm = SiteMap(1, window={(0,): "w"}, rays=[(Ray((0,), (1,)), ["r"])], background="b")
+    assert sm.value_index(np.array([[0], [1]])).tolist() == [0, 1]
+    with pytest.raises(TypeError):
+        sm.window[(5,)] = "x"
+    with pytest.raises(AttributeError):
+        sm.rays.append((Ray((5,), (1,)), ["s"]))
+    assert sm.value((5,)) == "r" and sm.value_index(np.array([[5]])).tolist() == [1]

@@ -345,6 +345,79 @@ def test_malformed_fields_fail_validation(tmp_path, capsys, path, value, message
     assert not (tmp_path / "basic_example").exists()
 
 
+EXPLICIT_PATH = {"type": "explicit", "middle": [[0, 0]], "pre": [-1, 0], "post": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("cc_rpath", ["scattering"], 5, "scattering must be a JSON object"),
+        ("two_incoming_leads", ["projection", "incoming"], 5, "network incoming must be a list"),
+        ("two_incoming_leads", ["projection", "outgoing"], {}, "network outgoing must be a list"),
+        ("two_incoming_leads", ["projection", "incoming", 0, "prefix"], 5, "lead prefix must be a list"),
+        ("two_incoming_leads", ["projection", "incoming", 0, "prefix"], [1, 2], "lead site must be a list"),
+        ("two_incoming_leads", ["projection", "incoming", 0, "ray"], 5, "lead ray must be a list"),
+        ("cc_rpath", ["path", "middle"], 5, "path middle must be a list"),
+        ("cc_rpath", ["path", "middle"], [5], "path vertex must be a list of 2 integers"),
+        ("cc_rpath", ["path", "middle"], [[0, "a"]], "path vertex must be a number, got 'a'"),
+        ("cc_rpath", ["path", "pre"], 5, "path pre must be a list of 2 integers"),
+        ("cc_rpath", ["path", "post"], [1], "path post must be a list of 2 integers"),
+    ],
+    ids=[
+        "scattering",
+        "incoming",
+        "outgoing",
+        "prefix",
+        "prefix_site",
+        "lead_ray",
+        "middle",
+        "middle_vertex",
+        "middle_coordinate",
+        "pre",
+        "post",
+    ],
+)
+def test_malformed_structure_fails_validation(tmp_path, capsys, name, path, value, message):
+    spec = load(name)
+    if path[0] == "path":
+        spec["path"] = dict(EXPLICIT_PATH)
+        validate_scenario(spec)
+    *outer, key = path
+    target = spec
+    for part in outer:
+        target = target[part]
+    target[key] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_scenario(spec)
+    scenario_file = tmp_path / "malformed.json"
+    scenario_file.write_text(json.dumps(spec))
+    assert main(["validate", str(scenario_file)]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def two_incoming_leads_analyses():
+    return run_scenario(load("two_incoming_leads")).report["analyses"]
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [(2.9, "steps must be an integer, got 2.9"), (True, "steps must be a number, got True")],
+    ids=["fraction", "boolean"],
+)
+def test_an_integer_field_rejects_fractions_and_booleans(two_incoming_leads_analyses, steps, message):
+    spec = load("two_incoming_leads")
+    wandering = next(i for i, a in enumerate(spec["analyses"]) if a["type"] == "wandering")
+    spec["analyses"][wandering]["steps"] = steps
+    validate_scenario(spec)
+    analyses = run_scenario(spec).report["analyses"]
+    key = f"wandering#{wandering}"
+    assert analyses[key] == {"pass": False, "error": message}
+    assert {k: v for k, v in analyses.items() if k != key} == {
+        k: v for k, v in two_incoming_leads_analyses.items() if k != key
+    }
+
+
 def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys):
     spec = load("two_incoming_leads")
     good = run_scenario(spec).report["analyses"]
