@@ -14,7 +14,7 @@ Coins of a walk on Z^d are ``(2d, 2d)`` complex unitary matrices, checked by
 Adapted projections store sets of open internal slots.
 
 Every lookup comes in two forms.  The array forms, ``SiteMap.value_index``
-and ``AdaptedProjection.slot_masks``, resolve a whole (M, d) site array with
+and ``AdaptedProjection.slot_bits``/``slot_masks``, resolve a whole (M, d) site array with
 one NumPy pass per layer; block assembly uses them (``CoinedWalk.cells``,
 ``CCUnitary`` cells and actions, ``AdaptedProjection.diagonal_entries``).
 The scalar forms, ``SiteMap.value``, ``Ray.locate`` and
@@ -337,8 +337,10 @@ class AdaptedProjection:
 
     The value at a site is the set of open internal slots; by construction it
     commutes with every direction projection, which is the adaptedness
-    condition.  ``slot_masks`` gives them for a site array (block assembly,
-    through ``diagonal_entries``), ``open_slots`` for one site (``apply``).
+    condition.  ``slot_bits`` (as bit masks) and ``slot_masks`` (as booleans)
+    give them for a site array, ``open_slots`` for one site: block assembly
+    reads ``diagonal_entries``, built on ``slot_bits``; ``apply`` acts on
+    small states and keeps ``open_slots``.
     """
 
     def __init__(self, d: int, sitemap: SiteMap):
@@ -388,28 +390,30 @@ class AdaptedProjection:
 
     @cached_property
     def _slot_table(self) -> np.ndarray:
-        """(T, 2d) boolean open slots of every row of the map's table."""
-        table = np.zeros((len(self.map.table), self.n), dtype=bool)
-        for row, slots in zip(table, self.map.table):
-            row[list(slots)] = True
-        return table
+        """Open slots of every row of the map's table as bit masks."""
+        return np.array([sum(1 << k for k in frozenset(v)) for v in self.map.table], dtype=np.uint64)
 
-    def slot_masks(self, sites) -> np.ndarray:
-        """(M, 2d) boolean open slots of an (M, d) integer site array, the
-        union over every matching layer as in ``open_slots``: one array
-        pass per layer."""
+    def slot_bits(self, sites) -> np.ndarray:
+        """Open slots of an (M, d) integer site array as (M,) bit masks, slot
+        k in bit k (2d <= 64): the union over every matching layer, as in
+        ``open_slots``, with one array pass per layer."""
         sites = _site_array(sites, self.d)
         table = self._slot_table
-        out = np.repeat(table[-1:], len(sites), axis=0)
+        out = np.full(len(sites), table[-1])
         for hit, rows in self.map._layer_rows(sites):
-            out |= hit[:, None] & table[rows]
+            out |= np.where(hit, table[rows], 0)
         return out
+
+    def slot_masks(self, sites) -> np.ndarray:
+        """(M, 2d) boolean open slots of an (M, d) integer site array."""
+        bits = self.slot_bits(sites)[:, None] >> np.arange(self.n, dtype=np.uint64)
+        return (bits & 1).astype(bool)
 
     def diagonal_entries(self, sites: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """0/1 diagonal entries at slot ``slots[i]`` of site ``sites[i]``,
-        for an (M, d) integer site array, from one ``slot_masks`` call."""
-        masks = self.slot_masks(sites)
-        return masks[np.arange(len(masks)), slots].astype(float)
+        for an (M, d) integer site array, from one ``slot_bits`` call."""
+        bits = self.slot_bits(sites) >> np.asarray(slots, dtype=np.uint64)
+        return (bits & 1).astype(float)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Multiply every row of ``psi`` by the 0/1 diagonal at its site, in
@@ -452,11 +456,12 @@ class _ShiftConjugate(AdaptedProjection):
                 out.add(k)
         return frozenset(out)
 
-    def slot_masks(self, sites) -> np.ndarray:
+    def slot_bits(self, sites) -> np.ndarray:
+        """Bit k from the parent's bits at x + dir_k."""
         sites = _site_array(sites, self.d)
         shifted = (sites[:, None, :] + np.array(self._dirs, dtype=np.int64)).reshape(-1, self.d)
-        masks = self.parent.slot_masks(shifted).reshape(len(sites), self.n, self.n)
-        return masks[:, np.arange(self.n), np.arange(self.n)]
+        bits = self.parent.slot_bits(shifted).reshape(len(sites), self.n)
+        return np.bitwise_or.reduce(bits & (1 << np.arange(self.n, dtype=np.uint64)), axis=1)
 
     def bounds(self):
         lo, hi = self.parent.bounds()
@@ -476,8 +481,8 @@ class _Complement(AdaptedProjection):
     def open_slots(self, site: Site) -> frozenset[int]:
         return self._full - self.parent.open_slots(site)
 
-    def slot_masks(self, sites) -> np.ndarray:
-        return ~self.parent.slot_masks(sites)
+    def slot_bits(self, sites) -> np.ndarray:
+        return ~self.parent.slot_bits(sites) & np.uint64((1 << self.n) - 1)
 
     def bounds(self):
         return self.parent.bounds()

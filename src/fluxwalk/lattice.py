@@ -305,17 +305,24 @@ def random_state(rng: np.random.Generator, sites: Iterable[Site], n_internal: in
 # small dense-matrix utilities
 
 
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
+def haar_unitaries(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """(count, n, n) Haar-random unitaries, drawn from ``rng`` in the order
+    of ``count`` ``haar_unitary`` calls and equal to them bit for bit."""
+    g = rng.standard_normal((count, 2, n, n))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    phases = np.diagonal(r, axis1=1, axis2=2).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[:, None, :]
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    n = m.shape[0]
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= tol)
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    return haar_unitaries(rng, n, 1)[0]
+
+
+def unitary_deviations(m: np.ndarray) -> np.ndarray:
+    """max |M* M - 1| of every matrix M in an (..., n, n) stack."""
+    products = np.swapaxes(m.conj(), -1, -2) @ m
+    return np.abs(products - np.eye(m.shape[-1])).max(axis=(-2, -1))
 
 
 def trace_norm_hermitian(m: np.ndarray) -> float:

@@ -33,24 +33,29 @@ from .lattice import (
     add,
     all_direction_vectors,
     direction_index,
+    haar_unitaries,
     haar_unitary,
     index_of_vector,
-    is_unitary,
     random_state,
     sub,
+    unitary_deviations,
 )
 from .operators import CoinedWalk
 
 
 def build_walk(coin: SiteMap, tol: Tolerances = DEFAULT) -> CoinedWalk:
-    """Walk from a coin field; every template must be a (2d, 2d) unitary."""
+    """Walk from a coin field; every template must be a (2d, 2d) unitary,
+    checked for all templates in one stacked product."""
     n = 2 * coin.d
-    for desc, m in coin.template_values():
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (n, n):
-            raise ValidationError(f"coin matrix at {desc} has shape {m.shape}, expected {(n, n)}")
-        if not is_unitary(m, tol.unitary):
-            raise ValidationError(f"coin matrix at {desc} is not unitary")
+    templates = list(coin.template_values())
+    for desc, m in templates:
+        shape = np.shape(m)
+        if shape != (n, n):
+            raise ValidationError(f"coin matrix at {desc} has shape {shape}, expected {(n, n)}")
+    deviations = unitary_deviations(np.array([m for _, m in templates], dtype=complex))
+    bad = np.flatnonzero(~(deviations <= tol.unitary))
+    if bad.size:
+        raise ValidationError(f"coin matrix at {templates[bad[0]][0]} is not unitary")
     return CoinedWalk(coin)
 
 
@@ -753,5 +758,6 @@ def perturb_coin_window(
 def random_background(rng: np.random.Generator, d: int, box: int = 6) -> SiteMap:
     """Random unitary coins inside a box, identity outside."""
     n = 2 * d
-    window = {site: haar_unitary(rng, n) for site in itertools.product(*([range(-box, box + 1)] * d))}
+    sites = list(itertools.product(*([range(-box, box + 1)] * d)))
+    window = dict(zip(sites, haar_unitaries(rng, n, len(sites))))
     return SiteMap(d, window=window, background=np.eye(n, dtype=complex))

@@ -14,10 +14,11 @@ from fluxwalk.lattice import (
     direction_vector,
     group_sites,
     haar_unitary,
+    haar_unitaries,
     index_of_vector,
-    is_unitary,
     random_state,
     trace_norm_hermitian,
+    unitary_deviations,
 )
 
 
@@ -79,7 +80,27 @@ def test_haar_unitary_and_checks():
     rng = np.random.default_rng(0)
     for n in (2, 4, 6):
         u = haar_unitary(rng, n)
-        assert is_unitary(u)
+        assert unitary_deviations(u) <= 1e-12
+
+
+def reference_haar_unitary(rng, n):
+    """One Haar draw, as ``haar_unitary`` made it before stacked draws."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    phases = np.diag(r).copy()
+    phases /= np.abs(phases)
+    return q * phases
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_stacked_haar_draws_repeat_single_draws_bit_for_bit(n):
+    # the stacked draw reads the generator in the order of single draws, so
+    # fields sampled either way, and every draw after them, are the same
+    rngs = [np.random.default_rng(5) for _ in range(3)]
+    reference = np.array([reference_haar_unitary(rngs[0], n) for _ in range(81)])
+    assert haar_unitaries(rngs[1], n, 81).tobytes() == reference.tobytes()
+    assert np.array([haar_unitary(rngs[2], n) for _ in range(81)]).tobytes() == reference.tobytes()
+    assert rngs[0].random() == rngs[1].random() == rngs[2].random()
 
 
 def test_hermitian_norms():
