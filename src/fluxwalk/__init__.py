@@ -17,15 +17,12 @@ from .flux import (
     FluxField,
     IndexReport,
     analyze,
-    certify_isolated,
     dense_window_index,
     index_by_kernels,
     index_by_odd_trace,
     index_by_supertrace,
     index_stability_probe,
     kitaev_sum,
-    phi_less_norm,
-    verify_internal_identities,
 )
 from .lattice import (
     LatticeState,

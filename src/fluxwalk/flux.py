@@ -7,17 +7,23 @@ by kernel dimensions and by odd-power traces and even-power supertraces of
 the blocks; the Kitaev-style double sum over matrix elements reduces, for
 unitary cells, to rank P_out - rank P_in per cell, so it cross-checks the
 rank formula rather than giving an independent count.  All of them must
-agree.
+agree.  ``analyze`` is the one path that counts the index and cross-checks
+it; walks, networks and scenario setups all go through it.
 
 Certification at infinity works by enumerating a shell of representative
 blocks just outside the feature window.  Every block beyond the window equals
 one of the shell blocks (the field layers are translation invariant out
 there), which a second "tripwire" band re-checks numerically.
+
+Each field classifies the eigenvalues of its kept window blocks against +1
+and -1 once (``FluxField.spectrum``); the kernel count, the shift
+decomposition and the stability probe all read that classification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +57,8 @@ class FluxBlock:
 class StackedBox(NamedTuple):
     """What assembly stacked for the window and shell labels, row by row in
     enumeration order: the ``block_fn`` arrays, the ``eigvalsh``
-    eigenvalues, rank P_out - rank P_in, and which rows are window rows."""
+    eigenvalues and block norms, rank P_out - rank P_in, and which rows are
+    window rows (the others are shell rows)."""
 
     labels: list
     flux: np.ndarray
@@ -59,6 +66,7 @@ class StackedBox(NamedTuple):
     p_out: np.ndarray
     cells: np.ndarray
     eigenvalues: np.ndarray
+    norms: np.ndarray
     rank_differences: list
     window: np.ndarray
 
@@ -98,13 +106,28 @@ class IndexReport:
     index: int
     dim_ker_plus: int
     dim_ker_minus: int
-    odd_trace: complex | None
-    supertrace: complex | None
-    kitaev_sum: complex | None
     gap: float
-    trace_norm: float | None
     certificate: Certificate
+    odd_trace: complex | None = None
+    supertrace: complex | None = None
+    kitaev_sum: complex | None = None
+    trace_norm: float | None = None
     rank_difference: int | None = None
+
+
+class UnitSpectrum(NamedTuple):
+    """The eigenvalues of a certified field's kept window blocks, classified
+    against +1 and -1 once (``classify_unit``).
+
+    ``units`` maps each kept label to its +1 and -1 columns in the block's
+    ``eigensystem``; ``plus`` and ``minus`` are the kernel dimensions, and
+    ``phi_less`` is the largest modulus strictly inside (-1, 1) over the
+    window blocks and the shell."""
+
+    units: dict
+    plus: int
+    minus: int
+    phi_less: float
 
 
 class CellGeometry:
@@ -208,15 +231,16 @@ class FluxField:
     """Block-diagonal flux with a finite window plus certified tail, over a
     ``CellGeometry`` whose ``block`` method is ``block_fn``.
 
-    ``blocks`` holds the window blocks above ``tol.block_prune``, ``shell``
-    every shell block, and ``box`` everything assembly stacked for both.
+    ``blocks`` holds the window blocks above ``tol.block_prune``, and
+    ``box`` everything assembly stacked for the window and the shell.
+    ``spectrum`` classifies the unit eigenvalues of ``blocks`` on first use
+    and keeps the result; every index reader shares it.
     """
 
     def __init__(
         self,
         geometry,
         blocks: dict,
-        shell: dict,
         box: StackedBox,
         lo,
         hi,
@@ -230,7 +254,6 @@ class FluxField:
     ):
         self.geometry = geometry
         self.blocks = blocks
-        self.shell = shell
         self.box = box
         self.lo = list(lo)
         self.hi = list(hi)
@@ -269,6 +292,27 @@ class FluxField:
             cached = np.linalg.eigh(blk.matrix)
             self._eig_cache[label] = cached
         return cached
+
+    @cached_property
+    def spectrum(self) -> UnitSpectrum:
+        """The classification of the kept window blocks, once the
+        certificate holds; the shell norms enter ``phi_less``."""
+        cert = self.certificate
+        if not cert.ok:
+            raise CertificationError(
+                f"certificate failed: tail bound {cert.bound:g} at radius {cert.radius}",
+                witness=cert.witness,
+            )
+        units = {}
+        plus = minus = 0
+        phi_less = float(self.box.norms[~self.box.window].max(initial=0.0))
+        for label in self.blocks:
+            sel_plus, sel_minus, inside = classify_unit(self.eigensystem(label)[0], self.tol, label)
+            units[label] = (sel_plus, sel_minus)
+            plus += len(sel_plus)
+            minus += len(sel_minus)
+            phi_less = max(phi_less, inside)
+        return UnitSpectrum(units, plus, minus, phi_less)
 
     # -- operator actions ----------------------------------------------------
 
@@ -366,10 +410,9 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     window = zone_box == 0
     rank_sum = sum(rd for rd, w in zip(rank_differences, window.tolist()) if w)
 
-    box = StackedBox(box_labels, flux, p_in, p_out, cells, evals, rank_differences, window)
+    box = StackedBox(box_labels, flux, p_in, p_out, cells, evals, norms, rank_differences, window)
     kept = np.flatnonzero(window & (norms > tol.block_prune)).tolist()
     blocks = {box_labels[i]: box.block(i) for i in kept}
-    shell = {box_labels[i]: box.block(i) for i in shell_rows.tolist()}
     eig_cache: dict = {}
     if kept:
         w, v = np.linalg.eigh(flux[kept])
@@ -389,7 +432,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
         witness=witness if bound >= 1.0 - tol.certificate_margin else None,
     )
     return FluxField(
-        geometry, blocks, shell, box, lo, hi, bands, steps, cert, rank_sum, block_fn, tol, eig_cache
+        geometry, blocks, box, lo, hi, bands, steps, cert, rank_sum, block_fn, tol, eig_cache
     )
 
 
@@ -411,12 +454,6 @@ def selfcheck_against_operator(flux: FluxField, unitary) -> float:
 
 # ---------------------------------------------------------------------------
 # certification and index formulas
-
-
-def certify_isolated(flux: FluxField) -> tuple[bool, int, float]:
-    """Whether the non-unit spectrum stays away from 1 at infinity."""
-    cert = flux.certificate
-    return cert.ok, cert.radius, cert.bound
 
 
 def classify_unit(evals, tol: Tolerances, label):
@@ -449,57 +486,17 @@ def classify_unit(evals, tol: Tolerances, label):
     return plus_idx, minus_idx, max_inside
 
 
-def _count_unit_eigenvalues(flux: FluxField):
-    plus = minus = 0
-    phi_less = 0.0
-    kernel_vectors: dict = {}
-    for label in flux.blocks:
-        evals, evecs = flux.eigensystem(label)
-        sel_plus, sel_minus, inside = classify_unit(evals, flux.tol, label)
-        phi_less = max(phi_less, inside)
-        plus += len(sel_plus)
-        minus += len(sel_minus)
-        if sel_plus or sel_minus:
-            kernel_vectors[label] = (evecs, sel_plus, sel_minus)
-    for blk in flux.shell.values():
-        v = blk.norm()
-        if v > 1.0 - flux.tol.certificate_margin:
-            raise CertificationError(
-                f"tail block {blk.label} has norm {v:g}; index undefined at infinity",
-                witness=blk.label,
-            )
-        phi_less = max(phi_less, v)
-    return plus, minus, phi_less, kernel_vectors
-
-
-def index_with_kernels(flux: FluxField) -> tuple[IndexReport, dict]:
-    """The kernel-count report together with the unit eigenvectors it
-    counted: ``label -> (evecs, plus columns, minus columns)`` for every
-    block with a unit eigenvalue."""
-    ok, radius, bound = certify_isolated(flux)
-    if not ok:
-        raise CertificationError(
-            f"certificate failed: tail bound {bound:g} at radius {radius}",
-            witness=flux.certificate.witness,
-        )
-    plus, minus, phi_less, kernel_vectors = _count_unit_eigenvalues(flux)
-    report = IndexReport(
-        index=plus - minus,
-        dim_ker_plus=plus,
-        dim_ker_minus=minus,
-        odd_trace=None,
-        supertrace=None,
-        kitaev_sum=None,
-        gap=1.0 - phi_less**2,
-        trace_norm=None,
+def index_by_kernels(flux: FluxField) -> IndexReport:
+    """dim ker(flux - 1) - dim ker(flux + 1), counted block by block in
+    ``flux.spectrum``, with gap 1 - phi_less^2."""
+    spectrum = flux.spectrum
+    return IndexReport(
+        index=spectrum.plus - spectrum.minus,
+        dim_ker_plus=spectrum.plus,
+        dim_ker_minus=spectrum.minus,
+        gap=1.0 - spectrum.phi_less**2,
         certificate=flux.certificate,
     )
-    return report, kernel_vectors
-
-
-def index_by_kernels(flux: FluxField) -> IndexReport:
-    """dim ker(flux - 1) - dim ker(flux + 1), counted block by block."""
-    return index_with_kernels(flux)[0]
 
 
 def _require_trace_class(flux: FluxField) -> None:
@@ -559,9 +556,16 @@ def block_trace_norm(flux: FluxField) -> float:
 
 
 def analyze(flux: FluxField) -> IndexReport:
-    """Full report: kernel counts plus every applicable trace formula (the
-    first odd power and the square)."""
+    """The index with its cross-checks, the one index path of walks,
+    networks and scenario setups: the kernel count, which the rank formula
+    (the window's sum of rank P_out - rank P_in) must match exactly, and,
+    when the tail vanishes, the first odd-power trace, the squared
+    supertrace, the Kitaev sum and the trace norm."""
     report = index_by_kernels(flux)
+    if report.index != flux.rank_difference:
+        raise ValidationError(
+            f"kernel count {report.index} disagrees with the rank formula {flux.rank_difference}"
+        )
     report.rank_difference = flux.rank_difference
     if flux.tail_zero:
         report.odd_trace = index_by_odd_trace(flux)
@@ -571,43 +575,10 @@ def analyze(flux: FluxField) -> IndexReport:
     return report
 
 
-def check_rank_formula(report: IndexReport, flux: FluxField, formula: str) -> None:
-    """The geometric rank difference must equal the kernel count exactly;
-    ``formula`` names the geometric side in the error."""
-    if report.index != flux.rank_difference:
-        raise ValidationError(
-            f"kernel count {report.index} disagrees with {formula} "
-            f"{flux.rank_difference}"
-        )
-
-
-def phi_less_norm(flux: FluxField) -> float:
-    """Largest eigenvalue modulus strictly inside (-1, 1), over all blocks."""
-    _, _, phi_less, _ = _count_unit_eigenvalues(flux)
-    return phi_less
-
-
 def max_block_norm(flux: FluxField) -> float:
-    """Largest block norm over the window and the shell."""
-    return max((b.norm() for b in (*flux.blocks.values(), *flux.shell.values())), default=0.0)
-
-
-def verify_internal_identities(flux: FluxField) -> dict:
-    """Blockwise sanity of the two-projection algebra.
-
-    With R = flux + P, the complement B = (1 - R) - P must satisfy
-    flux^2 + B^2 = 1 and anticommute with the flux.
-    """
-    worst_sum = 0.0
-    worst_anti = 0.0
-    for label, blk in flux.blocks.items():
-        n = blk.matrix.shape[0]
-        p = np.diag(blk.p_diag).astype(complex)
-        r = blk.matrix + p
-        b = (np.eye(n) - r) - p
-        worst_sum = max(worst_sum, float(np.max(np.abs(blk.matrix @ blk.matrix + b @ b - np.eye(n)))))
-        worst_anti = max(worst_anti, float(np.max(np.abs(blk.matrix @ b + b @ blk.matrix))))
-    return {"sum_defect": worst_sum, "anticommutator_defect": worst_anti}
+    """Largest block norm over the kept window blocks and the shell."""
+    box = flux.box
+    return float(box.norms[~box.window | (box.norms > flux.tol.block_prune)].max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -655,10 +626,7 @@ def index_stability_probe(flux_family, steps: int) -> list[StabilityStep]:
     for k in range(steps + 1):
         t = k / steps if steps else 0.0
         flux = flux_family(t)
-        ok, _, bound = certify_isolated(flux)
-        if not ok:
-            out.append(StabilityStep(t, False, None, bound))
-            continue
-        report = index_by_kernels(flux)
-        out.append(StabilityStep(t, True, report.index, bound))
+        cert = flux.certificate
+        index = index_by_kernels(flux).index if cert.ok else None
+        out.append(StabilityStep(t, cert.ok, index, cert.bound))
     return out

@@ -25,7 +25,7 @@ from . import cc as ccm
 from .config import DEFAULT, PROFILES, Tolerances
 from .errors import FluxwalkError, ValidationError
 from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
-from .flux import analyze, check_rank_formula, dense_window_index, index_stability_probe, max_block_norm
+from .flux import analyze, dense_window_index, index_stability_probe, max_block_norm
 from .lattice import LatticeState, haar_unitary, index_of_vector
 from .operators import matrix_on_window
 from .report import SCHEMA_VERSION, index_report_dict
@@ -85,18 +85,24 @@ def _need(spec: dict, key: str, context: str):
     return spec[key]
 
 
-def _number(value, name: str, kind=int):
-    """A numeric scenario or analysis field as ``kind``.  Booleans are not
-    numbers, and an integer field takes only integral values (numbers or
-    strings such as the ``interior`` keys)."""
+def _number(value, name: str, kind=int, low=None):
+    """A numeric scenario or analysis field as ``kind``, at least ``low``
+    when given.  Booleans are not numbers, a float field must be finite
+    (Python's ``json`` reads ``NaN`` and ``Infinity``), and an integer field
+    takes only integral values (numbers or strings such as the ``interior``
+    keys)."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or isinstance(value, bool):
         raise ValidationError(f"{name} must be a number, got {value!r}")
+    if kind is float and not math.isfinite(out):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
     if kind is int and isinstance(value, float) and out != value:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and out < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value!r}")
     return out
 
 
@@ -175,9 +181,9 @@ class _Setup:
 
     @cached_property
     def index_report(self):
-        """The base index, checked by the rank formula and any lead count."""
+        """The base index from ``analyze``, which checks it against the rank
+        formula, checked against the lead count too where there are leads."""
         report = analyze(self.flux)
-        check_rank_formula(report, self.flux, self.rank_formula)
         if self.network is not None:
             check_lead_count(report, self.network)
         return report
@@ -191,7 +197,6 @@ class WalkSetup(_Setup):
     coin: SiteMap
     projection: object
     network: NetworkSpec | None = None
-    rank_formula = "rank-difference formula"
 
     @cached_property
     def unitary(self):
@@ -212,7 +217,7 @@ def _commuting_coin(rng: np.random.Generator, n: int, slot: int) -> np.ndarray:
 
 
 def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
-    d = _number(_need(spec.get("geometry", {}), "d", "geometry"), "geometry d")
+    d = _number(_need(spec.get("geometry", {}), "d", "geometry"), "geometry d", low=1)
     coin_spec = _need(spec, "coin", "scenario")
     proj_spec = _need(spec, "projection", "scenario")
     ctype = _need(coin_spec, "type", "coin")
@@ -246,6 +251,8 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
 
     elif ctype == "halfline_commuting":
         sign = _number(coin_spec.get("sign", 1), "coin sign")
+        if sign not in (-1, 1):
+            raise ValidationError(f"coin sign must be 1 or -1, got {sign}")
         box = _number(coin_spec.get("box", 3), "coin box")
         n = 2 * d
         slot = index_of_vector(tuple([sign] + [0] * (d - 1)))
@@ -265,7 +272,10 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         )
         if ptype != "halfline":
             raise ValidationError("halfline_commuting coin pairs with halfline")
-        proj = halfline_projection(d, _number(proj_spec.get("sign", sign), "projection sign"))
+        proj_sign = _number(proj_spec.get("sign", sign), "projection sign")
+        if proj_sign not in (-1, 1):
+            raise ValidationError(f"projection sign must be 1 or -1, got {proj_sign}")
+        proj = halfline_projection(d, proj_sign)
         setup = WalkSetup(coin, proj, rng=rng)
 
     elif ctype == "lead_network":
@@ -313,7 +323,6 @@ class CCSetup(_Setup):
     scattering: SiteMap
     path: ccm.DualPath
     spec: dict
-    rank_formula = "the cell rank formula"
 
     @cached_property
     def unitary(self):
@@ -481,8 +490,9 @@ def _walk_wandering_analysis(setup, analysis, files):
 
 
 def _walk_confinement_analysis(setup, analysis, files):
-    steps = _number(analysis.get("steps", 30), "steps")
-    leak = verify_confinement(setup.unitary, setup.rng, steps=steps, box=_number(analysis.get("box", 3), "box"))
+    steps = _number(analysis.get("steps", 30), "steps", low=1)
+    box = _number(analysis.get("box", 3), "box", low=0)
+    leak = verify_confinement(setup.unitary, setup.rng, steps=steps, box=box)
     return {"steps": steps, "max_leak": leak, "pass": leak <= setup.tol.wandering}
 
 
@@ -497,7 +507,7 @@ def _walk_shift_analysis(setup, analysis, files):
 
 
 def _walk_stability_analysis(setup, analysis, files):
-    steps = _number(analysis.get("steps", 20), "steps")
+    steps = _number(analysis.get("steps", 20), "steps", low=1)
     strength = _number(analysis.get("strength", 0.1), "strength", float)
     target = perturb_coin_window(setup.coin, setup.rng, strength)
 
@@ -525,7 +535,7 @@ def _walk_oracle_analysis(setup, analysis, files):
     hi = [max(c) for c in zip(*sites)]
     if not sites or any(h - l + 1 > 7 for l, h in zip(lo, hi)):
         return {"applicable": False, "pass": True}
-    pad = _number(analysis.get("pad", 2), "pad")
+    pad = _number(analysis.get("pad", 2), "pad", low=0)
     box = list(itertools.product(*[range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]))
     walk = setup.flux.geometry.unitary
     dense = dense_window_index(walk, setup.projection.apply, box, walk.n_internal, setup.tol)
@@ -540,9 +550,9 @@ def _walk_oracle_analysis(setup, analysis, files):
 
 def _walk_network_ensemble_analysis(setup, analysis, files):
     rng = setup.rng
-    draws = _number(analysis.get("draws", 100), "draws")
-    max_leads = _number(analysis.get("max_leads", 3), "max_leads")
-    box = _number(analysis.get("box", 10), "box")
+    draws = _number(analysis.get("draws", 100), "draws", low=1)
+    max_leads = _number(analysis.get("max_leads", 3), "max_leads", low=0)
+    box = _number(analysis.get("box", 10), "box", low=0)
     failures = []
     for k in range(draws):
         n_in = int(rng.integers(0, max_leads + 1))
@@ -562,7 +572,7 @@ def _walk_network_ensemble_analysis(setup, analysis, files):
 
 
 def _cc_ensemble_analysis(setup, analysis, files):
-    draws = _number(analysis.get("draws", 100), "draws")
+    draws = _number(analysis.get("draws", 100), "draws", low=1)
     seeds = _child_seeds(int(setup.spec["seed"]) + 1, draws)
     indices = []
     for s in seeds:
@@ -585,15 +595,12 @@ def _cc_ensemble_analysis(setup, analysis, files):
 
 def _cc_norm_law_analysis(setup, analysis, files):
     r_abs = _number(analysis.get("r_abs", abs(setup.scattering.value((0, 0)).r)), "r_abs", float)
-    flux = setup.flux
-    shell = [b for b in flux.shell.values() if b.norm() > setup.tol.block_prune]
-    worst_norm = 0.0
-    worst_eig = 0.0
-    for blk in list(flux.blocks.values()) + shell:
-        evals = blk.eigenvalues
-        worst_norm = max(worst_norm, abs(max(abs(evals)) - r_abs))
-        for lam in evals:
-            worst_eig = max(worst_eig, min(abs(lam - r_abs), abs(lam + r_abs)))
+    # every window and shell block above the pruning threshold
+    box = setup.flux.box
+    rows = box.norms > setup.tol.block_prune
+    evals = box.eigenvalues[rows]
+    worst_norm = float(np.abs(box.norms[rows] - r_abs).max(initial=0.0))
+    worst_eig = float(np.minimum(np.abs(evals - r_abs), np.abs(evals + r_abs)).max(initial=0.0))
     return {
         "r_abs": r_abs,
         "norm_defect": worst_norm,
@@ -629,10 +636,10 @@ def _cc_surgery_analysis(setup, analysis, files):
 
 def _cc_anomalous_analysis(setup, analysis, files):
     epsilons = analysis.get("epsilons", [0.25, 0.125, 0.0625])
-    if not isinstance(epsilons, list):
-        raise ValidationError("epsilons must be a list of numbers")
+    if not isinstance(epsilons, list) or not epsilons:
+        raise ValidationError("epsilons must be a nonempty list of numbers")
     epsilons = [_number(e, "epsilons", float) for e in epsilons]
-    draws = _number(analysis.get("draws", 1), "draws")
+    draws = _number(analysis.get("draws", 1), "draws", low=1)
     seeds = _child_seeds(int(setup.spec["seed"]) + 2, draws)
     traces = []
     ok = True

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .flux import FluxField, classify_unit, index_with_kernels, phi_less_norm
+from .flux import FluxField
 from .lattice import LatticeState, random_state
 
 
@@ -42,18 +42,19 @@ class KernelData:
 
 
 def extract_kernels(flux: FluxField) -> KernelData:
-    """Per-block unit eigenvectors of the flux, orthonormal by construction.
+    """Per-block unit eigenvectors of the flux, orthonormal by construction:
+    the columns that ``flux.spectrum`` classified as +1 and -1.
 
     The -1 eigenspace must lie inside Ran P and the +1 eigenspace inside its
     complement; both inclusions are verified on every vector.
     """
     tol = flux.tol
-    report, kernel_vectors = index_with_kernels(flux)
+    spectrum = flux.spectrum
     geometry = flux.geometry
     ker_minus: list[LatticeState] = []
     ker_plus: list[LatticeState] = []
-    for label in sorted(kernel_vectors):
-        evecs, sel_plus, sel_minus = kernel_vectors[label]
+    for label, (sel_plus, sel_minus) in sorted(spectrum.units.items()):
+        evecs = flux.eigensystem(label)[1]
         p_diag = flux.blocks[label].p_diag
         for i in sel_minus:
             coords = evecs[:, i]
@@ -71,14 +72,10 @@ def extract_kernels(flux: FluxField) -> KernelData:
                     f"+1 eigenvector at {label} meets Ran P by {defect:g}"
                 )
             ker_plus.append(geometry.make_state(label, coords))
-    if len(ker_plus) != report.dim_ker_plus or len(ker_minus) != report.dim_ker_minus:
-        raise ValidationError("kernel extraction disagrees with kernel counting")
-    index = report.index
+    index = spectrum.plus - spectrum.minus
     flipped = index > 0
     big, small = (ker_plus, ker_minus) if flipped else (ker_minus, ker_plus)
     mult = abs(index)
-    if len(big) != len(small) + mult:
-        raise ValidationError("kernel dimensions are inconsistent with the index")
     return KernelData(
         ker_minus=ker_minus,
         ker_plus=ker_plus,
@@ -119,7 +116,7 @@ class PerturbedUnitary:
         """(U0 - 1)Q0 on one block; None when it vanishes."""
         blk = self.flux.blocks[label]
         evals, evecs = self.flux.eigensystem(label)
-        plus, minus, _ = classify_unit(evals, self.tol, label)
+        plus, minus = self.flux.spectrum.units[label]
         inside = [i for i in range(len(evals)) if i not in plus and i not in minus]
         if not inside:
             return None
@@ -185,12 +182,11 @@ class PerturbedUnitary:
         for m in self._block_maps.values():
             worst = max(worst, float(np.linalg.norm(m, 2)))
         # tail blocks contribute too when the flux does not vanish out there
-        for blk in self.flux.shell.values():
-            if blk.norm() > self.tol.block_prune:
-                raise ValidationError(
-                    "remainder norm over an infinite tail is not implemented; "
-                    "use scenarios with vanishing tail blocks"
-                )
+        if not self.flux.tail_zero:
+            raise ValidationError(
+                "remainder norm over an infinite tail is not implemented; "
+                "use scenarios with vanishing tail blocks"
+            )
         return worst
 
 
@@ -299,7 +295,7 @@ def verify_shift_structure(
         commute_defect = max(commute_defect, (lhs - rhs).norm())
 
     remainder = perturbed.correction_minus_finite_rank_norm()
-    small = phi_less_norm(flux)
+    small = flux.spectrum.phi_less
     # the finite-rank part has one independent range vector per swapped pair
     expected_rank = len(kernels.small)
     finite_rank = perturbed.finite_rank_rank()

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxwalk.config import DEFAULT, STRICT, Tolerances
 from fluxwalk.errors import (
@@ -11,23 +15,25 @@ from fluxwalk.errors import (
 from fluxwalk.fields import HalfSpace, SiteMap
 from fluxwalk.flux import (
     analyze,
-    certify_isolated,
     classify_unit,
     dense_window_index,
     index_by_kernels,
     index_by_odd_trace,
     index_by_supertrace,
     kitaev_sum,
-    phi_less_norm,
-    verify_internal_identities,
 )
 from fluxwalk.lattice import LatticeState, direction_index, haar_unitary, random_state
 from fluxwalk.operators import matrix_on_window
+from fluxwalk.shift import extract_kernels
 from fluxwalk.walks import (
     basic_halfspace_projection,
     build_walk,
     build_walk_flux,
     halfline_projection,
+    network_projection,
+    random_background,
+    random_network,
+    synthesize_lead_coin,
     walk_index,
 )
 
@@ -48,6 +54,24 @@ def make_basic_example(seed=1, n_cut=2):
         background=np.eye(2, dtype=complex),
     )
     return coin, basic_halfspace_projection(n_cut)
+
+
+def verify_internal_identities(flux) -> dict:
+    """Blockwise sanity of the two-projection algebra.
+
+    With R = flux + P, the complement B = (1 - R) - P must satisfy
+    flux^2 + B^2 = 1 and anticommute with the flux.
+    """
+    worst_sum = 0.0
+    worst_anti = 0.0
+    for blk in flux.blocks.values():
+        n = blk.matrix.shape[0]
+        p = np.diag(blk.p_diag).astype(complex)
+        r = blk.matrix + p
+        b = (np.eye(n) - r) - p
+        worst_sum = max(worst_sum, float(np.max(np.abs(blk.matrix @ blk.matrix + b @ b - np.eye(n)))))
+        worst_anti = max(worst_anti, float(np.max(np.abs(blk.matrix @ b + b @ blk.matrix))))
+    return {"sum_defect": worst_sum, "anticommutator_defect": worst_anti}
 
 
 def test_commuting_configuration_has_zero_flux():
@@ -130,6 +154,28 @@ def test_sign_flip_under_complementation():
     assert report_c.index == -report.index
 
 
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["network", "basic_example"]))
+def test_complementation_flips_the_index(seed, kind):
+    # ind(1 - P) = -ind(P): the flux changes sign, so the +1 and -1 kernels
+    # trade places
+    if kind == "network":
+        rng = np.random.default_rng(seed)
+        n_in, n_out = (int(n) for n in rng.integers(0, 3, size=2))
+        network = random_network(rng, n_in, max(n_out, 1 - n_in), box=6)
+        coin = synthesize_lead_coin(network, random_background(rng, 2, box=3))
+        proj = network_projection(network)
+    else:
+        coin, proj = make_basic_example(seed=seed)
+    report, _ = walk_index(coin, proj)
+    report_c, _ = walk_index(coin, proj.complement())
+    assert report_c.index == -report.index
+    assert (report_c.dim_ker_plus, report_c.dim_ker_minus) == (
+        report.dim_ker_minus,
+        report.dim_ker_plus,
+    )
+
+
 def test_blockwise_spectrum_bound_and_identities():
     coin, proj = make_basic_example(seed=14)
     flux = build_walk_flux(coin, proj)
@@ -151,12 +197,38 @@ def test_certificate_failure_reports_witness():
     coin = SiteMap(1, background=swap)
     proj = halfline_projection(1, 1)
     flux = build_walk_flux(coin, proj)
-    ok, radius, bound = certify_isolated(flux)
-    assert not ok
-    assert bound > 1 - 1e-9
-    assert flux.certificate.witness is not None
+    cert = flux.certificate
+    assert not cert.ok
+    assert cert.bound > 1 - 1e-9
+    assert cert.witness is not None
     with pytest.raises(CertificationError):
         index_by_kernels(flux)
+
+
+def test_rank_formula_mismatch_fails_the_analysis():
+    # the kernel count is 1; a rank formula off by one must not pass
+    coin, proj = make_basic_example(seed=1)
+    flux = build_walk_flux(coin, proj)
+    flux.rank_difference += 1
+    with pytest.raises(ValidationError, match=re.escape("kernel count 1 disagrees with the rank formula 2")):
+        analyze(flux)
+
+
+@pytest.mark.parametrize(
+    "complement, message",
+    [(False, "+1 eigenvector at {} meets Ran P by 1"), (True, "-1 eigenvector at {} leaves Ran P by 1")],
+    ids=["plus", "minus"],
+)
+def test_kernel_vectors_must_respect_the_projection(complement, message):
+    # flipping the stored P diagonal of the kernel block moves each unit
+    # eigenvector entirely to the wrong side of P
+    coin, proj = make_basic_example(seed=1)
+    flux = build_walk_flux(coin, proj.complement() if complement else proj)
+    (label,) = flux.spectrum.units
+    p_diag = flux.blocks[label].p_diag
+    p_diag[...] = 1.0 - p_diag
+    with pytest.raises(ValidationError, match=re.escape(message.format(label))):
+        extract_kernels(flux)
 
 
 def test_guard_band_aborts():
@@ -193,7 +265,7 @@ def test_gap_reports_distance_to_one():
     coin, proj = make_basic_example(seed=21)
     flux = build_walk_flux(coin, proj)
     report = analyze(flux)
-    small = phi_less_norm(flux)
+    small = flux.spectrum.phi_less
     assert abs(report.gap - (1.0 - small**2)) < 1e-12
 
 

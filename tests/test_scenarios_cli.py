@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import subprocess
 import sys
@@ -103,9 +104,10 @@ def count_calls(monkeypatch, names):
     import fluxwalk.cc as cc
     import fluxwalk.flux as flux
     import fluxwalk.scenarios as scenarios
+    import fluxwalk.shift as shift
     import fluxwalk.walks as walks
 
-    modules = (flux, walks, cc, scenarios)
+    modules = (flux, walks, cc, scenarios, shift)
     counts = dict.fromkeys(names, 0)
     for name in names:
         original = next(getattr(m, name) for m in modules if hasattr(m, name))
@@ -156,6 +158,22 @@ def test_a_setup_assembles_its_base_flux_once(monkeypatch, name, assembled):
     counts = count_calls(monkeypatch, ["assemble_field"])
     assert run_scenario(load(name)).ok
     assert counts == {"assemble_field": assembled}
+
+
+@pytest.mark.parametrize(
+    "name",
+    # 5 and 8 when the kernel count, the kernel extraction, the perturbed
+    # unitary and the shift check each classified the kept blocks again
+    ["basic_example", "two_incoming_leads"],
+)
+def test_a_run_classifies_each_kept_block_once(monkeypatch, name):
+    # basic_example: its one kept block and the dense oracle's matrix;
+    # two_incoming_leads: its two kept blocks
+    counts = count_calls(monkeypatch, ["classify_unit"])
+    assert run_scenario(load(name)).ok
+    assert counts == {"classify_unit": 2}
+    modules = [m for n, m in sys.modules.items() if n.startswith("fluxwalk.")]
+    assert [m.__name__ for m in modules if hasattr(m, "classify_unit")] == ["fluxwalk.flux"]
 
 
 def test_validation_builds_no_model(monkeypatch):
@@ -362,6 +380,9 @@ EXPLICIT_PATH = {"type": "explicit", "middle": [[0, 0]], "pre": [-1, 0], "post":
         ("cc_rpath", ["path", "middle"], [[0, "a"]], "path vertex must be a number, got 'a'"),
         ("cc_rpath", ["path", "pre"], 5, "path pre must be a list of 2 integers"),
         ("cc_rpath", ["path", "post"], [1], "path post must be a list of 2 integers"),
+        ("half_line_plus", ["geometry", "d"], 0, "geometry d must be at least 1, got 0"),
+        ("half_line_plus", ["coin", "sign"], 0, "coin sign must be 1 or -1, got 0"),
+        ("half_line_plus", ["projection", "sign"], 2, "projection sign must be 1 or -1, got 2"),
     ],
     ids=[
         "scattering",
@@ -375,6 +396,9 @@ EXPLICIT_PATH = {"type": "explicit", "middle": [[0, 0]], "pre": [-1, 0], "post":
         "middle_coordinate",
         "pre",
         "post",
+        "geometry_d",
+        "coin_sign",
+        "projection_sign",
     ],
 )
 def test_malformed_structure_fails_validation(tmp_path, capsys, name, path, value, message):
@@ -436,6 +460,74 @@ def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys):
     report = json.loads((tmp_path / "two_incoming_leads" / "report.json").read_text())
     assert report["pass"] is False
     assert report["analyses"] == json.loads(json.dumps(analyses))
+
+
+@pytest.mark.parametrize(
+    "name, atype, key, value, message",
+    [
+        ("bulk_boundary", "confinement", "steps", 0, "steps must be at least 1, got 0"),
+        ("bulk_boundary", "confinement", "steps", -3, "steps must be at least 1, got -3"),
+        ("bulk_boundary", "confinement", "box", -1, "box must be at least 0, got -1"),
+        ("lead_networks_random", "network_ensemble", "draws", 0, "draws must be at least 1, got 0"),
+        ("lead_networks_random", "network_ensemble", "draws", -5, "draws must be at least 1, got -5"),
+        ("lead_networks_random", "network_ensemble", "max_leads", -1, "max_leads must be at least 0, got -1"),
+        ("lead_networks_random", "network_ensemble", "box", -1, "box must be at least 0, got -1"),
+        ("cc_crossover_r02", "ensemble_index", "draws", 0, "draws must be at least 1, got 0"),
+        ("cc_anomalous", "anomalous_transport", "draws", 0, "draws must be at least 1, got 0"),
+        ("cc_anomalous", "anomalous_transport", "epsilons", [], "epsilons must be a nonempty list of numbers"),
+        ("lead_stability", "stability_probe", "steps", 0, "steps must be at least 1, got 0"),
+        ("lead_stability", "stability_probe", "strength", math.inf, "strength must be finite, got inf"),
+        ("half_line_plus", "oracle_equivalence", "pad", -1, "pad must be at least 0, got -1"),
+        ("cc_rpath", "norm_law", "r_abs", math.nan, "r_abs must be finite, got nan"),
+    ],
+    ids=[
+        "confinement_steps_0",
+        "confinement_steps_negative",
+        "confinement_box",
+        "network_ensemble_draws_0",
+        "network_ensemble_draws_negative",
+        "network_ensemble_max_leads",
+        "network_ensemble_box",
+        "ensemble_index_draws_0",
+        "anomalous_transport_draws_0",
+        "anomalous_transport_no_epsilons",
+        "stability_probe_steps_0",
+        "stability_probe_infinite_strength",
+        "oracle_equivalence_pad",
+        "norm_law_nan",
+    ],
+)
+def test_a_degenerate_or_non_finite_parameter_fails_only_its_analysis(name, atype, key, value, message):
+    # a count below 1 would pass vacuously, NaN compares false everywhere,
+    # and a negative size or an infinite strength raises a bare error that
+    # would drop the whole report
+    spec = load(name)
+    bad = next(a for a in spec["analyses"] if a["type"] == atype)
+    spec["analyses"] = [{**bad, key: value}, {"type": "spectrum_window", "box": 1}]
+    validate_scenario(spec)
+    analyses = run_scenario(spec).report["analyses"]
+    assert analyses[f"{atype}#0"] == {"pass": False, "error": message}
+    assert analyses["spectrum_window#1"]["pass"]
+
+
+@pytest.mark.parametrize(
+    "name, analysis, message",
+    [
+        ("cc_rpath", {"type": "norm_law", "r_abs": math.nan}, "r_abs must be finite, got nan"),
+        ("lead_stability", {"type": "stability_probe", "strength": math.inf}, "strength must be finite, got inf"),
+    ],
+    ids=["nan", "infinity"],
+)
+def test_the_cli_reports_a_non_finite_parameter_as_a_failed_analysis(tmp_path, capsys, name, analysis, message):
+    spec = load(name)
+    spec["analyses"] = [analysis]
+    path = tmp_path / "non_finite.json"
+    path.write_text(json.dumps(spec))  # Python's json writes NaN and Infinity
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
+    text = (tmp_path / name / "report.json").read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    key = f"{analysis['type']}#0"
+    assert json.loads(text)["analyses"][key] == {"pass": False, "error": message}
 
 
 def test_interior_keys_are_integer_sites(tmp_path, capsys):

@@ -11,7 +11,7 @@ from fluxwalk.cc import (
     _deep_cell_ray,
 )
 from fluxwalk.fields import HalfSpace, Ray, SiteMap
-from fluxwalk.flux import analyze, phi_less_norm
+from fluxwalk.flux import analyze
 from fluxwalk.lattice import direction_index, haar_unitary, trace_norm_hermitian
 from fluxwalk.shift import (
     build_perturbed,
@@ -143,7 +143,7 @@ def test_remainder_bound_with_nonzero_small_flux():
         synthesize_lead_coin(net, random_background(rng, 2, box=3)), rng, 0.3
     )
     flux = build_walk_flux(coin, network_projection(net))
-    small = phi_less_norm(flux)
+    small = flux.spectrum.phi_less
     assert small > 0.05
     walk = build_walk(coin)
     kd = extract_kernels(flux)
