@@ -530,12 +530,12 @@ def _walk_stability_analysis(setup, analysis, files):
 def _walk_oracle_analysis(setup, analysis, files):
     """Dense index of the compression to a padded box around the kept window
     blocks; not applicable without such blocks or when the box is wide."""
+    pad = _number(analysis.get("pad", 2), "pad", low=0)
     sites = sorted(setup.flux.blocks)
     lo = [min(c) for c in zip(*sites)]
     hi = [max(c) for c in zip(*sites)]
     if not sites or any(h - l + 1 > 7 for l, h in zip(lo, hi)):
         return {"applicable": False, "pass": True}
-    pad = _number(analysis.get("pad", 2), "pad", low=0)
     box = list(itertools.product(*[range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]))
     walk = setup.flux.geometry.unitary
     dense = dense_window_index(walk, setup.projection.apply, box, walk.n_internal, setup.tol)

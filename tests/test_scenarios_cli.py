@@ -212,9 +212,11 @@ def test_a_failing_base_flux_fails_every_reader(monkeypatch, name, module, build
 def test_oracle_without_window_blocks_is_not_applicable():
     # the reflecting boundary's flux vanishes, so there is no box to compress
     spec = load("bulk_boundary")
-    spec["analyses"] = [{"type": "oracle_equivalence"}]
-    result = run_scenario(spec)
-    assert result.report["analyses"]["oracle_equivalence#0"] == {"applicable": False, "pass": True}
+    spec["analyses"] = [{"type": "oracle_equivalence"}, {"type": "oracle_equivalence", "pad": -1}]
+    analyses = run_scenario(spec).report["analyses"]
+    assert analyses["oracle_equivalence#0"] == {"applicable": False, "pass": True}
+    # its parameters are checked all the same
+    assert analyses["oracle_equivalence#1"] == {"pass": False, "error": "pad must be at least 0, got -1"}
 
 
 def test_each_dual_step_is_classified_once(monkeypatch):
