@@ -208,7 +208,8 @@ class CCUnitary(LocalUnitary):
         """Send the amplitude at each point, sitting in slot k of cell z, to
         the two outgoing points of z with weights S(z)[k, :] (to the two
         incoming points with conj(S(z)[:, k]) for the adjoint): one stacked
-        S(z)^T for every point's cell, one product, one scatter."""
+        S(z)^T for every point's cell, one product for every column, one
+        scatter."""
         self._check(psi)
         points = psi.site_array
         if not len(points):
@@ -220,7 +221,10 @@ class CCUnitary(LocalUnitary):
             targets, weights = self.in_basis(labels), transposed[at, k, :].conj()
         else:
             targets, weights = self.out_basis(labels), transposed[at, :, k]
-        return LatticeState.scatter(1, targets, _scalar_products(weights, psi.value_array))
+        values = psi.value_array[:, 0]
+        if values.shape[1] == 1:  # a 2-D product costs less than the broadcast one
+            return LatticeState.scatter(1, targets, _scalar_products(weights, values)[:, :, None])
+        return LatticeState.scatter(1, targets, _scalar_products(weights[:, :, None], values[:, None]))
 
 
 # every point of a cell's incoming or outgoing pair has the one slot 0
@@ -228,12 +232,13 @@ _SLOTS = np.zeros(2, dtype=np.int64)
 
 
 def _scalar_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a * b`` for complex arrays, ``b`` broadcasting to ``a``'s shape,
-    rounded like the product of two NumPy complex scalars: the array ufunc
-    may fuse multiply and add, the scalar product does not."""
+    """``a * b`` for broadcasting complex arrays, rounded like the product of
+    two NumPy complex scalars: the array ufunc may fuse multiply and add, the
+    scalar product does not."""
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-    out = np.empty_like(a)
-    out.real = ar * br - ai * bi
+    real = ar * br - ai * bi
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
     out.imag = ar * bi + ai * br
     return out
 

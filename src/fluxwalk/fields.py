@@ -14,7 +14,7 @@ Coins of a walk on Z^d are ``(2d, 2d)`` complex unitary matrices, checked by
 Adapted projections store sets of open internal slots.
 
 Every lookup comes in two forms.  The array forms, ``SiteMap.value_index``
-and ``AdaptedProjection.slot_bits``/``slot_masks``, resolve a whole (M, d) site array with
+and ``AdaptedProjection.slot_bits``, resolve a whole (M, d) site array with
 one NumPy pass per layer; block assembly uses them (``CoinedWalk.cells``,
 ``CCUnitary`` cells and actions, ``AdaptedProjection.diagonal_entries``).
 The scalar forms, ``SiteMap.value``, ``Ray.locate`` and
@@ -46,6 +46,25 @@ def _site_array(sites, d: int) -> np.ndarray:
     """``sites`` as an (M, d) int64 array; an empty input has no rows."""
     sites = np.asarray(sites, dtype=np.int64)
     return sites.reshape(len(sites), d)
+
+
+def _distinct_rows(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (M, d) integer site array and the position of
+    every row among them, off a dense grid over the bounding box; a box
+    above ``_GRID_CELLS`` cells and eight per row keeps the rows as they
+    are.  (NumPy reduces an (M, 2) array over its rows slowly, hence ``.T``.)"""
+    coords = np.ascontiguousarray(sites.T)
+    if not coords.size:
+        return sites, np.zeros(0, dtype=np.intp)
+    corner = coords.min(axis=1)
+    shape = (coords.max(axis=1) - corner + 1).tolist()
+    if math.prod(shape) > max(_GRID_CELLS, 8 * len(sites)):
+        return sites, np.arange(len(sites))
+    flat = np.ravel_multi_index(coords - corner[:, None], shape)
+    met = np.zeros(math.prod(shape), dtype=bool)
+    met[flat] = True
+    distinct = np.stack(np.unravel_index(np.flatnonzero(met), shape), axis=1) + corner
+    return distinct, (np.cumsum(met) - 1)[flat]
 
 
 @dataclass(frozen=True)
@@ -337,8 +356,8 @@ class AdaptedProjection:
 
     The value at a site is the set of open internal slots; by construction it
     commutes with every direction projection, which is the adaptedness
-    condition.  ``slot_bits`` (as bit masks) and ``slot_masks`` (as booleans)
-    give them for a site array, ``open_slots`` for one site: block assembly
+    condition.  ``slot_bits`` gives them as bit masks for a site array,
+    ``open_slots`` for one site: block assembly
     reads ``diagonal_entries``, built on ``slot_bits``; ``apply`` acts on
     small states and keeps ``open_slots``.
     """
@@ -404,24 +423,22 @@ class AdaptedProjection:
             out |= np.where(hit, table[rows], 0)
         return out
 
-    def slot_masks(self, sites) -> np.ndarray:
-        """(M, 2d) boolean open slots of an (M, d) integer site array."""
-        bits = self.slot_bits(sites)[:, None] >> np.arange(self.n, dtype=np.uint64)
-        return (bits & 1).astype(bool)
-
     def diagonal_entries(self, sites: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """0/1 diagonal entries at slot ``slots[i]`` of site ``sites[i]``,
-        for an (M, d) integer site array, from one ``slot_bits`` call."""
-        bits = self.slot_bits(sites) >> np.asarray(slots, dtype=np.uint64)
+        for an (M, d) integer site array, from one ``slot_bits`` call that
+        resolves each distinct site once."""
+        distinct, where = _distinct_rows(sites)
+        bits = self.slot_bits(distinct)[where] >> np.asarray(slots, dtype=np.uint64)
         return (bits & 1).astype(float)
 
     def apply(self, psi: LatticeState) -> LatticeState:
-        """Multiply every row of ``psi`` by the 0/1 diagonal at its site, in
-        one array product; ``open_slots`` runs once per row."""
+        """Multiply every row of ``psi``, in every column, by the 0/1
+        diagonal at its site, in one array product; ``open_slots`` runs once
+        per row."""
         masks = np.zeros((psi.support_size(), self.n))
         for row, site in zip(masks, psi.site_list()):
             row[list(self.open_slots(site))] = 1.0
-        return psi.with_values(masks * psi.value_array)
+        return psi.with_values(masks[:, :, None] * psi.value_array)
 
     # -- derived projections -------------------------------------------------
 

@@ -178,27 +178,27 @@ class CellGeometry:
     def make_state(self, label, coords) -> LatticeState:
         """The state with the given incoming-basis coordinates."""
         in_basis = self.unitary.in_basis(np.array([label], dtype=np.int64))
-        return self._place(*in_basis, np.asarray(coords)[None, :])
+        return self._place(*in_basis, np.asarray(coords)[None, :, None])
 
     def _place(self, in_sites: np.ndarray, in_slots: np.ndarray, coords: np.ndarray) -> LatticeState:
-        """The state with coordinates ``coords[i]`` in the incoming basis
-        ``(in_sites[i], in_slots)`` of distinct cells i, stored as given:
-        rows in cell order, then in each cell's incoming order."""
+        """The state with (k, K) coordinates ``coords[i]`` in the incoming
+        basis ``(in_sites[i], in_slots)`` of distinct cells i, stored as
+        given: rows in cell order, then in each cell's incoming order."""
         n_cells, k, d = in_sites.shape
         sites = in_sites.reshape(-1, d)
         first, rows = group_sites(sites)
-        values = np.zeros((len(first), self.state_dim), dtype=complex)
+        values = np.zeros((len(first), self.state_dim, coords.shape[2]), dtype=complex)
         values[rows.reshape(n_cells, k), in_slots] = coords
         return LatticeState(self.state_dim, (sites.take(first, axis=0), values), _take=True)
 
     def apply_blocks(self, psi: LatticeState, matrix_at, adjoint: bool = False) -> LatticeState:
         """Apply ``matrix_at(label)``, or its adjoint, to the incoming
-        coordinates of ``psi`` in every cell that meets its support, in one
-        stacked product; cells where it is ``None`` are skipped.  Cells come
-        in sorted label order, so the rows are those of adding the cells'
-        images one at a time."""
+        coordinates of all columns of ``psi`` in every cell meeting its support
+        in one stacked product, skipping cells where it is ``None``.  Cells come
+        in sorted label order: the rows of adding cell images one at a time."""
+        empty = LatticeState.zero(self.state_dim, psi.n_columns)
         if not psi.support_size():
-            return LatticeState.zero(self.state_dim)
+            return empty
         touched = self.unitary.cell_labels(psi.site_array).tolist()
         labels, mats = [], []
         for label in sorted(set(map(tuple, touched))):
@@ -207,17 +207,17 @@ class CellGeometry:
                 labels.append(label)
                 mats.append(m)
         if not labels:
-            return LatticeState.zero(self.state_dim)
+            return empty
         in_sites, in_slots = self.unitary.in_basis(np.array(labels, dtype=np.int64))
         n_cells, k, d = in_sites.shape
         rows = psi.rows_of(map(tuple, in_sites.reshape(-1, d).tolist())).reshape(n_cells, k)
-        coords = np.where(rows >= 0, psi.value_array[rows, in_slots], 0)
+        coords = np.where((rows >= 0)[:, :, None], psi.value_array[rows, in_slots], 0)
         # the adjoint as a transposed view, laid out as m.conj().T, so BLAS
         # takes the same path and rounds the same way
         mats = np.array(mats)
         if adjoint:
             mats = mats.conj().transpose(0, 2, 1)
-        return self._place(in_sites, in_slots, (mats @ coords[:, :, None])[:, :, 0])
+        return self._place(in_sites, in_slots, mats @ coords)
 
     def probe_sites(self, rng: np.random.Generator) -> set:
         """``probes`` random sites inside the window."""
@@ -225,6 +225,10 @@ class CellGeometry:
             tuple(int(rng.integers(l, h + 1)) for l, h in zip(self.lo, self.hi))
             for _ in range(self.probes)
         }
+
+    def probe_states(self, rng: np.random.Generator) -> LatticeState:
+        """Three random unit states on ``probe_sites`` each, as the columns of one state."""
+        return LatticeState.stack([random_state(rng, self.probe_sites(rng), self.state_dim) for _ in range(3)])
 
 
 class FluxField:
@@ -438,15 +442,12 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
 
 def selfcheck_against_operator(flux: FluxField, unitary) -> float:
     """Compare blockwise action against U*(P(U psi)) - P psi on three random
-    states from a fixed seed."""
+    states from a fixed seed, stacked as the columns of one state."""
     rng = np.random.default_rng(7)
     geom = flux.geometry
-    worst = 0.0
-    for _ in range(3):
-        psi = random_state(rng, geom.probe_sites(rng), geom.state_dim)
-        via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - geom.proj.apply(psi)
-        via_blocks = flux.apply(psi)
-        worst = max(worst, (via_op - via_blocks).norm())
+    psi = geom.probe_states(rng)
+    via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - geom.proj.apply(psi)
+    worst = float((via_op - flux.apply(psi)).norms().max())
     if worst > 1e-12:
         raise ValidationError(f"blockwise flux deviates from U*PU - P by {worst:g}")
     return worst

@@ -5,9 +5,12 @@ dimension ``d`` has ``2d`` slots; slot ``2(j-1)`` is the direction ``+e_j``
 and slot ``2(j-1)+1`` is ``-e_j`` (1-based axis ``j``).
 
 A ``LatticeState`` packs its support into two arrays, an (S, d) site array
-and an (S, n) value array, so that operators act on all sites at once: they
-gather rows, multiply stacked matrices and build the image with
-``LatticeState.scatter`` or from a new pair of arrays.
+and an (S, n, K) value array that holds K vectors side by side as columns on
+one site index, so that operators act on all sites and all columns at once:
+they gather rows, multiply stacked matrices and build the image with
+``LatticeState.scatter`` or from a new pair of arrays.  K = 1 is a single
+vector; ``LatticeState.stack`` and ``columns`` convert between the two, and
+``gram`` takes every inner product of two stacks in one product.
 """
 
 from __future__ import annotations
@@ -65,6 +68,8 @@ def sub(a: Site, b: Site) -> Site:
 DICT_GROUPING = 64
 # the grouping of a single entry, shared: callers only read what they get
 _SINGLE = np.zeros(1, dtype=np.intp)
+# rows per product in ``LatticeState.gram``, which bounds its conjugated copy
+GRAM_ROWS = 1024
 
 
 def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -99,54 +104,55 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def scatter_rows(n_internal: int, basis, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The site and value arrays of ``LatticeState.scatter``."""
     sites, slots = basis
-    amps = amps.ravel()
-    live = amps.nonzero()[0]
+    amps = amps.reshape(-1, amps.shape[-1])
+    live = (amps[:, 0] if amps.shape[1] == 1 else np.logical_or.reduce(amps, axis=1)).nonzero()[0]
     points = sites.reshape(-1, sites.shape[-1]).take(live, axis=0)
     first, rows = group_sites(points)
-    values = np.zeros((len(first), n_internal), dtype=complex)
-    np.add.at(values, (rows, slots.take(live % len(slots))), amps.take(live))
+    values = np.zeros((len(first), n_internal, amps.shape[1]), dtype=complex)
+    np.add.at(values, (rows, slots.take(live % len(slots))), amps.take(live, axis=0))
     return points.take(first, axis=0), values
 
 
 class LatticeState:
-    """Finitely supported vector over the (site, internal slot) basis.
+    """Finitely supported vectors over the (site, internal slot) basis, K of
+    them side by side as columns (K = 1 for a single vector).
 
-    Packed layout: ``site_array`` is an (S, d) int64 array of distinct sites
-    and ``value_array`` an (S, n) complex array whose row i is the vector at
-    site ``site_array[i]``.  Rows keep first-insertion order, never sorted:
-    the order of the mapping or arrays handed in, and for ``a + b`` the rows
-    of ``a`` followed by the sites new in ``b``, in ``b``'s order.  Exactly
-    zero rows are dropped on construction (one reduction over the rows);
-    anything else is kept, so supports stay exact for orthogonality checks.
-    Treated as an immutable value: every operation returns a new state, and
-    states may share arrays, which nothing writes to.
+    ``site_array`` is an (S, d) int64 array of distinct sites and
+    ``value_array`` an (S, n, K) complex array: row i holds the K column
+    vectors at ``site_array[i]``.  Rows keep first-insertion order: the order
+    handed in, and for ``a + b`` the rows of ``a``, then the sites new in
+    ``b`` in ``b``'s order.  Rows zero in every column are dropped on
+    construction, so a row may be zero in some columns.  States are
+    immutable values that may share arrays.  Sites are matched through a
+    dict from site tuple to row, built on first use.  ``items``,
+    ``vector_at``, ``norm`` and ``inner`` read single vectors.
 
-    Sites are matched through a dict from site tuple to row, built once per
-    state on first use and kept, as is the list of site tuples.
-
-    Exactness: every result is bitwise the one of the per-site loop over a
-    dict of site vectors that this layout replaced.  Elementwise arithmetic
-    runs on whole arrays, which NumPy evaluates entry by entry exactly as on
-    single rows.  A vectorised dot product rounds differently from the BLAS
-    ``np.vdot``, so ``inner`` and ``norm`` keep one ``np.vdot`` per matched
-    row, summed in row order.
+    Exactness: with K = 1 every result is bitwise the one of the per-site
+    dict loop this layout replaced.  Elementwise arithmetic runs entry by
+    entry, a one-column stacked product takes BLAS's matrix-vector path as
+    the per-site product did, and ``inner`` and ``norm`` keep one
+    ``np.vdot`` per row.  With K > 1 the elementwise steps and scatters give
+    each column's bits, but a stacked product (and ``gram``, ``norms``)
+    takes the matrix-matrix path and may round differently; a column that
+    meets only exact zeros and ones before its products, as the basis
+    vectors of ``operators.compress`` do, keeps its bits.
     """
 
     __slots__ = ("n_internal", "site_array", "value_array", "_sites", "_rows")
 
     def __init__(self, n_internal: int, entries=None, _take=False):
         """``entries`` maps sites to length-``n_internal`` vectors, or is a
-        pair ``(sites, values)`` of an (S, d) integer and an (S, n) complex
-        array with distinct sites; ``_take`` hands the pair's arrays over
-        without copying."""
+        pair ``(sites, values)`` of an (S, d) integer and an (S, n, K)
+        complex array with distinct sites; ``_take`` hands the pair's arrays
+        over without copying."""
         n = self.n_internal = int(n_internal)
         if isinstance(entries, tuple):
             sites, values = entries
             if not _take:
                 sites, values = np.array(sites, dtype=np.int64), np.array(values, dtype=complex)
-            if values.shape != (len(sites), n):
+            if values.shape[:2] != (len(sites), n) or values.ndim != 3:
                 raise DimensionMismatchError(
-                    f"site vectors have shape {values.shape}, expected ({len(sites)}, {n})"
+                    f"site vectors have shape {values.shape}, expected ({len(sites)}, {n}, K)"
                 )
         elif entries:
             vectors = [np.asarray(v, dtype=complex) for v in entries.values()]
@@ -158,10 +164,10 @@ class LatticeState:
             if len({len(site) for site in entries}) > 1:
                 raise DimensionMismatchError("sites of different dimensions in one state")
             sites = np.array(list(entries), dtype=np.int64).reshape(len(vectors), -1)
-            values = np.array(vectors)
+            values = np.array(vectors)[:, :, None]
         else:
-            sites, values = np.zeros((0, 0), dtype=np.int64), np.zeros((0, n), dtype=complex)
-        keep = np.logical_or.reduce(values, axis=1)
+            sites, values = np.zeros((0, 0), dtype=np.int64), np.zeros((0, n, 1), dtype=complex)
+        keep = np.logical_or.reduce(values, axis=(1, 2))
         if np.count_nonzero(keep) < len(keep):
             sites, values = sites[keep], values[keep]
         self.site_array = sites
@@ -170,26 +176,54 @@ class LatticeState:
 
     @classmethod
     def basis(cls, site: Site, slot: int, n_internal: int) -> "LatticeState":
-        values = np.zeros((1, n_internal), dtype=complex)
+        values = np.zeros((1, n_internal, 1), dtype=complex)
         values[0, slot] = 1.0
         return cls(n_internal, (np.array([site], dtype=np.int64), values), _take=True)
 
     @classmethod
-    def zero(cls, n_internal: int) -> "LatticeState":
-        return cls(n_internal)
+    def zero(cls, n_internal: int, columns: int = 1) -> "LatticeState":
+        return cls(n_internal, (np.zeros((0, 0), np.int64), np.zeros((0, n_internal, columns), complex)), _take=True)
 
     @classmethod
     def scatter(cls, n_internal: int, basis, amps: np.ndarray) -> "LatticeState":
-        """The state that adds amplitude ``amps[i, j]`` at slot ``slots[j]``
-        of site ``sites[i, j]``, for a basis ``(sites, slots)`` laid out as
-        in ``flux.CellGeometry`` ((N, k, d) and (k,) integer arrays).
-        Amplitudes go into zeros one at a time in row-major order, as
-        ``buf[slot] += amp`` does; zero amplitudes are skipped, so rows come
+        """The state that adds the K amplitudes ``amps[i, j]`` at slot
+        ``slots[j]`` of site ``sites[i, j]``, for a basis ``(sites, slots)``
+        laid out as in ``flux.CellGeometry`` ((N, k, d) and (k,) arrays).
+        They go into zeros one at a time in row-major order, as ``buf[slot]
+        += amp`` does; those zero in every column are skipped, so rows come
         in order of each site's first nonzero amplitude."""
         return cls(n_internal, scatter_rows(n_internal, basis, amps), _take=True)
 
+    @classmethod
+    def stack(cls, states) -> "LatticeState":
+        """The columns of ``states``, in order, side by side on one shared
+        site index whose rows come in order of first appearance."""
+        states = list(states)
+        n, width = states[0].n_internal, sum(s.n_columns for s in states)
+        filled = [s for s in states if len(s.value_array)]
+        if not filled:
+            return cls.zero(n, width)
+        sites = np.concatenate([s.site_array for s in filled])
+        first, rows = group_sites(sites)
+        values = np.zeros((len(first), n, width), dtype=complex)
+        row = column = 0
+        for s in states:
+            values[rows[row : row + len(s.value_array)], :, column : column + s.n_columns] = s.value_array
+            row, column = row + len(s.value_array), column + s.n_columns
+        return cls(n, (sites.take(first, axis=0), values), _take=True)
+
+    def columns(self) -> list["LatticeState"]:
+        """Every column as a state of its own, with the rows where it is
+        nonzero, in this state's row order."""
+        pairs = ((self.site_array, self.value_array[:, :, [k]]) for k in range(self.n_columns))
+        return [LatticeState(self.n_internal, pair, _take=True) for pair in pairs]
+
+    @property
+    def n_columns(self) -> int:
+        return self.value_array.shape[2]
+
     def with_values(self, values: np.ndarray) -> "LatticeState":
-        """The state with the same sites and new (S, n) values; it shares
+        """The state with the same sites and new (S, n, K) values; it shares
         this state's site index unless a row turned zero."""
         out = LatticeState(self.n_internal, (self.site_array, values), _take=True)
         if out.site_array is self.site_array:
@@ -208,7 +242,8 @@ class LatticeState:
         return self._rows
 
     def items(self) -> Iterator[tuple[Site, np.ndarray]]:
-        return zip(self.site_list(), self.value_array)
+        """Each site with its vector, of a single-vector state."""
+        return zip(self.site_list(), self.value_array[:, :, 0])
 
     def sites(self) -> list[Site]:
         return sorted(self.site_list())
@@ -222,7 +257,7 @@ class LatticeState:
         row = self._row_index().get(tuple(site))
         if row is None:
             return np.zeros(self.n_internal, dtype=complex)
-        return self.value_array[row].copy()
+        return self.value_array[row, :, 0].copy()
 
     def support_size(self) -> int:
         return len(self.value_array)
@@ -230,8 +265,13 @@ class LatticeState:
     def norm(self) -> float:
         return float(np.sqrt(sum(np.vdot(v, v).real for v in self.value_array)))
 
+    def norms(self) -> np.ndarray:
+        """The norm of every column, from one reduction."""
+        values = self.value_array
+        return np.linalg.norm(values.reshape(len(values) * self.n_internal, self.n_columns), axis=0)
+
     def inner(self, other: "LatticeState") -> complex:
-        """<self, other>, antilinear in self."""
+        """<self, other> of two single vectors, antilinear in self."""
         self._check(other)
         if len(other.value_array) < len(self.value_array):
             return np.conj(other.inner(self))
@@ -244,17 +284,38 @@ class LatticeState:
                 acc += np.vdot(a[i], b[j])
         return complex(acc)
 
+    def gram(self, other: "LatticeState") -> np.ndarray:
+        """The K x K' matrix of inner products <column i of self, column j
+        of other>, antilinear in self: a product over the shared rows, taken
+        ``GRAM_ROWS`` rows at a time so that the conjugated copy stays small."""
+        self._check(other, columns=False)
+        a, b = self.value_array, other.value_array
+        if self.site_array is not other.site_array:
+            rows = other.rows_of(self.site_list())
+            hit = rows >= 0
+            a, b = a[hit], b[rows[hit]]
+        a, b = (x.reshape(len(x) * self.n_internal, x.shape[2]) for x in (a, b))
+        out = np.zeros((a.shape[1], b.shape[1]), dtype=complex)
+        for i in range(0, len(a), GRAM_ROWS):
+            out += a[i : i + GRAM_ROWS].conj().T @ b[i : i + GRAM_ROWS]
+        return out
+
+    def combine(self, coeffs: np.ndarray) -> "LatticeState":
+        """The state whose column j is the sum over i of ``coeffs[i, j]``
+        times column i, from one product on the same site index."""
+        return self.with_values(self.value_array @ coeffs)
+
     def scaled(self, factor: complex) -> "LatticeState":
-        if factor == 0:
-            return LatticeState(self.n_internal)
         return self.with_values(factor * self.value_array)
 
-    def _check(self, other: "LatticeState") -> None:
+    def _check(self, other: "LatticeState", columns: bool = True) -> None:
         if other.n_internal != self.n_internal:
             raise DimensionMismatchError("internal dimensions differ")
         if len(self.value_array) and len(other.value_array):
             if other.site_array.shape[1] != self.site_array.shape[1]:
                 raise DimensionMismatchError("site dimensions differ")
+            if columns and other.n_columns != self.n_columns:
+                raise DimensionMismatchError("column counts differ")
 
     def __add__(self, other: "LatticeState") -> "LatticeState":
         self._check(other)
@@ -323,9 +384,3 @@ def unitary_deviations(m: np.ndarray) -> np.ndarray:
     """max |M* M - 1| of every matrix M in an (..., n, n) stack."""
     products = np.swapaxes(m.conj(), -1, -2) @ m
     return np.abs(products - np.eye(m.shape[-1])).max(axis=(-2, -1))
-
-
-def trace_norm_hermitian(m: np.ndarray) -> float:
-    if m.size == 0:
-        return 0.0
-    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))

@@ -82,7 +82,7 @@ class CoinedWalk(LocalUnitary):
         self._check(psi)
         if not len(psi.value_array):
             return psi
-        images = self.coins(psi.site_list()) @ psi.value_array[:, :, None]
+        images = self.coins(psi.site_list()) @ psi.value_array
         targets = psi.site_array[:, None, :] + self._step_array
         return LatticeState.scatter(self.n_internal, (targets, self._slot_array), images)
 
@@ -95,7 +95,7 @@ class CoinedWalk(LocalUnitary):
         sources = psi.site_array[:, None, :] - self._step_array
         sites, gathered = scatter_rows(self.n_internal, (sources, self._slot_array), psi.value_array)
         adjoints = self.coins(map(tuple, sites.tolist())).conj().transpose(0, 2, 1)
-        return LatticeState(self.n_internal, (sites, (adjoints @ gathered[:, :, None])[:, :, 0]), _take=True)
+        return LatticeState(self.n_internal, (sites, adjoints @ gathered), _take=True)
 
 
 def identity_coin(d: int) -> SiteMap:
@@ -107,23 +107,30 @@ def conditional_shift(d: int) -> CoinedWalk:
     return CoinedWalk(identity_coin(d))
 
 
+# basis vectors per state in ``compress``: bounds its stacked intermediates
+COMPRESS_COLUMNS = 128
+
+
 def compress(apply, sites, n: int) -> np.ndarray:
     """Dense matrix of the linear map ``apply`` on the span of ``sites``, each
     with ``n`` internal slots.
 
-    Basis order is the order of ``sites``, then internal slot.  Images are
-    taken of every basis vector; their parts leaving the sites are dropped.
+    Basis order is the order of ``sites``, then internal slot.  The basis
+    vectors go through ``apply`` as the columns of one stacked state, up to
+    ``COMPRESS_COLUMNS`` at a time, consecutive in basis order; the parts of
+    their images leaving the sites are dropped.
     """
     index = {site: i for i, site in enumerate(sites)}
-    m = np.zeros((len(sites) * n, len(sites) * n), dtype=complex)
-    for j_site, site in enumerate(sites):
-        for slot in range(n):
-            image = apply(LatticeState.basis(site, slot, n))
-            for target, vec in image.items():
-                i_site = index.get(target)
-                if i_site is not None:
-                    m[i_site * n : (i_site + 1) * n, j_site * n + slot] = vec
-    return m
+    m = np.zeros((len(sites), n, len(sites) * n), dtype=complex)
+    chunk = max(1, COMPRESS_COLUMNS // n)
+    for start in range(0, len(sites), chunk):
+        block = np.array(sites[start : start + chunk], dtype=np.int64)
+        unit = np.eye(len(block) * n, dtype=complex).reshape(len(block), n, -1)
+        image = apply(LatticeState(n, (block, unit), _take=True))
+        rows = np.array([index.get(site, -1) for site in image.site_list()], dtype=np.intp)
+        hit = rows >= 0
+        m[rows[hit], :, start * n : start * n + unit.shape[2]] = image.value_array[hit]
+    return m.reshape(len(sites) * n, -1)
 
 
 def matrix_on_window(u: LocalUnitary, sites) -> np.ndarray:

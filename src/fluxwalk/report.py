@@ -16,18 +16,14 @@ def jsonable(value: Any) -> Any:
     """Convert to JSON-stable primitives; complex numbers become [re, im]."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return float(value)
-    if isinstance(value, complex):
+    if isinstance(value, (complex, np.complexfloating)):
         return [float(value.real), float(value.imag)]
     if isinstance(value, np.bool_):
         return bool(value)
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.complexfloating,)):
-        return [float(value.real), float(value.imag)]
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):

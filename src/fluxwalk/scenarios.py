@@ -142,9 +142,7 @@ def _network_from_json(obj: dict, d_total: int | None = None) -> NetworkSpec:
     boundary = None
     if obj.get("boundary"):
         boundary = BoundarySpec(d_total or 2)
-    network = NetworkSpec(incoming=incoming, outgoing=outgoing, boundary=boundary)
-    validate_network(network)
-    return network
+    return validate_network(NetworkSpec(incoming=incoming, outgoing=outgoing, boundary=boundary))
 
 
 def _path_from_json(obj: dict) -> ccm.DualPath:
@@ -226,8 +224,8 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
     if ctype == "basic_example":
         if d != 1:
             raise ValidationError("basic_example coin requires d = 1")
-        n_cut = _number(coin_spec.get("n_cut", 2), "coin n_cut")
-        box = _number(coin_spec.get("box", n_cut + 4), "coin box")
+        n_cut = _number(coin_spec.get("n_cut", 2), "coin n_cut", low=0)
+        box = _number(coin_spec.get("box", n_cut + 4), "coin box", low=0)
         slot = index_of_vector((1,))
         window = {}
         for x in range(-box, n_cut):
@@ -253,7 +251,7 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         sign = _number(coin_spec.get("sign", 1), "coin sign")
         if sign not in (-1, 1):
             raise ValidationError(f"coin sign must be 1 or -1, got {sign}")
-        box = _number(coin_spec.get("box", 3), "coin box")
+        box = _number(coin_spec.get("box", 3), "coin box", low=0)
         n = 2 * d
         slot = index_of_vector(tuple([sign] + [0] * (d - 1)))
         window = {}
@@ -282,7 +280,7 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         if ptype != "network":
             raise ValidationError("lead_network coin pairs with a network projection")
         network = _network_from_json(proj_spec, d_total=d)
-        box = _number(coin_spec.get("background_box", 4), "coin background_box")
+        box = _number(coin_spec.get("background_box", 4), "coin background_box", low=0)
         if network.boundary is not None:
             background = reflecting_coin(d, rng, box=box)
         else:
@@ -294,7 +292,7 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
     elif ctype == "reflecting":
         if ptype != "boundary_full":
             raise ValidationError("reflecting coin pairs with boundary_full")
-        box = _number(coin_spec.get("box", 3), "coin box")
+        box = _number(coin_spec.get("box", 3), "coin box", low=0)
         coin = reflecting_coin(d, rng, box=box)
         proj = boundary_projection_full(d)
         setup = WalkSetup(coin, proj, rng=rng)
@@ -351,7 +349,7 @@ def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -
         return SiteMap(2, background=base)
     if phases == "random":
         (lo, lo2), (hi, hi2) = path.bounds()
-        extent = _number(spec.get("window", max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8), "window")
+        extent = _number(spec.get("window", max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8), "window", low=0)
         window = ccm.random_phase_window(
             rng, r_abs, range(-extent, extent + 1), range(-extent, extent + 1)
         )
@@ -463,11 +461,13 @@ def _walk_flux_zero_analysis(setup, analysis, files):
 
 def _walk_wandering_analysis(setup, analysis, files):
     steps = _number(analysis.get("steps", 50), "steps")
+    if setup.network is None or not setup.network.leads():
+        raise ValidationError("wandering needs a lead network with at least one lead")
     walk = setup.unitary
     results = []
     ok = True
     rows = ["lead,step,overlap"]
-    for idx, lead in enumerate(setup.network.leads() if setup.network else []):
+    for idx, lead in enumerate(setup.network.leads()):
         head, tangent = lead.head_pair()
         seed_state = LatticeState.basis(head, index_of_vector(tangent), walk.n_internal)
         rep = verify_wandering(

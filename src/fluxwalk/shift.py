@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .flux import FluxField
-from .lattice import LatticeState, random_state
+from .lattice import LatticeState
 
 
 @dataclass
@@ -56,22 +56,15 @@ def extract_kernels(flux: FluxField) -> KernelData:
     for label, (sel_plus, sel_minus) in sorted(spectrum.units.items()):
         evecs = flux.eigensystem(label)[1]
         p_diag = flux.blocks[label].p_diag
-        for i in sel_minus:
-            coords = evecs[:, i]
-            defect = float(np.linalg.norm(p_diag * coords - coords))
-            if defect > tol.kernel_membership:
-                raise ValidationError(
-                    f"-1 eigenvector at {label} leaves Ran P by {defect:g}"
-                )
-            ker_minus.append(geometry.make_state(label, coords))
-        for i in sel_plus:
-            coords = evecs[:, i]
-            defect = float(np.linalg.norm(p_diag * coords))
-            if defect > tol.kernel_membership:
-                raise ValidationError(
-                    f"+1 eigenvector at {label} meets Ran P by {defect:g}"
-                )
-            ker_plus.append(geometry.make_state(label, coords))
+        # P e = e on the -1 eigenvectors and P e = 0 on the +1 eigenvectors
+        for sel, kernel, p_e, fault in ((sel_minus, ker_minus, 1.0, "-1 eigenvector at {} leaves"),
+                                        (sel_plus, ker_plus, 0.0, "+1 eigenvector at {} meets")):
+            for i in sel:
+                coords = evecs[:, i]
+                defect = float(np.linalg.norm(p_diag * coords - p_e * coords))
+                if defect > tol.kernel_membership:
+                    raise ValidationError(f"{fault.format(label)} Ran P by {defect:g}")
+                kernel.append(geometry.make_state(label, coords))
     index = spectrum.plus - spectrum.minus
     flipped = index > 0
     big, small = (ker_plus, ker_minus) if flipped else (ker_minus, ker_plus)
@@ -104,7 +97,10 @@ class PerturbedUnitary:
         self.tol = flux.tol
         self.n_internal = flux.geometry.state_dim
         self._block_maps: dict = {}
-        self._finite_rank = list(zip(kernels.paired, kernels.small))
+        # the finite-rank part swaps paired[i] with small[i]: F = -sum |d><d|
+        # over the differences d = small[i] - paired[i], stacked as columns
+        diffs = [s - p for p, s in zip(kernels.paired, kernels.small)]
+        self._diffs = LatticeState.stack([LatticeState.zero(self.n_internal, 0), *diffs])
         for label in sorted(set(flux.blocks)):
             m = self._build_block_map(label)
             if m is not None:
@@ -122,6 +118,8 @@ class PerturbedUnitary:
             return None
         e0 = evecs[:, inside]
         lam0 = evals[inside]
+        # guards the division by sqrt(1 - lam^2) below; classify_unit already
+        # keeps these eigenvalues a guard band away from +-1
         if np.any(1.0 - lam0**2 < 1e-10):
             raise ValidationError(
                 f"block {label}: non-unit eigenvalue too close to 1 for the polar factor"
@@ -130,15 +128,16 @@ class PerturbedUnitary:
         p = np.diag(blk.p_diag).astype(complex)
         phi = blk.matrix
         w = np.eye(n) - phi @ phi - (p @ phi - phi @ p)
-        if np.max(np.abs(w.conj().T @ w - (np.eye(n) - phi @ phi))) > 1e-10:
+        if np.max(np.abs(w.conj().T @ w - (np.eye(n) - phi @ phi))) > self.tol.shift_check:
             raise ValidationError(f"block {label}: polar identity W*W = 1 - flux^2 failed")
         q0 = e0 @ e0.conj().T
         u0q0 = w @ (e0 * (1.0 / np.sqrt(1.0 - lam0**2))) @ e0.conj().T
         # unitarity of U0 on Ran Q0
         defect = np.max(np.abs(u0q0.conj().T @ u0q0 - q0))
-        if defect > 1e-10:
+        if defect > self.tol.shift_check:
             raise ValidationError(f"block {label}: polar factor is not unitary ({defect:g})")
         m = u0q0 - q0
+        # a map that is zero up to rounding of one block product acts as the identity
         if np.max(np.abs(m)) <= 1e-15:
             return None
         return m
@@ -146,13 +145,8 @@ class PerturbedUnitary:
     # -- the correction A = 1 + F + (U0 - 1)Q0 ------------------------------
 
     def _correction(self, psi: LatticeState, adjoint: bool) -> LatticeState:
-        out = psi
-        for paired, small in self._finite_rank:
-            a = paired.inner(psi)
-            b = small.inner(psi)
-            if a != 0 or b != 0:
-                out = out + small.scaled(a) - paired.scaled(a) + paired.scaled(b) - small.scaled(b)
-
+        """A psi, column by column; A* differs only in the block maps (F = F*)."""
+        out = psi - self._diffs.combine(self._diffs.gram(psi))
         return out + self.flux.geometry.apply_blocks(psi, self._block_maps.get, adjoint)
 
     def apply(self, psi: LatticeState) -> LatticeState:
@@ -170,17 +164,11 @@ class PerturbedUnitary:
         so its range is spanned by the differences; the rank is their count.
         Computed from the Gram matrix rather than asserted.
         """
-        diffs = [small - paired for paired, small in self._finite_rank]
-        if not diffs:
-            return 0
-        gram = np.array([[a.inner(b) for b in diffs] for a in diffs])
-        return int(np.linalg.matrix_rank(gram, tol=1e-10))
+        return int(np.linalg.matrix_rank(self._diffs.gram(self._diffs), tol=self.tol.shift_check))
 
     def correction_minus_finite_rank_norm(self) -> float:
         """Operator norm of U*(perturbed U) - 1 - F: the blockwise remainder."""
-        worst = 0.0
-        for m in self._block_maps.values():
-            worst = max(worst, float(np.linalg.norm(m, 2)))
+        worst = max((float(np.linalg.norm(m, 2)) for m in self._block_maps.values()), default=0.0)
         # tail blocks contribute too when the flux does not vanish out there
         if not self.flux.tail_zero:
             raise ValidationError(
@@ -237,69 +225,52 @@ def verify_shift_structure(
     tol = perturbed.tol
     flux = perturbed.flux
     geom = flux.geometry
-    basis = kernels.wandering
-    mult = len(basis)
+    mult = kernels.multiplicity
 
     rng = np.random.default_rng(11)
-    unitary_defect = 0.0
-    for _ in range(3):
-        psi = random_state(rng, geom.probe_sites(rng), geom.state_dim)
-        unitary_defect = max(unitary_defect, abs(perturbed.apply(psi).norm() - 1.0))
-        rt = perturbed.apply_adjoint(perturbed.apply(psi))
-        unitary_defect = max(unitary_defect, (rt - psi).norm())
+    psi = geom.probe_states(rng)
+    image = perturbed.apply(psi)
+    round_trip = perturbed.apply_adjoint(image) - psi
+    unitary_defect = float(max(np.abs(image.norms() - 1.0).max(), round_trip.norms().max()))
 
-    # iterate the wandering basis both ways
-    orbits: dict[int, list[LatticeState]] = {0: list(basis)}
-    fwd = list(basis)
-    bwd = list(basis)
-    for k in range(1, k_max + 1):
-        fwd = [perturbed.apply(v) for v in fwd]
-        bwd = [perturbed.apply_adjoint(v) for v in bwd]
-        orbits[k] = list(fwd)
-        orbits[-k] = list(bwd)
+    # iterate the wandering basis both ways, all mult vectors together (the
+    # zero-column state keeps the stack defined for mult = 0); the orbit is
+    # stacked in two halves, the basis with k = 1..k_max forward, then the
+    # backward iterates, as one half spreads while the other keeps to a lead
+    basis = LatticeState.stack([LatticeState.zero(geom.state_dim, 0), *kernels.wandering])
+    forward, backward = [basis], [basis]
+    for _ in range(k_max):
+        forward.append(perturbed.apply(forward[-1]))
+        backward.append(perturbed.apply_adjoint(backward[-1]))
+    halves = [LatticeState.stack(forward), LatticeState.stack(backward[1:])]
+    del forward, backward
+    gram = np.block([[a.gram(b) for b in halves] for a in halves])
+    gram_defect = float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
+    no_return_defect = float(np.abs(gram[:mult, mult : (k_max + 1) * mult]).max(initial=0.0))
 
-    gram_defect = 0.0
-    flat = [(k, i, v) for k, vs in orbits.items() for i, v in enumerate(vs)]
-    for a, (k, i, v) in enumerate(flat):
-        for l, j, w in flat[a:]:
-            expect = 1.0 if (k == l and i == j) else 0.0
-            gram_defect = max(gram_defect, abs(v.inner(w) - expect))
-
-    no_return_defect = 0.0
-    for k in range(1, k_max + 1):
-        for v in orbits[k]:
-            for e in basis:
-                no_return_defect = max(no_return_defect, abs(e.inner(v)))
-
-    # commutation with P away from the shift span
-    commute_defect = 0.0
-    span = [v for vs in orbits.values() for v in vs]
-    for _ in range(3):
-        psi = random_state(rng, geom.probe_sites(rng), geom.state_dim)
-        for v in span:
-            psi = psi - v.scaled(v.inner(psi))
-        nrm = psi.norm()
-        if nrm < 1e-6:
-            continue
-        psi = psi.scaled(1.0 / nrm)
-        chopped = psi
-        for e in basis:
-            chopped = chopped - e.scaled(e.inner(psi))
-        # [perturbed (1 - Q_L), P] psi = perturbed(1-Q_L) P psi - P perturbed(1-Q_L) psi
-        p_psi = geom.proj.apply(psi)
-        p_chopped = p_psi
-        for e in basis:
-            p_chopped = p_chopped - e.scaled(e.inner(p_psi))
-        lhs = perturbed.apply(p_chopped)
-        rhs = geom.proj.apply(perturbed.apply(chopped))
-        commute_defect = max(commute_defect, (lhs - rhs).norm())
+    # commutation with P away from the shift span, on probes projected off
+    # the span and normalized; a probe left with norm below 1e-6 lies in the
+    # span up to rounding and is skipped, as its direction is noise
+    psi = geom.probe_states(rng)
+    for half in halves:
+        psi = psi - half.combine(half.gram(psi))
+    nrm = psi.norms()
+    kept = np.flatnonzero(nrm >= 1e-6)
+    psi = psi.combine(np.eye(len(nrm))[:, kept] / nrm[kept])
+    chopped = psi - basis.combine(basis.gram(psi))
+    # [perturbed (1 - Q_L), P] psi = perturbed(1-Q_L) P psi - P perturbed(1-Q_L) psi
+    p_psi = geom.proj.apply(psi)
+    p_chopped = p_psi - basis.combine(basis.gram(p_psi))
+    lhs = perturbed.apply(p_chopped)
+    rhs = geom.proj.apply(perturbed.apply(chopped))
+    commute_defect = float((lhs - rhs).norms().max(initial=0.0))
 
     remainder = perturbed.correction_minus_finite_rank_norm()
     small = flux.spectrum.phi_less
     # the finite-rank part has one independent range vector per swapped pair
     expected_rank = len(kernels.small)
     finite_rank = perturbed.finite_rank_rank()
-    report = ShiftReport(
+    return ShiftReport(
         ok=(
             unitary_defect <= tol.shift_check
             and gram_defect <= tol.shift_check
@@ -319,4 +290,3 @@ def verify_shift_structure(
         finite_rank=finite_rank,
         expected_rank=expected_rank,
     )
-    return report

@@ -135,16 +135,6 @@ def basic_halfspace_projection(n_cut: int, interior: dict | None = None) -> Adap
     )
 
 
-def alternating_halfline_projection() -> AdaptedProjection:
-    """d=1, open direction alternating with the parity of x on {1, 2, ...}."""
-    slot_plus = direction_index(1, 1)
-    slot_minus = direction_index(1, -1)
-    # x = 1 + t: odd x first
-    return AdaptedProjection.from_layers(
-        1, rays=[(Ray((1,), (1,)), [{slot_minus}, {slot_plus}])]
-    )
-
-
 # ---------------------------------------------------------------------------
 # leads and networks
 
@@ -281,18 +271,23 @@ class BoundarySpec:
         return site[self.axis] == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkSpec:
     incoming: tuple = ()
     outgoing: tuple = ()
     boundary: BoundarySpec | None = None
 
     def __post_init__(self):
-        self.incoming = tuple(self.incoming)
-        self.outgoing = tuple(self.outgoing)
+        object.__setattr__(self, "incoming", tuple(self.incoming))
+        object.__setattr__(self, "outgoing", tuple(self.outgoing))
 
     def leads(self):
         return list(self.incoming) + list(self.outgoing)
+
+
+class ValidNetwork(NetworkSpec):
+    """A network that ``validate_network`` accepted; frozen, so it stays
+    valid, and the functions needing a valid network take it unchecked."""
 
 
 def _ray_hits_pair(lead: LeadSpec, site: Site, tangent: Site) -> bool:
@@ -302,8 +297,9 @@ def _ray_hits_pair(lead: LeadSpec, site: Site, tangent: Site) -> bool:
     return Ray(base, step).locate(site) is not None
 
 
-def validate_network(network: NetworkSpec) -> None:
-    """Reject tangential crossings and off-boundary leads."""
+def validate_network(network: NetworkSpec) -> ValidNetwork:
+    """Reject tangential crossings and off-boundary leads; the network,
+    once accepted, as a ``ValidNetwork``."""
     leads = network.leads()
     if network.boundary is not None:
         b = network.boundary
@@ -345,12 +341,13 @@ def validate_network(network: NetworkSpec) -> None:
                 raise ValidationError(
                     f"lead rays overlap tangentially along tangent {tan_i}"
                 )
+    return ValidNetwork(network.incoming, network.outgoing, network.boundary)
 
 
 def network_projection(network: NetworkSpec) -> AdaptedProjection:
     """Total quantum projection of the network: one open tangent slot per
     lead site, plus the half-space bulk symbol when a boundary is present."""
-    validate_network(network)
+    network = network if isinstance(network, ValidNetwork) else validate_network(network)
     leads = network.leads()
     if not leads and network.boundary is None:
         raise ValidationError("empty network")
@@ -409,7 +406,7 @@ def synthesize_lead_coin(
 ) -> SiteMap:
     """Coin equal to the background off the leads, conducting along each lead
     and reflecting the normal on the boundary plane."""
-    validate_network(network)
+    network = network if isinstance(network, ValidNetwork) else validate_network(network)
     leads = network.leads()
     d = background.d
     n = 2 * d
@@ -558,13 +555,16 @@ def verify_wandering(
     adjoint: bool = False,
     tol: Tolerances = DEFAULT,
 ) -> WanderingReport:
-    """Check <seed, U^k seed> = 0 for k = 1..k_max, and when a lead is given,
-    that the head state is transported along it up to a phase."""
+    """Check <seed, U^k seed> = 0 for k = 1..k_max (U* for ``adjoint``), and
+    when a lead is given, that the same iterates carry the seed, the lead's
+    head state, along the lead up to a phase: an outgoing lead under U, an
+    incoming one under U*."""
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
     step = unitary.apply_adjoint if adjoint else unitary.apply
+    sign = -1 if lead is not None and lead.kind == "incoming" else 1
     current = seed
-    worst = 0.0
+    worst = defect = 0.0
     worst_k = None
     overlaps = []
     for k in range(1, k_max + 1):
@@ -573,24 +573,12 @@ def verify_wandering(
         overlaps.append(ov)
         if ov > worst:
             worst, worst_k = ov, k
-    ok = worst <= tol.wandering
-    report = WanderingReport(ok, worst, worst_k, overlaps=overlaps)
+        if lead is not None:
+            t = sign * (1 + k)
+            amp = current.vector_at(lead.site(t))[index_of_vector(lead.tangent(t))]
+            defect = max(defect, abs(abs(amp) - 1.0))
+    report = WanderingReport(worst <= tol.wandering, worst, worst_k, overlaps=overlaps)
     if lead is not None:
-        n_int = seed.n_internal
-        head, tangent = lead.head_pair()
-        state = LatticeState.basis(head, index_of_vector(tangent), n_int)
-        if lead.kind == "outgoing":
-            evolve = unitary.apply
-            target = lambda k: (lead.site(1 + k), lead.tangent(1 + k))
-        else:
-            evolve = unitary.apply_adjoint
-            target = lambda k: (lead.site(-1 - k), lead.tangent(-1 - k))
-        defect = 0.0
-        for k in range(1, k_max + 1):
-            state = evolve(state)
-            site, tangent = target(k)
-            ref = LatticeState.basis(site, index_of_vector(tangent), n_int)
-            defect = max(defect, abs(abs(ref.inner(state)) - 1.0))
         report.transport_defect = defect
         report.transport_ok = defect <= tol.wandering
         report.ok = report.ok and report.transport_ok
@@ -726,9 +714,7 @@ def random_network(
         try:
             incoming = tuple(sample_lead("incoming") for _ in range(n_incoming))
             outgoing = tuple(sample_lead("outgoing") for _ in range(n_outgoing))
-            network = NetworkSpec(incoming=incoming, outgoing=outgoing)
-            validate_network(network)
-            return network
+            return validate_network(NetworkSpec(incoming=incoming, outgoing=outgoing))
         except ValidationError:
             continue
     raise ValidationError("could not sample an admissible network")

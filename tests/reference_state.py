@@ -253,3 +253,26 @@ def apply_blocks(geometry, psi: DictState, matrix_at) -> DictState:
         )
         out = out + cell_state(geometry, label, m @ coords)
     return out
+
+
+def trace_norm_hermitian(m: np.ndarray) -> float:
+    """Sum of the absolute eigenvalues of a Hermitian matrix."""
+    if m.size == 0:
+        return 0.0
+    return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
+
+
+def compress(apply, sites, n: int) -> np.ndarray:
+    """Dense matrix of ``apply`` on the span of ``sites``, one basis vector
+    at a time: the loop that ``operators.compress`` ran before it stacked
+    the basis vectors as the columns of one state."""
+    index = {site: i for i, site in enumerate(sites)}
+    m = np.zeros((len(sites) * n, len(sites) * n), dtype=complex)
+    for j_site, site in enumerate(sites):
+        for slot in range(n):
+            image = apply(LatticeState.basis(site, slot, n))
+            for target, vec in image.items():
+                i_site = index.get(target)
+                if i_site is not None:
+                    m[i_site * n : (i_site + 1) * n, j_site * n + slot] = vec
+    return m

@@ -36,6 +36,7 @@ from fluxwalk.walks import (
     build_walk_flux,
     bulk_boundary_flux,
     lead_flux_index,
+    network_projection,
     random_background,
     reflecting_coin,
     synthesize_lead_coin,
@@ -110,6 +111,29 @@ def test_walk_blocks_match_the_reference():
         build_walk_flux(*make_basic_example()),
     ):
         assert_blocks_match_reference(flux)
+
+
+def test_a_walk_block_resolves_each_site_once(monkeypatch):
+    # a walk cell's incoming basis repeats its site once per slot, and
+    # neighbouring cells share outgoing sites: 4 * 2 * 4 = 32 lookups for 4
+    # labels before, now one per distinct site of the two bases
+    rng = np.random.default_rng(25)
+    net = NetworkSpec(outgoing=(LeadSpec("outgoing", [(0, 0), (1, 0)], (1, 0)),))
+    coin = synthesize_lead_coin(net, random_background(rng, 2, box=3))
+    geometry = build_walk_flux(coin, network_projection(net)).geometry
+    labels = np.array([(0, 0), (1, 0), (0, 1), (5, 5)], dtype=np.int64)
+    _, (in_sites, _), (out_sites, _) = geometry.unitary.cells(labels)
+    distinct = {tuple(x) for x in np.concatenate([in_sites, out_sites], axis=1).reshape(-1, 2).tolist()}
+    seen = []
+    original = type(geometry.proj).slot_bits
+
+    def counting(self, sites):
+        seen.append(len(sites))
+        return original(self, sites)
+
+    monkeypatch.setattr(type(geometry.proj), "slot_bits", counting)
+    geometry.block(labels)
+    assert seen == [len(distinct)] == [15]
 
 
 # ---------------------------------------------------------------------------

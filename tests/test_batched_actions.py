@@ -3,9 +3,13 @@
 Walk steps, projections, network steps and cell-block actions gather the
 rows of a packed state, multiply stacked matrices and scatter the result.
 Each must give exactly the state that the per-site loop in
-``reference_state`` gives, row order included.
+``reference_state`` gives, row order included.  On a stack of K states each
+action must give the K single-column results: within 1e-14 in general, and
+bit for bit for the dense compression of a unitary, whose basis columns
+meet only exact zeros and ones before their products.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -18,6 +22,7 @@ from fluxwalk.cc import (
     CRITICAL,
     FULL_REFLECTION,
     CCUnitary,
+    RegionSplit,
     cc_flux,
     crossover_path,
     random_phase_window,
@@ -25,6 +30,8 @@ from fluxwalk.cc import (
 )
 from fluxwalk.fields import SiteMap
 from fluxwalk.lattice import LatticeState
+from fluxwalk.operators import matrix_on_window
+from fluxwalk.shift import build_perturbed, extract_kernels
 from fluxwalk.walks import (
     boundary_projection_full,
     build_walk_flux,
@@ -36,6 +43,7 @@ from fluxwalk.walks import (
 )
 from test_cc import capped
 from test_flux import make_basic_example
+from test_shift import basic_example
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -206,3 +214,89 @@ def test_empty_states_pass_through_every_action():
             flux.apply,
         ):
             assert action(zero).support_size() == 0
+
+
+# ---------------------------------------------------------------------------
+# K columns at once against K single columns
+
+
+def assert_columns_match(stacked, singles, tol=1e-14):
+    """Column k of ``stacked`` equals ``singles[k]`` site by site, within
+    ``tol`` relative to the largest entry of the single state."""
+    columns = stacked.columns()
+    assert len(columns) == len(singles)
+    for column, single in zip(columns, singles):
+        got, want = dict(column.items()), dict(single.items())
+        scale = max([1.0] + [float(np.abs(v).max()) for v in want.values()])
+        for site in got.keys() | want.keys():
+            diff = got.get(site, 0.0) - want.get(site, 0.0)
+            assert float(np.abs(diff).max()) <= tol * scale, (site, diff)
+
+
+def _actions(flux, seed):
+    """Every batched action of a model: the unitary both ways, each
+    projection, the flux and random cell maps both ways."""
+    geometry = flux.geometry
+    rng = np.random.default_rng(seed)
+    k = flux.box.flux.shape[1]
+    maps = {
+        label: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        for label in flux.box.labels
+        if rng.random() < 0.5
+    }
+    proj = geometry.proj
+    projections = [proj] if isinstance(proj, RegionSplit) else [proj, proj.shift_conjugate(), proj.complement()]
+    return [
+        geometry.unitary.apply,
+        geometry.unitary.apply_adjoint,
+        *(p.apply for p in projections),
+        flux.apply,
+        lambda psi: geometry.apply_blocks(psi, maps.get),
+        lambda psi: geometry.apply_blocks(psi, maps.get, adjoint=True),
+    ]
+
+
+@pytest.mark.parametrize("name", WALKS + NETWORKS)
+@settings(max_examples=6, deadline=None)
+@given(seed=seeds)
+def test_k_column_actions_match_k_single_column_actions(name, seed):
+    flux = walk_model(name) if name in WALKS else cc_model(name)
+    states = _states(flux, seed, count=3, size=16)
+    stacked = LatticeState.stack(states)
+    # stacking and splitting keeps every column's rows and bits
+    for column, psi in zip(stacked.columns(), states):
+        assert {s: v.tobytes() for s, v in column.items()} == {s: v.tobytes() for s, v in psi.items()}
+    for action in _actions(flux, seed):
+        assert_columns_match(action(stacked), [action(psi) for psi in states])
+    gram = stacked.gram(stacked)
+    inner = np.array([[a.inner(b) for b in states] for a in states])
+    assert np.abs(gram - inner).max() <= 1e-14 * max(1.0, np.abs(inner).max())
+
+
+@lru_cache(maxsize=None)
+def perturbed_model():
+    coin, proj = basic_example(seed=2)
+    flux = build_walk_flux(coin, proj)
+    return build_perturbed(flux.geometry.unitary, flux, extract_kernels(flux))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_perturbed_unitary_acts_on_k_columns_as_on_each(seed):
+    perturbed = perturbed_model()
+    states = _states(perturbed.flux, seed, count=3)
+    stacked = LatticeState.stack(states)
+    for action in (perturbed.apply, perturbed.apply_adjoint):
+        assert_columns_match(action(stacked), [action(psi) for psi in states])
+
+
+@pytest.mark.parametrize("name", WALKS + NETWORKS)
+def test_window_compression_keeps_the_bits_of_one_vector_at_a_time(name):
+    # 9 x 9 sites hold more basis vectors than one stacked state takes, so
+    # the two-dimensional models also cover the chunking
+    flux = walk_model(name) if name in WALKS else cc_model(name)
+    unitary = flux.geometry.unitary
+    lo, hi = flux.lo, [lo + 8 for lo in flux.lo]
+    sites = sorted(itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]))
+    dense = matrix_on_window(unitary, sites)
+    assert dense.tobytes() == ref.compress(unitary.apply, sites, unitary.n_internal).tobytes()

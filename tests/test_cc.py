@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -423,7 +424,24 @@ def test_trace_norm_bound_measured_constant():
     # the summed bound is 2
     field = SiteMap(2, background=params_r(0.3))
     _, flux = cc_index(field, straight_r_path())
-    from fluxwalk.lattice import trace_norm_hermitian
+    from reference_state import trace_norm_hermitian
 
     for blk in flux.blocks.values():
         assert abs(trace_norm_hermitian(blk.matrix) - 2 * 0.3) < 1e-10
+
+
+def test_selfcheck_pushes_its_probes_through_the_network_once(monkeypatch):
+    # the three probes go through U and U* as one stacked state (6 network
+    # actions when each probe went alone)
+    from fluxwalk.cli import bundled_scenarios
+    from fluxwalk.flux import selfcheck_against_operator
+    from fluxwalk.scenarios import _checked_setup
+
+    setup = _checked_setup(json.loads(bundled_scenarios()["cc_rpath"].read_text()))
+    flux = setup.flux
+    calls = []
+    for name in ("apply", "apply_adjoint"):
+        original = getattr(CCUnitary, name)
+        monkeypatch.setattr(CCUnitary, name, lambda self, psi, _o=original, _n=name: calls.append(_n) or _o(self, psi))
+    assert selfcheck_against_operator(flux, setup.unitary) <= 1e-12
+    assert calls == ["apply", "apply_adjoint"]

@@ -14,7 +14,7 @@ from fluxwalk.fields import (
     interpolate_unitaries,
 )
 from fluxwalk.lattice import direction_index, haar_unitary
-from fluxwalk.walks import alternating_halfline_projection, build_walk, halfline_projection
+from fluxwalk.walks import build_walk, halfline_projection
 
 
 def test_ray_locate():
@@ -142,6 +142,14 @@ def test_constant_projection_hat_equals_itself():
     hat = full.shift_conjugate()
     for x in range(-4, 5):
         assert hat.open_slots((x,)) == {0, 1}
+
+
+def alternating_halfline_projection() -> AdaptedProjection:
+    """d=1, open direction alternating with the parity of x on {1, 2, ...}:
+    x = 1 + t, odd x first."""
+    slot_plus = direction_index(1, 1)
+    slot_minus = direction_index(1, -1)
+    return AdaptedProjection.from_layers(1, rays=[(Ray((1,), (1,)), [{slot_minus}, {slot_plus}])])
 
 
 def test_alternating_projection_hat_is_complement():
@@ -276,7 +284,7 @@ def test_array_lookups_match_the_scalar_ones(maps):
     assert [values[i] for i in which] == [tags.value(s) for s in points]
     hat = proj.shift_conjugate()
     for p in (proj, hat, proj.complement(), hat.complement(), hat.shift_conjugate()):
-        masks = p.slot_masks(sites)
+        masks = (p.slot_bits(sites)[:, None] >> np.arange(2 * tags.d, dtype=np.uint64)) & 1
         assert masks.shape == (len(points), 2 * tags.d)
         assert [set(np.flatnonzero(m).tolist()) for m in masks] == [p.open_slots(s) for s in points]
 

@@ -21,6 +21,7 @@ from fluxwalk.flux import (
     index_by_odd_trace,
     index_by_supertrace,
     kitaev_sum,
+    selfcheck_against_operator,
 )
 from fluxwalk.lattice import LatticeState, direction_index, haar_unitary, random_state
 from fluxwalk.operators import matrix_on_window
@@ -229,6 +230,24 @@ def test_kernel_vectors_must_respect_the_projection(complement, message):
     p_diag[...] = 1.0 - p_diag
     with pytest.raises(ValidationError, match=re.escape(message.format(label))):
         extract_kernels(flux)
+
+
+def test_selfcheck_catches_a_corrupted_kept_block():
+    # the probes travel as the columns of one state; a kept block that the
+    # probes meet, off by 1e-6 in one entry, must fail the check
+    coin, proj = make_basic_example(seed=1)
+    walk = build_walk(coin)
+    flux = build_walk_flux(walk, proj)
+    rng = np.random.default_rng(7)
+    probed = set()
+    for _ in range(3):
+        sites = flux.geometry.probe_sites(rng)
+        probed |= sites
+        random_state(rng, sites, flux.geometry.state_dim)
+    label = sorted(set(flux.blocks) & probed)[0]
+    flux.blocks[label].matrix[0, 0] += 1e-6
+    with pytest.raises(ValidationError, match=re.escape("blockwise flux deviates from U*PU - P by")):
+        selfcheck_against_operator(flux, walk)
 
 
 def test_guard_band_aborts():

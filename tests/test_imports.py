@@ -43,10 +43,7 @@ def test_module_has_no_unused_imports(path):
 
 
 # Helpers kept although only tests use them.
-TEST_ONLY_HELPERS = {
-    "lattice.trace_norm_hermitian",  # reference trace norm in the CC and shift tests
-    "walks.alternating_halfline_projection",  # fixture with a period-2 ray
-}
+TEST_ONLY_HELPERS: set = set()
 
 
 def top_level_definitions(tree: ast.Module) -> dict:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_state import DictState, same_state
+from reference_state import DictState, same_state, trace_norm_hermitian
 
 from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.lattice import (
@@ -17,7 +17,6 @@ from fluxwalk.lattice import (
     haar_unitaries,
     index_of_vector,
     random_state,
-    trace_norm_hermitian,
     unitary_deviations,
 )
 

@@ -131,3 +131,16 @@ def test_locality_one_ball():
     out = walk.apply(psi)
     for site in out.sites():
         assert sum(abs(c) for c in site) == 1
+
+
+def test_window_compression_applies_the_map_once(monkeypatch):
+    # the 22 basis vectors of an 11-site window go through the walk as the
+    # columns of one state (22 single-vector actions before)
+    walk = CoinedWalk(random_background(np.random.default_rng(0), 1, box=3))
+    sites = [(x,) for x in range(-5, 6)]
+    reference = matrix_on_window(walk, sites)
+    widths = []
+    original = walk.apply
+    monkeypatch.setattr(walk, "apply", lambda psi: widths.append(psi.n_columns) or original(psi))
+    assert matrix_on_window(walk, sites).tobytes() == reference.tobytes()
+    assert widths == [22]

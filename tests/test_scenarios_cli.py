@@ -12,7 +12,7 @@ import pytest
 from fluxwalk.cli import bundled_scenarios, main
 from fluxwalk.errors import EigenvalueAmbiguityError, NonSummableError, ValidationError
 from fluxwalk.report import dump_report
-from fluxwalk.scenarios import ANALYSES, run_scenario, validate_scenario
+from fluxwalk.scenarios import ANALYSES, _checked_setup, run_scenario, validate_scenario
 
 
 def load(name):
@@ -135,14 +135,15 @@ def test_lead_network_analyses_reuse_the_checked_setup(monkeypatch):
     # index and shift_decomposition read the setup's flux, built from its
     # projection and its checked walk of the synthesized (already verified)
     # coin, and wandering reads that walk (2 builds when the flux checked its
-    # own); the setup checks the network once when parsing, once in
-    # synthesize_lead_coin and once in network_projection
+    # own); the setup checks the network once, when parsing, and
+    # synthesize_lead_coin and network_projection take the checked network
+    # (3 checks when each of them checked it again)
     names = ["build_walk", "validate_network", "verify_lead_condition", "network_projection"]
     counts = count_calls(monkeypatch, names)
     assert run_scenario(load("two_incoming_leads")).ok
     assert counts == {
         "build_walk": 1,
-        "validate_network": 3,
+        "validate_network": 1,
         "verify_lead_condition": 1,
         "network_projection": 1,
     }
@@ -419,6 +420,46 @@ def test_malformed_structure_fails_validation(tmp_path, capsys, name, path, valu
     scenario_file.write_text(json.dumps(spec))
     assert main(["validate", str(scenario_file)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("basic_example", ["coin", "box"]),
+        ("basic_example", ["coin", "n_cut"]),
+        ("two_incoming_leads", ["coin", "background_box"]),
+        ("cc_rpath", ["scattering", "window"]),
+    ],
+    ids=["coin_box", "coin_n_cut", "background_box", "scattering_window"],
+)
+def test_negative_setup_sizes_fail_validation(tmp_path, capsys, name, path):
+    # each shrank or emptied the random coin or phase window and passed
+    spec = load(name)
+    *outer, key = path
+    target = spec
+    for part in outer:
+        target = target[part]
+    target[key] = -1
+    message = f"{'window' if key == 'window' else 'coin ' + key} must be at least 0, got -1"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_scenario(spec)
+    scenario_file = tmp_path / "negative.json"
+    scenario_file.write_text(json.dumps(spec))
+    assert main(["validate", str(scenario_file)]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_wandering_without_leads_fails_only_that_analysis():
+    # it used to pass with nothing checked: {"leads": [], "steps": 50, "pass": true}
+    spec = load("bulk_boundary")
+    spec["analyses"].append({"type": "wandering"})
+    setup = _checked_setup(spec)
+    message = "wandering needs a lead network with at least one lead"
+    with pytest.raises(ValidationError, match=message):
+        ANALYSES["walk"]["wandering"](setup, {"type": "wandering"}, {})
+    analyses = run_scenario(spec).report["analyses"]
+    assert analyses.pop("wandering#2") == {"pass": False, "error": message}
+    assert all(result["pass"] for result in analyses.values())
 
 
 @pytest.fixture(scope="module")

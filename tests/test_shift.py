@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,9 @@ from fluxwalk.cc import (
 )
 from fluxwalk.fields import HalfSpace, Ray, SiteMap
 from fluxwalk.flux import analyze
-from fluxwalk.lattice import direction_index, haar_unitary, trace_norm_hermitian
+from fluxwalk.errors import ValidationError
+from fluxwalk.lattice import LatticeState, direction_index, haar_unitary
+from reference_state import trace_norm_hermitian
 from fluxwalk.shift import (
     build_perturbed,
     extract_kernels,
@@ -117,6 +122,67 @@ def test_two_incoming_leads_multiplicity_two():
     perturbed = build_perturbed(walk, flux, kd)
     sreport = verify_shift_structure(perturbed, kd, k_max=30)
     assert sreport.ok and sreport.multiplicity == 2
+
+
+def test_shift_check_takes_no_single_inner_products(monkeypatch):
+    # the orbit Gram, the no-return rows and the commutation projections are
+    # products of stacked states (1 891 inner calls per orbit Gram before)
+    rng = np.random.default_rng(12)
+    g1 = LeadSpec("incoming", [(0, 1), (0, 0)], (0, 1))
+    g2 = LeadSpec("incoming", [(4, -2), (3, -2)], (1, 0))
+    net = NetworkSpec(incoming=(g1, g2))
+    coin = synthesize_lead_coin(net, random_background(rng, 2, box=4))
+    flux = build_walk_flux(coin, network_projection(net))
+    kd = extract_kernels(flux)
+    perturbed = build_perturbed(build_walk(coin), flux, kd)
+    calls = []
+    original = LatticeState.inner
+    monkeypatch.setattr(LatticeState, "inner", lambda self, other: calls.append(1) or original(self, other))
+    report = verify_shift_structure(perturbed, kd, k_max=30)
+    assert report.ok and report.multiplicity == 2
+    assert not calls
+
+
+def _first_polar_block(flux):
+    """The first label, in the order the perturbed unitary builds its block
+    maps, whose block has eigenvalues strictly inside (-1, 1)."""
+    for label in sorted(flux.blocks):
+        plus, minus = flux.spectrum.units[label]
+        if len(plus) + len(minus) < len(flux.eigensystem(label)[0]):
+            return label
+    raise AssertionError("no block with eigenvalues inside (-1, 1)")
+
+
+def test_polar_identity_failure_is_caught():
+    # a kept flux block off by 1e-6 in one entry breaks W*W = 1 - flux^2
+    coin, proj = basic_example(seed=2)
+    flux = build_walk_flux(coin, proj)
+    kd = extract_kernels(flux)
+    label = _first_polar_block(flux)
+    flux.blocks[label].matrix[0, 0] += 1e-6
+    message = f"block {label}: polar identity W*W = 1 - flux^2 failed"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build_perturbed(build_walk(coin), flux, kd)
+    # the check reads tol.shift_check: a looser one lets the same defect pass
+    flux.tol = dataclasses.replace(flux.tol, shift_check=1e-3)
+    build_perturbed(build_walk(coin), flux, kd)
+
+
+def test_polar_unitarity_failure_is_caught():
+    # eigenvalues moved by 1e-3 inside (-1, 1) leave the identity intact but
+    # normalize the polar factor wrongly, so it is no longer unitary
+    coin, proj = basic_example(seed=2)
+    flux = build_walk_flux(coin, proj)
+    kd = extract_kernels(flux)
+    label = _first_polar_block(flux)
+    evals, evecs = flux.eigensystem(label)
+    plus, minus = flux.spectrum.units[label]
+    moved = evals.copy()
+    inside = [i for i in range(len(evals)) if i not in plus and i not in minus]
+    moved[inside] += 1e-3
+    flux._eig_cache[label] = (moved, evecs)
+    with pytest.raises(ValidationError, match=re.escape(f"block {label}: polar factor is not unitary")):
+        build_perturbed(build_walk(coin), flux, kd)
 
 
 def test_paired_kernels_give_finite_rank_part():
