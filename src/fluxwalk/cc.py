@@ -222,8 +222,6 @@ class CCUnitary(LocalUnitary):
         else:
             targets, weights = self.out_basis(labels), transposed[at, :, k]
         values = psi.value_array[:, 0]
-        if values.shape[1] == 1:  # a 2-D product costs less than the broadcast one
-            return LatticeState.scatter(1, targets, _scalar_products(weights, values)[:, :, None])
         return LatticeState.scatter(1, targets, _scalar_products(weights[:, :, None], values[:, None]))
 
 

@@ -105,7 +105,7 @@ def scatter_rows(n_internal: int, basis, amps: np.ndarray) -> tuple[np.ndarray, 
     """The site and value arrays of ``LatticeState.scatter``."""
     sites, slots = basis
     amps = amps.reshape(-1, amps.shape[-1])
-    live = (amps[:, 0] if amps.shape[1] == 1 else np.logical_or.reduce(amps, axis=1)).nonzero()[0]
+    live = np.logical_or.reduce(amps, axis=1).nonzero()[0]
     points = sites.reshape(-1, sites.shape[-1]).take(live, axis=0)
     first, rows = group_sites(points)
     values = np.zeros((len(first), n_internal, amps.shape[1]), dtype=complex)
@@ -131,11 +131,14 @@ class LatticeState:
     dict loop this layout replaced.  Elementwise arithmetic runs entry by
     entry, a one-column stacked product takes BLAS's matrix-vector path as
     the per-site product did, and ``inner`` and ``norm`` keep one
-    ``np.vdot`` per row.  With K > 1 the elementwise steps and scatters give
-    each column's bits, but a stacked product (and ``gram``, ``norms``)
-    takes the matrix-matrix path and may round differently; a column that
-    meets only exact zeros and ones before its products, as the basis
-    vectors of ``operators.compress`` do, keeps its bits.
+    ``np.vdot`` per row.  ``items``, ``vector_at``, ``norm`` and ``inner``
+    refuse a state of several columns.  With K > 1 the elementwise steps
+    and scatters give each column's bits, but a stacked product (and
+    ``gram``, ``norms``) takes the matrix-matrix path and may round
+    differently.  A map that is a single product, such as the unitary of
+    ``operators.matrix_on_window``, keeps the bits of each basis column,
+    whose entries are exact zeros and ones; a chain of products, such as
+    U*PU - P in ``flux.dense_window_index``, may differ in its last bits.
     """
 
     __slots__ = ("n_internal", "site_array", "value_array", "_sites", "_rows")
@@ -243,6 +246,7 @@ class LatticeState:
 
     def items(self) -> Iterator[tuple[Site, np.ndarray]]:
         """Each site with its vector, of a single-vector state."""
+        self._single()
         return zip(self.site_list(), self.value_array[:, :, 0])
 
     def sites(self) -> list[Site]:
@@ -254,6 +258,7 @@ class LatticeState:
         return np.array([index.get(site, -1) for site in sites], dtype=np.intp)
 
     def vector_at(self, site: Site) -> np.ndarray:
+        self._single()
         row = self._row_index().get(tuple(site))
         if row is None:
             return np.zeros(self.n_internal, dtype=complex)
@@ -263,6 +268,7 @@ class LatticeState:
         return len(self.value_array)
 
     def norm(self) -> float:
+        self._single()
         return float(np.sqrt(sum(np.vdot(v, v).real for v in self.value_array)))
 
     def norms(self) -> np.ndarray:
@@ -272,6 +278,7 @@ class LatticeState:
 
     def inner(self, other: "LatticeState") -> complex:
         """<self, other> of two single vectors, antilinear in self."""
+        self._single()
         self._check(other)
         if len(other.value_array) < len(self.value_array):
             return np.conj(other.inner(self))
@@ -307,6 +314,10 @@ class LatticeState:
 
     def scaled(self, factor: complex) -> "LatticeState":
         return self.with_values(factor * self.value_array)
+
+    def _single(self) -> None:
+        if self.value_array.shape[2] != 1:
+            raise DimensionMismatchError(f"a single-vector reader on {self.n_columns} columns")
 
     def _check(self, other: "LatticeState", columns: bool = True) -> None:
         if other.n_internal != self.n_internal:

@@ -107,29 +107,21 @@ def conditional_shift(d: int) -> CoinedWalk:
     return CoinedWalk(identity_coin(d))
 
 
-# basis vectors per state in ``compress``: bounds its stacked intermediates
-COMPRESS_COLUMNS = 128
-
-
 def compress(apply, sites, n: int) -> np.ndarray:
     """Dense matrix of the linear map ``apply`` on the span of ``sites``, each
     with ``n`` internal slots.
 
-    Basis order is the order of ``sites``, then internal slot.  The basis
-    vectors go through ``apply`` as the columns of one stacked state, up to
-    ``COMPRESS_COLUMNS`` at a time, consecutive in basis order; the parts of
-    their images leaving the sites are dropped.
+    Basis order is the order of ``sites``, then internal slot.  Every basis
+    vector goes through ``apply`` as a column of one stacked state; the parts
+    of their images leaving the sites are dropped.
     """
     index = {site: i for i, site in enumerate(sites)}
-    m = np.zeros((len(sites), n, len(sites) * n), dtype=complex)
-    chunk = max(1, COMPRESS_COLUMNS // n)
-    for start in range(0, len(sites), chunk):
-        block = np.array(sites[start : start + chunk], dtype=np.int64)
-        unit = np.eye(len(block) * n, dtype=complex).reshape(len(block), n, -1)
-        image = apply(LatticeState(n, (block, unit), _take=True))
-        rows = np.array([index.get(site, -1) for site in image.site_list()], dtype=np.intp)
-        hit = rows >= 0
-        m[rows[hit], :, start * n : start * n + unit.shape[2]] = image.value_array[hit]
+    unit = np.eye(len(sites) * n, dtype=complex).reshape(len(sites), n, -1)
+    image = apply(LatticeState(n, (np.array(sites, dtype=np.int64), unit), _take=True))
+    rows = np.array([index.get(site, -1) for site in image.site_list()], dtype=np.intp)
+    hit = rows >= 0
+    m = np.zeros_like(unit)
+    m[rows[hit]] = image.value_array[hit]
     return m.reshape(len(sites) * n, -1)
 
 

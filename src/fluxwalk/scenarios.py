@@ -26,7 +26,7 @@ from .config import DEFAULT, PROFILES, Tolerances
 from .errors import FluxwalkError, ValidationError
 from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
 from .flux import analyze, dense_window_index, index_stability_probe, max_block_norm
-from .lattice import LatticeState, haar_unitary, index_of_vector
+from .lattice import haar_unitary, index_of_vector
 from .operators import matrix_on_window
 from .report import SCHEMA_VERSION, index_report_dict
 from .shift import build_perturbed, extract_kernels, verify_shift_structure
@@ -463,16 +463,11 @@ def _walk_wandering_analysis(setup, analysis, files):
     steps = _number(analysis.get("steps", 50), "steps")
     if setup.network is None or not setup.network.leads():
         raise ValidationError("wandering needs a lead network with at least one lead")
-    walk = setup.unitary
     results = []
     ok = True
     rows = ["lead,step,overlap"]
     for idx, lead in enumerate(setup.network.leads()):
-        head, tangent = lead.head_pair()
-        seed_state = LatticeState.basis(head, index_of_vector(tangent), walk.n_internal)
-        rep = verify_wandering(
-            walk, seed_state, steps, lead=lead, adjoint=(lead.kind == "incoming"), tol=setup.tol
-        )
+        rep = verify_wandering(setup.unitary, lead, steps, tol=setup.tol)
         ok = ok and rep.ok
         results.append(
             {

@@ -549,20 +549,23 @@ class WanderingReport:
 
 def verify_wandering(
     unitary,
-    seed: LatticeState,
+    seed: LatticeState | LeadSpec,
     k_max: int,
-    lead: LeadSpec | None = None,
-    adjoint: bool = False,
     tol: Tolerances = DEFAULT,
 ) -> WanderingReport:
-    """Check <seed, U^k seed> = 0 for k = 1..k_max (U* for ``adjoint``), and
-    when a lead is given, that the same iterates carry the seed, the lead's
-    head state, along the lead up to a phase: an outgoing lead under U, an
-    incoming one under U*."""
+    """Check <psi, U^k psi> = 0 for k = 1..k_max.  ``seed`` is psi, or a
+    lead: then psi is the lead's head state, stepped under U along an
+    outgoing lead and under U* along an incoming one, and the same iterates
+    must carry it along the lead up to a phase."""
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    step = unitary.apply_adjoint if adjoint else unitary.apply
-    sign = -1 if lead is not None and lead.kind == "incoming" else 1
+    lead = seed if isinstance(seed, LeadSpec) else None
+    sign = 1
+    if lead is not None:
+        head, tangent = lead.head_pair()
+        seed = LatticeState.basis(head, index_of_vector(tangent), unitary.n_internal)
+        sign = -1 if lead.kind == "incoming" else 1
+    step = unitary.apply_adjoint if sign < 0 else unitary.apply
     current = seed
     worst = defect = 0.0
     worst_k = None

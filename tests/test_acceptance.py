@@ -30,12 +30,7 @@ from fluxwalk.flux import (
     index_by_supertrace,
     index_stability_probe,
 )
-from fluxwalk.lattice import (
-    LatticeState,
-    direction_index,
-    haar_unitary,
-    index_of_vector,
-)
+from fluxwalk.lattice import direction_index, haar_unitary
 from fluxwalk.shift import build_perturbed, extract_kernels, verify_shift_structure
 from fluxwalk.walks import (
     BoundarySpec,
@@ -199,11 +194,7 @@ def test_criterion_05_wandering_and_transport():
     worst_overlap = 0.0
     worst_transport = 0.0
     for lead in net.leads():
-        site, tangent = lead.head_pair()
-        seed = LatticeState.basis(site, index_of_vector(tangent), 4)
-        rep = verify_wandering(
-            walk, seed, 50, lead=lead, adjoint=(lead.kind == "incoming")
-        )
+        rep = verify_wandering(walk, lead, 50)
         assert rep.ok
         worst_overlap = max(worst_overlap, rep.max_overlap)
         worst_transport = max(worst_transport, rep.transport_defect)

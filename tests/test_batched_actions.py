@@ -5,8 +5,8 @@ rows of a packed state, multiply stacked matrices and scatter the result.
 Each must give exactly the state that the per-site loop in
 ``reference_state`` gives, row order included.  On a stack of K states each
 action must give the K single-column results: within 1e-14 in general, and
-bit for bit for the dense compression of a unitary, whose basis columns
-meet only exact zeros and ones before their products.
+bit for bit for the dense compression of a unitary (``matrix_on_window``),
+a single product on basis columns of exact zeros and ones.
 """
 
 import itertools
@@ -28,6 +28,7 @@ from fluxwalk.cc import (
     random_phase_window,
     wiggled_r_path,
 )
+from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.fields import SiteMap
 from fluxwalk.lattice import LatticeState
 from fluxwalk.operators import matrix_on_window
@@ -292,11 +293,23 @@ def test_perturbed_unitary_acts_on_k_columns_as_on_each(seed):
 
 @pytest.mark.parametrize("name", WALKS + NETWORKS)
 def test_window_compression_keeps_the_bits_of_one_vector_at_a_time(name):
-    # 9 x 9 sites hold more basis vectors than one stacked state takes, so
-    # the two-dimensional models also cover the chunking
     flux = walk_model(name) if name in WALKS else cc_model(name)
     unitary = flux.geometry.unitary
     lo, hi = flux.lo, [lo + 8 for lo in flux.lo]
     sites = sorted(itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]))
     dense = matrix_on_window(unitary, sites)
     assert dense.tobytes() == ref.compress(unitary.apply, sites, unitary.n_internal).tobytes()
+
+
+def test_single_vector_readers_refuse_stacked_states():
+    psi = LatticeState.basis((0, 0), 1, 4)
+    stacked = LatticeState.stack([psi, LatticeState.basis((1, 0), 2, 4)])
+    for read in (
+        stacked.norm,
+        lambda: stacked.inner(stacked),
+        lambda: psi.inner(stacked),
+        stacked.items,
+        lambda: stacked.vector_at((0, 0)),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            read()

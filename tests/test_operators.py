@@ -144,3 +144,14 @@ def test_window_compression_applies_the_map_once(monkeypatch):
     monkeypatch.setattr(walk, "apply", lambda psi: widths.append(psi.n_columns) or original(psi))
     assert matrix_on_window(walk, sites).tobytes() == reference.tobytes()
     assert widths == [22]
+
+
+def test_window_compression_takes_a_2d_window_in_one_action(monkeypatch):
+    # the 484 basis vectors of spectrum_window's default 11 x 11 window
+    walk = CoinedWalk(random_background(np.random.default_rng(0), 2, box=3))
+    sites = [(x, y) for x in range(-5, 6) for y in range(-5, 6)]
+    widths = []
+    original = walk.apply
+    monkeypatch.setattr(walk, "apply", lambda psi: widths.append(psi.n_columns) or original(psi))
+    assert matrix_on_window(walk, sites).shape == (484, 484)
+    assert widths == [484]

@@ -238,12 +238,25 @@ def test_wandering_along_leads():
     net = NetworkSpec(outgoing=(out_lead,), incoming=(in_lead,))
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=4))
     walk = build_walk(coin)
-    seed = LatticeState.basis(*out_lead.head_pair()[:1], index_of_vector(out_lead.head_pair()[1]), 4)
-    rep = verify_wandering(walk, seed, 50, lead=out_lead)
+    rep = verify_wandering(walk, out_lead, 50)
     assert rep.ok and rep.max_overlap <= 1e-12 and rep.transport_defect <= 1e-12
-    seed_in = LatticeState.basis(in_lead.head_pair()[0], index_of_vector(in_lead.head_pair()[1]), 4)
-    rep_in = verify_wandering(walk, seed_in, 50, lead=in_lead, adjoint=True)
+    rep_in = verify_wandering(walk, in_lead, 50)
     assert rep_in.ok
+
+
+def test_wandering_seeds_with_the_lead_head_in_its_direction():
+    # the seed of a lead is its head state, stepped under U* when incoming
+    rng = np.random.default_rng(10)
+    in_lead = LeadSpec("incoming", [(-4, 2), (-4, 1), (-4, 0)], (0, 1))
+    walk = build_walk(synthesize_lead_coin(NetworkSpec(incoming=(in_lead,)), random_background(rng, 2, box=4)))
+    head, tangent = in_lead.head_pair()
+    seed = current = LatticeState.basis(head, index_of_vector(tangent), 4)
+    overlaps = []
+    for _ in range(5):
+        current = walk.apply_adjoint(current)
+        overlaps.append(abs(seed.inner(current)))
+    rep = verify_wandering(walk, in_lead, 5)
+    assert rep.overlaps == overlaps and rep.transport_defect <= 1e-12
 
 
 def test_wandering_failure_detected():
