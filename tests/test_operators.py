@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,25 +135,16 @@ def test_locality_one_ball():
         assert sum(abs(c) for c in site) == 1
 
 
-def test_window_compression_applies_the_map_once(monkeypatch):
-    # the 22 basis vectors of an 11-site window go through the walk as the
-    # columns of one state (22 single-vector actions before)
-    walk = CoinedWalk(random_background(np.random.default_rng(0), 1, box=3))
-    sites = [(x,) for x in range(-5, 6)]
+@pytest.mark.parametrize("d", [1, 2])
+def test_window_compression_applies_the_map_once(monkeypatch, d):
+    # every basis vector of an 11^d-site window goes through the walk as a
+    # column of one state (2d * 11^d single-vector actions before); 11 x 11
+    # is spectrum_window's default window
+    walk = CoinedWalk(random_background(np.random.default_rng(0), d, box=3))
+    sites = sorted(itertools.product(range(-5, 6), repeat=d))
     reference = matrix_on_window(walk, sites)
     widths = []
     original = walk.apply
     monkeypatch.setattr(walk, "apply", lambda psi: widths.append(psi.n_columns) or original(psi))
     assert matrix_on_window(walk, sites).tobytes() == reference.tobytes()
-    assert widths == [22]
-
-
-def test_window_compression_takes_a_2d_window_in_one_action(monkeypatch):
-    # the 484 basis vectors of spectrum_window's default 11 x 11 window
-    walk = CoinedWalk(random_background(np.random.default_rng(0), 2, box=3))
-    sites = [(x, y) for x in range(-5, 6) for y in range(-5, 6)]
-    widths = []
-    original = walk.apply
-    monkeypatch.setattr(walk, "apply", lambda psi: widths.append(psi.n_columns) or original(psi))
-    assert matrix_on_window(walk, sites).shape == (484, 484)
-    assert widths == [484]
+    assert widths == [2 * d * 11**d]

@@ -244,21 +244,6 @@ def test_wandering_along_leads():
     assert rep_in.ok
 
 
-def test_wandering_seeds_with_the_lead_head_in_its_direction():
-    # the seed of a lead is its head state, stepped under U* when incoming
-    rng = np.random.default_rng(10)
-    in_lead = LeadSpec("incoming", [(-4, 2), (-4, 1), (-4, 0)], (0, 1))
-    walk = build_walk(synthesize_lead_coin(NetworkSpec(incoming=(in_lead,)), random_background(rng, 2, box=4)))
-    head, tangent = in_lead.head_pair()
-    seed = current = LatticeState.basis(head, index_of_vector(tangent), 4)
-    overlaps = []
-    for _ in range(5):
-        current = walk.apply_adjoint(current)
-        overlaps.append(abs(seed.inner(current)))
-    rep = verify_wandering(walk, in_lead, 5)
-    assert rep.overlaps == overlaps and rep.transport_defect <= 1e-12
-
-
 def test_wandering_failure_detected():
     # a coin fixing a direction at one site loops the walker when the shift
     # cannot move it coherently; an eigen-seed of U has constant overlap
