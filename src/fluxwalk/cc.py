@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -100,9 +101,10 @@ class ScatteringParams:
     t: complex
 
     def __post_init__(self):
-        if abs(abs(self.q) - 1.0) > 1e-12:
+        # "not (x <= bound)", so that a NaN fails the checks as well
+        if not (abs(abs(self.q) - 1.0) <= 1e-12):
             raise ValidationError(f"|q| = {abs(self.q):.6g} is not unimodular")
-        if abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0) > 1e-12:
+        if not (abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0) <= 1e-12):
             raise ValidationError("|r|^2 + |t|^2 must equal 1")
 
     def matrix(self) -> np.ndarray:
@@ -122,18 +124,13 @@ def random_phase_window(
     a_range: range,
     b_range: range,
 ) -> dict:
-    """Window of cells with fixed |r| and independent uniform phases."""
+    """Window of cells (a, b), b even, a-major, with fixed |r| and uniform
+    phases: one ``rng.uniform`` call draws the q, r and t phases of each
+    cell in turn, and one ``np.exp`` turns them into unit numbers."""
     t_abs = math.sqrt(max(0.0, 1.0 - r_abs**2))
-    window = {}
-    for a in a_range:
-        for b in b_range:
-            if b % 2 != 0:
-                continue
-            q = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            r = r_abs * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            t = t_abs * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-            window[(a, b)] = ScatteringParams(q, r, t)
-    return window
+    cells = [(a, b) for a in a_range for b in b_range if b % 2 == 0]
+    units = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(cells), 3)))
+    return {z: ScatteringParams(q, r_abs * r, t_abs * t) for z, (q, r, t) in zip(cells, units)}
 
 
 class CCUnitary(LocalUnitary):
@@ -144,8 +141,9 @@ class CCUnitary(LocalUnitary):
     template value and every window label is checked here.  For
     ``flux.CellGeometry``, cell z maps its incoming pair onto its outgoing
     pair through S(z)^T (outgoing x incoming), and ``cell_labels`` is
-    ``in_cells``; ``cells`` builds every S^T of a label array at once.
-    """
+    ``in_cells``.  The S^T of every ``scattering.table`` row is stacked
+    once, so ``cells`` and the actions read S^T with one ``value_index``
+    and one ``take``."""
 
     d = 2
     n_internal = 1
@@ -153,12 +151,14 @@ class CCUnitary(LocalUnitary):
     def __init__(self, scattering: SiteMap):
         if scattering.d != 2:
             raise ValidationError(f"scattering data live on Z^2, got d = {scattering.d}")
-        for z in scattering.window:
-            if z[1] % 2 != 0:
-                raise ValidationError(f"cell label {z} has odd second coordinate")
-        for desc, params in scattering.template_values():
-            if not isinstance(params, ScatteringParams):
-                raise ValidationError(f"{desc} is not a ScatteringParams")
+        odd = np.flatnonzero(scattering.window_coords[1] % 2)
+        if odd.size:
+            z = list(scattering.window)[odd[0]]
+            raise ValidationError(f"cell label {z} has odd second coordinate")
+        if not all(isinstance(p, ScatteringParams) for p in scattering.table):
+            for desc, params in scattering.template_values():
+                if not isinstance(params, ScatteringParams):
+                    raise ValidationError(f"{desc} is not a ScatteringParams")
         self.scattering = scattering
 
     def cell_labels(self, sites: np.ndarray) -> np.ndarray:
@@ -187,16 +187,14 @@ class CCUnitary(LocalUnitary):
         labels = np.asarray(labels, dtype=np.int64)
         return self._transposed(labels), self.in_basis(labels), self.out_basis(labels)
 
+    @cached_property
+    def _transposed_table(self) -> np.ndarray:
+        """``p.matrix().T`` of every row p of ``scattering.table``."""
+        return np.array([p.matrix().T for p in self.scattering.table])
+
     def _transposed(self, labels: np.ndarray) -> np.ndarray:
         """The stacked S(z)^T of an (N, 2) label array."""
-        distinct, which = self.scattering.distinct_values(labels)
-        # entries spelled as in ScatteringParams.matrix, so real parameters
-        # keep the same signed zeros
-        s = np.array(
-            [[[p.r, -p.t], [p.t.conjugate(), p.r.conjugate()]] for p in distinct], dtype=complex
-        )
-        q = np.array([p.q for p in distinct], dtype=complex)
-        return (q[:, None, None] * s).transpose(0, 2, 1)[which]
+        return self._transposed_table.take(self.scattering.value_index(labels), axis=0)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         return self._scatter(psi, adjoint=False)

@@ -15,8 +15,8 @@ Adapted projections store sets of open internal slots.
 
 Every lookup comes in two forms.  The array forms, ``SiteMap.value_index``
 and ``AdaptedProjection.slot_bits``, resolve a whole (M, d) site array with
-one NumPy pass per layer; block assembly uses them (``CoinedWalk.cells``,
-``CCUnitary`` cells and actions, ``AdaptedProjection.diagonal_entries``).
+one NumPy pass per layer; block assembly uses them, and ``CCUnitary`` reads
+its cells and actions off one ``value_index`` call into a stack of S^T.
 The scalar forms, ``SiteMap.value``, ``Ray.locate`` and
 ``AdaptedProjection.open_slots``, serve callers holding one site or a few:
 the walk and projection actions on small states, lead synthesis and its
@@ -93,15 +93,17 @@ class Ray:
 
     def locate_all(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``locate`` for an (M, d) integer site array: a mask of the sites
-        on the ray and, where it is set, their ``t``.  ``np.divmod`` floors
-        like Python's ``divmod``, so negative and non-unit steps agree."""
-        step = np.array(self.step, dtype=np.int64)
-        offsets = sites - np.array(self.base, dtype=np.int64)
-        moving = step != 0
-        q, r = np.divmod(offsets[:, moving], step[moving])
-        t = q[:, 0]
-        hit = (r == 0).all(axis=1) & (q == t[:, None]).all(axis=1) & (t >= 0)
-        return hit & (offsets[:, ~moving] == 0).all(axis=1), t
+        on the ray and, where it is set, their ``t``, worked out on one row
+        per coordinate (NumPy reduces those far faster than (M, d) rows).
+        Floor division rounds like ``divmod``, as non-unit steps need."""
+        step = np.array(self.step, dtype=np.int64)[:, None]
+        offsets = np.ascontiguousarray(sites.T) - np.array(self.base, dtype=np.int64)[:, None]
+        moving = step[:, 0] != 0
+        along, step = offsets[moving], step[moving]
+        q = along // step
+        t = q[0]
+        hit = (q * step == along).all(axis=0) & (q == t).all(axis=0) & (t >= 0)
+        return hit & (offsets[~moving] == 0).all(axis=0), t
 
     def site_at(self, t: int) -> Site:
         return tuple(b + t * s for b, s in zip(self.base, self.step))
@@ -162,9 +164,9 @@ class SiteMap:
 
     The layers are read-only (a mapping proxy and tuples), so the lookup
     table and window grid that ``value_index`` builds on first use stay
-    valid.  ``value_index`` and ``distinct_values`` serve block assembly and
-    the Chalker--Coddington actions; ``value`` serves one-site callers: the
-    walk actions, lead synthesis and its checks, setup probes.
+    valid.  ``value_index`` serves block assembly and the Chalker--Coddington
+    actions, ``distinct_values`` the walk cells; ``value`` serves one-site
+    callers: the walk actions, lead synthesis and its checks, setup probes.
     """
 
     def __init__(
@@ -220,18 +222,23 @@ class SiteMap:
         )
 
     @cached_property
+    def window_coords(self) -> np.ndarray:
+        """The window's sites, in window order, as a (d, W) integer array."""
+        return np.ascontiguousarray(np.array(list(self.window), dtype=np.int64).reshape(-1, self.d).T)
+
+    @cached_property
     def _window_grid(self):
         """``(corner, grid)``: the table row of every window site, laid out
         over the window's bounding box with a one-site border, and -1
         elsewhere.  ``None`` when the box holds more than ``_GRID_CELLS``
         sites and eight per window entry."""
-        sites = np.array(list(self.window), dtype=np.int64).reshape(-1, self.d)
-        corner = sites.min(axis=0) - 1
-        shape = (sites.max(axis=0) - corner + 2).tolist()
-        if math.prod(shape) > max(_GRID_CELLS, 8 * len(sites)):
+        coords = self.window_coords
+        corner = coords.min(axis=1) - 1
+        shape = (coords.max(axis=1) - corner + 2).tolist()
+        if math.prod(shape) > max(_GRID_CELLS, 8 * coords.shape[1]):
             return None
         grid = np.full(shape, -1, dtype=np.intp)
-        grid[tuple((sites - corner).T)] = np.arange(len(sites))
+        grid[tuple(coords - corner[:, None])] = np.arange(coords.shape[1])
         return corner, grid
 
     def _window_rows(self, sites: np.ndarray) -> np.ndarray:
@@ -302,16 +309,11 @@ class SiteMap:
     # -- structure queries used by the certification machinery ------------
 
     def bounds(self) -> tuple[list[int], list[int]]:
-        """Per-axis feature bounds [lo, hi] covering window, ray bases,
-        plane values and half-space thresholds."""
-        lo = [0] * self.d
-        hi = [0] * self.d
-        points = list(self.window)
-        points.extend(ray.base for ray, _ in self.rays)
-        for p in points:
-            for j, x in enumerate(p):
-                lo[j] = min(lo[j], x)
-                hi[j] = max(hi[j], x)
+        """Per-axis feature bounds [lo, hi] covering the origin, window, ray
+        bases, plane values and half-space thresholds."""
+        bases = np.array([ray.base for ray, _ in self.rays], dtype=np.int64).reshape(-1, self.d)
+        coords = np.concatenate([self.window_coords, bases.T, np.zeros((self.d, 1), dtype=np.int64)], axis=1)
+        lo, hi = coords.min(axis=1).tolist(), coords.max(axis=1).tolist()
         for plane, _ in self.planes:
             lo[plane.axis] = min(lo[plane.axis], plane.value)
             hi[plane.axis] = max(hi[plane.axis], plane.value)

@@ -397,7 +397,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
         rows = np.array([shell_row_of.get(p, -1) for p in partners])
         tw_flux = block_fn(tripwire)[0]
         missing = rows < 0
-        differs = np.abs(tw_flux - flux[rows]).max(axis=(1, 2)) > 1e-12
+        differs = ~(np.abs(tw_flux - flux[rows]).max(axis=(1, 2)) <= 1e-12)
         bad = np.flatnonzero(missing | differs)
         if bad.size:
             i = bad[0]
@@ -448,7 +448,7 @@ def selfcheck_against_operator(flux: FluxField, unitary) -> float:
     psi = geom.probe_states(rng)
     via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - geom.proj.apply(psi)
     worst = float((via_op - flux.apply(psi)).norms().max())
-    if worst > 1e-12:
+    if not (worst <= 1e-12):
         raise ValidationError(f"blockwise flux deviates from U*PU - P by {worst:g}")
     return worst
 

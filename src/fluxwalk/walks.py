@@ -643,7 +643,7 @@ def bulk_boundary_flux(coin: SiteMap, tol: Tolerances = DEFAULT) -> FluxField:
     every block must vanish."""
     flux = build_walk_flux(coin, boundary_projection_full(coin.d), tol)
     worst = max_block_norm(flux)
-    if worst > 1e-12:
+    if not (worst <= 1e-12):
         raise ValidationError(
             f"reflecting configuration has a nonzero flux block (norm {worst:g})"
         )

@@ -7,15 +7,18 @@ loops that the walk, projection, network and cell actions ran on it.  The
 tests compare the packed results against them bit for bit, row order
 included.  The cell references describe one cell, or one site of a region,
 at a time, from the model's fields and the scalar ``in_cell``/``out_cell``.
+``random_phase_window`` is the per-cell draw loop that ``fluxwalk.cc``
+ran before it drew every phase of a window in one call.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 
 import numpy as np
 
-from fluxwalk.cc import CCUnitary, RegionSplit, in_cell, out_cell
+from fluxwalk.cc import CCUnitary, RegionSplit, ScatteringParams, in_cell, out_cell
 from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.lattice import LatticeState, all_direction_vectors
 
@@ -276,3 +279,19 @@ def compress(apply, sites, n: int) -> np.ndarray:
                 if i_site is not None:
                     m[i_site * n : (i_site + 1) * n, j_site * n + slot] = vec
     return m
+
+
+def random_phase_window(rng, r_abs: float, a_range: range, b_range: range) -> dict:
+    """Three scalar phase draws and three scalar ``np.exp`` calls per cell
+    of even b, in a-major order."""
+    t_abs = math.sqrt(max(0.0, 1.0 - r_abs**2))
+    window = {}
+    for a in a_range:
+        for b in b_range:
+            if b % 2 != 0:
+                continue
+            q = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            r = r_abs * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            t = t_abs * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            window[(a, b)] = ScatteringParams(q, r, t)
+    return window

@@ -174,6 +174,17 @@ def test_tripwire_mismatch_names_the_first_label():
         assemble_field(geometry, _shifted(geometry, bad, 0.5 * np.eye(2)), *args)
 
 
+def test_nan_tripwire_block_fails_the_tail_check():
+    # a NaN difference compares false with the bound and must fail as well
+    geometry, args, lo, hi, band = _basic_assembly()
+    label = hi + 2 * band
+    with pytest.raises(
+        ValidationError, match=rf"tail is not translation invariant: block \({label},\) differs"
+    ) as info:
+        assemble_field(geometry, _shifted(geometry, {(label,)}, np.full((2, 2), np.nan)), *args)
+    assert info.type is ValidationError
+
+
 @pytest.mark.parametrize("clamped_first", [True, False])
 def test_tripwire_clamped_outside_the_shell_names_the_first_label(monkeypatch, clamped_first):
     geometry, args, lo, hi, band = _basic_assembly()

@@ -1,9 +1,13 @@
 import itertools
 import json
+import re
+from functools import cached_property
 
 import numpy as np
 import pytest
 
+import fluxwalk.cc as cc_module
+import reference_state as ref
 from fluxwalk.cc import (
     CRITICAL,
     FULL_REFLECTION,
@@ -116,6 +120,107 @@ def test_cc_unitary_rejects_bad_scattering_fields():
         cc_flux(SiteMap(2), straight_r_path())
     with pytest.raises(ValidationError, match="Z\\^2"):
         CCUnitary(SiteMap(1, background=CRITICAL))
+
+
+@pytest.mark.parametrize("nan_at", ["q", "r", "t"])
+def test_scattering_params_reject_nan(nan_at):
+    # NaN compares false with every bound, so a check that reads
+    # "deviation > bound" lets it through
+    values = {"q": 1.0, "r": 1.0, "t": 0.0, nan_at: float("nan")}
+    message = "|q| = nan is not unimodular" if nan_at == "q" else "|r|^2 + |t|^2 must equal 1"
+    with pytest.raises(ValidationError, match=re.escape(message)) as info:
+        ScatteringParams(**values)
+    assert info.type is ValidationError
+
+
+# ---------------------------------------------------------------------------
+# scattering fields as arrays
+
+
+@pytest.mark.parametrize("r_abs", [0.0, 0.3, 1.0 / np.sqrt(2.0), 1.0])
+@pytest.mark.parametrize(
+    "a_range, b_range",
+    [
+        (range(-7, 8), range(-7, 8)),
+        (range(-2, 5), range(-9, 4)),  # not square, odd b at both ends
+        (range(3, 3), range(-4, 5)),  # no a
+        (range(0, 4), range(1, 2)),  # no even b
+    ],
+)
+def test_random_phase_window_matches_the_per_cell_draws(r_abs, a_range, b_range):
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    window = random_phase_window(rng, r_abs, a_range, b_range)
+    want = ref.random_phase_window(ref_rng, r_abs, a_range, b_range)
+    assert list(window) == list(want)
+    for z, params in want.items():
+        for name in ("q", "r", "t"):
+            got, value = getattr(window[z], name), getattr(params, name)
+            assert type(got) is type(value)
+            assert np.asarray(got).tobytes() == np.asarray(value).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def assert_cells_are_the_stacked_matrices(field: SiteMap, labels):
+    """``CCUnitary.cells`` gives S(z)^T = ``p.matrix().T`` bit for bit."""
+    want = np.array([field.value(z).matrix().T for z in labels])
+    got = CCUnitary(field).cells(np.array(labels))[0]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "background", [CRITICAL, FULL_TRANSMISSION, FULL_REFLECTION, params_r(0.3, q=np.exp(0.7j))]
+)
+def test_cells_are_the_stacked_matrices_of_every_layer(background):
+    window = random_phase_window(np.random.default_rng(5), 0.6, range(-3, 4), range(-3, 4))
+    ray = Ray((6, 0), (1, 0))
+    field = SiteMap(
+        2,
+        window=window,
+        rays=[(ray, [FULL_TRANSMISSION, FULL_REFLECTION, params_r(0.4)])],
+        background=background,
+    )
+    labels = [*window, *(ray.site_at(t) for t in range(7)), (-10, 4), (20, -6), (5, 2)]
+    assert_cells_are_the_stacked_matrices(field, labels)
+
+
+def test_cells_are_the_stacked_matrices_of_a_capped_field(monkeypatch):
+    # the field that anomalous_transport caps: FULL_TRANSMISSION and
+    # FULL_REFLECTION windows and rays over a random-phase window
+    fields, cc_flux = [], cc_module.cc_flux
+
+    class Captured(Exception):
+        pass
+
+    def capture(scattering, path, tol):
+        fields.append(scattering)
+        if len(fields) > 1:
+            raise Captured
+        return cc_flux(scattering, path, tol)
+
+    monkeypatch.setattr(cc_module, "cc_flux", capture)
+    window = random_phase_window(np.random.default_rng(23), 0.2, range(-5, 6), range(-5, 6))
+    with pytest.raises(Captured):
+        anomalous_transport(SiteMap(2, window=window, background=params_r(0.2)), crossover_path(), [0.25])
+    field = fields[-1]
+    assert len(field.rays) == 2
+    labels = [*field.window, *(ray.site_at(t) for ray, _ in field.rays for t in range(5)), (0, 60)]
+    assert_cells_are_the_stacked_matrices(field, labels)
+
+
+def test_scattering_table_is_stacked_once_per_unitary(monkeypatch):
+    # block assembly and the selfcheck read S^T through one unitary's table
+    builds, reads = [], []
+    table = CCUnitary.__dict__["_transposed_table"]
+    counted = cached_property(lambda self: builds.append(self) or table.func(self))
+    counted.__set_name__(CCUnitary, "_transposed_table")
+    monkeypatch.setattr(CCUnitary, "_transposed_table", counted)
+    transposed = CCUnitary._transposed
+    monkeypatch.setattr(CCUnitary, "_transposed", lambda self, labels: reads.append(self) or transposed(self, labels))
+    window = random_phase_window(np.random.default_rng(3), 0.3, range(-4, 5), range(-4, 5))
+    cc_flux(SiteMap(2, window=window, background=params_r(0.3)), straight_r_path())
+    assert len(builds) == 1
+    # the box and tripwire blocks, then U and U* in the selfcheck
+    assert len(reads) >= 4 and all(u is builds[0] for u in reads)
 
 
 def test_unitarity_and_adjoint():

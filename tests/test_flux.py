@@ -232,9 +232,9 @@ def test_kernel_vectors_must_respect_the_projection(complement, message):
         extract_kernels(flux)
 
 
-def test_selfcheck_catches_a_corrupted_kept_block():
-    # the probes travel as the columns of one state; a kept block that the
-    # probes meet, off by 1e-6 in one entry, must fail the check
+def _basic_flux_and_a_probed_kept_block():
+    """The basic example's flux and walk, and a kept block that the
+    selfcheck's probes meet."""
     coin, proj = make_basic_example(seed=1)
     walk = build_walk(coin)
     flux = build_walk_flux(walk, proj)
@@ -244,10 +244,25 @@ def test_selfcheck_catches_a_corrupted_kept_block():
         sites = flux.geometry.probe_sites(rng)
         probed |= sites
         random_state(rng, sites, flux.geometry.state_dim)
-    label = sorted(set(flux.blocks) & probed)[0]
-    flux.blocks[label].matrix[0, 0] += 1e-6
+    return flux, walk, flux.blocks[sorted(set(flux.blocks) & probed)[0]]
+
+
+def test_selfcheck_catches_a_corrupted_kept_block():
+    # the probes travel as the columns of one state; a kept block that the
+    # probes meet, off by 1e-6 in one entry, must fail the check
+    flux, walk, block = _basic_flux_and_a_probed_kept_block()
+    block.matrix[0, 0] += 1e-6
     with pytest.raises(ValidationError, match=re.escape("blockwise flux deviates from U*PU - P by")):
         selfcheck_against_operator(flux, walk)
+
+
+def test_selfcheck_catches_a_nan_kept_block():
+    # a NaN deviation compares false with the bound and must fail as well
+    flux, walk, block = _basic_flux_and_a_probed_kept_block()
+    block.matrix[0, 0] = np.nan
+    with pytest.raises(ValidationError, match=re.escape("blockwise flux deviates from U*PU - P by nan")) as info:
+        selfcheck_against_operator(flux, walk)
+    assert info.type is ValidationError
 
 
 def test_guard_band_aborts():

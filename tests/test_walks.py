@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,17 @@ def test_bulk_boundary_flux_vanishes():
     assert not flux.blocks
     report = analyze(flux)
     assert report.index == 0
+
+
+def test_bulk_boundary_flux_rejects_a_nan_block_norm(monkeypatch):
+    # a NaN norm compares false with the bound and must fail as well
+    import fluxwalk.walks as walks_module
+
+    monkeypatch.setattr(walks_module, "max_block_norm", lambda flux: float("nan"))
+    message = "reflecting configuration has a nonzero flux block (norm nan)"
+    with pytest.raises(ValidationError, match=re.escape(message)) as info:
+        bulk_boundary_flux(reflecting_coin(2, np.random.default_rng(20), box=3))
+    assert info.type is ValidationError
 
 
 def test_boundary_projection_is_homogeneous():
