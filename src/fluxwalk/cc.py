@@ -94,14 +94,13 @@ def out_cells(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ScatteringParams:
-    """Parameters (q, r, t) of one scattering matrix."""
+    """Parameters (q, r, t) of one scattering matrix, checked so that a NaN fails."""
 
     q: complex
     r: complex
     t: complex
 
     def __post_init__(self):
-        # "not (x <= bound)", so that a NaN fails the checks as well
         if not (abs(abs(self.q) - 1.0) <= 1e-12):
             raise ValidationError(f"|q| = {abs(self.q):.6g} is not unimodular")
         if not (abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0) <= 1e-12):
@@ -153,12 +152,10 @@ class CCUnitary(LocalUnitary):
             raise ValidationError(f"scattering data live on Z^2, got d = {scattering.d}")
         odd = np.flatnonzero(scattering.window_coords[1] % 2)
         if odd.size:
-            z = list(scattering.window)[odd[0]]
-            raise ValidationError(f"cell label {z} has odd second coordinate")
+            raise ValidationError(f"cell label {list(scattering.window)[odd[0]]} has odd second coordinate")
         if not all(isinstance(p, ScatteringParams) for p in scattering.table):
-            for desc, params in scattering.template_values():
-                if not isinstance(params, ScatteringParams):
-                    raise ValidationError(f"{desc} is not a ScatteringParams")
+            desc = next(d for d, p in scattering.template_values() if not isinstance(p, ScatteringParams))
+            raise ValidationError(f"{desc} is not a ScatteringParams")
         self.scattering = scattering
 
     def cell_labels(self, sites: np.ndarray) -> np.ndarray:
@@ -189,8 +186,14 @@ class CCUnitary(LocalUnitary):
 
     @cached_property
     def _transposed_table(self) -> np.ndarray:
-        """``p.matrix().T`` of every row p of ``scattering.table``."""
-        return np.array([p.matrix().T for p in self.scattering.table])
+        """``p.matrix().T`` of every ``scattering.table`` row p, bit for bit:
+        negating or conjugating a real r or t leaves +0 as its imaginary part."""
+        table = self.scattering.table
+        q, r, t = (np.array([getattr(p, k) for p in table], dtype=complex) for k in "qrt")
+        given = [[isinstance(v, (complex, np.complexfloating)) for v in (p.r, p.t)] for p in table]
+        r_im, t_im = np.where(given, -np.stack([r.imag, t.imag], axis=1), 0.0).T
+        entries = np.stack([r.real, r.imag, t.real, t_im, -t.real, t_im, r.real, r_im], axis=1).view(complex)
+        return (q[:, None] * entries).reshape(-1, 2, 2)
 
     def _transposed(self, labels: np.ndarray) -> np.ndarray:
         """The stacked S(z)^T of an (N, 2) label array."""

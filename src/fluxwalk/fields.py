@@ -310,18 +310,15 @@ class SiteMap:
 
     def bounds(self) -> tuple[list[int], list[int]]:
         """Per-axis feature bounds [lo, hi] covering the origin, window, ray
-        bases, plane values and half-space thresholds."""
+        bases, plane values and half-space thresholds: one min and one max
+        over all of them, each plane and half-space as a point on its axis."""
+        marks = [(p.axis, p.value) for p, _ in self.planes]
+        marks += [(h.axis, h.sign * h.threshold) for h, _ in self.halfspaces]
+        axial = np.zeros((self.d, len(marks) + 1), dtype=np.int64)
+        axial[[axis for axis, _ in marks], range(len(marks))] = [v for _, v in marks]
         bases = np.array([ray.base for ray, _ in self.rays], dtype=np.int64).reshape(-1, self.d)
-        coords = np.concatenate([self.window_coords, bases.T, np.zeros((self.d, 1), dtype=np.int64)], axis=1)
-        lo, hi = coords.min(axis=1).tolist(), coords.max(axis=1).tolist()
-        for plane, _ in self.planes:
-            lo[plane.axis] = min(lo[plane.axis], plane.value)
-            hi[plane.axis] = max(hi[plane.axis], plane.value)
-        for hs, _ in self.halfspaces:
-            v = hs.sign * hs.threshold
-            lo[hs.axis] = min(lo[hs.axis], v)
-            hi[hs.axis] = max(hi[hs.axis], v)
-        return lo, hi
+        coords = np.concatenate([self.window_coords, bases.T, axial], axis=1)
+        return coords.min(axis=1).tolist(), coords.max(axis=1).tolist()
 
     def periods(self) -> list[int]:
         """Per-axis translation period of the tail structure.

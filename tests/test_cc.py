@@ -168,7 +168,17 @@ def assert_cells_are_the_stacked_matrices(field: SiteMap, labels):
 
 
 @pytest.mark.parametrize(
-    "background", [CRITICAL, FULL_TRANSMISSION, FULL_REFLECTION, params_r(0.3, q=np.exp(0.7j))]
+    "background",
+    [
+        CRITICAL,
+        FULL_TRANSMISSION,
+        FULL_REFLECTION,
+        params_r(0.3, q=np.exp(0.7j)),
+        # complex parameters with signed zero imaginary parts, and NumPy's
+        # single-precision complex type
+        ScatteringParams(complex(1.0, 0.0), complex(0.6, -0.0), complex(-0.8, 0.0)),
+        ScatteringParams(np.complex64(1j), np.complex64(-1.0), 0.0),
+    ],
 )
 def test_cells_are_the_stacked_matrices_of_every_layer(background):
     window = random_phase_window(np.random.default_rng(5), 0.6, range(-3, 4), range(-3, 4))
