@@ -128,8 +128,8 @@ def random_phase_window(
     cell in turn, and one ``np.exp`` turns them into unit numbers."""
     t_abs = math.sqrt(max(0.0, 1.0 - r_abs**2))
     cells = [(a, b) for a in a_range for b in b_range if b % 2 == 0]
-    units = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(cells), 3)))
-    return {z: ScatteringParams(q, r_abs * r, t_abs * t) for z, (q, r, t) in zip(cells, units)}
+    q, r, t = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(cells), 3))).T
+    return {z: ScatteringParams(*p) for z, *p in zip(cells, q, r_abs * r, t_abs * t)}
 
 
 class CCUnitary(LocalUnitary):
