@@ -190,8 +190,8 @@ class CCUnitary(LocalUnitary):
         negating or conjugating a real r or t leaves +0 as its imaginary part."""
         table = self.scattering.table
         q, r, t = (np.array([getattr(p, k) for p in table], dtype=complex) for k in "qrt")
-        given = [[isinstance(v, (complex, np.complexfloating)) for v in (p.r, p.t)] for p in table]
-        r_im, t_im = np.where(given, -np.stack([r.imag, t.imag], axis=1), 0.0).T
+        is_complex = [[isinstance(v, (complex, np.complexfloating)) for v in (p.r, p.t)] for p in table]
+        r_im, t_im = np.where(is_complex, -np.stack([r.imag, t.imag], axis=1), 0.0).T
         entries = np.stack([r.real, r.imag, t.real, t_im, -t.real, t_im, r.real, r_im], axis=1).view(complex)
         return (q[:, None] * entries).reshape(-1, 2, 2)
 
