@@ -35,36 +35,13 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import LatticeState, Site, all_direction_vectors, sub
-
-# largest window bounding box that ``SiteMap.value_index`` reads through a
-# dense grid; sparser windows fall back to one dict hit per site
-_GRID_CELLS = 1 << 16
+from .lattice import LatticeState, Site, SiteIndex, all_direction_vectors, group_sites, sub
 
 
 def _site_array(sites, d: int) -> np.ndarray:
     """``sites`` as an (M, d) int64 array; an empty input has no rows."""
     sites = np.asarray(sites, dtype=np.int64)
     return sites.reshape(len(sites), d)
-
-
-def _distinct_rows(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (M, d) integer site array and the position of
-    every row among them, off a dense grid over the bounding box; a box
-    above ``_GRID_CELLS`` cells and eight per row keeps the rows as they
-    are.  (NumPy reduces an (M, 2) array over its rows slowly, hence ``.T``.)"""
-    coords = np.ascontiguousarray(sites.T)
-    if not coords.size:
-        return sites, np.zeros(0, dtype=np.intp)
-    corner = coords.min(axis=1)
-    shape = (coords.max(axis=1) - corner + 1).tolist()
-    if math.prod(shape) > max(_GRID_CELLS, 8 * len(sites)):
-        return sites, np.arange(len(sites))
-    flat = np.ravel_multi_index(coords - corner[:, None], shape)
-    met = np.zeros(math.prod(shape), dtype=bool)
-    met[flat] = True
-    distinct = np.stack(np.unravel_index(np.flatnonzero(met), shape), axis=1) + corner
-    return distinct, (np.cumsum(met) - 1)[flat]
 
 
 @dataclass(frozen=True)
@@ -227,28 +204,8 @@ class SiteMap:
         return np.ascontiguousarray(np.array(list(self.window), dtype=np.int64).reshape(-1, self.d).T)
 
     @cached_property
-    def _window_grid(self):
-        """``(corner, grid)``: the table row of every window site, laid out
-        over the window's bounding box with a one-site border, and -1
-        elsewhere.  ``None`` when the box holds more than ``_GRID_CELLS``
-        sites and eight per window entry."""
-        coords = self.window_coords
-        corner = coords.min(axis=1) - 1
-        shape = (coords.max(axis=1) - corner + 2).tolist()
-        if math.prod(shape) > max(_GRID_CELLS, 8 * coords.shape[1]):
-            return None
-        grid = np.full(shape, -1, dtype=np.intp)
-        grid[tuple(coords - corner[:, None])] = np.arange(coords.shape[1])
-        return corner, grid
-
-    def _window_rows(self, sites: np.ndarray) -> np.ndarray:
-        if self._window_grid is None:
-            row = {site: i for i, site in enumerate(self.window)}
-            return np.array([row.get(s, -1) for s in map(tuple, sites.tolist())], dtype=np.intp)
-        # clipping moves every site outside the box onto the border
-        corner, grid = self._window_grid
-        flat = np.ravel_multi_index(tuple((sites - corner).T), grid.shape, mode="clip")
-        return grid.reshape(-1)[flat]
+    def _window_index(self) -> SiteIndex:
+        return SiteIndex(self.window_coords.T)
 
     def _layer_rows(self, sites: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Per layer except the background, in precedence order: a mask of
@@ -256,7 +213,7 @@ class SiteMap:
         and meaningful where the mask is set."""
         first = 0
         if self.window:
-            rows = self._window_rows(sites)
+            rows = self._window_index.rows(sites)
             yield rows >= 0, rows
             first = len(self.window)
         for ray, pattern in self.rays:
@@ -426,8 +383,8 @@ class AdaptedProjection:
         """0/1 diagonal entries at slot ``slots[i]`` of site ``sites[i]``,
         for an (M, d) integer site array, from one ``slot_bits`` call that
         resolves each distinct site once."""
-        distinct, where = _distinct_rows(sites)
-        bits = self.slot_bits(distinct)[where] >> np.asarray(slots, dtype=np.uint64)
+        first, where = group_sites(sites)
+        bits = self.slot_bits(sites.take(first, axis=0))[where] >> np.asarray(slots, dtype=np.uint64)
         return (bits & 1).astype(float)
 
     def apply(self, psi: LatticeState) -> LatticeState:

@@ -35,7 +35,7 @@ from .errors import (
     NonSummableError,
     ValidationError,
 )
-from .lattice import LatticeState, group_sites, random_state
+from .lattice import LatticeState, SiteIndex, group_sites, random_state
 from .operators import compress
 
 
@@ -56,11 +56,12 @@ class FluxBlock:
 
 class StackedBox(NamedTuple):
     """What assembly stacked for the window and shell labels, row by row in
-    enumeration order: the ``block_fn`` arrays, the ``eigvalsh``
-    eigenvalues and block norms, rank P_out - rank P_in, and which rows are
-    window rows (the others are shell rows)."""
+    enumeration order, with the ``SiteIndex`` of the labels: the ``block_fn``
+    arrays, the ``eigvalsh`` eigenvalues and block norms, rank P_out - rank
+    P_in, and which rows are window rows (the others are shell rows)."""
 
     labels: list
+    index: SiteIndex
     flux: np.ndarray
     p_in: np.ndarray
     p_out: np.ndarray
@@ -199,22 +200,20 @@ class CellGeometry:
         empty = LatticeState.zero(self.state_dim, psi.n_columns)
         if not psi.support_size():
             return empty
-        touched = self.unitary.cell_labels(psi.site_array).tolist()
-        labels, mats = [], []
-        for label in sorted(set(map(tuple, touched))):
-            m = matrix_at(label)
-            if m is not None:
-                labels.append(label)
-                mats.append(m)
-        if not labels:
+        touched = self.unitary.cell_labels(psi.site_array)
+        labels = touched.take(group_sites(touched)[0], axis=0)
+        labels = labels[np.lexsort(labels.T[::-1])]
+        mats = [matrix_at(label) for label in map(tuple, labels.tolist())]
+        kept = [i for i, m in enumerate(mats) if m is not None]
+        if not kept:
             return empty
-        in_sites, in_slots = self.unitary.in_basis(np.array(labels, dtype=np.int64))
+        in_sites, in_slots = self.unitary.in_basis(labels[kept])
         n_cells, k, d = in_sites.shape
-        rows = psi.rows_of(map(tuple, in_sites.reshape(-1, d).tolist())).reshape(n_cells, k)
+        rows = psi.rows_of(in_sites.reshape(-1, d)).reshape(n_cells, k)
         coords = np.where((rows >= 0)[:, :, None], psi.value_array[rows, in_slots], 0)
         # the adjoint as a transposed view, laid out as m.conj().T, so BLAS
         # takes the same path and rounds the same way
-        mats = np.array(mats)
+        mats = np.array([mats[i] for i in kept])
         if adjoint:
             mats = mats.conj().transpose(0, 2, 1)
         return self._place(in_sites, in_slots, mats @ coords)
@@ -268,7 +267,6 @@ class FluxField:
         self._block_fn = block_fn
         self.tol = tol
         self._eig_cache = eig_cache
-        self._rows = {label: i for i, label in enumerate(box.labels)}
 
     # -- basic queries -------------------------------------------------------
 
@@ -280,7 +278,7 @@ class FluxField:
         """The block at any label: a row of the assembled box, which holds
         every window and shell label, else one ``block_fn`` call."""
         label = tuple(label)
-        row = self._rows.get(label)
+        row = self.box.index.row(label)
         if row is not None:
             return self.box.block(row)
         flux, p_in, p_out, _ = self._block_fn(np.array([label]))
@@ -381,7 +379,8 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     zone = np.where(outside <= 0, 0, np.where(outside <= bands_a, 1, 2)).max(axis=1)
 
     in_box = zone < 2
-    box_labels = [tuple(x) for x in labels[in_box].tolist()]
+    box_index = SiteIndex(labels[in_box])
+    box_labels = box_index.sites
     flux, p_in, p_out, cells = block_fn(labels[in_box])
     deviation = np.abs(flux - flux.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     bad = np.flatnonzero(~(deviation <= tol.hermitian))
@@ -392,11 +391,11 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     shell_rows = np.flatnonzero(zone_box == 1)
     tripwire = labels[zone == 2]
     if len(tripwire):
-        partners = [tuple(x) for x in _tail_partners(tripwire, lo_a, hi_a, bands_a).tolist()]
-        shell_row_of = {box_labels[i]: i for i in shell_rows.tolist()}
-        rows = np.array([shell_row_of.get(p, -1) for p in partners])
+        partners = _tail_partners(tripwire, lo_a, hi_a, bands_a)
+        found = SiteIndex(box_index.table[shell_rows]).rows(partners)
+        rows = shell_rows[found]
         tw_flux = block_fn(tripwire)[0]
-        missing = rows < 0
+        missing = found < 0
         differs = ~(np.abs(tw_flux - flux[rows]).max(axis=(1, 2)) <= 1e-12)
         bad = np.flatnonzero(missing | differs)
         if bad.size:
@@ -405,7 +404,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
             if missing[i]:
                 raise ValidationError(f"tripwire label {label} clamped outside the shell")
             raise ValidationError(
-                f"tail is not translation invariant: block {label} differs from {partners[i]}"
+                f"tail is not translation invariant: block {label} differs from {tuple(partners[i].tolist())}"
             )
 
     evals = np.linalg.eigvalsh(flux)
@@ -414,7 +413,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     window = zone_box == 0
     rank_sum = sum(rd for rd, w in zip(rank_differences, window.tolist()) if w)
 
-    box = StackedBox(box_labels, flux, p_in, p_out, cells, evals, norms, rank_differences, window)
+    box = StackedBox(box_labels, box_index, flux, p_in, p_out, cells, evals, norms, rank_differences, window)
     kept = np.flatnonzero(window & (norms > tol.block_prune)).tolist()
     blocks = {box_labels[i]: box.block(i) for i in kept}
     eig_cache: dict = {}

@@ -15,6 +15,8 @@ vector; ``LatticeState.stack`` and ``columns`` convert between the two, and
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -63,9 +65,11 @@ def sub(a: Site, b: Site) -> Site:
     return tuple(x - y for x, y in zip(a, b))
 
 
-# Below this many entries a dict of site tuples groups sites faster than a
-# sort of row keys does (about 64 on 2 cores with NumPy 2.4).
+# Below this many entries a dict of site tuples groups or finds sites faster
+# than array passes do (about 64 on 2 cores with NumPy 2.4).
 DICT_GROUPING = 64
+# ``SiteIndex`` keeps no grid over a box of more sites than this and 8 per row
+GRID_CELLS = 1 << 16
 # the grouping of a single entry, shared: callers only read what they get
 _SINGLE = np.zeros(1, dtype=np.intp)
 # rows per product in ``LatticeState.gram``, which bounds its conjugated copy
@@ -101,6 +105,53 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], rank[inverse]
 
 
+class SiteIndex:
+    """The row of every site of an (N, d) int64 table of distinct sites:
+    ``rows`` for an (M, d) array (-1 where absent), ``row`` for one site
+    (``None``).  Queries of at most ``DICT_GROUPING`` sites, and all queries
+    on a sparse table, go through a dict of site tuples; longer ones read a
+    grid of rows over the bounding box.  Each is built on first use."""
+
+    def __init__(self, table: np.ndarray):
+        self.table = table
+
+    @cached_property
+    def sites(self) -> list[Site]:
+        """The table's sites as tuples, in row order."""
+        return list(map(tuple, self.table.tolist()))
+
+    @cached_property
+    def _lookup(self) -> dict:
+        return {site: i for i, site in enumerate(self.sites)}
+
+    @cached_property
+    def _grid(self):
+        """``(low, high, grid)``: every table row on a grid over the bounding
+        box with a one-site border that stops at the int64 limits, and -1
+        elsewhere; ``None`` for an empty or sparse table."""
+        coords = np.ascontiguousarray(self.table.T)
+        if not coords.size:
+            return None
+        low = np.maximum(coords.min(axis=1), np.iinfo(np.int64).min + 1) - 1
+        high = np.minimum(coords.max(axis=1), np.iinfo(np.int64).max - 1) + 1
+        shape = [h - l + 1 for l, h in zip(low.tolist(), high.tolist())]
+        if math.prod(shape) > max(GRID_CELLS, 8 * len(self.table)):
+            return None
+        grid = np.full(shape, -1, dtype=np.intp)
+        grid[tuple(coords - low[:, None])] = np.arange(len(self.table))
+        return low, high, grid
+
+    def rows(self, sites: np.ndarray) -> np.ndarray:
+        if len(sites) <= DICT_GROUPING or self._grid is None:
+            return np.array([self._lookup.get(s, -1) for s in map(tuple, sites.tolist())], dtype=np.intp)
+        # clipping moves every site outside the box onto its border
+        low, high, grid = self._grid
+        return grid[tuple((np.minimum(np.maximum(sites, low), high) - low).T)]
+
+    def row(self, site) -> int | None:
+        return self._lookup.get(tuple(site))
+
+
 def scatter_rows(n_internal: int, basis, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The site and value arrays of ``LatticeState.scatter``."""
     sites, slots = basis
@@ -124,7 +175,7 @@ class LatticeState:
     ``b`` in ``b``'s order.  Rows zero in every column are dropped on
     construction, so a row may be zero in some columns.  States are
     immutable values that may share arrays.  Sites are matched through a
-    dict from site tuple to row, built on first use.  ``items``,
+    ``SiteIndex`` over ``site_array``, built on first use.  ``items``,
     ``vector_at``, ``norm`` and ``inner`` read single vectors.
 
     Exactness: with K = 1 every result is bitwise the one of the per-site
@@ -141,7 +192,7 @@ class LatticeState:
     U*PU - P in ``flux.dense_window_index``, may differ in its last bits.
     """
 
-    __slots__ = ("n_internal", "site_array", "value_array", "_sites", "_rows")
+    __slots__ = ("n_internal", "site_array", "value_array", "_index")
 
     def __init__(self, n_internal: int, entries=None, _take=False):
         """``entries`` maps sites to length-``n_internal`` vectors, or is a
@@ -175,7 +226,7 @@ class LatticeState:
             sites, values = sites[keep], values[keep]
         self.site_array = sites
         self.value_array = values
-        self._sites = self._rows = None
+        self._index = SiteIndex(sites)
 
     @classmethod
     def basis(cls, site: Site, slot: int, n_internal: int) -> "LatticeState":
@@ -230,19 +281,12 @@ class LatticeState:
         this state's site index unless a row turned zero."""
         out = LatticeState(self.n_internal, (self.site_array, values), _take=True)
         if out.site_array is self.site_array:
-            out._sites, out._rows = self._sites, self._rows
+            out._index = self._index
         return out
 
     def site_list(self) -> list[Site]:
         """The sites as tuples, in row order."""
-        if self._sites is None:
-            self._sites = list(map(tuple, self.site_array.tolist()))
-        return self._sites
-
-    def _row_index(self) -> dict:
-        if self._rows is None:
-            self._rows = {site: row for row, site in enumerate(self.site_list())}
-        return self._rows
+        return self._index.sites
 
     def items(self) -> Iterator[tuple[Site, np.ndarray]]:
         """Each site with its vector, of a single-vector state."""
@@ -252,14 +296,13 @@ class LatticeState:
     def sites(self) -> list[Site]:
         return sorted(self.site_list())
 
-    def rows_of(self, sites: Iterable[Site]) -> np.ndarray:
-        """Row of each site in this state, -1 where the state vanishes."""
-        index = self._row_index()
-        return np.array([index.get(site, -1) for site in sites], dtype=np.intp)
+    def rows_of(self, sites: np.ndarray) -> np.ndarray:
+        """Row of each site of an (M, d) integer array, -1 where the state vanishes."""
+        return self._index.rows(sites)
 
     def vector_at(self, site: Site) -> np.ndarray:
         self._single()
-        row = self._row_index().get(tuple(site))
+        row = self._index.row(site)
         if row is None:
             return np.zeros(self.n_internal, dtype=complex)
         return self.value_array[row, :, 0].copy()
@@ -282,12 +325,10 @@ class LatticeState:
         self._check(other)
         if len(other.value_array) < len(self.value_array):
             return np.conj(other.inner(self))
-        index = other._row_index()
         a, b = self.value_array, other.value_array
         acc = 0.0 + 0.0j
-        for i, site in enumerate(self.site_list()):
-            j = index.get(site)
-            if j is not None:
+        for i, j in enumerate(other.rows_of(self.site_array).tolist()):
+            if j >= 0:
                 acc += np.vdot(a[i], b[j])
         return complex(acc)
 
@@ -298,7 +339,7 @@ class LatticeState:
         self._check(other, columns=False)
         a, b = self.value_array, other.value_array
         if self.site_array is not other.site_array:
-            rows = other.rows_of(self.site_list())
+            rows = other.rows_of(self.site_array)
             hit = rows >= 0
             a, b = a[hit], b[rows[hit]]
         a, b = (x.reshape(len(x) * self.n_internal, x.shape[2]) for x in (a, b))
@@ -334,22 +375,12 @@ class LatticeState:
             return self
         if not len(self.value_array):
             return other
-        index = self._row_index()
-        mine, theirs, new = [], [], []
-        for j, site in enumerate(other.site_list()):
-            i = index.get(site)
-            if i is None:
-                new.append(j)
-            else:
-                mine.append(i)
-                theirs.append(j)
-        if not new:
-            values = self.value_array.copy()
-            values[mine] += other.value_array.take(theirs, axis=0)
-            return self.with_values(values)
+        rows = self.rows_of(other.site_array)
+        new, theirs = (rows < 0).nonzero()[0], (rows >= 0).nonzero()[0]
         values = np.concatenate([self.value_array, other.value_array.take(new, axis=0)])
-        if mine:
-            values[mine] += other.value_array.take(theirs, axis=0)
+        values[rows.take(theirs)] += other.value_array.take(theirs, axis=0)
+        if not len(new):
+            return self.with_values(values)
         sites = np.concatenate([self.site_array, other.site_array.take(new, axis=0)])
         return LatticeState(self.n_internal, (sites, values), _take=True)
 

@@ -115,10 +115,10 @@ def compress(apply, sites, n: int) -> np.ndarray:
     vector goes through ``apply`` as a column of one stacked state; the parts
     of their images leaving the sites are dropped.
     """
-    index = {site: i for i, site in enumerate(sites)}
     unit = np.eye(len(sites) * n, dtype=complex).reshape(len(sites), n, -1)
-    image = apply(LatticeState(n, (np.array(sites, dtype=np.int64), unit), _take=True))
-    rows = np.array([index.get(site, -1) for site in image.site_list()], dtype=np.intp)
+    basis = LatticeState(n, (np.array(sites, dtype=np.int64), unit), _take=True)
+    image = apply(basis)
+    rows = basis.rows_of(image.site_array)
     hit = rows >= 0
     m = np.zeros_like(unit)
     m[rows[hit]] = image.value_array[hit]
