@@ -82,8 +82,8 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for every entry the number of its distinct site.
 
     Short arrays go through a dict of site tuples.  Longer ones are sorted
-    by the raw bytes of each row, a key that distinct sites never share,
-    however far out they lie."""
+    by a key that distinct sites never share: the flat position in the
+    bounding box, or where that overflows int64, the raw bytes of each row."""
     if len(sites) == 1:
         return _SINGLE, _SINGLE
     if len(sites) <= DICT_GROUPING:
@@ -97,7 +97,13 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             rows.append(row)
         return np.array(first, dtype=np.intp), np.array(rows, dtype=np.intp)
     sites = np.ascontiguousarray(sites, dtype=np.int64)
-    keys = sites.view(np.dtype((np.void, 8 * sites.shape[1])))[:, 0]
+    coords = np.ascontiguousarray(sites.T)
+    low = coords.min(axis=1)
+    shape = [h - l + 1 for l, h in zip(low.tolist(), coords.max(axis=1).tolist())]
+    if math.prod(shape) < 1 << 63:
+        keys = np.ravel_multi_index(coords - low[:, None], shape)
+    else:
+        keys = sites.view(np.dtype((np.void, 8 * sites.shape[1])))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
