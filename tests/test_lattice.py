@@ -9,7 +9,9 @@ from reference_state import DictState, same_state, trace_norm_hermitian
 from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.lattice import (
     DICT_GROUPING,
+    GRID_CELLS,
     LatticeState,
+    SiteIndex,
     direction_index,
     direction_vector,
     group_sites,
@@ -132,15 +134,26 @@ def _bits(z) -> bytes:
 @st.composite
 def state_triples(draw):
     """(n, three entry dicts) over one site pool, so supports overlap; rows
-    may be all zero (dropped) or carry signed zeros."""
+    may be all zero (dropped) or carry signed zeros.  A large pool fills a
+    box with more than ``DICT_GROUPING`` sites, and may add a far site, so
+    that both ``SiteIndex`` strategies match the sites."""
     n = draw(st.sampled_from([1, 2, 4]))
     d = draw(st.integers(1, 3))
-    pool = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=8, unique=True))
     vector = st.lists(st.tuples(part, part), min_size=n, max_size=n).map(
         lambda v: np.array([complex(a, b) for a, b in v])
     )
-    sites = st.lists(st.sampled_from(pool), max_size=len(pool), unique=True)
-    return n, [{s: draw(vector) for s in draw(sites)} for _ in range(3)]
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=8, unique=True))
+        sites = st.lists(st.sampled_from(pool), max_size=len(pool), unique=True)
+        return n, [{s: draw(vector) for s in draw(sites)} for _ in range(3)]
+    box = list(itertools.product(range({1: 2 * DICT_GROUPING, 2: 12, 3: 6}[d]), repeat=d))
+    pool = draw(st.permutations(box + draw(st.lists(st.tuples(*[coordinate] * d), max_size=2))))
+    vectors = draw(st.lists(vector, min_size=1, max_size=3))
+    triple = []
+    for _ in range(3):
+        start, stop = sorted(draw(st.integers(0, len(pool))) for _ in range(2))
+        triple.append({s: draw(st.sampled_from(vectors)) for s in pool[start:stop]})
+    return n, triple
 
 
 factor = st.one_of(
@@ -171,6 +184,58 @@ def test_packed_state_matches_dict_reference(case, f):
         assert same_state(c, rc)
         assert same_state(c + a.scaled(f), rc + ra.scaled(f))
         assert np.float64(c.norm()).tobytes() == np.float64(rc.norm()).tobytes()
+
+
+@st.composite
+def site_index_cases(draw):
+    """A table of distinct sites and a query mixing members, other sites of
+    the bordered box and sites beyond each face.  The table is dense, sparse
+    (coordinates up to 2**40), or two sites whose box is within one row of
+    ``GRID_CELLS`` sites, and queries and tables come on each side of
+    ``DICT_GROUPING``."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["dense", "sparse", "edge"]))
+    if kind == "edge":
+        far = GRID_CELLS // 3 ** (d - 1) - 3 + draw(st.integers(-1, 1))
+        table = [(0,) * d, (far,) + (0,) * (d - 1)]
+    else:
+        span = {"dense": (-{1: 130, 2: 6, 3: 3}[d], 5), "sparse": (-(2**40), 2**40)}[kind]
+        size = draw(st.sampled_from([0, 1, 2, DICT_GROUPING + 1]))
+        table = draw(st.lists(st.tuples(*[st.integers(*span)] * d), min_size=size, max_size=size, unique=True))
+    table = np.array(table, dtype=np.int64).reshape(len(table), d)
+    lo, hi = (table.min(axis=0), table.max(axis=0)) if len(table) else (np.zeros(d, int), np.zeros(d, int))
+    inside = st.tuples(*[st.integers(int(a) - 1, int(b) + 1) for a, b in zip(lo, hi)])
+
+    def past_a_face(case):
+        axis, side, offset, site = case
+        site = list(site)
+        site[axis] = int(hi[axis]) + offset if side > 0 else int(lo[axis]) - offset
+        return tuple(site)
+
+    beyond = st.tuples(st.integers(0, d - 1), st.sampled_from([-1, 1]), st.integers(1, 2**40), inside)
+    beyond = beyond.map(past_a_face)
+    members = st.sampled_from([tuple(s) for s in table.tolist()]) if len(table) else inside
+    length = draw(st.sampled_from([0, 1, DICT_GROUPING, DICT_GROUPING + 1, 2 * DICT_GROUPING]))
+    query = draw(st.lists(st.one_of(members, inside, beyond), min_size=length, max_size=length))
+    return table, np.array(query, dtype=np.int64).reshape(length, d)
+
+
+@settings(max_examples=100, deadline=None)
+@given(site_index_cases())
+def test_site_index_matches_a_dict(case):
+    table, query = case
+    reference = {tuple(s): i for i, s in enumerate(table.tolist())}
+    index = SiteIndex(table)
+    assert index.rows(query).tolist() == [reference.get(tuple(s), -1) for s in query.tolist()]
+    for site in query.tolist()[:8]:
+        assert index.row(site) == reference.get(tuple(site))
+    # the strategy: a grid only for a long query on a dense table
+    if len(query) <= DICT_GROUPING:
+        assert "_grid" not in vars(index)
+    else:
+        box = np.prod(np.ptp(table, axis=0).astype(object) + 3) if len(table) else 0
+        dense = 0 < len(table) and box <= max(GRID_CELLS, 8 * len(table))
+        assert (index._grid is not None) == dense
 
 
 def test_far_sites_never_share_a_key():
