@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, WINDOW_SITES, Tolerances
 from .errors import ValidationError
 from .fields import Ray, SiteMap
 from .flux import (
@@ -427,6 +427,9 @@ class RegionSplit:
         (mx0, my0), (mx1, my1) = path.bounds()
         self.lo = (min(lo[0], mx0 - 2), min(lo[1], my0 - 2))
         self.hi = (max(hi[0], mx1 + 2), max(hi[1], my1 + 2))
+        shape = (self.hi[0] - self.lo[0] + 1, self.hi[1] - self.lo[1] + 1)
+        if math.prod(shape) > WINDOW_SITES:
+            raise ValidationError(f"the region box holds {math.prod(shape)} points, more than {WINDOW_SITES}")
         self.path = path
         span = (
             (self.hi[0] - self.lo[0])
@@ -439,7 +442,6 @@ class RegionSplit:
         near = np.all(
             (vertices >= np.subtract(self.lo, 2)) & (vertices <= np.add(self.hi, 2)), axis=1
         )
-        shape = (self.hi[0] - self.lo[0] + 1, self.hi[1] - self.lo[1] + 1)
         # cut[0][i, j] marks the edge (i, j)-(i+1, j), cut[1][i, j] the edge
         # (i, j)-(i, j+1), in box coordinates
         cut = [
@@ -503,6 +505,20 @@ class RegionSplit:
 # flux over cells
 
 
+def cc_flux_window(scattering: SiteMap, path: DualPath):
+    """``(lo, hi, bands, steps)`` of the network flux, on cells of Z x 2Z:
+    a window over the path and the scattering features with a margin of 4,
+    and tail bands of the scattering period."""
+    (plo, phi_) = path.bounds()
+    s_lo, s_hi = scattering.bounds()
+    lo = [min(s_lo[0], plo[0]) - 4, min(s_lo[1], plo[1]) - 4]
+    hi = [max(s_hi[0], phi_[0]) + 4, max(s_hi[1], phi_[1]) + 4]
+    lo[1] -= lo[1] % 2
+    hi[1] += hi[1] % 2
+    per = scattering.periods()
+    return lo, hi, [math.lcm(2, per[0]), math.lcm(2, per[1])], [1, 2]
+
+
 def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT) -> FluxField:
     """Blockwise flux of the left-region projection of a dual path, checked
     against the operator on random states.
@@ -513,16 +529,7 @@ def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT) -> F
     path and the scattering features plus a margin of 4.
     """
     unitary = CCUnitary(scattering)
-    (plo, phi_) = path.bounds()
-    s_lo, s_hi = scattering.bounds()
-    lo = [min(s_lo[0], plo[0]) - 4, min(s_lo[1], plo[1]) - 4]
-    hi = [max(s_hi[0], phi_[0]) + 4, max(s_hi[1], phi_[1]) + 4]
-    lo[1] -= lo[1] % 2
-    hi[1] += hi[1] % 2
-    per = scattering.periods()
-    bands = [math.lcm(2, per[0]), math.lcm(2, per[1])]
-    steps = [1, 2]
-
+    lo, hi, bands, steps = cc_flux_window(scattering, path)
     point_lo = (lo[0] - 2 * bands[0] - 3, lo[1] - 2 * bands[1] - 3)
     point_hi = (hi[0] + 2 * bands[0] + 4, hi[1] + 2 * bands[1] + 4)
     split = RegionSplit(path, point_lo, point_hi)

@@ -37,3 +37,9 @@ DEFAULT = Tolerances()
 STRICT = replace(DEFAULT, eigenvalue_unit=1e-10, trace_match=1e-10)
 
 PROFILES = {"default": DEFAULT, "strict": STRICT}
+
+# Most labels, points or cells that a window sized from feature coordinates
+# may hold (flux labels, the region box, the random-phase window).  A larger
+# one raises ``ValidationError`` before anything is allocated; the bundled
+# scenarios stay about 40 times below it.
+WINDOW_SITES = 1 << 18

@@ -22,13 +22,14 @@ decomposition and the stability probe all read that classification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, WINDOW_SITES, Tolerances
 from .errors import (
     CertificationError,
     EigenvalueAmbiguityError,
@@ -345,6 +346,17 @@ def _tail_partners(labels: np.ndarray, lo, hi, bands) -> np.ndarray:
     )
 
 
+def label_axes(lo, hi, bands, steps) -> list[np.ndarray]:
+    """The label coordinates along each axis that ``assemble_field``
+    enumerates: the window and two bands on either side, on the label grid.
+    Raises ``ValidationError`` before allocating anything when they make
+    more than ``WINDOW_SITES`` labels."""
+    count = math.prod((h - l + 4 * band) // s + 1 for l, h, band, s in zip(lo, hi, bands, steps))
+    if count > WINDOW_SITES:
+        raise ValidationError(f"the flux window holds {count} labels, more than {WINDOW_SITES}")
+    return [np.arange(l - 2 * band, h + 2 * band + 1, s) for l, h, band, s in zip(lo, hi, bands, steps)]
+
+
 def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) -> FluxField:
     """Enumerate window, shell, and tripwire bands and build the field.
 
@@ -370,11 +382,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
             raise ValidationError("window bounds must be grid aligned")
     lo_a, hi_a, bands_a = (np.array(v, dtype=np.int64) for v in (lo, hi, bands))
 
-    axes = [
-        np.arange(l - 2 * band, h + 2 * band + 1, s)
-        for l, h, band, s in zip(lo, hi, bands, steps)
-    ]
-    labels = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dims)
+    labels = np.stack(np.meshgrid(*label_axes(lo, hi, bands, steps), indexing="ij"), axis=-1).reshape(-1, dims)
     outside = np.maximum(lo_a - labels, labels - hi_a)
     zone = np.where(outside <= 0, 0, np.where(outside <= bands_a, 1, 2)).max(axis=1)
 

@@ -22,10 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from . import cc as ccm
-from .config import DEFAULT, PROFILES, Tolerances
+from .config import DEFAULT, PROFILES, WINDOW_SITES, Tolerances
 from .errors import FluxwalkError, ValidationError
 from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
-from .flux import analyze, dense_window_index, index_stability_probe, max_block_norm
+from .flux import analyze, dense_window_index, index_stability_probe, label_axes, max_block_norm
 from .lattice import haar_unitary, index_of_vector
 from .operators import matrix_on_window
 from .report import SCHEMA_VERSION, index_report_dict
@@ -48,6 +48,7 @@ from .walks import (
     validate_network,
     verify_confinement,
     verify_wandering,
+    walk_flux_window,
     walk_index,
     boundary_projection_full,
 )
@@ -89,8 +90,8 @@ def _number(value, name: str, kind=int, low=None):
     """A numeric scenario or analysis field as ``kind``, at least ``low``
     when given.  Booleans are not numbers, a float field must be finite
     (Python's ``json`` reads ``NaN`` and ``Infinity``), and an integer field
-    takes only integral values (numbers or strings such as the ``interior``
-    keys)."""
+    takes only integral values within int64 (numbers or strings such as the
+    ``interior`` keys)."""
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -101,6 +102,8 @@ def _number(value, name: str, kind=int, low=None):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     if kind is int and isinstance(value, float) and out != value:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if kind is int and not -(1 << 63) <= out < 1 << 63:
+        raise ValidationError(f"{name} must fit in 64 bits, got {value!r}")
     if low is not None and out < low:
         raise ValidationError(f"{name} must be at least {low}, got {value!r}")
     return out
@@ -299,6 +302,7 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
 
     else:
         raise ValidationError(f"unknown coin type {ctype!r}")
+    label_axes(*walk_flux_window(setup.coin, setup.projection))
     setup.notes.append(f"coin and projection constructed (d = {setup.coin.d})")
     if setup.network is not None:
         setup.notes.append(
@@ -350,6 +354,9 @@ def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -
     if phases == "random":
         (lo, lo2), (hi, hi2) = path.bounds()
         extent = _number(spec.get("window", max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8), "window", low=0)
+        cells = (2 * extent + 1) * (extent // 2 * 2 + 1)
+        if cells > WINDOW_SITES:
+            raise ValidationError(f"the phase window holds {cells} cells, more than {WINDOW_SITES}")
         window = ccm.random_phase_window(
             rng, r_abs, range(-extent, extent + 1), range(-extent, extent + 1)
         )
@@ -362,6 +369,7 @@ def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
     all carry one weight tag must not conduct perfectly along that tag."""
     path = _path_from_json(_need(spec, "path", "scenario"))
     setup = CCSetup(_path_scattering(spec, path, rng), path, spec, rng=rng)
+    label_axes(*ccm.cc_flux_window(setup.scattering, path))
     t0, t1 = path.switch_window()
     for side, t_lo, t_hi, far in (("pre", -30, t0, -50), ("post", t1, 30, 50)):
         tags = {e.tag for e in path.steps(t_lo, t_hi)}

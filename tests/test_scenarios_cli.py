@@ -449,6 +449,40 @@ def test_negative_setup_sizes_fail_validation(tmp_path, capsys, name, path):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, edits, message",
+    [
+        ("two_incoming_leads", {"prefix": [[2**40, 1], [2**40, 0]]}, "the flux window holds 20890720928048 labels"),
+        ("two_incoming_leads", {"prefix": [[2**62, 1], [2**62, 0]]}, "the flux window holds 87622034350120370480 labels"),
+        ("two_incoming_leads", {"prefix": [[2**63, 1], [2**63, 0]]}, "lead site must fit in 64 bits"),
+        ("two_incoming_leads", {"prefix": [[13782, 1], [13782, 0]]}, "the flux window holds 262162 labels, more than 262144"),
+        ("cc_rpath", {"height": 2**62}, "the flux window holds 152185638608103801261 labels"),
+        ("cc_rpath", {"height": 10**6, "window": None}, "the phase window holds 8000070000153 cells"),
+    ],
+    ids=["prefix_2_40", "prefix_2_62", "prefix_2_63", "prefix_just_over", "height_2_62", "height_10_6"],
+)
+def test_a_window_too_large_fails_validation(tmp_path, capsys, name, edits, message):
+    # unchecked, each of these fails inside NumPy with an error that is not a
+    # FluxwalkError, or, for the 10**6 path, exhausts the memory
+    spec = load(name)
+    targets = {
+        "prefix": spec["projection"]["incoming"][0] if "projection" in spec else None,
+        "height": spec.get("path"),
+        "window": spec.get("scattering"),
+    }
+    for key, value in edits.items():
+        if value is None:
+            del targets[key][key]
+        else:
+            targets[key][key] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_scenario(spec)
+    scenario_file = tmp_path / "too_large.json"
+    scenario_file.write_text(json.dumps(spec))
+    assert main(["validate", str(scenario_file)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_wandering_without_leads_fails_only_that_analysis():
     # it used to pass with nothing checked: {"leads": [], "steps": 50, "pass": true}
     spec = load("bulk_boundary")
