@@ -109,6 +109,13 @@ def _number(value, name: str, kind=int, low=None):
     return out
 
 
+def _flag(value, name: str) -> bool:
+    """A JSON boolean field; strings such as ``"false"`` are not flags."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _numbers(value, name: str, length: int | None = None) -> tuple[int, ...]:
     """A JSON list of integers, of ``length`` entries when given."""
     if not isinstance(value, list) or length not in (None, len(value)):
@@ -143,7 +150,7 @@ def _network_from_json(obj: dict, d_total: int | None = None) -> NetworkSpec:
     incoming = tuple(map(_lead_from_json, _list(obj.get("incoming", []), "network incoming")))
     outgoing = tuple(map(_lead_from_json, _list(obj.get("outgoing", []), "network outgoing")))
     boundary = None
-    if obj.get("boundary"):
+    if _flag(obj.get("boundary", False), "projection boundary"):
         boundary = BoundarySpec(d_total or 2)
     return validate_network(NetworkSpec(incoming=incoming, outgoing=outgoing, boundary=boundary))
 
@@ -153,7 +160,7 @@ def _path_from_json(obj: dict) -> ccm.DualPath:
     if ptype == "straight_r":
         return ccm.straight_r_path(_number(obj.get("height", 0), "path height"))
     if ptype == "crossover":
-        return ccm.crossover_path(obj.get("west_first", True))
+        return ccm.crossover_path(_flag(obj.get("west_first", True), "path west_first"))
     if ptype == "wiggled_r":
         return ccm.wiggled_r_path()
     if ptype == "explicit":
@@ -340,6 +347,8 @@ def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -
     beyond the path's explicit vertices unless the spec sets its extent."""
     spec = _object(_need(spec, "scattering", "scenario"), "scattering")
     template = spec.get("template")
+    if template not in (None, "critical"):
+        raise ValidationError(f"unknown scattering template {template!r}")
     if template == "critical":
         base = ccm.CRITICAL
         r_abs = float(abs(base.r))
@@ -435,11 +444,11 @@ def _index_analysis(setup, analysis, files):
     report = setup.index_report
     out = index_report_dict(report)
     if "expect" in analysis:
-        out["expected"] = analysis["expect"]
-        out["pass"] = report.index == analysis["expect"]
+        out["expected"] = _number(analysis["expect"], "expect")
+        out["pass"] = report.index == out["expected"]
     elif "expect_abs" in analysis:
-        out["expected_abs"] = analysis["expect_abs"]
-        out["pass"] = abs(report.index) == analysis["expect_abs"]
+        out["expected_abs"] = _number(analysis["expect_abs"], "expect_abs", low=0)
+        out["pass"] = abs(report.index) == out["expected_abs"]
     else:
         out["pass"] = True
     return out
@@ -576,6 +585,9 @@ def _walk_network_ensemble_analysis(setup, analysis, files):
 
 def _cc_ensemble_analysis(setup, analysis, files):
     draws = _number(analysis.get("draws", 100), "draws", low=1)
+    expect = _number(analysis["expect"], "expect") if "expect" in analysis else None
+    expect_abs = _number(analysis["expect_abs"], "expect_abs", low=0) if "expect_abs" in analysis else None
+    constant_sign = _flag(analysis.get("constant_sign", False), "constant_sign")
     seeds = _child_seeds(int(setup.spec["seed"]) + 1, draws)
     indices = []
     for s in seeds:
@@ -584,13 +596,13 @@ def _cc_ensemble_analysis(setup, analysis, files):
         indices.append(report.index)
     out = {"draws": draws, "distinct": sorted(set(indices))}
     ok = True
-    if "expect" in analysis:
-        ok = all(i == analysis["expect"] for i in indices)
-        out["expected"] = analysis["expect"]
-    if "expect_abs" in analysis:
-        ok = ok and all(abs(i) == analysis["expect_abs"] for i in indices)
-        out["expected_abs"] = analysis["expect_abs"]
-    if analysis.get("constant_sign", False):
+    if expect is not None:
+        ok = all(i == expect for i in indices)
+        out["expected"] = expect
+    if expect_abs is not None:
+        ok = ok and all(abs(i) == expect_abs for i in indices)
+        out["expected_abs"] = expect_abs
+    if constant_sign:
         ok = ok and len(set(indices)) == 1
     out["pass"] = ok
     return out

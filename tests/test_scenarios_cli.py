@@ -386,6 +386,9 @@ EXPLICIT_PATH = {"type": "explicit", "middle": [[0, 0]], "pre": [-1, 0], "post":
         ("half_line_plus", ["geometry", "d"], 0, "geometry d must be at least 1, got 0"),
         ("half_line_plus", ["coin", "sign"], 0, "coin sign must be 1 or -1, got 0"),
         ("half_line_plus", ["projection", "sign"], 2, "projection sign must be 1 or -1, got 2"),
+        ("cc_crossover_r02", ["path", "west_first"], "false", "path west_first must be true or false, got 'false'"),
+        ("bulk_boundary_leads", ["projection", "boundary"], "false", "projection boundary must be true or false"),
+        ("cc_rpath", ["scattering", "template"], "critcal", "unknown scattering template 'critcal'"),
     ],
     ids=[
         "scattering",
@@ -402,11 +405,14 @@ EXPLICIT_PATH = {"type": "explicit", "middle": [[0, 0]], "pre": [-1, 0], "post":
         "geometry_d",
         "coin_sign",
         "projection_sign",
+        "west_first",
+        "boundary",
+        "template",
     ],
 )
 def test_malformed_structure_fails_validation(tmp_path, capsys, name, path, value, message):
     spec = load(name)
-    if path[0] == "path":
+    if path[0] == "path" and path[1] in EXPLICIT_PATH:
         spec["path"] = dict(EXPLICIT_PATH)
         validate_scenario(spec)
     *outer, key = path
@@ -556,6 +562,10 @@ def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys):
         ("lead_stability", "stability_probe", "strength", math.inf, "strength must be finite, got inf"),
         ("half_line_plus", "oracle_equivalence", "pad", -1, "pad must be at least 0, got -1"),
         ("cc_rpath", "norm_law", "r_abs", math.nan, "r_abs must be finite, got nan"),
+        ("basic_example", "index", "expect", True, "expect must be a number, got True"),
+        ("cc_crossover_r02", "index", "expect_abs", -1, "expect_abs must be at least 0, got -1"),
+        ("cc_crossover_r02", "ensemble_index", "expect_abs", True, "expect_abs must be a number, got True"),
+        ("cc_crossover_r02", "ensemble_index", "constant_sign", "false", "constant_sign must be true or false, got 'false'"),
     ],
     ids=[
         "confinement_steps_0",
@@ -572,6 +582,10 @@ def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys):
         "stability_probe_infinite_strength",
         "oracle_equivalence_pad",
         "norm_law_nan",
+        "index_expect_boolean",
+        "index_expect_abs_negative",
+        "ensemble_expect_abs_boolean",
+        "ensemble_constant_sign_string",
     ],
 )
 def test_a_degenerate_or_non_finite_parameter_fails_only_its_analysis(name, atype, key, value, message):
