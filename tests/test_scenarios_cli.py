@@ -56,8 +56,8 @@ def test_validate_rejects_unit_modulus_ray():
         validate_scenario(spec)
 
 
-def test_run_scenario_basic_example_report():
-    result = run_scenario(load("basic_example"))
+def test_run_scenario_basic_example_report(bundled_run):
+    result = bundled_run("basic_example")
     assert result.ok
     report = result.report
     assert report["schema_version"] == 1
@@ -502,9 +502,9 @@ def test_wandering_without_leads_fails_only_that_analysis():
     assert all(result["pass"] for result in analyses.values())
 
 
-@pytest.fixture(scope="module")
-def two_incoming_leads_analyses():
-    return run_scenario(load("two_incoming_leads")).report["analyses"]
+@pytest.fixture
+def two_incoming_leads_analyses(bundled_run):
+    return bundled_run("two_incoming_leads").report["analyses"]
 
 
 @pytest.mark.parametrize(
@@ -525,9 +525,9 @@ def test_an_integer_field_rejects_fractions_and_booleans(two_incoming_leads_anal
     }
 
 
-def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys):
+def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys, two_incoming_leads_analyses):
     spec = load("two_incoming_leads")
-    good = run_scenario(spec).report["analyses"]
+    good = two_incoming_leads_analyses
     wandering = next(i for i, a in enumerate(spec["analyses"]) if a["type"] == "wandering")
     spec["analyses"][wandering]["steps"] = "many"
     validate_scenario(spec)
@@ -686,13 +686,13 @@ def test_golden_digests_cover_every_bundled_scenario():
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_SHA256))
-def test_bundled_report_matches_its_golden_digest(name):
-    text = dump_report(run_scenario(load(name)).report)
+def test_bundled_report_matches_its_golden_digest(bundled_run, name):
+    text = dump_report(bundled_run(name).report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == REPORT_SHA256[name]
 
 
 @pytest.mark.parametrize("name", sorted(FILES_SHA256))
-def test_bundled_files_match_their_golden_digests(name):
-    files = run_scenario(load(name)).files
+def test_bundled_files_match_their_golden_digests(bundled_run, name):
+    files = bundled_run(name).files
     digests = {f: hashlib.sha256(text.encode("utf-8")).hexdigest() for f, text in files.items()}
     assert digests == FILES_SHA256[name]
