@@ -13,15 +13,18 @@ Coins of a walk on Z^d are ``(2d, 2d)`` complex unitary matrices, checked by
 ``cc.ScatteringParams`` on cells of Z x 2Z, checked by ``cc.CCUnitary``.
 Adapted projections store sets of open internal slots.
 
-Every lookup comes in two forms.  The array forms, ``SiteMap.value_index``
-and ``AdaptedProjection.slot_bits``, resolve a whole (M, d) site array with
-one NumPy pass per layer; block assembly uses them, and ``CCUnitary`` reads
-its cells and actions off one ``value_index`` call into a stack of S^T.
-The scalar forms, ``SiteMap.value``, ``Ray.locate`` and
-``AdaptedProjection.open_slots``, serve callers holding one site or a few:
-the walk and projection actions on small states, lead synthesis and its
-checks.  On one site the scalar forms cost a microsecond or two and the
-array forms some fifty, so small states keep the scalar forms.
+Every field lookup comes in two forms.  The array forms,
+``SiteMap.value_index`` and ``AdaptedProjection.slot_bits``, resolve a whole
+(M, d) site array with one NumPy pass per layer; the window layer is one
+``lattice.SiteIndex`` over the window's sites, the same index that matches
+the sites of states and the labels of flux blocks.  Block assembly uses the
+array forms, and ``CCUnitary`` reads its cells and actions off one
+``value_index`` call into a stack of S^T.  The scalar forms,
+``SiteMap.value``, ``Ray.locate`` and ``AdaptedProjection.open_slots``,
+serve callers holding one site or a few: the walk and projection actions on
+small states, lead synthesis and its checks.  On one site the scalar forms
+cost a microsecond or two and the array forms some fifty, so small states
+keep the scalar forms.
 """
 
 from __future__ import annotations
@@ -140,7 +143,7 @@ class SiteMap:
     slots and unites the matching layers instead of taking the first.
 
     The layers are read-only (a mapping proxy and tuples), so the lookup
-    table and window grid that ``value_index`` builds on first use stay
+    table and the window's ``SiteIndex``, both built on first use, stay
     valid.  ``value_index`` serves block assembly and the Chalker--Coddington
     actions, ``distinct_values`` the walk cells; ``value`` serves one-site
     callers: the walk actions, lead synthesis and its checks, setup probes.

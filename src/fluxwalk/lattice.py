@@ -11,6 +11,10 @@ they gather rows, multiply stacked matrices and build the image with
 ``LatticeState.scatter`` or from a new pair of arrays.  K = 1 is a single
 vector; ``LatticeState.stack`` and ``columns`` convert between the two, and
 ``gram`` takes every inner product of two stacks in one product.
+
+Every question of which row holds a site -- of a state, of a field's window,
+of the labels of a flux box -- goes through ``SiteIndex``, and every
+deduplication of a site array through ``group_sites``.
 """
 
 from __future__ import annotations
@@ -115,8 +119,18 @@ class SiteIndex:
     """The row of every site of an (N, d) int64 table of distinct sites:
     ``rows`` for an (M, d) array (-1 where absent), ``row`` for one site
     (``None``).  Queries of at most ``DICT_GROUPING`` sites, and all queries
-    on a sparse table, go through a dict of site tuples; longer ones read a
-    grid of rows over the bounding box.  Each is built on first use."""
+    on a sparse table (a bounding box of more than ``GRID_CELLS`` sites and
+    more than eight per row), go through a dict of site tuples; longer ones
+    read a grid of rows over the bounding box with a one-site border, onto
+    which clipping moves every site outside the box.  Each is built on first
+    use, so an index that only ever sees short queries builds no grid.
+
+    The choice follows the query size, not the table size, because lookups
+    come in two sizes: block assembly asks about thousands of sites at once
+    against windows of a few to a hundred entries, where one grid pass beats
+    a dict hit per site, and walk steps ask about states of a site or two,
+    where a dict hit takes about a microsecond and the array passes tens.
+    """
 
     def __init__(self, table: np.ndarray):
         self.table = table
@@ -181,7 +195,8 @@ class LatticeState:
     ``b`` in ``b``'s order.  Rows zero in every column are dropped on
     construction, so a row may be zero in some columns.  States are
     immutable values that may share arrays.  Sites are matched through a
-    ``SiteIndex`` over ``site_array``, built on first use.  ``items``,
+    ``SiteIndex`` over ``site_array``, shared by states on the same sites
+    (``with_values``) and built into a dict or grid on first use.  ``items``,
     ``vector_at``, ``norm`` and ``inner`` read single vectors.
 
     Exactness: with K = 1 every result is bitwise the one of the per-site
