@@ -20,7 +20,6 @@ deduplication of a site array through ``group_sites``.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -132,44 +131,52 @@ class SiteIndex:
     where a dict hit takes about a microsecond and the array passes tens.
     """
 
+    __slots__ = ("table", "_sites", "_dict", "_grid")
+
     def __init__(self, table: np.ndarray):
         self.table = table
+        self._sites = self._dict = self._grid = None
 
-    @cached_property
+    @property
     def sites(self) -> list[Site]:
         """The table's sites as tuples, in row order."""
-        return list(map(tuple, self.table.tolist()))
+        if self._sites is None:
+            self._sites = list(map(tuple, self.table.tolist()))
+        return self._sites
 
-    @cached_property
     def _lookup(self) -> dict:
-        return {site: i for i, site in enumerate(self.sites)}
+        if self._dict is None:
+            self._dict = {site: i for i, site in enumerate(self.sites)}
+        return self._dict
 
-    @cached_property
-    def _grid(self):
+    def _dense(self):
         """``(low, high, grid)``: every table row on a grid over the bounding
         box with a one-site border that stops at the int64 limits, and -1
-        elsewhere; ``None`` for an empty or sparse table."""
-        coords = np.ascontiguousarray(self.table.T)
-        if not coords.size:
-            return None
-        low = np.maximum(coords.min(axis=1), np.iinfo(np.int64).min + 1) - 1
-        high = np.minimum(coords.max(axis=1), np.iinfo(np.int64).max - 1) + 1
-        shape = [h - l + 1 for l, h in zip(low.tolist(), high.tolist())]
-        if math.prod(shape) > max(GRID_CELLS, 8 * len(self.table)):
-            return None
-        grid = np.full(shape, -1, dtype=np.intp)
-        grid[tuple(coords - low[:, None])] = np.arange(len(self.table))
-        return low, high, grid
+        elsewhere; ``False`` for an empty or sparse table."""
+        if self._grid is None:
+            self._grid = False
+            coords = np.ascontiguousarray(self.table.T)
+            if coords.size:
+                low = np.maximum(coords.min(axis=1), np.iinfo(np.int64).min + 1) - 1
+                high = np.minimum(coords.max(axis=1), np.iinfo(np.int64).max - 1) + 1
+                shape = [h - l + 1 for l, h in zip(low.tolist(), high.tolist())]
+                if math.prod(shape) <= max(GRID_CELLS, 8 * len(self.table)):
+                    grid = np.full(shape, -1, dtype=np.intp)
+                    grid[tuple(coords - low[:, None])] = np.arange(len(self.table))
+                    self._grid = low, high, grid
+        return self._grid
 
     def rows(self, sites: np.ndarray) -> np.ndarray:
-        if len(sites) <= DICT_GROUPING or self._grid is None:
-            return np.array([self._lookup.get(s, -1) for s in map(tuple, sites.tolist())], dtype=np.intp)
+        dense = len(sites) > DICT_GROUPING and self._dense()
+        if not dense:
+            lookup = self._lookup()
+            return np.array([lookup.get(s, -1) for s in map(tuple, sites.tolist())], dtype=np.intp)
         # clipping moves every site outside the box onto its border
-        low, high, grid = self._grid
+        low, high, grid = dense
         return grid[tuple((np.minimum(np.maximum(sites, low), high) - low).T)]
 
     def row(self, site) -> int | None:
-        return self._lookup.get(tuple(site))
+        return self._lookup().get(tuple(site))
 
 
 def scatter_rows(n_internal: int, basis, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

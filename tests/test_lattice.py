@@ -231,11 +231,11 @@ def test_site_index_matches_a_dict(case):
         assert index.row(site) == reference.get(tuple(site))
     # the strategy: a grid only for a long query on a dense table
     if len(query) <= DICT_GROUPING:
-        assert "_grid" not in vars(index)
+        assert index._grid is None
     else:
         box = np.prod(np.ptp(table, axis=0).astype(object) + 3) if len(table) else 0
         dense = 0 < len(table) and box <= max(GRID_CELLS, 8 * len(table))
-        assert (index._grid is not None) == dense
+        assert bool(index._grid) == dense
 
 
 def test_far_sites_never_share_a_key():
