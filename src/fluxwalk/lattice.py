@@ -79,14 +79,30 @@ _SINGLE = np.zeros(1, dtype=np.intp)
 GRAM_ROWS = 1024
 
 
+def _box(coords: np.ndarray, border: int, cells: int):
+    """``(low, shape)`` of the bounding box of a (d, N) int64 coordinate
+    array grown by ``border`` sites on every side, or ``None`` when it holds
+    more than ``cells`` sites, is empty, or reaches 2**62 from the origin.
+    Short of that, no difference of two int64 sites that lands in the box
+    has wrapped around."""
+    if not coords.size:
+        return None
+    low, high = coords.min(axis=1), coords.max(axis=1)
+    if low.min() <= -(1 << 62) or high.max() >= 1 << 62:
+        return None
+    shape = (high - low + 2 * border + 1).tolist()
+    return (low - border, shape) if math.prod(shape) <= cells else None
+
+
 def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of an (E, d) integer site array in order of first
     appearance: the entry index where each distinct site first appears, and
     for every entry the number of its distinct site.
 
-    Short arrays go through a dict of site tuples.  Longer ones are sorted
-    by a key that distinct sites never share: the flat position in the
-    bounding box, or where that overflows int64, the raw bytes of each row."""
+    Short arrays go through a dict of site tuples.  Longer ones whose
+    bounding box holds at most eight sites per entry mark each site's first
+    entry on a grid over the box; others are sorted by the raw bytes of each
+    row, a key that distinct sites never share, however far out they lie."""
     if len(sites) == 1:
         return _SINGLE, _SINGLE
     if len(sites) <= DICT_GROUPING:
@@ -101,17 +117,23 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.array(first, dtype=np.intp), np.array(rows, dtype=np.intp)
     sites = np.ascontiguousarray(sites, dtype=np.int64)
     coords = np.ascontiguousarray(sites.T)
-    low = coords.min(axis=1)
-    shape = [h - l + 1 for l, h in zip(low.tolist(), coords.max(axis=1).tolist())]
-    if math.prod(shape) < 1 << 63:
-        keys = np.ravel_multi_index(coords - low[:, None], shape)
-    else:
+    box = _box(coords, 0, 8 * len(sites))
+    if box is None:
         keys = sites.view(np.dtype((np.void, 8 * sites.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        _, first, keys = np.unique(keys, return_index=True, return_inverse=True)
+    else:
+        low, shape = box
+        keys = np.ravel_multi_index(coords - low[:, None], shape)
+        first = np.full(math.prod(shape), len(sites), dtype=np.intp)
+        np.minimum.at(first, keys, np.arange(len(sites)))
+        met = np.flatnonzero(first < len(sites))
+        number = np.empty(len(first), dtype=np.intp)
+        number[met] = np.arange(len(met))
+        first, keys = first[met], number[keys]
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+    return first[order], rank[keys]
 
 
 class SiteIndex:
@@ -119,7 +141,8 @@ class SiteIndex:
     ``rows`` for an (M, d) array (-1 where absent), ``row`` for one site
     (``None``).  Queries of at most ``DICT_GROUPING`` sites, and all queries
     on a sparse table (a bounding box of more than ``GRID_CELLS`` sites and
-    more than eight per row), go through a dict of site tuples; longer ones
+    more than eight per row) or one reaching 2**62 from the origin, go
+    through a dict of site tuples; longer ones
     read a grid of rows over the bounding box with a one-site border, onto
     which clipping moves every site outside the box.  Each is built on first
     use, so an index that only ever sees short queries builds no grid.
@@ -150,20 +173,19 @@ class SiteIndex:
         return self._dict
 
     def _dense(self):
-        """``(low, high, grid)``: every table row on a grid over the bounding
-        box with a one-site border that stops at the int64 limits, and -1
-        elsewhere; ``False`` for an empty or sparse table."""
+        """``(low, grid)``: every table row on a grid over the bounding box
+        with a one-site border, -1 elsewhere, whose lowest corner is ``low``;
+        ``False`` for an empty or sparse table, or one reaching 2**62 from the
+        origin."""
         if self._grid is None:
-            self._grid = False
             coords = np.ascontiguousarray(self.table.T)
-            if coords.size:
-                low = np.maximum(coords.min(axis=1), np.iinfo(np.int64).min + 1) - 1
-                high = np.minimum(coords.max(axis=1), np.iinfo(np.int64).max - 1) + 1
-                shape = [h - l + 1 for l, h in zip(low.tolist(), high.tolist())]
-                if math.prod(shape) <= max(GRID_CELLS, 8 * len(self.table)):
-                    grid = np.full(shape, -1, dtype=np.intp)
-                    grid[tuple(coords - low[:, None])] = np.arange(len(self.table))
-                    self._grid = low, high, grid
+            box = _box(coords, 1, max(GRID_CELLS, 8 * len(self.table)))
+            self._grid = False
+            if box is not None:
+                low, shape = box
+                grid = np.full(shape, -1, dtype=np.intp)
+                grid[tuple(coords - low[:, None])] = np.arange(len(self.table))
+                self._grid = low, grid
         return self._grid
 
     def rows(self, sites: np.ndarray) -> np.ndarray:
@@ -172,8 +194,8 @@ class SiteIndex:
             lookup = self._lookup()
             return np.array([lookup.get(s, -1) for s in map(tuple, sites.tolist())], dtype=np.intp)
         # clipping moves every site outside the box onto its border
-        low, high, grid = dense
-        return grid[tuple((np.minimum(np.maximum(sites, low), high) - low).T)]
+        low, grid = dense
+        return grid.reshape(-1)[np.ravel_multi_index(tuple((sites - low).T), grid.shape, mode="clip")]
 
     def row(self, site) -> int | None:
         return self._lookup().get(tuple(site))

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_state import DictState, same_state, trace_norm_hermitian
 
@@ -189,12 +189,14 @@ def test_packed_state_matches_dict_reference(case, f):
 @st.composite
 def site_index_cases(draw):
     """A table of distinct sites and a query mixing members, other sites of
-    the bordered box and sites beyond each face.  The table is dense, sparse
-    (coordinates up to 2**40), or two sites whose box is within one row of
-    ``GRID_CELLS`` sites, and queries and tables come on each side of
-    ``DICT_GROUPING``."""
+    the bordered box, sites beyond each face and the int64 corners.  The
+    table is dense (near the origin, or on either side of 2**62 from it, or
+    at the int64 limits), sparse (coordinates up to 2**40), or two sites
+    whose box is within one row of ``GRID_CELLS`` sites, and queries and
+    tables come on each side of ``DICT_GROUPING``."""
     d = draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["dense", "sparse", "edge"]))
+    shift = draw(st.sampled_from([0, 2**62 - 200, 2**62 + 200, -(2**62) + 200, -(2**62) - 200, 2**63 - 6, -(2**63) + 130]))
     if kind == "edge":
         far = GRID_CELLS // 3 ** (d - 1) - 3 + draw(st.integers(-1, 1))
         table = [(0,) * d, (far,) + (0,) * (d - 1)]
@@ -202,26 +204,31 @@ def site_index_cases(draw):
         span = {"dense": (-{1: 130, 2: 6, 3: 3}[d], 5), "sparse": (-(2**40), 2**40)}[kind]
         size = draw(st.sampled_from([0, 1, 2, DICT_GROUPING + 1]))
         table = draw(st.lists(st.tuples(*[st.integers(*span)] * d), min_size=size, max_size=size, unique=True))
+        if kind == "dense":
+            table = [tuple(x + shift for x in site) for site in table]
     table = np.array(table, dtype=np.int64).reshape(len(table), d)
     lo, hi = (table.min(axis=0), table.max(axis=0)) if len(table) else (np.zeros(d, int), np.zeros(d, int))
-    inside = st.tuples(*[st.integers(int(a) - 1, int(b) + 1) for a, b in zip(lo, hi)])
+    inside = st.tuples(*[st.integers(max(int(a) - 1, -(2**63)), min(int(b) + 1, 2**63 - 1)) for a, b in zip(lo, hi)])
 
     def past_a_face(case):
         axis, side, offset, site = case
         site = list(site)
-        site[axis] = int(hi[axis]) + offset if side > 0 else int(lo[axis]) - offset
+        site[axis] = min(int(hi[axis]) + offset, 2**63 - 1) if side > 0 else max(int(lo[axis]) - offset, -(2**63))
         return tuple(site)
 
     beyond = st.tuples(st.integers(0, d - 1), st.sampled_from([-1, 1]), st.integers(1, 2**40), inside)
     beyond = beyond.map(past_a_face)
     members = st.sampled_from([tuple(s) for s in table.tolist()]) if len(table) else inside
     length = draw(st.sampled_from([0, 1, DICT_GROUPING, DICT_GROUPING + 1, 2 * DICT_GROUPING]))
-    query = draw(st.lists(st.one_of(members, inside, beyond), min_size=length, max_size=length))
+    corners = st.tuples(*[st.sampled_from([-(2**63), 2**63 - 1])] * d)
+    query = draw(st.lists(st.one_of(members, inside, beyond, corners), min_size=length, max_size=length))
     return table, np.array(query, dtype=np.int64).reshape(length, d)
 
 
 @settings(max_examples=100, deadline=None)
 @given(site_index_cases())
+# a box spanning all of int64, whose corner and shape would wrap around
+@example((np.array([[-(2**63)], [2**63 - 1]]), np.zeros((DICT_GROUPING + 1, 1), dtype=np.int64)))
 def test_site_index_matches_a_dict(case):
     table, query = case
     reference = {tuple(s): i for i, s in enumerate(table.tolist())}
@@ -233,8 +240,9 @@ def test_site_index_matches_a_dict(case):
     if len(query) <= DICT_GROUPING:
         assert index._grid is None
     else:
-        box = np.prod(np.ptp(table, axis=0).astype(object) + 3) if len(table) else 0
-        dense = 0 < len(table) and box <= max(GRID_CELLS, 8 * len(table))
+        box = np.prod(np.ptp(table.astype(object), axis=0) + 3) if len(table) else 0
+        near = len(table) and -(2**62) < table.min() and table.max() < 2**62
+        dense = near and box <= max(GRID_CELLS, 8 * len(table))
         assert bool(index._grid) == dense
 
 
