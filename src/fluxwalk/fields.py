@@ -29,6 +29,7 @@ keep the scalar forms.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,8 +204,10 @@ class SiteMap:
 
     @cached_property
     def window_coords(self) -> np.ndarray:
-        """The window's sites, in window order, as a (d, W) integer array."""
-        return np.ascontiguousarray(np.array(list(self.window), dtype=np.int64).reshape(-1, self.d).T)
+        """The window's sites, in window order, as a (d, W) integer array
+        (read with ``fromiter``, a few times faster than from tuples)."""
+        flat = np.fromiter(itertools.chain.from_iterable(self.window), np.int64, len(self.window) * self.d)
+        return np.ascontiguousarray(flat.reshape(-1, self.d).T)
 
     @cached_property
     def _window_index(self) -> SiteIndex:
