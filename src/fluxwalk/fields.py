@@ -205,7 +205,7 @@ class SiteMap:
     @cached_property
     def window_coords(self) -> np.ndarray:
         """The window's sites, in window order, as a (d, W) integer array
-        (read with ``fromiter``, a few times faster than from tuples)."""
+        (read with ``fromiter``, about twice as fast as from tuples)."""
         flat = np.fromiter(itertools.chain.from_iterable(self.window), np.int64, len(self.window) * self.d)
         return np.ascontiguousarray(flat.reshape(-1, self.d).T)
 

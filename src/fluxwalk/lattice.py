@@ -71,7 +71,7 @@ def sub(a: Site, b: Site) -> Site:
 # Below this many entries a dict of site tuples groups or finds sites faster
 # than array passes do (about 64 on 2 cores with NumPy 2.4).
 DICT_GROUPING = 64
-# ``SiteIndex`` keeps no grid over a box of more sites than this and 8 per row
+# no ``SiteIndex`` grid covers more sites than this and eight per table row
 GRID_CELLS = 1 << 16
 # the grouping of a single entry, shared: callers only read what they get
 _SINGLE = np.zeros(1, dtype=np.intp)
@@ -83,8 +83,8 @@ def _box(coords: np.ndarray, border: int, cells: int):
     """``(low, shape)`` of the bounding box of a (d, N) int64 coordinate
     array grown by ``border`` sites on every side, or ``None`` when it holds
     more than ``cells`` sites, is empty, or reaches 2**62 from the origin.
-    Short of that, no difference of two int64 sites that lands in the box
-    has wrapped around."""
+    Short of that, an int64 site minus ``low`` that wraps around lands
+    outside the box."""
     if not coords.size:
         return None
     low, high = coords.min(axis=1), coords.max(axis=1)
@@ -120,7 +120,7 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     box = _box(coords, 0, 8 * len(sites))
     if box is None:
         keys = sites.view(np.dtype((np.void, 8 * sites.shape[1])))[:, 0]
-        _, first, keys = np.unique(keys, return_index=True, return_inverse=True)
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     else:
         low, shape = box
         keys = np.ravel_multi_index(coords - low[:, None], shape)
@@ -129,11 +129,11 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         met = np.flatnonzero(first < len(sites))
         number = np.empty(len(first), dtype=np.intp)
         number[met] = np.arange(len(met))
-        first, keys = first[met], number[keys]
+        first, inverse = first[met], number[keys]
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    return first[order], rank[keys]
+    return first[order], rank[inverse]
 
 
 class SiteIndex:
@@ -141,11 +141,11 @@ class SiteIndex:
     ``rows`` for an (M, d) array (-1 where absent), ``row`` for one site
     (``None``).  Queries of at most ``DICT_GROUPING`` sites, and all queries
     on a sparse table (a bounding box of more than ``GRID_CELLS`` sites and
-    more than eight per row) or one reaching 2**62 from the origin, go
-    through a dict of site tuples; longer ones
-    read a grid of rows over the bounding box with a one-site border, onto
-    which clipping moves every site outside the box.  Each is built on first
-    use, so an index that only ever sees short queries builds no grid.
+    more than eight per row) or on one reaching 2**62 from the origin, go
+    through a dict of site tuples; longer ones read a grid of rows over the
+    bounding box with a one-site border, onto which clipping moves every
+    site outside the box.  Each is built on first use, so an index that only
+    ever sees short queries builds no grid.
 
     The choice follows the query size, not the table size, because lookups
     come in two sizes: block assembly asks about thousands of sites at once
