@@ -410,6 +410,15 @@ class DualPath:
 # region to the left of the curve
 
 
+def region_box(lo: Site, hi: Site) -> tuple[int, int]:
+    """The shape of the box of points from corner ``lo`` to corner ``hi``;
+    ``ValidationError`` when it holds more than ``WINDOW_SITES`` points."""
+    shape = (hi[0] - lo[0] + 1, hi[1] - lo[1] + 1)
+    if math.prod(shape) > WINDOW_SITES:
+        raise ValidationError(f"the region box holds {math.prod(shape)} points, more than {WINDOW_SITES}")
+    return shape
+
+
 class RegionSplit:
     """Membership in the subgraph left of an oriented dual curve.
 
@@ -427,9 +436,7 @@ class RegionSplit:
         (mx0, my0), (mx1, my1) = path.bounds()
         self.lo = (min(lo[0], mx0 - 2), min(lo[1], my0 - 2))
         self.hi = (max(hi[0], mx1 + 2), max(hi[1], my1 + 2))
-        shape = (self.hi[0] - self.lo[0] + 1, self.hi[1] - self.lo[1] + 1)
-        if math.prod(shape) > WINDOW_SITES:
-            raise ValidationError(f"the region box holds {math.prod(shape)} points, more than {WINDOW_SITES}")
+        shape = region_box(self.lo, self.hi)
         self.path = path
         span = (
             (self.hi[0] - self.lo[0])
@@ -506,9 +513,10 @@ class RegionSplit:
 
 
 def cc_flux_window(scattering: SiteMap, path: DualPath):
-    """``(lo, hi, bands, steps)`` of the network flux, on cells of Z x 2Z:
-    a window over the path and the scattering features with a margin of 4,
-    and tail bands of the scattering period."""
+    """``(lo, hi, bands, steps, points)`` of the network flux, on cells of
+    Z x 2Z: a window over the path and the scattering features with a
+    margin of 4, tail bands of the scattering period, and the corners of
+    the box of points whose region labels the enumerated cells read."""
     (plo, phi_) = path.bounds()
     s_lo, s_hi = scattering.bounds()
     lo = [min(s_lo[0], plo[0]) - 4, min(s_lo[1], plo[1]) - 4]
@@ -516,7 +524,12 @@ def cc_flux_window(scattering: SiteMap, path: DualPath):
     lo[1] -= lo[1] % 2
     hi[1] += hi[1] % 2
     per = scattering.periods()
-    return lo, hi, [math.lcm(2, per[0]), math.lcm(2, per[1])], [1, 2]
+    bands = [math.lcm(2, per[0]), math.lcm(2, per[1])]
+    points = (
+        (lo[0] - 2 * bands[0] - 3, lo[1] - 2 * bands[1] - 3),
+        (hi[0] + 2 * bands[0] + 4, hi[1] + 2 * bands[1] + 4),
+    )
+    return lo, hi, bands, [1, 2], points
 
 
 def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT) -> FluxField:
@@ -529,10 +542,8 @@ def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT) -> F
     path and the scattering features plus a margin of 4.
     """
     unitary = CCUnitary(scattering)
-    lo, hi, bands, steps = cc_flux_window(scattering, path)
-    point_lo = (lo[0] - 2 * bands[0] - 3, lo[1] - 2 * bands[1] - 3)
-    point_hi = (hi[0] + 2 * bands[0] + 4, hi[1] + 2 * bands[1] + 4)
-    split = RegionSplit(path, point_lo, point_hi)
+    lo, hi, bands, steps, points = cc_flux_window(scattering, path)
+    split = RegionSplit(path, *points)
 
     geometry = CellGeometry(unitary, split, lo, hi, probes=8)
     flux = assemble_field(geometry, geometry.block, lo, hi, bands, steps, tol)

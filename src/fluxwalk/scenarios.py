@@ -378,7 +378,9 @@ def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
     all carry one weight tag must not conduct perfectly along that tag."""
     path = _path_from_json(_need(spec, "path", "scenario"))
     setup = CCSetup(_path_scattering(spec, path, rng), path, spec, rng=rng)
-    label_axes(*ccm.cc_flux_window(setup.scattering, path))
+    lo, hi, bands, steps, points = ccm.cc_flux_window(setup.scattering, path)
+    label_axes(lo, hi, bands, steps)
+    ccm.region_box(*points)
     t0, t1 = path.switch_window()
     for side, t_lo, t_hi, far in (("pre", -30, t0, -50), ("post", t1, 30, 50)):
         tags = {e.tag for e in path.steps(t_lo, t_hi)}

@@ -463,9 +463,10 @@ def test_negative_setup_sizes_fail_validation(tmp_path, capsys, name, path):
         ("two_incoming_leads", {"prefix": [[2**63, 1], [2**63, 0]]}, "lead site must fit in 64 bits"),
         ("two_incoming_leads", {"prefix": [[13782, 1], [13782, 0]]}, "the flux window holds 262162 labels, more than 262144"),
         ("cc_rpath", {"height": 2**62}, "the flux window holds 152185638608103801261 labels"),
+        ("cc_rpath", {"height": 4000}, "the region box holds 321280 points, more than 262144"),
         ("cc_rpath", {"height": 10**6, "window": None}, "the phase window holds 8000070000153 cells"),
     ],
-    ids=["prefix_2_40", "prefix_2_62", "prefix_2_63", "prefix_just_over", "height_2_62", "height_10_6"],
+    ids=["prefix_2_40", "prefix_2_62", "prefix_2_63", "prefix_just_over", "height_2_62", "region_box", "height_10_6"],
 )
 def test_a_window_too_large_fails_validation(tmp_path, capsys, name, edits, message):
     # unchecked, each of these fails inside NumPy with an error that is not a
