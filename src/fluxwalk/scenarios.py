@@ -362,7 +362,9 @@ def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -
         return SiteMap(2, background=base)
     if phases == "random":
         (lo, lo2), (hi, hi2) = path.bounds()
-        extent = _number(spec.get("window", max(abs(lo), abs(lo2), abs(hi), abs(hi2)) + 8), "window", low=0)
+        extent = max(map(abs, (lo, lo2, hi, hi2))) + 8
+        if "window" in spec:
+            extent = _number(spec["window"], "window", low=0)
         cells = (2 * extent + 1) * (extent // 2 * 2 + 1)
         if cells > WINDOW_SITES:
             raise ValidationError(f"the phase window holds {cells} cells, more than {WINDOW_SITES}")

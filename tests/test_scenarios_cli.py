@@ -465,8 +465,9 @@ def test_negative_setup_sizes_fail_validation(tmp_path, capsys, name, path):
         ("cc_rpath", {"height": 2**62}, "the flux window holds 152185638608103801261 labels"),
         ("cc_rpath", {"height": 4000}, "the region box holds 321280 points, more than 262144"),
         ("cc_rpath", {"height": 10**6, "window": None}, "the phase window holds 8000070000153 cells"),
+        ("cc_rpath", {"height": 2**62, "window": None}, "the phase window holds 170141183460469232054505325005801259161 cells"),
     ],
-    ids=["prefix_2_40", "prefix_2_62", "prefix_2_63", "prefix_just_over", "height_2_62", "region_box", "height_10_6"],
+    ids=["prefix_2_40", "prefix_2_62", "prefix_2_63", "prefix_just_over", "height_2_62", "region_box", "height_10_6", "height_2_62_no_window"],
 )
 def test_a_window_too_large_fails_validation(tmp_path, capsys, name, edits, message):
     # unchecked, each of these fails inside NumPy with an error that is not a
