@@ -21,10 +21,12 @@ the sites of states and the labels of flux blocks.  Block assembly uses the
 array forms, and ``CCUnitary`` reads its cells and actions off one
 ``value_index`` call into a stack of S^T.  The scalar forms,
 ``SiteMap.value``, ``Ray.locate`` and ``AdaptedProjection.open_slots``,
-serve callers holding one site or a few: the walk and projection actions on
-small states, lead synthesis and its checks.  On one site the scalar forms
-cost a microsecond or two and the array forms some fifty, so small states
-keep the scalar forms.
+serve callers holding one site or a few: lead synthesis and its checks, and
+the walk and projection actions on states of at most
+``lattice.DICT_GROUPING`` sites.  On one site the scalar forms cost a few
+microseconds and the array forms about a hundred; from a few dozen sites on
+the array forms cost less, so the actions read longer states, such as the
+iterates of a shift check, through the array forms.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import LatticeState, Site, SiteIndex, all_direction_vectors, group_sites, sub
+from .lattice import DICT_GROUPING, LatticeState, Site, SiteIndex, all_direction_vectors, group_sites, sub
 
 
 def _site_array(sites, d: int) -> np.ndarray:
@@ -145,9 +147,11 @@ class SiteMap:
 
     The layers are read-only (a mapping proxy and tuples), so the lookup
     table and the window's ``SiteIndex``, both built on first use, stay
-    valid.  ``value_index`` serves block assembly and the Chalker--Coddington
-    actions, ``distinct_values`` the walk cells; ``value`` serves one-site
-    callers: the walk actions, lead synthesis and its checks, setup probes.
+    valid.  ``value_index`` serves block assembly, the Chalker--Coddington
+    actions and the walk actions on states of more than ``DICT_GROUPING``
+    sites, ``distinct_values`` the walk cells; ``value`` serves one-site
+    callers (lead synthesis and its checks, setup probes) and the walk
+    actions on shorter states.
     """
 
     def __init__(
@@ -319,9 +323,9 @@ class AdaptedProjection:
     The value at a site is the set of open internal slots; by construction it
     commutes with every direction projection, which is the adaptedness
     condition.  ``slot_bits`` gives them as bit masks for a site array,
-    ``open_slots`` for one site: block assembly
-    reads ``diagonal_entries``, built on ``slot_bits``; ``apply`` acts on
-    small states and keeps ``open_slots``.
+    ``open_slots`` for one site: block assembly reads ``diagonal_entries``,
+    built on ``slot_bits``; ``apply`` reads ``open_slots`` on states of at
+    most ``DICT_GROUPING`` sites and ``slot_bits`` on longer ones.
     """
 
     def __init__(self, d: int, sitemap: SiteMap):
@@ -395,11 +399,16 @@ class AdaptedProjection:
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Multiply every row of ``psi``, in every column, by the 0/1
-        diagonal at its site, in one array product; ``open_slots`` runs once
-        per row."""
-        masks = np.zeros((psi.support_size(), self.n))
-        for row, site in zip(masks, psi.site_list()):
-            row[list(self.open_slots(site))] = 1.0
+        diagonal at its site, in one array product; the diagonals come from
+        ``open_slots`` once per row up to ``DICT_GROUPING`` rows, from one
+        ``slot_bits`` call above."""
+        if psi.support_size() > DICT_GROUPING:
+            bits = self.slot_bits(psi.site_array)[:, None] >> np.arange(self.n, dtype=np.uint64)
+            masks = (bits & 1).astype(float)
+        else:
+            masks = np.zeros((psi.support_size(), self.n))
+            for row, site in zip(masks, psi.site_list()):
+                row[list(self.open_slots(site))] = 1.0
         return psi.with_values(masks[:, :, None] * psi.value_array)
 
     # -- derived projections -------------------------------------------------

@@ -284,7 +284,7 @@ class FluxField:
             return self.box.block(row)
         flux, p_in, p_out, _ = self._block_fn(np.array([label]))
         return FluxBlock(
-            label, flux[0], p_in[0], _rank_differences(p_in, p_out)[0], np.linalg.eigvalsh(flux[0])
+            label, flux[0], p_in[0], int(_rank_differences(p_in, p_out)[0]), np.linalg.eigvalsh(flux[0])
         )
 
     def eigensystem(self, label):
@@ -328,9 +328,9 @@ class FluxField:
 # assembly
 
 
-def _rank_differences(p_in: np.ndarray, p_out: np.ndarray) -> list[int]:
-    """rank P_out - rank P_in per stacked cell."""
-    return np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int).tolist()
+def _rank_differences(p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
+    """rank P_out - rank P_in per stacked cell, as integers."""
+    return np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
 
 
 def _tail_partners(labels: np.ndarray, lo, hi, bands) -> np.ndarray:
@@ -419,9 +419,9 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     norms = np.abs(evals).max(axis=1)
     rank_differences = _rank_differences(p_in, p_out)
     window = zone_box == 0
-    rank_sum = sum(rd for rd, w in zip(rank_differences, window.tolist()) if w)
+    rank_sum = int(rank_differences[window].sum())
 
-    box = StackedBox(box_labels, box_index, flux, p_in, p_out, cells, evals, norms, rank_differences, window)
+    box = StackedBox(box_labels, box_index, flux, p_in, p_out, cells, evals, norms, rank_differences.tolist(), window)
     kept = np.flatnonzero(window & (norms > tol.block_prune)).tolist()
     blocks = {box_labels[i]: box.block(i) for i in kept}
     eig_cache: dict = {}

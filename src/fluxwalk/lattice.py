@@ -68,8 +68,17 @@ def sub(a: Site, b: Site) -> Site:
     return tuple(x - y for x, y in zip(a, b))
 
 
-# Below this many entries a dict of site tuples groups or finds sites faster
-# than array passes do (about 64 on 2 cores with NumPy 2.4).
+# Up to this many sites a per-site loop beats one array pass: a dict of site
+# tuples in ``group_sites`` and ``SiteIndex``, ``SiteMap.value`` in
+# ``CoinedWalk.coins``, ``open_slots`` in ``AdaptedProjection.apply``.  Per
+# call on 2 cores with NumPy 2.4, on a lead-network coin with a 64-site window
+# and 3 rays (us):
+#
+#   sites   value loop   value_index + take   open_slots loop   slot_bits
+#       1          3.3                   88               5.8         108
+#      16           42                  115                69         118
+#      64          169                  103               285         109
+#     512        1 693                  179             2 854         195
 DICT_GROUPING = 64
 # no ``SiteIndex`` grid covers more sites than this and eight per table row
 GRID_CELLS = 1 << 16
@@ -139,19 +148,25 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SiteIndex:
     """The row of every site of an (N, d) int64 table of distinct sites:
     ``rows`` for an (M, d) array (-1 where absent), ``row`` for one site
-    (``None``).  Queries of at most ``DICT_GROUPING`` sites, and all queries
-    on a sparse table (a bounding box of more than ``GRID_CELLS`` sites and
-    more than eight per row) or on one reaching 2**62 from the origin, go
-    through a dict of site tuples; longer ones read a grid of rows over the
-    bounding box with a one-site border, onto which clipping moves every
-    site outside the box.  Each is built on first use, so an index that only
-    ever sees short queries builds no grid.
+    (``None``).  A query of more than ``DICT_GROUPING`` sites, or any query
+    on a table of more than ``DICT_GROUPING`` sites whose dict is not built
+    yet, reads a grid of rows over the table's bounding box with a one-site
+    border, onto which clipping moves every site outside the box.  Other
+    queries, ``row``, and all queries on a sparse table (a bounding box of
+    more than ``GRID_CELLS`` sites and more than eight per row) or on one
+    reaching 2**62 from the origin, go through a dict of site tuples.  Each
+    is built on first use, so an index that only ever sees short queries on
+    a short table builds no grid.
 
-    The choice follows the query size, not the table size, because lookups
-    come in two sizes: block assembly asks about thousands of sites at once
-    against windows of a few to a hundred entries, where one grid pass beats
-    a dict hit per site, and walk steps ask about states of a site or two,
-    where a dict hit takes about a microsecond and the array passes tens.
+    Lookups come in three kinds.  Block assembly asks about thousands of
+    sites at once against windows of a few to a hundred entries, where one
+    grid pass beats a dict hit per site.  Walk steps on states of a site or
+    two ask about as few, where a dict hit takes about a microsecond and
+    the array passes tens.  A grown state of hundreds of sites meets a
+    short one in ``+`` or ``gram``: building the grid then costs less than
+    building the dict (8 sites against a new table of 65, 256 and 1 024
+    sites: 18, 23 and 26 us through the grid, 13, 45 and 169 us through the
+    dict).
     """
 
     __slots__ = ("table", "_sites", "_dict", "_grid")
@@ -189,7 +204,10 @@ class SiteIndex:
         return self._grid
 
     def rows(self, sites: np.ndarray) -> np.ndarray:
-        dense = len(sites) > DICT_GROUPING and self._dense()
+        if not len(sites):
+            return np.zeros(0, dtype=np.intp)
+        long = len(sites) > DICT_GROUPING or (self._dict is None and len(self.table) > DICT_GROUPING)
+        dense = long and self._dense()
         if not dense:
             lookup = self._lookup()
             return np.array([lookup.get(s, -1) for s in map(tuple, sites.tolist())], dtype=np.intp)

@@ -7,11 +7,13 @@ no truncation ever happens.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .fields import SiteMap
-from .lattice import LatticeState, all_direction_vectors, scatter_rows
+from .lattice import DICT_GROUPING, LatticeState, all_direction_vectors, scatter_rows
 
 
 class LocalUnitary:
@@ -47,9 +49,11 @@ class CoinedWalk(LocalUnitary):
     The cells of ``flux.CellGeometry`` are the sites (``cell_labels``
     returns its input): the coin at x maps every slot of x onto slot k of
     x + dir_k.  ``cells`` stacks the coins of a label array through one
-    ``coin.distinct_values`` lookup.  ``apply`` and ``apply_adjoint`` act on
-    states of a few sites, where one ``coin.value`` call per site (``coins``)
-    is cheaper than an array lookup.
+    ``coin.distinct_values`` lookup.  ``apply`` and ``apply_adjoint`` read
+    their coins through ``coins``: one ``coin.value`` call per site on states
+    of at most ``DICT_GROUPING`` sites, where that is cheaper than an array
+    lookup, and one ``value_index`` into the stacked table on longer ones,
+    such as the iterates of a shift check.
     """
 
     def __init__(self, coin: SiteMap):
@@ -62,9 +66,18 @@ class CoinedWalk(LocalUnitary):
     def cell_labels(self, sites: np.ndarray) -> np.ndarray:
         return sites
 
-    def coins(self, sites) -> np.ndarray:
-        """(S, n, n) stack of the coins at S site tuples."""
-        return np.array([self.coin.value(x) for x in sites], dtype=complex)
+    @cached_property
+    def _coin_table(self) -> np.ndarray:
+        """Every row of ``coin.table`` as one (T, n, n) stack."""
+        return np.array(self.coin.table, dtype=complex)
+
+    def coins(self, sites: np.ndarray) -> np.ndarray:
+        """(S, n, n) stack of the coins at an (S, d) site array: one
+        ``coin.value`` per site up to ``DICT_GROUPING`` sites, one
+        ``value_index`` into the stacked table above."""
+        if len(sites) > DICT_GROUPING:
+            return self._coin_table.take(self.coin.value_index(sites), axis=0)
+        return np.array([self.coin.value(x) for x in sites.tolist()], dtype=complex)
 
     def in_basis(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
@@ -82,7 +95,7 @@ class CoinedWalk(LocalUnitary):
         self._check(psi)
         if not len(psi.value_array):
             return psi
-        images = self.coins(psi.site_list()) @ psi.value_array
+        images = self.coins(psi.site_array) @ psi.value_array
         targets = psi.site_array[:, None, :] + self._step_array
         return LatticeState.scatter(self.n_internal, (targets, self._slot_array), images)
 
@@ -94,7 +107,7 @@ class CoinedWalk(LocalUnitary):
             return psi
         sources = psi.site_array[:, None, :] - self._step_array
         sites, gathered = scatter_rows(self.n_internal, (sources, self._slot_array), psi.value_array)
-        adjoints = self.coins(map(tuple, sites.tolist())).conj().transpose(0, 2, 1)
+        adjoints = self.coins(sites).conj().transpose(0, 2, 1)
         return LatticeState(self.n_internal, (sites, adjoints @ gathered), _take=True)
 
 

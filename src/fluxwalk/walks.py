@@ -671,9 +671,8 @@ def verify_confinement(
     for _ in range(steps):
         psi = walk.apply(psi)
         leak = 0.0
-        for site, vec in psi.items():
-            if site[axis] < 0:
-                leak += float(np.vdot(vec, vec).real)
+        for vec in psi.value_array[psi.site_array[:, axis] < 0, :, 0]:
+            leak += float(np.vdot(vec, vec).real)
         worst = max(worst, np.sqrt(leak))
     return worst
 

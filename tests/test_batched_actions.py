@@ -30,7 +30,7 @@ from fluxwalk.cc import (
 )
 from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.fields import SiteMap
-from fluxwalk.lattice import LatticeState
+from fluxwalk.lattice import DICT_GROUPING, LatticeState
 from fluxwalk.operators import matrix_on_window
 from fluxwalk.shift import build_perturbed, extract_kernels
 from fluxwalk.walks import (
@@ -109,6 +109,19 @@ def _states(flux, seed, count=4, size=12):
     return [random_packed(rng, lo, hi, n, size) for _ in range(count)]
 
 
+def _short_and_long_states(flux, seed):
+    """``_states``, then one state drawn from ``4 * DICT_GROUPING`` sites of
+    the box, widened where needed to hold ``6 * DICT_GROUPING`` sites, so
+    that the actions meet states on both sides of ``DICT_GROUPING`` (the
+    long state had more than 100 sites on each of a thousand seeds tried)."""
+    states = _states(flux, seed)
+    rng = np.random.default_rng([seed, 1])
+    lo, hi = np.array(flux.lo) - 3, np.array(flux.hi) + 3
+    while np.prod(hi - lo + 1) < 6 * DICT_GROUPING:
+        lo, hi = lo - 3, hi + 3
+    return states + [random_packed(rng, lo, hi, flux.geometry.state_dim, 4 * DICT_GROUPING)]
+
+
 # ---------------------------------------------------------------------------
 # walk and network steps
 
@@ -118,7 +131,7 @@ def _states(flux, seed, count=4, size=12):
 @given(seed=seeds)
 def test_walk_step_matches_per_site_reference(name, seed):
     walk = walk_model(name).geometry.unitary
-    for psi in _states(walk_model(name), seed):
+    for psi in _short_and_long_states(walk_model(name), seed):
         assert ref.same_state(walk.apply(psi), ref.walk_apply(walk, ref.to_dict(psi)))
         assert ref.same_state(
             walk.apply_adjoint(psi), ref.walk_apply_adjoint(walk, ref.to_dict(psi))
@@ -147,7 +160,7 @@ def test_network_step_matches_per_site_reference(name, seed):
 @given(seed=seeds)
 def test_adapted_projection_matches_per_site_reference(name, seed):
     proj = walk_model(name).geometry.proj
-    for psi in _states(walk_model(name), seed):
+    for psi in _short_and_long_states(walk_model(name), seed):
         for p in (proj, proj.shift_conjugate(), proj.complement()):
             assert ref.same_state(p.apply(psi), ref.projection_apply(p, ref.to_dict(psi)))
 

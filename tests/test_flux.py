@@ -313,6 +313,15 @@ def test_dense_window_index_oracle():
     assert dense == report.index
 
 
+def test_dense_window_index_rejects_a_flux_that_is_not_hermitian():
+    coin, proj = make_basic_example(seed=17)
+    walk = build_walk(coin)
+    box = [(x,) for x in range(-2, 5)]
+    # iP is not self-adjoint: U*(iP)U - iP = i(U*PU - P) is skew-Hermitian
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        dense_window_index(walk, lambda psi: proj.apply(psi).scaled(1j), box, 2)
+
+
 def test_strict_profile_still_counts_exactly():
     from fluxwalk.config import STRICT
 

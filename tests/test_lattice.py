@@ -236,14 +236,22 @@ def test_site_index_matches_a_dict(case):
     assert index.rows(query).tolist() == [reference.get(tuple(s), -1) for s in query.tolist()]
     for site in query.tolist()[:8]:
         assert index.row(site) == reference.get(tuple(site))
-    # the strategy: a grid only for a long query on a dense table
-    if len(query) <= DICT_GROUPING:
+    # the strategy: a grid, if the table is dense, for a nonempty query that
+    # is long or meets a long table before its dict is built
+    if not len(query) or (len(query) <= DICT_GROUPING and len(table) <= DICT_GROUPING):
         assert index._grid is None
     else:
         box = np.prod(np.ptp(table.astype(object), axis=0) + 3) if len(table) else 0
         near = len(table) and -(2**62) < table.min() and table.max() < 2**62
         dense = near and box <= max(GRID_CELLS, 8 * len(table))
         assert bool(index._grid) == dense
+    # once the dict is built, a short query keeps it
+    warm = SiteIndex(table)
+    if len(table):
+        warm.row(table[0])
+    assert warm.rows(query).tolist() == [reference.get(tuple(s), -1) for s in query.tolist()]
+    if len(query) <= DICT_GROUPING:
+        assert warm._grid is None
 
 
 def test_far_sites_never_share_a_key():
