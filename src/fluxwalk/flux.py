@@ -13,7 +13,9 @@ it; walks, networks and scenario setups all go through it.
 Certification at infinity works by enumerating a shell of representative
 blocks just outside the feature window.  Every block beyond the window equals
 one of the shell blocks (the field layers are translation invariant out
-there), which a second "tripwire" band re-checks numerically.
+there), which a second "tripwire" band re-checks numerically.  So after
+assembly every block read is a row of the stacked box, a label beyond it
+reading the row of its shell partner.
 
 Each field classifies the eigenvalues of its kept window blocks against +1
 and -1 once (``FluxField.spectrum``); the kernel count, the shift
@@ -23,7 +25,7 @@ decomposition and the stability probe all read that classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -149,7 +151,8 @@ class CellGeometry:
     at slot ``slots[i]`` of site ``sites[i]``, and ``apply(psi)``.  With P_in
     and P_out those entries on the two bases, the flux block in the incoming
     basis is ``matrix* P_out matrix - P_in``.  Self-checks draw ``probes``
-    random window sites.
+    random window sites.  ``apply_blocks`` takes cell maps as an (M, k, k)
+    stack and a lookup from an (N, d) label array to N rows of it, -1 for none.
     """
 
     def __init__(self, unitary, proj, lo, hi, probes: int):
@@ -193,20 +196,20 @@ class CellGeometry:
         values[rows.reshape(n_cells, k), in_slots] = coords
         return LatticeState(self.state_dim, (sites.take(first, axis=0), values), _take=True)
 
-    def apply_blocks(self, psi: LatticeState, matrix_at, adjoint: bool = False) -> LatticeState:
-        """Apply ``matrix_at(label)``, or its adjoint, to the incoming
+    def apply_blocks(self, psi: LatticeState, rows_of, matrices, adjoint: bool = False) -> LatticeState:
+        """Apply ``matrices[rows_of(labels)]``, or the adjoints, to the incoming
         coordinates of all columns of ``psi`` in every cell meeting its support
-        in one stacked product, skipping cells where it is ``None``.  Cells come
-        in sorted label order: the rows of adding cell images one at a time."""
+        in one stacked product, leaving cells of row -1 alone.  Cells come in
+        sorted label order: the rows of adding cell images one at a time."""
         empty = LatticeState.zero(self.state_dim, psi.n_columns)
-        if not psi.support_size():
+        if not psi.support_size() or not len(matrices):
             return empty
         touched = self.unitary.cell_labels(psi.site_array)
         labels = touched.take(group_sites(touched)[0], axis=0)
         labels = labels[np.lexsort(labels.T[::-1])]
-        mats = [matrix_at(label) for label in map(tuple, labels.tolist())]
-        kept = [i for i, m in enumerate(mats) if m is not None]
-        if not kept:
+        found = rows_of(labels)
+        kept = np.flatnonzero(found >= 0)
+        if not kept.size:
             return empty
         in_sites, in_slots = self.unitary.in_basis(labels[kept])
         n_cells, k, d = in_sites.shape
@@ -214,7 +217,7 @@ class CellGeometry:
         coords = np.where((rows >= 0)[:, :, None], psi.value_array[rows, in_slots], 0)
         # the adjoint as a transposed view, laid out as m.conj().T, so BLAS
         # takes the same path and rounds the same way
-        mats = np.array([mats[i] for i in kept])
+        mats = matrices[found[kept]]
         if adjoint:
             mats = mats.conj().transpose(0, 2, 1)
         return self._place(in_sites, in_slots, mats @ coords)
@@ -233,12 +236,13 @@ class CellGeometry:
 
 class FluxField:
     """Block-diagonal flux with a finite window plus certified tail, over a
-    ``CellGeometry`` whose ``block`` method is ``block_fn``.
+    ``CellGeometry``.
 
     ``blocks`` holds the window blocks above ``tol.block_prune``, and
-    ``box`` everything assembly stacked for the window and the shell.
-    ``spectrum`` classifies the unit eigenvalues of ``blocks`` on first use
-    and keeps the result; every index reader shares it.
+    ``box`` everything assembly stacked for the window and the shell; every
+    block the field reads is a row of ``box``.  ``spectrum`` classifies the
+    unit eigenvalues of ``blocks`` on first use and keeps the result; every
+    index reader shares it.
     """
 
     def __init__(
@@ -252,7 +256,6 @@ class FluxField:
         steps,
         certificate: Certificate,
         rank_difference: int,
-        block_fn,
         tol: Tolerances,
         eig_cache: dict,
     ):
@@ -265,7 +268,6 @@ class FluxField:
         self.steps = list(steps)
         self.certificate = certificate
         self.rank_difference = rank_difference
-        self._block_fn = block_fn
         self.tol = tol
         self._eig_cache = eig_cache
 
@@ -275,17 +277,19 @@ class FluxField:
     def tail_zero(self) -> bool:
         return self.certificate.bound <= self.tol.block_prune
 
+    def box_rows(self, labels: np.ndarray) -> np.ndarray:
+        """The box row holding the block of each label of an (N, d) array:
+        its own row inside the box, beyond it the row of the shell label whose
+        block repeats there (the clamp the tripwire band certified)."""
+        rows = self.box.index.rows(_tail_partners(labels, *np.array([self.lo, self.hi, self.bands])))
+        if rows.min(initial=0) < 0:
+            raise ValidationError(f"label {tuple(labels[rows.argmin()].tolist())} has no block in the assembled box")
+        return rows
+
     def block_at(self, label) -> FluxBlock:
-        """The block at any label: a row of the assembled box, which holds
-        every window and shell label, else one ``block_fn`` call."""
-        label = tuple(label)
-        row = self.box.index.row(label)
-        if row is not None:
-            return self.box.block(row)
-        flux, p_in, p_out, _ = self._block_fn(np.array([label]))
-        return FluxBlock(
-            label, flux[0], p_in[0], int(_rank_differences(p_in, p_out)[0]), np.linalg.eigvalsh(flux[0])
-        )
+        """The block at any label, read from its box row."""
+        (row,) = self.box_rows(np.array([label], dtype=np.int64))
+        return replace(self.box.block(row), label=tuple(label))
 
     def eigensystem(self, label):
         label = tuple(label)
@@ -321,16 +325,11 @@ class FluxField:
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Apply the flux to a finitely supported state, exactly."""
-        return self.geometry.apply_blocks(psi, lambda label: self.block_at(label).matrix)
+        return self.geometry.apply_blocks(psi, self.box_rows, self.box.flux)
 
 
 # ---------------------------------------------------------------------------
 # assembly
-
-
-def _rank_differences(p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
-    """rank P_out - rank P_in per stacked cell, as integers."""
-    return np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
 
 
 def _tail_partners(labels: np.ndarray, lo, hi, bands) -> np.ndarray:
@@ -417,7 +416,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
 
     evals = np.linalg.eigvalsh(flux)
     norms = np.abs(evals).max(axis=1)
-    rank_differences = _rank_differences(p_in, p_out)
+    rank_differences = np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
     window = zone_box == 0
     rank_sum = int(rank_differences[window].sum())
 
@@ -443,7 +442,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
         witness=witness if bound >= 1.0 - tol.certificate_margin else None,
     )
     return FluxField(
-        geometry, blocks, box, lo, hi, bands, steps, cert, rank_sum, block_fn, tol, eig_cache
+        geometry, blocks, box, lo, hi, bands, steps, cert, rank_sum, tol, eig_cache
     )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .flux import FluxField
-from .lattice import LatticeState
+from .lattice import LatticeState, SiteIndex
 
 
 @dataclass
@@ -87,7 +87,8 @@ class PerturbedUnitary:
     The correction acts as the identity on the wandering vectors, swaps the
     paired kernel vectors with the smaller kernel, and applies the unitary
     part of the polar splitting of the P-diagonal compression of U on the
-    rest of each block.
+    rest of each block.  The nonzero block maps are kept as one (N, k, k)
+    stack in sorted label order with a ``SiteIndex`` over those labels.
     """
 
     def __init__(self, base, flux: FluxField, kernels: KernelData):
@@ -96,15 +97,14 @@ class PerturbedUnitary:
         self.kernels = kernels
         self.tol = flux.tol
         self.n_internal = flux.geometry.state_dim
-        self._block_maps: dict = {}
         # the finite-rank part swaps paired[i] with small[i]: F = -sum |d><d|
         # over the differences d = small[i] - paired[i], stacked as columns
         diffs = [s - p for p, s in zip(kernels.paired, kernels.small)]
         self._diffs = LatticeState.stack([LatticeState.zero(self.n_internal, 0), *diffs])
-        for label in sorted(set(flux.blocks)):
-            m = self._build_block_map(label)
-            if m is not None:
-                self._block_maps[label] = m
+        maps = {label: self._build_block_map(label) for label in sorted(flux.blocks)}
+        maps = {label: m for label, m in maps.items() if m is not None}
+        self._map_index = SiteIndex(np.array(list(maps), dtype=np.int64).reshape(len(maps), len(flux.lo)))
+        self._map_stack = np.array(list(maps.values()), dtype=complex).reshape(-1, *flux.box.flux.shape[1:])
 
     # -- construction ------------------------------------------------------
 
@@ -147,7 +147,7 @@ class PerturbedUnitary:
     def _correction(self, psi: LatticeState, adjoint: bool) -> LatticeState:
         """A psi, column by column; A* differs only in the block maps (F = F*)."""
         out = psi - self._diffs.combine(self._diffs.gram(psi))
-        return out + self.flux.geometry.apply_blocks(psi, self._block_maps.get, adjoint)
+        return out + self.flux.geometry.apply_blocks(psi, self._map_index.rows, self._map_stack, adjoint)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         return self.base.apply(self._correction(psi, adjoint=False))
@@ -168,7 +168,7 @@ class PerturbedUnitary:
 
     def correction_minus_finite_rank_norm(self) -> float:
         """Operator norm of U*(perturbed U) - 1 - F: the blockwise remainder."""
-        worst = max((float(np.linalg.norm(m, 2)) for m in self._block_maps.values()), default=0.0)
+        worst = max((float(np.linalg.norm(m, 2)) for m in self._map_stack), default=0.0)
         # tail blocks contribute too when the flux does not vanish out there
         if not self.flux.tail_zero:
             raise ValidationError(

@@ -30,6 +30,7 @@ from fluxwalk.config import DEFAULT
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import SiteMap
 from fluxwalk.flux import assemble_field
+from fluxwalk.lattice import LatticeState
 from fluxwalk.walks import (
     LeadSpec,
     NetworkSpec,
@@ -74,11 +75,19 @@ def assert_blocks_match_reference(flux):
     for label in labels:
         block = flux.block_at(label).matrix if label in in_box else stacked[label]
         assert block.tobytes() == reference_block(flux.geometry, label).tobytes(), label
-    # one label beyond the box goes through block_fn with N = 1
-    beyond = tuple(h + 2 * b + s for h, b, s in zip(flux.hi, flux.bands, flux.steps))
-    assert beyond not in in_box
-    reference = reference_block(flux.geometry, beyond)
-    assert flux.block_at(beyond).matrix.tobytes() == reference.tobytes()
+    # beyond the box block_at reads the row of the shell partner: labels one,
+    # two and three bands past its edge, and one grid step short of that, on
+    # every side and at every corner
+    for m in (1, 2, 3):
+        sides = [
+            (l - (m + 1) * b, l - m * b - s, l, h, h + m * b + s, h + (m + 1) * b)
+            for l, h, b, s in zip(flux.lo, flux.hi, flux.bands, flux.steps)
+        ]
+        beyond = {label for label in itertools.product(*sides) if label not in in_box}
+        for label in beyond:
+            block = flux.block_at(label)
+            assert block.label == label
+            assert block.matrix.tobytes() == reference_block(flux.geometry, label).tobytes(), label
 
 
 @pytest.mark.parametrize(
@@ -134,6 +143,38 @@ def test_a_walk_block_resolves_each_site_once(monkeypatch):
     monkeypatch.setattr(type(geometry.proj), "slot_bits", counting)
     geometry.block(labels)
     assert seen == [len(distinct)] == [15]
+
+
+@pytest.mark.parametrize("model", ["basic_example", "crossover"])
+def test_flux_beyond_the_box_computes_no_block(model):
+    if model == "basic_example":
+        flux = build_walk_flux(*make_basic_example())
+    else:
+        window = random_phase_window(np.random.default_rng(41), 0.3, range(-5, 6), range(-5, 6))
+        flux = cc_flux(SiteMap(2, window=window, background=params_r(0.3)), crossover_path())
+    geometry = flux.geometry
+    calls = []
+
+    def counting(labels):
+        calls.append(len(labels))
+        return geometry.block(labels)
+
+    flux = assemble_field(geometry, counting, flux.lo, flux.hi, flux.bands, flux.steps, DEFAULT)
+    assert len(calls) == 2
+    # one random cell state three bands past the box on every side and corner
+    rng = np.random.default_rng(3)
+    k = flux.box.flux.shape[1]
+    sides = [(l - 4 * b, l, h, h + 4 * b) for l, h, b in zip(flux.lo, flux.hi, flux.bands)]
+    in_box = set(flux.box.labels)
+    psi = LatticeState.zero(geometry.state_dim)
+    for label in itertools.product(*sides):
+        if label not in in_box:
+            psi = psi + geometry.make_state(label, rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    assert psi.support_size()
+    reference = ref.apply_blocks(geometry, ref.to_dict(psi), lambda label: reference_block(geometry, label))
+    calls.clear()
+    assert ref.same_state(flux.apply(psi), reference)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

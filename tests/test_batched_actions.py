@@ -30,7 +30,7 @@ from fluxwalk.cc import (
 )
 from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.fields import SiteMap
-from fluxwalk.lattice import DICT_GROUPING, LatticeState
+from fluxwalk.lattice import DICT_GROUPING, LatticeState, SiteIndex
 from fluxwalk.operators import matrix_on_window
 from fluxwalk.shift import build_perturbed, extract_kernels
 from fluxwalk.walks import (
@@ -42,6 +42,7 @@ from fluxwalk.walks import (
     reflecting_coin,
     synthesize_lead_coin,
 )
+from test_assembly import reference_block
 from test_cc import capped
 from test_flux import make_basic_example
 from test_shift import basic_example
@@ -178,6 +179,20 @@ def test_region_projection_matches_per_site_reference(name, seed):
 # cell blocks
 
 
+def random_cell_maps(flux, rng):
+    """Random maps on some of the box cells, as ``PerturbedUnitary`` keeps
+    them: the dict the reference reads, and the ``(rows_of, matrices)`` pair
+    of ``CellGeometry.apply_blocks``."""
+    k = flux.box.flux.shape[1]
+    maps = {
+        label: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        for label in flux.box.labels
+        if rng.random() < 0.5
+    }
+    index = SiteIndex(np.array(list(maps), dtype=np.int64).reshape(len(maps), len(flux.lo)))
+    return maps, index.rows, np.array(list(maps.values())).reshape(-1, k, k)
+
+
 @pytest.mark.parametrize("name", WALKS + NETWORKS)
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds)
@@ -186,12 +201,7 @@ def test_cell_blocks_match_per_cell_reference(name, seed):
     geometry = flux.geometry
     rng = np.random.default_rng(seed)
     k = flux.box.flux.shape[1]
-    # random maps on some of the box cells, as PerturbedUnitary keeps them
-    maps = {
-        label: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        for label in flux.box.labels
-        if rng.random() < 0.5
-    }
+    maps, rows_of, matrices = random_cell_maps(flux, rng)
 
     def adjoint_at(label):
         m = maps.get(label)
@@ -200,15 +210,19 @@ def test_cell_blocks_match_per_cell_reference(name, seed):
     for psi in _states(flux, seed, size=20):
         assert ref.same_state(
             flux.apply(psi),
-            ref.apply_blocks(geometry, ref.to_dict(psi), lambda label: flux.block_at(label).matrix),
+            ref.apply_blocks(geometry, ref.to_dict(psi), lambda label: reference_block(geometry, label)),
         )
         assert ref.same_state(
-            geometry.apply_blocks(psi, maps.get), ref.apply_blocks(geometry, ref.to_dict(psi), maps.get)
+            geometry.apply_blocks(psi, rows_of, matrices),
+            ref.apply_blocks(geometry, ref.to_dict(psi), maps.get),
         )
         assert ref.same_state(
-            geometry.apply_blocks(psi, maps.get, adjoint=True),
+            geometry.apply_blocks(psi, rows_of, matrices, adjoint=True),
             ref.apply_blocks(geometry, ref.to_dict(psi), adjoint_at),
         )
+        # an empty stack leaves every cell alone
+        empty = geometry.apply_blocks(psi, rows_of, np.zeros((0, k, k), dtype=complex))
+        assert empty.support_size() == 0 and empty.n_columns == psi.n_columns
     label = flux.box.labels[rng.integers(len(flux.box.labels))]
     coords = rng.standard_normal(k) + 1j * rng.standard_normal(k)
     coords[0] = -0.0
@@ -251,13 +265,7 @@ def _actions(flux, seed):
     """Every batched action of a model: the unitary both ways, each
     projection, the flux and random cell maps both ways."""
     geometry = flux.geometry
-    rng = np.random.default_rng(seed)
-    k = flux.box.flux.shape[1]
-    maps = {
-        label: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        for label in flux.box.labels
-        if rng.random() < 0.5
-    }
+    _, rows_of, matrices = random_cell_maps(flux, np.random.default_rng(seed))
     proj = geometry.proj
     projections = [proj] if isinstance(proj, RegionSplit) else [proj, proj.shift_conjugate(), proj.complement()]
     return [
@@ -265,8 +273,8 @@ def _actions(flux, seed):
         geometry.unitary.apply_adjoint,
         *(p.apply for p in projections),
         flux.apply,
-        lambda psi: geometry.apply_blocks(psi, maps.get),
-        lambda psi: geometry.apply_blocks(psi, maps.get, adjoint=True),
+        lambda psi: geometry.apply_blocks(psi, rows_of, matrices),
+        lambda psi: geometry.apply_blocks(psi, rows_of, matrices, adjoint=True),
     ]
 
 

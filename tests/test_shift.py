@@ -257,8 +257,6 @@ def test_cc_shift_decomposition_with_trace_class_flux():
     assert sreport.ok
     assert sreport.multiplicity == 1
     # summed trace norms of the correction stay finite and small
-    total = sum(
-        trace_norm_hermitian(m) for m in perturbed._block_maps.values()
-    )
+    total = sum(trace_norm_hermitian(m) for m in perturbed._map_stack)
     assert np.isfinite(total)
     assert sreport.remainder_norm <= 3 * sreport.small_flux_norm + 1e-12
