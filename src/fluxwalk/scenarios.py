@@ -518,7 +518,7 @@ def _walk_shift_analysis(setup, analysis, files):
     flux = setup.flux
     kernels = extract_kernels(flux)
     perturbed = build_perturbed(flux.geometry.unitary, flux, kernels)
-    shift_report = verify_shift_structure(perturbed, kernels, k_max=steps)
+    shift_report = verify_shift_structure(perturbed, k_max=steps)
     return {**shift_report.as_dict(), "index": index, "pass": shift_report.ok}
 
 

@@ -206,14 +206,10 @@ class ShiftReport:
         return asdict(self)
 
 
-def verify_shift_structure(
-    perturbed: PerturbedUnitary,
-    kernels: KernelData | None = None,
-    k_max: int = 30,
-) -> ShiftReport:
+def verify_shift_structure(perturbed: PerturbedUnitary, k_max: int = 30) -> ShiftReport:
     """Drive the perturbed unitary and check the shift identities.
 
-    (a) iterates of the wandering basis are orthonormal across all steps
+    (a) iterates of its wandering basis are orthonormal across all steps
     |k| <= k_max; (b) forward iterates never return to the wandering
     subspace; (c) off the computed shift span, the perturbed unitary
     commutes with P after the wandering component is removed.  Random probe
@@ -221,7 +217,7 @@ def verify_shift_structure(
     """
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    kernels = kernels or perturbed.kernels
+    kernels = perturbed.kernels
     tol = perturbed.tol
     flux = perturbed.flux
     geom = flux.geometry

@@ -213,7 +213,7 @@ def test_criterion_06_shift_decomposition():
     walk = build_walk(coin)
     kd = extract_kernels(flux)
     perturbed = build_perturbed(walk, flux, kd)
-    rep = verify_shift_structure(perturbed, kd, k_max=30)
+    rep = verify_shift_structure(perturbed, k_max=30)
     assert rep.ok and rep.multiplicity == 1
     assert rep.unitary_defect <= 1e-10 and rep.gram_defect <= 1e-10
     assert rep.remainder_norm <= 3 * rep.small_flux_norm + 1e-12
@@ -228,7 +228,7 @@ def test_criterion_06_shift_decomposition():
     walk2 = build_walk(coin2)
     kd2 = extract_kernels(flux2)
     perturbed2 = build_perturbed(walk2, flux2, kd2)
-    rep2 = verify_shift_structure(perturbed2, kd2, k_max=30)
+    rep2 = verify_shift_structure(perturbed2, k_max=30)
     assert rep2.ok and rep2.multiplicity == 2
     assert rep2.gram_defect <= 1e-10
     assert rep2.finite_rank == rep2.expected_rank

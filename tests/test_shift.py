@@ -99,7 +99,7 @@ def test_basic_example_shift_structure():
     walk = build_walk(coin)
     kd = extract_kernels(flux)
     perturbed = build_perturbed(walk, flux, kd)
-    report = verify_shift_structure(perturbed, kd, k_max=30)
+    report = verify_shift_structure(perturbed, k_max=30)
     assert report.ok
     assert report.multiplicity == 1
     assert report.gram_defect <= 1e-10
@@ -120,7 +120,7 @@ def test_two_incoming_leads_multiplicity_two():
     kd = extract_kernels(flux)
     assert kd.multiplicity == 2 and not kd.flipped
     perturbed = build_perturbed(walk, flux, kd)
-    sreport = verify_shift_structure(perturbed, kd, k_max=30)
+    sreport = verify_shift_structure(perturbed, k_max=30)
     assert sreport.ok and sreport.multiplicity == 2
 
 
@@ -138,7 +138,7 @@ def test_shift_check_takes_no_single_inner_products(monkeypatch):
     calls = []
     original = LatticeState.inner
     monkeypatch.setattr(LatticeState, "inner", lambda self, other: calls.append(1) or original(self, other))
-    report = verify_shift_structure(perturbed, kd, k_max=30)
+    report = verify_shift_structure(perturbed, k_max=30)
     assert report.ok and report.multiplicity == 2
     assert not calls
 
@@ -197,7 +197,7 @@ def test_paired_kernels_give_finite_rank_part():
     assert kd.index == 0 and kd.multiplicity == 0
     assert len(kd.paired) == len(kd.small) == 1
     perturbed = build_perturbed(walk, flux, kd)
-    report = verify_shift_structure(perturbed, kd, k_max=15)
+    report = verify_shift_structure(perturbed, k_max=15)
     assert report.finite_rank == report.expected_rank == 1
     assert report.unitary_defect <= 1e-10
 
@@ -214,7 +214,7 @@ def test_remainder_bound_with_nonzero_small_flux():
     walk = build_walk(coin)
     kd = extract_kernels(flux)
     perturbed = build_perturbed(walk, flux, kd)
-    report = verify_shift_structure(perturbed, kd, k_max=15)
+    report = verify_shift_structure(perturbed, k_max=15)
     assert report.ok
     assert 0 < report.remainder_norm <= 3 * small
 
@@ -253,7 +253,7 @@ def test_cc_shift_decomposition_with_trace_class_flux():
     unitary = CCUnitary(field)
     kd = extract_kernels(flux)
     perturbed = build_perturbed(unitary, flux, kd)
-    sreport = verify_shift_structure(perturbed, kd, k_max=25)
+    sreport = verify_shift_structure(perturbed, k_max=25)
     assert sreport.ok
     assert sreport.multiplicity == 1
     # summed trace norms of the correction stay finite and small
