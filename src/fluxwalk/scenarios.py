@@ -431,6 +431,12 @@ def _checked_setup(spec: dict):
             raise ValidationError(f"analysis type {atype!r} not available for kind {kind!r}")
         if not isinstance(analysis.get("label", ""), str):
             raise ValidationError(f"analysis #{i} label must be a string")
+        allowed = ("type", "label", *ANALYSIS_KEYS[atype])
+        unknown = [key for key in analysis if key not in allowed]
+        if unknown:
+            raise ValidationError(
+                f"analysis #{i} ({atype}) has unknown key {unknown[0]!r}; allowed keys: {', '.join(allowed)}"
+            )
     return setup
 
 
@@ -701,6 +707,23 @@ ANALYSES = {
         "anomalous_transport": _cc_anomalous_analysis,
         "spectrum_window": _spectrum_window_analysis,
     },
+}
+
+# the keys each analysis type reads besides "type" and "label"
+ANALYSIS_KEYS = {
+    "index": ("expect", "expect_abs"),
+    "flux_zero": (),
+    "wandering": ("steps",),
+    "confinement": ("steps", "box"),
+    "shift_decomposition": ("steps",),
+    "stability_probe": ("steps", "strength"),
+    "oracle_equivalence": ("pad",),
+    "network_ensemble": ("draws", "max_leads", "box"),
+    "spectrum_window": ("box",),
+    "ensemble_index": ("draws", "expect", "expect_abs", "constant_sign"),
+    "norm_law": ("r_abs",),
+    "surgery": ("reroutes",),
+    "anomalous_transport": ("epsilons", "draws"),
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 from fluxwalk.cli import bundled_scenarios, main
 from fluxwalk.errors import EigenvalueAmbiguityError, NonSummableError, ValidationError
 from fluxwalk.report import dump_report
-from fluxwalk.scenarios import ANALYSES, _checked_setup, run_scenario, validate_scenario
+from fluxwalk.scenarios import ANALYSES, ANALYSIS_KEYS, _checked_setup, run_scenario, validate_scenario
 
 
 def load(name):
@@ -489,6 +489,42 @@ def test_a_window_too_large_fails_validation(tmp_path, capsys, name, edits, mess
     scenario_file.write_text(json.dumps(spec))
     assert main(["validate", str(scenario_file)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, atype", [(kind, atype) for kind, types in ANALYSES.items() for atype in types])
+def test_an_unknown_analysis_key_fails_validation(kind, atype):
+    assert ANALYSIS_KEYS.keys() == {t for types in ANALYSES.values() for t in types}
+    spec = load({"walk": "two_incoming_leads", "cc": "cc_rpath"}[kind])
+    spec["analyses"] = [{"type": atype, "label": "x", "bogus": 1}]
+    allowed = ", ".join(("type", "label", *ANALYSIS_KEYS[atype]))
+    message = f"analysis #0 ({atype}) has unknown key 'bogus'; allowed keys: {allowed}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_scenario(spec)
+    del spec["analyses"][0]["bogus"]
+    validate_scenario(spec)
+
+
+@pytest.mark.parametrize(
+    "name, analysis, key",
+    [
+        ("half_line_plus", {"type": "index", "expcet": 7}, "expcet"),
+        ("two_incoming_leads", {"type": "wandering", "stepz": 5}, "stepz"),
+        ("cc_rpath", {"type": "ensemble_index", "draws": 2, "expcet": 5}, "expcet"),
+    ],
+    ids=["index_expect", "wandering_steps", "ensemble_expect"],
+)
+def test_a_misspelled_analysis_key_fails_validation(tmp_path, capsys, name, analysis, key):
+    # each used to pass, with nothing compared or the default steps run
+    spec = load(name)
+    spec["analyses"].append(analysis)
+    message = f"has unknown key {key!r}; allowed keys: type, label, "
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_scenario(spec)
+    scenario_file = tmp_path / "misspelled.json"
+    scenario_file.write_text(json.dumps(spec))
+    assert main(["validate", str(scenario_file)]) == 3
+    assert message in capsys.readouterr().err
+    assert main(["run", str(scenario_file), "--out", str(tmp_path)]) == 3
 
 
 def test_wandering_without_leads_fails_only_that_analysis():
