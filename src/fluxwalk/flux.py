@@ -277,7 +277,7 @@ class FluxField:
     def tail_zero(self) -> bool:
         return self.certificate.bound <= self.tol.block_prune
 
-    def box_rows(self, labels: np.ndarray) -> np.ndarray:
+    def _box_rows(self, labels: np.ndarray) -> np.ndarray:
         """The box row holding the block of each label of an (N, d) array:
         its own row inside the box, beyond it the row of the shell label whose
         block repeats there (the clamp the tripwire band certified)."""
@@ -288,7 +288,7 @@ class FluxField:
 
     def block_at(self, label) -> FluxBlock:
         """The block at any label, read from its box row."""
-        (row,) = self.box_rows(np.array([label], dtype=np.int64))
+        (row,) = self._box_rows(np.array([label], dtype=np.int64))
         return replace(self.box.block(row), label=tuple(label))
 
     def eigensystem(self, label):
@@ -325,7 +325,7 @@ class FluxField:
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Apply the flux to a finitely supported state, exactly."""
-        return self.geometry.apply_blocks(psi, self.box_rows, self.box.flux)
+        return self.geometry.apply_blocks(psi, self._box_rows, self.box.flux)
 
 
 # ---------------------------------------------------------------------------

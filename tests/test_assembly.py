@@ -7,6 +7,7 @@ equal, bit for bit, ``M* diag(P_out) M - diag(P_in)`` built from the one-cell
 """
 
 import itertools
+import re
 from collections import deque
 
 import numpy as np
@@ -175,6 +176,17 @@ def test_flux_beyond_the_box_computes_no_block(model):
     calls.clear()
     assert ref.same_state(flux.apply(psi), reference)
     assert calls == []
+
+
+def test_a_label_without_a_box_row_fails_the_flux_action(monkeypatch):
+    # without the clamp a label past the box has no row; it must raise, not
+    # drop out of the action
+    flux = build_walk_flux(*make_basic_example())
+    label = (flux.hi[0] + 4 * flux.bands[0],)
+    psi = flux.geometry.make_state(label, np.ones(flux.box.flux.shape[1]))
+    monkeypatch.setattr(flux_module, "_tail_partners", lambda labels, *bounds: labels)
+    with pytest.raises(ValidationError, match=re.escape(f"label {label} has no block in the assembled box")):
+        flux.apply(psi)
 
 
 # ---------------------------------------------------------------------------
