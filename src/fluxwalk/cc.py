@@ -7,10 +7,15 @@ subspace; the unitary maps one onto the other cell by cell, so the flux of a
 region projection is block diagonal over cells and ``flux.CellGeometry``
 assembles it exactly as for coined walks.
 
+A random scattering window stays one checked (N, 3) complex block of
+(q, r, t) rows, from the draw to the stacked S^T of ``CCUnitary``.
+
 A separating curve is given on the dual lattice (vertices at face centers).
 Each dual step bisects exactly one primal edge; the crossed edge carries the
-r- or t-entry of its cell, which classifies path segments.  The region to the
-left of the oriented curve defines the projection whose flux is analyzed.
+r- or t-entry of its cell, which classifies path segments.  ``classify_steps``
+classifies a run of steps in one array pass, and a ``DualPath`` keeps what
+it has classified.  The region to the left of the oriented curve defines the
+projection whose flux is analyzed.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .flux import (
     index_by_odd_trace,
     selfcheck_against_operator,
 )
-from .lattice import LatticeState, Site
+from .lattice import LatticeState, Site, group_sites
 from .operators import LocalUnitary
 
 
@@ -40,35 +45,10 @@ from .operators import LocalUnitary
 # cell geometry
 
 
-def in_cell(site: Site) -> tuple[Site, int]:
-    """Cell label and incoming slot owning a lattice point."""
-    m, n = site
-    m_even, n_even = m % 2 == 0, n % 2 == 0
-    if m_even and n_even:
-        return (m, n), 0
-    if not m_even and not n_even:
-        return (m - 1, n + 1), 1
-    if not m_even and n_even:
-        return (m, n), 0
-    return (m - 1, n - 1), 1
-
-
-def out_cell(site: Site) -> tuple[Site, int]:
-    """Cell label and outgoing slot owning a lattice point."""
-    m, n = site
-    m_even, n_even = m % 2 == 0, n % 2 == 0
-    if m_even and not n_even:
-        return (m, n + 1), 0
-    if not m_even and n_even:
-        return (m - 1, n), 1
-    if m_even and n_even:
-        return (m - 1, n), 0
-    return (m, n - 1), 1
-
-
 def in_cells(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``in_cell`` of every row of an (M, 2) integer point array: the (M, 2)
-    cell labels and the M incoming slots."""
+    """The cell labels (M, 2) and incoming slots (M,) owning every row of an
+    (M, 2) integer point array: slot 0 is the label (a, b) itself, slot
+    1 the point one step right and one step down (a even) or up (a odd)."""
     m, n = points[:, 0], points[:, 1]
     slots = n % 2
     labels = np.empty_like(points)
@@ -78,8 +58,8 @@ def in_cells(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def out_cells(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``out_cell`` of every row of an (M, 2) integer point array: the (M, 2)
-    cell labels and the M outgoing slots."""
+    """The cell labels (M, 2) and outgoing slots (M,) owning every row of an
+    (M, 2) integer point array, the pairs of ``CCUnitary.out_basis``."""
     m, n = points[:, 0], points[:, 1]
     slots, odd_n = m % 2, n % 2
     labels = np.empty_like(points)
@@ -94,7 +74,8 @@ def out_cells(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ScatteringParams:
-    """Parameters (q, r, t) of one scattering matrix, checked so that a NaN fails."""
+    """Parameters (q, r, t) of one scattering matrix, checked so that a NaN
+    fails; it unpacks as ``q, r, t`` like a row of a scattering block."""
 
     q: complex
     r: complex
@@ -106,10 +87,23 @@ class ScatteringParams:
         if not (abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0) <= 1e-12):
             raise ValidationError("|r|^2 + |t|^2 must equal 1")
 
-    def matrix(self) -> np.ndarray:
-        return self.q * np.array(
-            [[self.r, -self.t], [np.conj(self.t), np.conj(self.r)]], dtype=complex
-        )
+    def __iter__(self):
+        return iter((self.q, self.r, self.t))
+
+
+def check_rows(qrt: np.ndarray) -> np.ndarray:
+    """``qrt``, an (N, 3) complex array of (q, r, t) rows, once every row
+    passes the checks of ``ScatteringParams`` (the same bounds and messages,
+    and a NaN fails); otherwise ``ValidationError`` for the first row that
+    fails."""
+    q, r, t = np.abs(qrt).T
+    bad_q = ~(np.abs(q - 1.0) <= 1e-12)
+    bad = np.flatnonzero(bad_q | ~(np.abs(r**2 + t**2 - 1.0) <= 1e-12))
+    if bad.size:
+        if bad_q[bad[0]]:
+            raise ValidationError(f"|q| = {q[bad[0]]:.6g} is not unimodular")
+        raise ValidationError("|r|^2 + |t|^2 must equal 1")
+    return qrt
 
 
 CRITICAL = ScatteringParams(1.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0))
@@ -122,27 +116,36 @@ def random_phase_window(
     r_abs: float,
     a_range: range,
     b_range: range,
-) -> dict:
-    """Window of cells (a, b), b even, a-major, with fixed |r| and uniform
-    phases: one ``rng.uniform`` call draws the q, r and t phases of each
-    cell in turn, and one ``np.exp`` turns them into unit numbers."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(cells, qrt)``: the (N, 2) cells (a, b), b even, a-major, and their
+    checked (N, 3) (q, r, t) rows with fixed |r| and uniform phases.  One
+    ``rng.uniform`` call draws the q, r and t phases of each cell in turn,
+    and one ``np.exp`` turns them into unit numbers."""
     t_abs = math.sqrt(max(0.0, 1.0 - r_abs**2))
-    cells = [(a, b) for a in a_range for b in b_range if b % 2 == 0]
-    q, r, t = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(cells), 3))).T
-    return {z: ScatteringParams(*p) for z, *p in zip(cells, q, r_abs * r, t_abs * t)}
+    cells = np.array([(a, b) for a in a_range for b in b_range if b % 2 == 0], dtype=np.int64).reshape(-1, 2)
+    qrt = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(cells), 3)))
+    qrt[:, 1:] *= (r_abs, t_abs)
+    return cells, check_rows(qrt)
+
+
+def _is_value(p) -> bool:
+    """Whether ``p`` is a ``ScatteringParams`` or one complex (q, r, t) row."""
+    return isinstance(p, ScatteringParams) or (isinstance(p, np.ndarray) and p.shape == (3,) and p.dtype == complex)
 
 
 class CCUnitary(LocalUnitary):
     """The network unitary: each cell's incoming pair scatters to its
     outgoing pair through the cell's matrix.
 
-    ``scattering`` maps cell labels in Z x 2Z to ``ScatteringParams``; every
-    template value and every window label is checked here.  For
-    ``flux.CellGeometry``, cell z maps its incoming pair onto its outgoing
-    pair through S(z)^T (outgoing x incoming), and ``cell_labels`` is
-    ``in_cells``.  The S^T of every ``scattering.table`` row is stacked
-    once, so ``cells`` and the actions read S^T with one ``value_index``
-    and one ``take``."""
+    ``scattering`` maps cell labels in Z x 2Z to ``ScatteringParams``
+    (templates, and the entries a capped field adds) or to rows of a
+    complex (N, 3) block of (q, r, t), such as a window of
+    ``random_phase_window``.  Every value and window label is checked here,
+    a block in one array pass.  For ``flux.CellGeometry``, cell z maps its
+    incoming pair onto its outgoing pair through S(z)^T (outgoing x
+    incoming), and ``cell_labels`` is ``in_cells``.  The S^T of every table
+    row is stacked once, so ``cells`` and the actions read S^T with one
+    ``value_index`` and one ``take``."""
 
     d = 2
     n_internal = 1
@@ -152,10 +155,20 @@ class CCUnitary(LocalUnitary):
             raise ValidationError(f"scattering data live on Z^2, got d = {scattering.d}")
         odd = np.flatnonzero(scattering.window_coords[1] % 2)
         if odd.size:
-            raise ValidationError(f"cell label {list(scattering.window)[odd[0]]} has odd second coordinate")
-        if not all(isinstance(p, ScatteringParams) for p in scattering.table):
-            desc = next(d for d, p in scattering.template_values() if not isinstance(p, ScatteringParams))
+            label = tuple(scattering.window_coords[:, odd[0]].tolist())
+            raise ValidationError(f"cell label {label} has odd second coordinate")
+        values, entries = scattering.window_values, scattering.templates
+        if not (isinstance(values, np.ndarray) and values.shape[1:] == (3,) and values.dtype == complex):
+            values, entries = np.zeros((0, 3), dtype=complex), (*values, *entries)
+        if not all(map(_is_value, entries)):
+            desc = next(d for d, p in scattering.template_values() if not _is_value(p))
             raise ValidationError(f"{desc} is not a ScatteringParams")
+        qrt = np.array([tuple(p) for p in entries], dtype=complex).reshape(-1, 3)
+        check_rows(qrt[[isinstance(p, np.ndarray) for p in entries]])
+        self._qrt = np.concatenate([check_rows(values), qrt])
+        # whether each row's r and t are complex numbers (rows always are)
+        self._complex = np.ones((len(self._qrt), 2), dtype=bool)
+        self._complex[len(values) :] = [[isinstance(v, (complex, np.complexfloating)) for v in (r, t)] for _, r, t in entries]
         self.scattering = scattering
 
     def cell_labels(self, sites: np.ndarray) -> np.ndarray:
@@ -186,12 +199,11 @@ class CCUnitary(LocalUnitary):
 
     @cached_property
     def _transposed_table(self) -> np.ndarray:
-        """``p.matrix().T`` of every ``scattering.table`` row p, bit for bit:
-        negating or conjugating a real r or t leaves +0 as its imaginary part."""
-        table = self.scattering.table
-        q, r, t = (np.array([getattr(p, k) for p in table], dtype=complex) for k in "qrt")
-        is_complex = [[isinstance(v, (complex, np.complexfloating)) for v in (p.r, p.t)] for p in table]
-        r_im, t_im = np.where(is_complex, -np.stack([r.imag, t.imag], axis=1), 0.0).T
+        """S^T = q [[r, conj(t)], [-t, conj(r)]] of every table row, with
+        the bits of ``q * np.array(...)`` on the row's entries: negating or
+        conjugating a real r or t leaves +0 as its imaginary part."""
+        q, r, t = self._qrt.T
+        r_im, t_im = np.where(self._complex, -np.stack([r.imag, t.imag], axis=1), 0.0).T
         entries = np.stack([r.real, r.imag, t.real, t_im, -t.real, t_im, r.real, r_im], axis=1).view(complex)
         return (q[:, None] * entries).reshape(-1, 2, 2)
 
@@ -246,68 +258,46 @@ def _scalar_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # dual paths
 
 
-@dataclass(frozen=True)
-class CrossedEdge:
-    """One primal edge bisected by a dual step, with its cell bookkeeping."""
+def classify_steps(v: np.ndarray, w: np.ndarray):
+    """``(points, cells, slots, tags)`` of the dual steps v[i] -> w[i] of two
+    (n, 2) integer vertex arrays, in one array pass.
 
-    t: int
-    source: Site
-    target: Site
-    cell: Site
-    slot_in: int
-    slot_out: int
-    tag: str
-
-
-def crossed_points(v: Site, w: Site) -> tuple[Site, Site]:
-    """Endpoints of the primal edge bisected by the dual step v -> w,
-    returned as (left of the step, right of the step).  Dual label u sits at
-    real position u + (1/2, -1/2); all arithmetic stays integral."""
-    d = (w[0] - v[0], w[1] - v[1])
-    if abs(d[0]) + abs(d[1]) != 1:
-        raise ValidationError(f"dual step {v} -> {w} is not a unit step")
-    mid2 = (v[0] + w[0] + 1, v[1] + w[1] - 1)
-    perp = (-d[1], d[0])
-    left = ((mid2[0] + perp[0]) // 2, (mid2[1] + perp[1]) // 2)
-    right = ((mid2[0] - perp[0]) // 2, (mid2[1] - perp[1]) // 2)
-    return left, right
-
-
-def edge_between(p: Site, q: Site) -> tuple[Site, Site, Site, int, int]:
-    """Orient the primal edge {p, q}: returns (source, target, cell, slot_in,
-    slot_out).  Exactly one orientation is carried by the network."""
-    z_p, j_p = in_cell(p)
-    z_q, b_q = out_cell(q)
-    if z_p == z_q:
-        return p, q, z_p, j_p, b_q
-    z_q2, j_q = in_cell(q)
-    z_p2, b_p = out_cell(p)
-    if z_q2 == z_p2:
-        return q, p, z_q2, j_q, b_p
-    raise ValidationError(f"points {p}, {q} do not share a scattering cell")
-
-
-def classify_step(t: int, v: Site, w: Site) -> CrossedEdge:
-    """Crossed edge of one dual step with its r/t weight tag.
-
-    The tag comes from which matrix entry carries the amplitude (diagonal
-    entries are r, off-diagonal are t); the geometric parity rule is
-    re-checked as an independent consistency test.
-    """
-    left, right = crossed_points(v, w)
-    source, target, cell, slot_in, slot_out = edge_between(left, right)
-    tag = "r" if slot_in == slot_out else "t"
-    # parity rule: vertical edges are r iff their lower row is odd,
-    # horizontal edges are r iff their left column is odd
-    if source[0] == target[0]:
-        expected = "r" if min(source[1], target[1]) % 2 != 0 else "t"
-    else:
-        expected = "r" if min(source[0], target[0]) % 2 != 0 else "t"
-    if tag != expected:
-        raise ValidationError(
-            f"edge {source}->{target}: amplitude tag {tag} contradicts parity rule"
-        )
-    return CrossedEdge(t, source, target, cell, slot_in, slot_out, tag)
+    Step i bisects the primal edge ``points[i]`` = (left point, right
+    point); dual label u sits at real position u + (1/2, -1/2).  The
+    network carries the edge inside cell ``cells[i]``, from incoming slot
+    ``slots[i, 0]`` to outgoing slot ``slots[i, 1]``, and the tag is "r"
+    for a diagonal entry of S (equal slots), "t" otherwise.  The parity rule
+    (vertical edges carry r iff their lower row is odd, horizontal ones iff
+    their left column is) is re-checked as an independent consistency test.
+    ``ValidationError`` names the first step that is not a unit step or
+    fails a check."""
+    d = w - v
+    bad = np.flatnonzero(np.abs(d).sum(axis=1) != 1)
+    if bad.size:
+        raise ValidationError(f"dual step {tuple(v[bad[0]].tolist())} -> {tuple(w[bad[0]].tolist())} is not a unit step")
+    n, mid2, turned = len(d), v + w + np.array([1, -1]), d[:, ::-1] * np.array([-1, 1])
+    points = np.concatenate([mid2 + turned, mid2 - turned]) // 2  # the n left points, then the n right ones
+    (ins, j), (outs, b) = in_cells(points), out_cells(points)
+    # the edge runs left -> right when left's incoming cell is right's outgoing
+    # cell, right -> left when the reverse holds
+    same = ins == np.concatenate([outs[n:], outs[:n]])
+    same = same[:, 0] & same[:, 1]
+    lefts, rights = np.arange(n), np.arange(n, 2 * n)
+    sources, targets = np.where(same[:n], lefts, rights), np.where(same[:n], rights, lefts)
+    cells, slots = ins[sources], np.stack([j[sources], b[targets]], axis=1)
+    is_r = slots[:, 0] == slots[:, 1]
+    low = np.minimum(points[:n], points[n:])
+    odd = np.where(points[:n, 0] == points[n:, 0], low[:, 1], low[:, 0]) % 2 != 0
+    tags = np.where(is_r, "r", "t")
+    bad = np.flatnonzero(~(same[:n] | same[n:]) | (is_r != odd))
+    if bad.size:
+        i = bad[0]
+        p, q = tuple(points[i].tolist()), tuple(points[n + i].tolist())
+        if not (same[i] or same[n + i]):
+            raise ValidationError(f"points {p}, {q} do not share a scattering cell")
+        source, target = (p, q) if same[i] else (q, p)
+        raise ValidationError(f"edge {source}->{target}: amplitude tag {tags[i]} contradicts parity rule")
+    return points.reshape(2, n, 2).swapaxes(0, 1), cells, slots, tags
 
 
 class DualPath:
@@ -315,14 +305,14 @@ class DualPath:
     two straight rays.  vertex(t) = middle[0] - t*pre_dir for t <= 0, the
     middle for 0 <= t <= m, and middle[m] + (t-m)*post_dir beyond.
 
-    The curve never changes, so each step is classified once: ``step`` keeps
-    the crossed edge of every t it has seen."""
+    The curve never changes, so each step is classified once: ``crossings``
+    keeps the cells and tags of one range of t and grows it as asked."""
 
     def __init__(self, middle, pre_dir: Site, post_dir: Site):
         self.middle = tuple(tuple(v) for v in middle)
         self.pre_dir = tuple(pre_dir)
         self.post_dir = tuple(post_dir)
-        self._edges: dict[int, CrossedEdge] = {}
+        self._crossed = (0, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype="<U1"))
         if not self.middle:
             raise ValidationError("path needs at least one explicit vertex")
         for d in (self.pre_dir, self.post_dir):
@@ -357,41 +347,46 @@ class DualPath:
 
     def vertices(self, t0: int, t1: int) -> np.ndarray:
         """``vertex(t)`` for t0 <= t < t1 as a (t1 - t0, 2) integer array."""
-        t = np.arange(t0, t1)[:, None]
-        middle = np.array(self.middle)
-        inner = middle[np.clip(t[:, 0], 0, self.m_last)]
-        before = middle[0] - t * np.array(self.pre_dir)
-        after = middle[-1] + (t - self.m_last) * np.array(self.post_dir)
-        return np.where(t < 0, before, np.where(t <= self.m_last, inner, after))
+        m, middle = self.m_last, np.array(self.middle, dtype=np.int64)
+        before = middle[0] - np.arange(t0, min(t1, 0))[:, None] * self.pre_dir
+        after = middle[m] + np.arange(max(t0, m + 1) - m, t1 - m)[:, None] * self.post_dir
+        return np.concatenate([before, middle[max(t0, 0) : max(t1, 0)], after])
 
-    def step(self, t: int) -> CrossedEdge:
-        """Crossed edge of the dual step t -> t+1."""
-        edge = self._edges.get(t)
-        if edge is None:
-            edge = self._edges[t] = classify_step(t, self.vertex(t), self.vertex(t + 1))
-        return edge
+    def _classify(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cells and tags of the steps t0 <= t < t1, in one pass."""
+        v = self.vertices(t0, t1 + 1)
+        _, cells, _, tags = classify_steps(v[:-1], v[1:])
+        return cells, tags
 
-    def steps(self, t0: int, t1: int) -> list[CrossedEdge]:
-        return [self.step(t) for t in range(t0, t1)]
+    def crossings(self, t0: int, t1: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (n, 2) cells and n "r"/"t" tags of the steps t -> t+1 for
+        t0 <= t < t1; only steps outside the kept range are classified, and
+        the kept range grows to the smallest one covering both."""
+        lo, cells, tags = self._crossed
+        if t1 <= t0:
+            return cells[:0], tags[:0]
+        if not len(tags):
+            lo = t0
+        hi = lo + len(tags)
+        if t0 < lo:
+            cells, tags = (np.concatenate(pair) for pair in zip(self._classify(t0, lo), (cells, tags)))
+            lo = t0
+        if t1 > hi:
+            cells, tags = (np.concatenate(pair) for pair in zip((cells, tags), self._classify(hi, t1)))
+        self._crossed = lo, cells, tags
+        return cells[t0 - lo : t1 - lo], tags[t0 - lo : t1 - lo]
 
     def is_pure(self, t0: int, t1: int, tag: str) -> bool:
-        return all(e.tag == tag for e in self.steps(t0, t1))
+        return bool((self.crossings(t0, t1)[1] == tag).all())
 
     def switch_window(self, probe: int = 40) -> tuple[int, int]:
-        """Smallest [t0, t1] outside of which the step tags are constant."""
-        pre_tag = self.step(-probe).tag
-        post_tag = self.step(probe).tag
-        t0 = 0
-        for t in range(-probe, self.m_last + probe):
-            if self.step(t).tag != pre_tag:
-                t0 = t
-                break
-        t1 = t0
-        for t in range(probe + self.m_last, t0 - 1, -1):
-            if self.step(t).tag != post_tag:
-                t1 = t + 1
-                break
-        return t0, t1
+        """Smallest [t0, t1] outside of which the tags of steps -probe to
+        m + probe are those of step -probe (before t0) and probe (from t1)."""
+        _, tags = self.crossings(-probe, self.m_last + probe + 1)
+        off = np.flatnonzero(tags[:-1] != tags[0])
+        t0 = int(off[0]) - probe if off.size else 0
+        off = np.flatnonzero(tags[t0 + probe :] != tags[2 * probe])
+        return t0, (t0 + int(off[-1]) + 1 if off.size else t0)
 
     def bounds(self):
         xs = [v[0] for v in self.middle]
@@ -427,9 +422,10 @@ class RegionSplit:
     labels are the parity of cut edges crossed on the way from one seed
     point, taken down the seed's column and then along every row; every
     seed and every vertical edge then confirms them (an uncut edge joins
-    equal labels, a cut edge unequal ones).  Beyond the box the labels are
-    constant along outward directions, so clamping is exact.  As a
-    projection it offers ``diagonal_entries`` and ``apply``.
+    equal labels, a cut edge unequal ones).  The crossed points of the steps
+    near the box come from one ``classify_steps`` pass.  Beyond the box the
+    labels are constant along outward directions, so clamping is exact.  As
+    a projection it offers ``diagonal_entries`` and ``apply``.
     """
 
     def __init__(self, path: DualPath, lo: Site, hi: Site):
@@ -449,36 +445,36 @@ class RegionSplit:
         near = np.all(
             (vertices >= np.subtract(self.lo, 2)) & (vertices <= np.add(self.hi, 2)), axis=1
         )
+        steps = np.flatnonzero(near[:-1] | near[1:])
+        points = classify_steps(vertices[steps], vertices[steps + 1])[0]
+        inside = ((points >= self.lo) & (points <= self.hi)).all(axis=2)
         # cut[0][i, j] marks the edge (i, j)-(i+1, j), cut[1][i, j] the edge
         # (i, j)-(i, j+1), in box coordinates
         cut = [
             np.zeros((shape[0] - 1, shape[1]), dtype=np.int64),
             np.zeros((shape[0], shape[1] - 1), dtype=np.int64),
         ]
-        seeds: dict[Site, int] = {}
-        for k in np.flatnonzero(near[:-1] | near[1:]).tolist():
-            v, w = vertices[k : k + 2].tolist()
-            left, right = crossed_points(tuple(v), tuple(w))
-            for point, side in ((left, 1), (right, 0)):
-                if self._in_box(point):
-                    prev = seeds.get(point)
-                    if prev is not None and prev != side:
-                        raise ValidationError(f"conflicting side labels at {point}")
-                    seeds[point] = side
-            if self._in_box(left) and self._in_box(right):
-                axis = 0 if left[0] != right[0] else 1
-                low = min(left, right)
-                cut[axis][low[0] - self.lo[0], low[1] - self.lo[1]] = 1
-        if not seeds:
+        edges = points[inside.all(axis=1)]
+        low = edges.min(axis=1) - self.lo
+        across = edges[:, 0, 0] != edges[:, 1, 0]
+        cut[0][tuple(low[across].T)] = 1
+        cut[1][tuple(low[~across].T)] = 1
+        # the in-box points in step order, left (side 1) before right (side 0)
+        seeds, sides = points[inside], np.broadcast_to([1, 0], inside.shape)[inside]
+        if not len(seeds):
             raise ValidationError("path does not meet the labeling box")
-        (sx, sy), side = next(iter(seeds.items()))
-        i0, j0 = sx - self.lo[0], sy - self.lo[1]
+        first, which = group_sites(seeds)
+        conflict = np.flatnonzero(sides != sides[first][which])
+        if conflict.size:
+            raise ValidationError(f"conflicting side labels at {tuple(seeds[conflict[0]].tolist())}")
+        i0, j0 = (seeds[0] - self.lo).tolist()
         column = np.concatenate([[0], np.cumsum(cut[1][i0])])
         rows = np.concatenate([np.zeros((1, shape[1]), dtype=np.int64), np.cumsum(cut[0], axis=0)])
-        labels = (side + column - column[j0] + rows - rows[i0]) % 2
-        for (x, y), side in seeds.items():
-            if labels[x - self.lo[0], y - self.lo[1]] != side:
-                raise ValidationError(f"inconsistent region labels at {(x, y)}")
+        labels = (sides[0] + column - column[j0] + rows - rows[i0]) % 2
+        seeds, sides = seeds[first], sides[first]
+        wrong = np.flatnonzero(labels[tuple((seeds - self.lo).T)] != sides)
+        if wrong.size:
+            raise ValidationError(f"inconsistent region labels at {tuple(seeds[wrong[0]].tolist())}")
         wrong = np.argwhere((labels[:, 1:] != labels[:, :-1]) != cut[1])
         if len(wrong):
             i, j = wrong[0].tolist()
@@ -486,9 +482,6 @@ class RegionSplit:
                 f"inconsistent region labels at {(self.lo[0] + i, self.lo[1] + j + 1)}"
             )
         self._labels = labels
-
-    def _in_box(self, p: Site) -> bool:
-        return self.lo[0] <= p[0] <= self.hi[0] and self.lo[1] <= p[1] <= self.hi[1]
 
     def diagonal_entries(self, sites: np.ndarray, slots: np.ndarray) -> np.ndarray:
         """0/1 diagonal entries at an (M, 2) integer array of points (every
@@ -503,9 +496,6 @@ class RegionSplit:
             return psi
         inside = self.diagonal_entries(psi.site_array, None) > 0
         return LatticeState(psi.n_internal, (psi.site_array[inside], psi.value_array[inside]), _take=True)
-
-    def region_points(self) -> set[Site]:
-        return {(self.lo[0] + i, self.lo[1] + j) for i, j in np.argwhere(self._labels).tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -616,13 +606,15 @@ def path_surgery(
     if replacement[0] != path.vertex(t_from) or replacement[-1] != path.vertex(t_to):
         raise ValidationError("replacement does not match the surgery endpoints")
     if require_tag is not None:
-        for t, (v, w) in enumerate(zip(replacement, replacement[1:])):
-            edge = classify_step(t, v, w)
-            if edge.tag != require_tag:
-                raise ValidationError(
-                    f"replacement step {v} -> {w} carries tag {edge.tag}, "
-                    f"needs {require_tag}"
-                )
+        vertices = np.array(replacement, dtype=np.int64)
+        tags = classify_steps(vertices[:-1], vertices[1:])[3]
+        wrong = np.flatnonzero(tags != require_tag)
+        if wrong.size:
+            i = wrong[0]
+            raise ValidationError(
+                f"replacement step {replacement[i]} -> {replacement[i + 1]} carries tag {tags[i]}, "
+                f"needs {require_tag}"
+            )
     middle = list(path.middle[: t_from]) + replacement + list(path.middle[t_to + 1 :])
     return DualPath(middle, path.pre_dir, path.post_dir)
 
@@ -630,23 +622,21 @@ def path_surgery(
 def random_bump(path: DualPath, rng, t_lo: int, t_hi: int):
     """Insert a parity-correct 2-column detour over a straight run between
     steps t_lo and t_hi: (new path, region difference rank 4), or None."""
-    candidates = []
-    for t in range(max(1, t_lo), min(path.m_last - 3, t_hi)):
-        a = path.vertex(t)
-        b = path.vertex(t + 1)
-        c = path.vertex(t + 2)
-        if b[1] != a[1] or c[1] != a[1] or c[0] - a[0] not in (2, -2):
-            continue
-        # vertical detour links sit on columns a[0] and c[0]; their tag parity
-        # must match the straight run's tag
-        tag = path.step(t).tag
-        col_tag = "r" if a[0] % 2 != 0 else "t"
-        if col_tag != tag:
-            continue
-        candidates.append((t, a, b, c, tag))
-    if not candidates:
+    t0, t1 = max(1, t_lo), min(path.m_last - 3, t_hi)
+    if t1 <= t0:
         return None
-    t, a, b, c, tag = candidates[int(rng.integers(len(candidates)))]
+    v = path.vertices(t0, t1 + 2)
+    a, c = v[:-2], v[2:]
+    straight = (v[1:-1, 1] == a[:, 1]) & (c[:, 1] == a[:, 1]) & (np.abs(c[:, 0] - a[:, 0]) == 2)
+    # vertical detour links sit on columns a[0] and c[0]; their tag parity
+    # must match the straight run's tag
+    tags = path.crossings(t0, t1)[1]
+    candidates = np.flatnonzero(straight & (tags == np.where(a[:, 0] % 2 != 0, "r", "t")))
+    if not candidates.size:
+        return None
+    k = int(candidates[int(rng.integers(len(candidates)))])
+    a, b, c = map(tuple, v[k : k + 3].tolist())
+    t, tag = t0 + k, str(tags[k])
     up = 1 if rng.integers(2) else -1
     y = a[1]
     replacement = [
@@ -667,15 +657,18 @@ def random_bump(path: DualPath, rng, t_lo: int, t_hi: int):
 
 def region_difference_rank(path_a: DualPath, path_b: DualPath, box: int = 30) -> int:
     """Rank of the difference of the two region projections: the size of the
-    symmetric difference of the left regions."""
-    lo = (-box, -box)
-    hi = (box, box)
-    split_a = RegionSplit(path_a, lo, hi)
-    split_b = RegionSplit(path_b, lo, hi)
-    diff = split_a.region_points() ^ split_b.region_points()
-    for p in diff:
-        if abs(p[0]) >= box - 2 or abs(p[1]) >= box - 2:
-            raise ValidationError("region difference reaches the box boundary")
+    symmetric difference of the left regions, each read inside its split's
+    box, over the union of the two boxes."""
+    splits = [RegionSplit(path, (-box, -box), (box, box)) for path in (path_a, path_b)]
+    lo = np.minimum(splits[0].lo, splits[1].lo)
+    points = lo + np.argwhere(np.ones(np.maximum(splits[0].hi, splits[1].hi) - lo + 1, dtype=bool))
+    # each split's left region, read inside its own box
+    inside = [
+        ((points >= s.lo) & (points <= s.hi)).all(axis=1) & (s.diagonal_entries(points, None) > 0) for s in splits
+    ]
+    diff = points[inside[0] ^ inside[1]]
+    if (np.abs(diff) >= box - 2).any():
+        raise ValidationError("region difference reaches the box boundary")
     return len(diff)
 
 
@@ -685,18 +678,15 @@ def region_difference_rank(path_a: DualPath, path_b: DualPath, box: int = 30) ->
 
 def _deep_cell_ray(path: DualPath, ts: list[int]) -> tuple[Site, Site]:
     """Arithmetic progression of cells along a ray, from deep step samples."""
-    cells = []
-    for t in ts:
-        c = path.step(t).cell
-        if not cells or cells[-1] != c:
-            cells.append(c)
+    cells, _ = path.crossings(min(ts), max(ts) + 1)
+    cells = cells[np.subtract(ts, min(ts))]
+    cells = cells[np.r_[True, (cells[1:] != cells[:-1]).any(axis=1)]]
     if len(cells) < 3:
         raise ValidationError("not enough distinct deep cells to fit a ray")
-    step = (cells[1][0] - cells[0][0], cells[1][1] - cells[0][1])
-    for a, b in zip(cells, cells[1:]):
-        if (b[0] - a[0], b[1] - a[1]) != step:
-            raise ValidationError("deep cells are not an arithmetic progression")
-    return cells[0], step
+    steps = np.diff(cells, axis=0)
+    if (steps != steps[0]).any():
+        raise ValidationError("deep cells are not an arithmetic progression")
+    return tuple(cells[0].tolist()), tuple(steps[0].tolist())
 
 
 def anomalous_transport(
@@ -724,11 +714,8 @@ def anomalous_transport(
             )
         deep = max(abs(flux.lo[0]), abs(flux.hi[0]), abs(flux.lo[1]), abs(flux.hi[1]))
         reach = max(cut, deep) + 4 * max(flux.bands) + 12
-        window = {}
-        for e in path.steps(-reach, -cut):
-            window[e.cell] = FULL_TRANSMISSION
-        for e in path.steps(cut, reach):
-            window[e.cell] = FULL_REFLECTION
+        window = dict.fromkeys(map(tuple, path.crossings(-reach, -cut)[0].tolist()), FULL_TRANSMISSION)
+        window.update(dict.fromkeys(map(tuple, path.crossings(cut, reach)[0].tolist()), FULL_REFLECTION))
         # seamless continuation: the cell rays start at the outermost window
         # cells and run outward
         r_base, r_inward = _deep_cell_ray(path, list(range(-reach, -reach + 9)))

@@ -10,7 +10,8 @@ representative cells.
 ``SiteMap`` is the one field type; the models differ only in its values.
 Coins of a walk on Z^d are ``(2d, 2d)`` complex unitary matrices, checked by
 ``walks.build_walk``.  Scattering data of a Chalker--Coddington network are
-``cc.ScatteringParams`` on cells of Z x 2Z, checked by ``cc.CCUnitary``.
+(q, r, t) values on cells of Z x 2Z, checked by ``cc.CCUnitary``: templates
+are ``cc.ScatteringParams``, and a random window one (N, 3) block of rows.
 Adapted projections store sets of open internal slots.
 
 Every field lookup comes in two forms.  The array forms,
@@ -141,13 +142,20 @@ class SiteMap:
     Precedence: window, rays (in order), planes, half-spaces, background.
     Values are stored as given and checked where a model's operator is
     built: coins are ``(2d, 2d)`` complex unitaries (``walks.build_walk``),
-    scattering data are ``cc.ScatteringParams`` on cells of Z x 2Z
+    scattering data are (q, r, t) values on cells of Z x 2Z
     (``cc.CCUnitary``).  ``AdaptedProjection`` stores frozensets of open
     slots and unites the matching layers instead of taking the first.
 
-    The layers are read-only (a mapping proxy and tuples), so the lookup
-    table and the window's ``SiteIndex``, both built on first use, stay
-    valid.  ``value_index`` serves block assembly, the Chalker--Coddington
+    A window is a dict from sites to values (coins, projections) or a pair
+    ``(sites, values)`` of an (N, d) integer array and N values, such as a
+    random scattering window's (N, 3) block of (q, r, t) rows.  The map
+    keeps the one form it is given, as ``window`` or as ``window_coords``
+    and ``window_values``, and builds the other views on first use.
+
+    The layers are read-only (a mapping proxy and tuples, and a pair's
+    arrays are not changed once handed in), so the lookup table and the
+    window's ``SiteIndex``, both built on first use, stay valid.
+    ``value_index`` serves block assembly, the Chalker--Coddington
     actions and the walk actions on states of more than ``DICT_GROUPING``
     sites, ``distinct_values`` the walk cells; ``value`` serves one-site
     callers (lead synthesis and its checks, setup probes) and the walk
@@ -157,14 +165,19 @@ class SiteMap:
     def __init__(
         self,
         d: int,
-        window: dict | None = None,
+        window: dict | tuple | None = None,
         rays: Sequence[tuple[Ray, Sequence[Any]]] = (),
         planes: Sequence[tuple[Plane, Any]] = (),
         halfspaces: Sequence[tuple[HalfSpace, Any]] = (),
         background: Any = None,
     ):
         self.d = int(d)
-        self.window = MappingProxyType({tuple(k): v for k, v in (window or {}).items()})
+        # the stored form: a pair's arrays, or a dict's read-only view
+        if isinstance(window, tuple):
+            sites, self.window_values = window
+            self.window_coords, self._window = np.ascontiguousarray(_site_array(sites, self.d).T), None
+        else:
+            self._window = MappingProxyType({tuple(k): v for k, v in (window or {}).items()})
         self.rays = tuple((ray, tuple(pattern)) for ray, pattern in rays)
         self.planes = tuple(planes)
         self.halfspaces = tuple(halfspaces)
@@ -175,10 +188,23 @@ class SiteMap:
             if not pattern:
                 raise ValidationError("ray pattern must be nonempty")
 
+    @property
+    def window(self) -> MappingProxyType:
+        """The window as a read-only dict from site tuples to values; the
+        scalar lookups read ``_window`` itself once it is built, a faster read."""
+        if self._window is None:
+            self._window = MappingProxyType(dict(zip(map(tuple, self.window_coords.T.tolist()), self.window_values)))
+        return self._window
+
+    @cached_property
+    def window_values(self):
+        """The window's values in window order: a pair's values as given."""
+        return tuple(self.window.values())
+
     def value(self, site: Site):
-        site = tuple(site)
-        if site in self.window:
-            return self.window[site]
+        site, window = tuple(site), self.window if self._window is None else self._window
+        if site in window:
+            return window[site]
         for ray, pattern in self.rays:
             t = ray.locate(site)
             if t is not None:
@@ -194,17 +220,19 @@ class SiteMap:
     # -- array lookups ---------------------------------------------------------
 
     @cached_property
-    def table(self) -> tuple:
-        """Every layer entry's value, the rows ``value_index`` points at:
-        the window in its order, each ray's pattern, the planes, the
-        half-spaces, and the background last."""
+    def templates(self) -> tuple:
+        """Each ray's pattern, the planes, the half-spaces, the background."""
         return (
-            *self.window.values(),
             *(v for _, pattern in self.rays for v in pattern),
             *(v for _, v in self.planes),
             *(v for _, v in self.halfspaces),
             self.background,
         )
+
+    @cached_property
+    def table(self) -> tuple:
+        """The rows ``value_index`` points at: the window's, then templates."""
+        return (*self.window_values, *self.templates)
 
     @cached_property
     def window_coords(self) -> np.ndarray:
@@ -221,11 +249,10 @@ class SiteMap:
         """Per layer except the background, in precedence order: a mask of
         the (M, d) sites it covers and their table rows, valid everywhere
         and meaningful where the mask is set."""
-        first = 0
-        if self.window:
+        first = len(self.window_values)
+        if first:
             rows = self._window_index.rows(sites)
             yield rows >= 0, rows
-            first = len(self.window)
         for ray, pattern in self.rays:
             hit, t = ray.locate_all(sites)
             yield hit, first + t % len(pattern)
@@ -241,7 +268,7 @@ class SiteMap:
         """Rows of ``table`` holding ``value`` at each site of an (M, d)
         integer array: one array pass per layer, first match wins."""
         sites = _site_array(sites, self.d)
-        out = np.full(len(sites), len(self.table) - 1, dtype=np.intp)
+        out = np.full(len(sites), len(self.window_values) + len(self.templates) - 1, dtype=np.intp)
         for hit, rows in reversed(list(self._layer_rows(sites))):
             out = np.where(hit, rows, out)
         return out
@@ -359,7 +386,7 @@ class AdaptedProjection:
         slot sets, e.g. two leads crossing a site in different directions."""
         m = self.map
         site = tuple(site)
-        acc = set(m.window.get(site, ()))
+        acc = set((m.window if m._window is None else m._window).get(site, ()))
         for ray, pattern in m.rays:
             t = ray.locate(site)
             if t is not None:

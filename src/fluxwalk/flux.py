@@ -223,11 +223,9 @@ class CellGeometry:
         return self._place(in_sites, in_slots, mats @ coords)
 
     def probe_sites(self, rng: np.random.Generator) -> set:
-        """``probes`` random sites inside the window."""
-        return {
-            tuple(int(rng.integers(l, h + 1)) for l, h in zip(self.lo, self.hi))
-            for _ in range(self.probes)
-        }
+        """``probes`` random sites inside the window, from one draw."""
+        sites = rng.integers(self.lo, np.add(self.hi, 1), size=(self.probes, len(self.lo)))
+        return set(map(tuple, sites.tolist()))
 
     def probe_states(self, rng: np.random.Generator) -> LatticeState:
         """Three random unit states on ``probe_sites`` each, as the columns of one state."""

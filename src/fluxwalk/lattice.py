@@ -466,10 +466,16 @@ class LatticeState:
 
 
 def random_state(rng: np.random.Generator, sites: Iterable[Site], n_internal: int) -> LatticeState:
-    data = {}
-    for site in sites:
-        data[tuple(site)] = rng.standard_normal(n_internal) + 1j * rng.standard_normal(n_internal)
-    return LatticeState(n_internal, data).normalized()
+    """A random unit state on ``sites``, in order of first appearance: one
+    draw of each site's real, then imaginary parts; a repeated site keeps
+    its last draw."""
+    sites = np.array(list(sites), dtype=np.int64)
+    draws = rng.standard_normal((len(sites), 2, n_internal))
+    first, which = group_sites(sites)
+    last = np.zeros(len(first), dtype=np.intp)
+    np.maximum.at(last, which, np.arange(len(sites)))
+    values = draws[last, 0] + 1j * draws[last, 1]
+    return LatticeState(n_internal, (sites[first], values[:, :, None]), _take=True).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -383,18 +383,19 @@ def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
     lo, hi, bands, steps, points = ccm.cc_flux_window(setup.scattering, path)
     label_axes(lo, hi, bands, steps)
     ccm.region_box(*points)
+    path.crossings(-50, path.m_last + 51)  # one pass over every step read below
     t0, t1 = path.switch_window()
     for side, t_lo, t_hi, far in (("pre", -30, t0, -50), ("post", t1, 30, 50)):
-        tags = {e.tag for e in path.steps(t_lo, t_hi)}
+        tags = set(path.crossings(t_lo, t_hi)[1].tolist())
         if len(tags) == 1:
             tag = tags.pop()
-            deep = path.step(far)
-            params = setup.scattering.value(deep.cell)
-            weight = abs(params.r) if tag == "r" else abs(params.t)
+            cell = tuple(path.crossings(far, far + 1)[0][0].tolist())
+            _, r, t = setup.scattering.value(cell)
+            weight = abs(r) if tag == "r" else abs(t)
             if weight >= 1.0 - 1e-9:
                 raise ValidationError(
                     f"index undefined at infinity: {tag}-ray tail carries "
-                    f"weight {weight:.6f} at cell {deep.cell}"
+                    f"weight {weight:.6f} at cell {cell}"
                 )
             setup.notes.append(f"{side} ray is {tag}-pure with tail weight {weight:.6f}")
     return setup
@@ -619,7 +620,8 @@ def _cc_ensemble_analysis(setup, analysis, files):
 
 
 def _cc_norm_law_analysis(setup, analysis, files):
-    r_abs = _number(analysis.get("r_abs", abs(setup.scattering.value((0, 0)).r)), "r_abs", float)
+    _, r, _ = setup.scattering.value((0, 0))
+    r_abs = _number(analysis.get("r_abs", abs(r)), "r_abs", float)
     # every window and shell block above the pruning threshold
     box = setup.flux.box
     rows = box.norms > setup.tol.block_prune

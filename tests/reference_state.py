@@ -8,18 +8,28 @@ tests compare the packed results against them bit for bit, row order
 included.  The cell references describe one cell, or one site of a region,
 at a time, from the model's fields and the scalar ``in_cell``/``out_cell``.
 ``random_phase_window`` is the per-cell draw loop that ``fluxwalk.cc``
-ran before it drew every phase of a window in one call.
+ran before it drew every phase of a window in one call, and
+``random_state`` and ``probe_sites`` the per-site and per-coordinate draws
+of the selfcheck probes.
+
+The dual-path references classify one step at a time: ``in_cell`` and
+``out_cell`` own one point, ``crossed_points`` and ``edge_between`` give
+the primal edge of one dual step and its orientation, and ``classify_step``
+its ``CrossedEdge`` with the r/t tag.  ``switch_window``, ``is_pure`` and
+``region_labels`` are the loops that ``DualPath`` and ``RegionSplit`` ran on
+them before ``cc.classify_steps`` classified every step in one array pass.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
-from fluxwalk.cc import CCUnitary, RegionSplit, ScatteringParams, in_cell, out_cell
-from fluxwalk.errors import DimensionMismatchError
+from fluxwalk.cc import CCUnitary, RegionSplit, ScatteringParams
+from fluxwalk.errors import DimensionMismatchError, ValidationError
 from fluxwalk.lattice import LatticeState, all_direction_vectors
 
 
@@ -105,6 +115,39 @@ def same_state(packed: LatticeState, ref: DictState) -> bool:
 # one cell, one site
 
 
+def in_cell(site):
+    """Cell label and incoming slot owning a lattice point."""
+    m, n = site
+    m_even, n_even = m % 2 == 0, n % 2 == 0
+    if m_even and n_even:
+        return (m, n), 0
+    if not m_even and not n_even:
+        return (m - 1, n + 1), 1
+    if not m_even and n_even:
+        return (m, n), 0
+    return (m - 1, n - 1), 1
+
+
+def out_cell(site):
+    """Cell label and outgoing slot owning a lattice point."""
+    m, n = site
+    m_even, n_even = m % 2 == 0, n % 2 == 0
+    if m_even and not n_even:
+        return (m, n + 1), 0
+    if not m_even and n_even:
+        return (m - 1, n), 1
+    if m_even and n_even:
+        return (m - 1, n), 0
+    return (m, n - 1), 1
+
+
+def scattering_matrix(value) -> np.ndarray:
+    """S = q [[r, -t], [conj(t), conj(r)]] of one cell, built through
+    ``ScatteringParams(*value)`` from a template or a window row."""
+    p = ScatteringParams(*value)
+    return p.q * np.array([[p.r, -p.t], [np.conj(p.t), np.conj(p.r)]], dtype=complex)
+
+
 def cell_in_basis(z):
     """The incoming pair of network cell z."""
     a, b = z
@@ -128,7 +171,7 @@ def reference_cell(unitary, label):
     sends its incoming pair to its outgoing pair through S(z)^T."""
     if isinstance(unitary, CCUnitary):
         (a, b), (c, d) = cell_in_basis(label), cell_out_basis(label)
-        matrix = unitary.scattering.value(label).matrix().T
+        matrix = scattering_matrix(unitary.scattering.value(label)).T
         return matrix, [(a, (0,)), (b, (0,))], [(c, (0,)), (d, (0,))]
     dirs = all_direction_vectors(unitary.d)
     outs = [(tuple(map(operator.add, label, step)), (k,)) for k, step in enumerate(dirs)]
@@ -214,7 +257,8 @@ def _cc_scatter(unitary, psi: DictState, locate, targets, weights) -> DictState:
     out: dict = {}
     for site, vec in psi.items():
         z, k = locate(site)
-        for target, weight in zip(targets(z), weights(unitary.scattering.value(z).matrix(), k)):
+        matrix = scattering_matrix(unitary.scattering.value(z))
+        for target, weight in zip(targets(z), weights(matrix, k)):
             amp = weight * vec[0]
             if amp != 0:
                 out[target] = out.get(target, 0) + amp
@@ -295,3 +339,182 @@ def random_phase_window(rng, r_abs: float, a_range: range, b_range: range) -> di
             t = t_abs * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
             window[(a, b)] = ScatteringParams(q, r, t)
     return window
+
+
+def random_state(rng, sites, n_internal: int) -> LatticeState:
+    """Two ``standard_normal`` calls per site, into a dict of site vectors."""
+    data = {}
+    for site in sites:
+        data[tuple(site)] = rng.standard_normal(n_internal) + 1j * rng.standard_normal(n_internal)
+    return LatticeState(n_internal, data).normalized()
+
+
+def probe_sites(geometry, rng) -> set:
+    """One ``rng.integers`` call per coordinate of each probe site."""
+    return {
+        tuple(int(rng.integers(l, h + 1)) for l, h in zip(geometry.lo, geometry.hi))
+        for _ in range(geometry.probes)
+    }
+
+
+# ---------------------------------------------------------------------------
+# dual paths, one step at a time
+
+
+@dataclass(frozen=True)
+class CrossedEdge:
+    """One primal edge bisected by a dual step, with its cell bookkeeping."""
+
+    t: int
+    source: tuple
+    target: tuple
+    cell: tuple
+    slot_in: int
+    slot_out: int
+    tag: str
+
+
+def crossed_points(v, w):
+    """Endpoints of the primal edge bisected by the dual step v -> w,
+    returned as (left of the step, right of the step).  Dual label u sits at
+    real position u + (1/2, -1/2); all arithmetic stays integral."""
+    d = (w[0] - v[0], w[1] - v[1])
+    if abs(d[0]) + abs(d[1]) != 1:
+        raise ValidationError(f"dual step {v} -> {w} is not a unit step")
+    mid2 = (v[0] + w[0] + 1, v[1] + w[1] - 1)
+    perp = (-d[1], d[0])
+    left = ((mid2[0] + perp[0]) // 2, (mid2[1] + perp[1]) // 2)
+    right = ((mid2[0] - perp[0]) // 2, (mid2[1] - perp[1]) // 2)
+    return left, right
+
+
+def edge_between(p, q):
+    """Orient the primal edge {p, q}: returns (source, target, cell, slot_in,
+    slot_out).  Exactly one orientation is carried by the network."""
+    z_p, j_p = in_cell(p)
+    z_q, b_q = out_cell(q)
+    if z_p == z_q:
+        return p, q, z_p, j_p, b_q
+    z_q2, j_q = in_cell(q)
+    z_p2, b_p = out_cell(p)
+    if z_q2 == z_p2:
+        return q, p, z_q2, j_q, b_p
+    raise ValidationError(f"points {p}, {q} do not share a scattering cell")
+
+
+def classify_step(t: int, v, w) -> CrossedEdge:
+    """Crossed edge of one dual step with its r/t weight tag.
+
+    The tag comes from which matrix entry carries the amplitude (diagonal
+    entries are r, off-diagonal are t); the geometric parity rule is
+    re-checked as an independent consistency test.
+    """
+    left, right = crossed_points(v, w)
+    source, target, cell, slot_in, slot_out = edge_between(left, right)
+    tag = "r" if slot_in == slot_out else "t"
+    # parity rule: vertical edges are r iff their lower row is odd,
+    # horizontal edges are r iff their left column is odd
+    if source[0] == target[0]:
+        expected = "r" if min(source[1], target[1]) % 2 != 0 else "t"
+    else:
+        expected = "r" if min(source[0], target[0]) % 2 != 0 else "t"
+    if tag != expected:
+        raise ValidationError(
+            f"edge {source}->{target}: amplitude tag {tag} contradicts parity rule"
+        )
+    return CrossedEdge(t, source, target, cell, slot_in, slot_out, tag)
+
+
+def step(path, t: int) -> CrossedEdge:
+    """Crossed edge of the dual step t -> t+1 of a path."""
+    return classify_step(t, path.vertex(t), path.vertex(t + 1))
+
+
+def is_pure(path, t0: int, t1: int, tag: str) -> bool:
+    return all(step(path, t).tag == tag for t in range(t0, t1))
+
+
+def switch_window(path, probe: int = 40):
+    """Smallest [t0, t1] outside of which the step tags are constant."""
+    pre_tag = step(path, -probe).tag
+    post_tag = step(path, probe).tag
+    t0 = 0
+    for t in range(-probe, path.m_last + probe):
+        if step(path, t).tag != pre_tag:
+            t0 = t
+            break
+    t1 = t0
+    for t in range(probe + path.m_last, t0 - 1, -1):
+        if step(path, t).tag != post_tag:
+            t1 = t + 1
+            break
+    return t0, t1
+
+
+def region_labels(path, lo, hi) -> np.ndarray:
+    """The label array of ``RegionSplit(path, lo, hi)``: seeds and cut edges
+    from one ``crossed_points`` call per step near the box, then the same
+    parity sums and checks."""
+    (mx0, my0), (mx1, my1) = path.bounds()
+    lo = (min(lo[0], mx0 - 2), min(lo[1], my0 - 2))
+    hi = (max(hi[0], mx1 + 2), max(hi[1], my1 + 2))
+    shape = (hi[0] - lo[0] + 1, hi[1] - lo[1] + 1)
+
+    def in_box(p, margin=0):
+        return all(l - margin <= c <= h + margin for c, l, h in zip(p, lo, hi))
+
+    span = (
+        hi[0] - lo[0] + hi[1] - lo[1] + len(path.middle)
+        + abs(mx0) + abs(mx1) + abs(my0) + abs(my1) + 8
+    )
+    cut = [np.zeros((shape[0] - 1, shape[1]), dtype=np.int64), np.zeros((shape[0], shape[1] - 1), dtype=np.int64)]
+    seeds = {}
+    for t in range(-span, path.m_last + span):
+        v, w = path.vertex(t), path.vertex(t + 1)
+        if not (in_box(v, 2) or in_box(w, 2)):
+            continue
+        left, right = crossed_points(v, w)
+        for point, side in ((left, 1), (right, 0)):
+            if in_box(point):
+                if seeds.setdefault(point, side) != side:
+                    raise ValidationError(f"conflicting side labels at {point}")
+        if in_box(left) and in_box(right):
+            axis = 0 if left[0] != right[0] else 1
+            low = min(left, right)
+            cut[axis][low[0] - lo[0], low[1] - lo[1]] = 1
+    if not seeds:
+        raise ValidationError("path does not meet the labeling box")
+    (sx, sy), side = next(iter(seeds.items()))
+    i0, j0 = sx - lo[0], sy - lo[1]
+    column = np.concatenate([[0], np.cumsum(cut[1][i0])])
+    rows = np.concatenate([np.zeros((1, shape[1]), dtype=np.int64), np.cumsum(cut[0], axis=0)])
+    labels = (side + column - column[j0] + rows - rows[i0]) % 2
+    for (x, y), side in seeds.items():
+        if labels[x - lo[0], y - lo[1]] != side:
+            raise ValidationError(f"inconsistent region labels at {(x, y)}")
+    for i in range(shape[0]):
+        for j in range(shape[1] - 1):
+            if (labels[i, j + 1] != labels[i, j]) != cut[1][i, j]:
+                raise ValidationError(f"inconsistent region labels at {(lo[0] + i, lo[1] + j + 1)}")
+    return labels
+
+
+def region_points(split) -> set:
+    """The points of a split's box that lie in its region."""
+    return {(split.lo[0] + i, split.lo[1] + j) for i, j in np.argwhere(split._labels).tolist()}
+
+
+def region_difference(path_a, path_b, box: int = 30) -> int:
+    """``cc.region_difference_rank`` as the symmetric difference of two sets
+    of region points, each from ``region_labels`` inside its own box."""
+    regions = []
+    for path in (path_a, path_b):
+        (mx0, my0), _ = path.bounds()
+        lo = (min(-box, mx0 - 2), min(-box, my0 - 2))
+        labels = region_labels(path, (-box, -box), (box, box))
+        regions.append({(lo[0] + i, lo[1] + j) for i, j in np.argwhere(labels).tolist()})
+    diff = regions[0] ^ regions[1]
+    for p in diff:
+        if abs(p[0]) >= box - 2 or abs(p[1]) >= box - 2:
+            raise ValidationError("region difference reaches the box boundary")
+    return len(diff)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import reference_state as ref
 from fluxwalk.cc import (
     CRITICAL,
     ScatteringParams,
@@ -286,9 +287,9 @@ def _random_r_bump(path, rng):
         a, b, c = path.vertex(t), path.vertex(t + 1), path.vertex(t + 2)
         if b[1] != a[1] or c[1] != a[1] or abs(c[0] - a[0]) != 2:
             continue
-        if a[0] % 2 != 0 and path.step(t).tag == "r":
+        if a[0] % 2 != 0 and ref.step(path, t).tag == "r":
             candidates.append((t, a, b, c))
-        if a[0] % 2 == 0 and path.step(t).tag == "t":
+        if a[0] % 2 == 0 and ref.step(path, t).tag == "t":
             candidates.append((t, a, b, c))
     if not candidates:
         return None

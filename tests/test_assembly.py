@@ -21,7 +21,6 @@ from fluxwalk.cc import (
     DualPath,
     RegionSplit,
     cc_flux,
-    crossed_points,
     crossover_path,
     random_phase_window,
     straight_r_path,
@@ -284,7 +283,7 @@ def bfs_region(path, lo, hi):
         v, w = path.vertex(t), path.vertex(t + 1)
         if not (in_box(v, 2) or in_box(w, 2)):
             continue
-        left, right = crossed_points(v, w)
+        left, right = ref.crossed_points(v, w)
         cut.add(frozenset((left, right)))
         for point, side in ((left, 1), (right, 0)):
             if in_box(point):
@@ -339,7 +338,7 @@ def test_array_labelling_matches_a_flood_fill(path, lo, size):
     split = RegionSplit(path, lo, hi)
     box_lo, box_hi, region = bfs_region(path, lo, hi)
     assert (split.lo, split.hi) == (box_lo, box_hi)
-    assert split.region_points() == region
+    assert ref.region_points(split) == region
     axes = (range(l - 3, h + 4) for l, h in zip(box_lo, box_hi))
     sites = np.array(list(itertools.product(*axes)))
     inside = split.diagonal_entries(sites, np.zeros(len(sites), dtype=int))

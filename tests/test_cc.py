@@ -20,12 +20,12 @@ from fluxwalk.cc import (
     anomalous_transport,
     cc_flux,
     cc_index,
-    classify_step,
-    crossed_points,
+    classify_steps,
     crossover_path,
     in_cells,
     out_cells,
     path_surgery,
+    check_rows,
     random_phase_window,
     region_difference_rank,
     straight_r_path,
@@ -149,20 +149,55 @@ def test_scattering_params_reject_nan(nan_at):
 )
 def test_random_phase_window_matches_the_per_cell_draws(r_abs, a_range, b_range):
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    window = random_phase_window(rng, r_abs, a_range, b_range)
+    cells, qrt = random_phase_window(rng, r_abs, a_range, b_range)
     want = ref.random_phase_window(ref_rng, r_abs, a_range, b_range)
-    assert list(window) == list(want)
-    for z, params in want.items():
-        for name in ("q", "r", "t"):
-            got, value = getattr(window[z], name), getattr(params, name)
+    assert cells.dtype == np.int64 and cells.shape == (len(want), 2)
+    assert qrt.dtype == complex and qrt.shape == (len(want), 3)
+    assert list(map(tuple, cells.tolist())) == list(want)
+    for row, params in zip(qrt, want.values()):
+        for got, value in zip(row, (params.q, params.r, params.t)):
             assert type(got) is type(value)
             assert np.asarray(got).tobytes() == np.asarray(value).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ((1.1, 1.0, 0.0), "|q| = 1.1 is not unimodular"),
+        ((1.0, 0.6, 0.6), "|r|^2 + |t|^2 must equal 1"),
+        ((np.nan, 1.0, 0.0), "|q| = nan is not unimodular"),
+        ((1.0, np.nan, 0.0), "|r|^2 + |t|^2 must equal 1"),
+        ((1.0, 1.0, np.nan), "|r|^2 + |t|^2 must equal 1"),
+    ],
+)
+@pytest.mark.parametrize("at", [0, 17, -1])
+def test_one_bad_row_fails_a_window_like_scattering_params(bad_row, message, at):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        ScatteringParams(*bad_row)
+    cells, qrt = random_phase_window(np.random.default_rng(5), 0.6, range(-3, 4), range(-3, 4))
+    qrt[at] = bad_row
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        check_rows(qrt)
+    # a network checks a block handed to it in a (sites, values) window
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        CCUnitary(SiteMap(2, window=(cells, qrt), background=CRITICAL))
+    # and a row of it in a dict window
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        CCUnitary(SiteMap(2, window={(0, 0): qrt[at]}, background=CRITICAL))
+
+
+def test_the_window_draw_checks_its_rows(monkeypatch):
+    # a phase draw that is not unit modulus fails at the draw
+    monkeypatch.setattr(cc_module.np, "exp", lambda x: 1.5 * np.ones_like(x))
+    with pytest.raises(ValidationError, match="not unimodular"):
+        random_phase_window(np.random.default_rng(5), 0.6, range(-3, 4), range(-3, 4))
+
+
 def assert_cells_are_the_stacked_matrices(field: SiteMap, labels):
-    """``CCUnitary.cells`` gives S(z)^T = ``p.matrix().T`` bit for bit."""
-    want = np.array([field.value(z).matrix().T for z in labels])
+    """``CCUnitary.cells`` gives S(z)^T built from ``ScatteringParams(*p)``
+    bit for bit, for every window row and template p."""
+    want = np.array([ref.scattering_matrix(field.value(z)).T for z in labels])
     got = CCUnitary(field).cells(np.array(labels))[0]
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -189,7 +224,7 @@ def test_cells_are_the_stacked_matrices_of_every_layer(background):
         rays=[(ray, [FULL_TRANSMISSION, FULL_REFLECTION, params_r(0.4)])],
         background=background,
     )
-    labels = [*window, *(ray.site_at(t) for t in range(7)), (-10, 4), (20, -6), (5, 2)]
+    labels = [*map(tuple, window[0].tolist()), *(ray.site_at(t) for t in range(7)), (-10, 4), (20, -6), (5, 2)]
     assert_cells_are_the_stacked_matrices(field, labels)
 
 
@@ -265,22 +300,21 @@ def test_out_cells_do_not_depend_on_scattering():
 
 def test_crossed_points_orientation():
     # eastward step at dual height 0 bisects a vertical edge; north is left
-    left, right = crossed_points((0, 0), (1, 0))
-    assert left == (1, 0) and right == (1, -1)
+    v, w = np.array([(0, 0), (1, 0)]), np.array([(1, 0), (0, 0)])
+    points = classify_steps(v, w)[0].tolist()
+    assert points[0] == [[1, 0], [1, -1]]
     # westward step flips the sides
-    left, right = crossed_points((1, 0), (0, 0))
-    assert left == (1, -1) and right == (1, 0)
+    assert points[1] == [[1, -1], [1, 0]]
+    for i in range(2):
+        assert ref.crossed_points(tuple(v[i]), tuple(w[i])) == tuple(map(tuple, points[i]))
 
 
 def test_step_classification_tags():
     path = straight_r_path()
-    for t in range(-6, 6):
-        assert path.step(t).tag == "r"
+    assert path.crossings(-6, 6)[1].tolist() == ["r"] * 12
     cross = crossover_path()
-    assert cross.step(-1).tag == "r"
-    assert cross.step(0).tag == "t"
-    assert cross.step(1).tag == "t"
-    tags = [cross.step(t).tag for t in range(-10, 10)]
+    assert cross.crossings(-1, 2)[1].tolist() == ["r", "t", "t"]
+    tags = cross.crossings(-10, 10)[1].tolist()
     # tags switch exactly once along the crossover
     assert tags == sorted(tags, key=lambda x: x != "r") or tags.count("t") + tags.count("r") == len(tags)
     switches = sum(1 for a, b in zip(tags, tags[1:]) if a != b)
@@ -288,9 +322,9 @@ def test_step_classification_tags():
 
 
 def test_single_step_single_edge():
-    edge = classify_step(0, (0, 0), (1, 0))
-    assert {edge.source, edge.target} == {(1, 0), (1, -1)}
-    assert edge.cell == (1, 0) or edge.cell == (0, 0)
+    points, cells, _, _ = classify_steps(np.array([(0, 0)]), np.array([(1, 0)]))
+    assert set(map(tuple, points[0].tolist())) == {(1, 0), (1, -1)}
+    assert tuple(cells[0].tolist()) in ((1, 0), (0, 0))
 
 
 def test_wiggled_path_is_pure_r():
@@ -427,8 +461,8 @@ def capped(field, path):
     r_base, r_in = _deep_cell_ray(path, list(range(-40, -31)))
     t_base, t_in = _deep_cell_ray(path, list(range(39, 30, -1)))
     return field.overridden(
-        window={e.cell: FULL_TRANSMISSION for e in path.steps(-40, -4)}
-        | {e.cell: FULL_REFLECTION for e in path.steps(4, 40)},
+        window=dict.fromkeys(map(tuple, path.crossings(-40, -4)[0].tolist()), FULL_TRANSMISSION)
+        | dict.fromkeys(map(tuple, path.crossings(4, 40)[0].tolist()), FULL_REFLECTION),
         rays=[
             (Ray(r_base, tuple(-c for c in r_in)), [FULL_TRANSMISSION]),
             (Ray(t_base, tuple(-c for c in t_in)), [FULL_REFLECTION]),

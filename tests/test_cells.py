@@ -6,7 +6,8 @@ both models, ``cell_labels`` must send every point of every incoming basis
 back to its own label, so the incoming bases partition the lattice basis;
 for networks, ``out_cells`` must do the same for the outgoing bases.  The
 array label maps of a network must also agree with the scalar
-``in_cell``/``out_cell`` that dual-path classification keeps.
+``in_cell``/``out_cell`` of ``reference_state``, which its one-step dual
+path classification reads.
 """
 
 import itertools
@@ -15,9 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxwalk.cc import CRITICAL, CCUnitary, in_cell, in_cells, out_cell, out_cells
+from fluxwalk.cc import CRITICAL, CCUnitary, in_cells, out_cells
 from fluxwalk.fields import SiteMap
 from fluxwalk.operators import conditional_shift
+from reference_state import in_cell, out_cell
 
 NETWORK = CCUnitary(SiteMap(2, background=CRITICAL))
 coords = st.integers(-60, 60)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_state as ref
 from fluxwalk.config import DEFAULT, STRICT, Tolerances
 from fluxwalk.errors import (
     CertificationError,
@@ -340,3 +341,40 @@ def test_classify_unit(tol):
         classify_unit(np.array([1 - 3 * tol.eigenvalue_unit]), tol, label)
     with pytest.raises(ValidationError, match="exceeds 1 in modulus"):
         classify_unit(np.array([1 + 2e-10]), tol, label)
+
+
+def _probed_geometry(model):
+    if model == "basic_example":
+        return build_walk_flux(*make_basic_example(seed=1)).geometry
+    if model == "lead_network":
+        rng = np.random.default_rng(5)
+        network = random_network(rng, 2, 1, box=5)
+        coin = synthesize_lead_coin(network, random_background(rng, 2, box=3))
+        return build_walk_flux(coin, network_projection(network)).geometry
+    from fluxwalk.cc import CRITICAL, cc_flux, crossover_path
+
+    return cc_flux(SiteMap(2, background=CRITICAL), crossover_path()).geometry
+
+
+@pytest.mark.parametrize("seed", [7, 11, 3])
+@pytest.mark.parametrize("model", ["basic_example", "lead_network", "crossover"])
+def test_probe_states_match_the_per_coordinate_draws(model, seed):
+    # one integers call per state and one standard_normal call per state
+    # give the sites, their order, the values and the generator state of one
+    # call per coordinate and two per site
+    geometry = _probed_geometry(model)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        sites = geometry.probe_sites(rng)
+        want = ref.probe_sites(geometry, ref_rng)
+        assert list(sites) == list(want)
+        got, ref_state = random_state(rng, sites, geometry.state_dim), ref.random_state(ref_rng, want, geometry.state_dim)
+        assert got.site_array.tobytes() == ref_state.site_array.tobytes()
+        assert got.value_array.tobytes() == ref_state.value_array.tobytes()
+    got = geometry.probe_states(rng)
+    want = LatticeState.stack(
+        [ref.random_state(ref_rng, ref.probe_sites(geometry, ref_rng), geometry.state_dim) for _ in range(3)]
+    )
+    assert got.site_array.tobytes() == want.site_array.tobytes()
+    assert got.value_array.tobytes() == want.value_array.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_state import DictState, same_state, trace_norm_hermitian
+from reference_state import random_state as reference_random_state
 
 from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.lattice import (
@@ -113,6 +114,21 @@ def test_random_state_normalized():
     rng = np.random.default_rng(1)
     psi = random_state(rng, [(0, 0), (1, 0), (2, 2)], 4)
     assert abs(psi.norm() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "sites",
+    [[(0, 0), (1, 0), (2, 2)], [(3,), (-1,), (3,), (0,), (-1,)], [(1, -2)], [(0, 0, 1), (0, 0, -1)]],
+    ids=["distinct", "repeated", "single", "d3"],
+)
+def test_random_state_matches_the_per_site_draws(sites):
+    # one draw for the whole state; a repeated site keeps its first row and
+    # its last draw, as in a dict
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    got, want = random_state(rng, sites, 3), reference_random_state(ref_rng, sites, 3)
+    assert got.site_array.tobytes() == want.site_array.tobytes()
+    assert got.value_array.tobytes() == want.value_array.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

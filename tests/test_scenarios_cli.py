@@ -222,17 +222,17 @@ def test_oracle_without_window_blocks_is_not_applicable():
 
 def test_each_dual_step_is_classified_once(monkeypatch):
     # 50 draws x 3 epsilons over one path (29 097 classifications when the
-    # path kept none)
+    # path kept none): every range of t that an array pass classifies
     import fluxwalk.cc as cc
 
     steps = []
-    classify = cc.classify_step
+    classify = cc.DualPath._classify
 
-    def recording(t, v, w):
-        steps.append(t)
-        return classify(t, v, w)
+    def recording(path, t0, t1):
+        steps.extend(range(t0, t1))
+        return classify(path, t0, t1)
 
-    monkeypatch.setattr(cc, "classify_step", recording)
+    monkeypatch.setattr(cc.DualPath, "_classify", recording)
     assert run_scenario(load("cc_anomalous")).ok
     assert steps and sorted(steps) == sorted(set(steps))
 

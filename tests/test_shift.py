@@ -17,6 +17,7 @@ from fluxwalk.fields import HalfSpace, Ray, SiteMap
 from fluxwalk.flux import analyze
 from fluxwalk.errors import ValidationError
 from fluxwalk.lattice import LatticeState, direction_index, haar_unitary
+import reference_state as ref
 from reference_state import trace_norm_hermitian
 from fluxwalk.shift import (
     build_perturbed,
@@ -224,13 +225,13 @@ def test_cc_shift_decomposition_with_trace_class_flux():
     # to the unitary is trace class and the shift family is exact
     path = crossover_path()
     decay_window = {}
-    for e in path.steps(-44, 0):
+    for e in (ref.step(path, t) for t in range(-44, 0)):
         k = max(0, -e.t - 4)
         r_abs = min(0.4, 0.4 * 0.5**k)
         if e.t <= -40:
             r_abs = 0.0
         decay_window[e.cell] = ScatteringParams(1.0, r_abs, np.sqrt(1 - r_abs**2))
-    for e in path.steps(0, 44):
+    for e in (ref.step(path, t) for t in range(0, 44)):
         k = max(0, e.t - 4)
         t_abs = min(0.9, 0.9 * 0.5**k)
         if e.t >= 40:
