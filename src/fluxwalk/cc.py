@@ -93,9 +93,8 @@ class ScatteringParams:
 
 def check_rows(qrt: np.ndarray) -> np.ndarray:
     """``qrt``, an (N, 3) complex array of (q, r, t) rows, once every row
-    passes the checks of ``ScatteringParams`` (the same bounds and messages,
-    and a NaN fails); otherwise ``ValidationError`` for the first row that
-    fails."""
+    passes the checks of ``ScatteringParams`` (same bounds and messages, NaN
+    fails); otherwise ``ValidationError`` for the first row that fails."""
     q, r, t = np.abs(qrt).T
     bad_q = ~(np.abs(q - 1.0) <= 1e-12)
     bad = np.flatnonzero(bad_q | ~(np.abs(r**2 + t**2 - 1.0) <= 1e-12))
@@ -118,9 +117,8 @@ def random_phase_window(
     b_range: range,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(cells, qrt)``: the (N, 2) cells (a, b), b even, a-major, and their
-    checked (N, 3) (q, r, t) rows with fixed |r| and uniform phases.  One
-    ``rng.uniform`` call draws the q, r and t phases of each cell in turn,
-    and one ``np.exp`` turns them into unit numbers."""
+    checked (N, 3) (q, r, t) rows with fixed |r| and uniform phases, drawn
+    for each cell in turn by one ``rng.uniform`` call and one ``np.exp``."""
     t_abs = math.sqrt(max(0.0, 1.0 - r_abs**2))
     cells = np.array([(a, b) for a in a_range for b in b_range if b % 2 == 0], dtype=np.int64).reshape(-1, 2)
     qrt = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(len(cells), 3)))

@@ -147,8 +147,8 @@ class SiteMap:
     slots and unites the matching layers instead of taking the first.
 
     A window is a dict from sites to values (coins, projections) or a pair
-    ``(sites, values)`` of an (N, d) integer array and N values, such as a
-    random scattering window's (N, 3) block of (q, r, t) rows.  The map
+    ``(sites, values)`` of an (N, d) array of distinct sites and N values,
+    such as a random scattering window's (N, 3) block of (q, r, t) rows.  The map
     keeps the one form it is given, as ``window`` or as ``window_coords``
     and ``window_values``, and builds the other views on first use.
 
@@ -176,6 +176,8 @@ class SiteMap:
         if isinstance(window, tuple):
             sites, self.window_values = window
             self.window_coords, self._window = np.ascontiguousarray(_site_array(sites, self.d).T), None
+            if len(self.window_values) != self.window_coords.shape[1]:
+                raise ValidationError(f"{self.window_coords.shape[1]} window sites, {len(self.window_values)} values")
         else:
             self._window = MappingProxyType({tuple(k): v for k, v in (window or {}).items()})
         self.rays = tuple((ray, tuple(pattern)) for ray, pattern in rays)

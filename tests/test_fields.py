@@ -289,6 +289,24 @@ def test_array_lookups_match_the_scalar_ones(maps):
         assert [set(np.flatnonzero(m).tolist()) for m in masks] == [p.open_slots(s) for s in points]
 
 
+def test_a_pair_window_reads_like_its_dict():
+    # the (sites, values) form builds its dict view only when a one-site
+    # lookup, an override or a description asks for it
+    sites = np.array([(0, 0), (2, -1), (-3, 4)])
+    layers = dict(rays=[(Ray((5, 0), (1, 0)), ["r"])], background="bg")
+    pair = SiteMap(2, window=(sites, ["a", "b", "c"]), **layers)
+    same = SiteMap(2, window={(0, 0): "a", (2, -1): "b", (-3, 4): "c"}, **layers)
+    probes = np.array([(0, 0), (2, -1), (-3, 4), (6, 0), (1, 1)])
+    assert pair.value_index(probes).tolist() == same.value_index(probes).tolist() == [0, 1, 2, 3, 4]
+    assert pair.bounds() == same.bounds() and pair.table == same.table
+    assert pair._window is None
+    assert [pair.value(p) for p in probes.tolist()] == ["a", "b", "c", "r", "bg"]
+    assert pair.window == same.window and list(pair.template_values()) == list(same.template_values())
+    assert pair.overridden(window={(9, 9): "z"}).window == same.overridden(window={(9, 9): "z"}).window
+    with pytest.raises(ValidationError, match="3 window sites, 2 values"):
+        SiteMap(2, window=(sites, ["a", "b"]))
+
+
 def test_array_lookups_of_a_sparse_window():
     # a window whose bounding box is too large for a grid is read per site
     far = 10**6
