@@ -142,8 +142,8 @@ class CCUnitary(LocalUnitary):
     a block in one array pass.  For ``flux.CellGeometry``, cell z maps its
     incoming pair onto its outgoing pair through S(z)^T (outgoing x
     incoming), and ``cell_labels`` is ``in_cells``.  The S^T of every table
-    row is stacked once, so ``cells`` and the actions read S^T with one
-    ``value_index`` and one ``take``."""
+    row is stacked once; ``cells`` gives that stack and each label's
+    ``value_index`` row, and the actions take from it."""
 
     d = 2
     n_internal = 1
@@ -193,7 +193,7 @@ class CCUnitary(LocalUnitary):
 
     def cells(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
-        return self._transposed(labels), self.in_basis(labels), self.out_basis(labels)
+        return self._transposed_table, self.scattering.value_index(labels), self.in_basis(labels), self.out_basis(labels)
 
     @cached_property
     def _transposed_table(self) -> np.ndarray:
@@ -204,10 +204,6 @@ class CCUnitary(LocalUnitary):
         r_im, t_im = np.where(self._complex, -np.stack([r.imag, t.imag], axis=1), 0.0).T
         entries = np.stack([r.real, r.imag, t.real, t_im, -t.real, t_im, r.real, r_im], axis=1).view(complex)
         return (q[:, None] * entries).reshape(-1, 2, 2)
-
-    def _transposed(self, labels: np.ndarray) -> np.ndarray:
-        """The stacked S(z)^T of an (N, 2) label array."""
-        return self._transposed_table.take(self.scattering.value_index(labels), axis=0)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         return self._scatter(psi, adjoint=False)
@@ -226,7 +222,7 @@ class CCUnitary(LocalUnitary):
         if not len(points):
             return psi
         labels, k = (out_cells if adjoint else in_cells)(points)
-        transposed = self._transposed(labels)
+        transposed = self._transposed_table.take(self.scattering.value_index(labels), axis=0)
         at = np.arange(len(points))
         if adjoint:
             targets, weights = self.in_basis(labels), transposed[at, k, :].conj()
@@ -520,29 +516,45 @@ def cc_flux_window(scattering: SiteMap, path: DualPath):
     return lo, hi, bands, [1, 2], points
 
 
-def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT) -> FluxField:
+class FluxPlan:
+    """What the fluxes of one path share, owned by the CC analysis that builds
+    them (across its draws, which share a window extent): one ``RegionSplit``,
+    built by the first ``split`` call over the union of its points boxes, and
+    the selfcheck ``probes`` of each window.  A split over a larger box is
+    exact: beyond any box, region labels are constant along outward directions."""
+
+    def __init__(self, path: DualPath):
+        self.path, self._split, self.probes = path, None, {}
+
+    def split(self, *boxes) -> RegionSplit:
+        (lo, _), (_, hi) = np.min(boxes, axis=0).tolist(), np.max(boxes, axis=0).tolist()
+        self._split = self._split or RegionSplit(self.path, tuple(lo), tuple(hi))
+        return self._split
+
+
+def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None) -> FluxField:
     """Blockwise flux of the left-region projection of a dual path, checked
     against the operator on random states.
 
     Block at cell z in the incoming basis: conj(S) D_out S^T - D_in with the
     0/1 region memberships of the outgoing and incoming points on the
     diagonals (``flux.CellGeometry`` with matrix S^T).  The window covers the
-    path and the scattering features plus a margin of 4.
+    path and the scattering features plus a margin of 4.  The split and the
+    probes come from ``plan``, a ``FluxPlan`` of ``path``, or a new one.
     """
     unitary = CCUnitary(scattering)
     lo, hi, bands, steps, points = cc_flux_window(scattering, path)
-    split = RegionSplit(path, *points)
-
-    geometry = CellGeometry(unitary, split, lo, hi, probes=8)
+    plan = plan or FluxPlan(path)
+    geometry = CellGeometry(unitary, plan.split(points), lo, hi, probes=8)
     flux = assemble_field(geometry, geometry.block, lo, hi, bands, steps, tol)
-    selfcheck_against_operator(flux, unitary)
+    selfcheck_against_operator(flux, unitary, plan.probes)
     return flux
 
 
-def cc_index(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT):
+def cc_index(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None):
     """``(report, flux)``: the self-checked network flux and its ``analyze``
     report, whose kernel count the cell rank formula has matched exactly."""
-    flux = cc_flux(scattering, path, tol)
+    flux = cc_flux(scattering, path, tol, plan)
     return analyze(flux), flux
 
 
@@ -653,11 +665,11 @@ def random_bump(path: DualPath, rng, t_lo: int, t_hi: int):
     return new_path, 4
 
 
-def region_difference_rank(path_a: DualPath, path_b: DualPath, box: int = 30) -> int:
+def region_difference_rank(path_a: DualPath, path_b: DualPath, box: int = 30, split_a=None) -> int:
     """Rank of the difference of the two region projections: the size of the
     symmetric difference of the left regions, each read inside its split's
-    box, over the union of the two boxes."""
-    splits = [RegionSplit(path, (-box, -box), (box, box)) for path in (path_a, path_b)]
+    box, over the union of the two boxes; ``split_a`` may be path_a's."""
+    splits = [split_a or RegionSplit(path_a, (-box, -box), (box, box)), RegionSplit(path_b, (-box, -box), (box, box))]
     lo = np.minimum(splits[0].lo, splits[1].lo)
     points = lo + np.argwhere(np.ones(np.maximum(splits[0].hi, splits[1].hi) - lo + 1, dtype=bool))
     # each split's left region, read inside its own box
@@ -692,16 +704,18 @@ def anomalous_transport(
     path: DualPath,
     epsilons,
     tol: Tolerances = DEFAULT,
+    plan: FluxPlan | None = None,
 ) -> dict:
     """Trace of the flux after capping both rays: full transmission far on
     the r side, full reflection far on the t side.
 
     Each capped flux has finitely many nonzero blocks, so its plain trace is
     defined, and it must equal the integer index of the uncapped flux.
+    The capped maps come first, so ``plan`` sizes its split over all boxes.
     """
-    report, flux = cc_index(scattering, path, tol)
+    lo, hi, bands, _, points = cc_flux_window(scattering, path)
     t0, t1 = path.switch_window()
-    results = []
+    capped = []
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
             raise ValidationError(f"epsilon {eps} out of range")
@@ -710,8 +724,7 @@ def anomalous_transport(
             raise ValidationError(
                 f"path is not r-pure left and t-pure right of the 1/eps={cut} cutoffs"
             )
-        deep = max(abs(flux.lo[0]), abs(flux.hi[0]), abs(flux.lo[1]), abs(flux.hi[1]))
-        reach = max(cut, deep) + 4 * max(flux.bands) + 12
+        reach = max(cut, *map(abs, lo), *map(abs, hi)) + 4 * max(bands) + 12
         window = dict.fromkeys(map(tuple, path.crossings(-reach, -cut)[0].tolist()), FULL_TRANSMISSION)
         window.update(dict.fromkeys(map(tuple, path.crossings(cut, reach)[0].tolist()), FULL_REFLECTION))
         # seamless continuation: the cell rays start at the outermost window
@@ -722,10 +735,14 @@ def anomalous_transport(
             (Ray(r_base, tuple(-c for c in r_inward)), [FULL_TRANSMISSION]),
             (Ray(t_base, tuple(-c for c in t_inward)), [FULL_REFLECTION]),
         ]
-        capped = scattering.overridden(window=window, rays=rays)
-        flux_eps = cc_flux(capped, path, tol)
+        capped.append(scattering.overridden(window=window, rays=rays))
+    plan = plan or FluxPlan(path)
+    plan.split(points, *(cc_flux_window(field, path)[4] for field in capped))
+    report, _ = cc_index(scattering, path, tol, plan)
+    results = []
+    for eps, field in zip(epsilons, capped):
+        flux_eps = cc_flux(field, path, tol, plan)
         if not flux_eps.tail_zero:
             raise ValidationError("capped flux still has nonzero tail blocks")
-        trace = index_by_odd_trace(flux_eps, 0)
-        results.append((float(eps), complex(trace)))
+        results.append((float(eps), complex(index_by_odd_trace(flux_eps, 0))))
     return {"index": report.index, "traces": results}

@@ -59,11 +59,10 @@ class FluxBlock:
 
 class StackedBox(NamedTuple):
     """What assembly stacked for the window and shell labels, row by row in
-    enumeration order, with the ``SiteIndex`` of the labels: the ``block_fn``
-    arrays, the ``eigvalsh`` eigenvalues and block norms, rank P_out - rank
-    P_in, and which rows are window rows (the others are shell rows)."""
+    enumeration order, with their ``SiteIndex`` (tuples built on first read):
+    the ``block_fn`` blocks, masks and cell matrices, the ``eigvalsh``
+    eigenvalues and block norms, rank P_out - rank P_in, and window rows."""
 
-    labels: list
     index: SiteIndex
     flux: np.ndarray
     p_in: np.ndarray
@@ -73,10 +72,11 @@ class StackedBox(NamedTuple):
     norms: np.ndarray
     rank_differences: list
     window: np.ndarray
+    labels = property(lambda self: self.index.sites)
 
     def block(self, row: int) -> FluxBlock:
         return FluxBlock(
-            self.labels[row],
+            tuple(self.index.table[row].tolist()),
             self.flux[row],
             self.p_in[row],
             self.rank_differences[row],
@@ -138,11 +138,12 @@ class CellGeometry:
     """Adapter between cell-labelled flux blocks and lattice states.
 
     Labels, sites and slots are integer arrays.  The unitary gives
-    ``cells(labels) -> (matrices, ins, outs)`` for an (N, d) label array:
+    ``cells(labels) -> (table, rows, ins, outs)`` for an (N, d) label array:
+    cell i maps its incoming basis onto its outgoing one through U =
+    ``table[rows[i]]`` (S^T rows for networks, distinct coins for walks);
     ``ins`` and ``outs`` are ``(sites, slots)``, an (N, k, d) site array and
     a length-k slot array (basis vector j of cell i is slot ``slots[j]`` at
-    ``sites[i, j]``), and ``matrices`` (N, k, k) is U from each incoming
-    basis onto its outgoing one.  ``in_basis(labels)`` is ``ins`` alone, and
+    ``sites[i, j]``).  ``in_basis(labels)`` is ``ins`` alone, and
     ``cell_labels(sites)`` maps an (M, d) site array to the labels of the
     cells whose incoming bases hold those sites.  The incoming bases
     partition the lattice basis, and so do the outgoing bases.
@@ -150,9 +151,10 @@ class CellGeometry:
     The projection gives ``diagonal_entries(sites, slots)``, its 0/1 entries
     at slot ``slots[i]`` of site ``sites[i]``, and ``apply(psi)``.  With P_in
     and P_out those entries on the two bases, the flux block in the incoming
-    basis is ``matrix* P_out matrix - P_in``.  Self-checks draw ``probes``
-    random window sites.  ``apply_blocks`` takes cell maps as an (M, k, k)
-    stack and a lookup from an (N, d) label array to N rows of it, -1 for none.
+    basis is ``U* P_out U - P_in``, formed once per distinct (row, P_in,
+    P_out).  Self-checks draw ``probes`` random window sites.  ``apply_blocks``
+    takes cell maps as an (M, k, k) stack and a lookup from an (N, d) label
+    array to N rows of it, -1 for none.
     """
 
     def __init__(self, unitary, proj, lo, hi, probes: int):
@@ -164,21 +166,24 @@ class CellGeometry:
         self.probes = probes
 
     def block(self, labels: np.ndarray):
-        """``(flux blocks, P_in, P_out, cell matrices)`` of the labelled
-        cells, stacked; the ``block_fn`` of ``assemble_field``.  One
+        """The ``block_fn`` of ``assemble_field``: the labelled cells' distinct
+        (row, P_in, P_out) stacks and each label's row among them.  One
         ``diagonal_entries`` call covers both bases of every cell."""
-        m, (in_sites, in_slots), (out_sites, out_slots) = self.unitary.cells(labels)
+        table, rows, (in_sites, in_slots), (out_sites, out_slots) = self.unitary.cells(labels)
         n, k, d = in_sites.shape
         sites = np.concatenate([in_sites, out_sites], axis=1).reshape(-1, d)
         slots = np.tile(np.concatenate([in_slots, out_slots]), n)
         masks = self.proj.diagonal_entries(sites, slots).reshape(n, 2 * k)
+        keys = (rows << 2 * k) + masks.astype(np.int64) @ (1 << np.arange(2 * k))
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        masks, m = masks[first], table.take(rows[first], axis=0)
         # C order: the Kitaev sum's per-cell dot products take contiguous rows
         p_in, p_out = np.ascontiguousarray(masks[:, :k]), np.ascontiguousarray(masks[:, k:])
         flux = m.conj().transpose(0, 2, 1)
         flux *= p_out[:, None, :]
         flux = flux @ m
         flux[:, np.arange(k), np.arange(k)] -= p_in
-        return flux, p_in, p_out, m
+        return flux, p_in, p_out, m, which
 
     def make_state(self, label, coords) -> LatticeState:
         """The state with the given incoming-basis coordinates."""
@@ -291,12 +296,9 @@ class FluxField:
 
     def eigensystem(self, label):
         label = tuple(label)
-        cached = self._eig_cache.get(label)
-        if cached is None:
-            blk = self.block_at(label)
-            cached = np.linalg.eigh(blk.matrix)
-            self._eig_cache[label] = cached
-        return cached
+        if label not in self._eig_cache:
+            self._eig_cache[label] = np.linalg.eigh(self.block_at(label).matrix)
+        return self._eig_cache[label]
 
     @cached_property
     def spectrum(self) -> UnitSpectrum:
@@ -358,16 +360,17 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     """Enumerate window, shell, and tripwire bands and build the field.
 
     ``block_fn(labels)`` takes an (N, d) integer array of labels and returns
-    ``(flux blocks, P_in, P_out, cell matrices)`` for them, stacked in that
-    order as (N, k, k), (N, k), (N, k) and (N, k, k) arrays; it must be
-    total.  It is called once for the window and shell labels together and
-    once for the tripwire labels.  The shell band (width = one tail period
-    per axis) carries one representative of every translation class of
-    blocks beyond the window; the tripwire band re-checks that
-    representativeness numerically.
+    ``(flux blocks, P_in, P_out, cell matrices, which)``: (M, k, k), (M, k),
+    (M, k) and (M, k, k) stacks of M distinct blocks and each label's row
+    among them; it must be total.  It is called once for the window and
+    shell labels together and once for the tripwire labels.  The shell band
+    (one tail period per axis) carries one representative of every
+    translation class of blocks beyond the window; the tripwire band
+    re-checks that, label by label, within ``tol.tripwire``.
 
-    Every block is checked for Hermiticity in one vectorised pass, the block
-    norms come from one stacked ``eigvalsh`` and are stored, and one stacked
+    The Hermiticity pass and the block norms (one stacked ``eigvalsh``) run
+    on the M blocks of the box call, then the box takes per-label rows from
+    them.  One stacked
     ``eigh`` over the kept window blocks fills the eigensystem cache.  Errors
     name the first offending label in enumeration order (lexicographic).
     """
@@ -385,12 +388,12 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
 
     in_box = zone < 2
     box_index = SiteIndex(labels[in_box])
-    box_labels = box_index.sites
-    flux, p_in, p_out, cells = block_fn(labels[in_box])
+    flux, p_in, p_out, cells, which = block_fn(box_index.table)
     deviation = np.abs(flux - flux.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = np.flatnonzero(~(deviation <= tol.hermitian))
+    bad = np.flatnonzero(~(deviation <= tol.hermitian)[which])
     if bad.size:
-        raise ValidationError(f"flux block at {box_labels[bad[0]]} is not Hermitian")
+        raise ValidationError(f"flux block at {tuple(box_index.table[bad[0]].tolist())} is not Hermitian")
+    flux, p_in, p_out, cells, evals = (a[which] for a in (flux, p_in, p_out, cells, np.linalg.eigvalsh(flux)))
 
     zone_box = zone[in_box]
     shell_rows = np.flatnonzero(zone_box == 1)
@@ -399,9 +402,9 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
         partners = _tail_partners(tripwire, lo_a, hi_a, bands_a)
         found = SiteIndex(box_index.table[shell_rows]).rows(partners)
         rows = shell_rows[found]
-        tw_flux = block_fn(tripwire)[0]
+        tw_flux, *_, tw_which = block_fn(tripwire)
         missing = found < 0
-        differs = ~(np.abs(tw_flux - flux[rows]).max(axis=(1, 2)) <= 1e-12)
+        differs = ~(np.abs(tw_flux[tw_which] - flux[rows]).max(axis=(1, 2)) <= tol.tripwire)
         bad = np.flatnonzero(missing | differs)
         if bad.size:
             i = bad[0]
@@ -412,26 +415,25 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
                 f"tail is not translation invariant: block {label} differs from {tuple(partners[i].tolist())}"
             )
 
-    evals = np.linalg.eigvalsh(flux)
     norms = np.abs(evals).max(axis=1)
     rank_differences = np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
     window = zone_box == 0
     rank_sum = int(rank_differences[window].sum())
 
-    box = StackedBox(box_labels, box_index, flux, p_in, p_out, cells, evals, norms, rank_differences.tolist(), window)
+    box = StackedBox(box_index, flux, p_in, p_out, cells, evals, norms, rank_differences.tolist(), window)
     kept = np.flatnonzero(window & (norms > tol.block_prune)).tolist()
-    blocks = {box_labels[i]: box.block(i) for i in kept}
+    blocks = {block.label: block for block in map(box.block, kept)}
     eig_cache: dict = {}
     if kept:
         w, v = np.linalg.eigh(flux[kept])
-        eig_cache = {box_labels[i]: (w[j], v[j]) for j, i in enumerate(kept)}
+        eig_cache = {label: (w[j], v[j]) for j, label in enumerate(blocks)}
 
     bound = 0.0
     witness = None
     if shell_rows.size:
         j = shell_rows[int(np.argmax(norms[shell_rows]))]
         if norms[j] > 0.0:
-            bound, witness = float(norms[j]), box_labels[j]
+            bound, witness = float(norms[j]), box.block(j).label
     radius = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
     cert = Certificate(
         ok=bound < 1.0 - tol.certificate_margin,
@@ -444,15 +446,18 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     )
 
 
-def selfcheck_against_operator(flux: FluxField, unitary) -> float:
-    """Compare blockwise action against U*(P(U psi)) - P psi on three random
-    states from a fixed seed, stacked as the columns of one state."""
-    rng = np.random.default_rng(7)
-    geom = flux.geometry
-    psi = geom.probe_states(rng)
-    via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - geom.proj.apply(psi)
+def selfcheck_against_operator(flux: FluxField, unitary, probes: dict | None = None) -> float:
+    """Compare blockwise action against U*(P(U psi)) - P psi, within
+    ``tol.selfcheck``, on three random states (seed 7) as one state's columns,
+    kept with P psi per window in ``probes`` across one projection's fluxes."""
+    geom, probes = flux.geometry, {} if probes is None else probes
+    if (key := (*geom.lo, *geom.hi)) not in probes:
+        psi = geom.probe_states(np.random.default_rng(7))
+        probes[key] = psi, geom.proj.apply(psi)
+    psi, p_psi = probes[key]
+    via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - p_psi
     worst = float((via_op - flux.apply(psi)).norms().max())
-    if not (worst <= 1e-12):
+    if not (worst <= flux.tol.selfcheck):
         raise ValidationError(f"blockwise flux deviates from U*PU - P by {worst:g}")
     return worst
 

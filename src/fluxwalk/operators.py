@@ -48,8 +48,8 @@ class CoinedWalk(LocalUnitary):
 
     The cells of ``flux.CellGeometry`` are the sites (``cell_labels``
     returns its input): the coin at x maps every slot of x onto slot k of
-    x + dir_k.  ``cells`` stacks the coins of a label array through one
-    ``coin.distinct_values`` lookup.  ``apply`` and ``apply_adjoint`` read
+    x + dir_k.  ``cells`` gives the distinct coins of a label array and the
+    labels' rows among them (``coin.distinct_values``).  ``apply`` and ``apply_adjoint`` read
     their coins through ``coins``: one ``coin.value`` call per site on states
     of at most ``DICT_GROUPING`` sites, where that is cheaper than an array
     lookup, and one ``value_index`` into the stacked table on longer ones,
@@ -87,7 +87,7 @@ class CoinedWalk(LocalUnitary):
         labels = np.asarray(labels, dtype=np.int64)
         outs = labels[:, None, :] + self._step_array
         coins, which = self.coin.distinct_values(labels)
-        return np.array(coins, dtype=complex)[which], self.in_basis(labels), (outs, self._slot_array)
+        return np.array(coins, dtype=complex), which, self.in_basis(labels), (outs, self._slot_array)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Coin every site in one stacked product, then scatter slot k of

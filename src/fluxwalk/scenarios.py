@@ -601,9 +601,10 @@ def _cc_ensemble_analysis(setup, analysis, files):
     constant_sign = _flag(analysis.get("constant_sign", False), "constant_sign")
     seeds = _child_seeds(int(setup.spec["seed"]) + 1, draws)
     indices = []
+    plan = ccm.FluxPlan(setup.path)
     for s in seeds:
         scattering = _path_scattering(setup.spec, setup.path, _rng(s))
-        report, _ = ccm.cc_index(scattering, setup.path, setup.tol)
+        report, _ = ccm.cc_index(scattering, setup.path, setup.tol, plan)
         indices.append(report.index)
     out = {"draws": draws, "distinct": sorted(set(indices))}
     ok = True
@@ -640,6 +641,7 @@ def _cc_surgery_analysis(setup, analysis, files):
     reroutes = _number(analysis.get("reroutes", 20), "reroutes")
     base_report = setup.index_report
     extended = setup.path.extended(12, 12)
+    split = ccm.RegionSplit(extended, (-40, -40), (40, 40))
     t0, t1 = extended.m_last // 2 - 8, extended.m_last // 2 + 8
     results = []
     ok = True
@@ -649,7 +651,7 @@ def _cc_surgery_analysis(setup, analysis, files):
             continue
         new_path, expected_diff = bumped
         report, _ = ccm.cc_index(setup.scattering, new_path, setup.tol)
-        diff = ccm.region_difference_rank(extended, new_path, box=40)
+        diff = ccm.region_difference_rank(extended, new_path, box=40, split_a=split)
         good = report.index == base_report.index and diff == expected_diff
         ok = ok and good
         results.append({"reroute": k, "index": report.index, "difference_rank": diff})
@@ -671,9 +673,10 @@ def _cc_anomalous_analysis(setup, analysis, files):
     traces = []
     ok = True
     base_index = None
+    plan = ccm.FluxPlan(setup.path)
     for s in seeds:
         scattering = _path_scattering(setup.spec, setup.path, _rng(s))
-        result = ccm.anomalous_transport(scattering, setup.path, epsilons, setup.tol)
+        result = ccm.anomalous_transport(scattering, setup.path, epsilons, setup.tol, plan)
         if base_index is None:
             base_index = result["index"]
         ok = ok and result["index"] == base_index

@@ -8,6 +8,7 @@ equal, bit for bit, ``M* diag(P_out) M - diag(P_in)`` built from the one-cell
 
 import itertools
 import re
+from dataclasses import replace
 from collections import deque
 
 import numpy as np
@@ -26,7 +27,7 @@ from fluxwalk.cc import (
     straight_r_path,
     wiggled_r_path,
 )
-from fluxwalk.config import DEFAULT
+from fluxwalk.config import DEFAULT, STRICT
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import SiteMap
 from fluxwalk.flux import assemble_field
@@ -71,7 +72,8 @@ def assert_blocks_match_reference(flux):
     in_box = set(flux.box.labels)
     tripwire = [label for label in labels if label not in in_box]
     assert not flux.box.window.all() and tripwire
-    stacked = dict(zip(tripwire, flux.geometry.block(np.array(tripwire))[0]))
+    blocks, *_, which = flux.geometry.block(np.array(tripwire))
+    stacked = dict(zip(tripwire, blocks[which]))
     for label in labels:
         block = flux.block_at(label).matrix if label in in_box else stacked[label]
         assert block.tobytes() == reference_block(flux.geometry, label).tobytes(), label
@@ -131,7 +133,7 @@ def test_a_walk_block_resolves_each_site_once(monkeypatch):
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=3))
     geometry = build_walk_flux(coin, network_projection(net)).geometry
     labels = np.array([(0, 0), (1, 0), (0, 1), (5, 5)], dtype=np.int64)
-    _, (in_sites, _), (out_sites, _) = geometry.unitary.cells(labels)
+    _, _, (in_sites, _), (out_sites, _) = geometry.unitary.cells(labels)
     distinct = {tuple(x) for x in np.concatenate([in_sites, out_sites], axis=1).reshape(-1, 2).tolist()}
     seen = []
     original = type(geometry.proj).slot_bits
@@ -199,14 +201,16 @@ def _basic_assembly():
 
 
 def _shifted(geometry, bad: set, shift):
-    """``geometry.block`` with ``shift`` added to the flux blocks at ``bad``."""
+    """``geometry.block`` with ``shift`` added to the flux blocks at ``bad``:
+    every label gets its own row, so the shift reaches those labels alone."""
 
     def block_fn(labels):
-        flux, *rest = geometry.block(labels)
+        *stacks, which = geometry.block(labels)
+        flux, *rest = (a[which] for a in stacks)
         for i, label in enumerate(map(tuple, labels.tolist())):
             if label in bad:
                 flux[i] = flux[i] + shift
-        return (flux, *rest)
+        return (flux, *rest, np.arange(len(labels)))
 
     return block_fn
 
@@ -224,6 +228,19 @@ def test_tripwire_mismatch_names_the_first_label():
     bad = {(hi + 2 * band,), (lo - 2 * band,)}
     with pytest.raises(ValidationError, match=rf"block \({lo - 2 * band},\) differs"):
         assemble_field(geometry, _shifted(geometry, bad, 0.5 * np.eye(2)), *args)
+
+
+def test_the_tripwire_bound_comes_from_the_tolerances():
+    # a 1e-11 Hermitian offset on one tripwire block fails the default 1e-12
+    # bound and passes a profile loosened to 1e-10
+    geometry, (lo_, hi_, bands, steps, _), lo, hi, band = _basic_assembly()
+    block_fn = _shifted(geometry, {(hi + 2 * band,)}, 1e-11 * np.eye(2))
+    assert DEFAULT.tripwire == STRICT.tripwire == 1e-12
+    for tol in (DEFAULT, STRICT):
+        with pytest.raises(ValidationError, match=rf"block \({hi + 2 * band},\) differs"):
+            assemble_field(geometry, block_fn, lo_, hi_, bands, steps, tol)
+    flux = assemble_field(geometry, block_fn, lo_, hi_, bands, steps, replace(DEFAULT, tripwire=1e-10))
+    assert flux.certificate.ok
 
 
 def test_nan_tripwire_block_fails_the_tail_check():
