@@ -419,11 +419,13 @@ class RegionSplit:
     equal labels, a cut edge unequal ones).  The crossed points of the steps
     near the box come from one ``classify_steps`` pass.  Beyond the box the
     labels are constant along outward directions, so clamping is exact.  As
-    a projection it offers ``diagonal_entries`` and ``apply``.
+    a projection it offers ``diagonal_entries`` and ``apply``; ``box`` is the
+    box asked for, and ``lo``-``hi`` that box widened to the path plus 2.
     """
 
     def __init__(self, path: DualPath, lo: Site, hi: Site):
         (mx0, my0), (mx1, my1) = path.bounds()
+        self.box = (tuple(lo), tuple(hi))
         self.lo = (min(lo[0], mx0 - 2), min(lo[1], my0 - 2))
         self.hi = (max(hi[0], mx1 + 2), max(hi[1], my1 + 2))
         shape = region_box(self.lo, self.hi)
@@ -518,18 +520,14 @@ def cc_flux_window(scattering: SiteMap, path: DualPath):
 
 class FluxPlan:
     """What the fluxes of one path share, owned by the CC analysis that builds
-    them (across its draws, which share a window extent): one ``RegionSplit``,
-    built by the first ``split`` call over the union of its points boxes, and
-    the selfcheck ``probes`` of each window.  A split over a larger box is
-    exact: beyond any box, region labels are constant along outward directions."""
+    them (across its draws, which share a window extent): the ``split``, one
+    ``RegionSplit`` built over the points box of the first flux, and the
+    selfcheck ``probes`` of each window.  A later flux may read the split
+    beyond its box; clamping is exact there, since region labels are
+    constant along outward directions beyond any box."""
 
-    def __init__(self, path: DualPath):
-        self.path, self._split, self.probes = path, None, {}
-
-    def split(self, *boxes) -> RegionSplit:
-        (lo, _), (_, hi) = np.min(boxes, axis=0).tolist(), np.max(boxes, axis=0).tolist()
-        self._split = self._split or RegionSplit(self.path, tuple(lo), tuple(hi))
-        return self._split
+    def __init__(self):
+        self.split, self.probes = None, {}
 
 
 def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None) -> FluxField:
@@ -544,8 +542,9 @@ def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT, plan
     """
     unitary = CCUnitary(scattering)
     lo, hi, bands, steps, points = cc_flux_window(scattering, path)
-    plan = plan or FluxPlan(path)
-    geometry = CellGeometry(unitary, plan.split(points), lo, hi, probes=8)
+    plan = plan or FluxPlan()
+    plan.split = plan.split or RegionSplit(path, *points)
+    geometry = CellGeometry(unitary, plan.split, lo, hi, probes=8)
     flux = assemble_field(geometry, geometry.block, lo, hi, bands, steps, tol)
     selfcheck_against_operator(flux, unitary, plan.probes)
     return flux
@@ -665,11 +664,12 @@ def random_bump(path: DualPath, rng, t_lo: int, t_hi: int):
     return new_path, 4
 
 
-def region_difference_rank(path_a: DualPath, path_b: DualPath, box: int = 30, split_a=None) -> int:
-    """Rank of the difference of the two region projections: the size of the
-    symmetric difference of the left regions, each read inside its split's
-    box, over the union of the two boxes; ``split_a`` may be path_a's."""
-    splits = [split_a or RegionSplit(path_a, (-box, -box), (box, box)), RegionSplit(path_b, (-box, -box), (box, box))]
+def region_difference_rank(split_a: RegionSplit, path_b: DualPath) -> int:
+    """Rank of the difference of the region projections of ``split_a``'s
+    path and ``path_b``, split over the box ``split_a`` was asked for: the
+    size of the symmetric difference of the left regions, each read inside
+    its split's box, over the union of the two boxes."""
+    splits = [split_a, RegionSplit(path_b, *split_a.box)]
     lo = np.minimum(splits[0].lo, splits[1].lo)
     points = lo + np.argwhere(np.ones(np.maximum(splits[0].hi, splits[1].hi) - lo + 1, dtype=bool))
     # each split's left region, read inside its own box
@@ -677,7 +677,7 @@ def region_difference_rank(path_a: DualPath, path_b: DualPath, box: int = 30, sp
         ((points >= s.lo) & (points <= s.hi)).all(axis=1) & (s.diagonal_entries(points, None) > 0) for s in splits
     ]
     diff = points[inside[0] ^ inside[1]]
-    if (np.abs(diff) >= box - 2).any():
+    if ((diff <= np.add(split_a.box[0], 2)) | (diff >= np.subtract(split_a.box[1], 2))).any():
         raise ValidationError("region difference reaches the box boundary")
     return len(diff)
 
@@ -710,12 +710,14 @@ def anomalous_transport(
     the r side, full reflection far on the t side.
 
     Each capped flux has finitely many nonzero blocks, so its plain trace is
-    defined, and it must equal the integer index of the uncapped flux.
-    The capped maps come first, so ``plan`` sizes its split over all boxes.
+    defined, and it must equal the integer index of the uncapped flux.  All
+    fluxes share ``plan`` (or a new one), so the capped fluxes read the
+    uncapped flux's split, beyond its box where they reach further.
     """
-    lo, hi, bands, _, points = cc_flux_window(scattering, path)
+    plan = plan or FluxPlan()
+    report, flux = cc_index(scattering, path, tol, plan)
     t0, t1 = path.switch_window()
-    capped = []
+    results = []
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
             raise ValidationError(f"epsilon {eps} out of range")
@@ -724,7 +726,8 @@ def anomalous_transport(
             raise ValidationError(
                 f"path is not r-pure left and t-pure right of the 1/eps={cut} cutoffs"
             )
-        reach = max(cut, *map(abs, lo), *map(abs, hi)) + 4 * max(bands) + 12
+        deep = max(abs(flux.lo[0]), abs(flux.hi[0]), abs(flux.lo[1]), abs(flux.hi[1]))
+        reach = max(cut, deep) + 4 * max(flux.bands) + 12
         window = dict.fromkeys(map(tuple, path.crossings(-reach, -cut)[0].tolist()), FULL_TRANSMISSION)
         window.update(dict.fromkeys(map(tuple, path.crossings(cut, reach)[0].tolist()), FULL_REFLECTION))
         # seamless continuation: the cell rays start at the outermost window
@@ -735,14 +738,10 @@ def anomalous_transport(
             (Ray(r_base, tuple(-c for c in r_inward)), [FULL_TRANSMISSION]),
             (Ray(t_base, tuple(-c for c in t_inward)), [FULL_REFLECTION]),
         ]
-        capped.append(scattering.overridden(window=window, rays=rays))
-    plan = plan or FluxPlan(path)
-    plan.split(points, *(cc_flux_window(field, path)[4] for field in capped))
-    report, _ = cc_index(scattering, path, tol, plan)
-    results = []
-    for eps, field in zip(epsilons, capped):
-        flux_eps = cc_flux(field, path, tol, plan)
+        capped = scattering.overridden(window=window, rays=rays)
+        flux_eps = cc_flux(capped, path, tol, plan)
         if not flux_eps.tail_zero:
             raise ValidationError("capped flux still has nonzero tail blocks")
-        results.append((float(eps), complex(index_by_odd_trace(flux_eps, 0))))
+        trace = index_by_odd_trace(flux_eps, 0)
+        results.append((float(eps), complex(trace)))
     return {"index": report.index, "traces": results}

@@ -24,8 +24,6 @@ class Tolerances:
     wandering: float = 1e-12
     block_prune: float = 1e-13
     certificate_margin: float = 1e-9
-    tripwire: float = 1e-12
-    selfcheck: float = 1e-12
 
     @property
     def guard_band(self) -> float:

@@ -157,9 +157,9 @@ class SiteMap:
     window's ``SiteIndex``, both built on first use, stay valid.
     ``value_index`` serves block assembly, the Chalker--Coddington
     actions and the walk actions on states of more than ``DICT_GROUPING``
-    sites, ``distinct_values`` the walk cells; ``value`` (one grid lookup
-    on a pair window) serves one-site callers (lead synthesis and its
-    checks, setup probes) and the walk actions on shorter states.
+    sites, ``distinct_values`` the walk cells; ``value`` serves one-site
+    callers (lead synthesis and its checks, setup probes) and the walk
+    actions on shorter states.
     """
 
     def __init__(
@@ -204,11 +204,8 @@ class SiteMap:
         return tuple(self.window.values())
 
     def value(self, site: Site):
-        site, window = tuple(site), self._window
-        if window is None:
-            if (row := self._window_index.rows(np.array([site], dtype=np.int64))[0]) >= 0:
-                return self.window_values[row]
-        elif site in window:
+        site, window = tuple(site), self.window if self._window is None else self._window
+        if site in window:
             return window[site]
         for ray, pattern in self.rays:
             t = ray.locate(site)

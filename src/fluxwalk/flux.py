@@ -356,6 +356,9 @@ def label_axes(lo, hi, bands, steps) -> list[np.ndarray]:
     return [np.arange(l - 2 * band, h + 2 * band + 1, s) for l, h, band, s in zip(lo, hi, bands, steps)]
 
 
+TRIPWIRE_BOUND = 1e-12  # largest entry by which a tripwire block may differ from its partner
+
+
 def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) -> FluxField:
     """Enumerate window, shell, and tripwire bands and build the field.
 
@@ -366,7 +369,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     shell labels together and once for the tripwire labels.  The shell band
     (one tail period per axis) carries one representative of every
     translation class of blocks beyond the window; the tripwire band
-    re-checks that, label by label, within ``tol.tripwire``.
+    re-checks that, label by label, within ``TRIPWIRE_BOUND``.
 
     The Hermiticity pass and the block norms (one stacked ``eigvalsh``) run
     on the M blocks of the box call, then the box takes per-label rows from
@@ -404,7 +407,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
         rows = shell_rows[found]
         tw_flux, *_, tw_which = block_fn(tripwire)
         missing = found < 0
-        differs = ~(np.abs(tw_flux[tw_which] - flux[rows]).max(axis=(1, 2)) <= tol.tripwire)
+        differs = ~(np.abs(tw_flux[tw_which] - flux[rows]).max(axis=(1, 2)) <= TRIPWIRE_BOUND)
         bad = np.flatnonzero(missing | differs)
         if bad.size:
             i = bad[0]
@@ -446,9 +449,12 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     )
 
 
+SELFCHECK_BOUND = 1e-12  # largest column norm by which the blockwise action may miss U*PU - P
+
+
 def selfcheck_against_operator(flux: FluxField, unitary, probes: dict | None = None) -> float:
     """Compare blockwise action against U*(P(U psi)) - P psi, within
-    ``tol.selfcheck``, on three random states (seed 7) as one state's columns,
+    ``SELFCHECK_BOUND``, on three random states (seed 7) as one state's columns,
     kept with P psi per window in ``probes`` across one projection's fluxes."""
     geom, probes = flux.geometry, {} if probes is None else probes
     if (key := (*geom.lo, *geom.hi)) not in probes:
@@ -457,7 +463,7 @@ def selfcheck_against_operator(flux: FluxField, unitary, probes: dict | None = N
     psi, p_psi = probes[key]
     via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - p_psi
     worst = float((via_op - flux.apply(psi)).norms().max())
-    if not (worst <= flux.tol.selfcheck):
+    if not (worst <= SELFCHECK_BOUND):
         raise ValidationError(f"blockwise flux deviates from U*PU - P by {worst:g}")
     return worst
 

@@ -601,7 +601,7 @@ def _cc_ensemble_analysis(setup, analysis, files):
     constant_sign = _flag(analysis.get("constant_sign", False), "constant_sign")
     seeds = _child_seeds(int(setup.spec["seed"]) + 1, draws)
     indices = []
-    plan = ccm.FluxPlan(setup.path)
+    plan = ccm.FluxPlan()
     for s in seeds:
         scattering = _path_scattering(setup.spec, setup.path, _rng(s))
         report, _ = ccm.cc_index(scattering, setup.path, setup.tol, plan)
@@ -651,7 +651,7 @@ def _cc_surgery_analysis(setup, analysis, files):
             continue
         new_path, expected_diff = bumped
         report, _ = ccm.cc_index(setup.scattering, new_path, setup.tol)
-        diff = ccm.region_difference_rank(extended, new_path, box=40, split_a=split)
+        diff = ccm.region_difference_rank(split, new_path)
         good = report.index == base_report.index and diff == expected_diff
         ok = ok and good
         results.append({"reroute": k, "index": report.index, "difference_rank": diff})
@@ -673,7 +673,7 @@ def _cc_anomalous_analysis(setup, analysis, files):
     traces = []
     ok = True
     base_index = None
-    plan = ccm.FluxPlan(setup.path)
+    plan = ccm.FluxPlan()
     for s in seeds:
         scattering = _path_scattering(setup.spec, setup.path, _rng(s))
         result = ccm.anomalous_transport(scattering, setup.path, epsilons, setup.tol, plan)

@@ -12,6 +12,7 @@ import pytest
 import reference_state as ref
 from fluxwalk.cc import (
     CRITICAL,
+    RegionSplit,
     ScatteringParams,
     anomalous_transport,
     cc_index,
@@ -329,7 +330,7 @@ def test_criterion_09_path_surgery():
             new_path, _ = out
             report, _ = cc_index(field, new_path)
             assert report.index == base_report.index
-            diff = region_difference_rank(base, new_path, box=36)
+            diff = region_difference_rank(RegionSplit(base, (-36, -36), (36, 36)), new_path)
             assert diff == 4
             done += 1
     assert done == 20

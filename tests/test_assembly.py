@@ -8,7 +8,6 @@ equal, bit for bit, ``M* diag(P_out) M - diag(P_in)`` built from the one-cell
 
 import itertools
 import re
-from dataclasses import replace
 from collections import deque
 
 import numpy as np
@@ -27,7 +26,7 @@ from fluxwalk.cc import (
     straight_r_path,
     wiggled_r_path,
 )
-from fluxwalk.config import DEFAULT, STRICT
+from fluxwalk.config import DEFAULT
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import SiteMap
 from fluxwalk.flux import assemble_field
@@ -230,17 +229,11 @@ def test_tripwire_mismatch_names_the_first_label():
         assemble_field(geometry, _shifted(geometry, bad, 0.5 * np.eye(2)), *args)
 
 
-def test_the_tripwire_bound_comes_from_the_tolerances():
-    # a 1e-11 Hermitian offset on one tripwire block fails the default 1e-12
-    # bound and passes a profile loosened to 1e-10
-    geometry, (lo_, hi_, bands, steps, _), lo, hi, band = _basic_assembly()
-    block_fn = _shifted(geometry, {(hi + 2 * band,)}, 1e-11 * np.eye(2))
-    assert DEFAULT.tripwire == STRICT.tripwire == 1e-12
-    for tol in (DEFAULT, STRICT):
-        with pytest.raises(ValidationError, match=rf"block \({hi + 2 * band},\) differs"):
-            assemble_field(geometry, block_fn, lo_, hi_, bands, steps, tol)
-    flux = assemble_field(geometry, block_fn, lo_, hi_, bands, steps, replace(DEFAULT, tripwire=1e-10))
-    assert flux.certificate.ok
+def test_a_small_tripwire_offset_fails_the_tail_check():
+    # a 1e-11 Hermitian offset on one tripwire block exceeds the 1e-12 bound
+    geometry, args, lo, hi, band = _basic_assembly()
+    with pytest.raises(ValidationError, match=rf"block \({hi + 2 * band},\) differs"):
+        assemble_field(geometry, _shifted(geometry, {(hi + 2 * band,)}, 1e-11 * np.eye(2)), *args)
 
 
 def test_nan_tripwire_block_fails_the_tail_check():

@@ -519,7 +519,7 @@ def test_surgery_wiggle_keeps_index():
     bumped = path_surgery(base, t_from, t_to, replacement, require_tag="r")
     report1, _ = cc_index(field, bumped)
     assert report1.index == report0.index == 0
-    assert region_difference_rank(base, bumped) == 4
+    assert region_difference_rank(RegionSplit(base, (-30, -30), (30, 30)), bumped) == 4
 
 
 def test_surgery_rejects_wrong_parity():

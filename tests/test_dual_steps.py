@@ -137,7 +137,8 @@ def test_random_bumps_match_the_scalar_reference(name):
     assert bumped
     for new_path, rank in bumped:
         assert_path_queries_match(new_path, probes=(40,))
-        assert region_difference_rank(extended, new_path, box=40) == rank == ref.region_difference(extended, new_path, 40)
+        split = RegionSplit(extended, (-40, -40), (40, 40))
+        assert region_difference_rank(split, new_path) == rank == ref.region_difference(extended, new_path, 40)
 
 
 def test_the_classified_range_only_grows():
@@ -161,7 +162,8 @@ def test_a_region_difference_at_the_box_boundary_fails_as_in_the_reference():
     base = straight_r_path().extended(8, 8)
     replacement = [(-3, 0), (-3, 1), (-3, 2), (-2, 2), (-1, 2), (-1, 1), (-1, 0)]
     bumped = path_surgery(base, base.middle.index((-3, 0)), base.middle.index((-1, 0)), replacement, "r")
-    assert region_difference_rank(base, bumped, box=6) == ref.region_difference(base, bumped, 6) == 4
-    for rank in (region_difference_rank, ref.region_difference):
-        with pytest.raises(ValidationError, match="region difference reaches the box boundary"):
-            rank(base, bumped, 4)
+    assert region_difference_rank(RegionSplit(base, (-6, -6), (6, 6)), bumped) == ref.region_difference(base, bumped, 6) == 4
+    with pytest.raises(ValidationError, match="region difference reaches the box boundary"):
+        region_difference_rank(RegionSplit(base, (-4, -4), (4, 4)), bumped)
+    with pytest.raises(ValidationError, match="region difference reaches the box boundary"):
+        ref.region_difference(base, bumped, 4)

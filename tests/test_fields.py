@@ -290,8 +290,8 @@ def test_array_lookups_match_the_scalar_ones(maps):
 
 
 def test_a_pair_window_reads_like_its_dict():
-    # the (sites, values) form builds its dict view only when an override or
-    # a description asks for it; a one-site lookup reads the window's index
+    # the (sites, values) form builds its dict view only when a one-site
+    # lookup, an override or a description asks for it
     sites = np.array([(0, 0), (2, -1), (-3, 4)])
     layers = dict(rays=[(Ray((5, 0), (1, 0)), ["r"])], background="bg")
     pair = SiteMap(2, window=(sites, ["a", "b", "c"]), **layers)
@@ -301,7 +301,6 @@ def test_a_pair_window_reads_like_its_dict():
     assert pair.bounds() == same.bounds() and pair.table == same.table
     assert pair._window is None
     assert [pair.value(p) for p in probes.tolist()] == ["a", "b", "c", "r", "bg"]
-    assert pair._window is None
     assert pair.window == same.window and list(pair.template_values()) == list(same.template_values())
     assert pair.overridden(window={(9, 9): "z"}).window == same.overridden(window={(9, 9): "z"}).window
     with pytest.raises(ValidationError, match="3 window sites, 2 values"):

@@ -3,9 +3,10 @@
 ``CellGeometry.block`` forms each distinct (cell row, P_in, P_out) block
 once, and ``assemble_field`` stacks per-label rows from those: every stacked
 block, cell matrix, eigenvalue row and norm must equal, bit for bit, one
-reference block and one ``eigvalsh`` per label.  ``cc.FluxPlan`` builds one
-``RegionSplit`` over the union of the points boxes it is given, which must
-read like each flux's own split, and keeps the selfcheck probes per window.
+reference block and one ``eigvalsh`` per label.  ``cc.FluxPlan`` keeps one
+``RegionSplit``, over the first flux's points box, and the selfcheck probes
+per window; a later flux reads the split beyond its box, where it must read
+like that flux's own split.
 """
 
 import itertools
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 import fluxwalk.cc as cc_module
 import reference_state as ref
 from fluxwalk.cc import (
-    FluxPlan,
     RegionSplit,
     anomalous_transport,
     cc_flux,
@@ -144,12 +144,13 @@ def test_a_non_hermitian_shared_block_names_its_first_label():
 
 
 # ---------------------------------------------------------------------------
-# one split over the union of the points boxes
+# one split, read beyond its box
 
 
 def _boxes(path, rng):
     """The points boxes of fluxes on three random windows around ``path``,
-    the largest reaching 12 cells past its explicit vertices."""
+    smallest first, the largest reaching 12 cells past its explicit
+    vertices, and the widest of their bands."""
     (lo, lo2), (hi, hi2) = path.bounds()
     reach = max(map(abs, (lo, lo2, hi, hi2)))
     boxes = []
@@ -160,43 +161,49 @@ def _boxes(path, rng):
     return [b[4] for b in boxes], max(max(b[2]) for b in boxes)
 
 
-def assert_union_split_reads_like_each(path, boxes, band):
-    union = FluxPlan(path).split(*boxes)
-    owns = [RegionSplit(path, *box) for box in boxes]
-    assert union.lo == tuple(np.min([own.lo for own in owns], axis=0).tolist())
-    assert union.hi == tuple(np.max([own.hi for own in owns], axis=0).tolist())
+def assert_split_reads_like_each_own(split, boxes, band):
+    """``split`` reads, at every point of each box's own split and three
+    bands beyond it, what that own split reads; the last box reaches past
+    ``split``'s box."""
+    owns = [RegionSplit(split.path, *box) for box in boxes]
+    assert (np.less(owns[-1].lo, split.lo) | np.greater(owns[-1].hi, split.hi)).any()
     for own in owns:
         axes = (range(l - 3 * band, h + 3 * band + 1) for l, h in zip(own.lo, own.hi))
         points = np.array(list(itertools.product(*axes)))
         slots = np.zeros(len(points), dtype=np.int64)
-        assert union.diagonal_entries(points, slots).tobytes() == own.diagonal_entries(points, slots).tobytes()
+        assert split.diagonal_entries(points, slots).tobytes() == own.diagonal_entries(points, slots).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(PATHS))
-def test_a_union_split_reads_like_each_flux_split(name):
+def test_a_split_reads_exactly_beyond_its_box(name):
     boxes, band = _boxes(PATHS[name], np.random.default_rng(5))
-    assert_union_split_reads_like_each(PATHS[name], boxes, band)
+    assert_split_reads_like_each_own(RegionSplit(PATHS[name], *boxes[0]), boxes, band)
 
 
 @pytest.mark.parametrize("name", sorted(PATHS))
-def test_a_union_split_of_a_random_bump_reads_like_each_flux_split(name):
+def test_a_split_of_a_random_bump_reads_exactly_beyond_its_box(name):
     extended = PATHS[name].extended(12, 12)
     t0, t1 = extended.m_last // 2 - 8, extended.m_last // 2 + 8
     rng = np.random.default_rng(17)
     bumped = [b for b in (random_bump(extended, rng, t0, t1) for _ in range(4)) if b is not None]
     assert bumped
     for new_path, _ in bumped:
-        assert_union_split_reads_like_each(new_path, *_boxes(new_path, rng))
+        boxes, band = _boxes(new_path, rng)
+        assert_split_reads_like_each_own(RegionSplit(new_path, *boxes[0]), boxes, band)
 
 
-def test_a_capped_union_split_reads_like_each_flux_split(monkeypatch):
+def test_the_capped_fluxes_read_the_uncapped_split_exactly(monkeypatch):
+    # the plan's split is built over the uncapped flux's box; the capped
+    # fluxes read it out to their full reach
     fluxes = _recorded_fluxes(monkeypatch)
     window = random_phase_window(np.random.default_rng(23), 0.2, range(-9, 10), range(-9, 10))
     path = crossover_path()
     anomalous_transport(SiteMap(2, window=window, background=params_r(0.2)), path, [0.25, 0.125, 0.0625])
+    split = fluxes[0].geometry.proj
+    assert all(flux.geometry.proj is split for flux in fluxes)
     boxes = [cc_flux_window(flux.geometry.unitary.scattering, path)[4] for flux in fluxes]
-    assert len(set(boxes)) == 3  # the uncapped window and two capped extents
-    assert_union_split_reads_like_each(path, boxes, max(max(flux.bands) for flux in fluxes))
+    assert len(set(boxes)) == 3 and boxes[0] == split.box  # the uncapped window and two capped extents
+    assert_split_reads_like_each_own(split, boxes, max(max(flux.bands) for flux in fluxes))
 
 
 # ---------------------------------------------------------------------------

@@ -185,14 +185,6 @@ def test_validation_builds_no_model(monkeypatch):
     assert counts == dict.fromkeys(names, 0)
 
 
-@pytest.mark.parametrize("name", ["cc_rpath", "cc_crossover_critical", "cc_crossover_r02", "cc_anomalous"])
-def test_cc_validation_reads_its_drawn_window_without_a_dict(name):
-    # the tail-weight check reads its cells through SiteMap.value, which
-    # finds a drawn window's row on the window's index
-    setup = _checked_setup(load(name))
-    assert len(setup.notes) == 2 and setup.scattering._window is None
-
-
 @pytest.mark.parametrize(
     "name, module, build, readers",
     [
