@@ -4,6 +4,7 @@ strictly local unitary dynamics on integer lattices."""
 from .config import DEFAULT, STRICT, Tolerances
 from .errors import (
     CertificationError,
+    ConsistencyError,
     DimensionMismatchError,
     EigenvalueAmbiguityError,
     FluxwalkError,

@@ -1,7 +1,10 @@
 """Batch runner: run, validate, and list scenario files.
 
 Exit codes: 0 all assertions passed, 1 an embedded assertion failed,
-2 a scenario file failed to parse, 3 a scenario failed validation.
+2 a scenario file failed to parse, 3 a scenario failed validation, 4 an
+internal consistency check failed, 5 a quantity the scenario asks for is
+undefined (a failed certificate, an ambiguous eigenvalue, a trace norm
+that does not sum).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
 
-from .errors import FluxwalkError, ValidationError
+from .errors import ConsistencyError, FluxwalkError, ValidationError
 from .report import dump_report
 from .scenarios import run_scenario, validate_scenario
 
@@ -22,6 +25,8 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
+EXIT_CONSISTENCY = 4
+EXIT_UNDEFINED = 5
 
 OUT_ENV = "FLUXWALK_OUT"
 
@@ -65,7 +70,7 @@ def _run_one(args: tuple[str, int | None, str, str]) -> int:
         return EXIT_VALIDATION
     except FluxwalkError as exc:
         print(f"error: {token}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_CONSISTENCY if isinstance(exc, ConsistencyError) else EXIT_UNDEFINED
     name = result.report.get("name") or path.stem
     target = Path(out_dir) / name
     target.mkdir(parents=True, exist_ok=True)

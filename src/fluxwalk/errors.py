@@ -15,6 +15,10 @@ class DimensionMismatchError(ValidationError):
     """Operator and state disagree on the internal dimension."""
 
 
+class ConsistencyError(FluxwalkError):
+    """An internal invariant failed: a self-check of computed results."""
+
+
 class CertificationError(FluxwalkError):
     """The spectral certificate at infinity failed; the index is undefined."""
 

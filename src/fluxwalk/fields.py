@@ -25,8 +25,8 @@ array forms, and ``CCUnitary`` reads its cells and actions off one
 serve callers holding one site or a few: lead synthesis and its checks, and
 the walk and projection actions on states of at most
 ``lattice.DICT_GROUPING`` sites.  On one site the scalar forms cost a few
-microseconds and the array forms about a hundred; from a few dozen sites on
-the array forms cost less, so the actions read longer states, such as the
+microseconds and the array forms 60 to 75; from a few dozen sites on the
+array forms cost less, so the actions read longer states, such as the
 iterates of a shift check, through the array forms.
 """
 
@@ -77,17 +77,14 @@ class Ray:
 
     def locate_all(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``locate`` for an (M, d) integer site array: a mask of the sites
-        on the ray and, where it is set, their ``t``, worked out on one row
-        per coordinate (NumPy reduces those far faster than (M, d) rows).
-        Floor division rounds like ``divmod``, as non-unit steps need."""
+        on the ray and their ``t``, the floor quotient on the first moving
+        axis, which hits where the offset is ``t * step`` and ``t >= 0``.  It
+        works on one row per coordinate, faster to reduce than (M, d) rows."""
         step = np.array(self.step, dtype=np.int64)[:, None]
         offsets = np.ascontiguousarray(sites.T) - np.array(self.base, dtype=np.int64)[:, None]
-        moving = step[:, 0] != 0
-        along, step = offsets[moving], step[moving]
-        q = along // step
-        t = q[0]
-        hit = (q * step == along).all(axis=0) & (q == t).all(axis=0) & (t >= 0)
-        return hit & (offsets[~moving] == 0).all(axis=0), t
+        axis = int(np.flatnonzero(step[:, 0])[0])
+        t = offsets[axis] // step[axis]
+        return (offsets == t * step).all(axis=0) & (t >= 0), t
 
     def site_at(self, t: int) -> Site:
         return tuple(b + t * s for b, s in zip(self.base, self.step))

@@ -32,13 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT, WINDOW_SITES, Tolerances
-from .errors import (
-    CertificationError,
-    EigenvalueAmbiguityError,
-    NonSummableError,
-    ValidationError,
-)
-from .lattice import LatticeState, SiteIndex, group_sites, random_state
+from .errors import CertificationError, ConsistencyError, EigenvalueAmbiguityError, NonSummableError, ValidationError
+from .lattice import LatticeState, SiteIndex, group_sites
 from .operators import compress
 
 
@@ -52,9 +47,6 @@ class FluxBlock:
     p_diag: np.ndarray
     rank_difference: int
     eigenvalues: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.eigenvalues)))
 
 
 class StackedBox(NamedTuple):
@@ -227,14 +219,22 @@ class CellGeometry:
             mats = mats.conj().transpose(0, 2, 1)
         return self._place(in_sites, in_slots, mats @ coords)
 
-    def probe_sites(self, rng: np.random.Generator) -> set:
-        """``probes`` random sites inside the window, from one draw."""
-        sites = rng.integers(self.lo, np.add(self.hi, 1), size=(self.probes, len(self.lo)))
-        return set(map(tuple, sites.tolist()))
-
     def probe_states(self, rng: np.random.Generator) -> LatticeState:
-        """Three random unit states on ``probe_sites`` each, as the columns of one state."""
-        return LatticeState.stack([random_state(rng, self.probe_sites(rng), self.state_dim) for _ in range(3)])
+        """Three random unit states on ``probes`` random window sites each, as
+        the columns of one state whose rows come in order of first appearance.
+        Each draws its sites in one call, then each distinct site's real and
+        imaginary parts in one call, and is scaled by its per-row norm."""
+        sites, columns = [], []
+        for _ in range(3):
+            draw = rng.integers(self.lo, np.add(self.hi, 1), size=(self.probes, len(self.lo)))
+            sites.append(np.array(list(set(map(tuple, draw.tolist()))), dtype=np.int64))
+            draws = rng.standard_normal((len(sites[-1]), 2, self.state_dim))
+            column = draws[:, 0] + 1j * draws[:, 1]
+            columns.append((1.0 / float(np.sqrt(sum(np.vdot(v, v).real for v in column)))) * column)
+        first, rows = group_sites(np.concatenate(sites))
+        values = np.zeros((len(first), self.state_dim, 3), dtype=complex)
+        values[rows, :, np.repeat(np.arange(3), [len(c) for c in columns])] = np.concatenate(columns)
+        return LatticeState(self.state_dim, (np.concatenate(sites).take(first, axis=0), values), _take=True)
 
 
 class FluxField:
@@ -286,7 +286,7 @@ class FluxField:
         block repeats there (the clamp the tripwire band certified)."""
         rows = self.box.index.rows(_tail_partners(labels, *np.array([self.lo, self.hi, self.bands])))
         if rows.min(initial=0) < 0:
-            raise ValidationError(f"label {tuple(labels[rows.argmin()].tolist())} has no block in the assembled box")
+            raise ConsistencyError(f"label {tuple(labels[rows.argmin()].tolist())} has no block in the assembled box")
         return rows
 
     def block_at(self, label) -> FluxBlock:
@@ -413,8 +413,8 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
             i = bad[0]
             label = tuple(tripwire[i].tolist())
             if missing[i]:
-                raise ValidationError(f"tripwire label {label} clamped outside the shell")
-            raise ValidationError(
+                raise ConsistencyError(f"tripwire label {label} clamped outside the shell")
+            raise ConsistencyError(
                 f"tail is not translation invariant: block {label} differs from {tuple(partners[i].tolist())}"
             )
 
@@ -464,7 +464,7 @@ def selfcheck_against_operator(flux: FluxField, unitary, probes: dict | None = N
     via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - p_psi
     worst = float((via_op - flux.apply(psi)).norms().max())
     if not (worst <= SELFCHECK_BOUND):
-        raise ValidationError(f"blockwise flux deviates from U*PU - P by {worst:g}")
+        raise ConsistencyError(f"blockwise flux deviates from U*PU - P by {worst:g}")
     return worst
 
 
@@ -579,7 +579,7 @@ def analyze(flux: FluxField) -> IndexReport:
     supertrace, the Kitaev sum and the trace norm."""
     report = index_by_kernels(flux)
     if report.index != flux.rank_difference:
-        raise ValidationError(
+        raise ConsistencyError(
             f"kernel count {report.index} disagrees with the rank formula {flux.rank_difference}"
         )
     report.rank_difference = flux.rank_difference

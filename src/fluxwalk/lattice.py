@@ -9,7 +9,7 @@ and an (S, n, K) value array that holds K vectors side by side as columns on
 one site index, so that operators act on all sites and all columns at once:
 they gather rows, multiply stacked matrices and build the image with
 ``LatticeState.scatter`` or from a new pair of arrays.  K = 1 is a single
-vector; ``LatticeState.stack`` and ``columns`` convert between the two, and
+vector; ``LatticeState.stack`` puts single vectors side by side, and
 ``gram`` takes every inner product of two stacks in one product.
 
 Every question of which row holds a site -- of a state, of a field's window,
@@ -72,13 +72,14 @@ def sub(a: Site, b: Site) -> Site:
 # tuples in ``group_sites`` and ``SiteIndex``, ``SiteMap.value`` in
 # ``CoinedWalk.coins``, ``open_slots`` in ``AdaptedProjection.apply``.  Per
 # call on 2 cores with NumPy 2.4, on a lead-network coin with a 64-site window
-# and 3 rays (us):
+# and 3 rays (us, median of 5 processes of best of 5):
 #
 #   sites   value loop   value_index + take   open_slots loop   slot_bits
-#       1          3.3                   88               5.8         108
-#      16           42                  115                69         118
-#      64          169                  103               285         109
-#     512        1 693                  179             2 854         195
+#       1          2.8                   62               2.8          74
+#      16           35                   65                43          76
+#      32           66                   82               103          83
+#      64          160                   86               207         106
+#     512        1 368                  119             1 648         133
 DICT_GROUPING = 64
 # no ``SiteIndex`` grid covers more sites than this and eight per table row
 GRID_CELLS = 1 << 16
@@ -108,10 +109,12 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     appearance: the entry index where each distinct site first appears, and
     for every entry the number of its distinct site.
 
-    Short arrays go through a dict of site tuples.  Longer ones whose
-    bounding box holds at most eight sites per entry mark each site's first
-    entry on a grid over the box; others are sorted by the raw bytes of each
-    row, a key that distinct sites never share, however far out they lie."""
+    Short arrays go through a dict of site tuples.  Longer ones find the
+    first entry of each entry's site, on a grid over the box when the
+    bounding box holds at most eight sites per entry, and otherwise by
+    sorting the raw bytes of each row, a key that distinct sites never
+    share, however far out they lie; the entries that are their own first
+    open the rows, in entry order."""
     if len(sites) == 1:
         return _SINGLE, _SINGLE
     if len(sites) <= DICT_GROUPING:
@@ -130,19 +133,15 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if box is None:
         keys = sites.view(np.dtype((np.void, 8 * sites.shape[1])))[:, 0]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        first = first[inverse]
     else:
         low, shape = box
         keys = np.ravel_multi_index(coords - low[:, None], shape)
         first = np.full(math.prod(shape), len(sites), dtype=np.intp)
         np.minimum.at(first, keys, np.arange(len(sites)))
-        met = np.flatnonzero(first < len(sites))
-        number = np.empty(len(first), dtype=np.intp)
-        number[met] = np.arange(len(met))
-        first, inverse = first[met], number[keys]
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
+        first = first[keys]
+    opens = first == np.arange(len(sites))
+    return np.flatnonzero(opens), (np.cumsum(opens) - 1)[first]
 
 
 class SiteIndex:
@@ -334,12 +333,6 @@ class LatticeState:
             row, column = row + len(s.value_array), column + s.n_columns
         return cls(n, (sites.take(first, axis=0), values), _take=True)
 
-    def columns(self) -> list["LatticeState"]:
-        """Every column as a state of its own, with the rows where it is
-        nonzero, in this state's row order."""
-        pairs = ((self.site_array, self.value_array[:, :, [k]]) for k in range(self.n_columns))
-        return [LatticeState(self.n_internal, pair, _take=True) for pair in pairs]
-
     @property
     def n_columns(self) -> int:
         return self.value_array.shape[2]
@@ -360,9 +353,6 @@ class LatticeState:
         """Each site with its vector, of a single-vector state."""
         self._single()
         return zip(self.site_list(), self.value_array[:, :, 0])
-
-    def sites(self) -> list[Site]:
-        return sorted(self.site_list())
 
     def rows_of(self, sites: np.ndarray) -> np.ndarray:
         """Row of each site of an (M, d) integer array, -1 where the state vanishes."""
@@ -418,8 +408,15 @@ class LatticeState:
 
     def combine(self, coeffs: np.ndarray) -> "LatticeState":
         """The state whose column j is the sum over i of ``coeffs[i, j]``
-        times column i, from one product on the same site index."""
-        return self.with_values(self.value_array @ coeffs)
+        times column i, on the same site index: one flat (S n, K) by (K, K')
+        product with the bits of S stacked (n, K) products.  With one slot
+        per site those are vector products, which round differently, so
+        they stay stacked."""
+        values, (s, n, k) = self.value_array, self.value_array.shape
+        if n == 1:
+            return self.with_values(values @ coeffs)
+        flat = values.reshape(s * n, k) @ coeffs
+        return self.with_values(flat.reshape(s, n, flat.shape[1]))
 
     def scaled(self, factor: complex) -> "LatticeState":
         return self.with_values(factor * self.value_array)
@@ -460,9 +457,6 @@ class LatticeState:
         if n == 0:
             raise ValueError("cannot normalize the zero state")
         return self.scaled(1.0 / n)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"LatticeState(n_internal={self.n_internal}, support={self.support_size()})"
 
 
 def random_state(rng: np.random.Generator, sites: Iterable[Site], n_internal: int) -> LatticeState:

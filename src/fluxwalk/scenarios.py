@@ -645,16 +645,19 @@ def _cc_surgery_analysis(setup, analysis, files):
     t0, t1 = extended.m_last // 2 - 8, extended.m_last // 2 + 8
     results = []
     ok = True
+    seen = {}  # the index and difference rank of each distinct rerouted path
     for k in range(reroutes):
         bumped = ccm.random_bump(extended, setup.rng, t0, t1)
         if bumped is None:
             continue
         new_path, expected_diff = bumped
-        report, _ = ccm.cc_index(setup.scattering, new_path, setup.tol)
-        diff = ccm.region_difference_rank(split, new_path)
-        good = report.index == base_report.index and diff == expected_diff
+        if new_path.middle not in seen:
+            index = ccm.cc_index(setup.scattering, new_path, setup.tol)[0].index
+            seen[new_path.middle] = index, ccm.region_difference_rank(split, new_path)
+        index, diff = seen[new_path.middle]
+        good = index == base_report.index and diff == expected_diff
         ok = ok and good
-        results.append({"reroute": k, "index": report.index, "difference_rank": diff})
+        results.append({"reroute": k, "index": index, "difference_rank": diff})
     return {
         "base_index": base_report.index,
         "reroutes": len(results),

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .flux import FluxField
 from .lattice import LatticeState, SiteIndex
 
@@ -89,6 +89,8 @@ class PerturbedUnitary:
     part of the polar splitting of the P-diagonal compression of U on the
     rest of each block.  The nonzero block maps are kept as one (N, k, k)
     stack in sorted label order with a ``SiteIndex`` over those labels.
+    Each action applies A = 1 + F + (U0 - 1)Q0 term by term, F only when
+    there are swapped pairs and the maps only when one is nonzero.
     """
 
     def __init__(self, base, flux: FluxField, kernels: KernelData):
@@ -129,13 +131,13 @@ class PerturbedUnitary:
         phi = blk.matrix
         w = np.eye(n) - phi @ phi - (p @ phi - phi @ p)
         if np.max(np.abs(w.conj().T @ w - (np.eye(n) - phi @ phi))) > self.tol.shift_check:
-            raise ValidationError(f"block {label}: polar identity W*W = 1 - flux^2 failed")
+            raise ConsistencyError(f"block {label}: polar identity W*W = 1 - flux^2 failed")
         q0 = e0 @ e0.conj().T
         u0q0 = w @ (e0 * (1.0 / np.sqrt(1.0 - lam0**2))) @ e0.conj().T
         # unitarity of U0 on Ran Q0
         defect = np.max(np.abs(u0q0.conj().T @ u0q0 - q0))
         if defect > self.tol.shift_check:
-            raise ValidationError(f"block {label}: polar factor is not unitary ({defect:g})")
+            raise ConsistencyError(f"block {label}: polar factor is not unitary ({defect:g})")
         m = u0q0 - q0
         # a map that is zero up to rounding of one block product acts as the identity
         if np.max(np.abs(m)) <= 1e-15:
@@ -146,7 +148,9 @@ class PerturbedUnitary:
 
     def _correction(self, psi: LatticeState, adjoint: bool) -> LatticeState:
         """A psi, column by column; A* differs only in the block maps (F = F*)."""
-        out = psi - self._diffs.combine(self._diffs.gram(psi))
+        out = psi - self._diffs.combine(self._diffs.gram(psi)) if self._diffs.n_columns else psi
+        if not len(self._map_stack):
+            return out
         return out + self.flux.geometry.apply_blocks(psi, self._map_index.rows, self._map_stack, adjoint)
 
     def apply(self, psi: LatticeState) -> LatticeState:

@@ -5,12 +5,14 @@ actions that consume it and the array cell protocol of ``flux.CellGeometry``.
 used before the packed layout, and the functions below are the per-site
 loops that the walk, projection, network and cell actions ran on it.  The
 tests compare the packed results against them bit for bit, row order
-included.  The cell references describe one cell, or one site of a region,
+included; ``columns`` splits a stacked state into single-column states.
+The cell references describe one cell, or one site of a region,
 at a time, from the model's fields and the scalar ``in_cell``/``out_cell``.
 ``random_phase_window`` is the per-cell draw loop that ``fluxwalk.cc``
 ran before it drew every phase of a window in one call, and
 ``random_state`` and ``probe_sites`` the per-site and per-coordinate draws
-of the selfcheck probes.
+of the selfcheck probes, and ``probe_states`` the builder that stacked
+three ``lattice.random_state`` calls into them.
 
 The dual-path references classify one step at a time: ``in_cell`` and
 ``out_cell`` own one point, ``crossed_points`` and ``edge_between`` give
@@ -30,6 +32,7 @@ import numpy as np
 
 from fluxwalk.cc import CCUnitary, RegionSplit, ScatteringParams
 from fluxwalk.errors import DimensionMismatchError, ValidationError
+from fluxwalk import lattice
 from fluxwalk.lattice import LatticeState, all_direction_vectors
 
 
@@ -102,6 +105,13 @@ class DictState:
 
 def to_dict(psi: LatticeState) -> DictState:
     return DictState(psi.n_internal, {site: vec.copy() for site, vec in psi.items()}, _take=True)
+
+
+def columns(psi: LatticeState) -> list[LatticeState]:
+    """Every column of ``psi`` as a state of its own, with the rows where it
+    is nonzero, in ``psi``'s row order."""
+    pairs = ((psi.site_array, psi.value_array[:, :, [k]]) for k in range(psi.n_columns))
+    return [LatticeState(psi.n_internal, pair, _take=True) for pair in pairs]
 
 
 def same_state(packed: LatticeState, ref: DictState) -> bool:
@@ -355,6 +365,18 @@ def probe_sites(geometry, rng) -> set:
         tuple(int(rng.integers(l, h + 1)) for l, h in zip(geometry.lo, geometry.hi))
         for _ in range(geometry.probes)
     }
+
+
+def probe_states(geometry, rng) -> LatticeState:
+    """The three probe states as ``CellGeometry.probe_states`` built them
+    before it drew them in one pass: per state one ``rng.integers`` call
+    for its sites, into a set, and ``lattice.random_state`` on them, then
+    one ``LatticeState.stack``."""
+    states = []
+    for _ in range(3):
+        draw = rng.integers(geometry.lo, np.add(geometry.hi, 1), size=(geometry.probes, len(geometry.lo)))
+        states.append(lattice.random_state(rng, set(map(tuple, draw.tolist())), geometry.state_dim))
+    return LatticeState.stack(states)
 
 
 # ---------------------------------------------------------------------------

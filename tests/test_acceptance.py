@@ -256,7 +256,7 @@ def test_criterion_07_cc_rpath_ensemble():
         for blk in list(flux.blocks.values()):
             evals = np.sort(np.linalg.eigvalsh(blk.matrix))
             worst_eig = max(worst_eig, float(np.max(np.abs(evals - np.array([-0.3, 0.3])))))
-            worst_norm = max(worst_norm, abs(blk.norm() - 0.3))
+            worst_norm = max(worst_norm, abs(np.abs(blk.eigenvalues).max() - 0.3))
     assert worst_norm <= 1e-10 and worst_eig <= 1e-10
     _report(7, f"100 draws, index 0, spectrum +-0.3 within {worst_eig:.1e}")
 

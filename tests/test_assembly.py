@@ -27,7 +27,7 @@ from fluxwalk.cc import (
     wiggled_r_path,
 )
 from fluxwalk.config import DEFAULT
-from fluxwalk.errors import ValidationError
+from fluxwalk.errors import ConsistencyError, ValidationError
 from fluxwalk.fields import SiteMap
 from fluxwalk.flux import assemble_field
 from fluxwalk.lattice import LatticeState
@@ -185,7 +185,7 @@ def test_a_label_without_a_box_row_fails_the_flux_action(monkeypatch):
     label = (flux.hi[0] + 4 * flux.bands[0],)
     psi = flux.geometry.make_state(label, np.ones(flux.box.flux.shape[1]))
     monkeypatch.setattr(flux_module, "_tail_partners", lambda labels, *bounds: labels)
-    with pytest.raises(ValidationError, match=re.escape(f"label {label} has no block in the assembled box")):
+    with pytest.raises(ConsistencyError, match=re.escape(f"label {label} has no block in the assembled box")):
         flux.apply(psi)
 
 
@@ -225,14 +225,14 @@ def test_non_hermitian_block_names_the_first_label():
 def test_tripwire_mismatch_names_the_first_label():
     geometry, args, lo, hi, band = _basic_assembly()
     bad = {(hi + 2 * band,), (lo - 2 * band,)}
-    with pytest.raises(ValidationError, match=rf"block \({lo - 2 * band},\) differs"):
+    with pytest.raises(ConsistencyError, match=rf"block \({lo - 2 * band},\) differs"):
         assemble_field(geometry, _shifted(geometry, bad, 0.5 * np.eye(2)), *args)
 
 
 def test_a_small_tripwire_offset_fails_the_tail_check():
     # a 1e-11 Hermitian offset on one tripwire block exceeds the 1e-12 bound
     geometry, args, lo, hi, band = _basic_assembly()
-    with pytest.raises(ValidationError, match=rf"block \({hi + 2 * band},\) differs"):
+    with pytest.raises(ConsistencyError, match=rf"block \({hi + 2 * band},\) differs"):
         assemble_field(geometry, _shifted(geometry, {(hi + 2 * band,)}, 1e-11 * np.eye(2)), *args)
 
 
@@ -241,10 +241,10 @@ def test_nan_tripwire_block_fails_the_tail_check():
     geometry, args, lo, hi, band = _basic_assembly()
     label = hi + 2 * band
     with pytest.raises(
-        ValidationError, match=rf"tail is not translation invariant: block \({label},\) differs"
+        ConsistencyError, match=rf"tail is not translation invariant: block \({label},\) differs"
     ) as info:
         assemble_field(geometry, _shifted(geometry, {(label,)}, np.full((2, 2), np.nan)), *args)
-    assert info.type is ValidationError
+    assert info.type is ConsistencyError
 
 
 @pytest.mark.parametrize("clamped_first", [True, False])
@@ -266,7 +266,7 @@ def test_tripwire_clamped_outside_the_shell_names_the_first_label(monkeypatch, c
         if clamped_first
         else rf"block \({first[0]},\) differs"
     )
-    with pytest.raises(ValidationError, match=expected):
+    with pytest.raises(ConsistencyError, match=expected):
         assemble_field(geometry, block_fn, *args)
 
 

@@ -9,12 +9,15 @@ bit for bit for the dense compression of a unitary (``matrix_on_window``),
 a single product on basis columns of exact zeros and ones.
 """
 
+import copy
 import itertools
+import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_state as ref
@@ -32,8 +35,11 @@ from fluxwalk.errors import DimensionMismatchError
 from fluxwalk.fields import SiteMap
 from fluxwalk.lattice import DICT_GROUPING, LatticeState, SiteIndex
 from fluxwalk.operators import matrix_on_window
-from fluxwalk.shift import build_perturbed, extract_kernels
+from fluxwalk.flux import CellGeometry
+from fluxwalk.shift import PerturbedUnitary, build_perturbed, extract_kernels, verify_shift_structure
 from fluxwalk.walks import (
+    LeadSpec,
+    NetworkSpec,
     boundary_projection_full,
     build_walk_flux,
     network_projection,
@@ -251,7 +257,7 @@ def test_empty_states_pass_through_every_action():
 def assert_columns_match(stacked, singles, tol=1e-14):
     """Column k of ``stacked`` equals ``singles[k]`` site by site, within
     ``tol`` relative to the largest entry of the single state."""
-    columns = stacked.columns()
+    columns = ref.columns(stacked)
     assert len(columns) == len(singles)
     for column, single in zip(columns, singles):
         got, want = dict(column.items()), dict(single.items())
@@ -286,7 +292,7 @@ def test_k_column_actions_match_k_single_column_actions(name, seed):
     states = _states(flux, seed, count=3, size=16)
     stacked = LatticeState.stack(states)
     # stacking and splitting keeps every column's rows and bits
-    for column, psi in zip(stacked.columns(), states):
+    for column, psi in zip(ref.columns(stacked), states):
         assert {s: v.tobytes() for s, v in column.items()} == {s: v.tobytes() for s, v in psi.items()}
     for action in _actions(flux, seed):
         assert_columns_match(action(stacked), [action(psi) for psi in states])
@@ -310,6 +316,93 @@ def test_perturbed_unitary_acts_on_k_columns_as_on_each(seed):
     stacked = LatticeState.stack(states)
     for action in (perturbed.apply, perturbed.apply_adjoint):
         assert_columns_match(action(stacked), [action(psi) for psi in states])
+
+
+@lru_cache(maxsize=None)
+def paired_model():
+    """The perturbed unitary of a network with index 0 and one swapped pair
+    of kernel vectors and no block maps (``test_paired_kernels_give_finite_rank_part``)."""
+    rng = np.random.default_rng(13)
+    g = LeadSpec("incoming", [(0, 1), (0, 0)], (0, 1))
+    r = LeadSpec("outgoing", [(3, 0)], (1, 0))
+    net = NetworkSpec(incoming=(g,), outgoing=(r,))
+    coin = synthesize_lead_coin(net, random_background(rng, 2, box=3))
+    flux = build_walk_flux(coin, network_projection(net))
+    return build_perturbed(flux.geometry.unitary, flux, extract_kernels(flux))
+
+
+def unconditional_correction(perturbed, psi, adjoint):
+    """psi - F psi + M psi with every term applied, F psi from the stacked
+    product, as the correction ran before it skipped empty terms."""
+    diffs = perturbed._diffs
+    out = psi - diffs.with_values(diffs.value_array @ diffs.gram(psi))
+    return out + perturbed.flux.geometry.apply_blocks(psi, perturbed._map_index.rows, perturbed._map_stack, adjoint)
+
+
+def count_correction_terms(monkeypatch):
+    """Counts of the ``gram`` and ``apply_blocks`` calls that
+    ``PerturbedUnitary._correction`` makes while the patches hold."""
+    calls = {"gram": 0, "apply_blocks": 0}
+    gram, apply_blocks = LatticeState.gram, CellGeometry.apply_blocks
+
+    def from_correction():
+        return sys._getframe(2).f_code is PerturbedUnitary._correction.__code__
+
+    def counted_gram(self, other):
+        calls["gram"] += from_correction()
+        return gram(self, other)
+
+    def counted_apply_blocks(self, psi, rows_of, matrices, adjoint=False):
+        calls["apply_blocks"] += from_correction()
+        return apply_blocks(self, psi, rows_of, matrices, adjoint)
+
+    monkeypatch.setattr(LatticeState, "gram", counted_gram)
+    monkeypatch.setattr(CellGeometry, "apply_blocks", counted_apply_blocks)
+    return calls
+
+
+def test_a_correction_without_pairs_or_maps_returns_its_input(monkeypatch):
+    # the basic example has no swapped pairs and no block maps: the
+    # correction is the identity, and a whole shift check forms no term of it
+    perturbed = perturbed_model()
+    assert perturbed._diffs.n_columns == 0 and len(perturbed._map_stack) == 0
+    psi = LatticeState.stack(_short_and_long_states(perturbed.flux, 5))
+    for adjoint in (False, True):
+        assert perturbed._correction(psi, adjoint) is psi
+    calls = count_correction_terms(monkeypatch)
+    assert verify_shift_structure(perturbed).ok
+    assert calls == {"gram": 0, "apply_blocks": 0}
+
+
+def test_the_counters_see_the_terms_a_correction_forms(monkeypatch):
+    # a shift check with a swapped pair forms the swap term and no map term;
+    # one action with random block maps forms the map term once
+    calls = count_correction_terms(monkeypatch)
+    assert verify_shift_structure(paired_model(), k_max=15).ok
+    assert calls["gram"] > 0 and calls["apply_blocks"] == 0
+    mapped = copy.copy(perturbed_model())
+    _, rows_of, mapped._map_stack = random_cell_maps(mapped.flux, np.random.default_rng(3))
+    mapped._map_index = SimpleNamespace(rows=rows_of)
+    calls.update(gram=0, apply_blocks=0)
+    mapped.apply(LatticeState.stack(_states(mapped.flux, 3)))
+    assert len(mapped._map_stack) and calls == {"gram": 0, "apply_blocks": 1}
+
+
+@pytest.mark.parametrize("pairs, maps", [(True, False), (False, True), (True, True)])
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds)
+def test_a_correction_with_pairs_or_maps_is_the_unconditional_one(pairs, maps, seed):
+    perturbed = copy.copy(paired_model() if pairs else perturbed_model())
+    if maps:
+        _, rows_of, matrices = random_cell_maps(perturbed.flux, np.random.default_rng(seed))
+        assume(len(matrices))
+        perturbed._map_index, perturbed._map_stack = SimpleNamespace(rows=rows_of), matrices
+    assert bool(perturbed._diffs.n_columns) == pairs and bool(len(perturbed._map_stack)) == maps
+    psi = LatticeState.stack(_short_and_long_states(perturbed.flux, seed))
+    for adjoint in (False, True):
+        got, want = perturbed._correction(psi, adjoint), unconditional_correction(perturbed, psi, adjoint)
+        assert got.site_array.tobytes() == want.site_array.tobytes()
+        assert got.value_array.tobytes() == want.value_array.tobytes()
 
 
 @pytest.mark.parametrize("name", WALKS + NETWORKS)

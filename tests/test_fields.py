@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxwalk.errors import ValidationError
@@ -24,6 +24,34 @@ def test_ray_locate():
     assert ray.locate((0, 0)) is None
     assert ray.locate((3, 1)) is None
     assert ray.site_at(2) == (3, 0)
+
+
+# coordinates near the origin and far out, short of where t * step leaves int64
+ray_coordinate = st.one_of(st.integers(-4, 4), st.sampled_from([2**40, -(2**40), 2**60, -(2**60)]))
+
+
+@st.composite
+def rays_and_sites(draw):
+    """A ray with a unit, non-unit or diagonal step and sites near its
+    base, on and beside it, and near the origin."""
+    d = draw(st.integers(1, 3))
+    base = draw(st.tuples(*[ray_coordinate] * d))
+    step = draw(st.tuples(*[st.integers(-3, 3)] * d).filter(any))
+    near = st.tuples(*[st.integers(-10, 10)] * d)
+    ray = Ray(base, step)
+    sites = [tuple(b + o for b, o in zip(base, off)) for off in draw(st.lists(near, max_size=30))]
+    sites += [tuple(x + o for x, o in zip(ray.site_at(t), off)) for t in range(-3, 6) for off in [(0,) * d, draw(near)]]
+    sites += draw(st.lists(near, max_size=10))
+    return ray, sites
+
+
+@settings(max_examples=200, deadline=None)
+@given(rays_and_sites())
+def test_locate_all_agrees_with_locate(case):
+    ray, sites = case
+    hit, t = ray.locate_all(np.array(sites, dtype=np.int64))
+    assert hit.dtype == bool and t.shape == hit.shape == (len(sites),)
+    assert [int(x) if h else None for h, x in zip(hit, t)] == [ray.locate(s) for s in sites]
 
 
 unit_rays_2d = st.builds(

@@ -9,6 +9,7 @@ import reference_state as ref
 from fluxwalk.config import DEFAULT, STRICT, Tolerances
 from fluxwalk.errors import (
     CertificationError,
+    ConsistencyError,
     EigenvalueAmbiguityError,
     NonSummableError,
     ValidationError,
@@ -212,7 +213,7 @@ def test_rank_formula_mismatch_fails_the_analysis():
     coin, proj = make_basic_example(seed=1)
     flux = build_walk_flux(coin, proj)
     flux.rank_difference += 1
-    with pytest.raises(ValidationError, match=re.escape("kernel count 1 disagrees with the rank formula 2")):
+    with pytest.raises(ConsistencyError, match=re.escape("kernel count 1 disagrees with the rank formula 2")):
         analyze(flux)
 
 
@@ -239,12 +240,7 @@ def _basic_flux_and_a_probed_kept_block():
     coin, proj = make_basic_example(seed=1)
     walk = build_walk(coin)
     flux = build_walk_flux(walk, proj)
-    rng = np.random.default_rng(7)
-    probed = set()
-    for _ in range(3):
-        sites = flux.geometry.probe_sites(rng)
-        probed |= sites
-        random_state(rng, sites, flux.geometry.state_dim)
+    probed = set(flux.geometry.probe_states(np.random.default_rng(7)).site_list())
     return flux, walk, flux.blocks[sorted(set(flux.blocks) & probed)[0]]
 
 
@@ -253,7 +249,7 @@ def test_selfcheck_catches_a_corrupted_kept_block():
     # probes meet, off by 1e-6 in one entry, must fail the check
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
     block.matrix[0, 0] += 1e-6
-    with pytest.raises(ValidationError, match=re.escape("blockwise flux deviates from U*PU - P by")):
+    with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by")):
         selfcheck_against_operator(flux, walk)
 
 
@@ -261,7 +257,7 @@ def test_selfcheck_catches_a_small_offset_on_a_kept_block():
     # a 1e-11 Hermitian offset on one probed kept block exceeds the 1e-12 bound
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
     block.matrix[...] += 1e-11 * np.eye(len(block.matrix))
-    with pytest.raises(ValidationError, match=re.escape("blockwise flux deviates from U*PU - P by")):
+    with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by")):
         selfcheck_against_operator(flux, walk)
 
 
@@ -269,9 +265,9 @@ def test_selfcheck_catches_a_nan_kept_block():
     # a NaN deviation compares false with the bound and must fail as well
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
     block.matrix[0, 0] = np.nan
-    with pytest.raises(ValidationError, match=re.escape("blockwise flux deviates from U*PU - P by nan")) as info:
+    with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by nan")) as info:
         selfcheck_against_operator(flux, walk)
-    assert info.type is ValidationError
+    assert info.type is ConsistencyError
 
 
 def test_guard_band_aborts():
@@ -367,22 +363,20 @@ def _probed_geometry(model):
 @pytest.mark.parametrize("seed", [7, 11, 3])
 @pytest.mark.parametrize("model", ["basic_example", "lead_network", "crossover"])
 def test_probe_states_match_the_per_coordinate_draws(model, seed):
-    # one integers call per state and one standard_normal call per state
-    # give the sites, their order, the values and the generator state of one
-    # call per coordinate and two per site
+    # per state one integers call and one standard_normal call give the
+    # sites, their order, the values and the generator state of one call per
+    # coordinate and two per site, and of the three random_state calls and
+    # the stack that built the probes before; twice in a row, as the shift
+    # check draws them
     geometry = _probed_geometry(model)
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(3):
-        sites = geometry.probe_sites(rng)
-        want = ref.probe_sites(geometry, ref_rng)
-        assert list(sites) == list(want)
-        got, ref_state = random_state(rng, sites, geometry.state_dim), ref.random_state(ref_rng, want, geometry.state_dim)
-        assert got.site_array.tobytes() == ref_state.site_array.tobytes()
-        assert got.value_array.tobytes() == ref_state.value_array.tobytes()
-    got = geometry.probe_states(rng)
-    want = LatticeState.stack(
-        [ref.random_state(ref_rng, ref.probe_sites(geometry, ref_rng), geometry.state_dim) for _ in range(3)]
-    )
-    assert got.site_array.tobytes() == want.site_array.tobytes()
-    assert got.value_array.tobytes() == want.value_array.tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    rng, per_site_rng, stacked_rng = (np.random.default_rng(seed) for _ in range(3))
+    for _ in range(2):
+        got = geometry.probe_states(rng)
+        per_site = LatticeState.stack(
+            [ref.random_state(per_site_rng, ref.probe_sites(geometry, per_site_rng), geometry.state_dim) for _ in range(3)]
+        )
+        for want in (per_site, ref.probe_states(geometry, stacked_rng)):
+            assert got.site_array.tobytes() == want.site_array.tobytes()
+            assert got.value_array.tobytes() == want.value_array.tobytes()
+        assert got.value_array.flags.c_contiguous
+        assert rng.bit_generator.state == per_site_rng.bit_generator.state == stacked_rng.bit_generator.state

@@ -261,3 +261,20 @@ def test_surgery_builds_the_extended_split_once(monkeypatch):
     out = ANALYSES["cc"]["surgery"](setup, {"reroutes": 6}, {})
     assert out["pass"] and out["reroutes"] >= 2
     assert sum(path.middle == extended.middle for path in splits) == 1
+
+
+def test_surgery_analyses_each_distinct_reroute_once(monkeypatch):
+    # a repeated reroute reads the index and difference rank of its first
+    # draw: one split of the extended path, then at most two per distinct
+    # path (its flux window's and its difference rank's); random_bump still
+    # runs for every reroute, so the draws do not change
+    setup = _setup("cc_rpath")
+    setup.flux
+    bumps, random_bump = [], cc_module.random_bump
+    monkeypatch.setattr(cc_module, "random_bump", lambda *args: bumps.append(random_bump(*args)) or bumps[-1])
+    splits, _ = _counting(monkeypatch)
+    out = ANALYSES["cc"]["surgery"](setup, {"reroutes": 20}, {})
+    distinct = {bumped[0].middle for bumped in bumps if bumped is not None}
+    assert out["pass"] and len(bumps) == 20
+    assert len(distinct) < out["reroutes"]  # 11 distinct paths in 20 reroutes
+    assert len(splits) <= 1 + 2 * len(distinct)

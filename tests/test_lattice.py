@@ -54,7 +54,7 @@ def test_state_basics():
 
 def test_zero_vectors_are_pruned():
     psi = LatticeState(2, {(0,): np.zeros(2), (1,): np.array([1.0, 0.0])})
-    assert psi.sites() == [(1,)]
+    assert sorted(psi.site_list()) == [(1,)]
     # cancellation leaves exact zeros, which are dropped as well
     assert (psi - psi).support_size() == 0
 
@@ -295,6 +295,34 @@ def test_states_of_different_site_dimension_do_not_mix():
 def test_a_state_rejects_sites_of_different_dimensions():
     with pytest.raises(DimensionMismatchError, match="different dimensions"):
         LatticeState(2, {(0,): [1.0, 0.0], (0, 1): [0.0, 1.0]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 90),
+    st.sampled_from([1, 2, 4, 6]),
+    st.one_of(st.integers(0, 3), st.integers(0, 130)),
+    st.one_of(st.integers(0, 3), st.integers(0, 130)),
+    st.integers(0, 2**32 - 1),
+)
+def test_combine_is_the_stacked_product_bit_for_bit(rows, n, k, k_out, seed):
+    # the flat (S n, K) product keeps the bits of the S stacked (n, K)
+    # products, also for states of no rows or no columns, signed zeros,
+    # zero columns and one slot per site
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, n, k)) + 1j * rng.standard_normal((rows, n, k))
+    values[rng.random(values.shape) < 0.3] = -0.0
+    if k:
+        values[:, :, rng.integers(k)] = 0.0
+    coeffs = rng.standard_normal((k, k_out)) + 1j * rng.standard_normal((k, k_out))
+    coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
+    psi = LatticeState(n, (np.arange(rows, dtype=np.int64)[:, None], values))
+    want = psi.value_array @ coeffs
+    got = psi.combine(coeffs)
+    keep = np.logical_or.reduce(want, axis=(1, 2))
+    assert got.value_array.shape == want[keep].shape and got.value_array.flags.c_contiguous
+    assert got.value_array.tobytes() == want[keep].tobytes()
+    assert got.site_array.tobytes() == psi.site_array[keep].tobytes()
 
 
 def test_rows_keep_first_insertion_order():

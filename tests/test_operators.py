@@ -22,12 +22,12 @@ def test_shift_moves_components():
     plus = direction_index(1, 1)
     minus = direction_index(1, -1)
     out = shift.apply(LatticeState.basis((0,), plus, 2))
-    assert out.sites() == [(1,)]
+    assert sorted(out.site_list()) == [(1,)]
     assert out.vector_at((1,))[plus] == 1.0
     back = shift.apply_adjoint(LatticeState.basis((1,), plus, 2))
-    assert back.sites() == [(0,)]
+    assert sorted(back.site_list()) == [(0,)]
     out2 = shift.apply(LatticeState.basis((0,), minus, 2))
-    assert out2.sites() == [(-1,)]
+    assert sorted(out2.site_list()) == [(-1,)]
 
 
 def test_apply_zero_state():
@@ -131,7 +131,7 @@ def test_locality_one_ball():
     walk = CoinedWalk(random_background(rng, 3, box=2))
     psi = LatticeState.basis((0, 0, 0), 2, 6)
     out = walk.apply(psi)
-    for site in out.sites():
+    for site in out.site_list():
         assert sum(abs(c) for c in site) == 1
 
 

@@ -9,8 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fluxwalk.cli as cli_module
 from fluxwalk.cli import bundled_scenarios, main
-from fluxwalk.errors import EigenvalueAmbiguityError, NonSummableError, ValidationError
+from fluxwalk.errors import (
+    CertificationError,
+    ConsistencyError,
+    EigenvalueAmbiguityError,
+    NonSummableError,
+    ValidationError,
+)
 from fluxwalk.report import dump_report
 from fluxwalk.scenarios import ANALYSES, ANALYSIS_KEYS, _checked_setup, run_scenario, validate_scenario
 
@@ -152,8 +159,9 @@ def test_lead_network_analyses_reuse_the_checked_setup(monkeypatch):
 @pytest.mark.parametrize(
     "name, assembled",
     # 3, 2, 2 and 123 when each analysis built its own base flux; cc_rpath
-    # adds 100 ensemble draws and 20 reroutes to its one base flux
-    [("basic_example", 1), ("half_line_plus", 1), ("two_incoming_leads", 1), ("cc_rpath", 121)],
+    # adds 100 ensemble draws and the 11 distinct paths of its 20 reroutes
+    # to its one base flux (121 when surgery analysed every reroute)
+    [("basic_example", 1), ("half_line_plus", 1), ("two_incoming_leads", 1), ("cc_rpath", 112)],
 )
 def test_a_setup_assembles_its_base_flux_once(monkeypatch, name, assembled):
     counts = count_calls(monkeypatch, ["assemble_field"])
@@ -333,6 +341,28 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert (tmp_path / "half_line_plus" / "report.json").exists()
 
     assert main(["run", "no_such_scenario", "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (ValidationError("bad input"), 3),
+        (ConsistencyError("blockwise flux deviates from U*PU - P by 1e-06"), 4),
+        (CertificationError("certificate failed: tail bound 1 at radius 3"), 5),
+        (EigenvalueAmbiguityError((0,), 0.9999, 1e-6), 5),
+        (NonSummableError("tail blocks are not identically zero"), 5),
+    ],
+)
+def test_cli_exit_code_names_the_error_class(monkeypatch, tmp_path, capsys, error, code):
+    # bad input exits 3, a failed internal check 4, and an undefined
+    # quantity 5; each prints the error's own message
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli_module, "run_scenario", failing)
+    assert main(["run", "basic_example", "--out", str(tmp_path)]) == code
+    assert str(error) in capsys.readouterr().err
+    assert not (tmp_path / "basic_example").exists()
 
 
 @pytest.mark.parametrize(

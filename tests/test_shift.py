@@ -15,7 +15,7 @@ from fluxwalk.cc import (
 )
 from fluxwalk.fields import HalfSpace, Ray, SiteMap
 from fluxwalk.flux import analyze
-from fluxwalk.errors import ValidationError
+from fluxwalk.errors import ConsistencyError
 from fluxwalk.lattice import LatticeState, direction_index, haar_unitary
 import reference_state as ref
 from reference_state import trace_norm_hermitian
@@ -63,7 +63,7 @@ def test_kernel_extraction_basic_example():
     assert len(kd.ker_plus) == 1 and len(kd.ker_minus) == 0
     assert kd.index == 1 and kd.multiplicity == 1 and kd.flipped
     # the kernel vector is localized at the single flux site
-    assert kd.ker_plus[0].sites() == [(1,)]
+    assert sorted(kd.ker_plus[0].site_list()) == [(1,)]
 
 
 def test_kernel_extraction_zero_flux():
@@ -162,7 +162,7 @@ def test_polar_identity_failure_is_caught():
     label = _first_polar_block(flux)
     flux.blocks[label].matrix[0, 0] += 1e-6
     message = f"block {label}: polar identity W*W = 1 - flux^2 failed"
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    with pytest.raises(ConsistencyError, match=re.escape(message)):
         build_perturbed(build_walk(coin), flux, kd)
     # the check reads tol.shift_check: a looser one lets the same defect pass
     flux.tol = dataclasses.replace(flux.tol, shift_check=1e-3)
@@ -182,7 +182,7 @@ def test_polar_unitarity_failure_is_caught():
     inside = [i for i in range(len(evals)) if i not in plus and i not in minus]
     moved[inside] += 1e-3
     flux._eig_cache[label] = (moved, evecs)
-    with pytest.raises(ValidationError, match=re.escape(f"block {label}: polar factor is not unitary")):
+    with pytest.raises(ConsistencyError, match=re.escape(f"block {label}: polar factor is not unitary")):
         build_perturbed(build_walk(coin), flux, kd)
 
 
