@@ -409,11 +409,12 @@ class LatticeState:
     def combine(self, coeffs: np.ndarray) -> "LatticeState":
         """The state whose column j is the sum over i of ``coeffs[i, j]``
         times column i, on the same site index: one flat (S n, K) by (K, K')
-        product with the bits of S stacked (n, K) products.  With one slot
-        per site those are vector products, which round differently, so
-        they stay stacked."""
+        product with the bits of S stacked (n, K) products.  Those stay
+        stacked for one slot per site, where they are vector products, and
+        for K > 128, where a threaded OpenBLAS splits the flat one: both
+        round differently."""
         values, (s, n, k) = self.value_array, self.value_array.shape
-        if n == 1:
+        if n == 1 or k > 128:
             return self.with_values(values @ coeffs)
         flat = values.reshape(s * n, k) @ coeffs
         return self.with_values(flat.reshape(s, n, flat.shape[1]))

@@ -301,14 +301,15 @@ def test_a_state_rejects_sites_of_different_dimensions():
 @given(
     st.integers(0, 90),
     st.sampled_from([1, 2, 4, 6]),
-    st.one_of(st.integers(0, 3), st.integers(0, 130)),
-    st.one_of(st.integers(0, 3), st.integers(0, 130)),
+    st.one_of(st.integers(0, 3), st.integers(0, 140), st.integers(124, 136)),
+    st.one_of(st.integers(0, 3), st.integers(0, 40)),
     st.integers(0, 2**32 - 1),
 )
 def test_combine_is_the_stacked_product_bit_for_bit(rows, n, k, k_out, seed):
     # the flat (S n, K) product keeps the bits of the S stacked (n, K)
     # products, also for states of no rows or no columns, signed zeros,
-    # zero columns and one slot per site
+    # zero columns, one slot per site and K either side of 128, where a
+    # threaded OpenBLAS rounds a flat product differently
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((rows, n, k)) + 1j * rng.standard_normal((rows, n, k))
     values[rng.random(values.shape) < 0.3] = -0.0
