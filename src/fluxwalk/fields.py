@@ -25,7 +25,7 @@ array forms, and ``CCUnitary`` reads its cells and actions off one
 serve callers holding one site or a few: lead synthesis and its checks, and
 the walk and projection actions on states of at most
 ``lattice.DICT_GROUPING`` sites.  On one site the scalar forms cost a few
-microseconds and the array forms 60 to 75; from a few dozen sites on the
+microseconds and the array forms 50 to 70; from a few dozen sites on the
 array forms cost less, so the actions read longer states, such as the
 iterates of a shift check, through the array forms.
 """

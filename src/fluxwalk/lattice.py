@@ -75,11 +75,11 @@ def sub(a: Site, b: Site) -> Site:
 # and 3 rays (us, median of 5 processes of best of 5):
 #
 #   sites   value loop   value_index + take   open_slots loop   slot_bits
-#       1          2.8                   62               2.8          74
-#      16           35                   65                43          76
-#      32           66                   82               103          83
-#      64          160                   86               207         106
-#     512        1 368                  119             1 648         133
+#       1          2.8                   53               2.8          68
+#      16           34                   64                40          73
+#      32           66                   62                91          80
+#      64          108                   68               157          88
+#     512        1 033                  103             1 327         106
 DICT_GROUPING = 64
 # no ``SiteIndex`` grid covers more sites than this and eight per table row
 GRID_CELLS = 1 << 16
