@@ -11,7 +11,7 @@ at a time, from the model's fields and the scalar ``in_cell``/``out_cell``.
 ``random_phase_window`` is the per-cell draw loop that ``fluxwalk.cc``
 ran before it drew every phase of a window in one call, and
 ``random_state`` and ``probe_sites`` the per-site and per-coordinate draws
-of the selfcheck probes, and ``probe_states`` the builder that stacked
+of the selfcheck probes, and ``probe_states`` the function that stacked
 three ``lattice.random_state`` calls into them.
 
 The dual-path references classify one step at a time: ``in_cell`` and
