@@ -150,8 +150,9 @@ class SiteMap:
     and ``window_values``, and builds the other views on first use.
 
     The layers are read-only (a mapping proxy and tuples, and a pair's
-    arrays are not changed once handed in), so the lookup table and the
-    window's ``SiteIndex``, both built on first use, stay valid.
+    arrays are not changed once handed in), so the lookup table, the
+    window's ``SiteIndex`` and the ``bounds`` and ``periods``, each computed
+    on first use, stay valid; ``bounds`` and ``periods`` return fresh lists.
     ``value_index`` serves block assembly, the Chalker--Coddington
     actions and the walk actions on states of more than ``DICT_GROUPING``
     sites, ``distinct_values`` the walk cells; ``value`` serves one-site
@@ -305,6 +306,10 @@ class SiteMap:
         """Per-axis feature bounds [lo, hi] covering the origin, window, ray
         bases, plane values and half-space thresholds: one min and one max
         over all of them, each plane and half-space as a point on its axis."""
+        return [*self._bounds[0]], [*self._bounds[1]]
+
+    @cached_property
+    def _bounds(self) -> tuple[list[int], list[int]]:
         marks = [(p.axis, p.value) for p, _ in self.planes]
         marks += [(h.axis, h.sign * h.threshold) for h, _ in self.halfspaces]
         axial = np.zeros((self.d, len(marks) + 1), dtype=np.int64)
@@ -320,6 +325,10 @@ class SiteMap:
         bounds; rays not parallel to the axis leave the far region after a
         bounded stretch and contribute nothing.
         """
+        return [*self._periods]
+
+    @cached_property
+    def _periods(self) -> list[int]:
         per = [1] * self.d
         for ray, pattern in self.rays:
             nz = [(j, s) for j, s in enumerate(ray.step) if s != 0]

@@ -158,9 +158,11 @@ class CellGeometry:
         self.probes = probes
 
     def block(self, labels: np.ndarray):
-        """The ``block_fn`` of ``assemble_field``: the labelled cells' distinct
-        (row, P_in, P_out) stacks and each label's row among them.  One
-        ``diagonal_entries`` call covers both bases of every cell."""
+        """The ``block_fn`` of ``assemble_field``, called once per flux on
+        every enumerated label: the labelled cells' distinct (row, P_in,
+        P_out) stacks and each label's row among them, so window, shell and
+        tripwire labels of one key share one block.  One ``diagonal_entries``
+        call covers both bases of every cell."""
         table, rows, (in_sites, in_slots), (out_sites, out_slots) = self.unitary.cells(labels)
         n, k, d = in_sites.shape
         sites = np.concatenate([in_sites, out_sites], axis=1).reshape(-1, d)
@@ -365,17 +367,19 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     ``block_fn(labels)`` takes an (N, d) integer array of labels and returns
     ``(flux blocks, P_in, P_out, cell matrices, which)``: (M, k, k), (M, k),
     (M, k) and (M, k, k) stacks of M distinct blocks and each label's row
-    among them; it must be total.  It is called once for the window and
-    shell labels together and once for the tripwire labels.  The shell band
+    among them; it must be total.  It is called once, on every enumerated
+    label (window, shell and tripwire, in enumeration order).  The shell band
     (one tail period per axis) carries one representative of every
     translation class of blocks beyond the window; the tripwire band
-    re-checks that, label by label, within ``TRIPWIRE_BOUND``.
+    re-checks that, label by label, within ``TRIPWIRE_BOUND``, against the
+    box row of its shell partner.
 
-    The Hermiticity pass and the block norms (one stacked ``eigvalsh``) run
-    on the M blocks of the box call, then the box takes per-label rows from
-    them.  One stacked
-    ``eigh`` over the kept window blocks fills the eigensystem cache.  Errors
-    name the first offending label in enumeration order (lexicographic).
+    The Hermiticity flag is read at the box labels only, before the
+    tripwire check; then one stacked ``eigvalsh`` over the M distinct blocks
+    gives eigenvalues and norms, and the box takes per-label rows of every
+    stack.  One stacked ``eigh`` over the kept window blocks fills the
+    eigensystem cache.  Errors name the first offending label in enumeration
+    order (lexicographic).
     """
     dims = len(lo)
     for j in range(dims):
@@ -391,32 +395,29 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
 
     in_box = zone < 2
     box_index = SiteIndex(labels[in_box])
-    flux, p_in, p_out, cells, which = block_fn(box_index.table)
+    flux, p_in, p_out, cells, which = block_fn(labels)
+    box_which, tripwire = which[in_box], ~in_box
     deviation = np.abs(flux - flux.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = np.flatnonzero(~(deviation <= tol.hermitian)[which])
+    bad = np.flatnonzero(~(deviation <= tol.hermitian)[box_which])
     if bad.size:
         raise ValidationError(f"flux block at {tuple(box_index.table[bad[0]].tolist())} is not Hermitian")
-    flux, p_in, p_out, cells, evals = (a[which] for a in (flux, p_in, p_out, cells, np.linalg.eigvalsh(flux)))
 
     zone_box = zone[in_box]
-    shell_rows = np.flatnonzero(zone_box == 1)
-    tripwire = labels[zone == 2]
-    if len(tripwire):
-        partners = _tail_partners(tripwire, lo_a, hi_a, bands_a)
-        found = SiteIndex(box_index.table[shell_rows]).rows(partners)
-        rows = shell_rows[found]
-        tw_flux, *_, tw_which = block_fn(tripwire)
-        missing = found < 0
-        differs = ~(np.abs(tw_flux[tw_which] - flux[rows]).max(axis=(1, 2)) <= TRIPWIRE_BOUND)
+    if tripwire.any():
+        partners = _tail_partners(labels[tripwire], lo_a, hi_a, bands_a)
+        found = box_index.rows(partners)
+        missing = (found < 0) | (zone_box[found] != 1)
+        differs = ~(np.abs(flux[which[tripwire]] - flux[box_which[found]]).max(axis=(1, 2)) <= TRIPWIRE_BOUND)
         bad = np.flatnonzero(missing | differs)
         if bad.size:
             i = bad[0]
-            label = tuple(tripwire[i].tolist())
+            label = tuple(labels[tripwire][i].tolist())
             if missing[i]:
                 raise ConsistencyError(f"tripwire label {label} clamped outside the shell")
             raise ConsistencyError(
                 f"tail is not translation invariant: block {label} differs from {tuple(partners[i].tolist())}"
             )
+    flux, p_in, p_out, cells, evals = (a[box_which] for a in (flux, p_in, p_out, cells, np.linalg.eigvalsh(flux)))
 
     norms = np.abs(evals).max(axis=1)
     rank_differences = np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
@@ -433,6 +434,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
 
     bound = 0.0
     witness = None
+    shell_rows = np.flatnonzero(zone_box == 1)
     if shell_rows.size:
         j = shell_rows[int(np.argmax(norms[shell_rows]))]
         if norms[j] > 0.0:
@@ -555,14 +557,18 @@ def kitaev_sum(flux: FluxField) -> complex:
     blocks: the |matrix|^2-weighted difference of outgoing and incoming
     memberships, cell by cell.  For unitary cells each term is rank P_out -
     rank P_in, so this cross-checks the rank formula rather than counting
-    the index independently."""
+    the index independently.  The terms are formed in stacked passes (per
+    cell the same row sums, column sums and dot products as one cell alone)
+    and added in row order as Python floats, so the sum keeps its bits."""
     _require_trace_class(flux)
     box = flux.box
     rows = np.flatnonzero(box.window & (box.p_in.any(axis=1) | box.p_out.any(axis=1)))
+    a2 = np.abs(box.cells[rows]) ** 2
+    outs = box.p_out[rows, None, :] @ a2.sum(axis=2)[:, :, None]
+    ins = a2.sum(axis=1)[:, None, :] @ box.p_in[rows, :, None]
     total = 0.0
-    for i in rows.tolist():
-        a2 = np.abs(box.cells[i]) ** 2
-        total += float(box.p_out[i] @ a2.sum(axis=1) - a2.sum(axis=0) @ box.p_in[i])
+    for term in (outs - ins).ravel().tolist():
+        total += term
     return complex(total)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,10 @@ class LeadSpec:
     for outgoing leads, gamma(-m..-1) for incoming ones.  The ray continues
     from the far end of the prefix in direction ``ray_dir`` (pointing toward
     infinity).
+
+    A lead never changes, so the geometry its callers read is computed on
+    first use and kept as read-only tuples: ``window_pairs``,
+    ``constraint_items`` and ``ray_family``.
     """
 
     kind: str
@@ -175,7 +180,7 @@ class LeadSpec:
                 raise ValidationError("lead prefix must take unit steps")
         if len(set(self.prefix)) != len(self.prefix):
             raise ValidationError("lead prefix revisits a site")
-        ray = Ray(self._ray_base(), self.ray_dir)
+        ray = self.ray_family[0]
         for p in self.prefix:
             if ray.locate(p) is not None:
                 raise ValidationError("lead ray re-enters its own prefix")
@@ -219,38 +224,29 @@ class LeadSpec:
             return range(1, m + 1)
         return range(-m, 0)
 
-    def pairs_window(self) -> list[tuple[Site, Site]]:
-        return [(self.site(t), self.tangent(t)) for t in self.window_range()]
+    @cached_property
+    def window_pairs(self) -> tuple[tuple[Site, Site], ...]:
+        """(site, tangent) at every prefix site, in chronological order."""
+        return tuple((self.site(t), self.tangent(t)) for t in self.window_range())
 
-    def ray_pair_family(self) -> tuple[Site, Site, Site]:
-        """(first site, step, constant tangent) of the infinite tail."""
-        if self.kind == "outgoing":
-            return self._ray_base(), self.ray_dir, self.ray_dir
-        return self._ray_base(), self.ray_dir, tuple(-c for c in self.ray_dir)
+    @cached_property
+    def ray_family(self) -> tuple[Ray, Site, int]:
+        """(ray, constant tangent, its slot) of the infinite tail: on the ray
+        the coin must fix that slot."""
+        tangent = self.ray_dir if self.kind == "outgoing" else tuple(-c for c in self.ray_dir)
+        return Ray(self._ray_base(), self.ray_dir), tangent, index_of_vector(tangent)
 
-    def constraint_items(self):
+    @cached_property
+    def constraint_items(self) -> tuple[tuple[Site, int, int], ...]:
         """(site, in_slot, out_slot) for the explicit part of the conduction
-        condition; the constant ray constraint is reported separately."""
-        out = []
+        condition; the constant ray constraint is ``ray_family``."""
         if self.kind == "outgoing":
             ts = range(1, len(self.prefix) + 1)
         else:
             ts = range(-len(self.prefix) - 1, -1)  # t <= -2, plus first ray junction
-        for t in ts:
-            out.append(
-                (
-                    self.site(t),
-                    index_of_vector(self.tangent(t)),
-                    index_of_vector(self.tangent(t + 1)),
-                )
-            )
-        return out
-
-    def ray_constraint(self) -> tuple[Site, Site, int]:
-        """(base, step, slot): on the ray tail the coin must fix ``slot``."""
-        base, step, tangent = self.ray_pair_family()
-        slot = index_of_vector(tangent)
-        return base, step, slot
+        return tuple(
+            (self.site(t), index_of_vector(self.tangent(t)), index_of_vector(self.tangent(t + 1))) for t in ts
+        )
 
 
 @dataclass(frozen=True)
@@ -296,10 +292,8 @@ class ValidNetwork(NetworkSpec):
 
 
 def _ray_hits_pair(lead: LeadSpec, site: Site, tangent: Site) -> bool:
-    base, step, ray_tangent = lead.ray_pair_family()
-    if tangent != ray_tangent:
-        return False
-    return Ray(base, step).locate(site) is not None
+    ray, ray_tangent, _ = lead.ray_family
+    return tangent == ray_tangent and ray.locate(site) is not None
 
 
 def validate_network(network: NetworkSpec) -> ValidNetwork:
@@ -309,18 +303,17 @@ def validate_network(network: NetworkSpec) -> ValidNetwork:
     if network.boundary is not None:
         b = network.boundary
         for lead in leads:
-            for site, tangent in lead.pairs_window():
+            for site, tangent in lead.window_pairs:
                 if not b.contains(site):
                     raise ValidationError(f"lead site {site} is off the boundary plane")
                 if tangent[b.axis] != 0:
                     raise ValidationError(f"lead tangent {tangent} leaves the boundary plane")
-            base, step, tangent = lead.ray_pair_family()
-            if step[b.axis] != 0 or not b.contains(base):
+            ray = lead.ray_family[0]
+            if ray.step[b.axis] != 0 or not b.contains(ray.base):
                 raise ValidationError("lead ray leaves the boundary plane")
     seen: dict[tuple[Site, Site], int] = {}
     for i, lead in enumerate(leads):
-        pairs = lead.pairs_window()
-        for site, tangent in pairs:
+        for site, tangent in lead.window_pairs:
             key = (site, tangent)
             if key in seen and seen[key] != i:
                 raise ValidationError(
@@ -332,17 +325,17 @@ def validate_network(network: NetworkSpec) -> ValidNetwork:
         for j, other in enumerate(leads):
             if i == j:
                 continue
-            for site, tangent in lead.pairs_window():
+            for site, tangent in lead.window_pairs:
                 if _ray_hits_pair(other, site, tangent):
                     raise ValidationError(
                         f"tangential crossing at site {site} with tangent {tangent}"
                     )
     # ray against ray: same constant tangent on shared sites
     for i, lead in enumerate(leads):
-        base_i, step_i, tan_i = lead.ray_pair_family()
+        ray_i, tan_i, _ = lead.ray_family
         for j in range(i + 1, len(leads)):
-            base_j, step_j, tan_j = leads[j].ray_pair_family()
-            if tan_i == tan_j and Ray(base_i, step_i).meet(Ray(base_j, step_j)) is not None:
+            ray_j, tan_j, _ = leads[j].ray_family
+            if tan_i == tan_j and ray_i.meet(ray_j) is not None:
                 raise ValidationError(
                     f"lead rays overlap tangentially along tangent {tan_i}"
                 )
@@ -360,10 +353,10 @@ def network_projection(network: NetworkSpec) -> AdaptedProjection:
     window: dict[Site, set] = {}
     rays = []
     for lead in leads:
-        for site, tangent in lead.pairs_window():
+        for site, tangent in lead.window_pairs:
             window.setdefault(site, set()).add(index_of_vector(tangent))
-        base, step, slot = lead.ray_constraint()
-        rays.append((Ray(base, step), [{slot}]))
+        ray, _, slot = lead.ray_family
+        rays.append((ray, [{slot}]))
     planes = []
     halfspaces = []
     if network.boundary is not None:
@@ -429,15 +422,13 @@ def synthesize_lead_coin(
         entry[slot_in] = slot_out
 
     for lead in leads:
-        for site, slot_in, slot_out in lead.constraint_items():
+        for site, slot_in, slot_out in lead.constraint_items:
             add_constraint(site, slot_in, slot_out)
 
     # wherever two lead rays share sites, or a ray meets an explicit
     # constraint site, the joint constraint must live in the window or in a
     # merged ray layer so that layer precedence cannot shadow it
-    ray_rules = [
-        (Ray(base, step), slot) for base, step, slot in map(LeadSpec.ray_constraint, leads)
-    ]
+    ray_rules = [(ray, slot) for ray, _, slot in (lead.ray_family for lead in leads)]
     merged_tails: list[tuple[Ray, dict[int, int]]] = []
     for i, (ray_i, slot_i) in enumerate(ray_rules):
         for ray_j, slot_j in ray_rules[i + 1 :]:
@@ -496,11 +487,8 @@ def verify_lead_condition(coin: SiteMap, network: NetworkSpec, tol: Tolerances =
     """Re-check perfect conduction on every lead and reflection on the
     boundary, including one period of every ray template."""
     for lead in network.leads():
-        checks = list(lead.constraint_items())
-        base, step, slot = lead.ray_constraint()
-        for k in range(0, 3):
-            site = add(base, tuple(c * k for c in step))
-            checks.append((site, slot, slot))
+        ray, _, slot = lead.ray_family
+        checks = (*lead.constraint_items, *((ray.site_at(k), slot, slot) for k in range(3)))
         for site, slot_in, slot_out in checks:
             amp = coin.value(site)[slot_out, slot_in]
             if abs(abs(amp) - 1.0) > tol.unitary:
@@ -512,7 +500,7 @@ def verify_lead_condition(coin: SiteMap, network: NetworkSpec, tol: Tolerances =
         up, down = network.boundary.normal_slots()
         probes = set()
         for lead in network.leads():
-            probes.update(site for site, _ in lead.pairs_window())
+            probes.update(site for site, _ in lead.window_pairs)
         probes.add((0,) * network.boundary.d_total)
         for site in probes:
             c = coin.value(site)

@@ -20,6 +20,12 @@ the primal edge of one dual step and its orientation, and ``classify_step``
 its ``CrossedEdge`` with the r/t tag.  ``switch_window``, ``is_pure`` and
 ``region_labels`` are the loops that ``DualPath`` and ``RegionSplit`` ran on
 them before ``cc.classify_steps`` classified every step in one array pass.
+
+``kitaev_sum`` is the per-row loop that ``flux.kitaev_sum`` ran before it
+formed the terms in stacked passes, and ``two_call_box`` the assembly that
+``flux.assemble_field`` ran before it called ``block_fn`` once: one call for
+the window and shell labels, a second for the tripwire labels, whose shell
+partners it found through an index of its own over the shell rows.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ import numpy as np
 from fluxwalk.cc import CCUnitary, RegionSplit, ScatteringParams
 from fluxwalk.errors import DimensionMismatchError, ValidationError
 from fluxwalk import lattice
-from fluxwalk.lattice import LatticeState, all_direction_vectors
+from fluxwalk.flux import TRIPWIRE_BOUND, _tail_partners, label_axes
+from fluxwalk.lattice import LatticeState, SiteIndex, all_direction_vectors
 
 
 class DictState:
@@ -540,3 +547,46 @@ def region_difference(path_a, path_b, box: int = 30) -> int:
         if abs(p[0]) >= box - 2 or abs(p[1]) >= box - 2:
             raise ValidationError("region difference reaches the box boundary")
     return len(diff)
+
+
+def kitaev_sum(flux) -> complex:
+    """The Kitaev sum of a zero-tail flux, one window row at a time."""
+    box = flux.box
+    rows = np.flatnonzero(box.window & (box.p_in.any(axis=1) | box.p_out.any(axis=1)))
+    total = 0.0
+    for i in rows.tolist():
+        a2 = np.abs(box.cells[i]) ** 2
+        total += float(box.p_out[i] @ a2.sum(axis=1) - a2.sum(axis=0) @ box.p_in[i])
+    return complex(total)
+
+
+def two_call_box(flux):
+    """``(arrays, (bound, witness), rank sum)`` of ``flux``'s window from two
+    ``geometry.block`` calls: the box arrays by ``StackedBox`` field name,
+    the certificate's tail bound and witness, and the window's sum of rank
+    P_out - rank P_in.  Every tripwire block must match its partner's."""
+    lo, hi, bands = (np.array(v, dtype=np.int64) for v in (flux.lo, flux.hi, flux.bands))
+    axes = label_axes(flux.lo, flux.hi, flux.bands, flux.steps)
+    labels = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    outside = np.maximum(lo - labels, labels - hi)
+    zone = np.where(outside <= 0, 0, np.where(outside <= bands, 1, 2)).max(axis=1)
+    box = labels[zone < 2]
+    *stacks, which = flux.geometry.block(box)
+    blocks, p_in, p_out, cells, evals = (a[which] for a in (*stacks, np.linalg.eigvalsh(stacks[0])))
+    zone_box = zone[zone < 2]
+    shell_rows = np.flatnonzero(zone_box == 1)
+    tripwire = labels[zone == 2]
+    found = SiteIndex(box[shell_rows]).rows(_tail_partners(tripwire, lo, hi, bands))
+    tw_blocks, *_, tw_which = flux.geometry.block(tripwire)
+    assert (found >= 0).all()
+    assert (np.abs(tw_blocks[tw_which] - blocks[shell_rows[found]]).max(axis=(1, 2)) <= TRIPWIRE_BOUND).all()
+    norms = np.abs(evals).max(axis=1)
+    rank_differences = np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
+    window = zone_box == 0
+    j = shell_rows[int(np.argmax(norms[shell_rows]))]
+    tail = (float(norms[j]), tuple(box[j].tolist())) if norms[j] > 0.0 else (0.0, None)
+    arrays = {
+        "flux": blocks, "p_in": p_in, "p_out": p_out, "cells": cells, "eigenvalues": evals,
+        "norms": norms, "rank_differences": np.array(rank_differences), "window": window, "labels": box,
+    }
+    return arrays, tail, int(rank_differences[window].sum())

@@ -139,6 +139,17 @@ def test_bounds_and_periods():
     assert sm.periods() == [1, 2]
 
 
+def test_bounds_and_periods_are_kept_and_read_as_fresh_lists():
+    sm = SiteMap(2, window={(3, -1): "x"}, rays=[(Ray((0, 5), (0, 1)), ["a", "b"])])
+    lo, hi = sm.bounds()
+    periods = sm.periods()
+    lo[0] = hi[1] = periods[1] = 99
+    # the layers are read-only, so a later read returns the kept values
+    # without another pass over them
+    sm.rays = ()
+    assert sm.bounds() == ([0, -1], [3, 5]) and sm.periods() == [1, 2]
+
+
 def test_unitary_tag_validation():
     good = np.eye(2, dtype=complex)
     assert build_walk(SiteMap(1, background=good)).n_internal == 2

@@ -7,6 +7,11 @@ reference block and one ``eigvalsh`` per label.  ``cc.FluxPlan`` keeps one
 ``RegionSplit``, over the first flux's points box, and the selfcheck probes
 per window; a later flux reads the split beyond its box, where it must read
 like that flux's own split.
+
+``assemble_field`` calls ``block_fn`` once, on every enumerated label: its
+box, certificate and rank sum must equal, bit for bit, those of the two-call
+assembly it replaced (``reference_state.two_call_box``), and the stacked
+Kitaev sum must equal the per-row loop (``reference_state.kitaev_sum``).
 """
 
 import itertools
@@ -34,11 +39,11 @@ from fluxwalk.cc import (
 from fluxwalk.cli import bundled_scenarios
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import SiteMap
-from fluxwalk.flux import CellGeometry, assemble_field
+from fluxwalk.flux import CellGeometry, assemble_field, kitaev_sum, label_axes
 from fluxwalk.scenarios import ANALYSES, _checked_setup
 from fluxwalk.walks import build_walk_flux, network_projection, random_background, random_network, synthesize_lead_coin
 from test_assembly import reference_block
-from test_cc import params_r
+from test_cc import capped, params_r
 
 PATHS = {
     "straight_r": straight_r_path(),
@@ -123,8 +128,11 @@ def test_a_non_hermitian_shared_block_names_its_first_label():
     window = random_phase_window(np.random.default_rng(41), 0.3, range(-3, 4), range(-3, 4))
     flux = cc_flux(SiteMap(2, window=window, background=params_r(0.3)), crossover_path())
     geometry, labels = flux.geometry, flux.box.index.table
-    which = geometry.block(labels)[-1]
-    # a combination at least three labels share, first met after the first label
+    # the one block call covers every enumerated label; pick among the box labels
+    enumerated = np.stack(np.meshgrid(*label_axes(flux.lo, flux.hi, flux.bands, flux.steps), indexing="ij"), axis=-1)
+    enumerated = enumerated.reshape(-1, 2)
+    which = geometry.block(enumerated)[-1][flux.box.index.rows(enumerated) >= 0]
+    # a combination at least three box labels share, first met after the first label
     shared, members = next(
         (row, members)
         for row in np.flatnonzero(np.bincount(which) >= 3).tolist()
@@ -134,13 +142,54 @@ def test_a_non_hermitian_shared_block_names_its_first_label():
 
     def corrupted(labels):
         blocks, *rest, rows = geometry.block(labels)
-        if len(labels) == len(flux.box.labels):
+        if len(labels) == len(enumerated):
             blocks[shared] += skew
         return (blocks, *rest, rows)
 
     first = tuple(labels[members[0]].tolist())
     with pytest.raises(ValidationError, match=re.escape(f"flux block at {first} is not Hermitian")):
         assemble_field(geometry, corrupted, flux.lo, flux.hi, flux.bands, flux.steps, flux.tol)
+
+
+# ---------------------------------------------------------------------------
+# one block pass per flux and the stacked Kitaev sum
+
+
+def assert_one_pass_matches_two_calls(flux):
+    """The box, certificate and rank sum of ``flux`` against the two-call
+    assembly, bit for bit, and, when the tail vanishes, the Kitaev sum
+    against the per-row loop, exactly."""
+    arrays, (bound, witness), rank_sum = ref.two_call_box(flux)
+    box = flux.box
+    for name, expected in arrays.items():
+        got = np.asarray(box.index.table if name == "labels" else getattr(box, name))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+    cert = flux.certificate
+    assert (cert.bound, cert.witness, flux.rank_difference) == (bound, None if cert.ok else witness, rank_sum)
+    if flux.tail_zero:
+        assert kitaev_sum(flux) == ref.kitaev_sum(flux)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_bundled_fluxes_match_the_two_call_assembly(name):
+    assert_one_pass_matches_two_calls(_setup(name).flux)
+
+
+def test_the_capped_flux_matches_the_two_call_assembly():
+    path = crossover_path()
+    flux = cc_flux(capped(SiteMap(2, background=params_r(0.2)), path), path)
+    assert flux.tail_zero
+    assert_one_pass_matches_two_calls(flux)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (2, 1), (1, 2)]))
+def test_random_lead_networks_match_the_two_call_assembly(seed, leads):
+    (n_in, n_out), rng = leads, np.random.default_rng(seed)
+    network = random_network(rng, n_in, n_out, box=5)
+    flux = build_walk_flux(synthesize_lead_coin(network, random_background(rng, 2, box=3)), network_projection(network))
+    assert flux.tail_zero
+    assert_one_pass_matches_two_calls(flux)
 
 
 # ---------------------------------------------------------------------------

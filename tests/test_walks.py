@@ -124,6 +124,27 @@ def test_lead_parametrization_and_tangents():
     assert incoming.tangent(-4) == (0, -1)
 
 
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_a_lead_keeps_its_geometry_as_the_per_t_recomputation(seed):
+    network = random_network(np.random.default_rng(seed), 2, 2)
+    for lead in network.leads():
+        m, sign = len(lead.prefix), 1 if lead.kind == "outgoing" else -1
+        junctions = range(1, m + 1) if sign > 0 else range(-m - 1, -1)
+        pairs = tuple((lead.site(t), lead.tangent(t)) for t in lead.window_range())
+        items = tuple(
+            (lead.site(t), index_of_vector(lead.tangent(t)), index_of_vector(lead.tangent(t + 1))) for t in junctions
+        )
+        assert lead.window_pairs == pairs and lead.constraint_items == items
+        ray, tangent, slot = lead.ray_family
+        tail = [sign * (m + 1 + k) for k in range(4)]
+        assert [ray.site_at(k) for k in range(4)] == [lead.site(t) for t in tail]
+        assert {tangent} == {lead.tangent(t + sign) for t in tail} and slot == index_of_vector(tangent)
+        # read-only tuples of tuples, computed once
+        kept = (lead.window_pairs, lead.constraint_items, lead.ray_family)
+        assert all(type(entry) is tuple for entry in (*kept, *lead.window_pairs, *lead.constraint_items))
+        assert lead.window_pairs is lead.window_pairs and lead.constraint_items is lead.constraint_items
+
+
 def test_tangential_crossing_detected():
     a = LeadSpec("outgoing", [(0, 0)], (0, 1))
     b = LeadSpec("outgoing", [(0, -3), (0, -2), (0, -1), (0, 0)], (0, 1))
