@@ -8,7 +8,7 @@ region projection is block diagonal over cells and ``flux.CellGeometry``
 assembles it exactly as for coined walks.
 
 A random scattering window stays one checked (N, 3) complex block of
-(q, r, t) rows, from the draw to the stacked S^T of ``CCUnitary``.
+(q, r, t) rows, capped or not, from the draw to the stacked S^T of ``CCUnitary``.
 
 A separating curve is given on the dual lattice (vertices at face centers).
 Each dual step bisects exactly one primal edge; the crossed edge carries the
@@ -71,6 +71,8 @@ def out_cells(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # scattering data
 
+SCATTERING_BOUND = 1e-12  # largest miss of |q| = 1 and |r|^2 + |t|^2 = 1 a cell may have
+
 
 @dataclass(frozen=True)
 class ScatteringParams:
@@ -82,9 +84,9 @@ class ScatteringParams:
     t: complex
 
     def __post_init__(self):
-        if not (abs(abs(self.q) - 1.0) <= 1e-12):
+        if not (abs(abs(self.q) - 1.0) <= SCATTERING_BOUND):
             raise ValidationError(f"|q| = {abs(self.q):.6g} is not unimodular")
-        if not (abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0) <= 1e-12):
+        if not (abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0) <= SCATTERING_BOUND):
             raise ValidationError("|r|^2 + |t|^2 must equal 1")
 
     def __iter__(self):
@@ -96,8 +98,8 @@ def check_rows(qrt: np.ndarray) -> np.ndarray:
     passes the checks of ``ScatteringParams`` (same bounds and messages, NaN
     fails); otherwise ``ValidationError`` for the first row that fails."""
     q, r, t = np.abs(qrt).T
-    bad_q = ~(np.abs(q - 1.0) <= 1e-12)
-    bad = np.flatnonzero(bad_q | ~(np.abs(r**2 + t**2 - 1.0) <= 1e-12))
+    bad_q = ~(np.abs(q - 1.0) <= SCATTERING_BOUND)
+    bad = np.flatnonzero(bad_q | ~(np.abs(r**2 + t**2 - 1.0) <= SCATTERING_BOUND))
     if bad.size:
         if bad_q[bad[0]]:
             raise ValidationError(f"|q| = {q[bad[0]]:.6g} is not unimodular")
@@ -136,9 +138,9 @@ class CCUnitary(LocalUnitary):
     outgoing pair through the cell's matrix.
 
     ``scattering`` maps cell labels in Z x 2Z to ``ScatteringParams``
-    (templates, and the entries a capped field adds) or to rows of a
-    complex (N, 3) block of (q, r, t), such as a window of
-    ``random_phase_window``.  Every value and window label is checked here,
+    (templates) or to rows of a complex (N, 3) block of (q, r, t), such as
+    a window of ``random_phase_window`` and its caps in
+    ``anomalous_transport``.  Every value and window label is checked here,
     a block in one array pass.  For ``flux.CellGeometry``, cell z maps its
     incoming pair onto its outgoing pair through S(z)^T (outgoing x
     incoming), and ``cell_labels`` is ``in_cells``.  The S^T of every table
@@ -162,8 +164,8 @@ class CCUnitary(LocalUnitary):
             desc = next(d for d, p in scattering.template_values() if not _is_value(p))
             raise ValidationError(f"{desc} is not a ScatteringParams")
         qrt = np.array([tuple(p) for p in entries], dtype=complex).reshape(-1, 3)
-        check_rows(qrt[[isinstance(p, np.ndarray) for p in entries]])
-        self._qrt = np.concatenate([check_rows(values), qrt])
+        check_rows(np.concatenate([values, qrt[[isinstance(p, np.ndarray) for p in entries]]]))
+        self._qrt = np.concatenate([values, qrt])
         # whether each row's r and t are complex numbers (rows always are)
         self._complex = np.ones((len(self._qrt), 2), dtype=bool)
         self._complex[len(values) :] = [[isinstance(v, (complex, np.complexfloating)) for v in (r, t)] for _, r, t in entries]
@@ -717,6 +719,7 @@ def anomalous_transport(
     plan = plan or FluxPlan()
     report, flux = cc_index(scattering, path, tol, plan)
     t0, t1 = path.switch_window()
+    caps = np.array([tuple(FULL_TRANSMISSION), tuple(FULL_REFLECTION)], dtype=complex)
     results = []
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
@@ -728,8 +731,8 @@ def anomalous_transport(
             )
         deep = max(abs(flux.lo[0]), abs(flux.hi[0]), abs(flux.lo[1]), abs(flux.hi[1]))
         reach = max(cut, deep) + 4 * max(flux.bands) + 12
-        window = dict.fromkeys(map(tuple, path.crossings(-reach, -cut)[0].tolist()), FULL_TRANSMISSION)
-        window.update(dict.fromkeys(map(tuple, path.crossings(cut, reach)[0].tolist()), FULL_REFLECTION))
+        cells = path.crossings(-reach, -cut)[0], path.crossings(cut, reach)[0]
+        window = np.concatenate(cells), caps.repeat([len(c) for c in cells], axis=0)
         # seamless continuation: the cell rays start at the outermost window
         # cells and run outward
         r_base, r_inward = _deep_cell_ray(path, list(range(-reach, -reach + 9)))

@@ -146,8 +146,8 @@ class SiteMap:
     A window is a dict from sites to values (coins, projections) or a pair
     ``(sites, values)`` of an (N, d) array of distinct sites and N values,
     such as a random scattering window's (N, 3) block of (q, r, t) rows.  The map
-    keeps the one form it is given, as ``window`` or as ``window_coords``
-    and ``window_values``, and builds the other views on first use.
+    and ``overridden`` keep the form given, as ``window`` or as ``window_coords``
+    and ``window_values``, and build the other views on first use.
 
     The layers are read-only (a mapping proxy and tuples, and a pair's
     arrays are not changed once handed in), so the lookup table, the
@@ -156,8 +156,8 @@ class SiteMap:
     ``value_index`` serves block assembly, the Chalker--Coddington
     actions and the walk actions on states of more than ``DICT_GROUPING``
     sites, ``distinct_values`` the walk cells; ``value`` serves one-site
-    callers (lead synthesis and its checks, setup probes) and the walk
-    actions on shorter states.
+    callers (lead synthesis and its checks, setup probes, which read a pair
+    through its ``SiteIndex``) and the walk actions on shorter states.
     """
 
     def __init__(
@@ -202,9 +202,12 @@ class SiteMap:
         return tuple(self.window.values())
 
     def value(self, site: Site):
-        site, window = tuple(site), self.window if self._window is None else self._window
-        if site in window:
-            return window[site]
+        site = tuple(site)
+        if self._window is None:  # a pair: one read of the window's index
+            if (row := self._window_index.rows(np.array([site], dtype=np.int64))[0]) >= 0:
+                return self.window_values[row]
+        elif site in self._window:
+            return self._window[site]
         for ray, pattern in self.rays:
             t = ray.locate(site)
             if t is not None:
@@ -282,15 +285,29 @@ class SiteMap:
         position = np.cumsum(met) - 1
         return [self.table[r] for r in np.flatnonzero(met).tolist()], position[rows]
 
-    def overridden(self, window: dict | None = None, rays=()) -> "SiteMap":
+    def overridden(self, window: dict | tuple | None = None, rays=()) -> "SiteMap":
         """New map whose extra window entries and rays take precedence.
 
-        The new window entries come first in iteration order, then the old
-        ones they leave untouched, so callers that draw random numbers per
-        window entry stay reproducible; the new rays come before the old ones.
+        The new window entries come first, each at its first position with
+        its last value, then the old ones they leave untouched, so callers
+        that draw random numbers per window entry stay reproducible; the new
+        rays come before the old ones.  A dict window gives a dict, a pair a
+        pair, with one array of values if the map's window is one or empty.
         """
-        new = {tuple(k): v for k, v in (window or {}).items()}
-        merged = {**new, **{k: v for k, v in self.window.items() if k not in new}}
+        if isinstance(window, tuple):
+            sites, values = _site_array(window[0], self.d), window[1]
+            if len(values) != len(sites):
+                raise ValidationError(f"{len(sites)} window sites, {len(values)} values")
+            old = self.window_values if len(self.window_values) else values[:0]
+            last = np.fromiter(dict(zip(map(tuple, sites.tolist()), itertools.count())).values(), np.intp)
+            kept = np.flatnonzero(np.bincount(self._window_index.rows(sites) + 1, minlength=len(old) + 1)[1:] == 0)
+            order = np.concatenate([last, len(sites) + kept])
+            arrays = isinstance(values, np.ndarray) and isinstance(old, np.ndarray)
+            values = np.concatenate([values, old])[order] if arrays else list(map((*values, *old).__getitem__, order))
+            merged = np.concatenate([sites, self.window_coords.T])[order], values
+        else:
+            new = {tuple(k): v for k, v in (window or {}).items()}
+            merged = {**new, **{k: v for k, v in self.window.items() if k not in new}}
         return SiteMap(
             self.d,
             window=merged,

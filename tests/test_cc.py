@@ -230,27 +230,34 @@ def test_cells_are_the_stacked_matrices_of_every_layer(background):
 
 
 def test_cells_are_the_stacked_matrices_of_a_capped_field(monkeypatch):
-    # the field that anomalous_transport caps: FULL_TRANSMISSION and
-    # FULL_REFLECTION windows and rays over a random-phase window
-    fields, cc_flux = [], cc_module.cc_flux
+    # the fields that anomalous_transport caps, at the three default
+    # epsilons: FULL_TRANSMISSION and FULL_REFLECTION rows and rays over a
+    # random-phase window, which stays one (N, 3) block
+    calls, overridden = [], SiteMap.overridden
 
-    class Captured(Exception):
-        pass
+    def record(self, window=None, rays=()):
+        calls.append((overridden(self, window, rays), self, window, rays))
+        return calls[-1][0]
 
-    def capture(scattering, path, tol, plan=None):
-        fields.append(scattering)
-        if len(fields) > 1:
-            raise Captured
-        return cc_flux(scattering, path, tol, plan)
-
-    monkeypatch.setattr(cc_module, "cc_flux", capture)
+    monkeypatch.setattr(SiteMap, "overridden", record)
     window = random_phase_window(np.random.default_rng(23), 0.2, range(-5, 6), range(-5, 6))
-    with pytest.raises(Captured):
-        anomalous_transport(SiteMap(2, window=window, background=params_r(0.2)), crossover_path(), [0.25])
-    field = fields[-1]
-    assert len(field.rays) == 2
-    labels = [*field.window, *(ray.site_at(t) for ray, _ in field.rays for t in range(5)), (0, 60)]
-    assert_cells_are_the_stacked_matrices(field, labels)
+    anomalous_transport(SiteMap(2, window=window, background=params_r(0.2)), crossover_path(), [0.25, 0.125, 0.0625])
+    assert len(calls) == 3
+    caps = {tuple(p): p for p in (FULL_TRANSMISSION, FULL_REFLECTION)}
+    for field, drawn, (sites, rows), rays in calls:
+        assert field._window is None and field.window_values.shape == (len(field.window_coords.T), 3)
+        # the capped table against the dict merge of ScatteringParams caps:
+        # equal values; the bits differ only in the sign of zero entries,
+        # since a block row's r and t are complex where a cap's are floats
+        merged = overridden(drawn, {tuple(z): caps[tuple(q)] for z, q in zip(sites.tolist(), rows)}, rays)
+        assert list(field.window) == list(merged.window)
+        got, want = CCUnitary(field)._transposed_table, CCUnitary(merged)._transposed_table
+        assert np.array_equal(got, want)
+        signs = got.view(np.uint64) != want.view(np.uint64)
+        assert (got.view(float)[signs] == 0).all()
+        assert len(field.rays) == 2
+        labels = [*field.window, *(ray.site_at(t) for ray, _ in field.rays for t in range(5)), (0, 60)]
+        assert_cells_are_the_stacked_matrices(field, labels)
 
 
 def test_scattering_table_is_stacked_once_per_unitary(monkeypatch):
@@ -553,6 +560,15 @@ def test_surgery_on_crossover_keeps_unit_index():
 
 # ---------------------------------------------------------------------------
 # anomalous transport
+
+
+def test_anomalous_transport_caps_a_map_without_a_drawn_window():
+    # the caps override the empty window of a dict-form map, so the capped
+    # field is one block of cap rows
+    result = anomalous_transport(SiteMap(2, background=params_r(0.2)), crossover_path(), [0.25, 0.0625])
+    assert abs(result["index"]) == 1
+    for eps, trace in result["traces"]:
+        assert abs(trace - result["index"]) < 1e-9
 
 
 def test_anomalous_transport_family():

@@ -340,10 +340,46 @@ def test_a_pair_window_reads_like_its_dict():
     assert pair.bounds() == same.bounds() and pair.table == same.table
     assert pair._window is None
     assert [pair.value(p) for p in probes.tolist()] == ["a", "b", "c", "r", "bg"]
+    assert pair._window is None  # one-site reads go through the window's index
     assert pair.window == same.window and list(pair.template_values()) == list(same.template_values())
     assert pair.overridden(window={(9, 9): "z"}).window == same.overridden(window={(9, 9): "z"}).window
     with pytest.raises(ValidationError, match="3 window sites, 2 values"):
         SiteMap(2, window=(sites, ["a", "b"]))
+
+
+@st.composite
+def pair_overrides(draw):
+    """A pair-form map with a ray, and a pair override with a ray of its
+    own, as (map, override sites, override values, override rays).  The
+    override sites repeat, fall on drawn sites and reach beyond them."""
+    near, far = (st.tuples(st.integers(-n, n), st.integers(-n, n)) for n in (3, 6))
+    drawn = draw(st.lists(near, max_size=12, unique=True))
+    added = draw(st.lists(st.sampled_from(drawn or [(0, 0)]) | far, max_size=16))
+    steps = st.sampled_from([(1, 0), (0, -1), (-2, 1)])
+    rays = [(Ray(draw(far), draw(steps)), [np.full(3, k + 0.5)]) for k in (1, 2)]
+    rows = np.arange(3 * (len(drawn) + len(added)), dtype=complex).reshape(-1, 3)
+    pair = SiteMap(2, window=(np.array(drawn).reshape(-1, 2), rows[: len(drawn)]), rays=rays[:1], background=np.zeros(3))
+    return pair, np.array(added).reshape(-1, 2), rows[len(drawn) :], rays[1:]
+
+
+@given(pair_overrides(), st.booleans(), st.booleans())
+def test_a_pair_override_matches_the_dict_merge(maps, as_list, on_dict):
+    # a map overridden with a pair gives a pair, with the window order and
+    # values of the dict-form merge (each new site at its first position
+    # with its last value, then the drawn sites it leaves); its values are
+    # one array when the override's are and the map's are one or none
+    pair, sites, values, rays = maps
+    as_dict = SiteMap(2, window=dict(pair.window), rays=pair.rays, background=pair.background)
+    merged = (as_dict if on_dict else pair).overridden(window=(sites, list(values) if as_list else values), rays=rays)
+    want = as_dict.overridden(window=dict(zip(map(tuple, sites.tolist()), values)), rays=rays)
+    block = not as_list and not (on_dict and len(pair.window_values))
+    assert merged._window is None and isinstance(merged.window_values, np.ndarray) == block
+    assert list(merged.window) == list(want.window)
+    assert np.array_equal(np.array(merged.window_values).reshape(-1, 3), np.array(want.window_values).reshape(-1, 3))
+    probes = np.concatenate([_probe_sites(2), [ray.site_at(t) for ray, _ in merged.rays for t in (0, 7, 30)]])
+    got = np.array([merged.table[i] for i in merged.value_index(probes)])
+    assert np.array_equal(got, [want.table[i] for i in want.value_index(probes)])
+    assert merged.bounds() == want.bounds() and merged.periods() == want.periods()
 
 
 def test_array_lookups_of_a_sparse_window():

@@ -63,6 +63,14 @@ def test_validate_rejects_unit_modulus_ray():
         validate_scenario(spec)
 
 
+def test_a_cc_setup_reads_its_drawn_window_without_a_dict_view():
+    # the tail-weight probes read the random-phase block through SiteMap.value,
+    # off the window's SiteIndex, so no dict of its 153 cells is built
+    setup = _checked_setup(load("cc_anomalous"))
+    assert setup.scattering._window is None
+    assert [n.split(" with")[0] for n in setup.notes] == ["pre ray is r-pure", "post ray is t-pure"]
+
+
 def test_run_scenario_basic_example_report(bundled_run):
     result = bundled_run("basic_example")
     assert result.ok
