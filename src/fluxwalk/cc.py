@@ -32,6 +32,7 @@ from .fields import Ray, SiteMap
 from .flux import (
     CellGeometry,
     FluxField,
+    FluxWindow,
     analyze,
     assemble_field,
     index_by_odd_trace,
@@ -500,33 +501,33 @@ class RegionSplit:
 # flux over cells
 
 
-def cc_flux_window(scattering: SiteMap, path: DualPath):
-    """``(lo, hi, bands, steps, points)`` of the network flux, on cells of
-    Z x 2Z: a window over the path and the scattering features with a
-    margin of 4, tail bands of the scattering period, and the corners of
-    the box of points whose region labels the enumerated cells read."""
+def cc_flux_window(scattering: SiteMap, path: DualPath) -> FluxWindow:
+    """The ``FluxWindow`` of the network flux, on cells of Z x 2Z: a window
+    over the path and the scattering features with a margin of 4, and tail
+    bands of the scattering period."""
     (plo, phi_) = path.bounds()
     s_lo, s_hi = scattering.bounds()
     lo = [min(s_lo[0], plo[0]) - 4, min(s_lo[1], plo[1]) - 4]
     hi = [max(s_hi[0], phi_[0]) + 4, max(s_hi[1], phi_[1]) + 4]
     lo[1] -= lo[1] % 2
     hi[1] += hi[1] % 2
-    per = scattering.periods()
-    bands = [math.lcm(2, per[0]), math.lcm(2, per[1])]
-    points = (
-        (lo[0] - 2 * bands[0] - 3, lo[1] - 2 * bands[1] - 3),
-        (hi[0] + 2 * bands[0] + 4, hi[1] + 2 * bands[1] + 4),
-    )
-    return lo, hi, bands, [1, 2], points
+    return FluxWindow(lo, hi, [math.lcm(2, p) for p in scattering.periods()], [1, 2])
+
+
+def points_box(window: FluxWindow):
+    """The corners of the box of points whose region labels the cells that
+    ``window`` enumerates read."""
+    (x0, y0), (x1, y1), (bx, by) = window.lo, window.hi, window.bands
+    return (x0 - 2 * bx - 3, y0 - 2 * by - 3), (x1 + 2 * bx + 4, y1 + 2 * by + 4)
 
 
 class FluxPlan:
     """What the fluxes of one path share, owned by the CC analysis that builds
     them (across its draws, which share a window extent): the ``split``, one
-    ``RegionSplit`` built over the points box of the first flux, and the
-    selfcheck ``probes`` of each window.  A later flux may read the split
-    beyond its box; clamping is exact there, since region labels are
-    constant along outward directions beyond any box."""
+    ``RegionSplit`` built over the ``points_box`` of the first flux, and the
+    selfcheck ``probes`` keyed by each ``FluxWindow``.  A later flux may read
+    the split beyond its box; clamping is exact there, since region labels
+    are constant along outward directions beyond any box."""
 
     def __init__(self):
         self.split, self.probes = None, {}
@@ -543,11 +544,11 @@ def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT, plan
     probes come from ``plan``, a ``FluxPlan`` of ``path``, or a new one.
     """
     unitary = CCUnitary(scattering)
-    lo, hi, bands, steps, points = cc_flux_window(scattering, path)
+    window = cc_flux_window(scattering, path)
     plan = plan or FluxPlan()
-    plan.split = plan.split or RegionSplit(path, *points)
-    geometry = CellGeometry(unitary, plan.split, lo, hi, probes=8)
-    flux = assemble_field(geometry, geometry.block, lo, hi, bands, steps, tol)
+    plan.split = plan.split or RegionSplit(path, *points_box(window))
+    geometry = CellGeometry(unitary, plan.split, window, probes=8)
+    flux = assemble_field(geometry, geometry.block, tol)
     selfcheck_against_operator(flux, unitary, plan.probes)
     return flux
 
@@ -729,8 +730,7 @@ def anomalous_transport(
             raise ValidationError(
                 f"path is not r-pure left and t-pure right of the 1/eps={cut} cutoffs"
             )
-        deep = max(abs(flux.lo[0]), abs(flux.hi[0]), abs(flux.lo[1]), abs(flux.hi[1]))
-        reach = max(cut, deep) + 4 * max(flux.bands) + 12
+        reach = max(cut, flux.certificate.radius) + 4 * max(flux.geometry.window.bands) + 12
         cells = path.crossings(-reach, -cut)[0], path.crossings(cut, reach)[0]
         window = np.concatenate(cells), caps.repeat([len(c) for c in cells], axis=0)
         # seamless continuation: the cell rays start at the outermost window

@@ -13,9 +13,10 @@ it; walks, networks and scenario setups all go through it.
 Certification at infinity works by enumerating a shell of representative
 blocks just outside the feature window.  Every block beyond the window equals
 one of the shell blocks (the field layers are translation invariant out
-there), which a second "tripwire" band re-checks numerically.  So after
-assembly every block read is a row of the stacked box, a label beyond it
-reading the row of its shell partner.
+there), which a second "tripwire" band re-checks numerically.  Every stage
+reads these bands from the flux's one ``FluxWindow``.  So after assembly
+every block read is a row of the stacked box, a label beyond it reading the
+row of its shell partner (``FluxWindow.partners``).
 
 Each field classifies the eigenvalues of its kept window blocks against +1
 and -1 once (``FluxField.spectrum``); the kernel count, the shift
@@ -126,6 +127,45 @@ class UnitSpectrum(NamedTuple):
     phi_less: float
 
 
+@dataclass(frozen=True)
+class FluxWindow:
+    """The labels of one flux as a hashable value of int tuples: the window
+    from ``lo`` to ``hi`` on a grid of ``steps``, and a shell and a tripwire
+    band of width ``bands`` on either side.  Construction checks the grid and
+    the label count (at most ``WINDOW_SITES``) before anything is allocated."""
+
+    lo: tuple
+    hi: tuple
+    bands: tuple
+    steps: tuple
+
+    def __post_init__(self):
+        for name in ("lo", "hi", "bands", "steps"):
+            object.__setattr__(self, name, tuple(map(int, getattr(self, name))))
+        axes = list(zip(self.lo, self.hi, self.bands, self.steps))
+        for l, h, band, s in axes:
+            if band % s != 0:
+                raise ValidationError("band widths must be multiples of the label grid")
+            if (h - l) % s != 0:
+                raise ValidationError("window bounds must be grid aligned")
+        count = math.prod((h - l + 4 * band) // s + 1 for l, h, band, s in axes)
+        if count > WINDOW_SITES:
+            raise ValidationError(f"the flux window holds {count} labels, more than {WINDOW_SITES}")
+
+    def labels(self) -> np.ndarray:
+        """The (N, d) labels that ``assemble_field`` enumerates, in
+        lexicographic order: the window and two bands on either side."""
+        axes = [np.arange(l - 2 * b, h + 2 * b + 1, s) for l, h, b, s in zip(self.lo, self.hi, self.bands, self.steps)]
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+    def partners(self, labels: np.ndarray) -> np.ndarray:
+        """Clamp labels beyond the shell into it, preserving each coordinate's
+        residue modulo the band width."""
+        lo, hi, bands = (np.array(v, dtype=np.int64) for v in (self.lo, self.hi, self.bands))
+        clamped = np.where(labels > hi + bands, hi + 1 + (labels - hi - 1) % bands, labels)
+        return np.where(labels < lo - bands, lo - bands + (labels - lo + bands) % bands, clamped)
+
+
 class CellGeometry:
     """Adapter between cell-labelled flux blocks and lattice states.
 
@@ -144,17 +184,17 @@ class CellGeometry:
     at slot ``slots[i]`` of site ``sites[i]``, and ``apply(psi)``.  With P_in
     and P_out those entries on the two bases, the flux block in the incoming
     basis is ``U* P_out U - P_in``, formed once per distinct (row, P_in,
-    P_out).  Self-checks draw ``probes`` random window sites.  ``apply_blocks``
-    takes cell maps as an (M, k, k) stack and a lookup from an (N, d) label
-    array to N rows of it, -1 for none.
+    P_out).  Self-checks draw ``probes`` random sites of ``window``, the
+    ``FluxWindow`` that ``assemble_field`` enumerates.  ``apply_blocks`` takes
+    cell maps as an (M, k, k) stack and a lookup from an (N, d) label array
+    to N rows of it, -1 for none.
     """
 
-    def __init__(self, unitary, proj, lo, hi, probes: int):
+    def __init__(self, unitary, proj, window: FluxWindow, probes: int):
         self.unitary = unitary
         self.proj = proj
         self.state_dim = unitary.n_internal
-        self.lo = list(lo)
-        self.hi = list(hi)
+        self.window = window
         self.probes = probes
 
     def block(self, labels: np.ndarray):
@@ -226,9 +266,9 @@ class CellGeometry:
         the columns of one state whose rows come in order of first appearance.
         Each draws its sites in one call, then each distinct site's real and
         imaginary parts in one call, and is scaled by its per-row norm."""
-        sites, columns = [], []
+        sites, columns, window = [], [], self.window
         for _ in range(3):
-            draw = rng.integers(self.lo, np.add(self.hi, 1), size=(self.probes, len(self.lo)))
+            draw = rng.integers(window.lo, np.add(window.hi, 1), size=(self.probes, len(window.lo)))
             sites.append(np.array(list(set(map(tuple, draw.tolist()))), dtype=np.int64))
             draws = rng.standard_normal((len(sites[-1]), 2, self.state_dim))
             column = draws[:, 0] + 1j * draws[:, 1]
@@ -255,10 +295,6 @@ class FluxField:
         geometry,
         blocks: dict,
         box: StackedBox,
-        lo,
-        hi,
-        bands,
-        steps,
         certificate: Certificate,
         rank_difference: int,
         tol: Tolerances,
@@ -267,10 +303,6 @@ class FluxField:
         self.geometry = geometry
         self.blocks = blocks
         self.box = box
-        self.lo = list(lo)
-        self.hi = list(hi)
-        self.bands = list(bands)
-        self.steps = list(steps)
         self.certificate = certificate
         self.rank_difference = rank_difference
         self.tol = tol
@@ -286,7 +318,7 @@ class FluxField:
         """The box row holding the block of each label of an (N, d) array:
         its own row inside the box, beyond it the row of the shell label whose
         block repeats there (the clamp the tripwire band certified)."""
-        rows = self.box.index.rows(_tail_partners(labels, *np.array([self.lo, self.hi, self.bands])))
+        rows = self.box.index.rows(self.geometry.window.partners(labels))
         if rows.min(initial=0) < 0:
             raise ConsistencyError(f"label {tuple(labels[rows.argmin()].tolist())} has no block in the assembled box")
         return rows
@@ -334,35 +366,13 @@ class FluxField:
 # assembly
 
 
-def _tail_partners(labels: np.ndarray, lo, hi, bands) -> np.ndarray:
-    """Clamp labels beyond the shell into it, preserving each coordinate's
-    residue modulo the band width."""
-    above = hi + bands
-    below = lo - bands
-    offset_hi = (labels - hi) % bands
-    return np.where(
-        labels > above,
-        hi + np.where(offset_hi == 0, bands, offset_hi),
-        np.where(labels < below, below + (labels - below) % bands, labels),
-    )
-
-
-def label_axes(lo, hi, bands, steps) -> list[np.ndarray]:
-    """The label coordinates along each axis that ``assemble_field``
-    enumerates: the window and two bands on either side, on the label grid.
-    Raises ``ValidationError`` before allocating anything when they make
-    more than ``WINDOW_SITES`` labels."""
-    count = math.prod((h - l + 4 * band) // s + 1 for l, h, band, s in zip(lo, hi, bands, steps))
-    if count > WINDOW_SITES:
-        raise ValidationError(f"the flux window holds {count} labels, more than {WINDOW_SITES}")
-    return [np.arange(l - 2 * band, h + 2 * band + 1, s) for l, h, band, s in zip(lo, hi, bands, steps)]
-
-
 TRIPWIRE_BOUND = 1e-12  # largest entry by which a tripwire block may differ from its partner
+UNIT_MODULUS_BOUND = 1.0 + 1e-10  # largest modulus that a flux eigenvalue may have
+DENSE_HERMITIAN_BOUND = 1e-10  # largest entry by which a dense window compression may miss its adjoint
 
 
-def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) -> FluxField:
-    """Enumerate window, shell, and tripwire bands and build the field.
+def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField:
+    """Enumerate the window, shell and tripwire bands of ``geometry.window``; build the field.
 
     ``block_fn(labels)`` takes an (N, d) integer array of labels and returns
     ``(flux blocks, P_in, P_out, cell matrices, which)``: (M, k, k), (M, k),
@@ -381,17 +391,11 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
     eigensystem cache.  Errors name the first offending label in enumeration
     order (lexicographic).
     """
-    dims = len(lo)
-    for j in range(dims):
-        if bands[j] % steps[j] != 0:
-            raise ValidationError("band widths must be multiples of the label grid")
-        if (hi[j] - lo[j]) % steps[j] != 0:
-            raise ValidationError("window bounds must be grid aligned")
-    lo_a, hi_a, bands_a = (np.array(v, dtype=np.int64) for v in (lo, hi, bands))
-
-    labels = np.stack(np.meshgrid(*label_axes(lo, hi, bands, steps), indexing="ij"), axis=-1).reshape(-1, dims)
-    outside = np.maximum(lo_a - labels, labels - hi_a)
-    zone = np.where(outside <= 0, 0, np.where(outside <= bands_a, 1, 2)).max(axis=1)
+    window = geometry.window
+    lo, hi, bands = (np.array(v, dtype=np.int64) for v in (window.lo, window.hi, window.bands))
+    labels = window.labels()
+    outside = np.maximum(lo - labels, labels - hi)
+    zone = np.where(outside <= 0, 0, np.where(outside <= bands, 1, 2)).max(axis=1)
 
     in_box = zone < 2
     box_index = SiteIndex(labels[in_box])
@@ -404,7 +408,7 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
 
     zone_box = zone[in_box]
     if tripwire.any():
-        partners = _tail_partners(labels[tripwire], lo_a, hi_a, bands_a)
+        partners = window.partners(labels[tripwire])
         found = box_index.rows(partners)
         missing = (found < 0) | (zone_box[found] != 1)
         differs = ~(np.abs(flux[which[tripwire]] - flux[box_which[found]]).max(axis=(1, 2)) <= TRIPWIRE_BOUND)
@@ -421,11 +425,11 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
 
     norms = np.abs(evals).max(axis=1)
     rank_differences = np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
-    window = zone_box == 0
-    rank_sum = int(rank_differences[window].sum())
+    in_window = zone_box == 0
+    rank_sum = int(rank_differences[in_window].sum())
 
-    box = StackedBox(box_index, flux, p_in, p_out, cells, evals, norms, rank_differences.tolist(), window)
-    kept = np.flatnonzero(window & (norms > tol.block_prune)).tolist()
+    box = StackedBox(box_index, flux, p_in, p_out, cells, evals, norms, rank_differences.tolist(), in_window)
+    kept = np.flatnonzero(in_window & (norms > tol.block_prune)).tolist()
     blocks = {block.label: block for block in map(box.block, kept)}
     eig_cache: dict = {}
     if kept:
@@ -439,16 +443,14 @@ def assemble_field(geometry, block_fn, lo, hi, bands, steps, tol: Tolerances) ->
         j = shell_rows[int(np.argmax(norms[shell_rows]))]
         if norms[j] > 0.0:
             bound, witness = float(norms[j]), box.block(j).label
-    radius = max(max(abs(l), abs(h)) for l, h in zip(lo, hi))
+    radius = max(max(abs(l), abs(h)) for l, h in zip(window.lo, window.hi))
     cert = Certificate(
         ok=bound < 1.0 - tol.certificate_margin,
         radius=radius,
         bound=bound,
         witness=witness if bound >= 1.0 - tol.certificate_margin else None,
     )
-    return FluxField(
-        geometry, blocks, box, lo, hi, bands, steps, cert, rank_sum, tol, eig_cache
-    )
+    return FluxField(geometry, blocks, box, cert, rank_sum, tol, eig_cache)
 
 
 SELFCHECK_BOUND = 1e-12  # largest column norm by which the blockwise action may miss U*PU - P
@@ -459,10 +461,10 @@ def selfcheck_against_operator(flux: FluxField, unitary, probes: dict | None = N
     ``SELFCHECK_BOUND``, on three random states (seed 7) as one state's columns,
     kept with P psi per window in ``probes`` across one projection's fluxes."""
     geom, probes = flux.geometry, {} if probes is None else probes
-    if (key := (*geom.lo, *geom.hi)) not in probes:
+    if geom.window not in probes:
         psi = geom.probe_states(np.random.default_rng(7))
-        probes[key] = psi, geom.proj.apply(psi)
-    psi, p_psi = probes[key]
+        probes[geom.window] = psi, geom.proj.apply(psi)
+    psi, p_psi = probes[geom.window]
     via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - p_psi
     worst = float((via_op - flux.apply(psi)).norms().max())
     if not (worst <= SELFCHECK_BOUND):
@@ -487,7 +489,7 @@ def classify_unit(evals, tol: Tolerances, label):
     minus_idx = []
     max_inside = 0.0
     for i, lam in enumerate(evals):
-        if abs(lam) > 1.0 + 1e-10:
+        if abs(lam) > UNIT_MODULUS_BOUND:
             raise ValidationError(
                 f"flux eigenvalue {lam:g} at {label} exceeds 1 in modulus"
             )
@@ -620,7 +622,7 @@ def dense_window_index(unitary, project, box_sites, n_internal: int, tol: Tolera
         return unitary.apply_adjoint(project(unitary.apply(e))) - project(e)
 
     m = compress(flux_apply, sites, n_internal)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
+    if np.max(np.abs(m - m.conj().T)) > DENSE_HERMITIAN_BOUND:
         raise ValidationError("window compression of the flux is not Hermitian")
     plus, minus, _ = classify_unit(np.linalg.eigvalsh(m), tol, ("dense", sites[0]))
     return len(plus) - len(minus)

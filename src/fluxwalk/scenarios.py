@@ -25,7 +25,7 @@ from . import cc as ccm
 from .config import DEFAULT, PROFILES, WINDOW_SITES, Tolerances
 from .errors import FluxwalkError, ValidationError
 from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
-from .flux import analyze, dense_window_index, index_stability_probe, label_axes, max_block_norm
+from .flux import analyze, dense_window_index, index_stability_probe, max_block_norm
 from .lattice import haar_unitary, index_of_vector
 from .operators import matrix_on_window
 from .report import SCHEMA_VERSION, index_report_dict
@@ -309,7 +309,7 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
 
     else:
         raise ValidationError(f"unknown coin type {ctype!r}")
-    label_axes(*walk_flux_window(setup.coin, setup.projection))
+    walk_flux_window(setup.coin, setup.projection)  # the window checks, before any flux is built
     setup.notes.append(f"coin and projection constructed (d = {setup.coin.d})")
     if setup.network is not None:
         setup.notes.append(
@@ -380,9 +380,7 @@ def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
     all carry one weight tag must not conduct perfectly along that tag."""
     path = _path_from_json(_need(spec, "path", "scenario"))
     setup = CCSetup(_path_scattering(spec, path, rng), path, spec, rng=rng)
-    lo, hi, bands, steps, points = ccm.cc_flux_window(setup.scattering, path)
-    label_axes(lo, hi, bands, steps)
-    ccm.region_box(*points)
+    ccm.region_box(*ccm.points_box(ccm.cc_flux_window(setup.scattering, path)))  # the window and region box checks
     path.crossings(-50, path.m_last + 51)  # one pass over every step read below
     t0, t1 = path.switch_window()
     for side, t_lo, t_hi, far in (("pre", -30, t0, -50), ("post", t1, 30, 50)):

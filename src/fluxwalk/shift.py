@@ -105,7 +105,7 @@ class PerturbedUnitary:
         self._diffs = LatticeState.stack([LatticeState.zero(self.n_internal, 0), *diffs])
         maps = {label: self._build_block_map(label) for label in sorted(flux.blocks)}
         maps = {label: m for label, m in maps.items() if m is not None}
-        self._map_index = SiteIndex(np.array(list(maps), dtype=np.int64).reshape(len(maps), len(flux.lo)))
+        self._map_index = SiteIndex(np.array(list(maps), dtype=np.int64).reshape(-1, len(flux.geometry.window.lo)))
         self._map_stack = np.array(list(maps.values()), dtype=complex).reshape(-1, *flux.box.flux.shape[1:])
 
     # -- construction ------------------------------------------------------

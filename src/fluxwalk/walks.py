@@ -22,6 +22,7 @@ from .fields import AdaptedProjection, HalfSpace, Plane, Ray, SiteMap
 from .flux import (
     CellGeometry,
     FluxField,
+    FluxWindow,
     analyze,
     assemble_field,
     max_block_norm,
@@ -80,24 +81,23 @@ def build_walk_flux(
     if proj.d != walk.d:
         raise ValidationError("projection and walk dimensions differ")
 
-    lo, hi, bands, steps = walk_flux_window(coin, proj)
-    geometry = CellGeometry(walk, proj, lo, hi, probes=6)
-    flux = assemble_field(geometry, geometry.block, lo, hi, bands, steps, tol)
+    geometry = CellGeometry(walk, proj, walk_flux_window(coin, proj), probes=6)
+    flux = assemble_field(geometry, geometry.block, tol)
     if selfcheck:
         selfcheck_against_operator(flux, walk)
     return flux
 
 
-def walk_flux_window(coin: SiteMap, proj: AdaptedProjection):
-    """``(lo, hi, bands, steps)`` of the walk flux: a window over the coin
-    and projection features with a margin of 3, and tail bands of their
-    common period."""
+def walk_flux_window(coin: SiteMap, proj: AdaptedProjection) -> FluxWindow:
+    """The ``FluxWindow`` of the walk flux: a window over the coin and
+    projection features with a margin of 3, and tail bands of their common
+    period."""
     lo_c, hi_c = coin.bounds()
     lo_p, hi_p = proj.bounds()
     lo = [min(a, b - 1) - 3 for a, b in zip(lo_c, lo_p)]
     hi = [max(a, b + 1) + 3 for a, b in zip(hi_c, hi_p)]
     bands = [math.lcm(a, b) for a, b in zip(coin.periods(), proj.periods())]
-    return lo, hi, bands, [1] * coin.d
+    return FluxWindow(lo, hi, bands, [1] * coin.d)
 
 
 def walk_index(coin: SiteMap, proj: AdaptedProjection, tol: Tolerances = DEFAULT):

@@ -25,11 +25,15 @@ them before ``cc.classify_steps`` classified every step in one array pass.
 formed the terms in stacked passes, and ``two_call_box`` the assembly that
 ``flux.assemble_field`` ran before it called ``block_fn`` once: one call for
 the window and shell labels, a second for the tripwire labels, whose shell
-partners it found through an index of its own over the shell rows.
+partners it found through an index of its own over the shell rows.  It
+enumerates the labels with ``itertools.product`` and clamps each tripwire
+label one coordinate at a time (``tail_partner``), so it checks the window's
+own enumeration and clamp rather than reusing them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -39,7 +43,7 @@ import numpy as np
 from fluxwalk.cc import CCUnitary, RegionSplit, ScatteringParams
 from fluxwalk.errors import DimensionMismatchError, ValidationError
 from fluxwalk import lattice
-from fluxwalk.flux import TRIPWIRE_BOUND, _tail_partners, label_axes
+from fluxwalk.flux import TRIPWIRE_BOUND
 from fluxwalk.lattice import LatticeState, SiteIndex, all_direction_vectors
 
 
@@ -369,7 +373,7 @@ def random_state(rng, sites, n_internal: int) -> LatticeState:
 def probe_sites(geometry, rng) -> set:
     """One ``rng.integers`` call per coordinate of each probe site."""
     return {
-        tuple(int(rng.integers(l, h + 1)) for l, h in zip(geometry.lo, geometry.hi))
+        tuple(int(rng.integers(l, h + 1)) for l, h in zip(geometry.window.lo, geometry.window.hi))
         for _ in range(geometry.probes)
     }
 
@@ -379,9 +383,9 @@ def probe_states(geometry, rng) -> LatticeState:
     before it drew them in one pass: per state one ``rng.integers`` call
     for its sites, into a set, and ``lattice.random_state`` on them, then
     one ``LatticeState.stack``."""
-    states = []
+    states, (lo, hi) = [], (geometry.window.lo, geometry.window.hi)
     for _ in range(3):
-        draw = rng.integers(geometry.lo, np.add(geometry.hi, 1), size=(geometry.probes, len(geometry.lo)))
+        draw = rng.integers(lo, np.add(hi, 1), size=(geometry.probes, len(lo)))
         states.append(lattice.random_state(rng, set(map(tuple, draw.tolist())), geometry.state_dim))
     return LatticeState.stack(states)
 
@@ -560,14 +564,29 @@ def kitaev_sum(flux) -> complex:
     return complex(total)
 
 
+def tail_partner(label, window) -> tuple:
+    """The shell label whose block repeats at ``label``: each coordinate
+    beyond the shell moves inward by whole band widths until it lies in the
+    shell band on its side."""
+    partner = []
+    for x, l, h, band in zip(label, window.lo, window.hi, window.bands):
+        while x > h + band:
+            x -= band
+        while x < l - band:
+            x += band
+        partner.append(x)
+    return tuple(partner)
+
+
 def two_call_box(flux):
     """``(arrays, (bound, witness), rank sum)`` of ``flux``'s window from two
     ``geometry.block`` calls: the box arrays by ``StackedBox`` field name,
     the certificate's tail bound and witness, and the window's sum of rank
     P_out - rank P_in.  Every tripwire block must match its partner's."""
-    lo, hi, bands = (np.array(v, dtype=np.int64) for v in (flux.lo, flux.hi, flux.bands))
-    axes = label_axes(flux.lo, flux.hi, flux.bands, flux.steps)
-    labels = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    window = flux.geometry.window
+    lo, hi, bands = (np.array(v, dtype=np.int64) for v in (window.lo, window.hi, window.bands))
+    axes = [range(l - 2 * b, h + 2 * b + 1, s) for l, h, b, s in zip(window.lo, window.hi, window.bands, window.steps)]
+    labels = np.array(list(itertools.product(*axes)), dtype=np.int64).reshape(-1, len(axes))
     outside = np.maximum(lo - labels, labels - hi)
     zone = np.where(outside <= 0, 0, np.where(outside <= bands, 1, 2)).max(axis=1)
     box = labels[zone < 2]
@@ -576,7 +595,8 @@ def two_call_box(flux):
     zone_box = zone[zone < 2]
     shell_rows = np.flatnonzero(zone_box == 1)
     tripwire = labels[zone == 2]
-    found = SiteIndex(box[shell_rows]).rows(_tail_partners(tripwire, lo, hi, bands))
+    partners = [tail_partner(label, window) for label in tripwire.tolist()]
+    found = SiteIndex(box[shell_rows]).rows(np.array(partners, dtype=np.int64).reshape(-1, len(axes)))
     tw_blocks, *_, tw_which = flux.geometry.block(tripwire)
     assert (found >= 0).all()
     assert (np.abs(tw_blocks[tw_which] - blocks[shell_rows[found]]).max(axis=(1, 2)) <= TRIPWIRE_BOUND).all()

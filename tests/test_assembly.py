@@ -15,7 +15,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import fluxwalk.flux as flux_module
 import reference_state as ref
 from fluxwalk.cc import (
     DualPath,
@@ -29,7 +28,7 @@ from fluxwalk.cc import (
 from fluxwalk.config import DEFAULT
 from fluxwalk.errors import ConsistencyError, ValidationError
 from fluxwalk.fields import SiteMap
-from fluxwalk.flux import assemble_field
+from fluxwalk.flux import FluxWindow, assemble_field
 from fluxwalk.lattice import LatticeState
 from fluxwalk.walks import (
     LeadSpec,
@@ -63,9 +62,10 @@ def reference_block(geometry, label):
 
 
 def assert_blocks_match_reference(flux):
+    window = flux.geometry.window
     axes = [
         range(l - 2 * b, h + 2 * b + 1, s)
-        for l, h, b, s in zip(flux.lo, flux.hi, flux.bands, flux.steps)
+        for l, h, b, s in zip(window.lo, window.hi, window.bands, window.steps)
     ]
     labels = list(itertools.product(*axes))
     in_box = set(flux.box.labels)
@@ -82,7 +82,7 @@ def assert_blocks_match_reference(flux):
     for m in (1, 2, 3):
         sides = [
             (l - (m + 1) * b, l - m * b - s, l, h, h + m * b + s, h + (m + 1) * b)
-            for l, h, b, s in zip(flux.lo, flux.hi, flux.bands, flux.steps)
+            for l, h, b, s in zip(window.lo, window.hi, window.bands, window.steps)
         ]
         beyond = {label for label in itertools.product(*sides) if label not in in_box}
         for label in beyond:
@@ -160,12 +160,12 @@ def test_flux_beyond_the_box_computes_no_block(model):
         calls.append(len(labels))
         return geometry.block(labels)
 
-    flux = assemble_field(geometry, counting, flux.lo, flux.hi, flux.bands, flux.steps, DEFAULT)
+    flux = assemble_field(geometry, counting, DEFAULT)
     assert len(calls) == 1
     # one random cell state three bands past the box on every side and corner
     rng = np.random.default_rng(3)
-    k = flux.box.flux.shape[1]
-    sides = [(l - 4 * b, l, h, h + 4 * b) for l, h, b in zip(flux.lo, flux.hi, flux.bands)]
+    k, window = flux.box.flux.shape[1], geometry.window
+    sides = [(l - 4 * b, l, h, h + 4 * b) for l, h, b in zip(window.lo, window.hi, window.bands)]
     in_box = set(flux.box.labels)
     psi = LatticeState.zero(geometry.state_dim)
     for label in itertools.product(*sides):
@@ -182,9 +182,9 @@ def test_a_label_without_a_box_row_fails_the_flux_action(monkeypatch):
     # without the clamp a label past the box has no row; it must raise, not
     # drop out of the action
     flux = build_walk_flux(*make_basic_example())
-    label = (flux.hi[0] + 4 * flux.bands[0],)
+    label = (flux.geometry.window.hi[0] + 4 * flux.geometry.window.bands[0],)
     psi = flux.geometry.make_state(label, np.ones(flux.box.flux.shape[1]))
-    monkeypatch.setattr(flux_module, "_tail_partners", lambda labels, *bounds: labels)
+    monkeypatch.setattr(FluxWindow, "partners", lambda self, labels: labels)
     with pytest.raises(ConsistencyError, match=re.escape(f"label {label} has no block in the assembled box")):
         flux.apply(psi)
 
@@ -195,8 +195,9 @@ def test_a_label_without_a_box_row_fails_the_flux_action(monkeypatch):
 
 def _basic_assembly():
     flux = build_walk_flux(*make_basic_example())
-    (lo,), (hi,), (band,) = flux.lo, flux.hi, flux.bands
-    return flux.geometry, (flux.lo, flux.hi, flux.bands, flux.steps, DEFAULT), lo, hi, band
+    window = flux.geometry.window
+    (lo,), (hi,), (band,) = window.lo, window.hi, window.bands
+    return flux.geometry, (DEFAULT,), lo, hi, band
 
 
 def _shifted(geometry, bad: set, shift):
@@ -252,14 +253,14 @@ def test_tripwire_clamped_outside_the_shell_names_the_first_label(monkeypatch, c
     geometry, args, lo, hi, band = _basic_assembly()
     first, last = (lo - 2 * band,), (hi + 2 * band,)
     clamped, mismatched = (first, last) if clamped_first else (last, first)
-    tail_partners = flux_module._tail_partners
+    tail_partners = FluxWindow.partners
 
-    def into_the_window(labels, *rest):
-        partners = tail_partners(labels, *rest)
+    def into_the_window(self, labels):
+        partners = tail_partners(self, labels)
         partners[(labels == clamped[0])[:, 0]] = lo
         return partners
 
-    monkeypatch.setattr(flux_module, "_tail_partners", into_the_window)
+    monkeypatch.setattr(FluxWindow, "partners", into_the_window)
     block_fn = _shifted(geometry, {mismatched}, 0.5 * np.eye(2))
     expected = (
         rf"tripwire label \({first[0]},\) clamped outside the shell"

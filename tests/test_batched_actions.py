@@ -111,7 +111,7 @@ NETWORKS = ["crossover_capped", "random_phases"]
 
 def _states(flux, seed, count=4, size=12):
     rng = np.random.default_rng(seed)
-    lo, hi = np.array(flux.lo) - 3, np.array(flux.hi) + 3
+    lo, hi = np.array(flux.geometry.window.lo) - 3, np.array(flux.geometry.window.hi) + 3
     n = flux.geometry.state_dim
     return [random_packed(rng, lo, hi, n, size) for _ in range(count)]
 
@@ -123,7 +123,7 @@ def _short_and_long_states(flux, seed):
     long state had more than 100 sites on each of a thousand seeds tried)."""
     states = _states(flux, seed)
     rng = np.random.default_rng([seed, 1])
-    lo, hi = np.array(flux.lo) - 3, np.array(flux.hi) + 3
+    lo, hi = np.array(flux.geometry.window.lo) - 3, np.array(flux.geometry.window.hi) + 3
     while np.prod(hi - lo + 1) < 6 * DICT_GROUPING:
         lo, hi = lo - 3, hi + 3
     return states + [random_packed(rng, lo, hi, flux.geometry.state_dim, 4 * DICT_GROUPING)]
@@ -195,7 +195,7 @@ def random_cell_maps(flux, rng):
         for label in flux.box.labels
         if rng.random() < 0.5
     }
-    index = SiteIndex(np.array(list(maps), dtype=np.int64).reshape(len(maps), len(flux.lo)))
+    index = SiteIndex(np.array(list(maps), dtype=np.int64).reshape(-1, len(flux.geometry.window.lo)))
     return maps, index.rows, np.array(list(maps.values())).reshape(-1, k, k)
 
 
@@ -409,7 +409,8 @@ def test_a_correction_with_pairs_or_maps_is_the_unconditional_one(pairs, maps, s
 def test_window_compression_keeps_the_bits_of_one_vector_at_a_time(name):
     flux = walk_model(name) if name in WALKS else cc_model(name)
     unitary = flux.geometry.unitary
-    lo, hi = flux.lo, [lo + 8 for lo in flux.lo]
+    lo = flux.geometry.window.lo
+    hi = [x + 8 for x in lo]
     sites = sorted(itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]))
     dense = matrix_on_window(unitary, sites)
     assert dense.tobytes() == ref.compress(unitary.apply, sites, unitary.n_internal).tobytes()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_state as ref
-from fluxwalk.config import DEFAULT, STRICT, Tolerances
+from fluxwalk.config import DEFAULT, STRICT, WINDOW_SITES, Tolerances
 from fluxwalk.errors import (
     CertificationError,
     ConsistencyError,
@@ -16,6 +16,7 @@ from fluxwalk.errors import (
 )
 from fluxwalk.fields import HalfSpace, SiteMap
 from fluxwalk.flux import (
+    FluxWindow,
     analyze,
     classify_unit,
     dense_window_index,
@@ -345,6 +346,24 @@ def test_classify_unit(tol):
         classify_unit(np.array([1 - 3 * tol.eigenvalue_unit]), tol, label)
     with pytest.raises(ValidationError, match="exceeds 1 in modulus"):
         classify_unit(np.array([1 + 2e-10]), tol, label)
+
+
+@pytest.mark.parametrize(
+    "window, message",
+    [
+        (((0,), (3,), (2,), (2,)), "window bounds must be grid aligned"),
+        (((0, 0), (4, 4), (2, 3), (1, 2)), "band widths must be multiples of the label grid"),
+        # per axis the band is checked before the bounds, and both before the count
+        (((0, 0), (4, 1001), (1, 3), (1, 2)), "band widths must be multiples of the label grid"),
+        (((0, 0), (1001, 1000), (2, 2), (2, 2)), "window bounds must be grid aligned"),
+        (((0, 0), (511, 511), (1, 1), (1, 1)), f"the flux window holds {516**2} labels, more than {WINDOW_SITES}"),
+        # a count far beyond memory is refused before anything is allocated
+        (((0,) * 3, (10**6,) * 3, (1,) * 3, (1,) * 3), f"holds {(10**6 + 5) ** 3} labels"),
+    ],
+)
+def test_a_window_off_its_grid_or_too_large_is_refused(window, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        FluxWindow(*window)
 
 
 def _probed_geometry(model):

@@ -31,6 +31,7 @@ from fluxwalk.cc import (
     cc_flux,
     cc_flux_window,
     crossover_path,
+    points_box,
     random_bump,
     random_phase_window,
     straight_r_path,
@@ -39,7 +40,7 @@ from fluxwalk.cc import (
 from fluxwalk.cli import bundled_scenarios
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import SiteMap
-from fluxwalk.flux import CellGeometry, assemble_field, kitaev_sum, label_axes
+from fluxwalk.flux import CellGeometry, assemble_field, kitaev_sum
 from fluxwalk.scenarios import ANALYSES, _checked_setup
 from fluxwalk.walks import build_walk_flux, network_projection, random_background, random_network, synthesize_lead_coin
 from test_assembly import reference_block
@@ -129,8 +130,7 @@ def test_a_non_hermitian_shared_block_names_its_first_label():
     flux = cc_flux(SiteMap(2, window=window, background=params_r(0.3)), crossover_path())
     geometry, labels = flux.geometry, flux.box.index.table
     # the one block call covers every enumerated label; pick among the box labels
-    enumerated = np.stack(np.meshgrid(*label_axes(flux.lo, flux.hi, flux.bands, flux.steps), indexing="ij"), axis=-1)
-    enumerated = enumerated.reshape(-1, 2)
+    enumerated = geometry.window.labels()
     which = geometry.block(enumerated)[-1][flux.box.index.rows(enumerated) >= 0]
     # a combination at least three box labels share, first met after the first label
     shared, members = next(
@@ -148,7 +148,7 @@ def test_a_non_hermitian_shared_block_names_its_first_label():
 
     first = tuple(labels[members[0]].tolist())
     with pytest.raises(ValidationError, match=re.escape(f"flux block at {first} is not Hermitian")):
-        assemble_field(geometry, corrupted, flux.lo, flux.hi, flux.bands, flux.steps, flux.tol)
+        assemble_field(geometry, corrupted, flux.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def _boxes(path, rng):
         span = range(-extent, extent + 1)
         field = SiteMap(2, window=random_phase_window(rng, 0.3, span, span), background=params_r(0.3))
         boxes.append(cc_flux_window(field, path))
-    return [b[4] for b in boxes], max(max(b[2]) for b in boxes)
+    return [points_box(b) for b in boxes], max(max(b.bands) for b in boxes)
 
 
 def assert_split_reads_like_each_own(split, boxes, band):
@@ -250,9 +250,9 @@ def test_the_capped_fluxes_read_the_uncapped_split_exactly(monkeypatch):
     anomalous_transport(SiteMap(2, window=window, background=params_r(0.2)), path, [0.25, 0.125, 0.0625])
     split = fluxes[0].geometry.proj
     assert all(flux.geometry.proj is split for flux in fluxes)
-    boxes = [cc_flux_window(flux.geometry.unitary.scattering, path)[4] for flux in fluxes]
+    boxes = [points_box(cc_flux_window(flux.geometry.unitary.scattering, path)) for flux in fluxes]
     assert len(set(boxes)) == 3 and boxes[0] == split.box  # the uncapped window and two capped extents
-    assert_split_reads_like_each_own(split, boxes, max(max(flux.bands) for flux in fluxes))
+    assert_split_reads_like_each_own(split, boxes, max(max(flux.geometry.window.bands) for flux in fluxes))
 
 
 # ---------------------------------------------------------------------------

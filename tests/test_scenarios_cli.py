@@ -172,9 +172,26 @@ def test_lead_network_analyses_reuse_the_checked_setup(monkeypatch):
     [("basic_example", 1), ("half_line_plus", 1), ("two_incoming_leads", 1), ("cc_rpath", 112)],
 )
 def test_a_setup_assembles_its_base_flux_once(monkeypatch, name, assembled):
-    counts = count_calls(monkeypatch, ["assemble_field"])
+    # each assembled flux builds its window once, and validation one more;
+    # a CC flux keeps its selfcheck probes under that window in its plan
+    import fluxwalk.cc as cc
+
+    names = ["assemble_field", "walk_flux_window", "cc_flux_window"]
+    counts = count_calls(monkeypatch, names)
+    keys, selfcheck = [], cc.selfcheck_against_operator
+
+    def recording(flux, unitary, probes):
+        before = set(probes)
+        worst = selfcheck(flux, unitary, probes)
+        keys.append((flux.geometry.window, before, set(probes)))
+        return worst
+
+    monkeypatch.setattr(cc, "selfcheck_against_operator", recording)
     assert run_scenario(load(name)).ok
-    assert counts == {"assemble_field": assembled}
+    built = "cc_flux_window" if name.startswith("cc") else "walk_flux_window"
+    assert counts == {**dict.fromkeys(names, 0), "assemble_field": assembled, built: assembled + 1}
+    assert len(keys) == (assembled if name.startswith("cc") else 0)
+    assert all(after == before | {window} for window, before, after in keys)
 
 
 @pytest.mark.parametrize(
