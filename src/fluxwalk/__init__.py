@@ -32,7 +32,7 @@ from .lattice import (
     haar_unitary,
     index_of_vector,
 )
-from .operators import CoinedWalk, LocalUnitary, conditional_shift, matrix_on_window
+from .operators import CoinedWalk, LocalUnitary, matrix_on_window
 from .shift import KernelData, PerturbedUnitary, build_perturbed, extract_kernels, verify_shift_structure
 from .walks import (
     BoundarySpec,

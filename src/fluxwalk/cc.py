@@ -20,6 +20,7 @@ projection whose flux is analyzed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,7 +32,6 @@ from .errors import ValidationError
 from .fields import Ray, SiteMap
 from .flux import (
     CellGeometry,
-    FluxField,
     FluxWindow,
     analyze,
     assemble_field,
@@ -194,9 +194,12 @@ class CCUnitary(LocalUnitary):
         sites[:, 1, 1] = b + odd
         return sites, _SLOTS
 
+    def table_rows(self, labels: np.ndarray):
+        return self._transposed_table, self.scattering.value_index(np.asarray(labels, dtype=np.int64))
+
     def cells(self, labels: np.ndarray):
         labels = np.asarray(labels, dtype=np.int64)
-        return self._transposed_table, self.scattering.value_index(labels), self.in_basis(labels), self.out_basis(labels)
+        return (*self.table_rows(labels), self.in_basis(labels), self.out_basis(labels))
 
     @cached_property
     def _transposed_table(self) -> np.ndarray:
@@ -527,13 +530,14 @@ class FluxPlan:
     ``RegionSplit`` built over the ``points_box`` of the first flux, and the
     selfcheck ``probes`` keyed by each ``FluxWindow``.  A later flux may read
     the split beyond its box; clamping is exact there, since region labels
-    are constant along outward directions beyond any box."""
+    are constant along outward directions beyond any box.  The split is the
+    one projection of a stack of fluxes (``assemble_field``'s flux axis)."""
 
     def __init__(self):
         self.split, self.probes = None, {}
 
 
-def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None) -> FluxField:
+def cc_flux(scattering, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None):
     """Blockwise flux of the left-region projection of a dual path, checked
     against the operator on random states.
 
@@ -542,15 +546,19 @@ def cc_flux(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT, plan
     diagonals (``flux.CellGeometry`` with matrix S^T).  The window covers the
     path and the scattering features plus a margin of 4.  The split and the
     probes come from ``plan``, a ``FluxPlan`` of ``path``, or a new one.
+
+    A list of fields gives the list of their fluxes, each run of fields on
+    one window assembled as one stack, each flux self-checked on its own.
     """
-    unitary = CCUnitary(scattering)
-    window = cc_flux_window(scattering, path)
-    plan = plan or FluxPlan()
-    plan.split = plan.split or RegionSplit(path, *points_box(window))
-    geometry = CellGeometry(unitary, plan.split, window, probes=8)
-    flux = assemble_field(geometry, geometry.block, tol)
-    selfcheck_against_operator(flux, unitary, plan.probes)
-    return flux
+    unitaries = [CCUnitary(field) for field in (scattering if isinstance(scattering, list) else [scattering])]
+    plan, fluxes = plan or FluxPlan(), []
+    for window, run in itertools.groupby(unitaries, lambda unitary: cc_flux_window(unitary.scattering, path)):
+        plan.split = plan.split or RegionSplit(path, *points_box(window))
+        geometries = [CellGeometry(unitary, plan.split, window, probes=8) for unitary in run]
+        fluxes += assemble_field(geometries, geometries[0].block, tol)
+        for flux in fluxes[-len(geometries) :]:
+            selfcheck_against_operator(flux, flux.geometry.unitary, plan.probes)
+    return fluxes if isinstance(scattering, list) else fluxes[0]
 
 
 def cc_index(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None):
@@ -713,38 +721,42 @@ def anomalous_transport(
     the r side, full reflection far on the t side.
 
     Each capped flux has finitely many nonzero blocks, so its plain trace is
-    defined, and it must equal the integer index of the uncapped flux.  All
-    fluxes share ``plan`` (or a new one), so the capped fluxes read the
+    defined, and it must equal the integer index of the uncapped flux.  Every
+    epsilon is checked first.  The capped fields take one cap reach, the
+    largest epsilon's, so they share one window and are assembled as one
+    stack; a spec whose epsilons differ widely pays for every capped flux on
+    the widest window (the default list's own reaches are 32, 32 and 36).
+    All fluxes share ``plan`` (or a new one), so the capped fluxes read the
     uncapped flux's split, beyond its box where they reach further.
     """
     plan = plan or FluxPlan()
     report, flux = cc_index(scattering, path, tol, plan)
     t0, t1 = path.switch_window()
-    caps = np.array([tuple(FULL_TRANSMISSION), tuple(FULL_REFLECTION)], dtype=complex)
-    results = []
+    cuts = []
     for eps in epsilons:
         if not 0.0 < eps <= 1.0:
             raise ValidationError(f"epsilon {eps} out of range")
-        cut = math.ceil(1.0 / eps)
+        cuts.append(cut := math.ceil(1.0 / eps))
         if not path.is_pure(-cut - 40, t0, "r") or not path.is_pure(t1, cut + 40, "t"):
             raise ValidationError(
                 f"path is not r-pure left and t-pure right of the 1/eps={cut} cutoffs"
             )
-        reach = max(cut, flux.certificate.radius) + 4 * max(flux.geometry.window.bands) + 12
+    reach = max(*cuts, flux.certificate.radius) + 4 * max(flux.geometry.window.bands) + 12
+    # seamless continuation: the cell rays start at the outermost window
+    # cells and run outward
+    r_base, r_inward = _deep_cell_ray(path, list(range(-reach, -reach + 9)))
+    t_base, t_inward = _deep_cell_ray(path, list(range(reach - 1, reach - 10, -1)))
+    rays = [
+        (Ray(r_base, tuple(-c for c in r_inward)), [FULL_TRANSMISSION]),
+        (Ray(t_base, tuple(-c for c in t_inward)), [FULL_REFLECTION]),
+    ]
+    caps, capped = np.array([tuple(FULL_TRANSMISSION), tuple(FULL_REFLECTION)], dtype=complex), []
+    for cut in cuts:
         cells = path.crossings(-reach, -cut)[0], path.crossings(cut, reach)[0]
         window = np.concatenate(cells), caps.repeat([len(c) for c in cells], axis=0)
-        # seamless continuation: the cell rays start at the outermost window
-        # cells and run outward
-        r_base, r_inward = _deep_cell_ray(path, list(range(-reach, -reach + 9)))
-        t_base, t_inward = _deep_cell_ray(path, list(range(reach - 1, reach - 10, -1)))
-        rays = [
-            (Ray(r_base, tuple(-c for c in r_inward)), [FULL_TRANSMISSION]),
-            (Ray(t_base, tuple(-c for c in t_inward)), [FULL_REFLECTION]),
-        ]
-        capped = scattering.overridden(window=window, rays=rays)
-        flux_eps = cc_flux(capped, path, tol, plan)
-        if not flux_eps.tail_zero:
-            raise ValidationError("capped flux still has nonzero tail blocks")
-        trace = index_by_odd_trace(flux_eps, 0)
-        results.append((float(eps), complex(trace)))
-    return {"index": report.index, "traces": results}
+        capped.append(scattering.overridden(window=window, rays=rays))
+    fluxes = cc_flux(capped, path, tol, plan)
+    if not all(flux_eps.tail_zero for flux_eps in fluxes):
+        raise ValidationError("capped flux still has nonzero tail blocks")
+    traces = [(float(eps), complex(index_by_odd_trace(flux_eps, 0))) for eps, flux_eps in zip(epsilons, fluxes)]
+    return {"index": report.index, "traces": traces}

@@ -18,6 +18,9 @@ reads these bands from the flux's one ``FluxWindow``.  So after assembly
 every block read is a row of the stacked box, a label beyond it reading the
 row of its shell partner (``FluxWindow.partners``).
 
+Fluxes on one window and one projection, such as the capped fluxes of an
+anomalous-transport analysis, are assembled as one stack (a flux axis).
+
 Each field classifies the eigenvalues of its kept window blocks against +1
 and -1 once (``FluxField.spectrum``); the kernel count, the shift
 decomposition and the stability probe all read that classification.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -178,7 +181,8 @@ class CellGeometry:
     ``sites[i, j]``).  ``in_basis(labels)`` is ``ins`` alone, and
     ``cell_labels(sites)`` maps an (M, d) site array to the labels of the
     cells whose incoming bases hold those sites.  The incoming bases
-    partition the lattice basis, and so do the outgoing bases.
+    partition the lattice basis, and so do the outgoing bases.  A unitary
+    stacked after another (``block``) gives ``table_rows``, ``cells`` less the bases.
 
     The projection gives ``diagonal_entries(sites, slots)``, its 0/1 entries
     at slot ``slots[i]`` of site ``sites[i]``, and ``apply(psi)``.  With P_in
@@ -197,20 +201,34 @@ class CellGeometry:
         self.window = window
         self.probes = probes
 
-    def block(self, labels: np.ndarray):
-        """The ``block_fn`` of ``assemble_field``, called once per flux on
-        every enumerated label: the labelled cells' distinct (row, P_in,
-        P_out) stacks and each label's row among them, so window, shell and
-        tripwire labels of one key share one block.  One ``diagonal_entries``
-        call covers both bases of every cell."""
+    def block(self, labels: np.ndarray, *stacked):
+        """The ``block_fn`` of ``assemble_field``, called once per flux or
+        stack on every enumerated label: the labelled cells' distinct (row,
+        P_in, P_out) stacks and each label's row among them, so window, shell
+        and tripwire labels of one key share one block.  One
+        ``diagonal_entries`` call covers both bases of every cell.
+
+        ``stacked`` geometries (the flux axis) share this one's bases and
+        projection, so the masks are built once; their tables follow this
+        one's, and ``which`` holds N rows per geometry, this one's first."""
         table, rows, (in_sites, in_slots), (out_sites, out_slots) = self.unitary.cells(labels)
         n, k, d = in_sites.shape
         sites = np.concatenate([in_sites, out_sites], axis=1).reshape(-1, d)
         slots = np.tile(np.concatenate([in_slots, out_slots]), n)
         masks = self.proj.diagonal_entries(sites, slots).reshape(n, 2 * k)
-        keys = (rows << 2 * k) + masks.astype(np.int64) @ (1 << np.arange(2 * k))
+        tables, rows = [table], [rows]
+        for geometry in stacked:
+            table, more = geometry.unitary.table_rows(labels)
+            rows.append(more + sum(map(len, tables)))
+            tables.append(table)
+        rows, table = np.concatenate(rows), np.concatenate(tables)
+        if stacked:  # equal table rows, such as those of cells no cap reaches, give one block
+            as_bytes = table.reshape(len(table), -1).view(f"V{table[0].nbytes}").ravel()
+            _, canonical, same = np.unique(as_bytes, return_index=True, return_inverse=True)
+            rows = canonical[same].take(rows)
+        keys = (rows << 2 * k) + np.tile(masks.astype(np.int64) @ (1 << np.arange(2 * k)), len(tables))
         _, first, which = np.unique(keys, return_index=True, return_inverse=True)
-        masks, m = masks[first], table.take(rows[first], axis=0)
+        masks, m = masks.take(first % n, axis=0), table.take(rows.take(first), axis=0)
         # C order: the Kitaev sum's per-cell dot products take contiguous rows
         p_in, p_out = np.ascontiguousarray(masks[:, :k]), np.ascontiguousarray(masks[:, k:])
         flux = m.conj().transpose(0, 2, 1)
@@ -369,9 +387,16 @@ class FluxField:
 TRIPWIRE_BOUND = 1e-12  # largest entry by which a tripwire block may differ from its partner
 UNIT_MODULUS_BOUND = 1.0 + 1e-10  # largest modulus that a flux eigenvalue may have
 DENSE_HERMITIAN_BOUND = 1e-10  # largest entry by which a dense window compression may miss its adjoint
+VANISHING_FLUX_BOUND = 1e-12  # largest block norm of a flux that must vanish
 
 
-def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField:
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """The largest entry of each row of a stack, as column-wise maxima (a
+    ``max`` along short rows costs many times more); a NaN propagates."""
+    return reduce(np.maximum, a.reshape(len(a), math.prod(a.shape[1:])).T)
+
+
+def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField | list[FluxField]:
     """Enumerate the window, shell and tripwire bands of ``geometry.window``; build the field.
 
     ``block_fn(labels)`` takes an (N, d) integer array of labels and returns
@@ -384,35 +409,44 @@ def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField:
     re-checks that, label by label, within ``TRIPWIRE_BOUND``, against the
     box row of its shell partner.
 
-    The Hermiticity flag is read at the box labels only, before the
-    tripwire check; then one stacked ``eigvalsh`` over the M distinct blocks
-    gives eigenvalues and norms, and the box takes per-label rows of every
-    stack.  One stacked ``eigh`` over the kept window blocks fills the
-    eigensystem cache.  Errors name the first offending label in enumeration
-    order (lexicographic).
+    A list of F geometries on one window and one projection (a flux axis;
+    ``ConsistencyError`` otherwise) gives the list of their fields, each
+    equal bit for bit to its geometry assembled alone: ``block_fn(labels,
+    *geometries[1:])`` gives the blocks of all F, ``which`` F runs of N rows.
+
+    Hermiticity, norms and rank differences are computed once per distinct
+    block and read per label.  Hermiticity is checked at the box labels, then
+    the tripwire; one ``eigvalsh`` over the distinct blocks gives eigenvalues
+    and norms, and one ``eigh`` per field over its kept window blocks fills
+    its eigensystem cache.  Errors name the first offending flux, and its
+    first offending label in enumeration order (lexicographic).
     """
-    window = geometry.window
+    stack = list(geometry) if isinstance(geometry, (list, tuple)) else [geometry]
+    window, proj = stack[0].window, stack[0].proj
+    if any(g.window != window or g.proj is not proj for g in stack):
+        raise ConsistencyError("the fluxes of one stack must share one window and one projection")
     lo, hi, bands = (np.array(v, dtype=np.int64) for v in (window.lo, window.hi, window.bands))
     labels = window.labels()
     outside = np.maximum(lo - labels, labels - hi)
-    zone = np.where(outside <= 0, 0, np.where(outside <= bands, 1, 2)).max(axis=1)
+    zone = _row_max(np.where(outside <= 0, 0, np.where(outside <= bands, 1, 2)))
 
     in_box = zone < 2
     box_index = SiteIndex(labels[in_box])
-    flux, p_in, p_out, cells, which = block_fn(labels)
-    box_which, tripwire = which[in_box], ~in_box
-    deviation = np.abs(flux - flux.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = np.flatnonzero(~(deviation <= tol.hermitian)[box_which])
-    if bad.size:
-        raise ValidationError(f"flux block at {tuple(box_index.table[bad[0]].tolist())} is not Hermitian")
+    flux, p_in, p_out, cells, which = block_fn(labels, *stack[1:])
+    which = which.reshape(len(stack), -1)
+    box_which, tripwire = which[:, in_box], ~in_box
+    hermitian = _row_max(np.abs(flux - flux.conj().transpose(0, 2, 1))) <= tol.hermitian
 
     zone_box = zone[in_box]
-    if tripwire.any():
-        partners = window.partners(labels[tripwire])
-        found = box_index.rows(partners)
-        missing = (found < 0) | (zone_box[found] != 1)
-        differs = ~(np.abs(flux[which[tripwire]] - flux[box_which[found]]).max(axis=(1, 2)) <= TRIPWIRE_BOUND)
-        bad = np.flatnonzero(missing | differs)
+    partners = window.partners(labels[tripwire])
+    found = box_index.rows(partners)
+    missing = (found < 0) | (zone_box[found] != 1)
+    for rows, tripwire_rows in zip(box_which, which[:, tripwire]):
+        bad = np.flatnonzero(~hermitian.take(rows))
+        if bad.size:
+            raise ValidationError(f"flux block at {tuple(box_index.table[bad[0]].tolist())} is not Hermitian")
+        deviation = _row_max(np.abs(flux.take(tripwire_rows, axis=0) - flux.take(rows.take(found), axis=0)))
+        bad = np.flatnonzero(missing | ~(deviation <= TRIPWIRE_BOUND))
         if bad.size:
             i = bad[0]
             label = tuple(labels[tripwire][i].tolist())
@@ -421,36 +455,29 @@ def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField:
             raise ConsistencyError(
                 f"tail is not translation invariant: block {label} differs from {tuple(partners[i].tolist())}"
             )
-    flux, p_in, p_out, cells, evals = (a[box_which] for a in (flux, p_in, p_out, cells, np.linalg.eigvalsh(flux)))
 
-    norms = np.abs(evals).max(axis=1)
-    rank_differences = np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
+    evals = np.linalg.eigvalsh(flux)
+    norms = _row_max(np.abs(evals))
+    ranks = np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
     in_window = zone_box == 0
-    rank_sum = int(rank_differences[in_window].sum())
-
-    box = StackedBox(box_index, flux, p_in, p_out, cells, evals, norms, rank_differences.tolist(), in_window)
-    kept = np.flatnonzero(in_window & (norms > tol.block_prune)).tolist()
-    blocks = {block.label: block for block in map(box.block, kept)}
-    eig_cache: dict = {}
-    if kept:
-        w, v = np.linalg.eigh(flux[kept])
-        eig_cache = {label: (w[j], v[j]) for j, label in enumerate(blocks)}
-
-    bound = 0.0
-    witness = None
     shell_rows = np.flatnonzero(zone_box == 1)
-    if shell_rows.size:
-        j = shell_rows[int(np.argmax(norms[shell_rows]))]
-        if norms[j] > 0.0:
-            bound, witness = float(norms[j]), box.block(j).label
     radius = max(max(abs(l), abs(h)) for l, h in zip(window.lo, window.hi))
-    cert = Certificate(
-        ok=bound < 1.0 - tol.certificate_margin,
-        radius=radius,
-        bound=bound,
-        witness=witness if bound >= 1.0 - tol.certificate_margin else None,
-    )
-    return FluxField(geometry, blocks, box, cert, rank_sum, tol, eig_cache)
+    fields = []
+    for geom, rows in zip(stack, box_which):
+        *stacks, rank_differences = (a.take(rows, axis=0) for a in (flux, p_in, p_out, cells, evals, norms, ranks))
+        box = StackedBox(box_index, *stacks, rank_differences.tolist(), in_window)
+        kept = np.flatnonzero(in_window & (box.norms > tol.block_prune)).tolist()
+        blocks = {block.label: block for block in map(box.block, kept)}
+        eig_cache = dict(zip(blocks, zip(*np.linalg.eigh(box.flux[kept])))) if kept else {}
+        bound, witness = 0.0, None
+        if shell_rows.size:
+            j = shell_rows[int(np.argmax(box.norms.take(shell_rows)))]
+            if box.norms[j] > 0.0:
+                bound, witness = float(box.norms[j]), box.block(j).label
+        ok = bound < 1.0 - tol.certificate_margin
+        cert = Certificate(ok=ok, radius=radius, bound=bound, witness=None if ok else witness)
+        fields.append(FluxField(geom, blocks, box, cert, int(rank_differences[in_window].sum()), tol, eig_cache))
+    return fields if isinstance(geometry, (list, tuple)) else fields[0]
 
 
 SELFCHECK_BOUND = 1e-12  # largest column norm by which the blockwise action may miss U*PU - P

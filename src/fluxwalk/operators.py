@@ -111,15 +111,6 @@ class CoinedWalk(LocalUnitary):
         return LatticeState(self.n_internal, (sites, adjoints @ gathered), _take=True)
 
 
-def identity_coin(d: int) -> SiteMap:
-    return SiteMap(d, background=np.eye(2 * d, dtype=complex))
-
-
-def conditional_shift(d: int) -> CoinedWalk:
-    """The bare conditional shift (identity coin)."""
-    return CoinedWalk(identity_coin(d))
-
-
 def compress(apply, sites, n: int) -> np.ndarray:
     """Dense matrix of the linear map ``apply`` on the span of ``sites``, each
     with ``n`` internal slots.

@@ -25,7 +25,7 @@ from . import cc as ccm
 from .config import DEFAULT, PROFILES, WINDOW_SITES, Tolerances
 from .errors import FluxwalkError, ValidationError
 from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
-from .flux import analyze, dense_window_index, index_stability_probe, max_block_norm
+from .flux import VANISHING_FLUX_BOUND, analyze, dense_window_index, index_stability_probe, max_block_norm
 from .lattice import haar_unitary, index_of_vector
 from .operators import matrix_on_window
 from .report import SCHEMA_VERSION, index_report_dict
@@ -54,6 +54,8 @@ from .walks import (
 )
 
 RNG_ALGORITHM = "PCG64"
+TAIL_WEIGHT_MARGIN = 1e-9  # least distance from 1 of a pure ray tail's weight
+NORM_LAW_BOUND = 1e-10  # largest miss of |r| by a block norm or eigenvalue modulus
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -390,7 +392,7 @@ def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
             cell = tuple(path.crossings(far, far + 1)[0][0].tolist())
             _, r, t = setup.scattering.value(cell)
             weight = abs(r) if tag == "r" else abs(t)
-            if weight >= 1.0 - 1e-9:
+            if weight >= 1.0 - TAIL_WEIGHT_MARGIN:
                 raise ValidationError(
                     f"index undefined at infinity: {tag}-ray tail carries "
                     f"weight {weight:.6f} at cell {cell}"
@@ -482,7 +484,7 @@ def _spectrum_window_analysis(setup, analysis, files):
 
 def _walk_flux_zero_analysis(setup, analysis, files):
     worst = max_block_norm(setup.flux)
-    return {"max_block_norm": worst, "pass": worst <= 1e-12}
+    return {"max_block_norm": worst, "pass": worst <= VANISHING_FLUX_BOUND}
 
 
 def _walk_wandering_analysis(setup, analysis, files):
@@ -631,7 +633,7 @@ def _cc_norm_law_analysis(setup, analysis, files):
         "r_abs": r_abs,
         "norm_defect": worst_norm,
         "eigenvalue_defect": worst_eig,
-        "pass": worst_norm <= 1e-10 and worst_eig <= 1e-10,
+        "pass": worst_norm <= NORM_LAW_BOUND and worst_eig <= NORM_LAW_BOUND,
     }
 
 

@@ -17,6 +17,11 @@ from .errors import ConsistencyError, ValidationError
 from .flux import FluxField
 from .lattice import LatticeState, SiteIndex
 
+POLAR_GUARD = 1e-10  # least 1 - lambda^2 that the polar factor may divide by the root of
+ZERO_MAP_BOUND = 1e-15  # largest entry of a block map that counts as zero up to rounding
+PROBE_FLOOR = 1e-6  # least norm that a commutation probe may keep off the shift span
+REMAINDER_SLACK = 1e-12  # rounding allowed above the remainder bound 3 phi_less
+
 
 @dataclass
 class KernelData:
@@ -122,7 +127,7 @@ class PerturbedUnitary:
         lam0 = evals[inside]
         # guards the division by sqrt(1 - lam^2) below; classify_unit already
         # keeps these eigenvalues a guard band away from +-1
-        if np.any(1.0 - lam0**2 < 1e-10):
+        if np.any(1.0 - lam0**2 < POLAR_GUARD):
             raise ValidationError(
                 f"block {label}: non-unit eigenvalue too close to 1 for the polar factor"
             )
@@ -140,7 +145,7 @@ class PerturbedUnitary:
             raise ConsistencyError(f"block {label}: polar factor is not unitary ({defect:g})")
         m = u0q0 - q0
         # a map that is zero up to rounding of one block product acts as the identity
-        if np.max(np.abs(m)) <= 1e-15:
+        if np.max(np.abs(m)) <= ZERO_MAP_BOUND:
             return None
         return m
 
@@ -249,13 +254,13 @@ def verify_shift_structure(perturbed: PerturbedUnitary, k_max: int = 30) -> Shif
     no_return_defect = float(np.abs(gram[:mult, mult : (k_max + 1) * mult]).max(initial=0.0))
 
     # commutation with P away from the shift span, on probes projected off
-    # the span and normalized; a probe left with norm below 1e-6 lies in the
-    # span up to rounding and is skipped, as its direction is noise
+    # the span and normalized; a probe left with norm below PROBE_FLOOR lies
+    # in the span up to rounding and is skipped, as its direction is noise
     psi = geom.probe_states(rng)
     for half in halves:
         psi = psi - half.combine(half.gram(psi))
     nrm = psi.norms()
-    kept = np.flatnonzero(nrm >= 1e-6)
+    kept = np.flatnonzero(nrm >= PROBE_FLOOR)
     psi = psi.combine(np.eye(len(nrm))[:, kept] / nrm[kept])
     chopped = psi - basis.combine(basis.gram(psi))
     # [perturbed (1 - Q_L), P] psi = perturbed(1-Q_L) P psi - P perturbed(1-Q_L) psi
@@ -277,7 +282,7 @@ def verify_shift_structure(perturbed: PerturbedUnitary, k_max: int = 30) -> Shif
             and no_return_defect <= tol.shift_check
             and commute_defect <= tol.shift_check
             and finite_rank == expected_rank
-            and remainder <= 3.0 * small + 1e-12
+            and remainder <= 3.0 * small + REMAINDER_SLACK
         ),
         multiplicity=mult,
         steps=k_max,

@@ -23,6 +23,7 @@ from .flux import (
     CellGeometry,
     FluxField,
     FluxWindow,
+    VANISHING_FLUX_BOUND,
     analyze,
     assemble_field,
     max_block_norm,
@@ -42,6 +43,8 @@ from .lattice import (
     unitary_deviations,
 )
 from .operators import CoinedWalk
+
+NORM_FLOOR = 1e-12  # least norm that a random generator is divided by
 
 
 def build_walk(coin: SiteMap, tol: Tolerances = DEFAULT) -> CoinedWalk:
@@ -636,7 +639,7 @@ def bulk_boundary_flux(coin: SiteMap, tol: Tolerances = DEFAULT) -> FluxField:
     every block must vanish."""
     flux = build_walk_flux(coin, boundary_projection_full(coin.d), tol)
     worst = max_block_norm(flux)
-    if not (worst <= 1e-12):
+    if not (worst <= VANISHING_FLUX_BOUND):
         raise ValidationError(
             f"reflecting configuration has a nonzero flux block (norm {worst:g})"
         )
@@ -726,7 +729,7 @@ def perturb_coin_window(
     for site, m in coin.window.items():
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = (a - a.conj().T) / 2.0
-        a *= strength / max(np.linalg.norm(a, 2), 1e-12)
+        a *= strength / max(np.linalg.norm(a, 2), NORM_FLOOR)
         evals, evecs = np.linalg.eigh(1j * a)
         rot = (evecs * np.exp(-1j * evals)) @ evecs.conj().T
         window[site] = np.asarray(m, dtype=complex) @ rot

@@ -29,6 +29,11 @@ partners it found through an index of its own over the shell rows.  It
 enumerates the labels with ``itertools.product`` and clamps each tripwire
 label one coordinate at a time (``tail_partner``), so it checks the window's
 own enumeration and clamp rather than reusing them.
+
+``identity_coin`` and ``conditional_shift`` build the bare conditional
+shift, a walk that only tests step.  ``per_epsilon_capped`` is the capped
+field of one epsilon as ``cc.anomalous_transport`` built it before every
+capped field of an analysis took one cap reach: the epsilon's own reach.
 """
 
 from __future__ import annotations
@@ -40,11 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fluxwalk.cc import CCUnitary, RegionSplit, ScatteringParams
+from fluxwalk.cc import FULL_REFLECTION, FULL_TRANSMISSION, CCUnitary, RegionSplit, ScatteringParams, _deep_cell_ray
 from fluxwalk.errors import DimensionMismatchError, ValidationError
 from fluxwalk import lattice
 from fluxwalk.flux import TRIPWIRE_BOUND
+from fluxwalk.fields import Ray, SiteMap
 from fluxwalk.lattice import LatticeState, SiteIndex, all_direction_vectors
+from fluxwalk.operators import CoinedWalk
 
 
 class DictState:
@@ -610,3 +617,30 @@ def two_call_box(flux):
         "norms": norms, "rank_differences": np.array(rank_differences), "window": window, "labels": box,
     }
     return arrays, tail, int(rank_differences[window].sum())
+
+
+def identity_coin(d: int) -> SiteMap:
+    return SiteMap(d, background=np.eye(2 * d, dtype=complex))
+
+
+def conditional_shift(d: int) -> CoinedWalk:
+    """The bare conditional shift (identity coin)."""
+    return CoinedWalk(identity_coin(d))
+
+
+def per_epsilon_capped(scattering, path, eps, flux):
+    """``scattering`` capped at 1/``eps`` along ``path``, out to that
+    epsilon's own reach: max(1/eps, the uncapped ``flux``'s radius) plus four
+    bands and 12, then cap rays that continue the outermost capped cells."""
+    cut = math.ceil(1.0 / eps)
+    reach = max(cut, flux.certificate.radius) + 4 * max(flux.geometry.window.bands) + 12
+    cells = path.crossings(-reach, -cut)[0], path.crossings(cut, reach)[0]
+    caps = np.array([tuple(FULL_TRANSMISSION), tuple(FULL_REFLECTION)], dtype=complex)
+    window = np.concatenate(cells), caps.repeat([len(c) for c in cells], axis=0)
+    r_base, r_inward = _deep_cell_ray(path, list(range(-reach, -reach + 9)))
+    t_base, t_inward = _deep_cell_ray(path, list(range(reach - 1, reach - 10, -1)))
+    rays = [
+        (Ray(r_base, tuple(-c for c in r_inward)), [FULL_TRANSMISSION]),
+        (Ray(t_base, tuple(-c for c in t_inward)), [FULL_REFLECTION]),
+    ]
+    return scattering.overridden(window=window, rays=rays)

@@ -243,6 +243,11 @@ def test_cells_are_the_stacked_matrices_of_a_capped_field(monkeypatch):
     window = random_phase_window(np.random.default_rng(23), 0.2, range(-5, 6), range(-5, 6))
     anomalous_transport(SiteMap(2, window=window, background=params_r(0.2)), crossover_path(), [0.25, 0.125, 0.0625])
     assert len(calls) == 3
+    # one cap reach for every epsilon: each cap window runs out to the same
+    # outermost cells, and a larger epsilon caps more of the path
+    assert len({(tuple(sites[0]), tuple(sites[-1])) for _, _, (sites, _), _ in calls}) == 1
+    capped_cells = [set(map(tuple, sites.tolist())) for _, _, (sites, _), _ in calls]
+    assert capped_cells[0] > capped_cells[1] > capped_cells[2]
     caps = {tuple(p): p for p in (FULL_TRANSMISSION, FULL_REFLECTION)}
     for field, drawn, (sites, rows), rays in calls:
         assert field._window is None and field.window_values.shape == (len(field.window_coords.T), 3)

@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from fluxwalk.cc import CRITICAL, CCUnitary, in_cells, out_cells
 from fluxwalk.fields import SiteMap
-from fluxwalk.operators import conditional_shift
-from reference_state import in_cell, out_cell
+from reference_state import conditional_shift, in_cell, out_cell
 
 NETWORK = CCUnitary(SiteMap(2, background=CRITICAL))
 coords = st.integers(-60, 60)

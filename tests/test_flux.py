@@ -81,7 +81,7 @@ def verify_internal_identities(flux) -> dict:
 def test_commuting_configuration_has_zero_flux():
     # identity coin and a constant full projection commute with the walk
     from fluxwalk.fields import AdaptedProjection
-    from fluxwalk.operators import identity_coin
+    from reference_state import identity_coin
 
     proj = AdaptedProjection.from_layers(1, background={0})
     flux = build_walk_flux(identity_coin(1), proj)

@@ -79,14 +79,16 @@ def test_bundled_boxes_match_the_per_label_reference(name):
 
 
 def _recorded_fluxes(monkeypatch):
-    """Every flux ``cc.cc_flux`` returns while the patch holds."""
-    fluxes, original = [], cc_module.cc_flux
+    """Every flux that ``cc`` assembles while the patch holds, the fluxes of
+    a stack in its order."""
+    fluxes, original = [], cc_module.assemble_field
 
     def recording(*args, **kwargs):
-        fluxes.append(original(*args, **kwargs))
-        return fluxes[-1]
+        assembled = original(*args, **kwargs)
+        fluxes.extend(assembled if isinstance(assembled, list) else [assembled])
+        return assembled
 
-    monkeypatch.setattr(cc_module, "cc_flux", recording)
+    monkeypatch.setattr(cc_module, "assemble_field", recording)
     return fluxes
 
 
@@ -251,7 +253,7 @@ def test_the_capped_fluxes_read_the_uncapped_split_exactly(monkeypatch):
     split = fluxes[0].geometry.proj
     assert all(flux.geometry.proj is split for flux in fluxes)
     boxes = [points_box(cc_flux_window(flux.geometry.unitary.scattering, path)) for flux in fluxes]
-    assert len(set(boxes)) == 3 and boxes[0] == split.box  # the uncapped window and two capped extents
+    assert len(set(boxes)) == 2 and boxes[0] == split.box  # the uncapped window and the one capped extent
     assert_split_reads_like_each_own(split, boxes, max(max(flux.geometry.window.bands) for flux in fluxes))
 
 
@@ -280,10 +282,10 @@ def test_anomalous_transport_builds_one_split_and_draws_probes_per_window(monkey
     splits, draws = _counting(monkeypatch)
     result = anomalous_transport(field, crossover_path(), [0.25, 0.125, 0.0625])
     assert len(result["traces"]) == 3
-    # four fluxes on three window extents: the uncapped one, and two capped
-    # extents (1/eps = 4 and 8 stay inside the uncapped window's reach)
+    # four fluxes on two window extents: the uncapped one, and the one
+    # capped extent of the shared cap reach
     assert len(splits) == 1
-    assert len(draws) == 3
+    assert len(draws) == 2
 
 
 def test_a_plan_serves_every_draw_of_an_anomalous_analysis(monkeypatch):
@@ -291,7 +293,8 @@ def test_a_plan_serves_every_draw_of_an_anomalous_analysis(monkeypatch):
     splits, draws = _counting(monkeypatch)
     out = ANALYSES["cc"]["anomalous_transport"](setup, {"epsilons": [0.25, 0.125, 0.0625], "draws": 3}, {})
     assert out["pass"] and out["draws"] == 3
-    assert len(splits) == 1 and len(draws) == 3
+    # the uncapped window and the one capped window, shared by every draw
+    assert len(splits) == 1 and len(draws) == 2
 
 
 def test_an_ensemble_builds_one_split(monkeypatch):

