@@ -14,7 +14,6 @@ from .errors import (
 from .fields import AdaptedProjection, HalfSpace, Plane, Ray, SiteMap
 from .flux import (
     Certificate,
-    FluxBlock,
     FluxField,
     IndexReport,
     analyze,
@@ -40,8 +39,6 @@ from .walks import (
     NetworkSpec,
     build_walk,
     build_walk_flux,
-    bulk_boundary_flux,
-    lead_flux_index,
     network_projection,
     synthesize_lead_coin,
     validate_network,

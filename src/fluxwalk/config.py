@@ -43,3 +43,9 @@ PROFILES = {"default": DEFAULT, "strict": STRICT}
 # one raises ``ValidationError`` before anything is allocated; the bundled
 # scenarios stay about 40 times below it.
 WINDOW_SITES = 1 << 18
+
+# Most basis vectors of a dense window compression (``spectrum_window`` and
+# ``oracle_equivalence``): a larger one raises ``ValidationError`` before its
+# sites are listed.  The bundled ``spectrum_window`` spans 50, the oracle at
+# its default pad at most 484.
+DENSE_BASIS = 4096

@@ -21,15 +21,16 @@ row of its shell partner (``FluxWindow.partners``).
 Fluxes on one window and one projection, such as the capped fluxes of an
 anomalous-transport analysis, are assembled as one stack (a flux axis).
 
-Each field classifies the eigenvalues of its kept window blocks against +1
-and -1 once (``FluxField.spectrum``); the kernel count, the shift
-decomposition and the stability probe all read that classification.
+A field keeps its window blocks as box rows (``FluxField.kept``) with one
+``eigh`` stack over them, and classifies those eigenvalues against +1 and
+-1 once (``FluxField.spectrum``); the kernel count, the shift decomposition
+and the stability probe all read that classification.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import NamedTuple
 
@@ -41,23 +42,11 @@ from .lattice import LatticeState, SiteIndex, group_sites
 from .operators import compress
 
 
-@dataclass(frozen=True)
-class FluxBlock:
-    """One Hermitian block of the flux, the projection diagonal on it, and its
-    eigenvalues (from ``eigvalsh``)."""
-
-    label: tuple
-    matrix: np.ndarray
-    p_diag: np.ndarray
-    rank_difference: int
-    eigenvalues: np.ndarray
-
-
 class StackedBox(NamedTuple):
     """What assembly stacked for the window and shell labels, row by row in
-    enumeration order, with their ``SiteIndex`` (tuples built on first read):
-    the ``block_fn`` blocks, masks and cell matrices, the ``eigvalsh``
-    eigenvalues and block norms, rank P_out - rank P_in, and window rows."""
+    enumeration order, with their ``SiteIndex``: the ``block_fn`` blocks,
+    masks and cell matrices, the ``eigvalsh`` eigenvalues and block norms,
+    rank P_out - rank P_in, and window rows; ``label`` tuples one row's."""
 
     index: SiteIndex
     flux: np.ndarray
@@ -68,16 +57,10 @@ class StackedBox(NamedTuple):
     norms: np.ndarray
     rank_differences: list
     window: np.ndarray
-    labels = property(lambda self: self.index.sites)
 
-    def block(self, row: int) -> FluxBlock:
-        return FluxBlock(
-            tuple(self.index.table[row].tolist()),
-            self.flux[row],
-            self.p_in[row],
-            self.rank_differences[row],
-            self.eigenvalues[row],
-        )
+    def label(self, row: int) -> tuple:
+        """The label of one row as a tuple, for a message or a state."""
+        return tuple(self.index.table[row].tolist())
 
 
 @dataclass
@@ -119,12 +102,12 @@ class UnitSpectrum(NamedTuple):
     """The eigenvalues of a certified field's kept window blocks, classified
     against +1 and -1 once (``classify_unit``).
 
-    ``units`` maps each kept label to its +1 and -1 columns in the block's
-    ``eigensystem``; ``plus`` and ``minus`` are the kernel dimensions, and
-    ``phi_less`` is the largest modulus strictly inside (-1, 1) over the
+    ``units[i]`` holds the +1 and -1 columns of the i-th kept block in the
+    field's ``eigh`` stack; ``plus`` and ``minus`` are the kernel dimensions,
+    and ``phi_less`` is the largest modulus strictly inside (-1, 1) over the
     window blocks and the shell."""
 
-    units: dict
+    units: list
     plus: int
     minus: int
     phi_less: float
@@ -297,34 +280,26 @@ class CellGeometry:
         return LatticeState(self.state_dim, (np.concatenate(sites).take(first, axis=0), values), _take=True)
 
 
+@dataclass(eq=False)
 class FluxField:
     """Block-diagonal flux with a finite window plus certified tail, over a
     ``CellGeometry``.
 
-    ``blocks`` holds the window blocks above ``tol.block_prune``, and
-    ``box`` everything assembly stacked for the window and the shell; every
-    block the field reads is a row of ``box``.  ``spectrum`` classifies the
-    unit eigenvalues of ``blocks`` on first use and keeps the result; every
-    index reader shares it.
+    ``box`` holds everything assembly stacked for the window and the shell;
+    every block the field reads is a row of it.  ``kept`` are the box rows
+    of the window blocks above ``tol.block_prune``, in label order, and
+    ``eigh`` the one ``np.linalg.eigh`` stack over ``box.flux[kept]``.
+    ``spectrum`` classifies the unit eigenvalues of that stack on first use
+    and keeps the result; every index reader shares it.
     """
 
-    def __init__(
-        self,
-        geometry,
-        blocks: dict,
-        box: StackedBox,
-        certificate: Certificate,
-        rank_difference: int,
-        tol: Tolerances,
-        eig_cache: dict,
-    ):
-        self.geometry = geometry
-        self.blocks = blocks
-        self.box = box
-        self.certificate = certificate
-        self.rank_difference = rank_difference
-        self.tol = tol
-        self._eig_cache = eig_cache
+    geometry: CellGeometry
+    box: StackedBox
+    kept: np.ndarray
+    eigh: tuple
+    certificate: Certificate
+    rank_difference: int
+    tol: Tolerances
 
     # -- basic queries -------------------------------------------------------
 
@@ -341,17 +316,6 @@ class FluxField:
             raise ConsistencyError(f"label {tuple(labels[rows.argmin()].tolist())} has no block in the assembled box")
         return rows
 
-    def block_at(self, label) -> FluxBlock:
-        """The block at any label, read from its box row."""
-        (row,) = self._box_rows(np.array([label], dtype=np.int64))
-        return replace(self.box.block(row), label=tuple(label))
-
-    def eigensystem(self, label):
-        label = tuple(label)
-        if label not in self._eig_cache:
-            self._eig_cache[label] = np.linalg.eigh(self.block_at(label).matrix)
-        return self._eig_cache[label]
-
     @cached_property
     def spectrum(self) -> UnitSpectrum:
         """The classification of the kept window blocks, once the
@@ -362,12 +326,12 @@ class FluxField:
                 f"certificate failed: tail bound {cert.bound:g} at radius {cert.radius}",
                 witness=cert.witness,
             )
-        units = {}
+        units = []
         plus = minus = 0
         phi_less = float(self.box.norms[~self.box.window].max(initial=0.0))
-        for label in self.blocks:
-            sel_plus, sel_minus, inside = classify_unit(self.eigensystem(label)[0], self.tol, label)
-            units[label] = (sel_plus, sel_minus)
+        for row, evals in zip(self.kept.tolist(), self.eigh.eigenvalues):
+            sel_plus, sel_minus, inside = classify_unit(evals, self.tol, self.box.label(row))
+            units.append((sel_plus, sel_minus))
             plus += len(sel_plus)
             minus += len(sel_minus)
             phi_less = max(phi_less, inside)
@@ -417,8 +381,8 @@ def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField | list[Flux
     Hermiticity, norms and rank differences are computed once per distinct
     block and read per label.  Hermiticity is checked at the box labels, then
     the tripwire; one ``eigvalsh`` over the distinct blocks gives eigenvalues
-    and norms, and one ``eigh`` per field over its kept window blocks fills
-    its eigensystem cache.  Errors name the first offending flux, and its
+    and norms, and one ``eigh`` per field over its kept window blocks gives
+    their eigenvectors.  Errors name the first offending flux, and its
     first offending label in enumeration order (lexicographic).
     """
     stack = list(geometry) if isinstance(geometry, (list, tuple)) else [geometry]
@@ -466,17 +430,16 @@ def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField | list[Flux
     for geom, rows in zip(stack, box_which):
         *stacks, rank_differences = (a.take(rows, axis=0) for a in (flux, p_in, p_out, cells, evals, norms, ranks))
         box = StackedBox(box_index, *stacks, rank_differences.tolist(), in_window)
-        kept = np.flatnonzero(in_window & (box.norms > tol.block_prune)).tolist()
-        blocks = {block.label: block for block in map(box.block, kept)}
-        eig_cache = dict(zip(blocks, zip(*np.linalg.eigh(box.flux[kept])))) if kept else {}
+        kept = np.flatnonzero(in_window & (box.norms > tol.block_prune))
         bound, witness = 0.0, None
         if shell_rows.size:
             j = shell_rows[int(np.argmax(box.norms.take(shell_rows)))]
             if box.norms[j] > 0.0:
-                bound, witness = float(box.norms[j]), box.block(j).label
+                bound, witness = float(box.norms[j]), box.label(j)
         ok = bound < 1.0 - tol.certificate_margin
         cert = Certificate(ok=ok, radius=radius, bound=bound, witness=None if ok else witness)
-        fields.append(FluxField(geom, blocks, box, cert, int(rank_differences[in_window].sum()), tol, eig_cache))
+        eigh = np.linalg.eigh(box.flux[kept])
+        fields.append(FluxField(geom, box, kept, eigh, cert, int(rank_differences[in_window].sum()), tol))
     return fields if isinstance(geometry, (list, tuple)) else fields[0]
 
 
@@ -559,8 +522,7 @@ def index_by_odd_trace(flux: FluxField, j: int = 0) -> complex:
         raise ValidationError("j must be nonnegative")
     _require_trace_class(flux)
     total = 0.0
-    for label in flux.blocks:
-        evals, _ = flux.eigensystem(label)
+    for evals in flux.eigh.eigenvalues:
         total += float(np.sum(evals ** (2 * j + 1)))
     return complex(total)
 
@@ -571,9 +533,8 @@ def index_by_supertrace(flux: FluxField, j: int = 1) -> complex:
         raise ValidationError("j must be positive")
     _require_trace_class(flux)
     total = 0.0
-    for label, blk in flux.blocks.items():
-        evals, evecs = flux.eigensystem(label)
-        sign = 1.0 - 2.0 * blk.p_diag
+    for evals, evecs, p_diag in zip(*flux.eigh, flux.box.p_in[flux.kept]):
+        sign = 1.0 - 2.0 * p_diag
         # <e_k, (P_perp - P) e_k> weighted by lambda_k^{2j}
         weights = np.sum((np.abs(evecs) ** 2) * sign[:, None], axis=0)
         total += float(np.sum((evals ** (2 * j)) * weights))
@@ -603,7 +564,7 @@ def kitaev_sum(flux: FluxField) -> complex:
 
 def block_trace_norm(flux: FluxField) -> float:
     _require_trace_class(flux)
-    return float(sum(float(np.sum(np.abs(b.eigenvalues))) for b in flux.blocks.values()))
+    return float(sum(float(np.sum(np.abs(evals))) for evals in flux.box.eigenvalues[flux.kept]))
 
 
 def analyze(flux: FluxField) -> IndexReport:

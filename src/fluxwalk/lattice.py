@@ -20,7 +20,7 @@ deduplication of a site array through ``group_sites``.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -242,15 +242,15 @@ class LatticeState:
     construction, so a row may be zero in some columns.  States are
     immutable values that may share arrays.  Sites are matched through a
     ``SiteIndex`` over ``site_array``, shared by states on the same sites
-    (``with_values``) and built into a dict or grid on first use.  ``items``,
+    (``with_values``) and built into a dict or grid on first use.
     ``vector_at``, ``norm`` and ``inner`` read single vectors.
 
     Exactness: with K = 1 every result is bitwise the one of the per-site
     dict loop this layout replaced.  Elementwise arithmetic runs entry by
     entry, a one-column stacked product takes BLAS's matrix-vector path as
     the per-site product did, and ``inner`` and ``norm`` keep one
-    ``np.vdot`` per row.  ``items``, ``vector_at``, ``norm`` and ``inner``
-    refuse a state of several columns.  With K > 1 the elementwise steps
+    ``np.vdot`` per row.  ``vector_at``, ``norm`` and ``inner`` refuse a
+    state of several columns.  With K > 1 the elementwise steps
     and scatters give each column's bits, but a stacked product (and
     ``gram``, ``norms``) takes the matrix-matrix path and may round
     differently.  A map that is a single product, such as the unitary of
@@ -348,11 +348,6 @@ class LatticeState:
     def site_list(self) -> list[Site]:
         """The sites as tuples, in row order."""
         return self._index.sites
-
-    def items(self) -> Iterator[tuple[Site, np.ndarray]]:
-        """Each site with its vector, of a single-vector state."""
-        self._single()
-        return zip(self.site_list(), self.value_array[:, :, 0])
 
     def rows_of(self, sites: np.ndarray) -> np.ndarray:
         """Row of each site of an (M, d) integer array, -1 where the state vanishes."""

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cc as ccm
-from .config import DEFAULT, PROFILES, WINDOW_SITES, Tolerances
+from .config import DEFAULT, DENSE_BASIS, PROFILES, WINDOW_SITES, Tolerances
 from .errors import FluxwalkError, ValidationError
 from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
 from .flux import VANISHING_FLUX_BOUND, analyze, dense_window_index, index_stability_probe, max_block_norm
@@ -465,10 +465,19 @@ def _index_analysis(setup, analysis, files):
     return out
 
 
+def _dense_window(ranges, n_internal: int) -> list:
+    """The sites of a dense window compression over unit-step ``ranges``,
+    refused above ``DENSE_BASIS`` basis vectors before any is listed."""
+    basis = math.prod(r.stop - r.start for r in ranges) * n_internal
+    if basis > DENSE_BASIS:
+        raise ValidationError(f"a dense window of {basis} basis vectors exceeds DENSE_BASIS = {DENSE_BASIS}")
+    return list(itertools.product(*ranges))
+
+
 def _spectrum_window_analysis(setup, analysis, files):
-    box = _number(analysis.get("box", 5), "box")
+    box = _number(analysis.get("box", 5), "box", low=0)
     unitary = setup.unitary
-    sites = list(itertools.product(*([range(-box, box + 1)] * unitary.d)))
+    sites = _dense_window([range(-box, box + 1)] * unitary.d, unitary.n_internal)
     m = matrix_on_window(unitary, sites)
     evals = np.linalg.eigvals(m)
     rows = ["phase,modulus"]
@@ -554,13 +563,13 @@ def _walk_oracle_analysis(setup, analysis, files):
     """Dense index of the compression to a padded box around the kept window
     blocks; not applicable without such blocks or when the box is wide."""
     pad = _number(analysis.get("pad", 2), "pad", low=0)
-    sites = sorted(setup.flux.blocks)
-    lo = [min(c) for c in zip(*sites)]
-    hi = [max(c) for c in zip(*sites)]
-    if not sites or any(h - l + 1 > 7 for l, h in zip(lo, hi)):
+    flux = setup.flux
+    labels = flux.box.index.table[flux.kept]
+    if not len(labels) or np.ptp(labels, axis=0).max() + 1 > 7:
         return {"applicable": False, "pass": True}
-    box = list(itertools.product(*[range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]))
-    walk = setup.flux.geometry.unitary
+    lo, hi = labels.min(axis=0).tolist(), labels.max(axis=0).tolist()
+    walk = flux.geometry.unitary
+    box = _dense_window([range(l - pad, h + pad + 1) for l, h in zip(lo, hi)], walk.n_internal)
     dense = dense_window_index(walk, setup.projection.apply, box, walk.n_internal, setup.tol)
     blockwise = setup.index_report.index
     return {

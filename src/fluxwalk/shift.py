@@ -55,12 +55,11 @@ def extract_kernels(flux: FluxField) -> KernelData:
     """
     tol = flux.tol
     spectrum = flux.spectrum
-    geometry = flux.geometry
+    geometry, box = flux.geometry, flux.box
     ker_minus: list[LatticeState] = []
     ker_plus: list[LatticeState] = []
-    for label, (sel_plus, sel_minus) in sorted(spectrum.units.items()):
-        evecs = flux.eigensystem(label)[1]
-        p_diag = flux.blocks[label].p_diag
+    for row, evecs, (sel_plus, sel_minus) in zip(flux.kept.tolist(), flux.eigh.eigenvectors, spectrum.units):
+        p_diag = box.p_in[row]
         # P e = e on the -1 eigenvectors and P e = 0 on the +1 eigenvectors
         for sel, kernel, p_e, fault in ((sel_minus, ker_minus, 1.0, "-1 eigenvector at {} leaves"),
                                         (sel_plus, ker_plus, 0.0, "+1 eigenvector at {} meets")):
@@ -68,8 +67,8 @@ def extract_kernels(flux: FluxField) -> KernelData:
                 coords = evecs[:, i]
                 defect = float(np.linalg.norm(p_diag * coords - p_e * coords))
                 if defect > tol.kernel_membership:
-                    raise ValidationError(f"{fault.format(label)} Ran P by {defect:g}")
-                kernel.append(geometry.make_state(label, coords))
+                    raise ValidationError(f"{fault.format(box.label(row))} Ran P by {defect:g}")
+                kernel.append(geometry.make_state(box.index.table[row], coords))
     index = spectrum.plus - spectrum.minus
     flipped = index > 0
     big, small = (ker_plus, ker_minus) if flipped else (ker_minus, ker_plus)
@@ -93,7 +92,7 @@ class PerturbedUnitary:
     paired kernel vectors with the smaller kernel, and applies the unitary
     part of the polar splitting of the P-diagonal compression of U on the
     rest of each block.  The nonzero block maps are kept as one (N, k, k)
-    stack in sorted label order with a ``SiteIndex`` over those labels.
+    stack in the field's kept row order with a ``SiteIndex`` over their labels.
     Each action applies A = 1 + F + (U0 - 1)Q0 term by term, F only when
     there are swapped pairs and the maps only when one is nonzero.
     """
@@ -108,21 +107,20 @@ class PerturbedUnitary:
         # over the differences d = small[i] - paired[i], stacked as columns
         diffs = [s - p for p, s in zip(kernels.paired, kernels.small)]
         self._diffs = LatticeState.stack([LatticeState.zero(self.n_internal, 0), *diffs])
-        maps = {label: self._build_block_map(label) for label in sorted(flux.blocks)}
-        maps = {label: m for label, m in maps.items() if m is not None}
-        self._map_index = SiteIndex(np.array(list(maps), dtype=np.int64).reshape(-1, len(flux.geometry.window.lo)))
-        self._map_stack = np.array(list(maps.values()), dtype=complex).reshape(-1, *flux.box.flux.shape[1:])
+        maps = [self._build_block_map(*block) for block in zip(flux.kept.tolist(), *flux.eigh, flux.spectrum.units)]
+        rows = [row for row, m in zip(flux.kept.tolist(), maps) if m is not None]
+        self._map_index = SiteIndex(flux.box.index.table[rows])
+        self._map_stack = np.array([m for m in maps if m is not None], dtype=complex).reshape(-1, *flux.box.flux.shape[1:])
 
     # -- construction ------------------------------------------------------
 
-    def _build_block_map(self, label):
-        """(U0 - 1)Q0 on one block; None when it vanishes."""
-        blk = self.flux.blocks[label]
-        evals, evecs = self.flux.eigensystem(label)
-        plus, minus = self.flux.spectrum.units[label]
+    def _build_block_map(self, row, evals, evecs, units):
+        """(U0 - 1)Q0 on the block of one box row; None when it vanishes."""
+        plus, minus = units
         inside = [i for i in range(len(evals)) if i not in plus and i not in minus]
         if not inside:
             return None
+        label = self.flux.box.label(row)
         e0 = evecs[:, inside]
         lam0 = evals[inside]
         # guards the division by sqrt(1 - lam^2) below; classify_unit already
@@ -131,9 +129,9 @@ class PerturbedUnitary:
             raise ValidationError(
                 f"block {label}: non-unit eigenvalue too close to 1 for the polar factor"
             )
-        n = blk.matrix.shape[0]
-        p = np.diag(blk.p_diag).astype(complex)
-        phi = blk.matrix
+        phi = self.flux.box.flux[row]
+        n = phi.shape[0]
+        p = np.diag(self.flux.box.p_in[row]).astype(complex)
         w = np.eye(n) - phi @ phi - (p @ phi - phi @ p)
         if np.max(np.abs(w.conj().T @ w - (np.eye(n) - phi @ phi))) > self.tol.shift_check:
             raise ConsistencyError(f"block {label}: polar identity W*W = 1 - flux^2 failed")

@@ -23,10 +23,8 @@ from .flux import (
     CellGeometry,
     FluxField,
     FluxWindow,
-    VANISHING_FLUX_BOUND,
     analyze,
     assemble_field,
-    max_block_norm,
     selfcheck_against_operator,
 )
 from .lattice import (
@@ -511,14 +509,6 @@ def verify_lead_condition(coin: SiteMap, network: NetworkSpec, tol: Tolerances =
                 raise ValidationError(f"boundary reflection violated at {site}")
 
 
-def lead_flux_index(network: NetworkSpec, coin: SiteMap, tol: Tolerances = DEFAULT):
-    """Index of the total lead projection (plus bulk symbol if bounded)."""
-    verify_lead_condition(coin, network, tol)
-    report, flux = walk_index(coin, network_projection(network), tol)
-    check_lead_count(report, network)
-    return report, flux
-
-
 def check_lead_count(report, network: NetworkSpec) -> None:
     """The index of a lead network must be n_out - n_in."""
     expected = len(network.outgoing) - len(network.incoming)
@@ -632,18 +622,6 @@ def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> Sit
         planes=[(Plane(b.axis, 0), plane_matrix)],
         background=np.eye(n, dtype=complex),
     )
-
-
-def bulk_boundary_flux(coin: SiteMap, tol: Tolerances = DEFAULT) -> FluxField:
-    """Flux of the homogeneous half-space symbol under a reflecting coin;
-    every block must vanish."""
-    flux = build_walk_flux(coin, boundary_projection_full(coin.d), tol)
-    worst = max_block_norm(flux)
-    if not (worst <= VANISHING_FLUX_BOUND):
-        raise ValidationError(
-            f"reflecting configuration has a nonzero flux block (norm {worst:g})"
-        )
-    return flux
 
 
 def verify_confinement(

@@ -31,7 +31,10 @@ label one coordinate at a time (``tail_partner``), so it checks the window's
 own enumeration and clamp rather than reusing them.
 
 ``identity_coin`` and ``conditional_shift`` build the bare conditional
-shift, a walk that only tests step.  ``per_epsilon_capped`` is the capped
+shift, a walk that only tests step; ``items`` reads a single-vector state
+site by site, ``kept_labels`` gives a field's kept labels as tuples, and
+``lead_flux_index`` and ``bulk_boundary_flux`` check a lead network's index
+and a reflecting coin's vanishing flux, all for tests alone.  ``per_epsilon_capped`` is the capped
 field of one epsilon as ``cc.anomalous_transport`` built it before every
 capped field of an analysis took one cap reach: the epsilon's own reach.
 """
@@ -46,12 +49,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from fluxwalk.cc import FULL_REFLECTION, FULL_TRANSMISSION, CCUnitary, RegionSplit, ScatteringParams, _deep_cell_ray
+from fluxwalk.config import DEFAULT
 from fluxwalk.errors import DimensionMismatchError, ValidationError
 from fluxwalk import lattice
-from fluxwalk.flux import TRIPWIRE_BOUND
+from fluxwalk.flux import TRIPWIRE_BOUND, VANISHING_FLUX_BOUND, max_block_norm
 from fluxwalk.fields import Ray, SiteMap
 from fluxwalk.lattice import LatticeState, SiteIndex, all_direction_vectors
 from fluxwalk.operators import CoinedWalk
+from fluxwalk.walks import (
+    boundary_projection_full,
+    build_walk_flux,
+    check_lead_count,
+    network_projection,
+    verify_lead_condition,
+    walk_index,
+)
 
 
 class DictState:
@@ -121,8 +133,15 @@ class DictState:
         return self + other.scaled(-1.0)
 
 
+def items(psi: LatticeState):
+    """Each site with its vector, of a single-vector state, in row order."""
+    if psi.n_columns != 1:
+        raise DimensionMismatchError(f"a single-vector reader on {psi.n_columns} columns")
+    return zip(psi.site_list(), psi.value_array[:, :, 0])
+
+
 def to_dict(psi: LatticeState) -> DictState:
-    return DictState(psi.n_internal, {site: vec.copy() for site, vec in psi.items()}, _take=True)
+    return DictState(psi.n_internal, {site: vec.copy() for site, vec in items(psi)}, _take=True)
 
 
 def columns(psi: LatticeState) -> list[LatticeState]:
@@ -134,7 +153,7 @@ def columns(psi: LatticeState) -> list[LatticeState]:
 
 def same_state(packed: LatticeState, ref: DictState) -> bool:
     """Same sites in the same row order, bitwise equal vectors."""
-    got = [(site, vec.tobytes()) for site, vec in packed.items()]
+    got = [(site, vec.tobytes()) for site, vec in items(packed)]
     want = [(site, vec.tobytes()) for site, vec in ref.items()]
     return packed.n_internal == ref.n_internal and got == want
 
@@ -346,7 +365,7 @@ def compress(apply, sites, n: int) -> np.ndarray:
     for j_site, site in enumerate(sites):
         for slot in range(n):
             image = apply(LatticeState.basis(site, slot, n))
-            for target, vec in image.items():
+            for target, vec in items(image):
                 i_site = index.get(target)
                 if i_site is not None:
                     m[i_site * n : (i_site + 1) * n, j_site * n + slot] = vec
@@ -617,6 +636,30 @@ def two_call_box(flux):
         "norms": norms, "rank_differences": np.array(rank_differences), "window": window, "labels": box,
     }
     return arrays, tail, int(rank_differences[window].sum())
+
+
+def kept_labels(flux) -> list[tuple]:
+    """The labels of a field's kept window blocks, as tuples in kept order."""
+    return [flux.box.label(row) for row in flux.kept.tolist()]
+
+
+def lead_flux_index(network, coin: SiteMap, tol=DEFAULT):
+    """Index of the total lead projection of a lead network, with the lead
+    condition checked first and the count n_out - n_in checked after."""
+    verify_lead_condition(coin, network, tol)
+    report, flux = walk_index(coin, network_projection(network), tol)
+    check_lead_count(report, network)
+    return report, flux
+
+
+def bulk_boundary_flux(coin: SiteMap, tol=DEFAULT):
+    """Flux of the homogeneous half-space symbol under a reflecting coin;
+    every block must vanish."""
+    flux = build_walk_flux(coin, boundary_projection_full(coin.d), tol)
+    worst = max_block_norm(flux)
+    if not (worst <= VANISHING_FLUX_BOUND):
+        raise ValidationError(f"reflecting configuration has a nonzero flux block (norm {worst:g})")
+    return flux
 
 
 def identity_coin(d: int) -> SiteMap:

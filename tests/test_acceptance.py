@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import reference_state as ref
+from reference_state import bulk_boundary_flux, lead_flux_index
 from fluxwalk.cc import (
     CRITICAL,
     RegionSplit,
@@ -41,9 +42,7 @@ from fluxwalk.walks import (
     basic_halfspace_projection,
     build_walk,
     build_walk_flux,
-    bulk_boundary_flux,
     halfline_projection,
-    lead_flux_index,
     network_projection,
     perturb_coin_window,
     random_background,
@@ -253,10 +252,10 @@ def test_criterion_07_cc_rpath_ensemble():
         )
         report, flux = cc_index(field, path)
         assert report.index == 0
-        for blk in list(flux.blocks.values()):
-            evals = np.sort(np.linalg.eigvalsh(blk.matrix))
+        for phi, eigenvalues in zip(flux.box.flux[flux.kept], flux.box.eigenvalues[flux.kept]):
+            evals = np.sort(np.linalg.eigvalsh(phi))
             worst_eig = max(worst_eig, float(np.max(np.abs(evals - np.array([-0.3, 0.3])))))
-            worst_norm = max(worst_norm, abs(np.abs(blk.eigenvalues).max() - 0.3))
+            worst_norm = max(worst_norm, abs(np.abs(eigenvalues).max() - 0.3))
     assert worst_norm <= 1e-10 and worst_eig <= 1e-10
     _report(7, f"100 draws, index 0, spectrum +-0.3 within {worst_eig:.1e}")
 
@@ -395,7 +394,7 @@ def test_criterion_12_oracle_equivalence():
 
     for name, c, p in cases:
         flux = build_walk_flux(c, p)
-        sites = sorted(flux.blocks)
+        sites = ref.kept_labels(flux)
         lo = [min(s[j] for s in sites) for j in range(len(sites[0]))]
         hi = [max(s[j] for s in sites) for j in range(len(sites[0]))]
         assert all(h - l + 1 <= 7 for l, h in zip(lo, hi))

@@ -34,13 +34,12 @@ from fluxwalk.walks import (
     LeadSpec,
     NetworkSpec,
     build_walk_flux,
-    bulk_boundary_flux,
-    lead_flux_index,
     network_projection,
     random_background,
     reflecting_coin,
     synthesize_lead_coin,
 )
+from reference_state import bulk_boundary_flux, lead_flux_index
 from test_cc import capped, params_r
 from test_flux import make_basic_example
 
@@ -61,6 +60,13 @@ def reference_block(geometry, label):
     return (m.conj().T * p_out) @ m - np.diag(p_in).astype(complex)
 
 
+def box_row(flux, label) -> int:
+    """The box row that ``flux`` reads at any label: its own inside the box,
+    beyond it that of its shell partner."""
+    (row,) = flux._box_rows(np.array([label], dtype=np.int64))
+    return int(row)
+
+
 def assert_blocks_match_reference(flux):
     window = flux.geometry.window
     axes = [
@@ -68,15 +74,15 @@ def assert_blocks_match_reference(flux):
         for l, h, b, s in zip(window.lo, window.hi, window.bands, window.steps)
     ]
     labels = list(itertools.product(*axes))
-    in_box = set(flux.box.labels)
+    in_box = set(flux.box.index.sites)
     tripwire = [label for label in labels if label not in in_box]
     assert not flux.box.window.all() and tripwire
     blocks, *_, which = flux.geometry.block(np.array(tripwire))
     stacked = dict(zip(tripwire, blocks[which]))
     for label in labels:
-        block = flux.block_at(label).matrix if label in in_box else stacked[label]
+        block = flux.box.flux[box_row(flux, label)] if label in in_box else stacked[label]
         assert block.tobytes() == reference_block(flux.geometry, label).tobytes(), label
-    # beyond the box block_at reads the row of the shell partner: labels one,
+    # beyond the box a label reads the row of its shell partner: labels one,
     # two and three bands past its edge, and one grid step short of that, on
     # every side and at every corner
     for m in (1, 2, 3):
@@ -86,9 +92,9 @@ def assert_blocks_match_reference(flux):
         ]
         beyond = {label for label in itertools.product(*sides) if label not in in_box}
         for label in beyond:
-            block = flux.block_at(label)
-            assert block.label == label
-            assert block.matrix.tobytes() == reference_block(flux.geometry, label).tobytes(), label
+            row = box_row(flux, label)
+            assert flux.box.label(row) == ref.tail_partner(label, window)
+            assert flux.box.flux[row].tobytes() == reference_block(flux.geometry, label).tobytes(), label
 
 
 @pytest.mark.parametrize(
@@ -166,7 +172,7 @@ def test_flux_beyond_the_box_computes_no_block(model):
     rng = np.random.default_rng(3)
     k, window = flux.box.flux.shape[1], geometry.window
     sides = [(l - 4 * b, l, h, h + 4 * b) for l, h, b in zip(window.lo, window.hi, window.bands)]
-    in_box = set(flux.box.labels)
+    in_box = set(flux.box.index.sites)
     psi = LatticeState.zero(geometry.state_dim)
     for label in itertools.product(*sides):
         if label not in in_box:

@@ -386,10 +386,10 @@ def test_rpath_block_law():
     report, flux = cc_index(field, straight_r_path())
     assert report.index == 0
     assert flux.certificate.bound == pytest.approx(0.3, abs=1e-12)
-    for blk in flux.blocks.values():
-        evals = np.linalg.eigvalsh(blk.matrix)
+    for phi in flux.box.flux[flux.kept]:
+        evals = np.linalg.eigvalsh(phi)
         assert np.max(np.abs(np.sort(evals) - np.array([-0.3, 0.3]))) < 1e-10
-        sq = blk.matrix @ blk.matrix
+        sq = phi @ phi
         assert np.max(np.abs(sq - 0.09 * np.eye(2))) < 1e-12
 
 
@@ -397,15 +397,15 @@ def test_rpath_zero_weight_gives_zero_flux():
     field = SiteMap(2, background=FULL_TRANSMISSION)  # |r| = 0
     report, flux = cc_index(field, straight_r_path())
     assert report.index == 0
-    assert not flux.blocks
+    assert not len(flux.kept)
 
 
 def test_block_commutes_with_cell_and_projection():
     field = SiteMap(2, background=params_r(0.45, np.exp(1.1j)))
     _, flux = cc_index(field, straight_r_path())
-    for blk in flux.blocks.values():
-        p = np.diag(blk.p_diag)
-        sq = blk.matrix @ blk.matrix
+    for phi, p_diag in zip(flux.box.flux[flux.kept], flux.box.p_in[flux.kept]):
+        p = np.diag(p_diag)
+        sq = phi @ phi
         assert np.max(np.abs(sq @ p - p @ sq)) < 1e-12
 
 
@@ -416,7 +416,7 @@ def test_phase_independence_of_norm():
         window = random_phase_window(rng, 0.3, range(-6, 7), range(-6, 7))
         field = SiteMap(2, window=window, background=params_r(0.3))
         _, flux = cc_index(field, path)
-        worst = max(float(np.abs(blk.eigenvalues).max()) for blk in flux.blocks.values())
+        worst = max(float(np.abs(evals).max()) for evals in flux.box.eigenvalues[flux.kept])
         assert abs(worst - 0.3) < 1e-10
 
 
@@ -504,7 +504,7 @@ def test_dense_window_oracle_on_capped_flux(west_first, seed):
     field = capped(SiteMap(2, window=window, background=params_r(0.2)), path)
     report, flux = cc_index(field, path)
     assert flux.tail_zero and abs(report.index) == 1
-    points = flux.geometry.unitary.in_basis(np.array(list(flux.blocks)))[0].reshape(-1, 2)
+    points = flux.geometry.unitary.in_basis(flux.box.index.table[flux.kept])[0].reshape(-1, 2)
     axes = [range(int(points[:, j].min()) - 2, int(points[:, j].max()) + 3) for j in (0, 1)]
     box = itertools.product(*axes)
     assert dense_window_index(CCUnitary(field), flux.geometry.proj.apply, box, 1) == report.index
@@ -599,8 +599,8 @@ def test_trace_norm_bound_measured_constant():
     _, flux = cc_index(field, straight_r_path())
     from reference_state import trace_norm_hermitian
 
-    for blk in flux.blocks.values():
-        assert abs(trace_norm_hermitian(blk.matrix) - 2 * 0.3) < 1e-10
+    for phi in flux.box.flux[flux.kept]:
+        assert abs(trace_norm_hermitian(phi) - 2 * 0.3) < 1e-10
 
 
 def test_selfcheck_pushes_its_probes_through_the_network_once(monkeypatch):

@@ -68,13 +68,13 @@ def verify_internal_identities(flux) -> dict:
     """
     worst_sum = 0.0
     worst_anti = 0.0
-    for blk in flux.blocks.values():
-        n = blk.matrix.shape[0]
-        p = np.diag(blk.p_diag).astype(complex)
-        r = blk.matrix + p
+    for phi, p_diag in zip(flux.box.flux[flux.kept], flux.box.p_in[flux.kept]):
+        n = phi.shape[0]
+        p = np.diag(p_diag).astype(complex)
+        r = phi + p
         b = (np.eye(n) - r) - p
-        worst_sum = max(worst_sum, float(np.max(np.abs(blk.matrix @ blk.matrix + b @ b - np.eye(n)))))
-        worst_anti = max(worst_anti, float(np.max(np.abs(blk.matrix @ b + b @ blk.matrix))))
+        worst_sum = max(worst_sum, float(np.max(np.abs(phi @ phi + b @ b - np.eye(n)))))
+        worst_anti = max(worst_anti, float(np.max(np.abs(phi @ b + b @ phi))))
     return {"sum_defect": worst_sum, "anticommutator_defect": worst_anti}
 
 
@@ -85,7 +85,7 @@ def test_commuting_configuration_has_zero_flux():
 
     proj = AdaptedProjection.from_layers(1, background={0})
     flux = build_walk_flux(identity_coin(1), proj)
-    assert not flux.blocks
+    assert not len(flux.kept)
     assert flux.certificate.bound < 1e-15
     report = analyze(flux)
     assert report.index == 0
@@ -97,7 +97,7 @@ def test_basic_example_flux_location_and_index():
     flux = build_walk_flux(coin, proj)
     # the paper's configuration concentrates the flux on the single site just
     # below the cut; everything beyond the cut vanishes identically
-    assert sorted(flux.blocks) == [(1,)]
+    assert ref.kept_labels(flux) == [(1,)]
     report = analyze(flux)
     assert report.index == 1
     assert report.dim_ker_plus == 1 and report.dim_ker_minus == 0
@@ -121,13 +121,13 @@ def test_blocks_match_dense_window_oracle():
         for slot in range(n):
             e = LatticeState.basis(site, slot, n)
             image = walk.apply_adjoint(proj.apply(walk.apply(e))) - proj.apply(e)
-            for target, vec in image.items():
+            for target, vec in ref.items(image):
                 i = index_of.get(target)
                 if i is not None:
                     m[i * n : (i + 1) * n, js * n + slot] = vec
-    for site, blk in flux.blocks.items():
+    for site, phi in zip(ref.kept_labels(flux), flux.box.flux[flux.kept]):
         i = index_of[site]
-        assert np.max(np.abs(m[i * n : (i + 1) * n, i * n : (i + 1) * n] - blk.matrix)) < 1e-12
+        assert np.max(np.abs(m[i * n : (i + 1) * n, i * n : (i + 1) * n] - phi)) < 1e-12
 
 
 def test_flux_apply_equals_operator_route():
@@ -183,12 +183,12 @@ def test_complementation_flips_the_index(seed, kind):
 def test_blockwise_spectrum_bound_and_identities():
     coin, proj = make_basic_example(seed=14)
     flux = build_walk_flux(coin, proj)
-    for blk in flux.blocks.values():
-        evals = np.linalg.eigvalsh(blk.matrix)
+    for phi, p_diag in zip(flux.box.flux[flux.kept], flux.box.p_in[flux.kept]):
+        evals = np.linalg.eigvalsh(phi)
         assert np.all(np.abs(evals) <= 1 + 1e-12)
         # the squared flux commutes with the projection, blockwise
-        p = np.diag(blk.p_diag)
-        sq = blk.matrix @ blk.matrix
+        p = np.diag(p_diag)
+        sq = phi @ phi
         assert np.max(np.abs(sq @ p - p @ sq)) < 1e-12
     defects = verify_internal_identities(flux)
     assert defects["sum_defect"] < 1e-12
@@ -228,8 +228,9 @@ def test_kernel_vectors_must_respect_the_projection(complement, message):
     # eigenvector entirely to the wrong side of P
     coin, proj = make_basic_example(seed=1)
     flux = build_walk_flux(coin, proj.complement() if complement else proj)
-    (label,) = flux.spectrum.units
-    p_diag = flux.blocks[label].p_diag
+    (row,) = flux.kept.tolist()
+    label = flux.box.label(row)
+    p_diag = flux.box.p_in[row]
     p_diag[...] = 1.0 - p_diag
     with pytest.raises(ValidationError, match=re.escape(message.format(label))):
         extract_kernels(flux)
@@ -237,19 +238,20 @@ def test_kernel_vectors_must_respect_the_projection(complement, message):
 
 def _basic_flux_and_a_probed_kept_block():
     """The basic example's flux and walk, and a kept block that the
-    selfcheck's probes meet."""
+    selfcheck's probes meet, as a view of its box row."""
     coin, proj = make_basic_example(seed=1)
     walk = build_walk(coin)
     flux = build_walk_flux(walk, proj)
     probed = set(flux.geometry.probe_states(np.random.default_rng(7)).site_list())
-    return flux, walk, flux.blocks[sorted(set(flux.blocks) & probed)[0]]
+    row = next(row for row in flux.kept.tolist() if flux.box.label(row) in probed)
+    return flux, walk, flux.box.flux[row]
 
 
 def test_selfcheck_catches_a_corrupted_kept_block():
     # the probes travel as the columns of one state; a kept block that the
     # probes meet, off by 1e-6 in one entry, must fail the check
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
-    block.matrix[0, 0] += 1e-6
+    block[0, 0] += 1e-6
     with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by")):
         selfcheck_against_operator(flux, walk)
 
@@ -257,7 +259,7 @@ def test_selfcheck_catches_a_corrupted_kept_block():
 def test_selfcheck_catches_a_small_offset_on_a_kept_block():
     # a 1e-11 Hermitian offset on one probed kept block exceeds the 1e-12 bound
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
-    block.matrix[...] += 1e-11 * np.eye(len(block.matrix))
+    block[...] += 1e-11 * np.eye(len(block))
     with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by")):
         selfcheck_against_operator(flux, walk)
 
@@ -265,7 +267,7 @@ def test_selfcheck_catches_a_small_offset_on_a_kept_block():
 def test_selfcheck_catches_a_nan_kept_block():
     # a NaN deviation compares false with the bound and must fail as well
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
-    block.matrix[0, 0] = np.nan
+    block[0, 0] = np.nan
     with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by nan")) as info:
         selfcheck_against_operator(flux, walk)
     assert info.type is ConsistencyError
@@ -275,11 +277,11 @@ def test_guard_band_aborts():
     # hand-plant a block eigenvalue inside the guard band around +1
     coin, proj = make_basic_example(seed=1)
     flux = build_walk_flux(coin, proj)
-    label = next(iter(flux.blocks))
-    # written in place: the stored block is a view of the assembled box row
-    # that block_at reads
-    flux.blocks[label].matrix[...] = np.diag([1.0 - 3e-8, 0.0])
-    flux._eig_cache.clear()
+    row = flux.kept[0]
+    # written in place: the first kept box row and its entry of the eigh
+    # stack that the spectrum reads
+    flux.box.flux[row] = np.diag([1.0 - 3e-8, 0.0])
+    flux.eigh.eigenvalues[0], flux.eigh.eigenvectors[0] = np.linalg.eigh(flux.box.flux[row])
     with pytest.raises(EigenvalueAmbiguityError):
         index_by_kernels(flux)
 

@@ -3,7 +3,8 @@
 A list of geometries that share one window and one projection is assembled
 as one stack.  Every field of a stack must equal, byte for byte, the field
 that assembling its geometry alone gives: box arrays and labels, rank list,
-certificate, kept labels and eigensystem cache.  A fault in a later flux of
+certificate, kept box rows and the ``eigh`` stack over them, which must
+also equal one ``eigh`` per kept block.  A fault in a later flux of
 a stack must raise what assembling that flux alone raises, and a geometry
 with another window or projection must not enter a stack.
 
@@ -77,14 +78,14 @@ def assert_field_is_its_own(stacked, alone):
     cert, want = stacked.certificate, alone.certificate
     assert (cert.ok, cert.radius, cert.witness) == (want.ok, want.radius, want.witness)
     assert np.float64(cert.bound).tobytes() == np.float64(want.bound).tobytes()
-    assert list(stacked.blocks) == list(alone.blocks)
-    assert list(stacked._eig_cache) == list(alone._eig_cache) == list(stacked.blocks)
-    # the cache against one eigh per kept label
-    for label, (w, v) in stacked._eig_cache.items():
-        w_own, v_own = alone._eig_cache[label]
-        w_ref, v_ref = np.linalg.eigh(stacked.blocks[label].matrix[None])
-        assert w.tobytes() == w_own.tobytes() == w_ref[0].tobytes(), label
-        assert v.tobytes() == v_own.tobytes() == v_ref[0].tobytes(), label
+    assert stacked.kept.tolist() == alone.kept.tolist()
+    assert len(stacked.eigh.eigenvalues) == len(alone.eigh.eigenvalues) == len(stacked.kept)
+    # the eigh stack against one eigh per kept block
+    for i, row in enumerate(stacked.kept.tolist()):
+        w, v = stacked.eigh.eigenvalues[i], stacked.eigh.eigenvectors[i]
+        w_ref, v_ref = np.linalg.eigh(box.flux[row][None])
+        assert w.tobytes() == alone.eigh.eigenvalues[i].tobytes() == w_ref[0].tobytes(), row
+        assert v.tobytes() == alone.eigh.eigenvectors[i].tobytes() == v_ref[0].tobytes(), row
 
 
 def assert_stack_is_each_alone(geometries, tol):

@@ -12,6 +12,9 @@ like that flux's own split.
 box, certificate and rank sum must equal, bit for bit, those of the two-call
 assembly it replaced (``reference_state.two_call_box``), and the stacked
 Kitaev sum must equal the per-row loop (``reference_state.kitaev_sum``).
+
+A field reads its blocks by box row: analysing a CC flux must not build the
+label tuples of its whole box (``SiteIndex.sites``).
 """
 
 import itertools
@@ -40,8 +43,10 @@ from fluxwalk.cc import (
 from fluxwalk.cli import bundled_scenarios
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import SiteMap
-from fluxwalk.flux import CellGeometry, assemble_field, kitaev_sum
+from fluxwalk.flux import CellGeometry, analyze, assemble_field, kitaev_sum
+from fluxwalk.lattice import SiteIndex
 from fluxwalk.scenarios import ANALYSES, _checked_setup
+from fluxwalk.shift import build_perturbed
 from fluxwalk.walks import build_walk_flux, network_projection, random_background, random_network, synthesize_lead_coin
 from test_assembly import reference_block
 from test_cc import capped, params_r
@@ -58,8 +63,8 @@ def assert_box_matches_per_label_reference(flux):
     """Every box row against its label's reference block, reference cell
     matrix, one ``eigvalsh`` of the reference block and its largest modulus."""
     box, geometry = flux.box, flux.geometry
-    assert len(box.labels) == len(box.flux) == len(box.cells) == len(box.eigenvalues) == len(box.norms)
-    for row, label in enumerate(box.labels):
+    assert len(box.index.sites) == len(box.flux) == len(box.cells) == len(box.eigenvalues) == len(box.norms)
+    for row, label in enumerate(box.index.sites):
         block = reference_block(geometry, label)
         evals = np.linalg.eigvalsh(block)
         cell = np.asarray(ref.reference_cell(geometry.unitary, label)[0], dtype=complex)
@@ -330,3 +335,26 @@ def test_surgery_analyses_each_distinct_reroute_once(monkeypatch):
     assert out["pass"] and len(bumps) == 20
     assert len(distinct) < out["reroutes"]  # 11 distinct paths in 20 reroutes
     assert len(splits) <= 1 + 2 * len(distinct)
+
+
+# ---------------------------------------------------------------------------
+# box rows, not label tuples
+
+
+@pytest.mark.parametrize("capped_tail", [False, True], ids=["bundled", "capped"])
+def test_a_cc_analysis_builds_no_label_tuples_of_its_box(monkeypatch, capped_tail):
+    # ``SiteIndex.sites`` tuples every label of a box, about 1 260 on a CC
+    # box; the spectrum's error labels, the certificate witness and the
+    # kernel states need one row's label at a time at most
+    reads = []
+    sites = SiteIndex.sites
+    monkeypatch.setattr(SiteIndex, "sites", property(lambda index: reads.append(index) or sites.fget(index)))
+    if capped_tail:
+        path = crossover_path()
+        flux = cc_flux(capped(SiteMap(2, background=params_r(0.2)), path), path)
+        assert flux.tail_zero
+    else:
+        flux = _setup("cc_crossover_critical").flux
+    assert abs(analyze(flux).index) == 1
+    build_perturbed(flux.geometry.unitary, flux)
+    assert not [index for index in reads if index is flux.box.index]

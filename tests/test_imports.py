@@ -42,9 +42,9 @@ def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-# Helpers kept although only tests use them; ROADMAP item 6 either routes
-# each through the scenario path it repeats or moves it to the tests.
-TEST_ONLY_HELPERS = {"walks.lead_flux_index", "walks.bulk_boundary_flux"}
+# Helpers kept although only tests use them: none.  A helper that only
+# tests need lives in the tests (``reference_state``), not in the package.
+TEST_ONLY_HELPERS = set()
 
 
 def top_level_definitions(tree: ast.Module) -> dict:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fluxwalk.cli as cli_module
+import fluxwalk.scenarios as scenarios_module
 from fluxwalk.cli import bundled_scenarios, main
 from fluxwalk.errors import (
     CertificationError,
@@ -692,6 +693,40 @@ def test_a_degenerate_or_non_finite_parameter_fails_only_its_analysis(name, atyp
     analyses = run_scenario(spec).report["analyses"]
     assert analyses[f"{atype}#0"] == {"pass": False, "error": message}
     assert analyses["spectrum_window#1"]["pass"]
+
+
+@pytest.mark.parametrize(
+    "name, analysis, message",
+    [
+        ("basic_example", {"type": "spectrum_window", "box": -1}, "box must be at least 0, got -1"),
+        (
+            "two_outgoing_leads",
+            {"type": "spectrum_window", "box": 100},
+            "a dense window of 161604 basis vectors exceeds DENSE_BASIS = 4096",
+        ),
+        (
+            "half_line_plus",
+            {"type": "oracle_equivalence", "pad": 16},
+            "a dense window of 4356 basis vectors exceeds DENSE_BASIS = 4096",
+        ),
+    ],
+    ids=["spectrum_window_negative_box", "spectrum_window_wide_box", "oracle_wide_pad"],
+)
+def test_a_dense_window_above_its_bound_fails_only_its_analysis(monkeypatch, name, analysis, message):
+    # a dense window allocates a matrix of its basis size squared (box 100
+    # on a d = 2 walk asks for 161604^2 entries), so an out-of-bound window
+    # must fail before it reaches the compression, here made to raise
+    def compression(*args):
+        raise AssertionError("an out-of-bound dense window reached its compression")
+
+    monkeypatch.setattr(scenarios_module, "matrix_on_window", compression)
+    monkeypatch.setattr(scenarios_module, "dense_window_index", compression)
+    spec = load(name)
+    spec["analyses"] = [analysis, {"type": "index"}]
+    validate_scenario(spec)
+    analyses = run_scenario(spec).report["analyses"]
+    assert analyses[f"{analysis['type']}#0"] == {"pass": False, "error": message}
+    assert analyses["index#1"]["pass"]
 
 
 @pytest.mark.parametrize(

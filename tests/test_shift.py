@@ -145,12 +145,12 @@ def test_shift_check_takes_no_single_inner_products(monkeypatch):
 
 
 def _first_polar_block(flux):
-    """The first label, in the order the perturbed unitary builds its block
-    maps, whose block has eigenvalues strictly inside (-1, 1)."""
-    for label in sorted(flux.blocks):
-        plus, minus = flux.spectrum.units[label]
-        if len(plus) + len(minus) < len(flux.eigensystem(label)[0]):
-            return label
+    """The position in ``flux.kept``, in the order the perturbed unitary
+    builds its block maps, of the first block with eigenvalues strictly
+    inside (-1, 1), and its label."""
+    for i, (plus, minus) in enumerate(flux.spectrum.units):
+        if len(plus) + len(minus) < len(flux.eigh.eigenvalues[i]):
+            return i, flux.box.label(flux.kept[i])
     raise AssertionError("no block with eigenvalues inside (-1, 1)")
 
 
@@ -159,8 +159,8 @@ def test_polar_identity_failure_is_caught():
     coin, proj = basic_example(seed=2)
     flux = build_walk_flux(coin, proj)
     kd = extract_kernels(flux)
-    label = _first_polar_block(flux)
-    flux.blocks[label].matrix[0, 0] += 1e-6
+    i, label = _first_polar_block(flux)
+    flux.box.flux[flux.kept[i], 0, 0] += 1e-6
     message = f"block {label}: polar identity W*W = 1 - flux^2 failed"
     with pytest.raises(ConsistencyError, match=re.escape(message)):
         build_perturbed(build_walk(coin), flux, kd)
@@ -175,13 +175,11 @@ def test_polar_unitarity_failure_is_caught():
     coin, proj = basic_example(seed=2)
     flux = build_walk_flux(coin, proj)
     kd = extract_kernels(flux)
-    label = _first_polar_block(flux)
-    evals, evecs = flux.eigensystem(label)
-    plus, minus = flux.spectrum.units[label]
-    moved = evals.copy()
-    inside = [i for i in range(len(evals)) if i not in plus and i not in minus]
-    moved[inside] += 1e-3
-    flux._eig_cache[label] = (moved, evecs)
+    i, label = _first_polar_block(flux)
+    evals = flux.eigh.eigenvalues[i]
+    plus, minus = flux.spectrum.units[i]
+    inside = [j for j in range(len(evals)) if j not in plus and j not in minus]
+    evals[inside] += 1e-3
     with pytest.raises(ConsistencyError, match=re.escape(f"block {label}: polar factor is not unitary")):
         build_perturbed(build_walk(coin), flux, kd)
 

