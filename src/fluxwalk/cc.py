@@ -20,7 +20,6 @@ projection whose flux is analyzed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,7 +144,7 @@ class CCUnitary(LocalUnitary):
     a block in one array pass.  For ``flux.CellGeometry``, cell z maps its
     incoming pair onto its outgoing pair through S(z)^T (outgoing x
     incoming), and ``cell_labels`` is ``in_cells``.  The S^T of every table
-    row is stacked once; ``cells`` gives that stack and each label's
+    row is stacked once; ``table_rows`` gives that stack and each label's
     ``value_index`` row, and the actions take from it."""
 
     d = 2
@@ -196,10 +195,6 @@ class CCUnitary(LocalUnitary):
 
     def table_rows(self, labels: np.ndarray):
         return self._transposed_table, self.scattering.value_index(np.asarray(labels, dtype=np.int64))
-
-    def cells(self, labels: np.ndarray):
-        labels = np.asarray(labels, dtype=np.int64)
-        return (*self.table_rows(labels), self.in_basis(labels), self.out_basis(labels))
 
     @cached_property
     def _transposed_table(self) -> np.ndarray:
@@ -537,8 +532,10 @@ class FluxPlan:
         self.split, self.probes = None, {}
 
 
-def cc_flux(scattering, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None):
-    """Blockwise flux of the left-region projection of a dual path, checked
+def cc_flux(fields: list, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None) -> list:
+    """Blockwise fluxes of the left-region projection of a dual path under
+    the networks of a list of scattering fields on one window, assembled as
+    one stack (``assemble_field`` refuses a second window), each checked
     against the operator on random states.
 
     Block at cell z in the incoming basis: conj(S) D_out S^T - D_in with the
@@ -546,25 +543,21 @@ def cc_flux(scattering, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPla
     diagonals (``flux.CellGeometry`` with matrix S^T).  The window covers the
     path and the scattering features plus a margin of 4.  The split and the
     probes come from ``plan``, a ``FluxPlan`` of ``path``, or a new one.
-
-    A list of fields gives the list of their fluxes, each run of fields on
-    one window assembled as one stack, each flux self-checked on its own.
     """
-    unitaries = [CCUnitary(field) for field in (scattering if isinstance(scattering, list) else [scattering])]
-    plan, fluxes = plan or FluxPlan(), []
-    for window, run in itertools.groupby(unitaries, lambda unitary: cc_flux_window(unitary.scattering, path)):
-        plan.split = plan.split or RegionSplit(path, *points_box(window))
-        geometries = [CellGeometry(unitary, plan.split, window, probes=8) for unitary in run]
-        fluxes += assemble_field(geometries, geometries[0].block, tol)
-        for flux in fluxes[-len(geometries) :]:
-            selfcheck_against_operator(flux, flux.geometry.unitary, plan.probes)
-    return fluxes if isinstance(scattering, list) else fluxes[0]
+    unitaries, plan = [CCUnitary(field) for field in fields], plan or FluxPlan()
+    windows = [cc_flux_window(unitary.scattering, path) for unitary in unitaries]
+    plan.split = plan.split or RegionSplit(path, *points_box(windows[0]))
+    geometries = [CellGeometry(unitary, plan.split, window, probes=8) for unitary, window in zip(unitaries, windows)]
+    fluxes = assemble_field(geometries, geometries[0].block, tol)
+    for flux in fluxes:
+        selfcheck_against_operator(flux, plan.probes)
+    return fluxes
 
 
 def cc_index(scattering: SiteMap, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None):
     """``(report, flux)``: the self-checked network flux and its ``analyze``
     report, whose kernel count the cell rank formula has matched exactly."""
-    flux = cc_flux(scattering, path, tol, plan)
+    flux = cc_flux([scattering], path, tol, plan)[0]
     return analyze(flux), flux
 
 

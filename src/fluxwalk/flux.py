@@ -18,13 +18,14 @@ reads these bands from the flux's one ``FluxWindow``.  So after assembly
 every block read is a row of the stacked box, a label beyond it reading the
 row of its shell partner (``FluxWindow.partners``).
 
-Fluxes on one window and one projection, such as the capped fluxes of an
-anomalous-transport analysis, are assembled as one stack (a flux axis).
+Every flux is assembled as part of a stack (a flux axis) of fluxes on one
+window and one projection, such as the capped fluxes of an
+anomalous-transport analysis; a lone flux is a stack of one.
 
 A field keeps its window blocks as box rows (``FluxField.kept``) with one
-``eigh`` stack over them, and classifies those eigenvalues against +1 and
--1 once (``FluxField.spectrum``); the kernel count, the shift decomposition
-and the stability probe all read that classification.
+``eigh`` stack over them, and classifies that whole stack against +1 and -1
+once, in one array pass (``FluxField.spectrum``); the kernel count, the shift
+decomposition and the stability probe all read that classification.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class StackedBox(NamedTuple):
     """What assembly stacked for the window and shell labels, row by row in
     enumeration order, with their ``SiteIndex``: the ``block_fn`` blocks,
     masks and cell matrices, the ``eigvalsh`` eigenvalues and block norms,
-    rank P_out - rank P_in, and window rows; ``label`` tuples one row's."""
+    and window rows; ``label`` tuples one row's."""
 
     index: SiteIndex
     flux: np.ndarray
@@ -55,7 +56,6 @@ class StackedBox(NamedTuple):
     cells: np.ndarray
     eigenvalues: np.ndarray
     norms: np.ndarray
-    rank_differences: list
     window: np.ndarray
 
     def label(self, row: int) -> tuple:
@@ -100,16 +100,15 @@ class IndexReport:
 
 class UnitSpectrum(NamedTuple):
     """The eigenvalues of a certified field's kept window blocks, classified
-    against +1 and -1 once (``classify_unit``).
+    against +1 and -1 in one pass (``classify_unit``).
 
-    ``units[i]`` holds the +1 and -1 columns of the i-th kept block in the
-    field's ``eigh`` stack; ``plus`` and ``minus`` are the kernel dimensions,
-    and ``phi_less`` is the largest modulus strictly inside (-1, 1) over the
-    window blocks and the shell."""
+    ``plus`` and ``minus`` are (B, k) masks aligned with the field's ``eigh``
+    stack, marking the eigenvalues counted as +1 and as -1 (their sums are the
+    kernel dimensions), and ``phi_less`` is the largest modulus strictly
+    inside (-1, 1) over the window blocks and the shell."""
 
-    units: list
-    plus: int
-    minus: int
+    plus: np.ndarray
+    minus: np.ndarray
     phi_less: float
 
 
@@ -155,17 +154,16 @@ class FluxWindow:
 class CellGeometry:
     """Adapter between cell-labelled flux blocks and lattice states.
 
-    Labels, sites and slots are integer arrays.  The unitary gives
-    ``cells(labels) -> (table, rows, ins, outs)`` for an (N, d) label array:
-    cell i maps its incoming basis onto its outgoing one through U =
-    ``table[rows[i]]`` (S^T rows for networks, distinct coins for walks);
-    ``ins`` and ``outs`` are ``(sites, slots)``, an (N, k, d) site array and
-    a length-k slot array (basis vector j of cell i is slot ``slots[j]`` at
-    ``sites[i, j]``).  ``in_basis(labels)`` is ``ins`` alone, and
-    ``cell_labels(sites)`` maps an (M, d) site array to the labels of the
-    cells whose incoming bases hold those sites.  The incoming bases
-    partition the lattice basis, and so do the outgoing bases.  A unitary
-    stacked after another (``block``) gives ``table_rows``, ``cells`` less the bases.
+    Labels, sites and slots are integer arrays.  For an (N, d) label array
+    the unitary gives ``table_rows(labels) -> (table, rows)``: cell i maps
+    its incoming basis onto its outgoing one through U = ``table[rows[i]]``
+    (S^T rows for networks, distinct coins for walks).  ``in_basis(labels)``
+    and ``out_basis(labels)`` give ``(sites, slots)``, an (N, k, d) site
+    array and a length-k slot array (basis vector j of cell i is slot
+    ``slots[j]`` at ``sites[i, j]``), and ``cell_labels(sites)`` maps an
+    (M, d) site array to the labels of the cells whose incoming bases hold
+    those sites.  The incoming bases partition the lattice basis, and so do
+    the outgoing bases.
 
     The projection gives ``diagonal_entries(sites, slots)``, its 0/1 entries
     at slot ``slots[i]`` of site ``sites[i]``, and ``apply(psi)``.  With P_in
@@ -185,22 +183,23 @@ class CellGeometry:
         self.probes = probes
 
     def block(self, labels: np.ndarray, *stacked):
-        """The ``block_fn`` of ``assemble_field``, called once per flux or
-        stack on every enumerated label: the labelled cells' distinct (row,
-        P_in, P_out) stacks and each label's row among them, so window, shell
-        and tripwire labels of one key share one block.  One
+        """The ``block_fn`` of ``assemble_field``, called once per stack on
+        every enumerated label: the labelled cells' distinct (row, P_in,
+        P_out) stacks and each label's row among them, so window, shell and
+        tripwire labels of one key share one block.  One
         ``diagonal_entries`` call covers both bases of every cell.
 
-        ``stacked`` geometries (the flux axis) share this one's bases and
-        projection, so the masks are built once; their tables follow this
-        one's, and ``which`` holds N rows per geometry, this one's first."""
-        table, rows, (in_sites, in_slots), (out_sites, out_slots) = self.unitary.cells(labels)
+        ``stacked`` geometries (the rest of the flux axis) share this one's
+        bases and projection, so the masks are built once; their tables
+        follow this one's, and ``which`` holds N rows per geometry, this
+        one's first."""
+        (in_sites, in_slots), (out_sites, out_slots) = self.unitary.in_basis(labels), self.unitary.out_basis(labels)
         n, k, d = in_sites.shape
         sites = np.concatenate([in_sites, out_sites], axis=1).reshape(-1, d)
         slots = np.tile(np.concatenate([in_slots, out_slots]), n)
         masks = self.proj.diagonal_entries(sites, slots).reshape(n, 2 * k)
-        tables, rows = [table], [rows]
-        for geometry in stacked:
+        tables, rows = [], []
+        for geometry in (self, *stacked):
             table, more = geometry.unitary.table_rows(labels)
             rows.append(more + sum(map(len, tables)))
             tables.append(table)
@@ -289,8 +288,8 @@ class FluxField:
     every block the field reads is a row of it.  ``kept`` are the box rows
     of the window blocks above ``tol.block_prune``, in label order, and
     ``eigh`` the one ``np.linalg.eigh`` stack over ``box.flux[kept]``.
-    ``spectrum`` classifies the unit eigenvalues of that stack on first use
-    and keeps the result; every index reader shares it.
+    ``spectrum`` classifies the unit eigenvalues of that stack in one pass on
+    first use and keeps the result; every index reader shares it.
     """
 
     geometry: CellGeometry
@@ -318,24 +317,16 @@ class FluxField:
 
     @cached_property
     def spectrum(self) -> UnitSpectrum:
-        """The classification of the kept window blocks, once the
-        certificate holds; the shell norms enter ``phi_less``."""
+        """The classification of the kept window blocks' ``eigh`` stack, once
+        the certificate holds; the shell norms enter ``phi_less``."""
         cert = self.certificate
         if not cert.ok:
             raise CertificationError(
                 f"certificate failed: tail bound {cert.bound:g} at radius {cert.radius}",
                 witness=cert.witness,
             )
-        units = []
-        plus = minus = 0
-        phi_less = float(self.box.norms[~self.box.window].max(initial=0.0))
-        for row, evals in zip(self.kept.tolist(), self.eigh.eigenvalues):
-            sel_plus, sel_minus, inside = classify_unit(evals, self.tol, self.box.label(row))
-            units.append((sel_plus, sel_minus))
-            plus += len(sel_plus)
-            minus += len(sel_minus)
-            phi_less = max(phi_less, inside)
-        return UnitSpectrum(units, plus, minus, phi_less)
+        plus, minus, inside = classify_unit(self.eigh.eigenvalues, self.tol, lambda b: self.box.label(self.kept[b]))
+        return UnitSpectrum(plus, minus, max(float(self.box.norms[~self.box.window].max(initial=0.0)), inside))
 
     # -- operator actions ----------------------------------------------------
 
@@ -360,23 +351,21 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return reduce(np.maximum, a.reshape(len(a), math.prod(a.shape[1:])).T)
 
 
-def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField | list[FluxField]:
-    """Enumerate the window, shell and tripwire bands of ``geometry.window``; build the field.
+def assemble_field(geometries: list, block_fn, tol: Tolerances) -> list[FluxField]:
+    """The fields of a list of F geometries on one window and one projection
+    (a flux axis, F = 1 for a lone flux; ``ConsistencyError`` otherwise),
+    over the window, shell and tripwire bands of that ``FluxWindow``.  Each
+    field equals bit for bit its geometry assembled alone.
 
-    ``block_fn(labels)`` takes an (N, d) integer array of labels and returns
-    ``(flux blocks, P_in, P_out, cell matrices, which)``: (M, k, k), (M, k),
-    (M, k) and (M, k, k) stacks of M distinct blocks and each label's row
-    among them; it must be total.  It is called once, on every enumerated
-    label (window, shell and tripwire, in enumeration order).  The shell band
-    (one tail period per axis) carries one representative of every
-    translation class of blocks beyond the window; the tripwire band
-    re-checks that, label by label, within ``TRIPWIRE_BOUND``, against the
-    box row of its shell partner.
-
-    A list of F geometries on one window and one projection (a flux axis;
-    ``ConsistencyError`` otherwise) gives the list of their fields, each
-    equal bit for bit to its geometry assembled alone: ``block_fn(labels,
-    *geometries[1:])`` gives the blocks of all F, ``which`` F runs of N rows.
+    ``block_fn(labels, *geometries[1:])`` takes an (N, d) integer array of
+    labels and returns ``(flux blocks, P_in, P_out, cell matrices, which)``:
+    (M, k, k), (M, k), (M, k) and (M, k, k) stacks of M distinct blocks and
+    each label's row among them, F runs of N rows; it must be total.  It is
+    called once, on every enumerated label (window, shell and tripwire, in
+    enumeration order).  The shell band (one tail period per axis) carries
+    one representative of every translation class of blocks beyond the
+    window; the tripwire band re-checks that, label by label, within
+    ``TRIPWIRE_BOUND``, against the box row of its shell partner.
 
     Hermiticity, norms and rank differences are computed once per distinct
     block and read per label.  Hermiticity is checked at the box labels, then
@@ -385,9 +374,8 @@ def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField | list[Flux
     their eigenvectors.  Errors name the first offending flux, and its
     first offending label in enumeration order (lexicographic).
     """
-    stack = list(geometry) if isinstance(geometry, (list, tuple)) else [geometry]
-    window, proj = stack[0].window, stack[0].proj
-    if any(g.window != window or g.proj is not proj for g in stack):
+    window, proj = geometries[0].window, geometries[0].proj
+    if any(g.window != window or g.proj is not proj for g in geometries):
         raise ConsistencyError("the fluxes of one stack must share one window and one projection")
     lo, hi, bands = (np.array(v, dtype=np.int64) for v in (window.lo, window.hi, window.bands))
     labels = window.labels()
@@ -396,8 +384,8 @@ def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField | list[Flux
 
     in_box = zone < 2
     box_index = SiteIndex(labels[in_box])
-    flux, p_in, p_out, cells, which = block_fn(labels, *stack[1:])
-    which = which.reshape(len(stack), -1)
+    flux, p_in, p_out, cells, which = block_fn(labels, *geometries[1:])
+    which = which.reshape(len(geometries), -1)
     box_which, tripwire = which[:, in_box], ~in_box
     hermitian = _row_max(np.abs(flux - flux.conj().transpose(0, 2, 1))) <= tol.hermitian
 
@@ -427,9 +415,8 @@ def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField | list[Flux
     shell_rows = np.flatnonzero(zone_box == 1)
     radius = max(max(abs(l), abs(h)) for l, h in zip(window.lo, window.hi))
     fields = []
-    for geom, rows in zip(stack, box_which):
-        *stacks, rank_differences = (a.take(rows, axis=0) for a in (flux, p_in, p_out, cells, evals, norms, ranks))
-        box = StackedBox(box_index, *stacks, rank_differences.tolist(), in_window)
+    for geom, rows in zip(geometries, box_which):
+        box = StackedBox(box_index, *(a.take(rows, axis=0) for a in (flux, p_in, p_out, cells, evals, norms)), in_window)
         kept = np.flatnonzero(in_window & (box.norms > tol.block_prune))
         bound, witness = 0.0, None
         if shell_rows.size:
@@ -439,23 +426,24 @@ def assemble_field(geometry, block_fn, tol: Tolerances) -> FluxField | list[Flux
         ok = bound < 1.0 - tol.certificate_margin
         cert = Certificate(ok=ok, radius=radius, bound=bound, witness=None if ok else witness)
         eigh = np.linalg.eigh(box.flux[kept])
-        fields.append(FluxField(geom, box, kept, eigh, cert, int(rank_differences[in_window].sum()), tol))
-    return fields if isinstance(geometry, (list, tuple)) else fields[0]
+        fields.append(FluxField(geom, box, kept, eigh, cert, int(ranks.take(rows)[in_window].sum()), tol))
+    return fields
 
 
 SELFCHECK_BOUND = 1e-12  # largest column norm by which the blockwise action may miss U*PU - P
 
 
-def selfcheck_against_operator(flux: FluxField, unitary, probes: dict | None = None) -> float:
-    """Compare blockwise action against U*(P(U psi)) - P psi, within
-    ``SELFCHECK_BOUND``, on three random states (seed 7) as one state's columns,
-    kept with P psi per window in ``probes`` across one projection's fluxes."""
+def selfcheck_against_operator(flux: FluxField, probes: dict | None = None) -> float:
+    """Compare blockwise action against U*(P(U psi)) - P psi, U the
+    geometry's unitary, within ``SELFCHECK_BOUND``, on three random states
+    (seed 7) as one state's columns, kept with P psi per window in
+    ``probes`` across one projection's fluxes."""
     geom, probes = flux.geometry, {} if probes is None else probes
     if geom.window not in probes:
         psi = geom.probe_states(np.random.default_rng(7))
         probes[geom.window] = psi, geom.proj.apply(psi)
     psi, p_psi = probes[geom.window]
-    via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi))) - p_psi
+    via_op = geom.unitary.apply_adjoint(geom.proj.apply(geom.unitary.apply(psi))) - p_psi
     worst = float((via_op - flux.apply(psi)).norms().max())
     if not (worst <= SELFCHECK_BOUND):
         raise ConsistencyError(f"blockwise flux deviates from U*PU - P by {worst:g}")
@@ -466,44 +454,40 @@ def selfcheck_against_operator(flux: FluxField, unitary, probes: dict | None = N
 # certification and index formulas
 
 
-def classify_unit(evals, tol: Tolerances, label):
-    """Split flux eigenvalues into those counted as +1 and as -1.
+def classify_unit(evals: np.ndarray, tol: Tolerances, label):
+    """Split a (B, k) stack of flux eigenvalues into those counted as +1 and
+    as -1, in one array pass.
 
-    Returns ``(plus_idx, minus_idx, max_inside)``: the indices within
-    ``tol.eigenvalue_unit`` of +1 and of -1, and the largest modulus among
-    the rest.  Each eigenvalue is checked in turn: a modulus above 1 is
-    invalid for a flux, and one inside the guard band but outside the unit
-    window is ambiguous; both raise.  ``label`` names the block in errors.
+    Returns ``(plus, minus, max_inside)``: (B, k) masks of the eigenvalues
+    within ``tol.eigenvalue_unit`` of +1 and of the others within it of -1,
+    and the largest modulus among the rest (0.0 for none; a NaN is skipped).
+    A modulus above ``UNIT_MODULUS_BOUND`` is invalid for a flux, and one
+    inside the guard band but outside the unit window is ambiguous: the first
+    such eigenvalue in row order raises, the modulus checked first, and
+    ``label(b)`` names its row b.
     """
-    plus_idx = []
-    minus_idx = []
-    max_inside = 0.0
-    for i, lam in enumerate(evals):
-        if abs(lam) > UNIT_MODULUS_BOUND:
-            raise ValidationError(
-                f"flux eigenvalue {lam:g} at {label} exceeds 1 in modulus"
-            )
-        d_plus = abs(lam - 1.0)
-        d_minus = abs(lam + 1.0)
-        if d_plus <= tol.eigenvalue_unit:
-            plus_idx.append(i)
-        elif d_minus <= tol.eigenvalue_unit:
-            minus_idx.append(i)
-        elif min(d_plus, d_minus) <= tol.guard_band:
-            raise EigenvalueAmbiguityError(label, float(lam), tol.eigenvalue_unit)
-        else:
-            max_inside = max(max_inside, abs(float(lam)))
-    return plus_idx, minus_idx, max_inside
+    d_plus, d_minus, modulus = np.abs(evals - 1.0), np.abs(evals + 1.0), np.abs(evals)
+    plus = d_plus <= tol.eigenvalue_unit
+    minus = ~plus & (d_minus <= tol.eigenvalue_unit)
+    inside, too_big = ~(plus | minus), modulus > UNIT_MODULUS_BOUND
+    bad = np.argwhere(too_big | (inside & (np.minimum(d_plus, d_minus) <= tol.guard_band)))
+    if len(bad):
+        b, i = bad[0].tolist()
+        if too_big[b, i]:
+            raise ValidationError(f"flux eigenvalue {evals[b, i]:g} at {label(b)} exceeds 1 in modulus")
+        raise EigenvalueAmbiguityError(label(b), float(evals[b, i]), tol.eigenvalue_unit)
+    return plus, minus, float(np.fmax.reduce(modulus[inside], initial=0.0))
 
 
 def index_by_kernels(flux: FluxField) -> IndexReport:
-    """dim ker(flux - 1) - dim ker(flux + 1), counted block by block in
+    """dim ker(flux - 1) - dim ker(flux + 1), the sums of the masks of
     ``flux.spectrum``, with gap 1 - phi_less^2."""
     spectrum = flux.spectrum
+    plus, minus = int(spectrum.plus.sum()), int(spectrum.minus.sum())
     return IndexReport(
-        index=spectrum.plus - spectrum.minus,
-        dim_ker_plus=spectrum.plus,
-        dim_ker_minus=spectrum.minus,
+        index=plus - minus,
+        dim_ker_plus=plus,
+        dim_ker_minus=minus,
         gap=1.0 - spectrum.phi_less**2,
         certificate=flux.certificate,
     )
@@ -612,8 +596,8 @@ def dense_window_index(unitary, project, box_sites, n_internal: int, tol: Tolera
     m = compress(flux_apply, sites, n_internal)
     if np.max(np.abs(m - m.conj().T)) > DENSE_HERMITIAN_BOUND:
         raise ValidationError("window compression of the flux is not Hermitian")
-    plus, minus, _ = classify_unit(np.linalg.eigvalsh(m), tol, ("dense", sites[0]))
-    return len(plus) - len(minus)
+    plus, minus, _ = classify_unit(np.linalg.eigvalsh(m)[None], tol, lambda _: ("dense", sites[0]))
+    return int(plus.sum() - minus.sum())
 
 
 # ---------------------------------------------------------------------------

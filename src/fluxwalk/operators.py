@@ -48,12 +48,12 @@ class CoinedWalk(LocalUnitary):
 
     The cells of ``flux.CellGeometry`` are the sites (``cell_labels``
     returns its input): the coin at x maps every slot of x onto slot k of
-    x + dir_k.  ``cells`` gives the distinct coins of a label array and the
-    labels' rows among them (``coin.distinct_values``).  ``apply`` and ``apply_adjoint`` read
-    their coins through ``coins``: one ``coin.value`` call per site on states
-    of at most ``DICT_GROUPING`` sites, where that is cheaper than an array
-    lookup, and one ``value_index`` into the stacked table on longer ones,
-    such as the iterates of a shift check.
+    x + dir_k (``out_basis``).  ``table_rows`` gives the distinct coins of a
+    label array and the labels' rows among them (``coin.distinct_values``).
+    ``apply`` and ``apply_adjoint`` read their coins through ``coins``: one
+    ``coin.value`` call per site on states of at most ``DICT_GROUPING`` sites,
+    where that is cheaper than an array lookup, and one ``value_index`` into
+    the stacked table on longer ones, such as the iterates of a shift check.
     """
 
     def __init__(self, coin: SiteMap):
@@ -83,11 +83,12 @@ class CoinedWalk(LocalUnitary):
         labels = np.asarray(labels, dtype=np.int64)
         return np.repeat(labels[:, None, :], self.n_internal, axis=1), self._slot_array
 
-    def cells(self, labels: np.ndarray):
-        labels = np.asarray(labels, dtype=np.int64)
-        outs = labels[:, None, :] + self._step_array
+    def out_basis(self, labels: np.ndarray):
+        return np.asarray(labels, dtype=np.int64)[:, None, :] + self._step_array, self._slot_array
+
+    def table_rows(self, labels: np.ndarray):
         coins, which = self.coin.distinct_values(labels)
-        return np.array(coins, dtype=complex), which, self.in_basis(labels), (outs, self._slot_array)
+        return np.array(coins, dtype=complex), which
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Coin every site in one stacked product, then scatter slot k of

@@ -70,9 +70,13 @@ def _child_seeds(seed: int, count: int) -> list[int]:
 # parsing helpers
 
 
-def _object(value, context: str) -> dict:
+def _object(value, context: str, allowed=None) -> dict:
+    """``value`` once it is a JSON object with no key outside ``allowed``, if given."""
     if not isinstance(value, dict):
         raise ValidationError(f"{context} must be a JSON object")
+    unknown = [] if allowed is None else [key for key in value if key not in allowed]
+    if unknown:
+        raise ValidationError(f"{context} has unknown key {unknown[0]!r}; allowed keys: {', '.join(allowed)}")
     return value
 
 
@@ -142,7 +146,7 @@ def _interior_from_json(obj) -> dict:
 
 
 def _lead_from_json(obj: dict) -> LeadSpec:
-    kind = _need(obj, "kind", "lead")
+    kind = _need(_object(obj, "lead", ("kind", "prefix", "ray")), "kind", "lead")
     prefix = [_numbers(site, "lead site") for site in _list(_need(obj, "prefix", "lead"), "lead prefix")]
     ray = _numbers(_need(obj, "ray", "lead"), "lead ray")
     return LeadSpec(kind, prefix, ray)
@@ -227,7 +231,7 @@ def _commuting_coin(rng: np.random.Generator, n: int, slot: int) -> np.ndarray:
 
 
 def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
-    d = _number(_need(spec.get("geometry", {}), "d", "geometry"), "geometry d", low=1)
+    d = _number(_need(_object(spec.get("geometry", {}), "geometry", ("d",)), "d", "geometry"), "geometry d", low=1)
     coin_spec = _need(spec, "coin", "scenario")
     proj_spec = _need(spec, "projection", "scenario")
     ctype = _need(coin_spec, "type", "coin")
@@ -341,13 +345,13 @@ class CCSetup(_Setup):
 
     @cached_property
     def flux(self):
-        return ccm.cc_flux(self.scattering, self.path, self.tol)
+        return ccm.cc_flux([self.scattering], self.path, self.tol)[0]
 
 
 def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -> SiteMap:
     """The scenario's scattering field; a random-phase window reaches 8 cells
     beyond the path's explicit vertices unless the spec sets its extent."""
-    spec = _object(_need(spec, "scattering", "scenario"), "scattering")
+    spec = _object(_need(spec, "scattering", "scenario"), "scattering", ("template", "r_abs", "phases", "window"))
     template = spec.get("template")
     if template not in (None, "critical"):
         raise ValidationError(f"unknown scattering template {template!r}")
@@ -425,19 +429,18 @@ def _checked_setup(spec: dict):
     build_setup = {"walk": build_walk_setup, "cc": build_cc_setup}
     if kind not in build_setup:
         raise ValidationError(f"unknown scenario kind {kind!r}")
+    _object(spec, "scenario", ("schema_version", "name", "description", "kind", "seed", *KEYS[kind], "analyses"))
     setup = build_setup[kind](spec, _rng(int(seed)))
+    for name in ("coin", "projection", "path"):  # each of a type that the setup's builder accepted
+        if name in spec:
+            _object(spec[name], name, ("type", *KEYS[spec[name]["type"]]))
     for i, analysis in enumerate(analyses):
         atype = _need(analysis, "type", f"analysis #{i}")
         if not isinstance(atype, str) or atype not in ANALYSES[kind]:
             raise ValidationError(f"analysis type {atype!r} not available for kind {kind!r}")
         if not isinstance(analysis.get("label", ""), str):
             raise ValidationError(f"analysis #{i} label must be a string")
-        allowed = ("type", "label", *ANALYSIS_KEYS[atype])
-        unknown = [key for key in analysis if key not in allowed]
-        if unknown:
-            raise ValidationError(
-                f"analysis #{i} ({atype}) has unknown key {unknown[0]!r}; allowed keys: {', '.join(allowed)}"
-            )
+        _object(analysis, f"analysis #{i} ({atype})", ("type", "label", *ANALYSIS_KEYS[atype]))
     return setup
 
 
@@ -726,6 +729,14 @@ ANALYSES = {
     },
 }
 
+# the top-level keys of each kind besides the common ones, and the keys of each coin, projection and path type
+KEYS = {
+    "walk": ("geometry", "coin", "projection"), "cc": ("path", "scattering"),
+    "basic_example": ("n_cut", "box"), "halfline_commuting": ("sign", "box"), "reflecting": ("box",),
+    "lead_network": ("background_box",), "basic_halfspace": ("n_cut", "interior"), "halfline": ("sign",),
+    "network": ("incoming", "outgoing", "boundary"), "boundary_full": (), "straight_r": ("height",),
+    "crossover": ("west_first",), "wiggled_r": (), "explicit": ("middle", "pre", "post"),
+}
 # the keys each analysis type reads besides "type" and "label"
 ANALYSIS_KEYS = {
     "index": ("expect", "expect_abs"),

@@ -58,18 +58,17 @@ def extract_kernels(flux: FluxField) -> KernelData:
     geometry, box = flux.geometry, flux.box
     ker_minus: list[LatticeState] = []
     ker_plus: list[LatticeState] = []
-    for row, evecs, (sel_plus, sel_minus) in zip(flux.kept.tolist(), flux.eigh.eigenvectors, spectrum.units):
-        p_diag = box.p_in[row]
-        # P e = e on the -1 eigenvectors and P e = 0 on the +1 eigenvectors
-        for sel, kernel, p_e, fault in ((sel_minus, ker_minus, 1.0, "-1 eigenvector at {} leaves"),
-                                        (sel_plus, ker_plus, 0.0, "+1 eigenvector at {} meets")):
-            for i in sel:
-                coords = evecs[:, i]
-                defect = float(np.linalg.norm(p_diag * coords - p_e * coords))
-                if defect > tol.kernel_membership:
-                    raise ValidationError(f"{fault.format(box.label(row))} Ran P by {defect:g}")
-                kernel.append(geometry.make_state(box.index.table[row], coords))
-    index = spectrum.plus - spectrum.minus
+    unit = spectrum.plus | spectrum.minus
+    # block by block, and eigh sorts a block's eigenvalues, so -1 columns first;
+    # P e = e on the -1 eigenvectors and P e = 0 on the +1 eigenvectors
+    for (b, i), minus in zip(np.argwhere(unit).tolist(), spectrum.minus[unit].tolist()):
+        row, coords = flux.kept[b], flux.eigh.eigenvectors[b, :, i]
+        kernel, p_e, sign, verb = (ker_minus, 1.0, "-1", "leaves") if minus else (ker_plus, 0.0, "+1", "meets")
+        defect = float(np.linalg.norm(box.p_in[row] * coords - p_e * coords))
+        if defect > tol.kernel_membership:
+            raise ValidationError(f"{sign} eigenvector at {box.label(row)} {verb} Ran P by {defect:g}")
+        kernel.append(geometry.make_state(box.index.table[row], coords))
+    index = int(spectrum.plus.sum() - spectrum.minus.sum())
     flipped = index > 0
     big, small = (ker_plus, ker_minus) if flipped else (ker_minus, ker_plus)
     mult = abs(index)
@@ -107,18 +106,18 @@ class PerturbedUnitary:
         # over the differences d = small[i] - paired[i], stacked as columns
         diffs = [s - p for p, s in zip(kernels.paired, kernels.small)]
         self._diffs = LatticeState.stack([LatticeState.zero(self.n_internal, 0), *diffs])
-        maps = [self._build_block_map(*block) for block in zip(flux.kept.tolist(), *flux.eigh, flux.spectrum.units)]
+        inside = ~(flux.spectrum.plus | flux.spectrum.minus)
+        maps = [self._build_block_map(*block) for block in zip(flux.kept.tolist(), *flux.eigh, inside)]
         rows = [row for row, m in zip(flux.kept.tolist(), maps) if m is not None]
         self._map_index = SiteIndex(flux.box.index.table[rows])
         self._map_stack = np.array([m for m in maps if m is not None], dtype=complex).reshape(-1, *flux.box.flux.shape[1:])
 
     # -- construction ------------------------------------------------------
 
-    def _build_block_map(self, row, evals, evecs, units):
-        """(U0 - 1)Q0 on the block of one box row; None when it vanishes."""
-        plus, minus = units
-        inside = [i for i in range(len(evals)) if i not in plus and i not in minus]
-        if not inside:
+    def _build_block_map(self, row, evals, evecs, inside):
+        """(U0 - 1)Q0 on the block of one box row, whose eigenvalues inside
+        (-1, 1) ``inside`` marks; None when it vanishes."""
+        if not inside.any():
             return None
         label = self.flux.box.label(row)
         e0 = evecs[:, inside]

@@ -78,14 +78,13 @@ def build_walk_flux(
     """
     if isinstance(walk, SiteMap):
         walk = build_walk(walk, tol)
-    coin = walk.coin
     if proj.d != walk.d:
         raise ValidationError("projection and walk dimensions differ")
 
-    geometry = CellGeometry(walk, proj, walk_flux_window(coin, proj), probes=6)
-    flux = assemble_field(geometry, geometry.block, tol)
+    geometry = CellGeometry(walk, proj, walk_flux_window(walk.coin, proj), probes=6)
+    flux = assemble_field([geometry], geometry.block, tol)[0]
     if selfcheck:
-        selfcheck_against_operator(flux, walk)
+        selfcheck_against_operator(flux)
     return flux
 
 

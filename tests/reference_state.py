@@ -22,7 +22,9 @@ its ``CrossedEdge`` with the r/t tag.  ``switch_window``, ``is_pure`` and
 them before ``cc.classify_steps`` classified every step in one array pass.
 
 ``kitaev_sum`` is the per-row loop that ``flux.kitaev_sum`` ran before it
-formed the terms in stacked passes, and ``two_call_box`` the assembly that
+formed the terms in stacked passes, ``classify_unit`` the per-eigenvalue
+loop that ``flux.classify_unit`` ran on one block before it classified a
+field's whole ``eigh`` stack in one array pass, and ``two_call_box`` the assembly that
 ``flux.assemble_field`` ran before it called ``block_fn`` once: one call for
 the window and shell labels, a second for the tripwire labels, whose shell
 partners it found through an index of its own over the shell rows.  It
@@ -50,9 +52,9 @@ import numpy as np
 
 from fluxwalk.cc import FULL_REFLECTION, FULL_TRANSMISSION, CCUnitary, RegionSplit, ScatteringParams, _deep_cell_ray
 from fluxwalk.config import DEFAULT
-from fluxwalk.errors import DimensionMismatchError, ValidationError
+from fluxwalk.errors import DimensionMismatchError, EigenvalueAmbiguityError, ValidationError
 from fluxwalk import lattice
-from fluxwalk.flux import TRIPWIRE_BOUND, VANISHING_FLUX_BOUND, max_block_norm
+from fluxwalk.flux import TRIPWIRE_BOUND, UNIT_MODULUS_BOUND, VANISHING_FLUX_BOUND, max_block_norm
 from fluxwalk.fields import Ray, SiteMap
 from fluxwalk.lattice import LatticeState, SiteIndex, all_direction_vectors
 from fluxwalk.operators import CoinedWalk
@@ -590,6 +592,32 @@ def kitaev_sum(flux) -> complex:
     return complex(total)
 
 
+def classify_unit(evals, tol, label):
+    """``(plus_idx, minus_idx, max_inside)`` of one block's eigenvalues: the
+    indices within ``tol.eigenvalue_unit`` of +1 and of -1, and the largest
+    modulus among the rest.  Each eigenvalue is checked in turn: a modulus
+    above ``UNIT_MODULUS_BOUND`` raises ``ValidationError``, one inside the
+    guard band but outside the unit window ``EigenvalueAmbiguityError``;
+    ``label`` names the block."""
+    plus_idx = []
+    minus_idx = []
+    max_inside = 0.0
+    for i, lam in enumerate(evals):
+        if abs(lam) > UNIT_MODULUS_BOUND:
+            raise ValidationError(f"flux eigenvalue {lam:g} at {label} exceeds 1 in modulus")
+        d_plus = abs(lam - 1.0)
+        d_minus = abs(lam + 1.0)
+        if d_plus <= tol.eigenvalue_unit:
+            plus_idx.append(i)
+        elif d_minus <= tol.eigenvalue_unit:
+            minus_idx.append(i)
+        elif min(d_plus, d_minus) <= tol.guard_band:
+            raise EigenvalueAmbiguityError(label, float(lam), tol.eigenvalue_unit)
+        else:
+            max_inside = max(max_inside, abs(float(lam)))
+    return plus_idx, minus_idx, max_inside
+
+
 def tail_partner(label, window) -> tuple:
     """The shell label whose block repeats at ``label``: each coordinate
     beyond the shell moves inward by whole band widths until it lies in the
@@ -633,7 +661,7 @@ def two_call_box(flux):
     tail = (float(norms[j]), tuple(box[j].tolist())) if norms[j] > 0.0 else (0.0, None)
     arrays = {
         "flux": blocks, "p_in": p_in, "p_out": p_out, "cells": cells, "eigenvalues": evals,
-        "norms": norms, "rank_differences": np.array(rank_differences), "window": window, "labels": box,
+        "norms": norms, "window": window, "labels": box,
     }
     return arrays, tail, int(rank_differences[window].sum())
 

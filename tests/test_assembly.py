@@ -105,12 +105,12 @@ def assert_blocks_match_reference(flux):
 def test_cc_blocks_match_the_reference(path):
     window = random_phase_window(np.random.default_rng(41), 0.3, range(-5, 6), range(-5, 6))
     field = SiteMap(2, window=window, background=params_r(0.3))
-    assert_blocks_match_reference(cc_flux(field, path))
+    assert_blocks_match_reference(cc_flux([field], path)[0])
 
 
 def test_capped_cc_blocks_match_the_reference():
     path = crossover_path()
-    flux = cc_flux(capped(SiteMap(2, background=params_r(0.2)), path), path)
+    flux = cc_flux([capped(SiteMap(2, background=params_r(0.2)), path)], path)[0]
     assert flux.tail_zero
     assert_blocks_match_reference(flux)
 
@@ -138,7 +138,7 @@ def test_a_walk_block_resolves_each_site_once(monkeypatch):
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=3))
     geometry = build_walk_flux(coin, network_projection(net)).geometry
     labels = np.array([(0, 0), (1, 0), (0, 1), (5, 5)], dtype=np.int64)
-    _, _, (in_sites, _), (out_sites, _) = geometry.unitary.cells(labels)
+    (in_sites, _), (out_sites, _) = geometry.unitary.in_basis(labels), geometry.unitary.out_basis(labels)
     distinct = {tuple(x) for x in np.concatenate([in_sites, out_sites], axis=1).reshape(-1, 2).tolist()}
     seen = []
     original = type(geometry.proj).slot_bits
@@ -158,7 +158,7 @@ def test_flux_beyond_the_box_computes_no_block(model):
         flux = build_walk_flux(*make_basic_example())
     else:
         window = random_phase_window(np.random.default_rng(41), 0.3, range(-5, 6), range(-5, 6))
-        flux = cc_flux(SiteMap(2, window=window, background=params_r(0.3)), crossover_path())
+        flux = cc_flux([SiteMap(2, window=window, background=params_r(0.3))], crossover_path())[0]
     geometry = flux.geometry
     calls = []
 
@@ -166,7 +166,7 @@ def test_flux_beyond_the_box_computes_no_block(model):
         calls.append(len(labels))
         return geometry.block(labels)
 
-    flux = assemble_field(geometry, counting, DEFAULT)
+    flux = assemble_field([geometry], counting, DEFAULT)[0]
     assert len(calls) == 1
     # one random cell state three bands past the box on every side and corner
     rng = np.random.default_rng(3)
@@ -226,21 +226,21 @@ def test_non_hermitian_block_names_the_first_label():
     skew = np.array([[0.0, 1.0], [0.0, 0.0]])
     # the shell label left of the window comes first, not the window label
     with pytest.raises(ValidationError, match=rf"flux block at \({lo - 1},\) is not Hermitian"):
-        assemble_field(geometry, _shifted(geometry, {(lo + 1,), (lo - 1,)}, skew), *args)
+        assemble_field([geometry], _shifted(geometry, {(lo + 1,), (lo - 1,)}, skew), *args)
 
 
 def test_tripwire_mismatch_names_the_first_label():
     geometry, args, lo, hi, band = _basic_assembly()
     bad = {(hi + 2 * band,), (lo - 2 * band,)}
     with pytest.raises(ConsistencyError, match=rf"block \({lo - 2 * band},\) differs"):
-        assemble_field(geometry, _shifted(geometry, bad, 0.5 * np.eye(2)), *args)
+        assemble_field([geometry], _shifted(geometry, bad, 0.5 * np.eye(2)), *args)
 
 
 def test_a_small_tripwire_offset_fails_the_tail_check():
     # a 1e-11 Hermitian offset on one tripwire block exceeds the 1e-12 bound
     geometry, args, lo, hi, band = _basic_assembly()
     with pytest.raises(ConsistencyError, match=rf"block \({hi + 2 * band},\) differs"):
-        assemble_field(geometry, _shifted(geometry, {(hi + 2 * band,)}, 1e-11 * np.eye(2)), *args)
+        assemble_field([geometry], _shifted(geometry, {(hi + 2 * band,)}, 1e-11 * np.eye(2)), *args)
 
 
 def test_nan_tripwire_block_fails_the_tail_check():
@@ -250,7 +250,7 @@ def test_nan_tripwire_block_fails_the_tail_check():
     with pytest.raises(
         ConsistencyError, match=rf"tail is not translation invariant: block \({label},\) differs"
     ) as info:
-        assemble_field(geometry, _shifted(geometry, {(label,)}, np.full((2, 2), np.nan)), *args)
+        assemble_field([geometry], _shifted(geometry, {(label,)}, np.full((2, 2), np.nan)), *args)
     assert info.type is ConsistencyError
 
 
@@ -274,7 +274,7 @@ def test_tripwire_clamped_outside_the_shell_names_the_first_label(monkeypatch, c
         else rf"block \({first[0]},\) differs"
     )
     with pytest.raises(ConsistencyError, match=expected):
-        assemble_field(geometry, block_fn, *args)
+        assemble_field([geometry], block_fn, *args)
 
 
 # ---------------------------------------------------------------------------

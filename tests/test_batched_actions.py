@@ -102,7 +102,7 @@ def cc_model(name):
         path = wiggled_r_path()
         window = random_phase_window(rng, 0.6, range(-4, 5), range(-4, 5))
         field = SiteMap(2, window=window, background=FULL_REFLECTION)
-    return cc_flux(field, path)
+    return cc_flux([field], path)[0]
 
 
 WALKS = ["basic_example", "lead_network", "reflecting"]

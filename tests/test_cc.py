@@ -117,7 +117,7 @@ def test_cc_unitary_rejects_bad_scattering_fields():
     with pytest.raises(ValidationError, match="is not a ScatteringParams"):
         CCUnitary(SiteMap(2, window={(0, 2): np.eye(2)}, background=CRITICAL))
     with pytest.raises(ValidationError, match="is not a ScatteringParams"):
-        cc_flux(SiteMap(2), straight_r_path())
+        cc_flux([SiteMap(2)], straight_r_path())
     with pytest.raises(ValidationError, match="Z\\^2"):
         CCUnitary(SiteMap(1, background=CRITICAL))
 
@@ -195,10 +195,10 @@ def test_the_window_draw_checks_its_rows(monkeypatch):
 
 
 def assert_cells_are_the_stacked_matrices(field: SiteMap, labels):
-    """``CCUnitary.cells`` gives S(z)^T built from ``ScatteringParams(*p)``
+    """``CCUnitary.table_rows`` gives S(z)^T built from ``ScatteringParams(*p)``
     bit for bit, for every window row and template p."""
     want = np.array([ref.scattering_matrix(field.value(z)).T for z in labels])
-    table, rows, *_ = CCUnitary(field).cells(np.array(labels))
+    table, rows = CCUnitary(field).table_rows(np.array(labels))
     got = table[rows]
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -272,12 +272,12 @@ def test_scattering_table_is_stacked_once_per_unitary(monkeypatch):
     counted = cached_property(lambda self: builds.append(self) or table.func(self))
     counted.__set_name__(CCUnitary, "_transposed_table")
     monkeypatch.setattr(CCUnitary, "_transposed_table", counted)
-    # block assembly reads the table through cells, the actions through _scatter
-    for name in ("cells", "_scatter"):
+    # block assembly reads the table through table_rows, the actions through _scatter
+    for name in ("table_rows", "_scatter"):
         original = getattr(CCUnitary, name)
         monkeypatch.setattr(CCUnitary, name, lambda self, *a, _o=original, **kw: reads.append(self) or _o(self, *a, **kw))
     window = random_phase_window(np.random.default_rng(3), 0.3, range(-4, 5), range(-4, 5))
-    cc_flux(SiteMap(2, window=window, background=params_r(0.3)), straight_r_path())
+    cc_flux([SiteMap(2, window=window, background=params_r(0.3))], straight_r_path())
     assert len(builds) == 1
     # the one block call, then U and U* in the selfcheck
     assert len(reads) >= 3 and all(u is builds[0] for u in reads)
@@ -444,7 +444,7 @@ def test_crossover_certificate_fails_at_unit_modulus():
     field = SiteMap(2, background=FULL_REFLECTION)
     from fluxwalk.errors import CertificationError
 
-    flux = cc_flux(field, crossover_path())
+    flux = cc_flux([field], crossover_path())[0]
     assert not flux.certificate.ok
     with pytest.raises(CertificationError):
         from fluxwalk.flux import index_by_kernels
@@ -616,5 +616,5 @@ def test_selfcheck_pushes_its_probes_through_the_network_once(monkeypatch):
     for name in ("apply", "apply_adjoint"):
         original = getattr(CCUnitary, name)
         monkeypatch.setattr(CCUnitary, name, lambda self, psi, _o=original, _n=name: calls.append(_n) or _o(self, psi))
-    assert selfcheck_against_operator(flux, setup.unitary) <= 1e-12
+    assert selfcheck_against_operator(flux) <= 1e-12
     assert calls == ["apply", "apply_adjoint"]

@@ -11,11 +11,13 @@ from fluxwalk.errors import (
     CertificationError,
     ConsistencyError,
     EigenvalueAmbiguityError,
+    FluxwalkError,
     NonSummableError,
     ValidationError,
 )
 from fluxwalk.fields import HalfSpace, SiteMap
 from fluxwalk.flux import (
+    UNIT_MODULUS_BOUND,
     FluxWindow,
     analyze,
     classify_unit,
@@ -253,7 +255,7 @@ def test_selfcheck_catches_a_corrupted_kept_block():
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
     block[0, 0] += 1e-6
     with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by")):
-        selfcheck_against_operator(flux, walk)
+        selfcheck_against_operator(flux)
 
 
 def test_selfcheck_catches_a_small_offset_on_a_kept_block():
@@ -261,7 +263,7 @@ def test_selfcheck_catches_a_small_offset_on_a_kept_block():
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
     block[...] += 1e-11 * np.eye(len(block))
     with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by")):
-        selfcheck_against_operator(flux, walk)
+        selfcheck_against_operator(flux)
 
 
 def test_selfcheck_catches_a_nan_kept_block():
@@ -269,7 +271,7 @@ def test_selfcheck_catches_a_nan_kept_block():
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
     block[0, 0] = np.nan
     with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by nan")) as info:
-        selfcheck_against_operator(flux, walk)
+        selfcheck_against_operator(flux)
     assert info.type is ConsistencyError
 
 
@@ -340,14 +342,82 @@ def test_strict_profile_still_counts_exactly():
 
 @pytest.mark.parametrize("tol", [DEFAULT, STRICT], ids=["default", "strict"])
 def test_classify_unit(tol):
-    label = (0,)
-    assert classify_unit(np.array([1 - 1e-11]), tol, label) == ([0], [], 0.0)
-    assert classify_unit(np.array([-1 + 1e-11]), tol, label) == ([], [0], 0.0)
-    assert classify_unit(np.array([0.5]), tol, label) == ([], [], 0.5)
+    def classified(lam):
+        # one block of one eigenvalue: its +1 and -1 columns and max_inside
+        plus, minus, inside = classify_unit(np.array([[lam]]), tol, lambda b: (0,))
+        return np.flatnonzero(plus[0]).tolist(), np.flatnonzero(minus[0]).tolist(), inside
+
+    assert classified(1 - 1e-11) == ([0], [], 0.0)
+    assert classified(-1 + 1e-11) == ([], [0], 0.0)
+    assert classified(0.5) == ([], [], 0.5)
     with pytest.raises(EigenvalueAmbiguityError):
-        classify_unit(np.array([1 - 3 * tol.eigenvalue_unit]), tol, label)
+        classified(1 - 3 * tol.eigenvalue_unit)
     with pytest.raises(ValidationError, match="exceeds 1 in modulus"):
-        classify_unit(np.array([1 + 2e-10]), tol, label)
+        classified(1 + 2e-10)
+
+
+# a unit window and guard band of powers of two, so that planted values sit
+# exactly on their edges
+EXACT = Tolerances(eigenvalue_unit=2.0**-27, guard_factor=8.0)
+
+
+def _planted(tol):
+    """Eigenvalues on every side of every comparison ``classify_unit`` makes."""
+    unit, guard = tol.eigenvalue_unit, tol.guard_band
+    return [
+        1.0, -1.0, 1.0 - unit / 2, -1.0 + unit / 2,  # at +-1 and inside the unit window
+        1.0 - unit, -1.0 + unit, 1.0 - guard, -1.0 + guard,  # on the window's and the guard band's edges
+        1.0 - 3 * unit, -1.0 + 3 * unit, 1.0 - 2 * guard, 0.5, 0.0, -0.0,  # in the guard band and inside
+        UNIT_MODULUS_BOUND, -UNIT_MODULUS_BOUND, 1.0 + 2e-10, -1.0 - 2e-10,  # at and just above modulus 1
+        1.0 + 3 * unit, -1.0 - 3 * unit, np.inf, np.nan,  # above modulus 1 and in the guard band
+    ]
+
+
+def _classified(classify, evals, tol):
+    """``(plus, minus, max_inside)`` as index lists per row and a float, or
+    the class and message of the error raised."""
+    try:
+        return classify(evals, tol)
+    except FluxwalkError as exc:
+        return type(exc), str(exc)
+
+
+def assert_one_pass_matches_the_loop(evals, tol):
+    labels = [("block", b) for b in range(len(evals))]
+
+    def one_pass(evals, tol):
+        plus, minus, inside = classify_unit(evals, tol, labels.__getitem__)
+        assert plus.shape == minus.shape == evals.shape and not (plus & minus).any()
+        return [np.flatnonzero(r).tolist() for r in plus], [np.flatnonzero(r).tolist() for r in minus], inside
+
+    def loop(evals, tol):
+        rows = [ref.classify_unit(row, tol, label) for row, label in zip(evals, labels)]
+        return [r[0] for r in rows], [r[1] for r in rows], max([0.0] + [r[2] for r in rows])
+
+    got, want = _classified(one_pass, evals, tol), _classified(loop, evals, tol)
+    assert got == want and [type(x) for x in got] == [type(x) for x in want]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT, STRICT, EXACT], ids=["default", "strict", "exact"])
+def test_each_planted_eigenvalue_is_classified_as_the_loop_does(tol):
+    planted = _planted(tol)
+    assert EXACT.guard_band == 2.0**-24
+    for lam in planted:
+        assert_one_pass_matches_the_loop(np.array([[lam, 0.25], [0.1, lam]]), tol)
+    assert_one_pass_matches_the_loop(np.array([planted]), tol)
+    assert_one_pass_matches_the_loop(np.zeros((0, 2)), tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([DEFAULT, STRICT, EXACT]), st.integers(0, 5), st.integers(1, 4), st.data())
+def test_one_pass_classification_matches_the_per_eigenvalue_loop(tol, b, k, data):
+    # random (B, k) stacks of planted values and values inside [-1, 1]; the
+    # masks, max_inside and the first error (class and message) must agree,
+    # on the stack and on each row alone, whose error an earlier row may hide
+    value = st.one_of(st.sampled_from(_planted(tol)), st.floats(-1.0, 1.0))
+    evals = np.array(data.draw(st.lists(value, min_size=b * k, max_size=b * k)), dtype=float).reshape(b, k)
+    for stack in (evals, *(evals[r : r + 1] for r in range(b))):
+        assert_one_pass_matches_the_loop(stack, tol)
 
 
 @pytest.mark.parametrize(
@@ -378,7 +448,7 @@ def _probed_geometry(model):
         return build_walk_flux(coin, network_projection(network)).geometry
     from fluxwalk.cc import CRITICAL, cc_flux, crossover_path
 
-    return cc_flux(SiteMap(2, background=CRITICAL), crossover_path()).geometry
+    return cc_flux([SiteMap(2, background=CRITICAL)], crossover_path())[0].geometry
 
 
 @pytest.mark.parametrize("seed", [7, 11, 3])

@@ -118,7 +118,7 @@ def test_random_windows_match_the_per_label_reference(seed, name, r_abs, extent)
     span = range(-extent, extent + 1)
     window = random_phase_window(np.random.default_rng(seed), r_abs, span, span)
     background = params_r(0.3 if r_abs in (0.0, 1.0) else r_abs)
-    assert_box_matches_per_label_reference(cc_flux(SiteMap(2, window=window, background=background), PATHS[name]))
+    assert_box_matches_per_label_reference(cc_flux([SiteMap(2, window=window, background=background)], PATHS[name])[0])
 
 
 @settings(max_examples=12, deadline=None)
@@ -134,7 +134,7 @@ def test_a_non_hermitian_shared_block_names_its_first_label():
     # many labels of a constant background share one (row, P_in, P_out)
     # combination; corrupting that one block must name the first of them
     window = random_phase_window(np.random.default_rng(41), 0.3, range(-3, 4), range(-3, 4))
-    flux = cc_flux(SiteMap(2, window=window, background=params_r(0.3)), crossover_path())
+    flux = cc_flux([SiteMap(2, window=window, background=params_r(0.3))], crossover_path())[0]
     geometry, labels = flux.geometry, flux.box.index.table
     # the one block call covers every enumerated label; pick among the box labels
     enumerated = geometry.window.labels()
@@ -155,7 +155,7 @@ def test_a_non_hermitian_shared_block_names_its_first_label():
 
     first = tuple(labels[members[0]].tolist())
     with pytest.raises(ValidationError, match=re.escape(f"flux block at {first} is not Hermitian")):
-        assemble_field(geometry, corrupted, flux.tol)
+        assemble_field([geometry], corrupted, flux.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_bundled_fluxes_match_the_two_call_assembly(name):
 
 def test_the_capped_flux_matches_the_two_call_assembly():
     path = crossover_path()
-    flux = cc_flux(capped(SiteMap(2, background=params_r(0.2)), path), path)
+    flux = cc_flux([capped(SiteMap(2, background=params_r(0.2)), path)], path)[0]
     assert flux.tail_zero
     assert_one_pass_matches_two_calls(flux)
 
@@ -351,7 +351,7 @@ def test_a_cc_analysis_builds_no_label_tuples_of_its_box(monkeypatch, capped_tai
     monkeypatch.setattr(SiteIndex, "sites", property(lambda index: reads.append(index) or sites.fget(index)))
     if capped_tail:
         path = crossover_path()
-        flux = cc_flux(capped(SiteMap(2, background=params_r(0.2)), path), path)
+        flux = cc_flux([capped(SiteMap(2, background=params_r(0.2)), path)], path)[0]
         assert flux.tail_zero
     else:
         flux = _setup("cc_crossover_critical").flux

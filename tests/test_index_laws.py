@@ -7,17 +7,23 @@ bundled scenarios are wrapped on the test side (``apply`` and
 ``apply_adjoint`` swapped, or applied twice) and each index is counted by
 ``flux.dense_window_index`` on the box around the kept window blocks,
 padded by 2 and by 3: U^2 has band width 2, so its flux reaches one site
-further than that of U.
+further than that of U.  The same laws hold for the capped crossover
+networks of ``test_cc.test_dense_window_oracle_on_capped_flux``, whose
+fluxes have finitely many nonzero blocks.
 """
 
 import itertools
 import json
 
+import numpy as np
 import pytest
 
+from fluxwalk.cc import CCUnitary, cc_index, crossover_path, random_phase_window
 from fluxwalk.cli import bundled_scenarios
+from fluxwalk.fields import SiteMap
 from fluxwalk.flux import dense_window_index
 from fluxwalk.scenarios import _checked_setup
+from test_cc import capped, params_r
 
 
 class Adjoint:
@@ -66,3 +72,26 @@ def test_the_index_is_odd_under_adjoints_and_additive_under_squares(name, index,
     assert dense(walk) == index
     assert dense(Adjoint(walk)) == -index
     assert dense(Squared(walk)) == 2 * index
+
+
+@pytest.mark.parametrize("pad", [2, 3])
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("west_first", [True, False])
+def test_the_capped_network_index_is_odd_under_adjoints_and_additive_under_squares(west_first, seed, pad):
+    path = crossover_path(west_first)
+    window = random_phase_window(np.random.default_rng(seed), 0.2, range(-3, 4), range(-3, 4))
+    field = capped(SiteMap(2, window=window, background=params_r(0.2)), path)
+    report, flux = cc_index(field, path)
+    assert flux.tail_zero and abs(report.index) == 1
+    # the points of every kept cell's incoming pair, padded
+    points = flux.geometry.unitary.in_basis(flux.box.index.table[flux.kept])[0].reshape(-1, 2)
+    lo, hi = points.min(axis=0).tolist(), points.max(axis=0).tolist()
+    box = list(itertools.product(*[range(l - pad, h + pad + 1) for l, h in zip(lo, hi)]))
+    network = CCUnitary(field)
+
+    def dense(u):
+        return dense_window_index(u, flux.geometry.proj.apply, box, 1)
+
+    assert dense(network) == report.index
+    assert dense(Adjoint(network)) == -report.index
+    assert dense(Squared(network)) == 2 * report.index

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -181,9 +182,9 @@ def test_a_setup_assembles_its_base_flux_once(monkeypatch, name, assembled):
     counts = count_calls(monkeypatch, names)
     keys, selfcheck = [], cc.selfcheck_against_operator
 
-    def recording(flux, unitary, probes):
+    def recording(flux, probes):
         before = set(probes)
-        worst = selfcheck(flux, unitary, probes)
+        worst = selfcheck(flux, probes)
         keys.append((flux.geometry.window, before, set(probes)))
         return worst
 
@@ -196,17 +197,22 @@ def test_a_setup_assembles_its_base_flux_once(monkeypatch, name, assembled):
 
 
 @pytest.mark.parametrize(
-    "name",
-    # 5 and 8 when the kernel count, the kernel extraction, the perturbed
-    # unitary and the shift check each classified the kept blocks again
-    ["basic_example", "two_incoming_leads"],
+    "name, blocks",
+    # 5 and 8 calls when the kernel count, the kernel extraction, the
+    # perturbed unitary and the shift check each classified the kept blocks again
+    [("basic_example", [1, 1]), ("two_incoming_leads", [2])],
+    ids=["basic_example", "two_incoming_leads"],
 )
-def test_a_run_classifies_each_kept_block_once(monkeypatch, name):
-    # basic_example: its one kept block and the dense oracle's matrix;
-    # two_incoming_leads: its two kept blocks
-    counts = count_calls(monkeypatch, ["classify_unit"])
+def test_a_run_classifies_each_kept_block_once(monkeypatch, name, blocks):
+    # one pass over the field's eigh stack, one row per kept block (one for
+    # basic_example, two for two_incoming_leads), and for basic_example one
+    # over the dense oracle's spectrum, a stack of one row
+    import fluxwalk.flux as flux
+
+    rows, classify = [], flux.classify_unit
+    monkeypatch.setattr(flux, "classify_unit", lambda evals, *args: rows.append(len(evals)) or classify(evals, *args))
     assert run_scenario(load(name)).ok
-    assert counts == {"classify_unit": 2}
+    assert rows == blocks
     modules = [m for n, m in sys.modules.items() if n.startswith("fluxwalk.")]
     assert [m.__name__ for m in modules if hasattr(m, "classify_unit")] == ["fluxwalk.flux"]
 
@@ -581,6 +587,61 @@ def test_a_misspelled_analysis_key_fails_validation(tmp_path, capsys, name, anal
     assert main(["validate", str(scenario_file)]) == 3
     assert message in capsys.readouterr().err
     assert main(["run", str(scenario_file), "--out", str(tmp_path)]) == 3
+
+
+WALK_KEYS = "schema_version, name, description, kind, seed, geometry, coin, projection, analyses"
+CC_KEYS = "schema_version, name, description, kind, seed, path, scattering, analyses"
+
+
+UNKNOWN_KEYS = [
+    # the three typos that used to pass validation
+    ("two_incoming_leads", ("coin",), "coin", "backgound_box", "type, background_box"),
+    ("cc_rpath", ("scattering",), "scattering", "windwo", "template, r_abs, phases, window"),
+    ("cc_rpath", (), "scenario", "pth", CC_KEYS),
+    # one unknown key at every other level and type
+    ("basic_example", (), "scenario", "coins", WALK_KEYS),
+    ("basic_example", ("geometry",), "geometry", "dim", "d"),
+    ("basic_example", ("coin",), "coin", "ncut", "type, n_cut, box"),
+    ("half_line_plus", ("coin",), "coin", "boxes", "type, sign, box"),
+    ("bulk_boundary", ("coin",), "coin", "sign", "type, box"),
+    ("basic_example", ("projection",), "projection", "inner", "type, n_cut, interior"),
+    ("half_line_plus", ("projection",), "projection", "sing", "type, sign"),
+    ("bulk_boundary", ("projection",), "projection", "boundary", "type"),
+    ("two_incoming_leads", ("projection",), "projection", "outgoin", "type, incoming, outgoing, boundary"),
+    ("two_incoming_leads", ("projection", "incoming", 1), "lead", "rays", "kind, prefix, ray"),
+    ("two_outgoing_leads", ("projection", "outgoing", 0), "lead", "prefx", "kind, prefix, ray"),
+    ("cc_rpath", ("path",), "path", "hieght", "type, height"),
+    ("cc_anomalous", ("path",), "path", "west", "type, west_first"),
+]
+
+
+@pytest.mark.parametrize("name, where, context, key, allowed", UNKNOWN_KEYS, ids=[case[3] for case in UNKNOWN_KEYS])
+def test_an_unknown_scenario_key_fails_validation(tmp_path, capsys, name, where, context, key, allowed):
+    spec = load(name)
+    target = spec
+    for step in where:
+        target = target[step]
+    target[key] = 1
+    message = f"{context} has unknown key {key!r}; allowed keys: {allowed}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_scenario(spec)
+    scenario_file = tmp_path / "unknown_key.json"
+    scenario_file.write_text(json.dumps(spec))
+    assert main(["validate", str(scenario_file)]) == 3
+    assert message in capsys.readouterr().err
+    del target[key]
+    validate_scenario(spec)
+
+
+def test_every_bench_spec_validates():
+    # one seed-3 batch of each benchmark workload; the generators are read
+    # with runpy, which writes no bytecode next to them
+    workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "fluxbench" / "workloads.py"))
+    for name in workloads["WORKLOADS"]:
+        jobs = workloads["generate"](name, 3, 1)
+        assert len(jobs) == len(workloads["WORKLOADS"][name][0])
+        for job in jobs:
+            validate_scenario(job.spec)
 
 
 def test_wandering_without_leads_fails_only_that_analysis():

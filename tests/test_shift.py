@@ -148,8 +148,8 @@ def _first_polar_block(flux):
     """The position in ``flux.kept``, in the order the perturbed unitary
     builds its block maps, of the first block with eigenvalues strictly
     inside (-1, 1), and its label."""
-    for i, (plus, minus) in enumerate(flux.spectrum.units):
-        if len(plus) + len(minus) < len(flux.eigh.eigenvalues[i]):
+    for i, (plus, minus) in enumerate(zip(flux.spectrum.plus, flux.spectrum.minus)):
+        if plus.sum() + minus.sum() < len(flux.eigh.eigenvalues[i]):
             return i, flux.box.label(flux.kept[i])
     raise AssertionError("no block with eigenvalues inside (-1, 1)")
 
@@ -177,8 +177,7 @@ def test_polar_unitarity_failure_is_caught():
     kd = extract_kernels(flux)
     i, label = _first_polar_block(flux)
     evals = flux.eigh.eigenvalues[i]
-    plus, minus = flux.spectrum.units[i]
-    inside = [j for j in range(len(evals)) if j not in plus and j not in minus]
+    inside = ~(flux.spectrum.plus[i] | flux.spectrum.minus[i])
     evals[inside] += 1e-3
     with pytest.raises(ConsistencyError, match=re.escape(f"block {label}: polar factor is not unitary")):
         build_perturbed(build_walk(coin), flux, kd)
