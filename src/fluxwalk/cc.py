@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -206,31 +206,37 @@ class CCUnitary(LocalUnitary):
         entries = np.stack([r.real, r.imag, t.real, t_im, -t.real, t_im, r.real, r_im], axis=1).view(complex)
         return (q[:, None] * entries).reshape(-1, 2, 2)
 
-    def apply(self, psi: LatticeState) -> LatticeState:
-        return self._scatter(psi, adjoint=False)
+    def apply(self, psi: LatticeState, *stacked: "CCUnitary") -> LatticeState:
+        """U psi.  Given ``stacked`` networks (the rest of a flux axis, as
+        ``CellGeometry.block`` takes them), column block f of psi, of ``1 +
+        len(stacked)`` equal runs, goes through network f, this one first:
+        one ``in_cells`` pass, each network's own ``value_index`` rows."""
+        return self._scatter(psi, False, stacked)
 
-    def apply_adjoint(self, psi: LatticeState) -> LatticeState:
-        return self._scatter(psi, adjoint=True)
+    def apply_adjoint(self, psi: LatticeState, *stacked: "CCUnitary") -> LatticeState:
+        """U* psi, column blocks as in ``apply``: one ``out_cells`` pass."""
+        return self._scatter(psi, True, stacked)
 
-    def _scatter(self, psi: LatticeState, adjoint: bool) -> LatticeState:
+    def _scatter(self, psi: LatticeState, adjoint: bool, stacked: tuple) -> LatticeState:
         """Send the amplitude at each point, sitting in slot k of cell z, to
         the two outgoing points of z with weights S(z)[k, :] (to the two
-        incoming points with conj(S(z)[:, k]) for the adjoint): one stacked
-        S(z)^T for every point's cell, one product for every column, one
-        scatter."""
+        incoming points with conj(S(z)[:, k]) for the adjoint), S its column
+        block's: one stacked S(z)^T per network for every point's cell, one
+        product for every column, one scatter."""
         self._check(psi)
         points = psi.site_array
         if not len(points):
             return psi
         labels, k = (out_cells if adjoint else in_cells)(points)
-        transposed = self._transposed_table.take(self.scattering.value_index(labels), axis=0)
-        at = np.arange(len(points))
-        if adjoint:
-            targets, weights = self.in_basis(labels), transposed[at, k, :].conj()
-        else:
-            targets, weights = self.out_basis(labels), transposed[at, :, k]
-        values = psi.value_array[:, 0]
-        return LatticeState.scatter(1, targets, _scalar_products(weights[:, :, None], values[:, None]))
+        networks, at = (self, *stacked), np.arange(len(points))
+        weights = np.empty((len(points), 2, len(networks), 1), dtype=complex)
+        for f, network in enumerate(networks):
+            transposed = network._transposed_table.take(network.scattering.value_index(labels), axis=0)
+            weights[:, :, f, 0] = transposed[at, k, :].conj() if adjoint else transposed[at, :, k]
+        targets = (self.in_basis if adjoint else self.out_basis)(labels)
+        values = psi.value_array[:, 0].reshape(len(points), 1, len(networks), -1)
+        amps = _scalar_products(weights, values)
+        return LatticeState.scatter(1, targets, amps.reshape(len(points), 2, -1))
 
 
 # every point of a cell's incoming or outgoing pair has the one slot 0
@@ -522,11 +528,12 @@ def points_box(window: FluxWindow):
 class FluxPlan:
     """What the fluxes of one path share, owned by the CC analysis that builds
     them (across its draws, which share a window extent): the ``split``, one
-    ``RegionSplit`` built over the ``points_box`` of the first flux, and the
-    selfcheck ``probes`` keyed by each ``FluxWindow``.  A later flux may read
-    the split beyond its box; clamping is exact there, since region labels
-    are constant along outward directions beyond any box.  The split is the
-    one projection of a stack of fluxes (``assemble_field``'s flux axis)."""
+    ``RegionSplit`` built over the ``points_box`` of the first flux's own
+    window, and the selfcheck ``probes`` keyed by probe window and stack
+    size.  A later flux may read the split beyond its box; clamping is exact
+    there, since region labels are constant along outward directions beyond
+    any box.  The split is the one projection of a stack of fluxes
+    (``assemble_field``'s flux axis)."""
 
     def __init__(self):
         self.split, self.probes = None, {}
@@ -534,23 +541,24 @@ class FluxPlan:
 
 def cc_flux(fields: list, path: DualPath, tol: Tolerances = DEFAULT, plan: FluxPlan | None = None) -> list:
     """Blockwise fluxes of the left-region projection of a dual path under
-    the networks of a list of scattering fields on one window, assembled as
-    one stack (``assemble_field`` refuses a second window), each checked
-    against the operator on random states.
+    the networks of a list of scattering fields, assembled as one stack and
+    checked against the operator on random states in one pass.
 
     Block at cell z in the incoming basis: conj(S) D_out S^T - D_in with the
     0/1 region memberships of the outgoing and incoming points on the
-    diagonals (``flux.CellGeometry`` with matrix S^T).  The window covers the
-    path and the scattering features plus a margin of 4.  The split and the
-    probes come from ``plan``, a ``FluxPlan`` of ``path``, or a new one.
+    diagonals (``flux.CellGeometry`` with matrix S^T).  A field's own window
+    covers the path and its scattering features plus a margin of 4; the stack
+    takes the smallest window covering them all (``FluxWindow.cover``).  The
+    split and the probes come from ``plan``, a ``FluxPlan`` of ``path``, or a
+    new one; both lie over the first field's own window.
     """
     unitaries, plan = [CCUnitary(field) for field in fields], plan or FluxPlan()
     windows = [cc_flux_window(unitary.scattering, path) for unitary in unitaries]
+    window = reduce(FluxWindow.cover, windows)
     plan.split = plan.split or RegionSplit(path, *points_box(windows[0]))
-    geometries = [CellGeometry(unitary, plan.split, window, probes=8) for unitary, window in zip(unitaries, windows)]
+    geometries = [CellGeometry(unitary, plan.split, window, 8, probe_window=windows[0]) for unitary in unitaries]
     fluxes = assemble_field(geometries, geometries[0].block, tol)
-    for flux in fluxes:
-        selfcheck_against_operator(flux, plan.probes)
+    selfcheck_against_operator(fluxes, plan.probes)
     return fluxes
 
 
@@ -715,15 +723,14 @@ def anomalous_transport(
 
     Each capped flux has finitely many nonzero blocks, so its plain trace is
     defined, and it must equal the integer index of the uncapped flux.  Every
-    epsilon is checked first.  The capped fields take one cap reach, the
-    largest epsilon's, so they share one window and are assembled as one
-    stack; a spec whose epsilons differ widely pays for every capped flux on
-    the widest window (the default list's own reaches are 32, 32 and 36).
-    All fluxes share ``plan`` (or a new one), so the capped fluxes read the
-    uncapped flux's split, beyond its box where they reach further.
+    epsilon is checked before any assembly.  The capped fields take one cap
+    reach, the largest epsilon's, from the uncapped field's own window, so
+    one ``cc_flux`` stack on one window holds the uncapped flux (the index)
+    and the capped ones (the traces); a spec whose epsilons differ widely
+    pays for every capped flux on the widest window (the default list's own
+    reaches are 32, 32 and 36).  All fluxes share ``plan`` (or a new one).
     """
     plan = plan or FluxPlan()
-    report, flux = cc_index(scattering, path, tol, plan)
     t0, t1 = path.switch_window()
     cuts = []
     for eps in epsilons:
@@ -734,7 +741,8 @@ def anomalous_transport(
             raise ValidationError(
                 f"path is not r-pure left and t-pure right of the 1/eps={cut} cutoffs"
             )
-    reach = max(*cuts, flux.certificate.radius) + 4 * max(flux.geometry.window.bands) + 12
+    own = cc_flux_window(scattering, path)
+    reach = max(*cuts, own.radius) + 4 * max(own.bands) + 12
     # seamless continuation: the cell rays start at the outermost window
     # cells and run outward
     r_base, r_inward = _deep_cell_ray(path, list(range(-reach, -reach + 9)))
@@ -748,7 +756,8 @@ def anomalous_transport(
         cells = path.crossings(-reach, -cut)[0], path.crossings(cut, reach)[0]
         window = np.concatenate(cells), caps.repeat([len(c) for c in cells], axis=0)
         capped.append(scattering.overridden(window=window, rays=rays))
-    fluxes = cc_flux(capped, path, tol, plan)
+    uncapped, *fluxes = cc_flux([scattering, *capped], path, tol, plan)
+    report = analyze(uncapped)
     if not all(flux_eps.tail_zero for flux_eps in fluxes):
         raise ValidationError("capped flux still has nonzero tail blocks")
     traces = [(float(eps), complex(index_by_odd_trace(flux_eps, 0))) for eps, flux_eps in zip(epsilons, fluxes)]

@@ -18,9 +18,10 @@ reads these bands from the flux's one ``FluxWindow``.  So after assembly
 every block read is a row of the stacked box, a label beyond it reading the
 row of its shell partner (``FluxWindow.partners``).
 
-Every flux is assembled as part of a stack (a flux axis) of fluxes on one
-window and one projection, such as the capped fluxes of an
-anomalous-transport analysis; a lone flux is a stack of one.
+Every flux is assembled, and checked against the operator, as part of a
+stack (a flux axis) of fluxes on one window and one projection, such as the
+uncapped and capped fluxes of an anomalous-transport draw; a lone flux is a
+stack of one.
 
 A field keeps its window blocks as box rows (``FluxField.kept``) with one
 ``eigh`` stack over them, and classifies that whole stack against +1 and -1
@@ -143,6 +144,19 @@ class FluxWindow:
         axes = [np.arange(l - 2 * b, h + 2 * b + 1, s) for l, h, b, s in zip(self.lo, self.hi, self.bands, self.steps)]
         return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
+    @property
+    def radius(self) -> int:
+        """The largest coordinate modulus of the window's corners, the
+        certificate's radius."""
+        return max(map(abs, self.lo + self.hi))
+
+    def cover(self, other: "FluxWindow") -> "FluxWindow":
+        """The smallest window that covers this one and ``other``, whose bands
+        and steps must equal these (``ConsistencyError`` otherwise)."""
+        if (other.bands, other.steps) != (self.bands, self.steps):
+            raise ConsistencyError("the fluxes of one stack must share their tail bands and label grid")
+        return FluxWindow(np.minimum(self.lo, other.lo), np.maximum(self.hi, other.hi), self.bands, self.steps)
+
     def partners(self, labels: np.ndarray) -> np.ndarray:
         """Clamp labels beyond the shell into it, preserving each coordinate's
         residue modulo the band width."""
@@ -169,17 +183,18 @@ class CellGeometry:
     at slot ``slots[i]`` of site ``sites[i]``, and ``apply(psi)``.  With P_in
     and P_out those entries on the two bases, the flux block in the incoming
     basis is ``U* P_out U - P_in``, formed once per distinct (row, P_in,
-    P_out).  Self-checks draw ``probes`` random sites of ``window``, the
-    ``FluxWindow`` that ``assemble_field`` enumerates.  ``apply_blocks`` takes
-    cell maps as an (M, k, k) stack and a lookup from an (N, d) label array
-    to N rows of it, -1 for none.
+    P_out).  Self-checks draw ``probes`` random sites of ``probe_window``, by
+    default ``window``, the ``FluxWindow`` that ``assemble_field``
+    enumerates.  ``apply_blocks`` takes cell maps as a list of (M, k, k)
+    stacks, one per run of columns, and a lookup from an (N, d) label array
+    to N rows of each, -1 for none.
     """
 
-    def __init__(self, unitary, proj, window: FluxWindow, probes: int):
+    def __init__(self, unitary, proj, window: FluxWindow, probes: int, probe_window: FluxWindow | None = None):
         self.unitary = unitary
         self.proj = proj
         self.state_dim = unitary.n_internal
-        self.window = window
+        self.window, self.probe_window = window, probe_window or window
         self.probes = probes
 
     def block(self, labels: np.ndarray, *stacked):
@@ -235,13 +250,16 @@ class CellGeometry:
         values[rows.reshape(n_cells, k), in_slots] = coords
         return LatticeState(self.state_dim, (sites.take(first, axis=0), values), _take=True)
 
-    def apply_blocks(self, psi: LatticeState, rows_of, matrices, adjoint: bool = False) -> LatticeState:
-        """Apply ``matrices[rows_of(labels)]``, or the adjoints, to the incoming
-        coordinates of all columns of ``psi`` in every cell meeting its support
-        in one stacked product, leaving cells of row -1 alone.  Cells come in
-        sorted label order: the rows of adding cell images one at a time."""
+    def apply_blocks(self, psi: LatticeState, rows_of, stacks: list, adjoint: bool = False) -> LatticeState:
+        """Apply ``stacks[f][rows_of(labels)]``, or the adjoints, to the
+        incoming coordinates of column block f of ``psi`` (its columns in
+        ``len(stacks)`` equal runs, such as a flux axis's box stacks) in every
+        cell meeting its support, in one stacked product of the (k, k) by (k,
+        K) products of one stack alone, leaving cells of row -1 alone.  Cells
+        come in sorted label order: the rows of adding cell images one at a
+        time."""
         empty = LatticeState.zero(self.state_dim, psi.n_columns)
-        if not psi.support_size() or not len(matrices):
+        if not psi.support_size() or not len(stacks[0]):
             return empty
         touched = self.unitary.cell_labels(psi.site_array)
         labels = touched.take(group_sites(touched)[0], axis=0)
@@ -254,29 +272,32 @@ class CellGeometry:
         n_cells, k, d = in_sites.shape
         rows = psi.rows_of(in_sites.reshape(-1, d)).reshape(n_cells, k)
         coords = np.where((rows >= 0)[:, :, None], psi.value_array[rows, in_slots], 0)
+        coords = coords.reshape(n_cells, k, len(stacks), -1).transpose(2, 0, 1, 3)
         # the adjoint as a transposed view, laid out as m.conj().T, so BLAS
         # takes the same path and rounds the same way
-        mats = matrices[found[kept]]
+        mats = np.array([matrices[found[kept]] for matrices in stacks])
         if adjoint:
-            mats = mats.conj().transpose(0, 2, 1)
-        return self._place(in_sites, in_slots, mats @ coords)
+            mats = mats.conj().transpose(0, 1, 3, 2)
+        return self._place(in_sites, in_slots, (mats @ coords).transpose(1, 2, 0, 3).reshape(n_cells, k, -1))
 
-    def probe_states(self, rng: np.random.Generator) -> LatticeState:
-        """Three random unit states on ``probes`` random window sites each, as
-        the columns of one state whose rows come in order of first appearance.
-        Each draws its sites in one call, then each distinct site's real and
-        imaginary parts in one call, and is scaled by its per-row norm."""
-        sites, columns, window = [], [], self.window
+    def probe_states(self, rng: np.random.Generator, copies: int = 1) -> LatticeState:
+        """Three random unit states on ``probes`` random probe window sites
+        each, as the columns of one state whose rows come in order of first
+        appearance, the three repeated ``copies`` times.  Each draws its sites
+        in one call, then each distinct site's real and imaginary parts in one
+        call, and is scaled by its per-row norm."""
+        sites, columns, window = [], [], self.probe_window
         for _ in range(3):
             draw = rng.integers(window.lo, np.add(window.hi, 1), size=(self.probes, len(window.lo)))
             sites.append(np.array(list(set(map(tuple, draw.tolist()))), dtype=np.int64))
             draws = rng.standard_normal((len(sites[-1]), 2, self.state_dim))
             column = draws[:, 0] + 1j * draws[:, 1]
             columns.append((1.0 / float(np.sqrt(sum(np.vdot(v, v).real for v in column)))) * column)
-        first, rows = group_sites(np.concatenate(sites))
+        sites = np.concatenate(sites)
+        first, rows = group_sites(sites)
         values = np.zeros((len(first), self.state_dim, 3), dtype=complex)
         values[rows, :, np.repeat(np.arange(3), [len(c) for c in columns])] = np.concatenate(columns)
-        return LatticeState(self.state_dim, (np.concatenate(sites).take(first, axis=0), values), _take=True)
+        return LatticeState(self.state_dim, (sites.take(first, axis=0), np.tile(values, copies)), _take=True)
 
 
 @dataclass(eq=False)
@@ -332,7 +353,7 @@ class FluxField:
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Apply the flux to a finitely supported state, exactly."""
-        return self.geometry.apply_blocks(psi, self._box_rows, self.box.flux)
+        return self.geometry.apply_blocks(psi, self._box_rows, [self.box.flux])
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +434,6 @@ def assemble_field(geometries: list, block_fn, tol: Tolerances) -> list[FluxFiel
     ranks = np.rint(p_out.sum(axis=1) - p_in.sum(axis=1)).astype(int)
     in_window = zone_box == 0
     shell_rows = np.flatnonzero(zone_box == 1)
-    radius = max(max(abs(l), abs(h)) for l, h in zip(window.lo, window.hi))
     fields = []
     for geom, rows in zip(geometries, box_which):
         box = StackedBox(box_index, *(a.take(rows, axis=0) for a in (flux, p_in, p_out, cells, evals, norms)), in_window)
@@ -424,7 +444,7 @@ def assemble_field(geometries: list, block_fn, tol: Tolerances) -> list[FluxFiel
             if box.norms[j] > 0.0:
                 bound, witness = float(box.norms[j]), box.label(j)
         ok = bound < 1.0 - tol.certificate_margin
-        cert = Certificate(ok=ok, radius=radius, bound=bound, witness=None if ok else witness)
+        cert = Certificate(ok=ok, radius=window.radius, bound=bound, witness=None if ok else witness)
         eigh = np.linalg.eigh(box.flux[kept])
         fields.append(FluxField(geom, box, kept, eigh, cert, int(ranks.take(rows)[in_window].sum()), tol))
     return fields
@@ -433,20 +453,29 @@ def assemble_field(geometries: list, block_fn, tol: Tolerances) -> list[FluxFiel
 SELFCHECK_BOUND = 1e-12  # largest column norm by which the blockwise action may miss U*PU - P
 
 
-def selfcheck_against_operator(flux: FluxField, probes: dict | None = None) -> float:
-    """Compare blockwise action against U*(P(U psi)) - P psi, U the
-    geometry's unitary, within ``SELFCHECK_BOUND``, on three random states
-    (seed 7) as one state's columns, kept with P psi per window in
-    ``probes`` across one projection's fluxes."""
-    geom, probes = flux.geometry, {} if probes is None else probes
-    if geom.window not in probes:
-        psi = geom.probe_states(np.random.default_rng(7))
-        probes[geom.window] = psi, geom.proj.apply(psi)
-    psi, p_psi = probes[geom.window]
-    via_op = geom.unitary.apply_adjoint(geom.proj.apply(geom.unitary.apply(psi))) - p_psi
-    worst = float((via_op - flux.apply(psi)).norms().max())
-    if not (worst <= SELFCHECK_BOUND):
-        raise ConsistencyError(f"blockwise flux deviates from U*PU - P by {worst:g}")
+def selfcheck_against_operator(fluxes: list, probes: dict | None = None) -> list[float]:
+    """Compare the blockwise action of each flux of a stack against U*(P(U
+    psi)) - P psi, U that flux's unitary, within ``SELFCHECK_BOUND``, on three
+    random states (seed 7) as one state's columns.  One pass: the probe
+    columns repeat once per flux, column block f goes through flux f's
+    unitary (``apply(psi, *stacked)``, which never reads box rows) and box
+    stack (``apply_blocks``), and P and the subtractions run once.  The
+    repeated probes and -P psi are kept in ``probes`` per probe window and
+    stack size, across one projection's fluxes.  Returns each flux's largest
+    column deviation; the first flux above the bound raises."""
+    geom, probes = fluxes[0].geometry, {} if probes is None else probes
+    key = geom.probe_window, len(fluxes)
+    if key not in probes:
+        psi = geom.probe_states(np.random.default_rng(7), len(fluxes))
+        probes[key] = psi, geom.proj.apply(psi).scaled(-1.0)
+    psi, minus_p_psi = probes[key]
+    unitary, stacked = geom.unitary, [flux.geometry.unitary for flux in fluxes[1:]]
+    via_op = unitary.apply_adjoint(geom.proj.apply(unitary.apply(psi, *stacked)), *stacked) + minus_p_psi
+    blockwise = geom.apply_blocks(psi, fluxes[0]._box_rows, [flux.box.flux for flux in fluxes])
+    worst = (via_op - blockwise).norms().reshape(len(fluxes), -1).max(axis=1).tolist()
+    for deviation in worst:
+        if not (deviation <= SELFCHECK_BOUND):
+            raise ConsistencyError(f"blockwise flux deviates from U*PU - P by {deviation:g}")
     return worst
 
 

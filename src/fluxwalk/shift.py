@@ -153,7 +153,7 @@ class PerturbedUnitary:
         out = psi - self._diffs.combine(self._diffs.gram(psi)) if self._diffs.n_columns else psi
         if not len(self._map_stack):
             return out
-        return out + self.flux.geometry.apply_blocks(psi, self._map_index.rows, self._map_stack, adjoint)
+        return out + self.flux.geometry.apply_blocks(psi, self._map_index.rows, [self._map_stack], adjoint)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         return self.base.apply(self._correction(psi, adjoint=False))

@@ -84,7 +84,7 @@ def build_walk_flux(
     geometry = CellGeometry(walk, proj, walk_flux_window(walk.coin, proj), probes=6)
     flux = assemble_field([geometry], geometry.block, tol)[0]
     if selfcheck:
-        selfcheck_against_operator(flux)
+        selfcheck_against_operator([flux])
     return flux
 
 

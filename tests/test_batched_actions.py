@@ -187,8 +187,8 @@ def test_region_projection_matches_per_site_reference(name, seed):
 
 def random_cell_maps(flux, rng):
     """Random maps on some of the box cells, as ``PerturbedUnitary`` keeps
-    them: the dict the reference reads, and the ``(rows_of, matrices)`` pair
-    of ``CellGeometry.apply_blocks``."""
+    them: the dict the reference reads, and the lookup and the one stack
+    that ``CellGeometry.apply_blocks`` takes."""
     k = flux.box.flux.shape[1]
     maps = {
         label: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
@@ -219,15 +219,15 @@ def test_cell_blocks_match_per_cell_reference(name, seed):
             ref.apply_blocks(geometry, ref.to_dict(psi), lambda label: reference_block(geometry, label)),
         )
         assert ref.same_state(
-            geometry.apply_blocks(psi, rows_of, matrices),
+            geometry.apply_blocks(psi, rows_of, [matrices]),
             ref.apply_blocks(geometry, ref.to_dict(psi), maps.get),
         )
         assert ref.same_state(
-            geometry.apply_blocks(psi, rows_of, matrices, adjoint=True),
+            geometry.apply_blocks(psi, rows_of, [matrices], adjoint=True),
             ref.apply_blocks(geometry, ref.to_dict(psi), adjoint_at),
         )
         # an empty stack leaves every cell alone
-        empty = geometry.apply_blocks(psi, rows_of, np.zeros((0, k, k), dtype=complex))
+        empty = geometry.apply_blocks(psi, rows_of, [np.zeros((0, k, k), dtype=complex)])
         assert empty.support_size() == 0 and empty.n_columns == psi.n_columns
     label = flux.box.index.sites[rng.integers(len(flux.box.index.sites))]
     coords = rng.standard_normal(k) + 1j * rng.standard_normal(k)
@@ -279,8 +279,8 @@ def _actions(flux, seed):
         geometry.unitary.apply_adjoint,
         *(p.apply for p in projections),
         flux.apply,
-        lambda psi: geometry.apply_blocks(psi, rows_of, matrices),
-        lambda psi: geometry.apply_blocks(psi, rows_of, matrices, adjoint=True),
+        lambda psi: geometry.apply_blocks(psi, rows_of, [matrices]),
+        lambda psi: geometry.apply_blocks(psi, rows_of, [matrices], adjoint=True),
     ]
 
 
@@ -299,6 +299,35 @@ def test_k_column_actions_match_k_single_column_actions(name, seed):
     gram = stacked.gram(stacked)
     inner = np.array([[a.inner(b) for b in states] for a in states])
     assert np.abs(gram - inner).max() <= 1e-14 * max(1.0, np.abs(inner).max())
+
+
+def _column_bits(psi):
+    """Each column of ``psi`` as a dict of site to vector bytes."""
+    return [{site: v.tobytes() for site, v in ref.items(column)} for column in ref.columns(psi)]
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=seeds)
+def test_stacked_actions_send_each_column_block_through_its_own_member(seed):
+    # the one-pass selfcheck of a flux axis: column block f goes through
+    # network f and box stack f, bit for bit as through that member alone
+    flux = cc_model("random_phases")
+    geometry, rng = flux.geometry, np.random.default_rng(seed)
+    span = range(-4, 5)
+    others = [
+        CCUnitary(SiteMap(2, window=random_phase_window(rng, r_abs, span, span), background=FULL_REFLECTION))
+        for r_abs in (0.3, 0.6)
+    ]
+    psi = LatticeState.stack(_states(flux, seed, count=3, size=16))
+    tiled = psi.with_values(np.tile(psi.value_array, 3))
+    for name in ("apply", "apply_adjoint"):
+        alone = [bits for network in (geometry.unitary, *others) for bits in _column_bits(getattr(network, name)(psi))]
+        assert _column_bits(getattr(geometry.unitary, name)(tiled, *others)) == alone, name
+    _, rows_of, matrices = random_cell_maps(flux, rng)
+    stacks = [matrices, 2.0 * matrices, matrices.conj()]
+    for adjoint in (False, True):
+        alone = [bits for m in stacks for bits in _column_bits(geometry.apply_blocks(psi, rows_of, [m], adjoint))]
+        assert _column_bits(geometry.apply_blocks(tiled, rows_of, stacks, adjoint)) == alone, adjoint
 
 
 @lru_cache(maxsize=None)
@@ -336,7 +365,7 @@ def unconditional_correction(perturbed, psi, adjoint):
     product, as the correction ran before it skipped empty terms."""
     diffs = perturbed._diffs
     out = psi - diffs.with_values(diffs.value_array @ diffs.gram(psi))
-    return out + perturbed.flux.geometry.apply_blocks(psi, perturbed._map_index.rows, perturbed._map_stack, adjoint)
+    return out + perturbed.flux.geometry.apply_blocks(psi, perturbed._map_index.rows, [perturbed._map_stack], adjoint)
 
 
 def count_correction_terms(monkeypatch):
@@ -352,9 +381,9 @@ def count_correction_terms(monkeypatch):
         calls["gram"] += from_correction()
         return gram(self, other)
 
-    def counted_apply_blocks(self, psi, rows_of, matrices, adjoint=False):
+    def counted_apply_blocks(self, psi, rows_of, stacks, adjoint=False):
         calls["apply_blocks"] += from_correction()
-        return apply_blocks(self, psi, rows_of, matrices, adjoint)
+        return apply_blocks(self, psi, rows_of, stacks, adjoint)
 
     monkeypatch.setattr(LatticeState, "gram", counted_gram)
     monkeypatch.setattr(CellGeometry, "apply_blocks", counted_apply_blocks)

@@ -88,3 +88,36 @@ def test_scalar_field_probes_fire_on_a_lead_network(monkeypatch):
     spec = json.loads(bundled_scenarios()["two_incoming_leads"].read_text())
     assert run_scenario(spec).ok
     assert all(counts.values()), counts
+
+
+@pytest.mark.parametrize("name", ["cc_rpath", "cc_anomalous"])
+def test_network_probes_fire_on_the_cc_scenarios(monkeypatch, name):
+    """The benchmark's ``cc.CCUnitary.apply``, ``lattice.LatticeState.add``
+    and ``flux.selfcheck`` metrics must still record work on the CC
+    workload: the selfcheck sends its probes through the network actions and
+    subtracts states, for a lone flux (``cc_rpath``) and for the stack of an
+    anomalous draw (``cc_anomalous``), through the binding ``cc`` calls."""
+    import json
+
+    from fluxwalk import cc, lattice
+    from fluxwalk.cli import bundled_scenarios
+    from fluxwalk.scenarios import run_scenario
+
+    counts = {}
+
+    def counting(key, original):
+        counts[key] = 0
+
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for owner, attr in ((cc.CCUnitary, "apply"), (cc.CCUnitary, "apply_adjoint"), (lattice.LatticeState, "__add__")):
+        monkeypatch.setattr(owner, attr, counting(f"{owner.__name__}.{attr}", owner.__dict__[attr]))
+    selfcheck = cc.selfcheck_against_operator
+    monkeypatch.setattr(cc, "selfcheck_against_operator", counting("selfcheck_against_operator", selfcheck))
+    spec = json.loads(bundled_scenarios()[name].read_text())
+    assert run_scenario(spec).ok
+    assert all(counts.values()), counts

@@ -255,7 +255,7 @@ def test_selfcheck_catches_a_corrupted_kept_block():
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
     block[0, 0] += 1e-6
     with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by")):
-        selfcheck_against_operator(flux)
+        selfcheck_against_operator([flux])
 
 
 def test_selfcheck_catches_a_small_offset_on_a_kept_block():
@@ -263,7 +263,7 @@ def test_selfcheck_catches_a_small_offset_on_a_kept_block():
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
     block[...] += 1e-11 * np.eye(len(block))
     with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by")):
-        selfcheck_against_operator(flux)
+        selfcheck_against_operator([flux])
 
 
 def test_selfcheck_catches_a_nan_kept_block():
@@ -271,7 +271,7 @@ def test_selfcheck_catches_a_nan_kept_block():
     flux, walk, block = _basic_flux_and_a_probed_kept_block()
     block[0, 0] = np.nan
     with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by nan")) as info:
-        selfcheck_against_operator(flux)
+        selfcheck_against_operator([flux])
     assert info.type is ConsistencyError
 
 

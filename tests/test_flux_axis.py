@@ -11,7 +11,13 @@ with another window or projection must not enter a stack.
 The capped fields of an anomalous analysis take one cap reach, the largest
 epsilon's.  Each must carry the S^T values of the field that its own
 epsilon's reach gave (``reference_state.per_epsilon_capped``), and give the
-same odd trace.
+same odd trace.  The uncapped field joins them as the first flux of one
+stack, on the cap reach's window, and must count the index there as on its
+own window.
+
+The selfcheck checks a whole stack in one pass.  Each flux's deviation must
+be the one that checking it alone gives, and a fault in a later flux must
+fail the pass while the fluxes before it pass alone.
 """
 
 import json
@@ -35,8 +41,15 @@ from fluxwalk.cc import (
 )
 from fluxwalk.cli import bundled_scenarios
 from fluxwalk.errors import ConsistencyError, FluxwalkError, ValidationError
-from fluxwalk.fields import SiteMap
-from fluxwalk.flux import CellGeometry, assemble_field, index_by_odd_trace
+from fluxwalk.fields import Ray, SiteMap
+from fluxwalk.flux import (
+    SELFCHECK_BOUND,
+    CellGeometry,
+    analyze,
+    assemble_field,
+    index_by_odd_trace,
+    selfcheck_against_operator,
+)
 from fluxwalk.scenarios import ANALYSES, _checked_setup
 from test_cc import params_r
 
@@ -99,12 +112,13 @@ def assert_stack_is_each_alone(geometries, tol):
 
 
 def test_the_capped_stacks_of_bundled_draws_are_each_flux_alone(monkeypatch):
+    # one stack per draw: the uncapped flux, then one capped flux per epsilon
     spec = json.loads(bundled_scenarios()["cc_anomalous"].read_text())
     stacks = _recorded_stacks(monkeypatch)
     out = ANALYSES["cc"]["anomalous_transport"](_checked_setup(spec), {"epsilons": EPSILONS, "draws": 5}, {})
     assert out["pass"] and len(stacks) == 5
     for geometries, tol in stacks:
-        assert len(geometries) == len(EPSILONS)
+        assert len(geometries) == len(EPSILONS) + 1
         assert_stack_is_each_alone(geometries, tol)
 
 
@@ -179,6 +193,18 @@ def test_a_stack_refuses_another_window_or_projection():
             assemble_field([first, other], first.block, tol)
 
 
+def test_a_network_stack_takes_the_covering_window_of_equal_bands():
+    path, small, large = crossover_path(), _random_field(3, 0.3, extent=4), _random_field(4, 0.3)
+    own = [cc_flux([field], path)[0].geometry.window for field in (small, large)]
+    stack = cc_flux([small, large], path)
+    assert [flux.geometry.window for flux in stack] == [own[1], own[1]] != own
+    assert all(flux.geometry.probe_window == own[0] for flux in stack)
+    # a ray of period 3 gives tail bands of 6, which no stack of bands 2 takes
+    periodic = small.overridden(rays=[(Ray((20, 0), (1, 0)), [params_r(0.3), params_r(0.2), params_r(0.3)])])
+    with pytest.raises(ConsistencyError, match="share their tail bands and label grid"):
+        cc_flux([small, periodic], path)
+
+
 # ---------------------------------------------------------------------------
 # one cap reach changes no capped field
 
@@ -199,7 +225,7 @@ def test_the_shared_reach_changes_no_capped_field(seed, west_first, r_abs):
     uncapped = cc_flux([field], path)[0]
     # a cell box that covers both reaches (36 at most) with room to spare
     labels = _cell_box(60)
-    for eps, geometry, (_, trace) in zip(EPSILONS, geometries, result["traces"]):
+    for eps, geometry, (_, trace) in zip(EPSILONS, geometries[1:], result["traces"], strict=True):
         own = ref.per_epsilon_capped(field, path, eps, uncapped)
         table, rows = geometry.unitary.table_rows(labels)
         own_table, own_rows = CCUnitary(own).table_rows(labels)
@@ -213,10 +239,96 @@ def test_the_shared_reach_changes_no_capped_field(seed, west_first, r_abs):
     assert [ray for ray, _ in widest.rays] == [ray for ray, _ in shared.rays]
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(MODULI))
+def test_the_cap_reach_window_changes_no_uncapped_count(seed, west_first, r_abs):
+    path, field = crossover_path(west_first), _random_field(seed, r_abs)
+    stacks, original = [], cc_module.assemble_field
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cc_module, "assemble_field", lambda *args: stacks.append(original(*args)) or stacks[-1])
+        result = anomalous_transport(field, path, EPSILONS)
+    (stack,) = stacks
+    uncapped, own = stack[0], cc_flux([field], path)[0]
+    assert uncapped.geometry.unitary.scattering is field
+    # the cap reach's window holds the uncapped field's own window and more
+    wide, narrow = uncapped.geometry.window, own.geometry.window
+    assert wide != narrow and np.all(np.less_equal(wide.lo, narrow.lo)) and np.all(np.greater_equal(wide.hi, narrow.hi))
+    got, want = analyze(uncapped), analyze(own)
+    counts = ("index", "dim_ker_plus", "dim_ker_minus", "rank_difference")
+    assert [getattr(got, name) for name in counts] == [getattr(want, name) for name in counts]
+    assert result["index"] == want.index
+
+
 def test_an_epsilon_out_of_range_after_a_valid_one_still_raises(monkeypatch):
     fluxes, original = [], cc_module.assemble_field
     monkeypatch.setattr(cc_module, "assemble_field", lambda *args: fluxes.append(args) or original(*args))
     with pytest.raises(ValidationError, match=re.escape("epsilon 1.5 out of range")):
         anomalous_transport(_random_field(5, 0.2), crossover_path(), [0.25, 1.5])
-    # every epsilon is checked before any capped flux is assembled
-    assert [len(geometries) for geometries, *_ in fluxes] == [1]
+    # every epsilon is checked before any flux, the uncapped one included, is assembled
+    assert fluxes == []
+
+
+# ---------------------------------------------------------------------------
+# one selfcheck pass per stack
+
+
+def _bundled_stack():
+    """The stack of the first draw of bundled ``cc_anomalous``: the uncapped
+    flux, then one capped flux per epsilon."""
+    spec = json.loads(bundled_scenarios()["cc_anomalous"].read_text())
+    stacks, original = [], cc_module.assemble_field
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(cc_module, "assemble_field", lambda *args: stacks.append(original(*args)) or stacks[-1])
+        out = ANALYSES["cc"]["anomalous_transport"](_checked_setup(spec), {"epsilons": EPSILONS, "draws": 1}, {})
+    (stack,) = stacks
+    assert out["pass"] and len(stack) == len(EPSILONS) + 1
+    return stack
+
+
+def _probed_kept_block(flux):
+    """A kept block of ``flux`` that the selfcheck's probes meet, as a view
+    of its box row."""
+    geometry = flux.geometry
+    sites = geometry.probe_states(np.random.default_rng(7)).site_array
+    probed = set(map(tuple, geometry.unitary.cell_labels(sites).tolist()))
+    row = next(row for row in flux.kept.tolist() if flux.box.label(row) in probed)
+    return flux.box.flux[row]
+
+
+def test_a_stack_checked_in_one_pass_reads_as_each_flux_checked_alone():
+    stack = _bundled_stack()
+    together = selfcheck_against_operator(stack)
+    alone = [selfcheck_against_operator([flux])[0] for flux in stack]
+    assert len(together) == len(stack)
+    assert all(abs(a - b) <= 1e-15 for a, b in zip(together, alone))
+    # each column block takes the products of its flux alone, so the
+    # deviations agree bit for bit
+    assert [a.hex() for a in together] == [b.hex() for b in alone]
+
+
+def test_a_stack_selfcheck_catches_a_corrupted_kept_block_of_a_later_flux():
+    # a probed kept block of flux 2 off by 1e-6 fails the one pass with the
+    # message of a lone check, while fluxes 0 and 1 alone still pass
+    stack = _bundled_stack()
+    _probed_kept_block(stack[2])[...] += 1e-6 * np.eye(2)
+    message = re.escape("blockwise flux deviates from U*PU - P by")
+    with pytest.raises(ConsistencyError, match=message) as together:
+        selfcheck_against_operator(stack)
+    with pytest.raises(ConsistencyError, match=message) as alone:
+        selfcheck_against_operator([stack[2]])
+    assert str(together.value) == str(alone.value)
+    for flux in stack[:2]:
+        assert selfcheck_against_operator([flux])[0] <= SELFCHECK_BOUND
+    # a larger fault in a later flux does not mask the first one
+    _probed_kept_block(stack[3])[...] += 1e-3 * np.eye(2)
+    with pytest.raises(ConsistencyError) as first:
+        selfcheck_against_operator(stack)
+    assert str(first.value) == str(alone.value)
+
+
+def test_a_stack_selfcheck_catches_a_nan_in_one_flux():
+    stack = _bundled_stack()
+    _probed_kept_block(stack[3])[0, 0] = np.nan
+    with pytest.raises(ConsistencyError, match=re.escape("blockwise flux deviates from U*PU - P by nan")):
+        selfcheck_against_operator(stack)
+    assert max(selfcheck_against_operator(stack[:3])) <= SELFCHECK_BOUND

@@ -5,8 +5,8 @@ once, and ``assemble_field`` stacks per-label rows from those: every stacked
 block, cell matrix, eigenvalue row and norm must equal, bit for bit, one
 reference block and one ``eigvalsh`` per label.  ``cc.FluxPlan`` keeps one
 ``RegionSplit``, over the first flux's points box, and the selfcheck probes
-per window; a later flux reads the split beyond its box, where it must read
-like that flux's own split.
+per probe window, the first flux's own window; a later flux reads the split
+beyond its box, where it must read like that flux's own split.
 
 ``assemble_field`` calls ``block_fn`` once, on every enumerated label: its
 box, certificate and rank sum must equal, bit for bit, those of the two-call
@@ -277,7 +277,7 @@ def _counting(monkeypatch):
         init(self, path, *args)
 
     monkeypatch.setattr(RegionSplit, "__init__", counted_init)
-    monkeypatch.setattr(CellGeometry, "probe_states", lambda self, rng: draws.append(self) or probe_states(self, rng))
+    monkeypatch.setattr(CellGeometry, "probe_states", lambda self, *args: draws.append(self) or probe_states(self, *args))
     return splits, draws
 
 
@@ -287,10 +287,13 @@ def test_anomalous_transport_builds_one_split_and_draws_probes_per_window(monkey
     splits, draws = _counting(monkeypatch)
     result = anomalous_transport(field, crossover_path(), [0.25, 0.125, 0.0625])
     assert len(result["traces"]) == 3
-    # four fluxes on two window extents: the uncapped one, and the one
-    # capped extent of the shared cap reach
+    # four fluxes as one stack on one window, that of the shared cap reach
+    # (two window extents, and two probe draws, when the uncapped flux was
+    # assembled on its own); the probes keep to the uncapped field's own
+    # window, as the split keeps to its box
     assert len(splits) == 1
-    assert len(draws) == 2
+    assert len(draws) == 1
+    assert draws[0].probe_window == cc_flux_window(field, crossover_path()) != draws[0].window
 
 
 def test_a_plan_serves_every_draw_of_an_anomalous_analysis(monkeypatch):
@@ -298,8 +301,8 @@ def test_a_plan_serves_every_draw_of_an_anomalous_analysis(monkeypatch):
     splits, draws = _counting(monkeypatch)
     out = ANALYSES["cc"]["anomalous_transport"](setup, {"epsilons": [0.25, 0.125, 0.0625], "draws": 3}, {})
     assert out["pass"] and out["draws"] == 3
-    # the uncapped window and the one capped window, shared by every draw
-    assert len(splits) == 1 and len(draws) == 2
+    # the one window of each draw's stack, shared by every draw
+    assert len(splits) == 1 and len(draws) == 1
 
 
 def test_an_ensemble_builds_one_split(monkeypatch):

@@ -175,17 +175,18 @@ def test_lead_network_analyses_reuse_the_checked_setup(monkeypatch):
 )
 def test_a_setup_assembles_its_base_flux_once(monkeypatch, name, assembled):
     # each assembled flux builds its window once, and validation one more;
-    # a CC flux keeps its selfcheck probes under that window in its plan
+    # a CC flux keeps its selfcheck probes under its probe window and stack
+    # size in its plan
     import fluxwalk.cc as cc
 
     names = ["assemble_field", "walk_flux_window", "cc_flux_window"]
     counts = count_calls(monkeypatch, names)
     keys, selfcheck = [], cc.selfcheck_against_operator
 
-    def recording(flux, probes):
+    def recording(fluxes, probes):
         before = set(probes)
-        worst = selfcheck(flux, probes)
-        keys.append((flux.geometry.window, before, set(probes)))
+        worst = selfcheck(fluxes, probes)
+        keys.append(((fluxes[0].geometry.probe_window, len(fluxes)), before, set(probes)))
         return worst
 
     monkeypatch.setattr(cc, "selfcheck_against_operator", recording)

@@ -15,7 +15,7 @@ from fluxwalk.cc import (
 )
 from fluxwalk.fields import HalfSpace, Ray, SiteMap
 from fluxwalk.flux import analyze
-from fluxwalk.errors import ConsistencyError
+from fluxwalk.errors import ConsistencyError, ValidationError
 from fluxwalk.lattice import LatticeState, direction_index, haar_unitary
 import reference_state as ref
 from reference_state import trace_norm_hermitian
@@ -106,6 +106,17 @@ def test_basic_example_shift_structure():
     assert report.gram_defect <= 1e-10
     assert report.unitary_defect <= 1e-10
     assert report.remainder_norm <= 3 * report.small_flux_norm + 1e-12
+
+
+def test_the_shift_check_takes_one_step_and_refuses_none():
+    # k_max = 1, the shortest orbit the check accepts, runs one step each way
+    coin, proj = basic_example(seed=2)
+    flux = build_walk_flux(coin, proj)
+    perturbed = build_perturbed(build_walk(coin), flux, extract_kernels(flux))
+    report = verify_shift_structure(perturbed, k_max=1)
+    assert report.ok and report.steps == 1
+    with pytest.raises(ValidationError, match=re.escape("k_max must be >= 1")):
+        verify_shift_structure(perturbed, k_max=0)
 
 
 def test_two_incoming_leads_multiplicity_two():
