@@ -12,7 +12,8 @@ Coins of a walk on Z^d are ``(2d, 2d)`` complex unitary matrices, checked by
 ``walks.build_walk``.  Scattering data of a Chalker--Coddington network are
 (q, r, t) values on cells of Z x 2Z, checked by ``cc.CCUnitary``: templates
 are ``cc.ScatteringParams``, and a random window one (N, 3) block of rows.
-Adapted projections store sets of open internal slots.
+Adapted projections store sets of open internal slots.  A map's window is
+one pair of a site array and its values; a dict handed in is read into it.
 
 Every field lookup comes in two forms.  The array forms,
 ``SiteMap.value_index`` and ``AdaptedProjection.slot_bits``, resolve a whole
@@ -36,7 +37,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,6 +49,21 @@ def _site_array(sites, d: int) -> np.ndarray:
     """``sites`` as an (M, d) int64 array; an empty input has no rows."""
     sites = np.asarray(sites, dtype=np.int64)
     return sites.reshape(len(sites), d)
+
+
+def _window_pair(window: dict | tuple | None, d: int) -> tuple[SiteIndex, Sequence]:
+    """A window argument as ``(index, values)``: a ``lattice.SiteIndex`` over
+    its sites (an (N, d) array, site tuples such as a dict's keys, which the
+    index keeps, or an index) and its N values (a tuple for a dict)."""
+    sites, values = (window.keys(), tuple(window.values())) if isinstance(window, dict) else window or ((), ())
+    if isinstance(sites, np.ndarray):
+        sites = SiteIndex(_site_array(sites, d))
+    elif not isinstance(sites, SiteIndex):
+        tuples = [*map(tuple, sites)]
+        sites = SiteIndex(np.fromiter(itertools.chain.from_iterable(tuples), np.int64, len(tuples) * d).reshape(-1, d), tuples)
+    if len(values) != len(sites.table):
+        raise ValidationError(f"{len(sites.table)} window sites, {len(values)} values")
+    return sites, values
 
 
 @dataclass(frozen=True)
@@ -143,21 +158,18 @@ class SiteMap:
     (``cc.CCUnitary``).  ``AdaptedProjection`` stores frozensets of open
     slots and unites the matching layers instead of taking the first.
 
-    A window is a dict from sites to values (coins, projections) or a pair
-    ``(sites, values)`` of an (N, d) array of distinct sites and N values,
-    such as a random scattering window's (N, 3) block of (q, r, t) rows.  The map
-    and ``overridden`` keep the form given, as ``window`` or as ``window_coords``
-    and ``window_values``, and build the other views on first use.
+    The window has one form: ``window_coords``, a (d, W) int64 array of
+    distinct sites, and ``window_values``, their W values in order, such as
+    a random scattering window's (W, 3) block of (q, r, t) rows.  A pair
+    ``(sites, values)`` handed in is kept as given, a dict is read once into
+    a pair with a tuple of values, and every window read goes through the
+    window's one ``lattice.SiteIndex``, which keeps the site tuples where
+    the argument lists them and which ``overridden`` hands its new map.
 
-    The layers are read-only (a mapping proxy and tuples, and a pair's
-    arrays are not changed once handed in), so the lookup table, the
-    window's ``SiteIndex`` and the ``bounds`` and ``periods``, each computed
-    on first use, stay valid; ``bounds`` and ``periods`` return fresh lists.
-    ``value_index`` serves block assembly, the Chalker--Coddington
-    actions and the walk actions on states of more than ``DICT_GROUPING``
-    sites, ``distinct_values`` the walk cells; ``value`` serves one-site
-    callers (lead synthesis and its checks, setup probes, which read a pair
-    through its ``SiteIndex``) and the walk actions on shorter states.
+    The layers are read-only (tuples, and a pair's arrays are not changed
+    once handed in), so the lookup table, the window's ``SiteIndex`` and
+    the ``bounds`` and ``periods``, each computed on first use, stay valid;
+    ``bounds`` and ``periods`` return fresh lists.
     """
 
     def __init__(
@@ -170,14 +182,8 @@ class SiteMap:
         background: Any = None,
     ):
         self.d = int(d)
-        # the stored form: a pair's arrays, or a dict's read-only view
-        if isinstance(window, tuple):
-            sites, self.window_values = window
-            self.window_coords, self._window = np.ascontiguousarray(_site_array(sites, self.d).T), None
-            if len(self.window_values) != self.window_coords.shape[1]:
-                raise ValidationError(f"{self.window_coords.shape[1]} window sites, {len(self.window_values)} values")
-        else:
-            self._window = MappingProxyType({tuple(k): v for k, v in (window or {}).items()})
+        self._window_index, self.window_values = _window_pair(window, self.d)
+        self.window_coords = np.ascontiguousarray(self._window_index.table.T)
         self.rays = tuple((ray, tuple(pattern)) for ray, pattern in rays)
         self.planes = tuple(planes)
         self.halfspaces = tuple(halfspaces)
@@ -188,26 +194,11 @@ class SiteMap:
             if not pattern:
                 raise ValidationError("ray pattern must be nonempty")
 
-    @property
-    def window(self) -> MappingProxyType:
-        """The window as a read-only dict from site tuples to values; the
-        scalar lookups read ``_window`` itself once it is built, a faster read."""
-        if self._window is None:
-            self._window = MappingProxyType(dict(zip(map(tuple, self.window_coords.T.tolist()), self.window_values)))
-        return self._window
-
-    @cached_property
-    def window_values(self):
-        """The window's values in window order: a pair's values as given."""
-        return tuple(self.window.values())
-
     def value(self, site: Site):
         site = tuple(site)
-        if self._window is None:  # a pair: one read of the window's index
-            if (row := self._window_index.rows(np.array([site], dtype=np.int64))[0]) >= 0:
-                return self.window_values[row]
-        elif site in self._window:
-            return self._window[site]
+        row = self._window_index.row(site)
+        if row is not None:
+            return self.window_values[row]
         for ray, pattern in self.rays:
             t = ray.locate(site)
             if t is not None:
@@ -236,17 +227,6 @@ class SiteMap:
     def table(self) -> tuple:
         """The rows ``value_index`` points at: the window's, then templates."""
         return (*self.window_values, *self.templates)
-
-    @cached_property
-    def window_coords(self) -> np.ndarray:
-        """The window's sites, in window order, as a (d, W) integer array
-        (read with ``fromiter``, about twice as fast as from tuples)."""
-        flat = np.fromiter(itertools.chain.from_iterable(self.window), np.int64, len(self.window) * self.d)
-        return np.ascontiguousarray(flat.reshape(-1, self.d).T)
-
-    @cached_property
-    def _window_index(self) -> SiteIndex:
-        return SiteIndex(self.window_coords.T)
 
     def _layer_rows(self, sites: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Per layer except the background, in precedence order: a mask of
@@ -291,26 +271,23 @@ class SiteMap:
         The new window entries come first, each at its first position with
         its last value, then the old ones they leave untouched, so callers
         that draw random numbers per window entry stay reproducible; the new
-        rays come before the old ones.  A dict window gives a dict, a pair a
-        pair, with one array of values if the map's window is one or empty.
+        rays come before the old ones.  The values are one array when the
+        new values are one and the map's are one or the map has no window,
+        and a tuple otherwise; the new map's index keeps the merged tuples.
         """
-        if isinstance(window, tuple):
-            sites, values = _site_array(window[0], self.d), window[1]
-            if len(values) != len(sites):
-                raise ValidationError(f"{len(sites)} window sites, {len(values)} values")
-            old = self.window_values if len(self.window_values) else values[:0]
-            last = np.fromiter(dict(zip(map(tuple, sites.tolist()), itertools.count())).values(), np.intp)
-            kept = np.flatnonzero(np.bincount(self._window_index.rows(sites) + 1, minlength=len(old) + 1)[1:] == 0)
-            order = np.concatenate([last, len(sites) + kept])
-            arrays = isinstance(values, np.ndarray) and isinstance(old, np.ndarray)
-            values = np.concatenate([values, old])[order] if arrays else list(map((*values, *old).__getitem__, order))
-            merged = np.concatenate([sites, self.window_coords.T])[order], values
+        new, values = _window_pair(window, self.d)
+        last, old = dict(zip(new.sites, itertools.count())), self._window_index
+        kept = [i for i, site in enumerate(old.sites) if site not in last]
+        order = np.fromiter(itertools.chain(last.values(), map(len(new.table).__add__, kept)), np.intp)
+        old_values = self.window_values if len(self.window_values) else values[:0]
+        if isinstance(values, np.ndarray) and isinstance(old_values, np.ndarray):
+            values = np.concatenate([values, old_values]).take(order, axis=0)
         else:
-            new = {tuple(k): v for k, v in (window or {}).items()}
-            merged = {**new, **{k: v for k, v in self.window.items() if k not in new}}
+            values = tuple(map((*values, *old_values).__getitem__, order.tolist()))
+        merged = np.concatenate([new.table, old.table]).take(order, axis=0)
         return SiteMap(
             self.d,
-            window=merged,
+            window=(SiteIndex(merged, [*last, *map(old.sites.__getitem__, kept)]), values),
             rays=(*rays, *self.rays),
             planes=self.planes,
             halfspaces=self.halfspaces,
@@ -357,7 +334,7 @@ class SiteMap:
     def template_values(self) -> Iterator[tuple[str, Any]]:
         """Every structural value, the background included, with a short
         description."""
-        for site, v in sorted(self.window.items()):
+        for site, v in sorted(zip(self._window_index.sites, self.table)):  # distinct sites: values never compared
             yield f"window{site}", v
         for i, (ray, pattern) in enumerate(self.rays):
             for k, v in enumerate(pattern):
@@ -411,7 +388,8 @@ class AdaptedProjection:
         slot sets, e.g. two leads crossing a site in different directions."""
         m = self.map
         site = tuple(site)
-        acc = set((m.window if m._window is None else m._window).get(site, ()))
+        row = m._window_index.row(site)
+        acc = set(() if row is None else m.window_values[row])
         for ray, pattern in m.rays:
             t = ray.locate(site)
             if t is not None:
@@ -545,7 +523,8 @@ def interpolate_unitaries(u0: np.ndarray, u1: np.ndarray, s: float) -> np.ndarra
 
 def interpolate_matrix_fields(f0: SiteMap, f1: SiteMap, s: float) -> SiteMap:
     """Interpolate two unitary fields with identical layer structure."""
-    if f0.d != f1.d or set(f0.window) != set(f1.window):
+    rows = f1._window_index.rows(f0.window_coords.T) if f0.d == f1.d else None
+    if rows is None or len(rows) != len(f1.window_values) or (rows < 0).any():
         raise ValidationError("fields must share their window and dimension")
     for kind in ("rays", "planes", "halfspaces"):
         l0, l1 = getattr(f0, kind), getattr(f1, kind)
@@ -561,7 +540,7 @@ def interpolate_matrix_fields(f0: SiteMap, f1: SiteMap, s: float) -> SiteMap:
 
     return SiteMap(
         f0.d,
-        window={k: geo(v, f1.window[k]) for k, v in f0.window.items()},
+        window=(f0.window_coords.T, [geo(v, f1.window_values[r]) for v, r in zip(f0.window_values, rows.tolist())]),
         rays=[(r, tuple(map(geo, p0, p1))) for (r, p0), (_, p1) in zip(f0.rays, f1.rays)],
         planes=[(pl, geo(v0, v1)) for (pl, v0), (_, v1) in zip(f0.planes, f1.planes)],
         halfspaces=[(h, geo(v0, v1)) for (h, v0), (_, v1) in zip(f0.halfspaces, f1.halfspaces)],

@@ -148,14 +148,14 @@ class SiteIndex:
     """The row of every site of an (N, d) int64 table of distinct sites:
     ``rows`` for an (M, d) array (-1 where absent), ``row`` for one site
     (``None``).  A query of more than ``DICT_GROUPING`` sites, or any query
-    on a table of more than ``DICT_GROUPING`` sites whose dict is not built
-    yet, reads a grid of rows over the table's bounding box with a one-site
-    border, onto which clipping moves every site outside the box.  Other
-    queries, ``row``, and all queries on a sparse table (a bounding box of
-    more than ``GRID_CELLS`` sites and more than eight per row) or on one
-    reaching 2**62 from the origin, go through a dict of site tuples.  Each
-    is built on first use, so an index that only ever sees short queries on
-    a short table builds no grid.
+    on a table of more than ``DICT_GROUPING`` sites whose dict (for ``row``,
+    whose site tuples) is not built yet, reads a grid of rows over the
+    table's bounding box with a one-site border, onto which clipping moves
+    every site outside the box.  Other queries, and all queries on a sparse
+    table (a bounding box of more than ``GRID_CELLS`` sites and more than
+    eight per row) or on one reaching 2**62 from the origin, go through a
+    dict of site tuples.  Each is built on first use (the tuples may be
+    handed in), so short queries on a short table build no grid.
 
     Lookups come in three kinds.  Block assembly asks about thousands of
     sites at once against windows of a few to a hundred entries, where one
@@ -170,9 +170,9 @@ class SiteIndex:
 
     __slots__ = ("table", "_sites", "_dict", "_grid")
 
-    def __init__(self, table: np.ndarray):
+    def __init__(self, table: np.ndarray, sites: list[Site] | None = None):
         self.table = table
-        self._sites = self._dict = self._grid = None
+        self._sites, self._dict, self._grid = sites, None, None
 
     @property
     def sites(self) -> list[Site]:
@@ -215,7 +215,10 @@ class SiteIndex:
         return grid.reshape(-1)[np.ravel_multi_index(tuple((sites - low).T), grid.shape, mode="clip")]
 
     def row(self, site) -> int | None:
-        return self._lookup().get(tuple(site))
+        if self._sites is None and len(self.table) > DICT_GROUPING:
+            row = self.rows(np.array([site], dtype=np.int64))[0]
+            return int(row) if row >= 0 else None
+        return (self._dict or self._lookup()).get(tuple(site))
 
 
 def scatter_rows(n_internal: int, basis, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

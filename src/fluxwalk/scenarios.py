@@ -547,8 +547,8 @@ def _walk_stability_analysis(setup, analysis, files):
     target = perturb_coin_window(setup.coin, setup.rng, strength)
 
     def family(t):
-        coin_t = interpolate_matrix_fields(setup.coin, target, t)
-        return build_walk_flux(coin_t, setup.projection, setup.tol, selfcheck=False)
+        walk = build_walk(interpolate_matrix_fields(setup.coin, target, t), setup.tol)
+        return build_walk_flux(walk, setup.projection, setup.tol, selfcheck=False)
 
     probes = index_stability_probe(family, steps)
     indices = sorted({p.index for p in probes if p.certified})

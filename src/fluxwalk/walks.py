@@ -62,22 +62,19 @@ def build_walk(coin: SiteMap, tol: Tolerances = DEFAULT) -> CoinedWalk:
 
 
 def build_walk_flux(
-    walk: CoinedWalk | SiteMap,
+    walk: CoinedWalk,
     proj: AdaptedProjection,
     tol: Tolerances = DEFAULT,
     selfcheck: bool = True,
 ) -> FluxField:
-    """Assemble the blockwise flux of an adapted projection under a walk:
-    one that ``build_walk`` returned, or the walk of a coin field, which
-    ``build_walk`` checks first.
+    """Assemble the blockwise flux of an adapted projection under a walk
+    that ``build_walk`` returned.
 
     ``flux.CellGeometry`` takes the walk's sites as its cells, so the block
     at x is coin(x)^* phat(x) coin(x) - p(x), with phat the projection
     conjugated by the conditional shift.  Exact for every site; the window
     covers all features plus a margin of 3, and the shell certifies the tail.
     """
-    if isinstance(walk, SiteMap):
-        walk = build_walk(walk, tol)
     if proj.d != walk.d:
         raise ValidationError("projection and walk dimensions differ")
 
@@ -103,7 +100,7 @@ def walk_flux_window(coin: SiteMap, proj: AdaptedProjection) -> FluxWindow:
 def walk_index(coin: SiteMap, proj: AdaptedProjection, tol: Tolerances = DEFAULT):
     """``(report, flux)``: the self-checked walk flux and its ``analyze``
     report, whose kernel count the rank formula has matched exactly."""
-    flux = build_walk_flux(coin, proj, tol)
+    flux = build_walk_flux(build_walk(coin, tol), proj, tol)
     return analyze(flux), flux
 
 
@@ -477,8 +474,8 @@ def synthesize_lead_coin(
                 add_constraint(site, up, down)
                 add_constraint(site, down, up)
 
-    window = {site: _complete_unitary(n, pairs) for site, pairs in constraints.items()}
-    coin = background.overridden(window=window, rays=ray_layers)
+    coins = np.array([_complete_unitary(n, pairs) for pairs in constraints.values()], dtype=complex).reshape(-1, n, n)
+    coin = background.overridden(window=([*constraints], coins), rays=ray_layers)
     verify_lead_condition(coin, network, tol)
     return coin
 
@@ -608,16 +605,12 @@ def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> Sit
                 m[sc, sa] = tangent_block[c, a]
         return m
 
-    window = {}
-    for site in itertools.product(*([range(-box, box + 1)] * d_total)):
-        if site[b.axis] == 0:
-            window[site] = reflecting(haar_unitary(rng, len(tangents)))
-        else:
-            window[site] = haar_unitary(rng, n)
+    sites = list(itertools.product(*([range(-box, box + 1)] * d_total)))
+    coins = [reflecting(haar_unitary(rng, len(tangents))) if s[b.axis] == 0 else haar_unitary(rng, n) for s in sites]
     plane_matrix = reflecting(haar_unitary(rng, len(tangents)))
     return SiteMap(
         d_total,
-        window=window,
+        window=(sites, coins),
         planes=[(Plane(b.axis, 0), plane_matrix)],
         background=np.eye(n, dtype=complex),
     )
@@ -701,21 +694,20 @@ def perturb_coin_window(
     """Multiply every window coin by a small random unitary, leaving all tail
     layers untouched.  The result differs from the input by a summable
     (finite-window) perturbation of size ``strength``."""
-    window = {}
+    values = []
     n = 2 * coin.d
-    for site, m in coin.window.items():
+    for m in coin.window_values:
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = (a - a.conj().T) / 2.0
         a *= strength / max(np.linalg.norm(a, 2), NORM_FLOOR)
         evals, evecs = np.linalg.eigh(1j * a)
         rot = (evecs * np.exp(-1j * evals)) @ evecs.conj().T
-        window[site] = np.asarray(m, dtype=complex) @ rot
-    return coin.overridden(window=window)
+        values.append(np.asarray(m, dtype=complex) @ rot)
+    return coin.overridden(window=(coin.window_coords.T, values))
 
 
 def random_background(rng: np.random.Generator, d: int, box: int = 6) -> SiteMap:
     """Random unitary coins inside a box, identity outside."""
     n = 2 * d
     sites = list(itertools.product(*([range(-box, box + 1)] * d)))
-    window = dict(zip(sites, haar_unitaries(rng, n, len(sites))))
-    return SiteMap(d, window=window, background=np.eye(n, dtype=complex))
+    return SiteMap(d, window=(sites, haar_unitaries(rng, n, len(sites))), background=np.eye(n, dtype=complex))

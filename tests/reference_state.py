@@ -39,6 +39,8 @@ site by site, ``kept_labels`` gives a field's kept labels as tuples, and
 and a reflecting coin's vanishing flux, all for tests alone.  ``per_epsilon_capped`` is the capped
 field of one epsilon as ``cc.anomalous_transport`` built it before every
 capped field of an analysis took one cap reach: the epsilon's own reach.
+``dict_merge`` is the window that ``SiteMap.overridden`` merged as a dict
+before a map kept its window in one form, a site array and its values.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from fluxwalk.lattice import LatticeState, SiteIndex, all_direction_vectors
 from fluxwalk.operators import CoinedWalk
 from fluxwalk.walks import (
     boundary_projection_full,
+    build_walk,
     build_walk_flux,
     check_lead_count,
     network_projection,
@@ -683,7 +686,7 @@ def lead_flux_index(network, coin: SiteMap, tol=DEFAULT):
 def bulk_boundary_flux(coin: SiteMap, tol=DEFAULT):
     """Flux of the homogeneous half-space symbol under a reflecting coin;
     every block must vanish."""
-    flux = build_walk_flux(coin, boundary_projection_full(coin.d), tol)
+    flux = build_walk_flux(build_walk(coin, tol), boundary_projection_full(coin.d), tol)
     worst = max_block_norm(flux)
     if not (worst <= VANISHING_FLUX_BOUND):
         raise ValidationError(f"reflecting configuration has a nonzero flux block (norm {worst:g})")
@@ -715,3 +718,12 @@ def per_epsilon_capped(scattering, path, eps, flux):
         (Ray(t_base, tuple(-c for c in t_inward)), [FULL_REFLECTION]),
     ]
     return scattering.overridden(window=window, rays=rays)
+
+
+def dict_merge(field: SiteMap, new: dict) -> dict:
+    """The window of ``field.overridden(window=new)`` by the dict merge: the
+    new entries first, each at its first position with its last value, then
+    the old entries they leave, in window order."""
+    old = dict(zip(map(tuple, field.window_coords.T.tolist()), field.window_values))
+    new = {tuple(k): v for k, v in new.items()}
+    return {**new, **{k: v for k, v in old.items() if k not in new}}

@@ -112,7 +112,7 @@ def make_halfline(seed, sign):
 def test_criterion_01_basic_example_all_formulas():
     start = time.perf_counter()
     coin, proj = make_basic_example()
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     report = index_by_kernels(flux)
     assert report.index == 1
     for j in (0, 1):
@@ -210,7 +210,7 @@ def test_criterion_05_wandering_and_transport():
 def test_criterion_06_shift_decomposition():
     # basic example
     coin, proj = make_basic_example(seed=606)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     walk = build_walk(coin)
     kd = extract_kernels(flux)
     perturbed = build_perturbed(walk, flux, kd)
@@ -225,7 +225,7 @@ def test_criterion_06_shift_decomposition():
     g2 = LeadSpec("incoming", [(4, -2), (3, -2)], (1, 0))
     net = NetworkSpec(incoming=(g1, g2))
     coin2 = synthesize_lead_coin(net, random_background(rng, 2, box=4))
-    flux2 = build_walk_flux(coin2, network_projection(net))
+    flux2 = build_walk_flux(build_walk(coin2), network_projection(net))
     walk2 = build_walk(coin2)
     kd2 = extract_kernels(flux2)
     perturbed2 = build_perturbed(walk2, flux2, kd2)
@@ -365,7 +365,7 @@ def test_criterion_11_homotopy_stability():
     proj = network_projection(net)
 
     def family(t):
-        return build_walk_flux(interpolate_matrix_fields(coin, target, t), proj, selfcheck=False)
+        return build_walk_flux(build_walk(interpolate_matrix_fields(coin, target, t)), proj, selfcheck=False)
 
     probes = index_stability_probe(family, 20)
     assert all(p.certified for p in probes)
@@ -393,7 +393,7 @@ def test_criterion_12_oracle_equivalence():
     cases.append(("in-out", coin4, network_projection(net2)))
 
     for name, c, p in cases:
-        flux = build_walk_flux(c, p)
+        flux = build_walk_flux(build_walk(c), p)
         sites = ref.kept_labels(flux)
         lo = [min(s[j] for s in sites) for j in range(len(sites[0]))]
         hi = [max(s[j] for s in sites) for j in range(len(sites[0]))]

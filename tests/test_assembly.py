@@ -33,6 +33,7 @@ from fluxwalk.lattice import LatticeState
 from fluxwalk.walks import (
     LeadSpec,
     NetworkSpec,
+    build_walk,
     build_walk_flux,
     network_projection,
     random_background,
@@ -41,7 +42,7 @@ from fluxwalk.walks import (
 )
 from reference_state import bulk_boundary_flux, lead_flux_index
 from test_cc import capped, params_r
-from test_flux import make_basic_example
+from test_flux import basic_example_flux
 
 # ---------------------------------------------------------------------------
 # batched blocks
@@ -124,7 +125,7 @@ def test_walk_blocks_match_the_reference():
     for flux in (
         lead_flux,
         bulk_boundary_flux(reflecting_coin(2, rng, box=3)),
-        build_walk_flux(*make_basic_example()),
+        basic_example_flux(),
     ):
         assert_blocks_match_reference(flux)
 
@@ -136,7 +137,7 @@ def test_a_walk_block_resolves_each_site_once(monkeypatch):
     rng = np.random.default_rng(25)
     net = NetworkSpec(outgoing=(LeadSpec("outgoing", [(0, 0), (1, 0)], (1, 0)),))
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=3))
-    geometry = build_walk_flux(coin, network_projection(net)).geometry
+    geometry = build_walk_flux(build_walk(coin), network_projection(net)).geometry
     labels = np.array([(0, 0), (1, 0), (0, 1), (5, 5)], dtype=np.int64)
     (in_sites, _), (out_sites, _) = geometry.unitary.in_basis(labels), geometry.unitary.out_basis(labels)
     distinct = {tuple(x) for x in np.concatenate([in_sites, out_sites], axis=1).reshape(-1, 2).tolist()}
@@ -155,7 +156,7 @@ def test_a_walk_block_resolves_each_site_once(monkeypatch):
 @pytest.mark.parametrize("model", ["basic_example", "crossover"])
 def test_flux_beyond_the_box_computes_no_block(model):
     if model == "basic_example":
-        flux = build_walk_flux(*make_basic_example())
+        flux = basic_example_flux()
     else:
         window = random_phase_window(np.random.default_rng(41), 0.3, range(-5, 6), range(-5, 6))
         flux = cc_flux([SiteMap(2, window=window, background=params_r(0.3))], crossover_path())[0]
@@ -187,7 +188,7 @@ def test_flux_beyond_the_box_computes_no_block(model):
 def test_a_label_without_a_box_row_fails_the_flux_action(monkeypatch):
     # without the clamp a label past the box has no row; it must raise, not
     # drop out of the action
-    flux = build_walk_flux(*make_basic_example())
+    flux = basic_example_flux()
     label = (flux.geometry.window.hi[0] + 4 * flux.geometry.window.bands[0],)
     psi = flux.geometry.make_state(label, np.ones(flux.box.flux.shape[1]))
     monkeypatch.setattr(FluxWindow, "partners", lambda self, labels: labels)
@@ -200,7 +201,7 @@ def test_a_label_without_a_box_row_fails_the_flux_action(monkeypatch):
 
 
 def _basic_assembly():
-    flux = build_walk_flux(*make_basic_example())
+    flux = basic_example_flux()
     window = flux.geometry.window
     (lo,), (hi,), (band,) = window.lo, window.hi, window.bands
     return flux.geometry, (DEFAULT,), lo, hi, band

@@ -41,6 +41,7 @@ from fluxwalk.walks import (
     LeadSpec,
     NetworkSpec,
     boundary_projection_full,
+    build_walk,
     build_walk_flux,
     network_projection,
     random_background,
@@ -89,7 +90,7 @@ def walk_model(name):
         proj = network_projection(network)
     else:
         coin, proj = reflecting_coin(2, rng, box=2), boundary_projection_full(2)
-    return build_walk_flux(coin, proj)
+    return build_walk_flux(build_walk(coin), proj)
 
 
 @lru_cache(maxsize=None)
@@ -333,7 +334,7 @@ def test_stacked_actions_send_each_column_block_through_its_own_member(seed):
 @lru_cache(maxsize=None)
 def perturbed_model():
     coin, proj = basic_example(seed=2)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     return build_perturbed(flux.geometry.unitary, flux, extract_kernels(flux))
 
 
@@ -356,7 +357,7 @@ def paired_model():
     r = LeadSpec("outgoing", [(3, 0)], (1, 0))
     net = NetworkSpec(incoming=(g,), outgoing=(r,))
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=3))
-    flux = build_walk_flux(coin, network_projection(net))
+    flux = build_walk_flux(build_walk(coin), network_projection(net))
     return build_perturbed(flux.geometry.unitary, flux, extract_kernels(flux))
 
 

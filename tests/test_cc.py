@@ -250,18 +250,21 @@ def test_cells_are_the_stacked_matrices_of_a_capped_field(monkeypatch):
     assert capped_cells[0] > capped_cells[1] > capped_cells[2]
     caps = {tuple(p): p for p in (FULL_TRANSMISSION, FULL_REFLECTION)}
     for field, drawn, (sites, rows), rays in calls:
-        assert field._window is None and field.window_values.shape == (len(field.window_coords.T), 3)
+        assert isinstance(field.window_values, np.ndarray)
+        assert field.window_values.shape == (len(field.window_coords.T), 3)
         # the capped table against the dict merge of ScatteringParams caps:
         # equal values; the bits differ only in the sign of zero entries,
         # since a block row's r and t are complex where a cap's are floats
-        merged = overridden(drawn, {tuple(z): caps[tuple(q)] for z, q in zip(sites.tolist(), rows)}, rays)
-        assert list(field.window) == list(merged.window)
+        window = ref.dict_merge(drawn, {tuple(z): caps[tuple(q)] for z, q in zip(sites.tolist(), rows)})
+        merged = SiteMap(2, window=window, rays=(*rays, *drawn.rays), background=drawn.background)
+        labels = [*map(tuple, field.window_coords.T.tolist())]
+        assert labels == list(window)
         got, want = CCUnitary(field)._transposed_table, CCUnitary(merged)._transposed_table
         assert np.array_equal(got, want)
         signs = got.view(np.uint64) != want.view(np.uint64)
         assert (got.view(float)[signs] == 0).all()
         assert len(field.rays) == 2
-        labels = [*field.window, *(ray.site_at(t) for ray, _ in field.rays for t in range(5)), (0, 60)]
+        labels += [*(ray.site_at(t) for ray, _ in field.rays for t in range(5)), (0, 60)]
         assert_cells_are_the_stacked_matrices(field, labels)
 
 

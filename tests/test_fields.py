@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_state as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,7 +121,7 @@ def test_sitemap_overridden_order_and_precedence():
     )
     out = sm.overridden(window={(1,): "B", (2,): "C"}, rays=[(Ray((7,), (1,)), ["R"])])
     # new window entries first, then the untouched old ones
-    assert list(out.window) == [(1,), (2,), (0,)]
+    assert out.window_coords.tolist() == [[1, 2, 0]] and out.window_values == ("B", "C", "a")
     assert out.value((0,)) == "a" and out.value((1,)) == "B" and out.value((2,)) == "C"
     assert out.value((6,)) == "r" and out.value((7,)) == "R" and out.value((-1,)) == "bg"
     assert sm.value((1,)) == "b" and sm.value((7,)) == "r"
@@ -328,23 +329,30 @@ def test_array_lookups_match_the_scalar_ones(maps):
         assert [set(np.flatnonzero(m).tolist()) for m in masks] == [p.open_slots(s) for s in points]
 
 
-def test_a_pair_window_reads_like_its_dict():
-    # the (sites, values) form builds its dict view only when a one-site
-    # lookup, an override or a description asks for it
-    sites = np.array([(0, 0), (2, -1), (-3, 4)])
-    layers = dict(rays=[(Ray((5, 0), (1, 0)), ["r"])], background="bg")
-    pair = SiteMap(2, window=(sites, ["a", "b", "c"]), **layers)
-    same = SiteMap(2, window={(0, 0): "a", (2, -1): "b", (-3, 4): "c"}, **layers)
-    probes = np.array([(0, 0), (2, -1), (-3, 4), (6, 0), (1, 1)])
-    assert pair.value_index(probes).tolist() == same.value_index(probes).tolist() == [0, 1, 2, 3, 4]
-    assert pair.bounds() == same.bounds() and pair.table == same.table
-    assert pair._window is None
-    assert [pair.value(p) for p in probes.tolist()] == ["a", "b", "c", "r", "bg"]
-    assert pair._window is None  # one-site reads go through the window's index
-    assert pair.window == same.window and list(pair.template_values()) == list(same.template_values())
-    assert pair.overridden(window={(9, 9): "z"}).window == same.overridden(window={(9, 9): "z"}).window
+@given(layered_maps(), st.booleans())
+def test_a_pair_window_reads_like_its_dict(maps, listed):
+    # a dict window is read once into the pair of its keys and values, and
+    # a pair lists its sites as tuples or as an array: every argument gives
+    # the same map, whose one-site reads go through the window's SiteIndex
+    tags, _ = maps
+    d, sites = tags.d, tags.window_coords.T
+    window = dict(zip(map(tuple, sites.tolist()), tags.window_values))
+    layers = dict(rays=tags.rays, planes=tags.planes, halfspaces=tags.halfspaces, background=tags.background)
+    same = SiteMap(d, window=dict(window), **layers)
+    pair = SiteMap(d, window=([*window] if listed else sites.copy(), tuple(window.values())), **layers)
+    for m in (same, pair):
+        assert m.window_coords.dtype == np.int64 and m.window_coords.shape == (d, len(window))
+    assert pair.window_coords.tolist() == same.window_coords.tolist() == tags.window_coords.tolist()
+    assert pair.window_values == same.window_values == tuple(window.values())
+    assert pair.table == same.table
+    probes = _probe_sites(d)
+    assert pair.value_index(probes).tolist() == same.value_index(probes).tolist()
+    assert [pair.value(p) for p in probes.tolist()] == [same.value(p) for p in probes.tolist()]
+    assert [pair.value(site) for site in window] == list(window.values())
+    assert list(pair.template_values()) == list(same.template_values())
+    assert pair.bounds() == same.bounds()
     with pytest.raises(ValidationError, match="3 window sites, 2 values"):
-        SiteMap(2, window=(sites, ["a", "b"]))
+        SiteMap(2, window=(np.array([(0, 0), (2, -1), (-3, 4)]), ["a", "b"]))
 
 
 @st.composite
@@ -362,24 +370,29 @@ def pair_overrides(draw):
     return pair, np.array(added).reshape(-1, 2), rows[len(drawn) :], rays[1:]
 
 
-@given(pair_overrides(), st.booleans(), st.booleans())
-def test_a_pair_override_matches_the_dict_merge(maps, as_list, on_dict):
-    # a map overridden with a pair gives a pair, with the window order and
-    # values of the dict-form merge (each new site at its first position
-    # with its last value, then the drawn sites it leaves); its values are
-    # one array when the override's are and the map's are one or none
+@given(pair_overrides(), st.booleans(), st.booleans(), st.booleans())
+def test_a_pair_override_matches_the_dict_merge(maps, as_list, on_dict, by_dict):
+    # an override, by a pair or a dict, gives the window order and values of
+    # the dict merge (each new site at its first position with its last
+    # value, then the drawn sites it leaves); its values are one array when
+    # the override's are and the map's are one or none
     pair, sites, values, rays = maps
-    as_dict = SiteMap(2, window=dict(pair.window), rays=pair.rays, background=pair.background)
-    merged = (as_dict if on_dict else pair).overridden(window=(sites, list(values) if as_list else values), rays=rays)
-    want = as_dict.overridden(window=dict(zip(map(tuple, sites.tolist()), values)), rays=rays)
-    block = not as_list and not (on_dict and len(pair.window_values))
-    assert merged._window is None and isinstance(merged.window_values, np.ndarray) == block
-    assert list(merged.window) == list(want.window)
-    assert np.array_equal(np.array(merged.window_values).reshape(-1, 3), np.array(want.window_values).reshape(-1, 3))
+    drawn = dict(zip(map(tuple, pair.window_coords.T.tolist()), pair.window_values))
+    as_dict = SiteMap(2, window=drawn, rays=pair.rays, background=pair.background)
+    new = dict(zip(map(tuple, sites.tolist()), values))
+    window = new if by_dict else (sites, list(values) if as_list else values)
+    merged = (as_dict if on_dict else pair).overridden(window=window, rays=rays)
+    want = ref.dict_merge(pair, new)
+    block = not by_dict and not as_list and not (on_dict and len(pair.window_values))
+    assert isinstance(merged.window_values, np.ndarray) == block
+    assert [tuple(s) for s in merged.window_coords.T.tolist()] == list(want)
+    assert np.array_equal(np.array(merged.window_values).reshape(-1, 3), np.array([*want.values()]).reshape(-1, 3))
+    oracle = SiteMap(2, window=want, rays=(*rays, *pair.rays), background=pair.background)
     probes = np.concatenate([_probe_sites(2), [ray.site_at(t) for ray, _ in merged.rays for t in (0, 7, 30)]])
     got = np.array([merged.table[i] for i in merged.value_index(probes)])
-    assert np.array_equal(got, [want.table[i] for i in want.value_index(probes)])
-    assert merged.bounds() == want.bounds() and merged.periods() == want.periods()
+    assert np.array_equal(got, [oracle.table[i] for i in oracle.value_index(probes)])
+    assert np.array_equal([merged.value(p) for p in probes.tolist()], [oracle.value(p) for p in probes.tolist()])
+    assert merged.bounds() == oracle.bounds() and merged.periods() == oracle.periods()
 
 
 def test_array_lookups_of_a_sparse_window():
@@ -394,7 +407,7 @@ def test_sitemap_layers_are_read_only():
     sm = SiteMap(1, window={(0,): "w"}, rays=[(Ray((0,), (1,)), ["r"])], background="b")
     assert sm.value_index(np.array([[0], [1]])).tolist() == [0, 1]
     with pytest.raises(TypeError):
-        sm.window[(5,)] = "x"
+        sm.window_values[0] = "x"
     with pytest.raises(AttributeError):
         sm.rays.append((Ray((5,), (1,)), ["s"]))
     assert sm.value((5,)) == "r" and sm.value_index(np.array([[5]])).tolist() == [1]

@@ -62,6 +62,12 @@ def make_basic_example(seed=1, n_cut=2):
     return coin, basic_halfspace_projection(n_cut)
 
 
+def basic_example_flux(seed=1):
+    """The self-checked flux of ``make_basic_example(seed)``."""
+    coin, proj = make_basic_example(seed)
+    return build_walk_flux(build_walk(coin), proj)
+
+
 def verify_internal_identities(flux) -> dict:
     """Blockwise sanity of the two-projection algebra.
 
@@ -86,7 +92,7 @@ def test_commuting_configuration_has_zero_flux():
     from reference_state import identity_coin
 
     proj = AdaptedProjection.from_layers(1, background={0})
-    flux = build_walk_flux(identity_coin(1), proj)
+    flux = build_walk_flux(build_walk(identity_coin(1)), proj)
     assert not len(flux.kept)
     assert flux.certificate.bound < 1e-15
     report = analyze(flux)
@@ -96,7 +102,7 @@ def test_commuting_configuration_has_zero_flux():
 
 def test_basic_example_flux_location_and_index():
     coin, proj = make_basic_example()
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     # the paper's configuration concentrates the flux on the single site just
     # below the cut; everything beyond the cut vanishes identically
     assert ref.kept_labels(flux) == [(1,)]
@@ -112,7 +118,7 @@ def test_basic_example_flux_location_and_index():
 def test_blocks_match_dense_window_oracle():
     # blockwise construction agrees with a dense compression of U*PU - P
     coin, proj = make_basic_example(seed=5)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     walk = build_walk(coin)
 
     sites = [(x,) for x in range(-9, 10)]
@@ -134,7 +140,7 @@ def test_blocks_match_dense_window_oracle():
 
 def test_flux_apply_equals_operator_route():
     coin, proj = make_basic_example(seed=8)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     walk = build_walk(coin)
     rng = np.random.default_rng(2)
     psi = random_state(rng, [(x,) for x in range(-3, 4)], 2)
@@ -144,7 +150,7 @@ def test_flux_apply_equals_operator_route():
 
 def test_formula_cross_agreement():
     coin, proj = make_basic_example(seed=9)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     base = index_by_kernels(flux).index
     for j in (0, 1, 2):
         assert abs(index_by_odd_trace(flux, j) - base) < 1e-9
@@ -184,7 +190,7 @@ def test_complementation_flips_the_index(seed, kind):
 
 def test_blockwise_spectrum_bound_and_identities():
     coin, proj = make_basic_example(seed=14)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     for phi, p_diag in zip(flux.box.flux[flux.kept], flux.box.p_in[flux.kept]):
         evals = np.linalg.eigvalsh(phi)
         assert np.all(np.abs(evals) <= 1 + 1e-12)
@@ -202,7 +208,7 @@ def test_certificate_failure_reports_witness():
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     coin = SiteMap(1, background=swap)
     proj = halfline_projection(1, 1)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     cert = flux.certificate
     assert not cert.ok
     assert cert.bound > 1 - 1e-9
@@ -214,7 +220,7 @@ def test_certificate_failure_reports_witness():
 def test_rank_formula_mismatch_fails_the_analysis():
     # the kernel count is 1; a rank formula off by one must not pass
     coin, proj = make_basic_example(seed=1)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     flux.rank_difference += 1
     with pytest.raises(ConsistencyError, match=re.escape("kernel count 1 disagrees with the rank formula 2")):
         analyze(flux)
@@ -229,7 +235,7 @@ def test_kernel_vectors_must_respect_the_projection(complement, message):
     # flipping the stored P diagonal of the kernel block moves each unit
     # eigenvector entirely to the wrong side of P
     coin, proj = make_basic_example(seed=1)
-    flux = build_walk_flux(coin, proj.complement() if complement else proj)
+    flux = build_walk_flux(build_walk(coin), proj.complement() if complement else proj)
     (row,) = flux.kept.tolist()
     label = flux.box.label(row)
     p_diag = flux.box.p_in[row]
@@ -278,7 +284,7 @@ def test_selfcheck_catches_a_nan_kept_block():
 def test_guard_band_aborts():
     # hand-plant a block eigenvalue inside the guard band around +1
     coin, proj = make_basic_example(seed=1)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     row = flux.kept[0]
     # written in place: the first kept box row and its entry of the eigh
     # stack that the spectrum reads
@@ -297,7 +303,7 @@ def test_trace_formulas_require_summable_tail():
     )
     coin = SiteMap(1, background=rot)
     proj = halfline_projection(1, 1)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     assert not flux.tail_zero
     with pytest.raises(NonSummableError):
         index_by_odd_trace(flux, 0)
@@ -307,7 +313,7 @@ def test_trace_formulas_require_summable_tail():
 
 def test_gap_reports_distance_to_one():
     coin, proj = make_basic_example(seed=21)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     report = analyze(flux)
     small = flux.spectrum.phi_less
     assert abs(report.gap - (1.0 - small**2)) < 1e-12
@@ -315,7 +321,7 @@ def test_gap_reports_distance_to_one():
 
 def test_dense_window_index_oracle():
     coin, proj = make_basic_example(seed=17)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     walk = build_walk(coin)
     report = analyze(flux)
     box = [(x,) for x in range(-2, 5)]
@@ -336,7 +342,7 @@ def test_strict_profile_still_counts_exactly():
     from fluxwalk.config import STRICT
 
     coin, proj = make_basic_example(seed=23)
-    flux = build_walk_flux(coin, proj, tol=STRICT)
+    flux = build_walk_flux(build_walk(coin), proj, tol=STRICT)
     assert index_by_kernels(flux).index == 1
 
 
@@ -440,12 +446,12 @@ def test_a_window_off_its_grid_or_too_large_is_refused(window, message):
 
 def _probed_geometry(model):
     if model == "basic_example":
-        return build_walk_flux(*make_basic_example(seed=1)).geometry
+        return basic_example_flux().geometry
     if model == "lead_network":
         rng = np.random.default_rng(5)
         network = random_network(rng, 2, 1, box=5)
         coin = synthesize_lead_coin(network, random_background(rng, 2, box=3))
-        return build_walk_flux(coin, network_projection(network)).geometry
+        return build_walk_flux(build_walk(coin), network_projection(network)).geometry
     from fluxwalk.cc import CRITICAL, cc_flux, crossover_path
 
     return cc_flux([SiteMap(2, background=CRITICAL)], crossover_path())[0].geometry

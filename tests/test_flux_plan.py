@@ -47,7 +47,7 @@ from fluxwalk.flux import CellGeometry, analyze, assemble_field, kitaev_sum
 from fluxwalk.lattice import SiteIndex
 from fluxwalk.scenarios import ANALYSES, _checked_setup
 from fluxwalk.shift import build_perturbed
-from fluxwalk.walks import build_walk_flux, network_projection, random_background, random_network, synthesize_lead_coin
+from fluxwalk.walks import build_walk, build_walk_flux, network_projection, random_background, random_network, synthesize_lead_coin
 from test_assembly import reference_block
 from test_cc import capped, params_r
 
@@ -127,7 +127,7 @@ def test_random_lead_networks_match_the_per_label_reference(seed, leads):
     (n_in, n_out), rng = leads, np.random.default_rng(seed)
     network = random_network(rng, n_in, n_out, box=5)
     coin = synthesize_lead_coin(network, random_background(rng, 2, box=3))
-    assert_box_matches_per_label_reference(build_walk_flux(coin, network_projection(network)))
+    assert_box_matches_per_label_reference(build_walk_flux(build_walk(coin), network_projection(network)))
 
 
 def test_a_non_hermitian_shared_block_names_its_first_label():
@@ -194,7 +194,8 @@ def test_the_capped_flux_matches_the_two_call_assembly():
 def test_random_lead_networks_match_the_two_call_assembly(seed, leads):
     (n_in, n_out), rng = leads, np.random.default_rng(seed)
     network = random_network(rng, n_in, n_out, box=5)
-    flux = build_walk_flux(synthesize_lead_coin(network, random_background(rng, 2, box=3)), network_projection(network))
+    coin = synthesize_lead_coin(network, random_background(rng, 2, box=3))
+    flux = build_walk_flux(build_walk(coin), network_projection(network))
     assert flux.tail_zero
     assert_one_pass_matches_two_calls(flux)
 

@@ -1,4 +1,5 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and every
+helper, method and property of the package is named by its code.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard ``ast`` module.  ``__init__.py`` is skipped: its imports are the
@@ -68,15 +69,21 @@ def referenced_names(node: ast.AST) -> list[str]:
     return names
 
 
+def name_counts(trees: dict[str, ast.Module]) -> dict[str, int]:
+    """How often the package's code names each name, ``__init__`` aside."""
+    counts = {}
+    for module, tree in trees.items():
+        for name in referenced_names(tree) if module != "__init__" else ():
+            counts[name] = counts.get(name, 0) + 1
+    return counts
+
+
 def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
     """Module-level functions and classes that no code of the package names,
     apart from their own definitions.  A re-export from ``__init__`` is no
     use: only code outside the package reads it."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    counts = {}
-    for module, tree in trees.items():
-        for name in referenced_names(tree) if module != "__init__" else ():
-            counts[name] = counts.get(name, 0) + 1
+    counts = name_counts(trees)
     dead = []
     for module, tree in trees.items():
         for name, node in top_level_definitions(tree).items():
@@ -98,3 +105,50 @@ def test_package_has_no_dead_helpers():
     # an allowlisted helper that gains a user must leave the list
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert set(unreferenced_helpers(sources)) == TEST_ONLY_HELPERS
+
+
+# Methods kept although only tests and the bench probes use them: the probes
+# in ``fluxbench/spans.py`` name them until they follow the array forms.
+TEST_ONLY_METHODS = {
+    "fields.AdaptedProjection.shift_conjugate",
+    "fields.AdaptedProjection.complement",
+    "fields._Complement.complement",
+}
+
+
+def unreferenced_methods(sources: dict[str, str]) -> list[str]:
+    """Methods and properties of the package's top-level classes that no
+    code of the package names, apart from their own definitions.  Dunder
+    methods are left out: the language calls them."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    counts = name_counts(trees)
+    dead = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                    continue
+                if counts.get(node.name, 0) == referenced_names(node).count(node.name):
+                    dead.append(f"{module}.{cls.name}.{node.name}")
+    return dead
+
+
+def test_guard_finds_an_unreferenced_method():
+    sources = {
+        "a": (
+            "class A:\n"
+            "    def __init__(self):\n        self.used()\n"
+            "    def used(self):\n        pass\n"
+            "    def recursive(self):\n        return self.recursive()\n"
+            "    @property\n    def dead(self):\n        return 1\n"
+        ),
+        "b": "from .a import A\n\nclass B(A):\n    def used(self):\n        return A()\n",
+        "__init__": "from .a import A\nA().dead\n",
+    }
+    assert unreferenced_methods(sources) == ["a.A.recursive", "a.A.dead"]
+
+
+def test_package_has_no_dead_methods():
+    # an allowlisted method that gains a user must leave the list
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert set(unreferenced_methods(sources)) == TEST_ONLY_METHODS

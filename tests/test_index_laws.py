@@ -10,19 +10,27 @@ padded by 2 and by 3: U^2 has band width 2, so its flux reaches one site
 further than that of U.  The same laws hold for the capped crossover
 networks of ``test_cc.test_dense_window_oracle_on_capped_flux``, whose
 fluxes have finitely many nonzero blocks.
+
+The index is also covariant under translations: moving every layer of a
+walk's coin and projection by an integer vector moves the kept labels by
+it and leaves every kept block, eigenvalue and index formula as it was.
 """
 
+import functools
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fluxwalk.cc import CCUnitary, cc_index, crossover_path, random_phase_window
 from fluxwalk.cli import bundled_scenarios
-from fluxwalk.fields import SiteMap
-from fluxwalk.flux import dense_window_index
+from fluxwalk.fields import AdaptedProjection, HalfSpace, Plane, Ray, SiteMap
+from fluxwalk.flux import analyze, dense_window_index
 from fluxwalk.scenarios import _checked_setup
+from fluxwalk.walks import build_walk, build_walk_flux
 from test_cc import capped, params_r
 
 
@@ -95,3 +103,39 @@ def test_the_capped_network_index_is_odd_under_adjoints_and_additive_under_squar
     assert dense(network) == report.index
     assert dense(Adjoint(network)) == -report.index
     assert dense(Squared(network)) == 2 * report.index
+
+
+def translated(field: SiteMap, v) -> SiteMap:
+    """``field`` moved by the integer vector ``v``: its window sites, ray
+    bases, plane values and half-space thresholds, with the same values."""
+    return SiteMap(
+        field.d,
+        window=(field.window_coords.T + np.array(v, dtype=np.int64), field.window_values),
+        rays=[(Ray(tuple(b + x for b, x in zip(ray.base, v)), ray.step), pattern) for ray, pattern in field.rays],
+        planes=[(Plane(p.axis, p.value + v[p.axis]), value) for p, value in field.planes],
+        halfspaces=[(HalfSpace(h.axis, h.sign, h.threshold + h.sign * v[h.axis]), value) for h, value in field.halfspaces],
+        background=field.background,
+    )
+
+
+@functools.cache
+def bundled_setup(name):
+    return _checked_setup(json.loads(bundled_scenarios()[name].read_text()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["basic_example", "half_line_plus", "two_incoming_leads", "bulk_boundary", "lead_in_out"]), st.data())
+def test_a_translated_walk_has_the_translated_flux(name, data):
+    setup = bundled_setup(name)
+    d, flux = setup.coin.d, setup.flux
+    v = data.draw(st.tuples(*[st.integers(-5, 5)] * d), label="v")
+    proj = AdaptedProjection(d, translated(setup.projection.map, v))
+    moved = build_walk_flux(build_walk(translated(setup.coin, v), setup.tol), proj, setup.tol)
+    labels = flux.box.index.table[flux.kept]
+    assert np.array_equal(moved.box.index.table[moved.kept], labels + np.array(v))
+    assert moved.box.flux[moved.kept].tobytes() == flux.box.flux[flux.kept].tobytes()
+    assert moved.eigh.eigenvalues.tobytes() == flux.eigh.eigenvalues.tobytes()
+    want, got = analyze(flux), analyze(moved)
+    assert (got.index, got.dim_ker_plus) == (want.index, want.dim_ker_plus)
+    assert got.certificate.bound == want.certificate.bound
+    assert got.odd_trace == want.odd_trace

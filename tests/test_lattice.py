@@ -254,20 +254,26 @@ def test_site_index_matches_a_dict(case):
         assert index.row(site) == reference.get(tuple(site))
     # the strategy: a grid, if the table is dense, for a nonempty query that
     # is long or meets a long table before its dict is built
+    box = np.prod(np.ptp(table.astype(object), axis=0) + 3) if len(table) else 0
+    near = len(table) and -(2**62) < table.min() and table.max() < 2**62
+    dense = bool(near and box <= max(GRID_CELLS, 8 * len(table)))
     if not len(query) or (len(query) <= DICT_GROUPING and len(table) <= DICT_GROUPING):
         assert index._grid is None
     else:
-        box = np.prod(np.ptp(table.astype(object), axis=0) + 3) if len(table) else 0
-        near = len(table) and -(2**62) < table.min() and table.max() < 2**62
-        dense = near and box <= max(GRID_CELLS, 8 * len(table))
         assert bool(index._grid) == dense
-    # once the dict is built, a short query keeps it
-    warm = SiteIndex(table)
+    # once the dict is built, a short query keeps it; a row builds it from
+    # the site tuples a caller hands in
+    warm = SiteIndex(table, [tuple(s) for s in table.tolist()])
     if len(table):
         warm.row(table[0])
     assert warm.rows(query).tolist() == [reference.get(tuple(s), -1) for s in query.tolist()]
     if len(query) <= DICT_GROUPING:
         assert warm._grid is None
+    # without them, a row on a long dense table reads the grid instead
+    cold = SiteIndex(table)
+    if len(table):
+        assert cold.row(table[-1]) == len(table) - 1
+        assert (cold._dict is None) == bool(cold._grid) == (len(table) > DICT_GROUPING and dense)
 
 
 def test_far_sites_never_share_a_key():

@@ -65,11 +65,16 @@ def test_validate_rejects_unit_modulus_ray():
         validate_scenario(spec)
 
 
-def test_a_cc_setup_reads_its_drawn_window_without_a_dict_view():
-    # the tail-weight probes read the random-phase block through SiteMap.value,
-    # off the window's SiteIndex, so no dict of its 153 cells is built
+def test_a_cc_setup_reads_its_drawn_window_without_a_dict_view(monkeypatch):
+    # the scattering map keeps the drawn (153, 3) random-phase block itself
+    # as its window values, and the tail-weight probes read it through
+    # SiteMap.value, off the window's SiteIndex
+    draws, draw = [], scenarios_module.ccm.random_phase_window
+    monkeypatch.setattr(scenarios_module.ccm, "random_phase_window", lambda *a, **k: draws.append(draw(*a, **k)) or draws[-1])
     setup = _checked_setup(load("cc_anomalous"))
-    assert setup.scattering._window is None
+    (cells, block), = draws
+    assert setup.scattering.window_values is block and block.shape == (153, 3)
+    assert setup.scattering.window_coords.T.tolist() == cells.tolist()
     assert [n.split(" with")[0] for n in setup.notes] == ["pre ray is r-pure", "post ray is t-pure"]
 
 

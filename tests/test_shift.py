@@ -58,7 +58,7 @@ def basic_example(seed=1, n_cut=2):
 
 def test_kernel_extraction_basic_example():
     coin, proj = basic_example()
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     kd = extract_kernels(flux)
     assert len(kd.ker_plus) == 1 and len(kd.ker_minus) == 0
     assert kd.index == 1 and kd.multiplicity == 1 and kd.flipped
@@ -71,7 +71,7 @@ def test_kernel_extraction_zero_flux():
     from reference_state import identity_coin
 
     proj = AdaptedProjection.from_layers(1, background={0})
-    flux = build_walk_flux(identity_coin(1), proj)
+    flux = build_walk_flux(build_walk(identity_coin(1)), proj)
     kd = extract_kernels(flux)
     assert not kd.ker_plus and not kd.ker_minus and kd.multiplicity == 0
 
@@ -82,7 +82,7 @@ def test_zero_flux_perturbation_is_trivial():
 
     coin = identity_coin(1)
     proj = AdaptedProjection.from_layers(1, background={0})
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     walk = build_walk(coin)
     kd = extract_kernels(flux)
     perturbed = build_perturbed(walk, flux, kd)
@@ -96,7 +96,7 @@ def test_zero_flux_perturbation_is_trivial():
 
 def test_basic_example_shift_structure():
     coin, proj = basic_example(seed=2)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     walk = build_walk(coin)
     kd = extract_kernels(flux)
     perturbed = build_perturbed(walk, flux, kd)
@@ -111,7 +111,7 @@ def test_basic_example_shift_structure():
 def test_the_shift_check_takes_one_step_and_refuses_none():
     # k_max = 1, the shortest orbit the check accepts, runs one step each way
     coin, proj = basic_example(seed=2)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     perturbed = build_perturbed(build_walk(coin), flux, extract_kernels(flux))
     report = verify_shift_structure(perturbed, k_max=1)
     assert report.ok and report.steps == 1
@@ -144,7 +144,7 @@ def test_shift_check_takes_no_single_inner_products(monkeypatch):
     g2 = LeadSpec("incoming", [(4, -2), (3, -2)], (1, 0))
     net = NetworkSpec(incoming=(g1, g2))
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=4))
-    flux = build_walk_flux(coin, network_projection(net))
+    flux = build_walk_flux(build_walk(coin), network_projection(net))
     kd = extract_kernels(flux)
     perturbed = build_perturbed(build_walk(coin), flux, kd)
     calls = []
@@ -168,7 +168,7 @@ def _first_polar_block(flux):
 def test_polar_identity_failure_is_caught():
     # a kept flux block off by 1e-6 in one entry breaks W*W = 1 - flux^2
     coin, proj = basic_example(seed=2)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     kd = extract_kernels(flux)
     i, label = _first_polar_block(flux)
     flux.box.flux[flux.kept[i], 0, 0] += 1e-6
@@ -184,7 +184,7 @@ def test_polar_unitarity_failure_is_caught():
     # eigenvalues moved by 1e-3 inside (-1, 1) leave the identity intact but
     # normalize the polar factor wrongly, so it is no longer unitary
     coin, proj = basic_example(seed=2)
-    flux = build_walk_flux(coin, proj)
+    flux = build_walk_flux(build_walk(coin), proj)
     kd = extract_kernels(flux)
     i, label = _first_polar_block(flux)
     evals = flux.eigh.eigenvalues[i]
@@ -200,7 +200,7 @@ def test_paired_kernels_give_finite_rank_part():
     r = LeadSpec("outgoing", [(3, 0)], (1, 0))
     net = NetworkSpec(incoming=(g,), outgoing=(r,))
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=3))
-    flux = build_walk_flux(coin, network_projection(net))
+    flux = build_walk_flux(build_walk(coin), network_projection(net))
     walk = build_walk(coin)
     kd = extract_kernels(flux)
     assert kd.index == 0 and kd.multiplicity == 0
@@ -217,7 +217,7 @@ def test_remainder_bound_with_nonzero_small_flux():
     coin = perturb_coin_window(
         synthesize_lead_coin(net, random_background(rng, 2, box=3)), rng, 0.3
     )
-    flux = build_walk_flux(coin, network_projection(net))
+    flux = build_walk_flux(build_walk(coin), network_projection(net))
     small = flux.spectrum.phi_less
     assert small > 0.05
     walk = build_walk(coin)

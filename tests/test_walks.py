@@ -385,7 +385,7 @@ def test_stability_probe_constant_index():
     proj = network_projection(net)
 
     def family(t):
-        return build_walk_flux(interpolate_matrix_fields(coin, target, t), proj, selfcheck=False)
+        return build_walk_flux(build_walk(interpolate_matrix_fields(coin, target, t)), proj, selfcheck=False)
 
     probes = index_stability_probe(family, 20)
     assert all(p.certified for p in probes)
@@ -408,7 +408,7 @@ def test_stability_probe_flags_gap_closing():
             dtype=complex,
         )
         coin_t = SiteMap(1, background=rot)
-        return build_walk_flux(coin_t, proj, selfcheck=False)
+        return build_walk_flux(build_walk(coin_t), proj, selfcheck=False)
 
     probes = index_stability_probe(family, 10)
     assert not probes[-1].certified
@@ -422,7 +422,7 @@ def test_trivial_family_is_constant():
     proj = halfline_projection(1, 1)
 
     def family(t):
-        return build_walk_flux(coin, proj, selfcheck=False)
+        return build_walk_flux(build_walk(coin), proj, selfcheck=False)
 
     probes = index_stability_probe(family, 5)
     assert {p.index for p in probes} == {1}
