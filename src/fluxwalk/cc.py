@@ -498,7 +498,7 @@ class RegionSplit:
         if not psi.support_size():
             return psi
         inside = self.diagonal_entries(psi.site_array, None) > 0
-        return LatticeState(psi.n_internal, (psi.site_array[inside], psi.value_array[inside]), _take=True)
+        return LatticeState(psi.n_internal, psi.site_array[inside], psi.value_array[inside])
 
 
 # ---------------------------------------------------------------------------

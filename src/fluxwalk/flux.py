@@ -248,7 +248,7 @@ class CellGeometry:
         first, rows = group_sites(sites)
         values = np.zeros((len(first), self.state_dim, coords.shape[2]), dtype=complex)
         values[rows.reshape(n_cells, k), in_slots] = coords
-        return LatticeState(self.state_dim, (sites.take(first, axis=0), values), _take=True)
+        return LatticeState(self.state_dim, sites.take(first, axis=0), values)
 
     def apply_blocks(self, psi: LatticeState, rows_of, stacks: list, adjoint: bool = False) -> LatticeState:
         """Apply ``stacks[f][rows_of(labels)]``, or the adjoints, to the
@@ -297,7 +297,7 @@ class CellGeometry:
         first, rows = group_sites(sites)
         values = np.zeros((len(first), self.state_dim, 3), dtype=complex)
         values[rows, :, np.repeat(np.arange(3), [len(c) for c in columns])] = np.concatenate(columns)
-        return LatticeState(self.state_dim, (sites.take(first, axis=0), np.tile(values, copies)), _take=True)
+        return LatticeState(self.state_dim, sites.take(first, axis=0), np.tile(values, copies))
 
 
 @dataclass(eq=False)
@@ -348,12 +348,6 @@ class FluxField:
             )
         plus, minus, inside = classify_unit(self.eigh.eigenvalues, self.tol, lambda b: self.box.label(self.kept[b]))
         return UnitSpectrum(plus, minus, max(float(self.box.norms[~self.box.window].max(initial=0.0)), inside))
-
-    # -- operator actions ----------------------------------------------------
-
-    def apply(self, psi: LatticeState) -> LatticeState:
-        """Apply the flux to a finitely supported state, exactly."""
-        return self.geometry.apply_blocks(psi, self._box_rows, [self.box.flux])
 
 
 # ---------------------------------------------------------------------------

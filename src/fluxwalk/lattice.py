@@ -4,12 +4,13 @@ Sites are plain integer tuples.  The internal space of a coined walk in
 dimension ``d`` has ``2d`` slots; slot ``2(j-1)`` is the direction ``+e_j``
 and slot ``2(j-1)+1`` is ``-e_j`` (1-based axis ``j``).
 
-A ``LatticeState`` packs its support into two arrays, an (S, d) site array
-and an (S, n, K) value array that holds K vectors side by side as columns on
-one site index, so that operators act on all sites and all columns at once:
-they gather rows, multiply stacked matrices and build the image with
-``LatticeState.scatter`` or from a new pair of arrays.  K = 1 is a single
-vector; ``LatticeState.stack`` puts single vectors side by side, and
+A ``LatticeState`` is its two arrays, an (S, d) site array and an (S, n, K)
+value array that holds K vectors side by side as columns on one site index,
+and it is built from that pair alone.  Operators act on all sites and all
+columns at once: they gather rows, multiply stacked matrices and build the
+image with ``LatticeState.scatter`` or from a new pair of arrays.  K = 1 is a
+single vector; ``LatticeState.zero`` and ``basis`` give the empty and the
+one-slot state, ``LatticeState.stack`` puts single vectors side by side, and
 ``gram`` takes every inner product of two stacks in one product.
 
 Every question of which row holds a site -- of a state, of a field's window,
@@ -237,8 +238,9 @@ class LatticeState:
     """Finitely supported vectors over the (site, internal slot) basis, K of
     them side by side as columns (K = 1 for a single vector).
 
-    ``site_array`` is an (S, d) int64 array of distinct sites and
-    ``value_array`` an (S, n, K) complex array: row i holds the K column
+    A state has one form, ``LatticeState(n, sites, values)``: ``site_array``
+    is an (S, d) int64 array of distinct sites and ``value_array`` an
+    (S, n, K) complex array, both kept as handed in; row i holds the K column
     vectors at ``site_array[i]``.  Rows keep first-insertion order: the order
     handed in, and for ``a + b`` the rows of ``a``, then the sites new in
     ``b`` in ``b``'s order.  Rows zero in every column are dropped on
@@ -264,33 +266,12 @@ class LatticeState:
 
     __slots__ = ("n_internal", "site_array", "value_array", "_index")
 
-    def __init__(self, n_internal: int, entries=None, _take=False):
-        """``entries`` maps sites to length-``n_internal`` vectors, or is a
-        pair ``(sites, values)`` of an (S, d) integer and an (S, n, K)
-        complex array with distinct sites; ``_take`` hands the pair's arrays
-        over without copying."""
+    def __init__(self, n_internal: int, sites: np.ndarray, values: np.ndarray):
         n = self.n_internal = int(n_internal)
-        if isinstance(entries, tuple):
-            sites, values = entries
-            if not _take:
-                sites, values = np.array(sites, dtype=np.int64), np.array(values, dtype=complex)
-            if values.shape[:2] != (len(sites), n) or values.ndim != 3:
-                raise DimensionMismatchError(
-                    f"site vectors have shape {values.shape}, expected ({len(sites)}, {n}, K)"
-                )
-        elif entries:
-            vectors = [np.asarray(v, dtype=complex) for v in entries.values()]
-            for site, vec in zip(entries, vectors):
-                if vec.shape != (n,):
-                    raise DimensionMismatchError(
-                        f"site vector at {site!r} has shape {vec.shape}, expected ({n},)"
-                    )
-            if len({len(site) for site in entries}) > 1:
-                raise DimensionMismatchError("sites of different dimensions in one state")
-            sites = np.array(list(entries), dtype=np.int64).reshape(len(vectors), -1)
-            values = np.array(vectors)[:, :, None]
-        else:
-            sites, values = np.zeros((0, 0), dtype=np.int64), np.zeros((0, n, 1), dtype=complex)
+        if values.shape[:2] != (len(sites), n) or values.ndim != 3:
+            raise DimensionMismatchError(
+                f"site vectors have shape {values.shape}, expected ({len(sites)}, {n}, K)"
+            )
         keep = np.logical_or.reduce(values, axis=(1, 2))
         if np.count_nonzero(keep) < len(keep):
             sites, values = sites[keep], values[keep]
@@ -302,11 +283,11 @@ class LatticeState:
     def basis(cls, site: Site, slot: int, n_internal: int) -> "LatticeState":
         values = np.zeros((1, n_internal, 1), dtype=complex)
         values[0, slot] = 1.0
-        return cls(n_internal, (np.array([site], dtype=np.int64), values), _take=True)
+        return cls(n_internal, np.array([site], dtype=np.int64), values)
 
     @classmethod
     def zero(cls, n_internal: int, columns: int = 1) -> "LatticeState":
-        return cls(n_internal, (np.zeros((0, 0), np.int64), np.zeros((0, n_internal, columns), complex)), _take=True)
+        return cls(n_internal, np.zeros((0, 0), np.int64), np.zeros((0, n_internal, columns), complex))
 
     @classmethod
     def scatter(cls, n_internal: int, basis, amps: np.ndarray) -> "LatticeState":
@@ -316,7 +297,7 @@ class LatticeState:
         They go into zeros one at a time in row-major order, as ``buf[slot]
         += amp`` does; those zero in every column are skipped, so rows come
         in order of each site's first nonzero amplitude."""
-        return cls(n_internal, scatter_rows(n_internal, basis, amps), _take=True)
+        return cls(n_internal, *scatter_rows(n_internal, basis, amps))
 
     @classmethod
     def stack(cls, states) -> "LatticeState":
@@ -334,7 +315,7 @@ class LatticeState:
         for s in states:
             values[rows[row : row + len(s.value_array)], :, column : column + s.n_columns] = s.value_array
             row, column = row + len(s.value_array), column + s.n_columns
-        return cls(n, (sites.take(first, axis=0), values), _take=True)
+        return cls(n, sites.take(first, axis=0), values)
 
     @property
     def n_columns(self) -> int:
@@ -343,7 +324,7 @@ class LatticeState:
     def with_values(self, values: np.ndarray) -> "LatticeState":
         """The state with the same sites and new (S, n, K) values; it shares
         this state's site index unless a row turned zero."""
-        out = LatticeState(self.n_internal, (self.site_array, values), _take=True)
+        out = LatticeState(self.n_internal, self.site_array, values)
         if out.site_array is self.site_array:
             out._index = self._index
         return out
@@ -446,7 +427,7 @@ class LatticeState:
         if not len(new):
             return self.with_values(values)
         sites = np.concatenate([self.site_array, other.site_array.take(new, axis=0)])
-        return LatticeState(self.n_internal, (sites, values), _take=True)
+        return LatticeState(self.n_internal, sites, values)
 
     def __sub__(self, other: "LatticeState") -> "LatticeState":
         return self + other.scaled(-1.0)
@@ -468,7 +449,7 @@ def random_state(rng: np.random.Generator, sites: Iterable[Site], n_internal: in
     last = np.zeros(len(first), dtype=np.intp)
     np.maximum.at(last, which, np.arange(len(sites)))
     values = draws[last, 0] + 1j * draws[last, 1]
-    return LatticeState(n_internal, (sites[first], values[:, :, None]), _take=True).normalized()
+    return LatticeState(n_internal, sites[first], values[:, :, None]).normalized()
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ class CoinedWalk(LocalUnitary):
         sources = psi.site_array[:, None, :] - self._step_array
         sites, gathered = scatter_rows(self.n_internal, (sources, self._slot_array), psi.value_array)
         adjoints = self.coins(sites).conj().transpose(0, 2, 1)
-        return LatticeState(self.n_internal, (sites, adjoints @ gathered), _take=True)
+        return LatticeState(self.n_internal, sites, adjoints @ gathered)
 
 
 def compress(apply, sites, n: int) -> np.ndarray:
@@ -121,7 +121,7 @@ def compress(apply, sites, n: int) -> np.ndarray:
     of their images leaving the sites are dropped.
     """
     unit = np.eye(len(sites) * n, dtype=complex).reshape(len(sites), n, -1)
-    basis = LatticeState(n, (np.array(sites, dtype=np.int64), unit), _take=True)
+    basis = LatticeState(n, np.array(sites, dtype=np.int64), unit)
     image = apply(basis)
     rows = basis.rows_of(image.site_array)
     hit = rows >= 0

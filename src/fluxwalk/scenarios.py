@@ -230,12 +230,13 @@ def _commuting_coin(rng: np.random.Generator, n: int, slot: int) -> np.ndarray:
     return m
 
 
-def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
+def build_walk_setup(spec: dict, rng: np.random.Generator, tol: Tolerances) -> WalkSetup:
     d = _number(_need(_object(spec.get("geometry", {}), "geometry", ("d",)), "d", "geometry"), "geometry d", low=1)
     coin_spec = _need(spec, "coin", "scenario")
     proj_spec = _need(spec, "projection", "scenario")
     ctype = _need(coin_spec, "type", "coin")
     ptype = _need(proj_spec, "type", "projection")
+    network = None
 
     if ctype == "basic_example":
         if d != 1:
@@ -261,7 +262,6 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         if interior is not None:
             interior = _interior_from_json(interior)
         proj = basic_halfspace_projection(_number(proj_spec.get("n_cut", n_cut), "n_cut"), interior)
-        setup = WalkSetup(coin, proj, rng=rng)
 
     elif ctype == "halfline_commuting":
         sign = _number(coin_spec.get("sign", 1), "coin sign")
@@ -290,7 +290,6 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         if proj_sign not in (-1, 1):
             raise ValidationError(f"projection sign must be 1 or -1, got {proj_sign}")
         proj = halfline_projection(d, proj_sign)
-        setup = WalkSetup(coin, proj, rng=rng)
 
     elif ctype == "lead_network":
         if ptype != "network":
@@ -301,9 +300,8 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
             background = reflecting_coin(d, rng, box=box)
         else:
             background = random_background(rng, d, box=box)
-        coin = synthesize_lead_coin(network, background)
+        coin = synthesize_lead_coin(network, background, tol)
         proj = network_projection(network)
-        setup = WalkSetup(coin, proj, network=network, rng=rng)
 
     elif ctype == "reflecting":
         if ptype != "boundary_full":
@@ -311,10 +309,10 @@ def build_walk_setup(spec: dict, rng: np.random.Generator) -> WalkSetup:
         box = _number(coin_spec.get("box", 3), "coin box", low=0)
         coin = reflecting_coin(d, rng, box=box)
         proj = boundary_projection_full(d)
-        setup = WalkSetup(coin, proj, rng=rng)
 
     else:
         raise ValidationError(f"unknown coin type {ctype!r}")
+    setup = WalkSetup(coin, proj, network=network, rng=rng, tol=tol)
     walk_flux_window(setup.coin, setup.projection)  # the window checks, before any flux is built
     setup.notes.append(f"coin and projection constructed (d = {setup.coin.d})")
     if setup.network is not None:
@@ -381,11 +379,11 @@ def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -
     raise ValidationError(f"unknown phase mode {phases!r}")
 
 
-def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
+def build_cc_setup(spec: dict, rng: np.random.Generator, tol: Tolerances) -> CCSetup:
     """The setup, once the index is defined at infinity: a ray whose steps
     all carry one weight tag must not conduct perfectly along that tag."""
     path = _path_from_json(_need(spec, "path", "scenario"))
-    setup = CCSetup(_path_scattering(spec, path, rng), path, spec, rng=rng)
+    setup = CCSetup(_path_scattering(spec, path, rng), path, spec, rng=rng, tol=tol)
     ccm.region_box(*ccm.points_box(ccm.cc_flux_window(setup.scattering, path)))  # the window and region box checks
     path.crossings(-50, path.m_last + 51)  # one pass over every step read below
     t0, t1 = path.switch_window()
@@ -409,9 +407,9 @@ def build_cc_setup(spec: dict, rng: np.random.Generator) -> CCSetup:
 # validation without heavy computation
 
 
-def _checked_setup(spec: dict):
+def _checked_setup(spec: dict, tol: Tolerances = DEFAULT):
     """Structural and precondition checks, raising on the first violation;
-    returns the setup they build, with its generator and notes."""
+    returns the setup they build under ``tol``, with its generator and notes."""
     if not isinstance(spec, dict):
         raise ValidationError("scenario must be a JSON object")
     if spec.get("schema_version") != SCHEMA_VERSION:
@@ -430,7 +428,7 @@ def _checked_setup(spec: dict):
     if kind not in build_setup:
         raise ValidationError(f"unknown scenario kind {kind!r}")
     _object(spec, "scenario", ("schema_version", "name", "description", "kind", "seed", *KEYS[kind], "analyses"))
-    setup = build_setup[kind](spec, _rng(int(seed)))
+    setup = build_setup[kind](spec, _rng(int(seed)), tol)
     for name in ("coin", "projection", "path"):  # each of a type that the setup's builder accepted
         if name in spec:
             _object(spec[name], name, ("type", *KEYS[spec[name]["type"]]))
@@ -536,7 +534,7 @@ def _walk_shift_analysis(setup, analysis, files):
     index = setup.index_report.index
     flux = setup.flux
     kernels = extract_kernels(flux)
-    perturbed = build_perturbed(flux.geometry.unitary, flux, kernels)
+    perturbed = build_perturbed(flux, kernels)
     shift_report = verify_shift_structure(perturbed, k_max=steps)
     return {**shift_report.as_dict(), "index": index, "pass": shift_report.ok}
 
@@ -595,7 +593,7 @@ def _walk_network_ensemble_analysis(setup, analysis, files):
         if n_in + n_out == 0:
             n_out = 1
         network = random_network(rng, n_in, n_out, box=box)
-        coin = synthesize_lead_coin(network, random_background(rng, 2, box=4))
+        coin = synthesize_lead_coin(network, random_background(rng, 2, box=4), setup.tol)
         report, _ = walk_index(coin, network_projection(network), setup.tol)
         if report.index != n_out - n_in:
             failures.append({"draw": k, "expected": n_out - n_in, "got": report.index})
@@ -778,8 +776,7 @@ def run_scenario(
         raise ValidationError(f"unknown tolerance profile {profile!r}")
     if seed_override is not None and isinstance(spec, dict):
         spec = {**spec, "seed": seed_override}
-    setup = _checked_setup(spec)
-    setup.tol = PROFILES[profile]
+    setup = _checked_setup(spec, PROFILES[profile])
     seed = spec["seed"]
     kind = spec["kind"]
     files: dict[str, str] = {}

@@ -87,17 +87,19 @@ class PerturbedUnitary:
     """U composed with a block rotation that turns the wandering candidates
     into an exact shift family.
 
-    The correction acts as the identity on the wandering vectors, swaps the
-    paired kernel vectors with the smaller kernel, and applies the unitary
-    part of the polar splitting of the P-diagonal compression of U on the
-    rest of each block.  The nonzero block maps are kept as one (N, k, k)
-    stack in the field's kept row order with a ``SiteIndex`` over their labels.
-    Each action applies A = 1 + F + (U0 - 1)Q0 term by term, F only when
-    there are swapped pairs and the maps only when one is nonzero.
+    U is the flux's own unitary, ``flux.geometry.unitary``, and ``kernels``
+    come from ``extract_kernels(flux)``.  The correction acts as the
+    identity on the wandering vectors, swaps the paired kernel vectors with
+    the smaller kernel, and applies the unitary part of the polar splitting
+    of the P-diagonal compression of U on the rest of each block.  The
+    nonzero block maps are kept as one (N, k, k) stack in the field's kept
+    row order with a ``SiteIndex`` over their labels.  Each action applies
+    A = 1 + F + (U0 - 1)Q0 term by term, F only when there are swapped pairs
+    and the maps only when one is nonzero.
     """
 
-    def __init__(self, base, flux: FluxField, kernels: KernelData):
-        self.base = base
+    def __init__(self, flux: FluxField, kernels: KernelData):
+        self.base = flux.geometry.unitary
         self.flux = flux
         self.kernels = kernels
         self.tol = flux.tol
@@ -184,10 +186,10 @@ class PerturbedUnitary:
         return worst
 
 
-def build_perturbed(base, flux: FluxField, kernels: KernelData | None = None) -> PerturbedUnitary:
-    if kernels is None:
-        kernels = extract_kernels(flux)
-    return PerturbedUnitary(base, flux, kernels)
+def build_perturbed(flux: FluxField, kernels: KernelData) -> PerturbedUnitary:
+    """The perturbation of the flux's own unitary along ``kernels``, which
+    come from ``extract_kernels(flux)``."""
+    return PerturbedUnitary(flux, kernels)
 
 
 # ---------------------------------------------------------------------------

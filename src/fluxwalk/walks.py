@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -47,16 +47,18 @@ NORM_FLOOR = 1e-12  # least norm that a random generator is divided by
 
 def build_walk(coin: SiteMap, tol: Tolerances = DEFAULT) -> CoinedWalk:
     """Walk from a coin field; every template must be a (2d, 2d) unitary,
-    checked for all templates in one stacked product."""
+    checked for all templates in one stacked product.  Only a failing check
+    walks ``coin.template_values()``, to name its first failing entry."""
     n = 2 * coin.d
-    templates = list(coin.template_values())
-    for desc, m in templates:
-        shape = np.shape(m)
-        if shape != (n, n):
-            raise ValidationError(f"coin matrix at {desc} has shape {shape}, expected {(n, n)}")
-    deviations = unitary_deviations(np.array([m for _, m in templates], dtype=complex))
-    bad = np.flatnonzero(~(deviations <= tol.unitary))
-    if bad.size:
+    shaped = all(np.shape(m) == (n, n) for m in coin.table)
+    if not (shaped and (unitary_deviations(np.array(coin.table, dtype=complex)) <= tol.unitary).all()):
+        templates = list(coin.template_values())
+        for desc, m in templates:
+            shape = np.shape(m)
+            if shape != (n, n):
+                raise ValidationError(f"coin matrix at {desc} has shape {shape}, expected {(n, n)}")
+        deviations = unitary_deviations(np.array([m for _, m in templates], dtype=complex))
+        bad = np.flatnonzero(~(deviations <= tol.unitary))
         raise ValidationError(f"coin matrix at {templates[bad[0]][0]} is not unitary")
     return CoinedWalk(coin)
 
@@ -524,29 +526,26 @@ class WanderingReport:
     ok: bool
     max_overlap: float
     worst_step: int | None
-    transport_ok: bool | None = None
-    transport_defect: float | None = None
-    overlaps: list = field(default_factory=list)
+    transport_ok: bool
+    transport_defect: float
+    overlaps: list
 
 
 def verify_wandering(
     unitary,
-    seed: LatticeState | LeadSpec,
+    lead: LeadSpec,
     k_max: int,
     tol: Tolerances = DEFAULT,
 ) -> WanderingReport:
-    """Check <psi, U^k psi> = 0 for k = 1..k_max.  ``seed`` is psi, or a
-    lead: then psi is the lead's head state, stepped under U along an
-    outgoing lead and under U* along an incoming one, and the same iterates
-    must carry it along the lead up to a phase."""
+    """Check that the lead's head state psi wanders, <psi, U^k psi> = 0 for
+    k = 1..k_max, stepped under U along an outgoing lead and under U* along
+    an incoming one, and that the same iterates carry it along the lead up
+    to a phase."""
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    lead = seed if isinstance(seed, LeadSpec) else None
-    sign = 1
-    if lead is not None:
-        head, tangent = lead.head_pair()
-        seed = LatticeState.basis(head, index_of_vector(tangent), unitary.n_internal)
-        sign = -1 if lead.kind == "incoming" else 1
+    head, tangent = lead.head_pair()
+    seed = LatticeState.basis(head, index_of_vector(tangent), unitary.n_internal)
+    sign = -1 if lead.kind == "incoming" else 1
     step = unitary.apply_adjoint if sign < 0 else unitary.apply
     current = seed
     worst = defect = 0.0
@@ -558,16 +557,11 @@ def verify_wandering(
         overlaps.append(ov)
         if ov > worst:
             worst, worst_k = ov, k
-        if lead is not None:
-            t = sign * (1 + k)
-            amp = current.vector_at(lead.site(t))[index_of_vector(lead.tangent(t))]
-            defect = max(defect, abs(abs(amp) - 1.0))
-    report = WanderingReport(worst <= tol.wandering, worst, worst_k, overlaps=overlaps)
-    if lead is not None:
-        report.transport_defect = defect
-        report.transport_ok = defect <= tol.wandering
-        report.ok = report.ok and report.transport_ok
-    return report
+        t = sign * (1 + k)
+        amp = current.vector_at(lead.site(t))[index_of_vector(lead.tangent(t))]
+        defect = max(defect, abs(abs(amp) - 1.0))
+    transport_ok = defect <= tol.wandering
+    return WanderingReport(worst <= tol.wandering and transport_ok, worst, worst_k, transport_ok, defect, overlaps)
 
 
 # ---------------------------------------------------------------------------

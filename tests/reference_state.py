@@ -5,7 +5,9 @@ actions that consume it and the array cell protocol of ``flux.CellGeometry``.
 used before the packed layout, and the functions below are the per-site
 loops that the walk, projection, network and cell actions ran on it.  The
 tests compare the packed results against them bit for bit, row order
-included; ``columns`` splits a stacked state into single-column states.
+included; ``state`` packs a dict of site vectors, the form that tests write
+states in, and ``columns`` splits a stacked state into single-column
+states.  ``flux_apply`` applies a flux through its box stack alone.
 The cell references describe one cell, or one site of a region,
 at a time, from the model's fields and the scalar ``in_cell``/``out_cell``.
 ``random_phase_window`` is the per-cell draw loop that ``fluxwalk.cc``
@@ -149,11 +151,25 @@ def to_dict(psi: LatticeState) -> DictState:
     return DictState(psi.n_internal, {site: vec.copy() for site, vec in items(psi)}, _take=True)
 
 
+def state(n_internal: int, entries: dict) -> LatticeState:
+    """The single-vector state of a dict of site vectors, rows in the dict's
+    order; the empty dict gives ``LatticeState.zero``."""
+    if not entries:
+        return LatticeState.zero(n_internal)
+    values = np.array([np.asarray(v, dtype=complex) for v in entries.values()])
+    return LatticeState(n_internal, np.array(list(entries), dtype=np.int64), values[:, :, None])
+
+
 def columns(psi: LatticeState) -> list[LatticeState]:
     """Every column of ``psi`` as a state of its own, with the rows where it
     is nonzero, in ``psi``'s row order."""
-    pairs = ((psi.site_array, psi.value_array[:, :, [k]]) for k in range(psi.n_columns))
-    return [LatticeState(psi.n_internal, pair, _take=True) for pair in pairs]
+    return [LatticeState(psi.n_internal, psi.site_array, psi.value_array[:, :, [k]]) for k in range(psi.n_columns)]
+
+
+def flux_apply(flux, psi: LatticeState) -> LatticeState:
+    """The flux applied to a finitely supported state, exactly, through its
+    box stack: the selfcheck's blockwise route for one flux."""
+    return flux.geometry.apply_blocks(psi, flux._box_rows, [flux.box.flux])
 
 
 def same_state(packed: LatticeState, ref: DictState) -> bool:
@@ -398,7 +414,7 @@ def random_state(rng, sites, n_internal: int) -> LatticeState:
     data = {}
     for site in sites:
         data[tuple(site)] = rng.standard_normal(n_internal) + 1j * rng.standard_normal(n_internal)
-    return LatticeState(n_internal, data).normalized()
+    return state(n_internal, data).normalized()
 
 
 def probe_sites(geometry, rng) -> set:

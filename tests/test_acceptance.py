@@ -211,9 +211,8 @@ def test_criterion_06_shift_decomposition():
     # basic example
     coin, proj = make_basic_example(seed=606)
     flux = build_walk_flux(build_walk(coin), proj)
-    walk = build_walk(coin)
     kd = extract_kernels(flux)
-    perturbed = build_perturbed(walk, flux, kd)
+    perturbed = build_perturbed(flux, kd)
     rep = verify_shift_structure(perturbed, k_max=30)
     assert rep.ok and rep.multiplicity == 1
     assert rep.unitary_defect <= 1e-10 and rep.gram_defect <= 1e-10
@@ -226,9 +225,8 @@ def test_criterion_06_shift_decomposition():
     net = NetworkSpec(incoming=(g1, g2))
     coin2 = synthesize_lead_coin(net, random_background(rng, 2, box=4))
     flux2 = build_walk_flux(build_walk(coin2), network_projection(net))
-    walk2 = build_walk(coin2)
     kd2 = extract_kernels(flux2)
-    perturbed2 = build_perturbed(walk2, flux2, kd2)
+    perturbed2 = build_perturbed(flux2, kd2)
     rep2 = verify_shift_structure(perturbed2, k_max=30)
     assert rep2.ok and rep2.multiplicity == 2
     assert rep2.gram_defect <= 1e-10

@@ -181,7 +181,7 @@ def test_flux_beyond_the_box_computes_no_block(model):
     assert psi.support_size()
     reference = ref.apply_blocks(geometry, ref.to_dict(psi), lambda label: reference_block(geometry, label))
     calls.clear()
-    assert ref.same_state(flux.apply(psi), reference)
+    assert ref.same_state(ref.flux_apply(flux, psi), reference)
     assert calls == []
 
 
@@ -193,7 +193,7 @@ def test_a_label_without_a_box_row_fails_the_flux_action(monkeypatch):
     psi = flux.geometry.make_state(label, np.ones(flux.box.flux.shape[1]))
     monkeypatch.setattr(FluxWindow, "partners", lambda self, labels: labels)
     with pytest.raises(ConsistencyError, match=re.escape(f"label {label} has no block in the assembled box")):
-        flux.apply(psi)
+        ref.flux_apply(flux, psi)
 
 
 # ---------------------------------------------------------------------------

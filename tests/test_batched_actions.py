@@ -71,7 +71,7 @@ def random_packed(rng, lo, hi, n, size):
         elif kind == 2:
             vec[:] = 0.0
         entries[site] = vec
-    return LatticeState(n, entries)
+    return ref.state(n, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +216,7 @@ def test_cell_blocks_match_per_cell_reference(name, seed):
 
     for psi in _states(flux, seed, size=20):
         assert ref.same_state(
-            flux.apply(psi),
+            ref.flux_apply(flux, psi),
             ref.apply_blocks(geometry, ref.to_dict(psi), lambda label: reference_block(geometry, label)),
         )
         assert ref.same_state(
@@ -246,7 +246,7 @@ def test_empty_states_pass_through_every_action():
             geometry.unitary.apply,
             geometry.unitary.apply_adjoint,
             geometry.proj.apply,
-            flux.apply,
+            lambda psi: ref.flux_apply(flux, psi),
         ):
             assert action(zero).support_size() == 0
 
@@ -279,7 +279,7 @@ def _actions(flux, seed):
         geometry.unitary.apply,
         geometry.unitary.apply_adjoint,
         *(p.apply for p in projections),
-        flux.apply,
+        lambda psi: ref.flux_apply(flux, psi),
         lambda psi: geometry.apply_blocks(psi, rows_of, [matrices]),
         lambda psi: geometry.apply_blocks(psi, rows_of, [matrices], adjoint=True),
     ]
@@ -335,7 +335,7 @@ def test_stacked_actions_send_each_column_block_through_its_own_member(seed):
 def perturbed_model():
     coin, proj = basic_example(seed=2)
     flux = build_walk_flux(build_walk(coin), proj)
-    return build_perturbed(flux.geometry.unitary, flux, extract_kernels(flux))
+    return build_perturbed(flux, extract_kernels(flux))
 
 
 @settings(max_examples=10, deadline=None)
@@ -358,7 +358,7 @@ def paired_model():
     net = NetworkSpec(incoming=(g,), outgoing=(r,))
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=3))
     flux = build_walk_flux(build_walk(coin), network_projection(net))
-    return build_perturbed(flux.geometry.unitary, flux, extract_kernels(flux))
+    return build_perturbed(flux, extract_kernels(flux))
 
 
 def unconditional_correction(perturbed, psi, adjoint):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import reference_state as ref
@@ -160,6 +162,16 @@ def test_unitary_tag_validation():
         build_walk(SiteMap(1, background=np.eye(4, dtype=complex)))
     with pytest.raises(ValidationError, match="shape"):
         build_walk(SiteMap(2, window={(0, 0): good}, background=np.eye(4, dtype=complex)))
+    # two failing window entries: the message names the first in
+    # ``template_values`` order, the window sorted by site, not the first
+    # in the window's own order
+    for bad, message in [
+        (np.eye(4, dtype=complex), "coin matrix at window(-2,) has shape (4, 4), expected (2, 2)"),
+        (1.1 * good, "coin matrix at window(-2,) is not unitary"),
+    ]:
+        coin = SiteMap(1, window={(3,): bad, (0,): good, (-2,): bad}, rays=[(Ray((5,), (1,)), [good])], background=good)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build_walk(coin)
 
 
 def test_halfline_hat_is_homogeneous_where_expected():
@@ -214,10 +226,8 @@ def test_complement_roundtrip():
 
 
 def test_projection_apply_masks_slots():
-    from fluxwalk.lattice import LatticeState
-
     proj = halfline_projection(1, 1)
-    psi = LatticeState(2, {(2,): np.array([1.0, 2.0]), (-1,): np.array([3.0, 0.0])})
+    psi = ref.state(2, {(2,): np.array([1.0, 2.0]), (-1,): np.array([3.0, 0.0])})
     out = proj.apply(psi)
     assert np.allclose(out.vector_at((2,)), [1.0, 0.0])
     assert out.vector_at((-1,)).tolist() == [0.0, 0.0]

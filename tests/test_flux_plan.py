@@ -46,7 +46,7 @@ from fluxwalk.fields import SiteMap
 from fluxwalk.flux import CellGeometry, analyze, assemble_field, kitaev_sum
 from fluxwalk.lattice import SiteIndex
 from fluxwalk.scenarios import ANALYSES, _checked_setup
-from fluxwalk.shift import build_perturbed
+from fluxwalk.shift import build_perturbed, extract_kernels
 from fluxwalk.walks import build_walk, build_walk_flux, network_projection, random_background, random_network, synthesize_lead_coin
 from test_assembly import reference_block
 from test_cc import capped, params_r
@@ -360,5 +360,5 @@ def test_a_cc_analysis_builds_no_label_tuples_of_its_box(monkeypatch, capped_tai
     else:
         flux = _setup("cc_crossover_critical").flux
     assert abs(analyze(flux).index) == 1
-    build_perturbed(flux.geometry.unitary, flux)
+    build_perturbed(flux, extract_kernels(flux))
     assert not [index for index in reads if index is flux.box.index]

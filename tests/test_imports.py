@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and every
-helper, method and property of the package is named by its code.
+"""Every module of the package uses every name it imports, every helper,
+method and property of the package is named by its code, and no module of
+the repository binds a top-level function or class name twice.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard ``ast`` module.  ``__init__.py`` is skipped: its imports are the
@@ -152,3 +153,30 @@ def test_package_has_no_dead_methods():
     # an allowlisted method that gains a user must leave the list
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert set(unreferenced_methods(sources)) == TEST_ONLY_METHODS
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = sorted(p for tree in ("src", "tests", "fluxbench") for p in (ROOT / tree).rglob("*.py"))
+
+
+def shadowed_definitions(source: str) -> list[str]:
+    """Top-level functions and classes whose name an earlier one already
+    bound: pytest collects only the last test of a name, so an earlier one
+    never runs."""
+    seen, again = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in seen:
+                again.append(f"{node.name} (line {node.lineno})")
+            seen.add(node.name)
+    return again
+
+
+def test_guard_finds_a_shadowed_definition():
+    source = "def test_a():\n    pass\n\nclass B:\n    pass\n\ndef test_a():\n    pass\n\nB = 1\n"
+    assert shadowed_definitions(source) == ["test_a (line 7)"]
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_defines_each_name_once(path):
+    assert shadowed_definitions(path.read_text(encoding="utf-8")) == []

@@ -14,6 +14,10 @@ fluxes have finitely many nonzero blocks.
 The index is also covariant under translations: moving every layer of a
 walk's coin and projection by an integer vector moves the kept labels by
 it and leaves every kept block, eigenvalue and index formula as it was.
+The same holds for a capped crossover network moved by (2a, 2b), its
+scattering window, rays and dual path together: cells live on Z x 2Z, so
+an even shift maps the cell lattice and its scattering layout onto
+themselves.
 """
 
 import functools
@@ -25,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxwalk.cc import CCUnitary, cc_index, crossover_path, random_phase_window
+from fluxwalk.cc import CCUnitary, DualPath, cc_index, crossover_path, random_phase_window
 from fluxwalk.cli import bundled_scenarios
 from fluxwalk.fields import AdaptedProjection, HalfSpace, Plane, Ray, SiteMap
 from fluxwalk.flux import analyze, dense_window_index
@@ -139,3 +143,26 @@ def test_a_translated_walk_has_the_translated_flux(name, data):
     assert (got.index, got.dim_ker_plus) == (want.index, want.dim_ker_plus)
     assert got.certificate.bound == want.certificate.bound
     assert got.odd_trace == want.odd_trace
+
+
+@functools.cache
+def capped_crossover(west_first, seed):
+    """A capped crossover network on a random phase window, and its flux."""
+    path = crossover_path(west_first)
+    window = random_phase_window(np.random.default_rng(seed), 0.2, range(-3, 4), range(-3, 4))
+    field = capped(SiteMap(2, window=window, background=params_r(0.2)), path)
+    return field, path, cc_index(field, path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), st.integers(0, 7), st.integers(-3, 3), st.integers(-3, 3))
+def test_a_translated_capped_network_has_the_translated_flux(west_first, seed, a, b):
+    field, path, (want, flux) = capped_crossover(west_first, seed)
+    v = (2 * a, 2 * b)
+    moved_path = DualPath([(x + v[0], y + v[1]) for x, y in path.middle], path.pre_dir, path.post_dir)
+    got, moved = cc_index(translated(field, v), moved_path)
+    labels = flux.box.index.table[flux.kept]
+    assert np.array_equal(moved.box.index.table[moved.kept], labels + np.array(v))
+    assert moved.box.flux[moved.kept].tobytes() == flux.box.flux[flux.kept].tobytes()
+    assert moved.eigh.eigenvalues.tobytes() == flux.eigh.eigenvalues.tobytes()
+    assert abs(want.index) == 1 and (got.index, got.rank_difference) == (want.index, want.rank_difference)

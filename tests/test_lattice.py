@@ -1,10 +1,11 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference_state import DictState, items, same_state, trace_norm_hermitian
+from reference_state import DictState, items, same_state, state, trace_norm_hermitian
 from reference_state import random_state as reference_random_state
 
 from fluxwalk.errors import DimensionMismatchError
@@ -53,16 +54,31 @@ def test_state_basics():
 
 
 def test_zero_vectors_are_pruned():
-    psi = LatticeState(2, {(0,): np.zeros(2), (1,): np.array([1.0, 0.0])})
+    psi = state(2, {(0,): np.zeros(2), (1,): np.array([1.0, 0.0])})
     assert sorted(psi.site_list()) == [(1,)]
     # cancellation leaves exact zeros, which are dropped as well
     assert (psi - psi).support_size() == 0
 
 
+@pytest.mark.parametrize(
+    "sites,values",
+    [
+        (np.zeros((2, 1), np.int64), np.ones((2, 3, 1), complex)),  # three slots, not two
+        (np.zeros((3, 1), np.int64), np.ones((2, 2, 1), complex)),  # three sites, two rows
+        (np.zeros((2, 1), np.int64), np.ones((2, 2), complex)),  # no column axis
+    ],
+    ids=["slots", "sites", "two-d"],
+)
+def test_a_state_refuses_a_malformed_pair(sites, values):
+    message = f"site vectors have shape {values.shape}, expected ({len(sites)}, 2, K)"
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        LatticeState(2, sites, values)
+
+
 def test_inner_product_convention():
     # antilinear in the first argument
-    a = LatticeState(1, {(0,): np.array([1j])})
-    b = LatticeState(1, {(0,): np.array([1.0])})
+    a = state(1, {(0,): np.array([1j])})
+    b = state(1, {(0,): np.array([1.0])})
     assert abs(a.inner(b) + 1j) < 1e-15
 
 
@@ -71,11 +87,6 @@ def test_dimension_mismatch_raises():
     b = LatticeState.basis((0,), 0, 3)
     with pytest.raises(DimensionMismatchError):
         a.inner(b)
-
-
-def test_a_state_rejects_sites_of_different_dimensions():
-    with pytest.raises(DimensionMismatchError, match="different dimensions"):
-        LatticeState(2, {(0,): [1.0, 0.0], (0, 1): [0.0, 1.0]})
 
 
 def test_haar_unitary_and_checks():
@@ -182,7 +193,7 @@ factor = st.one_of(
 @given(state_triples(), factor)
 def test_packed_state_matches_dict_reference(case, f):
     n, entries = case
-    packed = [LatticeState(n, e) for e in entries]
+    packed = [state(n, e) for e in entries]
     ref = [DictState(n, e) for e in entries]
     pairs = list(zip(packed, ref))
     for p, r in pairs:
@@ -279,7 +290,7 @@ def test_site_index_matches_a_dict(case):
 def test_far_sites_never_share_a_key():
     # sites that agree in their low 32 bits, or are swapped, stay distinct
     sites = [(2**32, 0), (0, 2**32), (0, 0), (1, 2**40), (2**40, 1), (-(2**63), 2**63 - 1)]
-    psi = LatticeState(1, {s: [k + 1.0] for k, s in enumerate(sites)})
+    psi = state(1, {s: [k + 1.0] for k, s in enumerate(sites)})
     assert [s for s, _ in items(psi)] == sites
     assert (psi + psi).support_size() == len(sites)
     assert (psi - psi).support_size() == 0
@@ -296,11 +307,6 @@ def test_states_of_different_site_dimension_do_not_mix():
         a + b
     with pytest.raises(DimensionMismatchError):
         a.inner(b)
-
-
-def test_a_state_rejects_sites_of_different_dimensions():
-    with pytest.raises(DimensionMismatchError, match="different dimensions"):
-        LatticeState(2, {(0,): [1.0, 0.0], (0, 1): [0.0, 1.0]})
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,7 +329,7 @@ def test_combine_is_the_stacked_product_bit_for_bit(rows, n, k, k_out, seed):
         values[:, :, rng.integers(k)] = 0.0
     coeffs = rng.standard_normal((k, k_out)) + 1j * rng.standard_normal((k, k_out))
     coeffs[rng.random(coeffs.shape) < 0.3] = 0.0
-    psi = LatticeState(n, (np.arange(rows, dtype=np.int64)[:, None], values))
+    psi = LatticeState(n, np.arange(rows, dtype=np.int64)[:, None], values)
     want = psi.value_array @ coeffs
     got = psi.combine(coeffs)
     keep = np.logical_or.reduce(want, axis=(1, 2))
@@ -333,9 +339,9 @@ def test_combine_is_the_stacked_product_bit_for_bit(rows, n, k, k_out, seed):
 
 
 def test_rows_keep_first_insertion_order():
-    psi = LatticeState(1, {(3,): [1.0], (-1,): [2.0], (0,): [0.0], (2,): [3.0]})
+    psi = state(1, {(3,): [1.0], (-1,): [2.0], (0,): [0.0], (2,): [3.0]})
     assert [s for s, _ in items(psi)] == [(3,), (-1,), (2,)]
-    phi = LatticeState(1, {(2,): [1.0], (7,): [1.0], (3,): [-1.0], (5,): [1.0]})
+    phi = state(1, {(2,): [1.0], (7,): [1.0], (3,): [-1.0], (5,): [1.0]})
     # rows of psi, the cancelled (3,) dropped, then the new sites in phi's order
     assert [s for s, _ in items(psi + phi)] == [(-1,), (2,), (7,), (5,)]
 

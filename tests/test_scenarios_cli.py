@@ -111,13 +111,31 @@ def test_run_scenario_builds_its_setup_once(monkeypatch):
     calls = []
     build = scenarios.build_walk_setup
 
-    def counting(spec, rng):
+    def counting(spec, rng, tol):
         calls.append(spec["seed"])
-        return build(spec, rng)
+        return build(spec, rng, tol)
 
     monkeypatch.setattr(scenarios, "build_walk_setup", counting)
     result = run_scenario(load("half_line_plus"), seed_override=5)
     assert result.ok and calls == [5]
+
+
+@pytest.mark.parametrize("name", ["two_incoming_leads", "lead_networks_random"])
+def test_lead_synthesis_runs_under_the_run_profile(monkeypatch, name):
+    # the setup's lead coin and every ensemble draw's are checked with the
+    # run's tolerances, not the default profile's
+    import fluxwalk.walks as walks
+    from fluxwalk.config import DEFAULT, STRICT
+
+    seen, check = [], walks.verify_lead_condition
+
+    def spy(coin, network, tol=DEFAULT):
+        seen.append(tol)
+        return check(coin, network, tol)
+
+    monkeypatch.setattr(walks, "verify_lead_condition", spy)
+    run_scenario(load(name), profile="strict")
+    assert seen and all(tol is STRICT for tol in seen)
 
 
 def count_calls(monkeypatch, names):
@@ -817,12 +835,13 @@ def test_the_cli_reports_a_non_finite_parameter_as_a_failed_analysis(tmp_path, c
 
 
 def test_interior_keys_are_integer_sites(tmp_path, capsys):
+    from fluxwalk.config import DEFAULT
     from fluxwalk.scenarios import build_walk_setup
 
     spec = load("basic_example")
     spec["projection"]["interior"] = {"0": [0], "[-1]": [0, 1]}
     validate_scenario(spec)
-    proj = build_walk_setup(spec, np.random.default_rng(0)).projection
+    proj = build_walk_setup(spec, np.random.default_rng(0), DEFAULT).projection
     assert proj.open_slots((0,)) == {0}
     assert proj.open_slots((-1,)) == {0, 1}
     assert proj.open_slots((1,)) == set()

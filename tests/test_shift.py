@@ -7,7 +7,6 @@ import pytest
 from fluxwalk.cc import (
     FULL_REFLECTION,
     FULL_TRANSMISSION,
-    CCUnitary,
     ScatteringParams,
     cc_index,
     crossover_path,
@@ -85,7 +84,7 @@ def test_zero_flux_perturbation_is_trivial():
     flux = build_walk_flux(build_walk(coin), proj)
     walk = build_walk(coin)
     kd = extract_kernels(flux)
-    perturbed = build_perturbed(walk, flux, kd)
+    perturbed = build_perturbed(flux, kd)
     assert perturbed.finite_rank_rank() == 0
     assert perturbed.correction_minus_finite_rank_norm() == 0.0
     from fluxwalk.lattice import LatticeState
@@ -97,9 +96,8 @@ def test_zero_flux_perturbation_is_trivial():
 def test_basic_example_shift_structure():
     coin, proj = basic_example(seed=2)
     flux = build_walk_flux(build_walk(coin), proj)
-    walk = build_walk(coin)
     kd = extract_kernels(flux)
-    perturbed = build_perturbed(walk, flux, kd)
+    perturbed = build_perturbed(flux, kd)
     report = verify_shift_structure(perturbed, k_max=30)
     assert report.ok
     assert report.multiplicity == 1
@@ -112,7 +110,7 @@ def test_the_shift_check_takes_one_step_and_refuses_none():
     # k_max = 1, the shortest orbit the check accepts, runs one step each way
     coin, proj = basic_example(seed=2)
     flux = build_walk_flux(build_walk(coin), proj)
-    perturbed = build_perturbed(build_walk(coin), flux, extract_kernels(flux))
+    perturbed = build_perturbed(flux, extract_kernels(flux))
     report = verify_shift_structure(perturbed, k_max=1)
     assert report.ok and report.steps == 1
     with pytest.raises(ValidationError, match=re.escape("k_max must be >= 1")):
@@ -128,10 +126,9 @@ def test_two_incoming_leads_multiplicity_two():
     proj = network_projection(net)
     report, flux = walk_index(coin, proj)
     assert report.index == -2
-    walk = build_walk(coin)
     kd = extract_kernels(flux)
     assert kd.multiplicity == 2 and not kd.flipped
-    perturbed = build_perturbed(walk, flux, kd)
+    perturbed = build_perturbed(flux, kd)
     sreport = verify_shift_structure(perturbed, k_max=30)
     assert sreport.ok and sreport.multiplicity == 2
 
@@ -146,7 +143,7 @@ def test_shift_check_takes_no_single_inner_products(monkeypatch):
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=4))
     flux = build_walk_flux(build_walk(coin), network_projection(net))
     kd = extract_kernels(flux)
-    perturbed = build_perturbed(build_walk(coin), flux, kd)
+    perturbed = build_perturbed(flux, kd)
     calls = []
     original = LatticeState.inner
     monkeypatch.setattr(LatticeState, "inner", lambda self, other: calls.append(1) or original(self, other))
@@ -174,10 +171,10 @@ def test_polar_identity_failure_is_caught():
     flux.box.flux[flux.kept[i], 0, 0] += 1e-6
     message = f"block {label}: polar identity W*W = 1 - flux^2 failed"
     with pytest.raises(ConsistencyError, match=re.escape(message)):
-        build_perturbed(build_walk(coin), flux, kd)
+        build_perturbed(flux, kd)
     # the check reads tol.shift_check: a looser one lets the same defect pass
     flux.tol = dataclasses.replace(flux.tol, shift_check=1e-3)
-    build_perturbed(build_walk(coin), flux, kd)
+    build_perturbed(flux, kd)
 
 
 def test_polar_unitarity_failure_is_caught():
@@ -191,7 +188,7 @@ def test_polar_unitarity_failure_is_caught():
     inside = ~(flux.spectrum.plus[i] | flux.spectrum.minus[i])
     evals[inside] += 1e-3
     with pytest.raises(ConsistencyError, match=re.escape(f"block {label}: polar factor is not unitary")):
-        build_perturbed(build_walk(coin), flux, kd)
+        build_perturbed(flux, kd)
 
 
 def test_paired_kernels_give_finite_rank_part():
@@ -201,11 +198,10 @@ def test_paired_kernels_give_finite_rank_part():
     net = NetworkSpec(incoming=(g,), outgoing=(r,))
     coin = synthesize_lead_coin(net, random_background(rng, 2, box=3))
     flux = build_walk_flux(build_walk(coin), network_projection(net))
-    walk = build_walk(coin)
     kd = extract_kernels(flux)
     assert kd.index == 0 and kd.multiplicity == 0
     assert len(kd.paired) == len(kd.small) == 1
-    perturbed = build_perturbed(walk, flux, kd)
+    perturbed = build_perturbed(flux, kd)
     report = verify_shift_structure(perturbed, k_max=15)
     assert report.finite_rank == report.expected_rank == 1
     assert report.unitary_defect <= 1e-10
@@ -220,9 +216,8 @@ def test_remainder_bound_with_nonzero_small_flux():
     flux = build_walk_flux(build_walk(coin), network_projection(net))
     small = flux.spectrum.phi_less
     assert small > 0.05
-    walk = build_walk(coin)
     kd = extract_kernels(flux)
-    perturbed = build_perturbed(walk, flux, kd)
+    perturbed = build_perturbed(flux, kd)
     report = verify_shift_structure(perturbed, k_max=15)
     assert report.ok
     assert 0 < report.remainder_norm <= 3 * small
@@ -259,9 +254,8 @@ def test_cc_shift_decomposition_with_trace_class_flux():
     report, flux = cc_index(field, path)
     assert abs(report.index) == 1
     assert flux.tail_zero
-    unitary = CCUnitary(field)
     kd = extract_kernels(flux)
-    perturbed = build_perturbed(unitary, flux, kd)
+    perturbed = build_perturbed(flux, kd)
     sreport = verify_shift_structure(perturbed, k_max=25)
     assert sreport.ok
     assert sreport.multiplicity == 1

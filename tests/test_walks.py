@@ -1,4 +1,6 @@
+import itertools
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -225,7 +227,7 @@ def test_single_lead_flux_is_rank_one():
     pulled = walk.apply_adjoint(head)
     psi = random_state(rng, [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)], 4)
     expected = pulled.scaled(pulled.inner(psi))
-    assert (flux.apply(psi) - expected).norm() < 1e-12
+    assert (ref.flux_apply(flux, psi) - expected).norm() < 1e-12
 
 
 def test_single_incoming_lead_flux_is_negative_head_projection():
@@ -238,7 +240,7 @@ def test_single_incoming_lead_flux_is_negative_head_projection():
     end = LatticeState.basis((0, 0), index_of_vector((0, -1)), 4)
     psi = random_state(rng, [(x, y) for x in (-1, 0, 1) for y in (-1, 0, 1)], 4)
     expected = end.scaled(end.inner(psi)).scaled(-1.0)
-    assert (flux.apply(psi) - expected).norm() < 1e-12
+    assert (ref.flux_apply(flux, psi) - expected).norm() < 1e-12
 
 
 def test_lead_additivity_over_disjoint_projections():
@@ -267,22 +269,24 @@ def test_wandering_along_leads():
 
 
 def test_wandering_failure_detected():
-    # a coin fixing a direction at one site loops the walker when the shift
-    # cannot move it coherently; an eigen-seed of U has constant overlap
-    theta = np.pi / 2
-    rot = np.array([[0, -1], [1, 0]], dtype=complex)
-    coin = SiteMap(1, background=rot)
-    walk = build_walk(coin)
-    # build a 2-site eigenvector of the walk numerically
-    from fluxwalk.operators import matrix_on_window
-
-    m = matrix_on_window(walk, [(0,), (1,)])
-    evals, evecs = np.linalg.eig(m)
-    idx = int(np.argmax(np.abs(np.abs(evals) - 0) < 2))  # any eigenvector
-    vec = evecs[:, 0]
-    psi = LatticeState(2, {(0,): vec[0:2], (1,): vec[2:4]}).normalized()
-    rep = verify_wandering(walk, psi, 5)
+    # the swap coin sends +e to -e and -e back to -(+e): the walker started
+    # on a lead's head returns to it, up to sign, every second step, so it
+    # neither wanders nor travels along the lead
+    lead = LeadSpec("outgoing", [(0,)], (1,))
+    walk = build_walk(SiteMap(1, background=np.array([[0, -1], [1, 0]], dtype=complex)))
+    rep = verify_wandering(walk, lead, 5)
+    assert rep.overlaps == [0.0, 1.0, 0.0, 1.0, 0.0]
+    assert rep.worst_step == 2 and rep.max_overlap == 1.0
+    assert not rep.transport_ok and rep.transport_defect == 1.0
     assert not rep.ok
+    # a map that moves the walker along the lead exactly and keeps a copy on
+    # the head, not unitary, passes the transport check and fails on the
+    # overlap alone
+    head, t = LatticeState.basis((0,), 0, 2), itertools.count(2)
+    echo = SimpleNamespace(n_internal=2, apply=lambda psi: head + LatticeState.basis(lead.site(next(t)), 0, 2))
+    rep = verify_wandering(echo, lead, 3)
+    assert rep.transport_ok and rep.transport_defect == 0.0
+    assert rep.overlaps == [1.0, 1.0, 1.0] and not rep.ok
 
 
 def test_random_networks_index(subtests=None):
