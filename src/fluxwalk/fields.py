@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Sequence
@@ -111,15 +112,15 @@ class Ray:
         if sum(map(abs, self.step)) != 1 or sum(map(abs, other.step)) != 1:
             raise ValidationError("rays must take unit lattice steps to meet")
         offset = sub(other.base, self.base)
-        k = sum(o * s for o, s in zip(offset, self.step))
-        if other.step in (self.step, tuple(-c for c in self.step)):
+        k = sum(map(operator.mul, offset, self.step))
+        if other.step in (self.step, tuple(map(operator.neg, self.step))):
             if offset != tuple(k * s for s in self.step):
                 return None  # parallel lines
             if other.step == self.step:
                 return Ray(other.base if k >= 0 else self.base, self.step)
             return [self.site_at(t) for t in range(k + 1)] if k >= 0 else None
         # rays along different axes share at most one site
-        k_other = -sum(o * s for o, s in zip(offset, other.step))
+        k_other = -sum(map(operator.mul, offset, other.step))
         if k >= 0 and k_other >= 0 and self.site_at(k) == other.site_at(k_other):
             return [self.site_at(k)]
         return None
@@ -304,13 +305,14 @@ class SiteMap:
 
     @cached_property
     def _bounds(self) -> tuple[list[int], list[int]]:
-        marks = [(p.axis, p.value) for p, _ in self.planes]
-        marks += [(h.axis, h.sign * h.threshold) for h, _ in self.halfspaces]
-        axial = np.zeros((self.d, len(marks) + 1), dtype=np.int64)
-        axial[[axis for axis, _ in marks], range(len(marks))] = [v for _, v in marks]
-        bases = np.array([ray.base for ray, _ in self.rays], dtype=np.int64).reshape(-1, self.d)
-        coords = np.concatenate([self.window_coords, bases.T, axial], axis=1)
-        return coords.min(axis=1).tolist(), coords.max(axis=1).tolist()
+        window = self.window_coords
+        corners = [window.min(axis=1).tolist(), window.max(axis=1).tolist()] if window.size else []
+        points = [[0] * self.d, *corners, *(ray.base for ray, _ in self.rays)]
+        lo, hi = [int(min(c)) for c in zip(*points)], [int(max(c)) for c in zip(*points)]
+        marks = [(p.axis, p.value) for p, _ in self.planes] + [(h.axis, h.sign * h.threshold) for h, _ in self.halfspaces]
+        for axis, value in marks:
+            lo[axis], hi[axis] = min(lo[axis], int(value)), max(hi[axis], int(value))
+        return lo, hi
 
     def periods(self) -> list[int]:
         """Per-axis translation period of the tail structure.

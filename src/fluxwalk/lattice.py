@@ -21,6 +21,7 @@ deduplication of a site array through ``group_sites``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -52,21 +53,29 @@ def all_direction_vectors(d: int) -> tuple[Site, ...]:
     return tuple(direction_vector(k, d) for k in range(2 * d))
 
 
+# the slot of every unit step looked up so far: a lead looks one up per site
+_SLOTS: dict[Site, int] = {}
+
+
 def index_of_vector(step: Site) -> int:
     """Internal slot of a unit lattice step."""
-    nz = [(i, c) for i, c in enumerate(step) if c != 0]
-    if len(nz) != 1 or abs(nz[0][1]) != 1:
-        raise ValueError(f"{step!r} is not a unit lattice direction")
-    axis, sign = nz[0]
-    return direction_index(axis + 1, sign)
+    step = tuple(step)
+    slot = _SLOTS.get(step)
+    if slot is None:
+        nz = [(i, c) for i, c in enumerate(step) if c != 0]
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            raise ValueError(f"{step!r} is not a unit lattice direction")
+        axis, sign = nz[0]
+        slot = _SLOTS[step] = direction_index(axis + 1, sign)
+    return slot
 
 
 def add(a: Site, b: Site) -> Site:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def sub(a: Site, b: Site) -> Site:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 # Up to this many sites a per-site loop beats one array pass: a dict of site

@@ -145,19 +145,20 @@ def _interior_from_json(obj) -> dict:
     return interior
 
 
-def _lead_from_json(obj: dict) -> LeadSpec:
-    kind = _need(_object(obj, "lead", ("kind", "prefix", "ray")), "kind", "lead")
-    prefix = [_numbers(site, "lead site") for site in _list(_need(obj, "prefix", "lead"), "lead prefix")]
-    ray = _numbers(_need(obj, "ray", "lead"), "lead ray")
-    return LeadSpec(kind, prefix, ray)
+def _leads_from_json(obj: dict, side: str, d: int) -> tuple[LeadSpec, ...]:
+    """The ``side`` leads, named by side and place, with ``d`` integers in each site and ray."""
+    leads = []
+    for i, lead in enumerate(_list(obj.get(side, []), f"network {side}")):
+        name = f"{side}[{i}] lead"
+        kind = _need(_object(lead, name, ("kind", "prefix", "ray")), "kind", name)
+        prefix = [_numbers(site, f"{name} site", d) for site in _list(_need(lead, "prefix", name), f"{name} prefix")]
+        leads.append(LeadSpec(kind, prefix, _numbers(_need(lead, "ray", name), f"{name} ray", d)))
+    return tuple(leads)
 
 
-def _network_from_json(obj: dict, d_total: int | None = None) -> NetworkSpec:
-    incoming = tuple(map(_lead_from_json, _list(obj.get("incoming", []), "network incoming")))
-    outgoing = tuple(map(_lead_from_json, _list(obj.get("outgoing", []), "network outgoing")))
-    boundary = None
-    if _flag(obj.get("boundary", False), "projection boundary"):
-        boundary = BoundarySpec(d_total or 2)
+def _network_from_json(obj: dict, d_total: int) -> NetworkSpec:
+    incoming, outgoing = (_leads_from_json(obj, side, d_total) for side in ("incoming", "outgoing"))
+    boundary = BoundarySpec(d_total) if _flag(obj.get("boundary", False), "projection boundary") else None
     return validate_network(NetworkSpec(incoming=incoming, outgoing=outgoing, boundary=boundary))
 
 
@@ -425,7 +426,7 @@ def _checked_setup(spec: dict, tol: Tolerances = DEFAULT):
     if not isinstance(analyses, list) or not analyses:
         raise ValidationError("analyses must be a nonempty list")
     build_setup = {"walk": build_walk_setup, "cc": build_cc_setup}
-    if kind not in build_setup:
+    if not isinstance(kind, str) or kind not in build_setup:
         raise ValidationError(f"unknown scenario kind {kind!r}")
     _object(spec, "scenario", ("schema_version", "name", "description", "kind", "seed", *KEYS[kind], "analyses"))
     setup = build_setup[kind](spec, _rng(int(seed)), tol)

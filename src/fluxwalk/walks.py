@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,9 +153,13 @@ class LeadSpec:
     from the far end of the prefix in direction ``ray_dir`` (pointing toward
     infinity).
 
-    A lead never changes, so the geometry its callers read is computed on
-    first use and kept as read-only tuples: ``window_pairs``,
-    ``constraint_items`` and ``ray_family``.
+    A lead never changes, so the geometry its callers read is computed once,
+    in one chronological pass over the prefix, and kept as read-only tuples:
+    ``window_pairs`` (site, tangent) at every prefix site;
+    ``constraint_items`` (site, in_slot, out_slot) for the explicit part of
+    the conduction condition; ``ray_family`` (ray, constant tangent, its
+    slot) of the infinite tail, on which the coin must fix that slot.
+    ``site(t)`` and ``tangent(t)`` recompute one parameter's site.
     """
 
     kind: str
@@ -167,30 +171,40 @@ class LeadSpec:
             raise ValidationError(f"unknown lead kind {self.kind!r}")
         if not self.prefix:
             raise ValidationError("lead prefix must be nonempty")
-        object.__setattr__(self, "prefix", tuple(tuple(s) for s in self.prefix))
+        object.__setattr__(self, "prefix", tuple(map(tuple, self.prefix)))
         object.__setattr__(self, "ray_dir", tuple(self.ray_dir))
+        if set(map(len, self.prefix)) != {len(self.ray_dir)}:
+            raise ValidationError("lead sites and ray direction must have the same number of coordinates")
         try:
             index_of_vector(self.ray_dir)
         except ValueError:
             raise ValidationError("ray direction must be a unit lattice step") from None
-        steps = [sub(b, a) for a, b in zip(self.prefix, self.prefix[1:])]
-        for s in steps:
-            if sum(abs(c) for c in s) != 1:
-                raise ValidationError("lead prefix must take unit steps")
+        # the prefix with the ray's first site at its far end, in
+        # chronological order, and each site's tangent: the step into it,
+        # and for the first site the step out of it
+        if self.kind == "outgoing":
+            sites, end = (*self.prefix, add(self.prefix[-1], self.ray_dir)), -1
+        else:
+            sites, end = (add(self.prefix[0], self.ray_dir), *self.prefix), 0
+        steps = [sub(b, a) for a, b in zip(sites, sites[1:])]
+        try:
+            slots = [index_of_vector(s) for s in steps]
+        except ValueError:
+            raise ValidationError("lead prefix must take unit steps") from None
         if len(set(self.prefix)) != len(self.prefix):
             raise ValidationError("lead prefix revisits a site")
-        ray = self.ray_family[0]
+        ray = Ray(sites[end], self.ray_dir)
         for p in self.prefix:
             if ray.locate(p) is not None:
                 raise ValidationError("lead ray re-enters its own prefix")
+        m = len(self.prefix)
+        tangents = steps[:1] + steps
+        window = slice(0, m) if self.kind == "outgoing" else slice(1, m + 1)
+        object.__setattr__(self, "window_pairs", tuple(zip(sites[window], tangents[window])))
+        object.__setattr__(self, "constraint_items", tuple(zip(sites[:m], slots[:1] + slots, slots)))
+        object.__setattr__(self, "ray_family", (ray, steps[end], slots[end]))
 
     # -- parametrization ---------------------------------------------------
-
-    def _ray_base(self) -> Site:
-        """First pure-ray site (one step beyond the prefix end)."""
-        if self.kind == "outgoing":
-            return add(self.prefix[-1], self.ray_dir)
-        return add(self.prefix[0], self.ray_dir)
 
     def site(self, t: int) -> Site:
         m = len(self.prefix)
@@ -210,42 +224,6 @@ class LeadSpec:
         if self.kind == "outgoing" and t == 1:
             t = 2  # the head takes the tangent of the first step
         return sub(self.site(t), self.site(t - 1))
-
-    def head_pair(self) -> tuple[Site, Site]:
-        """(site, tangent) at the finite end of the lead."""
-        if self.kind == "outgoing":
-            return self.site(1), self.tangent(1)
-        return self.site(-1), self.tangent(-1)
-
-    def window_range(self) -> range:
-        m = len(self.prefix)
-        if self.kind == "outgoing":
-            return range(1, m + 1)
-        return range(-m, 0)
-
-    @cached_property
-    def window_pairs(self) -> tuple[tuple[Site, Site], ...]:
-        """(site, tangent) at every prefix site, in chronological order."""
-        return tuple((self.site(t), self.tangent(t)) for t in self.window_range())
-
-    @cached_property
-    def ray_family(self) -> tuple[Ray, Site, int]:
-        """(ray, constant tangent, its slot) of the infinite tail: on the ray
-        the coin must fix that slot."""
-        tangent = self.ray_dir if self.kind == "outgoing" else tuple(-c for c in self.ray_dir)
-        return Ray(self._ray_base(), self.ray_dir), tangent, index_of_vector(tangent)
-
-    @cached_property
-    def constraint_items(self) -> tuple[tuple[Site, int, int], ...]:
-        """(site, in_slot, out_slot) for the explicit part of the conduction
-        condition; the constant ray constraint is ``ray_family``."""
-        if self.kind == "outgoing":
-            ts = range(1, len(self.prefix) + 1)
-        else:
-            ts = range(-len(self.prefix) - 1, -1)  # t <= -2, plus first ray junction
-        return tuple(
-            (self.site(t), index_of_vector(self.tangent(t)), index_of_vector(self.tangent(t + 1))) for t in ts
-        )
 
 
 @dataclass(frozen=True)
@@ -290,11 +268,6 @@ class ValidNetwork(NetworkSpec):
     valid, and the functions needing a valid network take it unchecked."""
 
 
-def _ray_hits_pair(lead: LeadSpec, site: Site, tangent: Site) -> bool:
-    ray, ray_tangent, _ = lead.ray_family
-    return tangent == ray_tangent and ray.locate(site) is not None
-
-
 def validate_network(network: NetworkSpec) -> ValidNetwork:
     """Reject tangential crossings and off-boundary leads; the network,
     once accepted, as a ``ValidNetwork``."""
@@ -320,12 +293,13 @@ def validate_network(network: NetworkSpec) -> ValidNetwork:
                 )
             seen[key] = i
     # explicit pairs against other leads' rays
+    rays = [lead.ray_family for lead in leads]
     for i, lead in enumerate(leads):
-        for j, other in enumerate(leads):
+        for j, (ray, ray_tangent, _) in enumerate(rays):
             if i == j:
                 continue
             for site, tangent in lead.window_pairs:
-                if _ray_hits_pair(other, site, tangent):
+                if tangent == ray_tangent and ray.locate(site) is not None:
                     raise ValidationError(
                         f"tangential crossing at site {site} with tangent {tangent}"
                     )
@@ -376,24 +350,35 @@ def network_projection(network: NetworkSpec) -> AdaptedProjection:
 # coin synthesis
 
 
-def _complete_unitary(n: int, pairs: dict[int, int]) -> np.ndarray:
-    """Partial slot permutation completed deterministically.
+@lru_cache(maxsize=4096)
+def _complete_unitary(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Partial slot permutation, (in, out) pairs, completed deterministically.
 
     Prescribed transitions get amplitude +1; remaining input slots map to the
     remaining output slots in increasing order (Gram-Schmidt over the slot
-    basis collapses to exactly this permutation).
+    basis collapses to exactly this permutation).  Leads prescribe the same
+    few transitions over and over, so each completion is built once and
+    shared read-only.
     """
-    outs = list(pairs.values())
+    outs = [o for _, o in pairs]
     if len(set(outs)) != len(outs):
         raise ValidationError(f"conflicting coin constraints: outputs {outs}")
-    free_in = [k for k in range(n) if k not in pairs]
+    ins = {i for i, _ in pairs}
+    free_in = [k for k in range(n) if k not in ins]
     free_out = [k for k in range(n) if k not in set(outs)]
     m = np.zeros((n, n), dtype=complex)
-    for i, o in pairs.items():
+    for i, o in (*pairs, *zip(free_in, free_out)):
         m[o, i] = 1.0
-    for i, o in zip(free_in, free_out):
-        m[o, i] = 1.0
+    m.setflags(write=False)
     return m
+
+
+def _run_length(ray: Ray, lo: Site, hi: Site) -> int:
+    """How many sites of ``ray`` lie in the box from ``lo`` to ``hi``: a
+    box is convex, so they are the first ones."""
+    if not all(l <= b <= h for b, l, h in zip(ray.base, lo, hi)):
+        return 0
+    return 1 + min((h - b) // s if s > 0 else (b - l) // -s for b, s, l, h in zip(ray.base, ray.step, lo, hi) if s)
 
 
 def synthesize_lead_coin(
@@ -444,30 +429,23 @@ def synthesize_lead_coin(
                 add_constraint(site, slot, slot)
 
     ray_layers = []
-    bg_lo, bg_hi = background.bounds()
+    lo, hi = background.bounds()
+    box_lo, box_hi = [x - 2 for x in lo], [x + 2 for x in hi]
 
-    def reflect_pairs(pairs: dict[int, int]) -> dict[int, int]:
+    def reflect_pairs(pairs: dict[int, int]) -> tuple[tuple[int, int], ...]:
         if boundary is not None:
             up, down = boundary.normal_slots()
-            pairs = dict(pairs)
-            pairs[up] = down
-            pairs[down] = up
-        return pairs
+            pairs = {**pairs, up: down, down: up}
+        return tuple(pairs.items())
 
     for ray, pairs in merged_tails:
         ray_layers.append((ray, [_complete_unitary(n, reflect_pairs(pairs))]))
     for ray, slot in ray_rules:
-        pairs = reflect_pairs({slot: slot})
-        ray_layers.append((ray, [_complete_unitary(n, pairs)]))
+        ray_layers.append((ray, [_complete_unitary(n, reflect_pairs({slot: slot}))]))
         # explicit entries where the ray passes through the background window,
         # so window precedence cannot shadow the conduction constraint
-        k = 0
-        while True:
-            site = ray.site_at(k)
-            if any(x < l - 2 or x > h + 2 for x, l, h in zip(site, bg_lo, bg_hi)):
-                break
-            add_constraint(site, slot, slot)
-            k += 1
+        for k in range(_run_length(ray, box_lo, box_hi)):
+            add_constraint(ray.site_at(k), slot, slot)
 
     if boundary is not None:
         up, down = boundary.normal_slots()
@@ -476,7 +454,8 @@ def synthesize_lead_coin(
                 add_constraint(site, up, down)
                 add_constraint(site, down, up)
 
-    coins = np.array([_complete_unitary(n, pairs) for pairs in constraints.values()], dtype=complex).reshape(-1, n, n)
+    completed = [_complete_unitary(n, tuple(pairs.items())) for pairs in constraints.values()]
+    coins = np.array(completed, dtype=complex).reshape(-1, n, n)
     coin = background.overridden(window=([*constraints], coins), rays=ray_layers)
     verify_lead_condition(coin, network, tol)
     return coin
@@ -543,7 +522,7 @@ def verify_wandering(
     to a phase."""
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    head, tangent = lead.head_pair()
+    head, tangent = lead.window_pairs[0 if lead.kind == "outgoing" else -1]
     seed = LatticeState.basis(head, index_of_vector(tangent), unitary.n_internal)
     sign = -1 if lead.kind == "incoming" else 1
     step = unitary.apply_adjoint if sign < 0 else unitary.apply

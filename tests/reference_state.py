@@ -43,6 +43,15 @@ field of one epsilon as ``cc.anomalous_transport`` built it before every
 capped field of an analysis took one cap reach: the epsilon's own reach.
 ``dict_merge`` is the window that ``SiteMap.overridden`` merged as a dict
 before a map kept its window in one form, a site array and its values.
+
+``check_lead`` runs the checks of the ``LeadSpec`` constructor as it ran
+them before a lead built its window pairs and junctions in one
+chronological pass, and ``junctions`` recomputes a lead's junctions from
+``LeadSpec.site`` and ``LeadSpec.tangent``.  ``synthesize_lead_coin`` is
+the synthesis that ``fluxwalk.walks`` ran before it kept each completed
+permutation coin and counted a ray's run through the background box:
+``complete_unitary`` builds a fresh coin per constrained site, and the run
+is walked site by site.
 """
 
 from __future__ import annotations
@@ -60,7 +69,7 @@ from fluxwalk.errors import DimensionMismatchError, EigenvalueAmbiguityError, Va
 from fluxwalk import lattice
 from fluxwalk.flux import TRIPWIRE_BOUND, UNIT_MODULUS_BOUND, VANISHING_FLUX_BOUND, max_block_norm
 from fluxwalk.fields import Ray, SiteMap
-from fluxwalk.lattice import LatticeState, SiteIndex, all_direction_vectors
+from fluxwalk.lattice import LatticeState, SiteIndex, add, all_direction_vectors, index_of_vector, sub
 from fluxwalk.operators import CoinedWalk
 from fluxwalk.walks import (
     boundary_projection_full,
@@ -743,3 +752,115 @@ def dict_merge(field: SiteMap, new: dict) -> dict:
     old = dict(zip(map(tuple, field.window_coords.T.tolist()), field.window_values))
     new = {tuple(k): v for k, v in new.items()}
     return {**new, **{k: v for k, v in old.items() if k not in new}}
+
+
+# ---------------------------------------------------------------------------
+# lead synthesis, one constraint and one completed coin at a time
+
+
+def check_lead(kind, prefix, ray_dir) -> None:
+    """The checks of the ``LeadSpec`` constructor on site tuples: the same
+    errors in the same order."""
+    if kind not in ("outgoing", "incoming"):
+        raise ValidationError(f"unknown lead kind {kind!r}")
+    if not prefix:
+        raise ValidationError("lead prefix must be nonempty")
+    prefix, ray_dir = tuple(tuple(s) for s in prefix), tuple(ray_dir)
+    try:
+        index_of_vector(ray_dir)
+    except ValueError:
+        raise ValidationError("ray direction must be a unit lattice step") from None
+    if any(sum(map(abs, sub(b, a))) != 1 for a, b in zip(prefix, prefix[1:])):
+        raise ValidationError("lead prefix must take unit steps")
+    if len(set(prefix)) != len(prefix):
+        raise ValidationError("lead prefix revisits a site")
+    ray = Ray(add(prefix[-1] if kind == "outgoing" else prefix[0], ray_dir), ray_dir)
+    if any(ray.locate(p) is not None for p in prefix):
+        raise ValidationError("lead ray re-enters its own prefix")
+
+
+def junctions(lead) -> tuple:
+    """(site, in_slot, out_slot) of the explicit conduction condition, from
+    the per-t site and tangent: t = 1..m outgoing, t = -m-1..-2 incoming."""
+    m = len(lead.prefix)
+    ts = range(1, m + 1) if lead.kind == "outgoing" else range(-m - 1, -1)
+    return tuple((lead.site(t), index_of_vector(lead.tangent(t)), index_of_vector(lead.tangent(t + 1))) for t in ts)
+
+
+def complete_unitary(n: int, pairs: dict) -> np.ndarray:
+    """A partial slot permutation completed deterministically: prescribed
+    transitions get amplitude +1, the remaining input slots map to the
+    remaining output slots in increasing order."""
+    outs = list(pairs.values())
+    if len(set(outs)) != len(outs):
+        raise ValidationError(f"conflicting coin constraints: outputs {outs}")
+    free_in = [k for k in range(n) if k not in pairs]
+    free_out = [k for k in range(n) if k not in set(outs)]
+    m = np.zeros((n, n), dtype=complex)
+    for i, o in pairs.items():
+        m[o, i] = 1.0
+    for i, o in zip(free_in, free_out):
+        m[o, i] = 1.0
+    return m
+
+
+def synthesize_lead_coin(network, background: SiteMap, tol=DEFAULT) -> SiteMap:
+    """The lead coin of a network taken unchecked, re-checked by
+    ``walks.verify_lead_condition``."""
+    leads = network.leads()
+    n = 2 * background.d
+    boundary = network.boundary
+    constraints: dict = {}
+
+    def add_constraint(site, slot_in, slot_out):
+        entry = constraints.setdefault(tuple(site), {})
+        if slot_in in entry and entry[slot_in] != slot_out:
+            raise ValidationError(
+                f"conflicting coin constraints at {site}: slot {slot_in} must map to "
+                f"both {entry[slot_in]} and {slot_out}"
+            )
+        entry[slot_in] = slot_out
+
+    for lead in leads:
+        for item in junctions(lead):
+            add_constraint(*item)
+    rules = [(ray, slot) for ray, _, slot in (lead.ray_family for lead in leads)]
+    tails = []
+    for i, (ray_i, slot_i) in enumerate(rules):
+        for ray_j, slot_j in rules[i + 1 :]:
+            where = ray_i.meet(ray_j)
+            if isinstance(where, Ray):
+                tails.append((where, {slot_i: slot_i, slot_j: slot_j}))
+            elif where:
+                for site in where:
+                    add_constraint(site, slot_i, slot_i)
+                    add_constraint(site, slot_j, slot_j)
+    for ray, slot in rules:
+        for site in list(constraints):
+            if ray.locate(site) is not None:
+                add_constraint(site, slot, slot)
+
+    def reflect(pairs):
+        if boundary is not None:
+            up, down = boundary.normal_slots()
+            pairs = {**pairs, up: down, down: up}
+        return pairs
+
+    layers = [(ray, [complete_unitary(n, reflect(pairs))]) for ray, pairs in tails]
+    lo, hi = background.bounds()
+    for ray, slot in rules:
+        layers.append((ray, [complete_unitary(n, reflect({slot: slot}))]))
+        k = 0
+        while all(l - 2 <= x <= h + 2 for x, l, h in zip(ray.site_at(k), lo, hi)):
+            add_constraint(ray.site_at(k), slot, slot)
+            k += 1
+    if boundary is not None:
+        up, down = boundary.normal_slots()
+        for site in list(constraints):
+            if site[boundary.axis] == 0:
+                add_constraint(site, up, down)
+                add_constraint(site, down, up)
+    coins = np.array([complete_unitary(n, pairs) for pairs in constraints.values()], dtype=complex).reshape(-1, n, n)
+    coin = background.overridden(window=([*constraints], coins), rays=layers)
+    verify_lead_condition(coin, network, tol)
+    return coin

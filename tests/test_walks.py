@@ -105,6 +105,14 @@ def test_lead_spec_validation():
         LeadSpec("sideways", [(0, 0)], (1, 0))
     with pytest.raises(ValidationError):
         LeadSpec("outgoing", [(0, 0)], (1, 1))  # not a lattice direction
+    with pytest.raises(ValidationError, match="ray direction must be a unit lattice step"):
+        LeadSpec("outgoing", [(0, 0)], (1.5, 0))
+    with pytest.raises(ValidationError, match="lead prefix must take unit steps"):
+        LeadSpec("outgoing", [(0, 0), (0.5, 0.5)], (1, 0))
+    with pytest.raises(ValidationError, match="same number of coordinates"):
+        LeadSpec("outgoing", [(0, 0), (1,)], (1, 0))
+    with pytest.raises(ValidationError, match="same number of coordinates"):
+        LeadSpec("outgoing", [(0, 0)], (1, 0, 0))
 
 
 def test_lead_parametrization_and_tangents():
@@ -130,8 +138,8 @@ def test_a_lead_keeps_its_geometry_as_the_per_t_recomputation(seed):
     network = random_network(np.random.default_rng(seed), 2, 2)
     for lead in network.leads():
         m, sign = len(lead.prefix), 1 if lead.kind == "outgoing" else -1
-        junctions = range(1, m + 1) if sign > 0 else range(-m - 1, -1)
-        pairs = tuple((lead.site(t), lead.tangent(t)) for t in lead.window_range())
+        window, junctions = (range(1, m + 1), range(1, m + 1)) if sign > 0 else (range(-m, 0), range(-m - 1, -1))
+        pairs = tuple((lead.site(t), lead.tangent(t)) for t in window)
         items = tuple(
             (lead.site(t), index_of_vector(lead.tangent(t)), index_of_vector(lead.tangent(t + 1))) for t in junctions
         )
