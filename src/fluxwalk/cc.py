@@ -211,32 +211,38 @@ class CCUnitary(LocalUnitary):
         ``CellGeometry.block`` takes them), column block f of psi, of ``1 +
         len(stacked)`` equal runs, goes through network f, this one first:
         one ``in_cells`` pass, each network's own ``value_index`` rows."""
-        return self._scatter(psi, False, stacked)
+        return self.step(psi, False, *(network.coins for network in (self, *stacked)))
 
     def apply_adjoint(self, psi: LatticeState, *stacked: "CCUnitary") -> LatticeState:
         """U* psi, column blocks as in ``apply``: one ``out_cells`` pass."""
-        return self._scatter(psi, True, stacked)
+        return self.step(psi, True, *(network.coins for network in (self, *stacked)))
 
-    def _scatter(self, psi: LatticeState, adjoint: bool, stacked: tuple) -> LatticeState:
+    def step(self, psi: LatticeState, adjoint: bool, *coins) -> LatticeState:
         """Send the amplitude at each point, sitting in slot k of cell z, to
         the two outgoing points of z with weights S(z)[k, :] (to the two
         incoming points with conj(S(z)[:, k]) for the adjoint), S its column
-        block's: one stacked S(z)^T per network for every point's cell, one
-        product for every column, one scatter."""
+        block's: ``coins[f]`` gives the stacked S(z)^T of column block f for
+        every point's cell (a network's ``coins``, or a shift check's
+        ``shift.SiteFrame.coins``), then one product for every column, one
+        scatter."""
         self._check(psi)
         points = psi.site_array
         if not len(points):
             return psi
         labels, k = (out_cells if adjoint else in_cells)(points)
-        networks, at = (self, *stacked), np.arange(len(points))
-        weights = np.empty((len(points), 2, len(networks), 1), dtype=complex)
-        for f, network in enumerate(networks):
-            transposed = network._transposed_table.take(network.scattering.value_index(labels), axis=0)
+        at = np.arange(len(points))
+        weights = np.empty((len(points), 2, len(coins), 1), dtype=complex)
+        for f, transposed in enumerate(cell_coins(labels) for cell_coins in coins):
             weights[:, :, f, 0] = transposed[at, k, :].conj() if adjoint else transposed[at, :, k]
         targets = (self.in_basis if adjoint else self.out_basis)(labels)
-        values = psi.value_array[:, 0].reshape(len(points), 1, len(networks), -1)
+        values = psi.value_array[:, 0].reshape(len(points), 1, len(coins), -1)
         amps = _scalar_products(weights, values)
         return LatticeState.scatter(1, targets, amps.reshape(len(points), 2, -1))
+
+    def frame_step(self, frame, psi: LatticeState, adjoint: bool) -> LatticeState:
+        """``step`` on the points of a ``shift.SiteFrame``'s keys, whose
+        cells read the frame's ``coins``."""
+        return frame.state(self.step(frame.on_sites(psi), adjoint, lambda labels: frame.coins(frame.keys(labels))))
 
 
 # every point of a cell's incoming or outgoing pair has the one slot 0

@@ -257,15 +257,6 @@ class SiteMap:
             out = np.where(hit, rows, out)
         return out
 
-    def distinct_values(self, sites) -> tuple[list, np.ndarray]:
-        """The distinct values met on an (M, d) site array, in table order,
-        and each site's position among them."""
-        rows = self.value_index(sites)
-        met = np.zeros(len(self.table), dtype=bool)
-        met[rows] = True
-        position = np.cumsum(met) - 1
-        return [self.table[r] for r in np.flatnonzero(met).tolist()], position[rows]
-
     def overridden(self, window: dict | tuple | None = None, rays=()) -> "SiteMap":
         """New map whose extra window entries and rays take precedence.
 

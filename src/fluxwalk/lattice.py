@@ -91,7 +91,9 @@ def sub(a: Site, b: Site) -> Site:
 #      64          108                   68               157          88
 #     512        1 033                  103             1 327         106
 DICT_GROUPING = 64
-# no ``SiteIndex`` grid covers more sites than this and eight per table row
+# no ``SiteIndex`` or ``group_sites`` grid covers more sites than this and
+# eight per table row or entry: filling and reading a grid of this many
+# cells costs about as much as sorting the bytes of 65 two-coordinate sites
 GRID_CELLS = 1 << 16
 # the grouping of a single entry, shared: callers only read what they get
 _SINGLE = np.zeros(1, dtype=np.intp)
@@ -108,9 +110,10 @@ def _box(coords: np.ndarray, border: int, cells: int):
     if not coords.size:
         return None
     low, high = coords.min(axis=1), coords.max(axis=1)
-    if low.min() <= -(1 << 62) or high.max() >= 1 << 62:
+    lo, hi = low.tolist(), high.tolist()
+    if min(lo) <= -(1 << 62) or max(hi) >= 1 << 62:
         return None
-    shape = (high - low + 2 * border + 1).tolist()
+    shape = [h - l + 2 * border + 1 for l, h in zip(lo, hi)]
     return (low - border, shape) if math.prod(shape) <= cells else None
 
 
@@ -121,10 +124,10 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Short arrays go through a dict of site tuples.  Longer ones find the
     first entry of each entry's site, on a grid over the box when the
-    bounding box holds at most eight sites per entry, and otherwise by
-    sorting the raw bytes of each row, a key that distinct sites never
-    share, however far out they lie; the entries that are their own first
-    open the rows, in entry order."""
+    bounding box holds at most ``GRID_CELLS`` sites or eight per entry, and
+    otherwise by sorting the raw bytes of each row, a key that distinct
+    sites never share, however far out they lie; the entries that are their
+    own first open the rows, in entry order."""
     if len(sites) == 1:
         return _SINGLE, _SINGLE
     if len(sites) <= DICT_GROUPING:
@@ -139,19 +142,21 @@ def group_sites(sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.array(first, dtype=np.intp), np.array(rows, dtype=np.intp)
     sites = np.ascontiguousarray(sites, dtype=np.int64)
     coords = np.ascontiguousarray(sites.T)
-    box = _box(coords, 0, 8 * len(sites))
+    box = _box(coords, 0, max(GRID_CELLS, 8 * len(sites)))
+    order = np.arange(len(sites))
     if box is None:
         keys = sites.view(np.dtype((np.void, 8 * sites.shape[1])))[:, 0]
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         first = first[inverse]
-    else:
-        low, shape = box
-        keys = np.ravel_multi_index(coords - low[:, None], shape)
-        first = np.full(math.prod(shape), len(sites), dtype=np.intp)
-        np.minimum.at(first, keys, np.arange(len(sites)))
-        first = first[keys]
-    opens = first == np.arange(len(sites))
-    return np.flatnonzero(opens), (np.cumsum(opens) - 1)[first]
+        opens = first == order
+        return np.flatnonzero(opens), (np.cumsum(opens) - 1)[first]
+    low, shape = box
+    keys = np.ravel_multi_index(coords - low[:, None], shape)
+    grid = np.full(math.prod(shape), len(sites), dtype=np.intp)
+    np.minimum.at(grid, keys, order)
+    opens = (grid[keys] == order).nonzero()[0]
+    grid[keys.take(opens)] = np.arange(len(opens))
+    return opens, grid[keys]
 
 
 class SiteIndex:
@@ -231,18 +236,6 @@ class SiteIndex:
         return (self._dict or self._lookup()).get(tuple(site))
 
 
-def scatter_rows(n_internal: int, basis, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The site and value arrays of ``LatticeState.scatter``."""
-    sites, slots = basis
-    amps = amps.reshape(-1, amps.shape[-1])
-    live = np.logical_or.reduce(amps, axis=1).nonzero()[0]
-    points = sites.reshape(-1, sites.shape[-1]).take(live, axis=0)
-    first, rows = group_sites(points)
-    values = np.zeros((len(first), n_internal, amps.shape[1]), dtype=complex)
-    np.add.at(values, (rows, slots.take(live % len(slots))), amps.take(live, axis=0))
-    return points.take(first, axis=0), values
-
-
 class LatticeState:
     """Finitely supported vectors over the (site, internal slot) basis, K of
     them side by side as columns (K = 1 for a single vector).
@@ -306,7 +299,14 @@ class LatticeState:
         They go into zeros one at a time in row-major order, as ``buf[slot]
         += amp`` does; those zero in every column are skipped, so rows come
         in order of each site's first nonzero amplitude."""
-        return cls(n_internal, *scatter_rows(n_internal, basis, amps))
+        sites, slots = basis
+        amps = amps.reshape(-1, amps.shape[-1])
+        live = np.logical_or.reduce(amps, axis=1).nonzero()[0]
+        points = sites.reshape(-1, sites.shape[-1]).take(live, axis=0)
+        first, rows = group_sites(points)
+        values = np.zeros((len(first), n_internal, amps.shape[1]), dtype=complex)
+        np.add.at(values, (rows, slots.take(live % len(slots))), amps.take(live, axis=0))
+        return cls(n_internal, points.take(first, axis=0), values)
 
     @classmethod
     def stack(cls, states) -> "LatticeState":
@@ -468,7 +468,12 @@ def random_state(rng: np.random.Generator, sites: Iterable[Site], n_internal: in
 def haar_unitaries(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     """(count, n, n) Haar-random unitaries, drawn from ``rng`` in the order
     of ``count`` ``haar_unitary`` calls and equal to them bit for bit."""
-    g = rng.standard_normal((count, 2, n, n))
+    return haar_from_normals(rng.standard_normal((count, 2, n, n)))
+
+
+def haar_from_normals(g: np.ndarray) -> np.ndarray:
+    """(count, n, n) Haar-random unitaries from (count, 2, n, n) standard
+    normal draws, each matrix's real parts, then its imaginary parts."""
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     phases = np.diagonal(r, axis1=1, axis2=2).copy()
     phases /= np.abs(phases)

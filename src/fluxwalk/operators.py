@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .fields import SiteMap
-from .lattice import DICT_GROUPING, LatticeState, all_direction_vectors, scatter_rows
+from .lattice import DICT_GROUPING, LatticeState, all_direction_vectors, group_sites
 
 
 class LocalUnitary:
@@ -27,6 +27,12 @@ class LocalUnitary:
 
     def apply_adjoint(self, psi: LatticeState) -> LatticeState:
         raise NotImplementedError
+
+    def coins(self, labels: np.ndarray) -> np.ndarray:
+        """The table entries of an (S, d) label array, stacked: one
+        ``table_rows`` lookup."""
+        table, rows = self.table_rows(labels)
+        return table.take(rows, axis=0)
 
     def _check(self, psi: LatticeState) -> None:
         if psi.n_internal != self.n_internal:
@@ -48,12 +54,12 @@ class CoinedWalk(LocalUnitary):
 
     The cells of ``flux.CellGeometry`` are the sites (``cell_labels``
     returns its input): the coin at x maps every slot of x onto slot k of
-    x + dir_k (``out_basis``).  ``table_rows`` gives the distinct coins of a
-    label array and the labels' rows among them (``coin.distinct_values``).
-    ``apply`` and ``apply_adjoint`` read their coins through ``coins``: one
-    ``coin.value`` call per site on states of at most ``DICT_GROUPING`` sites,
-    where that is cheaper than an array lookup, and one ``value_index`` into
-    the stacked table on longer ones, such as the iterates of a shift check.
+    x + dir_k (``out_basis``).  ``table_rows`` gives the stacked coin table
+    and each label's ``value_index`` row in it.  ``step`` is the one step
+    core: ``apply`` and ``apply_adjoint`` run it on sites with ``coins``
+    (one ``coin.value`` call per site on states of at most ``DICT_GROUPING``
+    sites, where that is cheaper than an array lookup, one ``value_index``
+    on longer ones), a shift check's ``shift.SiteFrame`` on its keys.
     """
 
     def __init__(self, coin: SiteMap):
@@ -76,7 +82,7 @@ class CoinedWalk(LocalUnitary):
         ``coin.value`` per site up to ``DICT_GROUPING`` sites, one
         ``value_index`` into the stacked table above."""
         if len(sites) > DICT_GROUPING:
-            return self._coin_table.take(self.coin.value_index(sites), axis=0)
+            return super().coins(sites)
         return np.array([self.coin.value(x) for x in sites.tolist()], dtype=complex)
 
     def in_basis(self, labels: np.ndarray):
@@ -87,29 +93,48 @@ class CoinedWalk(LocalUnitary):
         return np.asarray(labels, dtype=np.int64)[:, None, :] + self._step_array, self._slot_array
 
     def table_rows(self, labels: np.ndarray):
-        coins, which = self.coin.distinct_values(labels)
-        return np.array(coins, dtype=complex), which
+        return self._coin_table, self.coin.value_index(labels)
 
     def apply(self, psi: LatticeState) -> LatticeState:
-        """Coin every site in one stacked product, then scatter slot k of
-        each image one step along direction k."""
+        """Coin every site in one stacked product, then move slot k of each
+        image one step along direction k."""
         self._check(psi)
-        if not len(psi.value_array):
-            return psi
-        images = self.coins(psi.site_array) @ psi.value_array
-        targets = psi.site_array[:, None, :] + self._step_array
-        return LatticeState.scatter(self.n_internal, (targets, self._slot_array), images)
+        return self.step(psi, False, self.coins, self._step_array)
 
     def apply_adjoint(self, psi: LatticeState) -> LatticeState:
         """Gather slot k of each site from one step back along direction k,
         then apply every adjoint coin in one stacked product."""
         self._check(psi)
+        return self.step(psi, True, self.coins, self._step_array)
+
+    def step(self, psi: LatticeState, adjoint: bool, coins, moves: np.ndarray) -> LatticeState:
+        """``apply``, or ``apply_adjoint``, of a state whose sites move by
+        ``moves[k]`` along direction k, with the (S, n, n) coin stack of an
+        (S, ...) site array from ``coins``.  Every (target, slot) pair takes
+        one amplitude, written into zeros and then added to 0.0, which gives
+        the bits of adding it."""
         if not len(psi.value_array):
             return psi
-        sources = psi.site_array[:, None, :] - self._step_array
-        sites, gathered = scatter_rows(self.n_internal, (sources, self._slot_array), psi.value_array)
-        adjoints = self.coins(sites).conj().transpose(0, 2, 1)
-        return LatticeState(self.n_internal, sites, adjoints @ gathered)
+        sites, values = psi.site_array, psi.value_array
+        if not adjoint:
+            values = coins(sites) @ values
+        flat = values.reshape(-1, values.shape[2])
+        live = np.logical_or.reduce(flat, axis=1).nonzero()[0]
+        targets = sites[:, None, :] - moves if adjoint else sites[:, None, :] + moves
+        targets = targets.reshape(-1, sites.shape[1]).take(live, axis=0)
+        first, rows = group_sites(targets)
+        out = np.zeros((len(first), self.n_internal, flat.shape[1]), dtype=complex)
+        out[rows, live % self.n_internal] = flat.take(live, axis=0)
+        out += 0.0
+        sites = targets.take(first, axis=0)
+        if adjoint:
+            out = coins(sites).conj().transpose(0, 2, 1) @ out
+        return LatticeState(self.n_internal, sites, out)
+
+    def frame_step(self, frame, psi: LatticeState, adjoint: bool) -> LatticeState:
+        """``step`` on the (S, 1) keys of a ``shift.SiteFrame``, by its key
+        offsets and with its coins."""
+        return self.step(psi, adjoint, frame.coins, frame.steps)
 
 
 def compress(apply, sites, n: int) -> np.ndarray:

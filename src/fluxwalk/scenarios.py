@@ -15,6 +15,7 @@ shared.  The same file and seed produce byte-identical reports.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -146,11 +147,14 @@ def _interior_from_json(obj) -> dict:
 
 
 def _leads_from_json(obj: dict, side: str, d: int) -> tuple[LeadSpec, ...]:
-    """The ``side`` leads, named by side and place, with ``d`` integers in each site and ray."""
+    """The ``side`` leads, named by side and place, each of kind ``side``
+    and with ``d`` integers in each site and ray."""
     leads = []
     for i, lead in enumerate(_list(obj.get(side, []), f"network {side}")):
         name = f"{side}[{i}] lead"
         kind = _need(_object(lead, name, ("kind", "prefix", "ray")), "kind", name)
+        if kind != side:
+            raise ValidationError(f"{name} kind must be {json.dumps(side)}, got {json.dumps(kind, default=repr)}")
         prefix = [_numbers(site, f"{name} site", d) for site in _list(_need(lead, "prefix", name), f"{name} prefix")]
         leads.append(LeadSpec(kind, prefix, _numbers(_need(lead, "ray", name), f"{name} ray", d)))
     return tuple(leads)

@@ -33,8 +33,8 @@ from .lattice import (
     add,
     all_direction_vectors,
     direction_index,
+    haar_from_normals,
     haar_unitaries,
-    haar_unitary,
     index_of_vector,
     random_state,
     sub,
@@ -563,28 +563,30 @@ def boundary_projection_full(d_total: int) -> AdaptedProjection:
 def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> SiteMap:
     """Coin that reflects the normal on the plane x_last = 0 and is otherwise
     arbitrary: random tangent blocks on the plane, random bulk coins inside a
-    finite box, identity far away."""
+    finite box, identity far away.  Each box site in turn, then the plane,
+    takes one Haar draw (a tangent block on the plane, a bulk coin off it):
+    one ``standard_normal`` block split per draw, one QR per matrix size."""
     b = BoundarySpec(d_total)
     n = 2 * d_total
     up, down = b.normal_slots()
-    tangents = b.tangent_slots()
-
-    def reflecting(tangent_block: np.ndarray) -> np.ndarray:
-        m = np.zeros((n, n), dtype=complex)
-        m[down, up] = 1.0
-        m[up, down] = 1.0
-        for a, sa in enumerate(tangents):
-            for c, sc in enumerate(tangents):
-                m[sc, sa] = tangent_block[c, a]
-        return m
-
+    tangents = np.array(b.tangent_slots(), dtype=np.intp)
     sites = list(itertools.product(*([range(-box, box + 1)] * d_total)))
-    coins = [reflecting(haar_unitary(rng, len(tangents))) if s[b.axis] == 0 else haar_unitary(rng, n) for s in sites]
-    plane_matrix = reflecting(haar_unitary(rng, len(tangents)))
+    on_plane = np.array([s[b.axis] == 0 for s in sites] + [True])
+    sizes = np.where(on_plane, 2 * len(tangents) ** 2, 2 * n * n)
+    draws, starts = rng.standard_normal(int(sizes.sum())), np.cumsum(sizes) - sizes
+    blocks, bulk = (
+        haar_from_normals(draws[starts[ours, None] + np.arange(2 * m * m)].reshape(ours.sum(), 2, m, m))
+        for ours, m in ((on_plane, len(tangents)), (~on_plane, n))
+    )
+    reflecting = np.zeros((len(blocks), n, n), dtype=complex)
+    reflecting[:, down, up] = reflecting[:, up, down] = 1.0
+    reflecting[:, tangents[:, None], tangents] = blocks
+    coins = np.empty((len(sites), n, n), dtype=complex)
+    coins[on_plane[:-1]], coins[~on_plane[:-1]] = reflecting[:-1], bulk
     return SiteMap(
         d_total,
         window=(sites, coins),
-        planes=[(Plane(b.axis, 0), plane_matrix)],
+        planes=[(Plane(b.axis, 0), reflecting[-1])],
         background=np.eye(n, dtype=complex),
     )
 

@@ -44,6 +44,13 @@ capped field of an analysis took one cap reach: the epsilon's own reach.
 ``dict_merge`` is the window that ``SiteMap.overridden`` merged as a dict
 before a map kept its window in one form, a site array and its values.
 
+``perturbed_correction``, ``perturbed_apply`` and
+``perturbed_apply_adjoint`` are the actions of ``shift.PerturbedUnitary`` on
+lattice states, and ``shift_check`` the shift check that drove them one
+``LatticeState`` per step before it ran on a site frame.
+``reflecting_coin`` draws one Haar unitary per site, as ``walks`` did before
+it drew a reflecting coin's unitaries in one block.
+
 ``check_lead`` runs the checks of the ``LeadSpec`` constructor as it ran
 them before a lead built its window pairs and junctions in one
 chronological pass, and ``junctions`` recomputes a lead's junctions from
@@ -66,9 +73,9 @@ import numpy as np
 from fluxwalk.cc import FULL_REFLECTION, FULL_TRANSMISSION, CCUnitary, RegionSplit, ScatteringParams, _deep_cell_ray
 from fluxwalk.config import DEFAULT
 from fluxwalk.errors import DimensionMismatchError, EigenvalueAmbiguityError, ValidationError
-from fluxwalk import lattice
+from fluxwalk import lattice, walks
 from fluxwalk.flux import TRIPWIRE_BOUND, UNIT_MODULUS_BOUND, VANISHING_FLUX_BOUND, max_block_norm
-from fluxwalk.fields import Ray, SiteMap
+from fluxwalk.fields import Plane, Ray, SiteMap
 from fluxwalk.lattice import LatticeState, SiteIndex, add, all_direction_vectors, index_of_vector, sub
 from fluxwalk.operators import CoinedWalk
 from fluxwalk.walks import (
@@ -864,3 +871,118 @@ def synthesize_lead_coin(network, background: SiteMap, tol=DEFAULT) -> SiteMap:
     coin = background.overridden(window=([*constraints], coins), rays=layers)
     verify_lead_condition(coin, network, tol)
     return coin
+
+
+# ---------------------------------------------------------------------------
+# the shift check one lattice state per step
+
+
+def perturbed_correction(perturbed, psi: LatticeState, adjoint: bool) -> LatticeState:
+    """A psi = psi - F psi + (U0 - 1)Q0 psi on a lattice state, as
+    ``PerturbedUnitary`` applied it: F only when there are swapped pairs, the
+    block maps through ``CellGeometry.apply_blocks`` only when one is nonzero."""
+    diffs = perturbed._diffs
+    out = psi - diffs.combine(diffs.gram(psi)) if diffs.n_columns else psi
+    if not len(perturbed._map_stack):
+        return out
+    return out + perturbed.flux.geometry.apply_blocks(psi, perturbed._map_index.rows, [perturbed._map_stack], adjoint)
+
+
+def perturbed_apply(perturbed, psi: LatticeState) -> LatticeState:
+    return perturbed.base.apply(perturbed_correction(perturbed, psi, False))
+
+
+def perturbed_apply_adjoint(perturbed, psi: LatticeState) -> LatticeState:
+    return perturbed_correction(perturbed, perturbed.base.apply_adjoint(psi), True)
+
+
+def shift_check(perturbed, k_max: int = 30):
+    """``(report, halves)`` of ``shift.verify_shift_structure`` as it ran
+    before the site frame: every step a ``LatticeState`` through the
+    unitary's ``apply``/``apply_adjoint`` and the correction above."""
+    from fluxwalk.shift import PROBE_FLOOR, REMAINDER_SLACK, ShiftReport
+
+    kernels, tol, flux = perturbed.kernels, perturbed.tol, perturbed.flux
+    geom, mult = flux.geometry, kernels.multiplicity
+    rng = np.random.default_rng(11)
+    psi = geom.probe_states(rng)
+    image = perturbed_apply(perturbed, psi)
+    round_trip = perturbed_apply_adjoint(perturbed, image) - psi
+    unitary_defect = float(max(np.abs(image.norms() - 1.0).max(), round_trip.norms().max()))
+    basis = LatticeState.stack([LatticeState.zero(geom.state_dim, 0), *kernels.wandering])
+    forward, backward = [basis], [basis]
+    for _ in range(k_max):
+        forward.append(perturbed_apply(perturbed, forward[-1]))
+        backward.append(perturbed_apply_adjoint(perturbed, backward[-1]))
+    halves = [LatticeState.stack(forward), LatticeState.stack(backward[1:])]
+    gram = np.block([[a.gram(b) for b in halves] for a in halves])
+    gram_defect = float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
+    no_return_defect = float(np.abs(gram[:mult, mult : (k_max + 1) * mult]).max(initial=0.0))
+    psi = geom.probe_states(rng)
+    for half in halves:
+        psi = psi - half.combine(half.gram(psi))
+    nrm = psi.norms()
+    kept = np.flatnonzero(nrm >= PROBE_FLOOR)
+    psi = psi.combine(np.eye(len(nrm))[:, kept] / nrm[kept])
+    chopped = psi - basis.combine(basis.gram(psi))
+    p_psi = geom.proj.apply(psi)
+    p_chopped = p_psi - basis.combine(basis.gram(p_psi))
+    lhs = perturbed_apply(perturbed, p_chopped)
+    rhs = geom.proj.apply(perturbed_apply(perturbed, chopped))
+    commute_defect = float((lhs - rhs).norms().max(initial=0.0))
+    remainder = perturbed.correction_minus_finite_rank_norm()
+    small = flux.spectrum.phi_less
+    expected_rank = len(kernels.small)
+    finite_rank = perturbed.finite_rank_rank()
+    report = ShiftReport(
+        ok=(
+            unitary_defect <= tol.shift_check
+            and gram_defect <= tol.shift_check
+            and no_return_defect <= tol.shift_check
+            and commute_defect <= tol.shift_check
+            and finite_rank == expected_rank
+            and remainder <= 3.0 * small + REMAINDER_SLACK
+        ),
+        multiplicity=mult,
+        steps=k_max,
+        unitary_defect=unitary_defect,
+        gram_defect=gram_defect,
+        no_return_defect=no_return_defect,
+        commute_defect=commute_defect,
+        remainder_norm=remainder,
+        small_flux_norm=small,
+        finite_rank=finite_rank,
+        expected_rank=expected_rank,
+    )
+    return report, halves
+
+
+def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> SiteMap:
+    """Coin that reflects the normal on the plane x_last = 0 and is otherwise
+    arbitrary: random tangent blocks on the plane, random bulk coins inside a
+    finite box, identity far away: one ``haar_unitary`` draw per box site,
+    then one for the plane, as ``walks.reflecting_coin`` drew them before it
+    split one ``standard_normal`` block and ran one QR per matrix size."""
+    b = walks.BoundarySpec(d_total)
+    n = 2 * d_total
+    up, down = b.normal_slots()
+    tangents = b.tangent_slots()
+
+    def reflecting(tangent_block: np.ndarray) -> np.ndarray:
+        m = np.zeros((n, n), dtype=complex)
+        m[down, up] = 1.0
+        m[up, down] = 1.0
+        for a, sa in enumerate(tangents):
+            for c, sc in enumerate(tangents):
+                m[sc, sa] = tangent_block[c, a]
+        return m
+
+    sites = list(itertools.product(*([range(-box, box + 1)] * d_total)))
+    coins = [reflecting(lattice.haar_unitary(rng, len(tangents))) if s[b.axis] == 0 else lattice.haar_unitary(rng, n) for s in sites]
+    plane_matrix = reflecting(lattice.haar_unitary(rng, len(tangents)))
+    return SiteMap(
+        d_total,
+        window=(sites, coins),
+        planes=[(Plane(b.axis, 0), plane_matrix)],
+        background=np.eye(n, dtype=complex),
+    )

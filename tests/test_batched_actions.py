@@ -36,7 +36,7 @@ from fluxwalk.fields import SiteMap
 from fluxwalk.lattice import DICT_GROUPING, LatticeState, SiteIndex
 from fluxwalk.operators import matrix_on_window
 from fluxwalk.flux import CellGeometry
-from fluxwalk.shift import PerturbedUnitary, build_perturbed, extract_kernels, verify_shift_structure
+from fluxwalk.shift import SiteFrame, build_perturbed, extract_kernels, verify_shift_structure
 from fluxwalk.walks import (
     LeadSpec,
     NetworkSpec,
@@ -344,7 +344,12 @@ def test_perturbed_unitary_acts_on_k_columns_as_on_each(seed):
     perturbed = perturbed_model()
     states = _states(perturbed.flux, seed, count=3)
     stacked = LatticeState.stack(states)
-    for action in (perturbed.apply, perturbed.apply_adjoint):
+    frame = SiteFrame(perturbed, states, 2)
+    for adjoint in (False, True):
+
+        def action(psi):
+            return frame.on_sites(frame.apply(frame.state(psi), adjoint))
+
         assert_columns_match(action(stacked), [action(psi) for psi in states])
 
 
@@ -361,9 +366,18 @@ def paired_model():
     return build_perturbed(flux, extract_kernels(flux))
 
 
+def with_cell_maps(perturbed, seed):
+    """A copy of ``perturbed`` whose block maps are ``random_cell_maps``."""
+    mapped = copy.copy(perturbed)
+    _, rows_of, mapped._map_stack = random_cell_maps(mapped.flux, np.random.default_rng(seed))
+    mapped._map_index = rows_of.__self__
+    return mapped
+
+
 def unconditional_correction(perturbed, psi, adjoint):
-    """psi - F psi + M psi with every term applied, F psi from the stacked
-    product, as the correction ran before it skipped empty terms."""
+    """psi - F psi + M psi on a lattice state with every term applied, F psi
+    from the stacked product, as the correction ran before it skipped empty
+    terms."""
     diffs = perturbed._diffs
     out = psi - diffs.with_values(diffs.value_array @ diffs.gram(psi))
     return out + perturbed.flux.geometry.apply_blocks(psi, perturbed._map_index.rows, [perturbed._map_stack], adjoint)
@@ -371,20 +385,20 @@ def unconditional_correction(perturbed, psi, adjoint):
 
 def count_correction_terms(monkeypatch):
     """Counts of the ``gram`` and ``apply_blocks`` calls that
-    ``PerturbedUnitary._correction`` makes while the patches hold."""
+    ``SiteFrame._correct`` makes while the patches hold."""
     calls = {"gram": 0, "apply_blocks": 0}
     gram, apply_blocks = LatticeState.gram, CellGeometry.apply_blocks
 
     def from_correction():
-        return sys._getframe(2).f_code is PerturbedUnitary._correction.__code__
+        return sys._getframe(2).f_code is SiteFrame._correct.__code__
 
     def counted_gram(self, other):
         calls["gram"] += from_correction()
         return gram(self, other)
 
-    def counted_apply_blocks(self, psi, rows_of, stacks, adjoint=False):
+    def counted_apply_blocks(self, *args):
         calls["apply_blocks"] += from_correction()
-        return apply_blocks(self, psi, rows_of, stacks, adjoint)
+        return apply_blocks(self, *args)
 
     monkeypatch.setattr(LatticeState, "gram", counted_gram)
     monkeypatch.setattr(CellGeometry, "apply_blocks", counted_apply_blocks)
@@ -396,9 +410,11 @@ def test_a_correction_without_pairs_or_maps_returns_its_input(monkeypatch):
     # correction is the identity, and a whole shift check forms no term of it
     perturbed = perturbed_model()
     assert perturbed._diffs.n_columns == 0 and len(perturbed._map_stack) == 0
-    psi = LatticeState.stack(_short_and_long_states(perturbed.flux, 5))
+    states = _short_and_long_states(perturbed.flux, 5)
+    frame = SiteFrame(perturbed, states, 2)
+    psi = frame.state(LatticeState.stack(states))
     for adjoint in (False, True):
-        assert perturbed._correction(psi, adjoint) is psi
+        assert frame._correct(psi, adjoint) is psi
     calls = count_correction_terms(monkeypatch)
     assert verify_shift_structure(perturbed).ok
     assert calls == {"gram": 0, "apply_blocks": 0}
@@ -410,11 +426,11 @@ def test_the_counters_see_the_terms_a_correction_forms(monkeypatch):
     calls = count_correction_terms(monkeypatch)
     assert verify_shift_structure(paired_model(), k_max=15).ok
     assert calls["gram"] > 0 and calls["apply_blocks"] == 0
-    mapped = copy.copy(perturbed_model())
-    _, rows_of, mapped._map_stack = random_cell_maps(mapped.flux, np.random.default_rng(3))
-    mapped._map_index = SimpleNamespace(rows=rows_of)
+    mapped = with_cell_maps(perturbed_model(), 3)
+    states = _states(mapped.flux, 3)
+    frame = SiteFrame(mapped, states, 2)
     calls.update(gram=0, apply_blocks=0)
-    mapped.apply(LatticeState.stack(_states(mapped.flux, 3)))
+    frame.apply(frame.state(LatticeState.stack(states)))
     assert len(mapped._map_stack) and calls == {"gram": 0, "apply_blocks": 1}
 
 
@@ -422,15 +438,18 @@ def test_the_counters_see_the_terms_a_correction_forms(monkeypatch):
 @settings(max_examples=8, deadline=None)
 @given(seed=seeds)
 def test_a_correction_with_pairs_or_maps_is_the_unconditional_one(pairs, maps, seed):
-    perturbed = copy.copy(paired_model() if pairs else perturbed_model())
+    # the frame's correction, which skips the empty terms and the cells its
+    # state does not meet, has the bits and rows of every term applied to
+    # the lattice state
+    perturbed = paired_model() if pairs else perturbed_model()
     if maps:
-        _, rows_of, matrices = random_cell_maps(perturbed.flux, np.random.default_rng(seed))
-        assume(len(matrices))
-        perturbed._map_index, perturbed._map_stack = SimpleNamespace(rows=rows_of), matrices
+        perturbed = with_cell_maps(perturbed, seed)
+        assume(len(perturbed._map_stack))
     assert bool(perturbed._diffs.n_columns) == pairs and bool(len(perturbed._map_stack)) == maps
     psi = LatticeState.stack(_short_and_long_states(perturbed.flux, seed))
+    frame = SiteFrame(perturbed, [psi], 2)
     for adjoint in (False, True):
-        got, want = perturbed._correction(psi, adjoint), unconditional_correction(perturbed, psi, adjoint)
+        got, want = frame.on_sites(frame._correct(frame.state(psi), adjoint)), unconditional_correction(perturbed, psi, adjoint)
         assert got.site_array.tobytes() == want.site_array.tobytes()
         assert got.value_array.tobytes() == want.value_array.tobytes()
 

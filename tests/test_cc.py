@@ -275,10 +275,9 @@ def test_scattering_table_is_stacked_once_per_unitary(monkeypatch):
     counted = cached_property(lambda self: builds.append(self) or table.func(self))
     counted.__set_name__(CCUnitary, "_transposed_table")
     monkeypatch.setattr(CCUnitary, "_transposed_table", counted)
-    # block assembly reads the table through table_rows, the actions through _scatter
-    for name in ("table_rows", "_scatter"):
-        original = getattr(CCUnitary, name)
-        monkeypatch.setattr(CCUnitary, name, lambda self, *a, _o=original, **kw: reads.append(self) or _o(self, *a, **kw))
+    # block assembly and the actions (through coins) read the table through table_rows
+    original = CCUnitary.table_rows
+    monkeypatch.setattr(CCUnitary, "table_rows", lambda self, *a, **kw: reads.append(self) or original(self, *a, **kw))
     window = random_phase_window(np.random.default_rng(3), 0.3, range(-4, 5), range(-4, 5))
     cc_flux([SiteMap(2, window=window, background=params_r(0.3))], straight_r_path())
     assert len(builds) == 1

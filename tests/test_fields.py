@@ -330,8 +330,6 @@ def test_array_lookups_match_the_scalar_ones(maps):
     sites = _probe_sites(tags.d)
     points = list(map(tuple, sites.tolist()))
     assert [tags.table[i] for i in tags.value_index(sites)] == [tags.value(s) for s in points]
-    values, which = tags.distinct_values(sites)
-    assert [values[i] for i in which] == [tags.value(s) for s in points]
     hat = proj.shift_conjugate()
     for p in (proj, hat, proj.complement(), hat.complement(), hat.shift_conjugate()):
         masks = (p.slot_bits(sites)[:, None] >> np.arange(2 * tags.d, dtype=np.uint64)) & 1

@@ -217,6 +217,30 @@ def test_a_lead_coordinate_count_is_checked_against_the_geometry(tmp_path, capsy
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, side, kind, message",
+    [
+        ("two_outgoing_leads", "outgoing", "incoming", 'outgoing[0] lead kind must be "outgoing", got "incoming"'),
+        ("two_incoming_leads", "incoming", "outgoing", 'incoming[0] lead kind must be "incoming", got "outgoing"'),
+        ("lead_in_out", "incoming", "sideways", 'incoming[0] lead kind must be "incoming", got "sideways"'),
+        ("lead_in_out", "outgoing", 1, 'outgoing[0] lead kind must be "outgoing", got 1'),
+    ],
+    ids=["in_outgoing", "out_incoming", "unknown", "number"],
+)
+def test_a_lead_kind_must_match_its_list(tmp_path, capsys, name, side, kind, message):
+    # a lead of the other kind used to pass validation, and the run built the
+    # whole flux before the index checks failed
+    spec = json.loads(bundled_scenarios()[name].read_text())
+    spec["projection"][side][0]["kind"] = kind
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        scenarios.validate_scenario(spec)
+    scenario_file = tmp_path / "lead_kind.json"
+    scenario_file.write_text(json.dumps(spec))
+    assert main(["validate", str(scenario_file)]) == 3
+    assert main(["run", str(scenario_file), "--out", str(tmp_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", [[], {}, 1, None], ids=["list", "object", "number", "null"])
 def test_a_kind_that_is_not_a_string_fails_validation(tmp_path, capsys, kind):
     # a list or an object used to escape as a TypeError (unhashable type)

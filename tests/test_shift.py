@@ -88,9 +88,11 @@ def test_zero_flux_perturbation_is_trivial():
     assert perturbed.finite_rank_rank() == 0
     assert perturbed.correction_minus_finite_rank_norm() == 0.0
     from fluxwalk.lattice import LatticeState
+    from fluxwalk.shift import SiteFrame
 
     psi = LatticeState.basis((0,), 0, 2)
-    assert (perturbed.apply(psi) - walk.apply(psi)).norm() < 1e-15
+    frame = SiteFrame(perturbed, [psi], 2)
+    assert (frame.apply(frame.state(psi)) - frame.state(walk.apply(psi))).norms().max() < 1e-15
 
 
 def test_basic_example_shift_structure():
@@ -223,9 +225,10 @@ def test_remainder_bound_with_nonzero_small_flux():
     assert 0 < report.remainder_norm <= 3 * small
 
 
-def test_cc_shift_decomposition_with_trace_class_flux():
-    # decaying moduli along both rays, exactly zero far out: the correction
-    # to the unitary is trace class and the shift family is exact
+def trace_class_cc_flux():
+    """The index report and flux of a crossover network whose moduli decay
+    along both rays and vanish far out, so that the correction to the
+    unitary is trace class."""
     path = crossover_path()
     decay_window = {}
     for e in (ref.step(path, t) for t in range(-44, 0)):
@@ -251,7 +254,13 @@ def test_cc_shift_decomposition_with_trace_class_flux():
         ],
         background=ScatteringParams(1.0, 0.4, np.sqrt(1 - 0.16)),
     )
-    report, flux = cc_index(field, path)
+    return cc_index(field, path)
+
+
+def test_cc_shift_decomposition_with_trace_class_flux():
+    # decaying moduli along both rays, exactly zero far out: the correction
+    # to the unitary is trace class and the shift family is exact
+    report, flux = trace_class_cc_flux()
     assert abs(report.index) == 1
     assert flux.tail_zero
     kd = extract_kernels(flux)

@@ -323,6 +323,20 @@ def test_bulk_boundary_flux_vanishes():
     assert report.index == 0
 
 
+@pytest.mark.parametrize("d_total, box, seed", [(2, 3, 20), (2, 0, 1), (3, 1, 5), (2, 4, 9), (1, 2, 4)])
+def test_a_reflecting_coin_keeps_the_per_site_draws(d_total, box, seed):
+    # one standard_normal block split per draw and one QR per matrix size
+    # give every coin and the plane's of one haar_unitary call per site, and
+    # leave the generator where the per-site draws left it
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    coin, want = reflecting_coin(d_total, rng, box=box), ref.reflecting_coin(d_total, reference_rng, box=box)
+    assert coin.window_coords.tobytes() == want.window_coords.tobytes()
+    assert np.asarray(coin.window_values).tobytes() == np.array(want.window_values).tobytes()
+    assert [(p, v.tobytes()) for p, v in coin.planes] == [(p, v.tobytes()) for p, v in want.planes]
+    assert coin.background.tobytes() == want.background.tobytes()
+    assert rng.random() == reference_rng.random()
+
+
 def test_bulk_boundary_flux_rejects_a_nan_block_norm(monkeypatch):
     # a NaN norm compares false with the bound and must fail as well
     monkeypatch.setattr(ref, "max_block_norm", lambda flux: float("nan"))
