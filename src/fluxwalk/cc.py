@@ -37,7 +37,7 @@ from .flux import (
     index_by_odd_trace,
     selfcheck_against_operator,
 )
-from .lattice import LatticeState, Site, group_sites
+from .lattice import LatticeState, Site, add, group_sites
 from .operators import LocalUnitary
 
 
@@ -309,8 +309,9 @@ def classify_steps(v: np.ndarray, w: np.ndarray):
 
 class DualPath:
     """A bi-infinite simple dual-lattice curve: explicit middle vertices plus
-    two straight rays.  vertex(t) = middle[0] - t*pre_dir for t <= 0, the
-    middle for 0 <= t <= m, and middle[m] + (t-m)*post_dir beyond.
+    two straight rays.  ``vertices(t0, t1)`` gives its vertices t0 <= t < t1:
+    middle[0] - t*pre_dir for t <= 0, the middle for 0 <= t <= m, and
+    middle[m] + (t-m)*post_dir beyond.
 
     The curve never changes, so each step is classified once: ``crossings``
     keeps the cells and tags of one range of t and grows it as asked."""
@@ -330,8 +331,8 @@ class DualPath:
                 raise ValidationError(f"middle step {a} -> {b} is not a unit step")
         if len(set(self.middle)) != len(self.middle):
             raise ValidationError("path revisits a dual vertex")
-        pre_ray = Ray(self.vertex(-1), self.pre_dir)
-        post_ray = Ray(self.vertex(self.m_last + 1), self.post_dir)
+        pre_ray = Ray(add(self.middle[0], self.pre_dir), self.pre_dir)
+        post_ray = Ray(add(self.middle[-1], self.post_dir), self.post_dir)
         for v in self.middle:
             if pre_ray.locate(v) is not None or post_ray.locate(v) is not None:
                 raise ValidationError("path ray re-enters the explicit middle")
@@ -342,18 +343,8 @@ class DualPath:
     def m_last(self) -> int:
         return len(self.middle) - 1
 
-    def vertex(self, t: int) -> Site:
-        if t < 0:
-            v0 = self.middle[0]
-            return (v0[0] - t * self.pre_dir[0], v0[1] - t * self.pre_dir[1])
-        if t <= self.m_last:
-            return self.middle[t]
-        vm = self.middle[-1]
-        k = t - self.m_last
-        return (vm[0] + k * self.post_dir[0], vm[1] + k * self.post_dir[1])
-
     def vertices(self, t0: int, t1: int) -> np.ndarray:
-        """``vertex(t)`` for t0 <= t < t1 as a (t1 - t0, 2) integer array."""
+        """Vertices t0 <= t < t1 as a (t1 - t0, 2) integer array."""
         m, middle = self.m_last, np.array(self.middle, dtype=np.int64)
         before = middle[0] - np.arange(t0, min(t1, 0))[:, None] * self.pre_dir
         after = middle[m] + np.arange(max(t0, m + 1) - m, t1 - m)[:, None] * self.post_dir
@@ -404,8 +395,7 @@ class DualPath:
         """Same curve with ray vertices materialized into the middle."""
         if pre_steps < 0 or post_steps < 0:
             raise ValidationError("extension step counts must be nonnegative")
-        middle = [self.vertex(t) for t in range(-pre_steps, self.m_last + post_steps + 1)]
-        return DualPath(middle, self.pre_dir, self.post_dir)
+        return DualPath(self.vertices(-pre_steps, self.m_last + post_steps + 1).tolist(), self.pre_dir, self.post_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -623,14 +613,14 @@ def path_surgery(
 ) -> DualPath:
     """Replace the part of the path between two of its middle vertices.
 
-    ``replacement`` must start at vertex(t_from) and end at vertex(t_to).
+    ``replacement`` must start at middle[t_from] and end at middle[t_to].
     When ``require_tag`` is given, every replaced link must carry that weight
     tag; a wrong endpoint parity surfaces here as a tag violation.
     """
     if not 0 <= t_from < t_to <= path.m_last:
         raise ValidationError("surgery endpoints must lie in the explicit middle")
     replacement = [tuple(v) for v in replacement]
-    if replacement[0] != path.vertex(t_from) or replacement[-1] != path.vertex(t_to):
+    if replacement[0] != path.middle[t_from] or replacement[-1] != path.middle[t_to]:
         raise ValidationError("replacement does not match the surgery endpoints")
     if require_tag is not None:
         vertices = np.array(replacement, dtype=np.int64)

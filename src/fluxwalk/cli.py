@@ -2,9 +2,10 @@
 
 Exit codes: 0 all assertions passed, 1 an embedded assertion failed,
 2 a scenario file failed to parse, 3 a scenario failed validation, 4 an
-internal consistency check failed, 5 a quantity the scenario asks for is
-undefined (a failed certificate, an ambiguous eigenvalue, a trace norm
-that does not sum).
+internal consistency check failed or an analysis raised any other
+exception (its block names the type under ``internal_error``), 5 a
+quantity the scenario asks for is undefined (a failed certificate, an
+ambiguous eigenvalue, a trace norm that does not sum).
 """
 
 from __future__ import annotations
@@ -80,6 +81,9 @@ def _run_one(args: tuple[str, int | None, str, str]) -> int:
     for key, block in result.report["analyses"].items():
         status = "pass" if block.get("pass") else "FAIL"
         print(f"{name}: {key}: {status}")
+    if any("internal_error" in block for block in result.report["analyses"].values()):
+        print(f"error: internal: {token}: see {target / 'report.json'}", file=sys.stderr)
+        return EXIT_CONSISTENCY
     if not result.ok:
         print(f"error: assertion: {token}: see {target / 'report.json'}", file=sys.stderr)
         return EXIT_ASSERTION

@@ -5,7 +5,9 @@ window the value comes from structured layers -- rays, planes, half-spaces,
 a constant background -- so evaluation is total and the behaviour at infinity
 is described by finitely many translation classes.  That is what lets flux
 operators be certified at infinity by inspecting a finite shell of
-representative cells.
+representative cells.  ``SiteMap.layers`` is the one precedence order of
+the rays, planes and half-spaces, and ``locate`` of a ``Ray``, ``Plane`` or
+``HalfSpace`` (``locate_all`` on a site array) the one test of a layer.
 
 ``SiteMap`` is the one field type; the models differ only in its values.
 Coins of a walk on Z^d are ``(2d, 2d)`` complex unitary matrices, checked by
@@ -15,16 +17,16 @@ are ``cc.ScatteringParams``, and a random window one (N, 3) block of rows.
 Adapted projections store sets of open internal slots.  A map's window is
 one pair of a site array and its values; a dict handed in is read into it.
 
-Every field lookup comes in two forms.  The array forms,
-``SiteMap.value_index`` and ``AdaptedProjection.slot_bits``, resolve a whole
-(M, d) site array with one NumPy pass per layer; the window layer is one
-``lattice.SiteIndex`` over the window's sites, the same index that matches
-the sites of states and the labels of flux blocks.  Block assembly uses the
-array forms, and ``CCUnitary`` reads its cells and actions off one
-``value_index`` call into a stack of S^T.  The scalar forms,
-``SiteMap.value``, ``Ray.locate`` and ``AdaptedProjection.open_slots``,
-serve callers holding one site or a few: lead synthesis and its checks, and
-the walk and projection actions on states of at most
+Every field lookup comes in two forms, each one loop over ``layers``.  The
+array forms, ``SiteMap.value_index`` and ``AdaptedProjection.slot_bits``,
+resolve a whole (M, d) site array with one NumPy pass per layer; the window
+layer is one ``lattice.SiteIndex`` over the window's sites, the same index
+that matches the sites of states and the labels of flux blocks.  Block
+assembly uses the array forms, and ``CCUnitary`` reads its cells and
+actions off one ``value_index`` call into a stack of S^T.  The scalar
+forms, ``SiteMap.value`` and ``AdaptedProjection.open_slots`` on each
+layer's ``locate``, serve callers holding one site or a few: lead synthesis
+and its checks, and the walk and projection actions on states of at most
 ``lattice.DICT_GROUPING`` sites.  On one site the scalar forms cost a few
 microseconds and the array forms 50 to 70; from a few dozen sites on the
 array forms cost less, so the actions read longer states, such as the
@@ -128,31 +130,39 @@ class Ray:
 
 @dataclass(frozen=True)
 class Plane:
-    """All sites with ``x[axis] == value`` (axis 0-based)."""
+    """All sites with ``x[axis] == value`` (axis 0-based), located at t = 0."""
 
     axis: int
     value: int
 
-    def contains(self, site: Site) -> bool:
-        return site[self.axis] == self.value
+    def locate(self, site: Site) -> int | None:
+        return 0 if site[self.axis] == self.value else None
+
+    def locate_all(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return sites[:, self.axis] == self.value, np.zeros(len(sites), dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class HalfSpace:
-    """All sites with ``sign * x[axis] >= threshold``."""
+    """All sites with ``sign * x[axis] >= threshold``, located at t = 0."""
 
     axis: int
     sign: int
     threshold: int
 
-    def contains(self, site: Site) -> bool:
-        return self.sign * site[self.axis] >= self.threshold
+    def locate(self, site: Site) -> int | None:
+        return 0 if self.sign * site[self.axis] >= self.threshold else None
+
+    def locate_all(self, sites: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.sign * sites[:, self.axis] >= self.threshold, np.zeros(len(sites), dtype=np.int64)
 
 
 class SiteMap:
     """Layered total lookup, first match wins.
 
-    Precedence: window, rays (in order), planes, half-spaces, background.
+    Precedence: window, ``layers`` (the rays in order, planes, half-spaces:
+    (shape, pattern) pairs read at ``pattern[t % len(pattern)]`` where
+    ``shape.locate`` gives t), background.
     Values are stored as given and checked where a model's operator is
     built: coins are ``(2d, 2d)`` complex unitaries (``walks.build_walk``),
     scattering data are (q, r, t) values on cells of Z x 2Z
@@ -189,6 +199,7 @@ class SiteMap:
         self.planes = tuple(planes)
         self.halfspaces = tuple(halfspaces)
         self.background = background
+        self.layers = (*self.rays, *((shape, (v,)) for shape, v in (*self.planes, *self.halfspaces)))
         for ray, pattern in self.rays:
             if len(ray.base) != self.d or len(ray.step) != self.d:
                 raise ValidationError("ray dimension mismatch")
@@ -200,29 +211,18 @@ class SiteMap:
         row = self._window_index.row(site)
         if row is not None:
             return self.window_values[row]
-        for ray, pattern in self.rays:
-            t = ray.locate(site)
+        for shape, pattern in self.layers:
+            t = shape.locate(site)
             if t is not None:
                 return pattern[t % len(pattern)]
-        for plane, v in self.planes:
-            if plane.contains(site):
-                return v
-        for hs, v in self.halfspaces:
-            if hs.contains(site):
-                return v
         return self.background
 
     # -- array lookups ---------------------------------------------------------
 
     @cached_property
     def templates(self) -> tuple:
-        """Each ray's pattern, the planes, the half-spaces, the background."""
-        return (
-            *(v for _, pattern in self.rays for v in pattern),
-            *(v for _, v in self.planes),
-            *(v for _, v in self.halfspaces),
-            self.background,
-        )
+        """Each layer's pattern in ``layers`` order, then the background."""
+        return (*(v for _, pattern in self.layers for v in pattern), self.background)
 
     @cached_property
     def table(self) -> tuple:
@@ -237,16 +237,10 @@ class SiteMap:
         if first:
             rows = self._window_index.rows(sites)
             yield rows >= 0, rows
-        for ray, pattern in self.rays:
-            hit, t = ray.locate_all(sites)
+        for shape, pattern in self.layers:
+            hit, t = shape.locate_all(sites)
             yield hit, first + t % len(pattern)
             first += len(pattern)
-        for plane, _ in self.planes:
-            yield sites[:, plane.axis] == plane.value, first
-            first += 1
-        for hs, _ in self.halfspaces:
-            yield hs.sign * sites[:, hs.axis] >= hs.threshold, first
-            first += 1
 
     def value_index(self, sites) -> np.ndarray:
         """Rows of ``table`` holding ``value`` at each site of an (M, d)
@@ -345,7 +339,8 @@ class AdaptedProjection:
     The value at a site is the set of open internal slots; by construction it
     commutes with every direction projection, which is the adaptedness
     condition.  ``slot_bits`` gives them as bit masks for a site array,
-    ``open_slots`` for one site: block assembly reads ``diagonal_entries``,
+    ``open_slots`` for one site, each the union over the map's window,
+    ``layers`` and background: block assembly reads ``diagonal_entries``,
     built on ``slot_bits``; ``apply`` reads ``open_slots`` on states of at
     most ``DICT_GROUPING`` sites and ``slot_bits`` on longer ones.
     """
@@ -383,16 +378,10 @@ class AdaptedProjection:
         site = tuple(site)
         row = m._window_index.row(site)
         acc = set(() if row is None else m.window_values[row])
-        for ray, pattern in m.rays:
-            t = ray.locate(site)
+        for shape, pattern in m.layers:
+            t = shape.locate(site)
             if t is not None:
                 acc |= pattern[t % len(pattern)]
-        for plane, v in m.planes:
-            if plane.contains(site):
-                acc |= v
-        for hs, v in m.halfspaces:
-            if hs.contains(site):
-                acc |= v
         acc |= m.background
         return frozenset(acc)
 

@@ -793,6 +793,10 @@ def run_scenario(
             result = handler(setup, analysis, files)
         except FluxwalkError as exc:
             result = {"pass": False, "error": str(exc)}
+        except Exception as exc:  # an internal fault: logged, recorded, and the other analyses still run
+            import logging  # here, so that a run without one never loads it
+            logging.getLogger(__name__).exception("analysis #%d (%s) raised an internal error", i, analysis["type"])
+            result = {"pass": False, "error": f"{type(exc).__name__}: {exc}", "internal_error": type(exc).__name__}
         key = analysis.get("label", f"{analysis['type']}#{i}")
         analyses_out[key] = result
         all_ok = all_ok and bool(result.get("pass", False))

@@ -159,7 +159,6 @@ class LeadSpec:
     ``constraint_items`` (site, in_slot, out_slot) for the explicit part of
     the conduction condition; ``ray_family`` (ray, constant tangent, its
     slot) of the infinite tail, on which the coin must fix that slot.
-    ``site(t)`` and ``tangent(t)`` recompute one parameter's site.
     """
 
     kind: str
@@ -203,27 +202,6 @@ class LeadSpec:
         object.__setattr__(self, "window_pairs", tuple(zip(sites[window], tangents[window])))
         object.__setattr__(self, "constraint_items", tuple(zip(sites[:m], slots[:1] + slots, slots)))
         object.__setattr__(self, "ray_family", (ray, steps[end], slots[end]))
-
-    # -- parametrization ---------------------------------------------------
-
-    def site(self, t: int) -> Site:
-        m = len(self.prefix)
-        if self.kind == "outgoing":
-            if t < 1:
-                raise ValidationError(f"outgoing lead has no site at t={t}")
-            if t <= m:
-                return self.prefix[t - 1]
-            return add(self.prefix[-1], tuple(c * (t - m) for c in self.ray_dir))
-        if t > -1:
-            raise ValidationError(f"incoming lead has no site at t={t}")
-        if t >= -m:
-            return self.prefix[m + t]
-        return add(self.prefix[0], tuple(c * (-t - m) for c in self.ray_dir))
-
-    def tangent(self, t: int) -> Site:
-        if self.kind == "outgoing" and t == 1:
-            t = 2  # the head takes the tangent of the first step
-        return sub(self.site(t), self.site(t - 1))
 
 
 @dataclass(frozen=True)
@@ -519,26 +497,30 @@ def verify_wandering(
     """Check that the lead's head state psi wanders, <psi, U^k psi> = 0 for
     k = 1..k_max, stepped under U along an outgoing lead and under U* along
     an incoming one, and that the same iterates carry it along the lead up
-    to a phase."""
+    to a phase: iterate k sits on the k-th site after the head, in one pass
+    along the lead's ``window_pairs`` (reversed for an incoming lead) and
+    on along its ``ray_family``."""
     if k_max < 1:
         raise ValidationError("k_max must be >= 1")
-    head, tangent = lead.window_pairs[0 if lead.kind == "outgoing" else -1]
-    seed = LatticeState.basis(head, index_of_vector(tangent), unitary.n_internal)
-    sign = -1 if lead.kind == "incoming" else 1
-    step = unitary.apply_adjoint if sign < 0 else unitary.apply
+    outgoing = lead.kind == "outgoing"
+    ray, _, ray_slot = lead.ray_family
+    path = itertools.chain(
+        ((site, index_of_vector(tangent)) for site, tangent in lead.window_pairs[:: 1 if outgoing else -1]),
+        ((ray.site_at(j), ray_slot) for j in itertools.count()),
+    )
+    seed = LatticeState.basis(*next(path), unitary.n_internal)
+    step = unitary.apply if outgoing else unitary.apply_adjoint
     current = seed
     worst = defect = 0.0
     worst_k = None
     overlaps = []
-    for k in range(1, k_max + 1):
+    for k, (site, slot) in zip(range(1, k_max + 1), path):
         current = step(current)
         ov = abs(seed.inner(current))
         overlaps.append(ov)
         if ov > worst:
             worst, worst_k = ov, k
-        t = sign * (1 + k)
-        amp = current.vector_at(lead.site(t))[index_of_vector(lead.tangent(t))]
-        defect = max(defect, abs(abs(amp) - 1.0))
+        defect = max(defect, abs(abs(current.vector_at(site)[slot]) - 1.0))
     transport_ok = defect <= tol.wandering
     return WanderingReport(worst <= tol.wandering and transport_ok, worst, worst_k, transport_ok, defect, overlaps)
 
@@ -641,13 +623,7 @@ def random_network(
         chrono = sites if kind == "outgoing" else sites[::-1]
         # ray continues away from the finite end without re-entering the prefix
         far_end = chrono[-1] if kind == "outgoing" else chrono[0]
-        ray_options = []
-        for v in dirs:
-            probe_ok = all(
-                add(far_end, tuple(c * k for c in v)) not in chrono for k in range(1, length + 2)
-            )
-            if probe_ok:
-                ray_options.append(v)
+        ray_options = [v for v in dirs if all(Ray(add(far_end, v), v).locate(p) is None for p in chrono)]
         if not ray_options:
             raise ValidationError("no ray direction available")
         ray = ray_options[int(rng.integers(len(ray_options)))]

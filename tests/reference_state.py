@@ -53,12 +53,22 @@ it drew a reflecting coin's unitaries in one block.
 
 ``check_lead`` runs the checks of the ``LeadSpec`` constructor as it ran
 them before a lead built its window pairs and junctions in one
-chronological pass, and ``junctions`` recomputes a lead's junctions from
-``LeadSpec.site`` and ``LeadSpec.tangent``.  ``synthesize_lead_coin`` is
-the synthesis that ``fluxwalk.walks`` ran before it kept each completed
-permutation coin and counted a ray's run through the background box:
-``complete_unitary`` builds a fresh coin per constrained site, and the run
-is walked site by site.
+chronological pass.  ``lead_site`` and ``lead_tangent`` are the per-t
+``LeadSpec.site`` and ``LeadSpec.tangent`` that the package dropped for
+that pass; ``junctions`` recomputes a lead's junctions from them, and
+``verify_wandering`` is the wandering check that read iterate k's site and
+slot off them.  ``dual_vertex`` is ``DualPath.vertex``, one vertex per
+parameter, which ``step`` and ``region_labels`` read.  ``sitemap_value``
+and ``projection_slots`` are ``SiteMap.value`` and
+``AdaptedProjection.open_slots`` as they read the rays, planes and
+half-spaces kind by kind before one ``layers`` list ordered them, with a
+site tested on a ray by its coordinates (``ray_parameter``), not by
+``locate``.
+
+``synthesize_lead_coin`` is the synthesis that ``fluxwalk.walks`` ran
+before it kept each completed permutation coin and counted a ray's run
+through the background box: ``complete_unitary`` builds a fresh coin per
+constrained site, and the run is walked site by site.
 """
 
 from __future__ import annotations
@@ -273,6 +283,50 @@ def region_side(split, point) -> int:
     x = min(max(point[0], split.lo[0]), split.hi[0]) - split.lo[0]
     y = min(max(point[1], split.lo[1]), split.hi[1]) - split.lo[1]
     return int(split._labels[x, y])
+
+
+def ray_parameter(ray: Ray, site) -> int | None:
+    """The t >= 0 with ``site == ray.site_at(t)``, or ``None``: the quotient
+    on the ray's first moving axis, confirmed coordinate by coordinate."""
+    axis = next(j for j, s in enumerate(ray.step) if s)
+    t = (site[axis] - ray.base[axis]) // ray.step[axis]
+    return t if t >= 0 and ray.site_at(t) == tuple(site) else None
+
+
+def sitemap_value(field: SiteMap, site):
+    """``SiteMap.value`` as it read the layers kind by kind before one
+    ``layers`` list ordered them: the window, the rays in order, the
+    planes, the half-spaces, the background; first match wins."""
+    site = tuple(site)
+    window = dict(zip(map(tuple, field.window_coords.T.tolist()), field.window_values))
+    if site in window:
+        return window[site]
+    for ray, pattern in field.rays:
+        t = ray_parameter(ray, site)
+        if t is not None:
+            return pattern[t % len(pattern)]
+    for plane, v in field.planes:
+        if site[plane.axis] == plane.value:
+            return v
+    for hs, v in field.halfspaces:
+        if hs.sign * site[hs.axis] >= hs.threshold:
+            return v
+    return field.background
+
+
+def projection_slots(proj, site) -> frozenset:
+    """``AdaptedProjection.open_slots`` as it read the layers kind by kind:
+    the union over the window, every ray, plane and half-space holding the
+    site, and the background."""
+    m, site = proj.map, tuple(site)
+    acc = set(dict(zip(map(tuple, m.window_coords.T.tolist()), m.window_values)).get(site, ()))
+    for ray, pattern in m.rays:
+        t = ray_parameter(ray, site)
+        if t is not None:
+            acc |= pattern[t % len(pattern)]
+    acc |= {k for plane, v in m.planes if site[plane.axis] == plane.value for k in v}
+    acc |= {k for hs, v in m.halfspaces if hs.sign * site[hs.axis] >= hs.threshold for k in v}
+    return frozenset(acc | m.background)
 
 
 def open_slots(proj, site) -> frozenset:
@@ -521,9 +575,22 @@ def classify_step(t: int, v, w) -> CrossedEdge:
     return CrossedEdge(t, source, target, cell, slot_in, slot_out, tag)
 
 
+def dual_vertex(path, t: int):
+    """Vertex t of a ``DualPath``, one parameter at a time: middle[0] -
+    t*pre_dir for t < 0, middle[t] up to m, middle[m] + (t-m)*post_dir
+    beyond (``DualPath.vertex`` before ``vertices`` gave every form)."""
+    if t < 0:
+        v0 = path.middle[0]
+        return (v0[0] - t * path.pre_dir[0], v0[1] - t * path.pre_dir[1])
+    if t <= path.m_last:
+        return path.middle[t]
+    vm, k = path.middle[-1], t - path.m_last
+    return (vm[0] + k * path.post_dir[0], vm[1] + k * path.post_dir[1])
+
+
 def step(path, t: int) -> CrossedEdge:
     """Crossed edge of the dual step t -> t+1 of a path."""
-    return classify_step(t, path.vertex(t), path.vertex(t + 1))
+    return classify_step(t, dual_vertex(path, t), dual_vertex(path, t + 1))
 
 
 def is_pure(path, t0: int, t1: int, tag: str) -> bool:
@@ -566,7 +633,7 @@ def region_labels(path, lo, hi) -> np.ndarray:
     cut = [np.zeros((shape[0] - 1, shape[1]), dtype=np.int64), np.zeros((shape[0], shape[1] - 1), dtype=np.int64)]
     seeds = {}
     for t in range(-span, path.m_last + span):
-        v, w = path.vertex(t), path.vertex(t + 1)
+        v, w = dual_vertex(path, t), dual_vertex(path, t + 1)
         if not (in_box(v, 2) or in_box(w, 2)):
             continue
         left, right = crossed_points(v, w)
@@ -786,12 +853,60 @@ def check_lead(kind, prefix, ray_dir) -> None:
         raise ValidationError("lead ray re-enters its own prefix")
 
 
+def lead_site(lead, t: int):
+    """Site t of a lead: gamma(t) = prefix[t - 1] for 1 <= t <= m on an
+    outgoing lead, prefix[m + t] for -m <= t <= -1 on an incoming one, and
+    the ray beyond (``LeadSpec.site`` before the lead kept one pass)."""
+    m = len(lead.prefix)
+    if lead.kind == "outgoing":
+        if t < 1:
+            raise ValidationError(f"outgoing lead has no site at t={t}")
+        if t <= m:
+            return lead.prefix[t - 1]
+        return add(lead.prefix[-1], tuple(c * (t - m) for c in lead.ray_dir))
+    if t > -1:
+        raise ValidationError(f"incoming lead has no site at t={t}")
+    if t >= -m:
+        return lead.prefix[m + t]
+    return add(lead.prefix[0], tuple(c * (-t - m) for c in lead.ray_dir))
+
+
+def lead_tangent(lead, t: int):
+    """The step into site t of a lead; the head of an outgoing lead takes
+    the tangent of its first step."""
+    if lead.kind == "outgoing" and t == 1:
+        t = 2
+    return sub(lead_site(lead, t), lead_site(lead, t - 1))
+
+
 def junctions(lead) -> tuple:
     """(site, in_slot, out_slot) of the explicit conduction condition, from
     the per-t site and tangent: t = 1..m outgoing, t = -m-1..-2 incoming."""
     m = len(lead.prefix)
     ts = range(1, m + 1) if lead.kind == "outgoing" else range(-m - 1, -1)
-    return tuple((lead.site(t), index_of_vector(lead.tangent(t)), index_of_vector(lead.tangent(t + 1))) for t in ts)
+    return tuple(
+        (lead_site(lead, t), index_of_vector(lead_tangent(lead, t)), index_of_vector(lead_tangent(lead, t + 1))) for t in ts
+    )
+
+
+def verify_wandering(unitary, lead, k_max: int, tol=DEFAULT) -> walks.WanderingReport:
+    """``walks.verify_wandering`` as it read iterate k's site and slot off
+    the per-t ``lead_site``/``lead_tangent`` at t = +-(1 + k)."""
+    sign = -1 if lead.kind == "incoming" else 1
+    seed = LatticeState.basis(lead_site(lead, sign), index_of_vector(lead_tangent(lead, sign)), unitary.n_internal)
+    step = unitary.apply_adjoint if sign < 0 else unitary.apply
+    current, worst, defect, worst_k, overlaps = seed, 0.0, 0.0, None, []
+    for k in range(1, k_max + 1):
+        current = step(current)
+        ov = abs(seed.inner(current))
+        overlaps.append(ov)
+        if ov > worst:
+            worst, worst_k = ov, k
+        t = sign * (1 + k)
+        amp = current.vector_at(lead_site(lead, t))[index_of_vector(lead_tangent(lead, t))]
+        defect = max(defect, abs(abs(amp) - 1.0))
+    transport_ok = defect <= tol.wandering
+    return walks.WanderingReport(worst <= tol.wandering and transport_ok, worst, worst_k, transport_ok, defect, overlaps)
 
 
 def complete_unitary(n: int, pairs: dict) -> np.ndarray:

@@ -282,7 +282,7 @@ def _random_r_bump(path, rng):
     # straight horizontal run starting at an odd column on an even row
     candidates = []
     for t in range(1, path.m_last - 2):
-        a, b, c = path.vertex(t), path.vertex(t + 1), path.vertex(t + 2)
+        a, b, c = (ref.dual_vertex(path, s) for s in (t, t + 1, t + 2))
         if b[1] != a[1] or c[1] != a[1] or abs(c[0] - a[0]) != 2:
             continue
         if a[0] % 2 != 0 and ref.step(path, t).tag == "r":

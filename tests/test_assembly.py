@@ -298,7 +298,7 @@ def bfs_region(path, lo, hi):
     )
     cut, seeds = set(), {}
     for t in range(-span, path.m_last + span):
-        v, w = path.vertex(t), path.vertex(t + 1)
+        v, w = ref.dual_vertex(path, t), ref.dual_vertex(path, t + 1)
         if not (in_box(v, 2) or in_box(w, 2)):
             continue
         left, right = ref.crossed_points(v, w)

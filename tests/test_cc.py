@@ -518,7 +518,7 @@ def test_dense_window_oracle_on_capped_flux(west_first, seed):
 
 def test_surgery_identity_replacement():
     path = straight_r_path().extended(5, 5)
-    same = path_surgery(path, 2, 4, [path.vertex(2), path.vertex(3), path.vertex(4)])
+    same = path_surgery(path, 2, 4, [ref.dual_vertex(path, t) for t in (2, 3, 4)])
     assert same.middle == path.middle
 
 

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -16,7 +17,7 @@ from fluxwalk.fields import (
     interpolate_matrix_fields,
     interpolate_unitaries,
 )
-from fluxwalk.lattice import direction_index, haar_unitary
+from fluxwalk.lattice import add, all_direction_vectors, direction_index, haar_unitary
 from fluxwalk.walks import build_walk, halfline_projection
 
 
@@ -85,6 +86,19 @@ def test_ray_meet_matches_brute_force(a, b):
 def test_ray_meet_needs_unit_steps():
     with pytest.raises(ValidationError):
         Ray((0, 0), (2, 0)).meet(Ray((0, 0), (1, 0)))
+
+
+@pytest.mark.parametrize("shape", [Plane(1, -2), HalfSpace(0, 1, 1), HalfSpace(1, -1, 2)], ids=repr)
+def test_planes_and_half_spaces_locate_as_rays_do(shape):
+    # 0 on the layer and None off it, one site at a time or as an array
+    sites = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    holds = [
+        s[shape.axis] == shape.value if isinstance(shape, Plane) else shape.sign * s[shape.axis] >= shape.threshold
+        for s in sites
+    ]
+    assert [shape.locate(s) for s in sites] == [0 if h else None for h in holds]
+    hit, t = shape.locate_all(np.array(sites, dtype=np.int64))
+    assert hit.tolist() == holds and t.shape == hit.shape and not t.any()
 
 
 def test_sitemap_first_match_precedence():
@@ -326,15 +340,35 @@ def _probe_sites(d: int) -> np.ndarray:
 
 @given(layered_maps())
 def test_array_lookups_match_the_scalar_ones(maps):
+    # both forms read the one ``layers`` list; the reference reads the rays,
+    # planes and half-spaces kind by kind and tests a site on a layer by its
+    # coordinates, so a wrong order or pattern entry in ``layers`` shows
     tags, proj = maps
-    sites = _probe_sites(tags.d)
+    d = tags.d
+    sites = _probe_sites(d)
     points = list(map(tuple, sites.tolist()))
-    assert [tags.table[i] for i in tags.value_index(sites)] == [tags.value(s) for s in points]
-    hat = proj.shift_conjugate()
-    for p in (proj, hat, proj.complement(), hat.complement(), hat.shift_conjugate()):
-        masks = (p.slot_bits(sites)[:, None] >> np.arange(2 * tags.d, dtype=np.uint64)) & 1
-        assert masks.shape == (len(points), 2 * tags.d)
-        assert [set(np.flatnonzero(m).tolist()) for m in masks] == [p.open_slots(s) for s in points]
+    want = [ref.sitemap_value(tags, s) for s in points]
+    assert [tags.value(s) for s in points] == want
+    assert [tags.table[i] for i in tags.value_index(sites)] == want
+    full, dirs = frozenset(range(2 * d)), all_direction_vectors(d)
+
+    def conjugate(slots):
+        return lambda s: frozenset(k for k, v in enumerate(dirs) if k in slots(add(s, v)))
+
+    base = functools.lru_cache(maxsize=None)(lambda s: ref.projection_slots(proj, s))
+    hat, hat_ref = proj.shift_conjugate(), conjugate(base)
+    for p, slots in (
+        (proj, base),
+        (hat, hat_ref),
+        (proj.complement(), lambda s: full - base(s)),
+        (hat.complement(), lambda s: full - hat_ref(s)),
+        (hat.shift_conjugate(), conjugate(hat_ref)),
+    ):
+        expected = [slots(s) for s in points]
+        masks = (p.slot_bits(sites)[:, None] >> np.arange(2 * d, dtype=np.uint64)) & 1
+        assert masks.shape == (len(points), 2 * d)
+        assert [set(np.flatnonzero(m).tolist()) for m in masks] == expected
+        assert [p.open_slots(s) for s in points] == expected
 
 
 @given(layered_maps(), st.booleans())

@@ -180,3 +180,14 @@ def test_guard_finds_a_shadowed_definition():
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_module_defines_each_name_once(path):
     assert shadowed_definitions(path.read_text(encoding="utf-8")) == []
+
+
+# The line count of ``cat src/fluxwalk/*.py | wc -l``.  A change stays at or
+# below it; one that spends a growth budget raises it in the same change and
+# says so in CHANGES.md.
+SRC_LINE_BUDGET = 4796
+
+
+def test_src_stays_within_its_line_budget():
+    lines = sum(p.read_text(encoding="utf-8").count("\n") for p in (ROOT / "src" / "fluxwalk").glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET, f"src/ has {lines} lines, over its budget of {SRC_LINE_BUDGET}"

@@ -1,14 +1,13 @@
 """Lead networks against the per-site reference, and their input checks.
 
 ``reference_state`` keeps the lead constructor's checks, the junctions
-recomputed from ``LeadSpec.site``/``LeadSpec.tangent`` and the coin
+recomputed from the per-parameter ``lead_site``/``lead_tangent`` and the coin
 synthesis that completed a fresh coin per constrained site and walked each
 ray's run through the background box.  A lead must pass or fail the same
 checks, keep the same geometry, and synthesize the same coin bit for bit:
 its window sites in the same order, its window coins and its ray layers,
-or fail with the same message.  The work saved is pinned too: parsing and
-synthesis recompute no lead site per parameter, and a network synthesized
-again completes no new coin.
+or fail with the same message.  The work saved is pinned too: a network
+synthesized again completes no new coin.
 """
 
 import json
@@ -90,7 +89,7 @@ def build(boundary, drawn, twin, seed):
         lead = made[1]
         m = len(lead.prefix)
         window = range(1, m + 1) if lead.kind == "outgoing" else range(-m, 0)
-        assert lead.window_pairs == tuple((lead.site(t), lead.tangent(t)) for t in window)
+        assert lead.window_pairs == tuple((ref.lead_site(lead, t), ref.lead_tangent(lead, t)) for t in window)
         assert lead.constraint_items == ref.junctions(lead)
         leads.append(lead)
     if twin is not None and leads:
@@ -175,11 +174,11 @@ def test_conflicting_constraints_name_the_reference_offender(leads, message):
 
 
 @pytest.mark.parametrize("name", ["two_incoming_leads", "two_outgoing_leads", "bulk_boundary_leads", "lead_in_out"])
-def test_a_lead_network_is_built_without_per_parameter_sites(monkeypatch, name):
+def test_a_lead_network_is_built_without_per_parameter_sites(name):
+    # a lead has no per-parameter site to recompute: its one chronological
+    # pass is all that parsing and synthesis read
     spec = json.loads(bundled_scenarios()[name].read_text())
     d = spec["geometry"]["d"]
-    for method in ("site", "tangent"):
-        monkeypatch.setattr(LeadSpec, method, lambda *args: pytest.fail("a lead site recomputed per parameter"))
     network = scenarios._network_from_json(spec["projection"], d)
     rng = np.random.default_rng(0)
     background = walks.reflecting_coin(d, rng, box=4) if network.boundary else walks.random_background(rng, d, box=4)

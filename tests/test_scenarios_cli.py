@@ -346,6 +346,39 @@ def test_failing_analysis_keeps_the_rest_of_the_report(tmp_path, monkeypatch, er
     assert oracle["pass"] is True and oracle["blockwise"] == oracle["dense"] == 1
 
 
+def test_an_internal_error_keeps_the_rest_of_the_report(tmp_path, monkeypatch, capsys, caplog, bundled_run):
+    # an exception outside the FluxwalkError family is recorded in its own
+    # block, named by type, and logged with its traceback; the analyses
+    # after it still run, and the CLI writes the report and exits 4, as for
+    # a failed internal check
+    want = bundled_run("two_incoming_leads")
+
+    def broken(setup, analysis, files):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setitem(ANALYSES["walk"], "shift_decomposition", broken)
+    result = run_scenario(load("two_incoming_leads"))
+    key = "shift_decomposition#1"
+    assert result.report["analyses"][key] == {
+        "pass": False,
+        "error": "ValueError: operands could not be broadcast together",
+        "internal_error": "ValueError",
+    }
+    assert [*result.report["analyses"]] == [*want.report["analyses"]]
+    assert {k: v for k, v in result.report["analyses"].items() if k != key} == {
+        k: v for k, v in want.report["analyses"].items() if k != key
+    }
+    assert result.report["pass"] is False and result.files == want.files
+    assert main(["run", "two_incoming_leads", "--out", str(tmp_path)]) == 4
+    assert "error: internal: two_incoming_leads" in capsys.readouterr().err
+    # the traceback is logged, once per run
+    logged = [r for r in caplog.records if r.name == "fluxwalk.scenarios" and r.exc_info]
+    assert [r.getMessage() for r in logged] == ["analysis #1 (shift_decomposition) raised an internal error"] * 2
+    assert all(r.exc_info[0] is ValueError for r in logged)
+    written = (tmp_path / "two_incoming_leads" / "report.json").read_text()
+    assert written == dump_report(result.report)
+
+
 # ---------------------------------------------------------------------------
 # command line
 

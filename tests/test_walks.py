@@ -1,12 +1,17 @@
 import itertools
+import json
 import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_state as ref
 from reference_state import bulk_boundary_flux, lead_flux_index
+from fluxwalk import scenarios
+from fluxwalk.cli import bundled_scenarios
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import Ray, SiteMap, interpolate_matrix_fields
 from fluxwalk.flux import analyze, index_stability_probe
@@ -117,20 +122,20 @@ def test_lead_spec_validation():
 
 def test_lead_parametrization_and_tangents():
     lead = LeadSpec("outgoing", [(0, 0), (0, 1), (1, 1)], (1, 0))
-    assert lead.site(1) == (0, 0)
-    assert lead.site(3) == (1, 1)
-    assert lead.site(5) == (3, 1)
+    assert ref.lead_site(lead, 1) == (0, 0)
+    assert ref.lead_site(lead, 3) == (1, 1)
+    assert ref.lead_site(lead, 5) == (3, 1)
     # head tangent convention: tangent at the head equals the next one
-    assert lead.tangent(1) == lead.tangent(2) == (0, 1)
-    assert lead.tangent(3) == (1, 0)
-    assert lead.tangent(4) == (1, 0)
+    assert ref.lead_tangent(lead, 1) == ref.lead_tangent(lead, 2) == (0, 1)
+    assert ref.lead_tangent(lead, 3) == (1, 0)
+    assert ref.lead_tangent(lead, 4) == (1, 0)
 
     incoming = LeadSpec("incoming", [(0, 2), (0, 1), (0, 0)], (0, 1))
-    assert incoming.site(-1) == (0, 0)
-    assert incoming.site(-3) == (0, 2)
-    assert incoming.site(-5) == (0, 4)
-    assert incoming.tangent(-1) == (0, -1)
-    assert incoming.tangent(-4) == (0, -1)
+    assert ref.lead_site(incoming, -1) == (0, 0)
+    assert ref.lead_site(incoming, -3) == (0, 2)
+    assert ref.lead_site(incoming, -5) == (0, 4)
+    assert ref.lead_tangent(incoming, -1) == (0, -1)
+    assert ref.lead_tangent(incoming, -4) == (0, -1)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
@@ -139,15 +144,16 @@ def test_a_lead_keeps_its_geometry_as_the_per_t_recomputation(seed):
     for lead in network.leads():
         m, sign = len(lead.prefix), 1 if lead.kind == "outgoing" else -1
         window, junctions = (range(1, m + 1), range(1, m + 1)) if sign > 0 else (range(-m, 0), range(-m - 1, -1))
-        pairs = tuple((lead.site(t), lead.tangent(t)) for t in window)
+        pairs = tuple((ref.lead_site(lead, t), ref.lead_tangent(lead, t)) for t in window)
         items = tuple(
-            (lead.site(t), index_of_vector(lead.tangent(t)), index_of_vector(lead.tangent(t + 1))) for t in junctions
+            (ref.lead_site(lead, t), index_of_vector(ref.lead_tangent(lead, t)), index_of_vector(ref.lead_tangent(lead, t + 1)))
+            for t in junctions
         )
         assert lead.window_pairs == pairs and lead.constraint_items == items
         ray, tangent, slot = lead.ray_family
         tail = [sign * (m + 1 + k) for k in range(4)]
-        assert [ray.site_at(k) for k in range(4)] == [lead.site(t) for t in tail]
-        assert {tangent} == {lead.tangent(t + sign) for t in tail} and slot == index_of_vector(tangent)
+        assert [ray.site_at(k) for k in range(4)] == [ref.lead_site(lead, t) for t in tail]
+        assert {tangent} == {ref.lead_tangent(lead, t + sign) for t in tail} and slot == index_of_vector(tangent)
         # read-only tuples of tuples, computed once
         kept = (lead.window_pairs, lead.constraint_items, lead.ray_family)
         assert all(type(entry) is tuple for entry in (*kept, *lead.window_pairs, *lead.constraint_items))
@@ -291,10 +297,50 @@ def test_wandering_failure_detected():
     # the head, not unitary, passes the transport check and fails on the
     # overlap alone
     head, t = LatticeState.basis((0,), 0, 2), itertools.count(2)
-    echo = SimpleNamespace(n_internal=2, apply=lambda psi: head + LatticeState.basis(lead.site(next(t)), 0, 2))
+    echo = SimpleNamespace(n_internal=2, apply=lambda psi: head + LatticeState.basis(ref.lead_site(lead, next(t)), 0, 2))
     rep = verify_wandering(echo, lead, 3)
     assert rep.transport_ok and rep.transport_defect == 0.0
     assert rep.overlaps == [1.0, 1.0, 1.0] and not rep.ok
+
+
+LEAD_SCENARIOS = ["two_incoming_leads", "two_outgoing_leads", "bulk_boundary_leads", "lead_in_out", "lead_stability"]
+
+
+def assert_wandering_matches_the_per_t_reference(unitary, lead, k_max):
+    got, want = verify_wandering(unitary, lead, k_max), ref.verify_wandering(unitary, lead, k_max)
+    assert got.overlaps == want.overlaps and len(got.overlaps) == k_max
+    assert (got.max_overlap, got.worst_step) == (want.max_overlap, want.worst_step)
+    assert got.transport_defect == want.transport_defect
+    assert (got.ok, got.transport_ok) == (want.ok, want.transport_ok)
+
+
+@pytest.mark.parametrize("name", LEAD_SCENARIOS)
+def test_wandering_walks_the_lead_as_the_per_t_reference(name):
+    # iterate k is read at the k-th site after the head, along the window
+    # pairs and on along the ray: the per-t site and tangent, bit for bit
+    setup = scenarios._checked_setup(json.loads(bundled_scenarios()[name].read_text()))
+    for lead in setup.network.leads():
+        for k_max in (1, len(lead.prefix), len(lead.prefix) + 1, 50):
+            assert_wandering_matches_the_per_t_reference(setup.unitary, lead, k_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (1, 2)]),
+    st.booleans(),
+    st.integers(-2, 6),
+)
+def test_wandering_on_random_networks_matches_the_per_t_reference(seed, counts, conducting, past):
+    # incoming and outgoing leads, k_max short of, at and past the prefix;
+    # without the lead coin the walker leaves the lead, so the overlaps and
+    # the transport defect are not all 0 and 1
+    rng = np.random.default_rng(seed)
+    network = random_network(rng, *counts, box=8)
+    background = random_background(rng, 2, box=3)
+    walk = build_walk(synthesize_lead_coin(network, background) if conducting else background)
+    for lead in network.leads():
+        assert_wandering_matches_the_per_t_reference(walk, lead, max(1, len(lead.prefix) + past))
 
 
 def test_random_networks_index(subtests=None):
