@@ -59,8 +59,7 @@ def _load(path: Path) -> dict:
 def _run_one(args: tuple[str, int | None, str, str]) -> int:
     token, seed, profile, out_dir = args
     try:
-        path = _resolve(token)
-        spec = _load(path)
+        spec = _load(_resolve(token))
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: parse: {token}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -72,15 +71,14 @@ def _run_one(args: tuple[str, int | None, str, str]) -> int:
     except FluxwalkError as exc:
         print(f"error: {token}: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY if isinstance(exc, ConsistencyError) else EXIT_UNDEFINED
-    name = result.report.get("name") or path.stem
-    target = Path(out_dir) / name
+    target = Path(out_dir) / result.report["name"]
     target.mkdir(parents=True, exist_ok=True)
     (target / "report.json").write_text(dump_report(result.report), encoding="utf-8")
     for filename, content in result.files.items():
         (target / filename).write_text(content, encoding="utf-8")
     for key, block in result.report["analyses"].items():
         status = "pass" if block.get("pass") else "FAIL"
-        print(f"{name}: {key}: {status}")
+        print(f"{target.name}: {key}: {status}")
     if any("internal_error" in block for block in result.report["analyses"].values()):
         print(f"error: internal: {token}: see {target / 'report.json'}", file=sys.stderr)
         return EXIT_CONSISTENCY

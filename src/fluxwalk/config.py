@@ -44,8 +44,8 @@ PROFILES = {"default": DEFAULT, "strict": STRICT}
 # scenarios stay about 40 times below it.
 WINDOW_SITES = 1 << 18
 
-# Most basis vectors of a dense window compression (``spectrum_window`` and
-# ``oracle_equivalence``): a larger one raises ``ValidationError`` before its
-# sites are listed.  The bundled ``spectrum_window`` spans 50, the oracle at
-# its default pad at most 484.
+# Most basis vectors N of a dense window compression, refused before its sites
+# are listed: it bounds the N x N matrix's memory, 256 MiB.  The oracle solves
+# only the matrix's exact blocks; ``spectrum_window`` solves it whole.  The
+# bundled ``spectrum_window`` spans 50, the oracle at its default pad at most 484.
 DENSE_BASIS = 4096

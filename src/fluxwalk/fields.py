@@ -27,8 +27,8 @@ actions off one ``value_index`` call into a stack of S^T.  The scalar
 forms, ``SiteMap.value`` and ``AdaptedProjection.open_slots`` on each
 layer's ``locate``, serve callers holding one site or a few: lead synthesis
 and its checks, and the walk and projection actions on states of at most
-``lattice.DICT_GROUPING`` sites.  On one site the scalar forms cost a few
-microseconds and the array forms 50 to 70; from a few dozen sites on the
+``lattice.SCALAR_LOOKUPS`` sites.  On one site the scalar forms cost a few
+microseconds and the array forms 35 to 45; from about two dozen sites on the
 array forms cost less, so the actions read longer states, such as the
 iterates of a shift check, through the array forms.
 """
@@ -45,7 +45,7 @@ from typing import Any, Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import DICT_GROUPING, LatticeState, Site, SiteIndex, all_direction_vectors, group_sites, sub
+from .lattice import SCALAR_LOOKUPS, LatticeState, Site, SiteIndex, all_direction_vectors, group_sites, sub
 
 
 def _site_array(sites, d: int) -> np.ndarray:
@@ -342,7 +342,7 @@ class AdaptedProjection:
     ``open_slots`` for one site, each the union over the map's window,
     ``layers`` and background: block assembly reads ``diagonal_entries``,
     built on ``slot_bits``; ``apply`` reads ``open_slots`` on states of at
-    most ``DICT_GROUPING`` sites and ``slot_bits`` on longer ones.
+    most ``SCALAR_LOOKUPS`` sites and ``slot_bits`` on longer ones.
     """
 
     def __init__(self, d: int, sitemap: SiteMap):
@@ -412,9 +412,9 @@ class AdaptedProjection:
     def apply(self, psi: LatticeState) -> LatticeState:
         """Multiply every row of ``psi``, in every column, by the 0/1
         diagonal at its site, in one array product; the diagonals come from
-        ``open_slots`` once per row up to ``DICT_GROUPING`` rows, from one
+        ``open_slots`` once per row up to ``SCALAR_LOOKUPS`` rows, from one
         ``slot_bits`` call above."""
-        if psi.support_size() > DICT_GROUPING:
+        if psi.support_size() > SCALAR_LOOKUPS:
             bits = self.slot_bits(psi.site_array)[:, None] >> np.arange(self.n, dtype=np.uint64)
             masks = (bits & 1).astype(float)
         else:

@@ -605,12 +605,10 @@ def max_block_norm(flux: FluxField) -> float:
 
 
 def dense_window_index(unitary, project, box_sites, n_internal: int, tol: Tolerances = DEFAULT):
-    """Index from one dense compression of U*PU - P on a padded window.
-
-    Independent of the blockwise path: the operator is applied lazily to
-    every basis vector of the window and the resulting Hermitian matrix is
-    diagonalized as a whole.
-    """
+    """Index from one dense compression of U*PU - P on a padded window,
+    independent of the blockwise path: the operator is applied lazily to
+    every basis vector of the window, and the resulting Hermitian matrix is
+    diagonalized through the components of its own exact zero pattern."""
     sites = sorted(tuple(s) for s in box_sites)
 
     def flux_apply(e: LatticeState) -> LatticeState:
@@ -619,8 +617,24 @@ def dense_window_index(unitary, project, box_sites, n_internal: int, tol: Tolera
     m = compress(flux_apply, sites, n_internal)
     if np.max(np.abs(m - m.conj().T)) > DENSE_HERMITIAN_BOUND:
         raise ValidationError("window compression of the flux is not Hermitian")
-    plus, minus, _ = classify_unit(np.linalg.eigvalsh(m)[None], tol, lambda _: ("dense", sites[0]))
+    plus, minus, _ = classify_unit(component_eigenvalues(m)[None], tol, lambda _: ("dense", sites[0]))
     return int(plus.sum() - minus.sum())
+
+
+def component_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """The eigenvalues of a Hermitian matrix in ascending order, from one
+    ``eigvalsh`` stack per size of the connected components of the nonzero
+    pattern of m and its transpose; each keeps its rows in order."""
+    i, j = ((m != 0) | (m != 0).T).nonzero()
+    root, label = None, np.arange(len(m))
+    while not np.array_equal(label, root):  # each row takes the least label beside it, until none moves
+        root, label = label, label.copy()
+        np.minimum.at(label, i, root[j])
+    order = np.argsort(root, kind="stable")  # the rows of each component together, in order
+    sizes = np.bincount(root)[root[order]]
+    blocks = (order[sizes == size].reshape(-1, size) for size in sorted(set(sizes.tolist())))
+    evals = [np.linalg.eigvalsh(m[rows[:, :, None], rows[:, None, :]]).ravel() for rows in blocks]
+    return np.sort(np.concatenate([np.zeros(0), *evals]))
 
 
 # ---------------------------------------------------------------------------

@@ -78,19 +78,18 @@ def sub(a: Site, b: Site) -> Site:
     return tuple(map(operator.sub, a, b))
 
 
-# Up to this many sites a per-site loop beats one array pass: a dict of site
-# tuples in ``group_sites`` and ``SiteIndex``, ``SiteMap.value`` in
-# ``CoinedWalk.coins``, ``open_slots`` in ``AdaptedProjection.apply``.  Per
-# call on 2 cores with NumPy 2.4, on a lead-network coin with a 64-site window
-# and 3 rays (us, median of 5 processes of best of 5):
-#
-#   sites   value loop   value_index + take   open_slots loop   slot_bits
-#       1          2.8                   53               2.8          68
-#      16           34                   64                40          73
-#      32           66                   62                91          80
-#      64          108                   68               157          88
-#     512        1 033                  103             1 327         106
+# Up to DICT_GROUPING sites a dict of site tuples beats an array pass in ``group_sites`` and
+# ``SiteIndex``; up to SCALAR_LOOKUPS sites ``SiteMap.value`` per site in ``CoinedWalk.coins`` and
+# ``open_slots`` in ``AdaptedProjection.apply`` beat ``value_index`` + take and ``slot_bits``.  Per
+# call (us, median of 3 processes of best of 5, 2 cores, NumPy 2.4, a lead-network coin: 64-site window, 3 rays):
+#   sites   value loop   value_index   open_slots   slot_bits   group_sites dict   array   SiteIndex dict   grid
+#       1          2.3            36          4.0          44                0.1     0.1              2.0     12
+#      16           28            44           52          53                5.6      15              7.2     15
+#      24           40            46           72          52                7.1      14              9.3     15
+#      32           55            46          101          54                8.8      15               11     15
+#      64          101            54          191          62                 16      15               21     15
 DICT_GROUPING = 64
+SCALAR_LOOKUPS = 24
 # no ``SiteIndex`` or ``group_sites`` grid covers more sites than this and
 # eight per table row or entry: filling and reading a grid of this many
 # cells costs about as much as sorting the bytes of 65 two-coordinate sites
@@ -250,14 +249,13 @@ class LatticeState:
     immutable values that may share arrays.  Sites are matched through a
     ``SiteIndex`` over ``site_array``, shared by states on the same sites
     (``with_values``) and built into a dict or grid on first use.
-    ``vector_at``, ``norm`` and ``inner`` read single vectors.
+    ``inner`` and ``norm``, its square root on the state itself, read single vectors.
 
     Exactness: with K = 1 every result is bitwise the one of the per-site
     dict loop this layout replaced.  Elementwise arithmetic runs entry by
     entry, a one-column stacked product takes BLAS's matrix-vector path as
-    the per-site product did, and ``inner`` and ``norm`` keep one
-    ``np.vdot`` per row.  ``vector_at``, ``norm`` and ``inner`` refuse a
-    state of several columns.  With K > 1 the elementwise steps
+    the per-site product did, and ``inner`` keeps one ``np.vdot`` per row
+    and refuses a state of several columns.  With K > 1 the elementwise steps
     and scatters give each column's bits, but a stacked product (and
     ``gram``, ``norms``) takes the matrix-matrix path and may round
     differently.  A map that is a single product, such as the unitary of
@@ -346,19 +344,11 @@ class LatticeState:
         """Row of each site of an (M, d) integer array, -1 where the state vanishes."""
         return self._index.rows(sites)
 
-    def vector_at(self, site: Site) -> np.ndarray:
-        self._single()
-        row = self._index.row(site)
-        if row is None:
-            return np.zeros(self.n_internal, dtype=complex)
-        return self.value_array[row, :, 0].copy()
-
     def support_size(self) -> int:
         return len(self.value_array)
 
     def norm(self) -> float:
-        self._single()
-        return float(np.sqrt(sum(np.vdot(v, v).real for v in self.value_array)))
+        return float(np.sqrt(self.inner(self).real))
 
     def norms(self) -> np.ndarray:
         """The norm of every column, from one reduction."""
@@ -367,7 +357,8 @@ class LatticeState:
 
     def inner(self, other: "LatticeState") -> complex:
         """<self, other> of two single vectors, antilinear in self."""
-        self._single()
+        if self.n_columns != 1:
+            raise DimensionMismatchError(f"a single-vector reader on {self.n_columns} columns")
         self._check(other)
         if len(other.value_array) < len(self.value_array):
             return np.conj(other.inner(self))
@@ -409,10 +400,6 @@ class LatticeState:
 
     def scaled(self, factor: complex) -> "LatticeState":
         return self.with_values(factor * self.value_array)
-
-    def _single(self) -> None:
-        if self.value_array.shape[2] != 1:
-            raise DimensionMismatchError(f"a single-vector reader on {self.n_columns} columns")
 
     def _check(self, other: "LatticeState", columns: bool = True) -> None:
         if other.n_internal != self.n_internal:

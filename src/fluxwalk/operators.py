@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 from .fields import SiteMap
-from .lattice import DICT_GROUPING, LatticeState, all_direction_vectors, group_sites
+from .lattice import SCALAR_LOOKUPS, LatticeState, all_direction_vectors, group_sites
 
 
 class LocalUnitary:
@@ -57,7 +57,7 @@ class CoinedWalk(LocalUnitary):
     x + dir_k (``out_basis``).  ``table_rows`` gives the stacked coin table
     and each label's ``value_index`` row in it.  ``step`` is the one step
     core: ``apply`` and ``apply_adjoint`` run it on sites with ``coins``
-    (one ``coin.value`` call per site on states of at most ``DICT_GROUPING``
+    (one ``coin.value`` call per site on states of at most ``SCALAR_LOOKUPS``
     sites, where that is cheaper than an array lookup, one ``value_index``
     on longer ones), a shift check's ``shift.SiteFrame`` on its keys.
     """
@@ -79,9 +79,9 @@ class CoinedWalk(LocalUnitary):
 
     def coins(self, sites: np.ndarray) -> np.ndarray:
         """(S, n, n) stack of the coins at an (S, d) site array: one
-        ``coin.value`` per site up to ``DICT_GROUPING`` sites, one
+        ``coin.value`` per site up to ``SCALAR_LOOKUPS`` sites, one
         ``value_index`` into the stacked table above."""
-        if len(sites) > DICT_GROUPING:
+        if len(sites) > SCALAR_LOOKUPS:
             return super().coins(sites)
         return np.array([self.coin.value(x) for x in sites.tolist()], dtype=complex)
 

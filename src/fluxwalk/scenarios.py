@@ -417,12 +417,13 @@ def _checked_setup(spec: dict, tol: Tolerances = DEFAULT):
     returns the setup they build under ``tol``, with its generator and notes."""
     if not isinstance(spec, dict):
         raise ValidationError("scenario must be a JSON object")
-    if spec.get("schema_version") != SCHEMA_VERSION:
-        raise ValidationError(
-            f"unsupported schema_version {spec.get('schema_version')!r}"
-        )
+    version = spec.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValidationError(f"unsupported schema_version {version!r}")
     kind = _need(spec, "kind", "scenario")
-    _need(spec, "name", "scenario")
+    name = _need(spec, "name", "scenario")
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ValidationError(f"scenario name {name!r} must name one file: not empty, . or .., and no /, \\ or NUL")
     seed = _need(spec, "seed", "scenario")
     if not isinstance(seed, int) or seed < 0:
         raise ValidationError("seed must be a nonnegative integer")
@@ -802,7 +803,7 @@ def run_scenario(
         all_ok = all_ok and bool(result.get("pass", False))
     report = {
         "schema_version": SCHEMA_VERSION,
-        "name": spec.get("name"),
+        "name": spec["name"],
         "kind": kind,
         "seed": seed,
         "rng": {"algorithm": RNG_ALGORITHM, "seed": seed},

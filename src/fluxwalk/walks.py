@@ -494,9 +494,10 @@ def verify_wandering(
     k_max: int,
     tol: Tolerances = DEFAULT,
 ) -> WanderingReport:
-    """Check that the lead's head state psi wanders, <psi, U^k psi> = 0 for
+    """Check that the lead's head state psi, one basis vector, wanders:
+    <psi, U^k psi>, the iterate's entry at psi's site and slot, is 0 for
     k = 1..k_max, stepped under U along an outgoing lead and under U* along
-    an incoming one, and that the same iterates carry it along the lead up
+    an incoming one; and that the same iterates carry it along the lead up
     to a phase: iterate k sits on the k-th site after the head, in one pass
     along the lead's ``window_pairs`` (reversed for an incoming lead) and
     on along its ``ray_family``."""
@@ -508,19 +509,18 @@ def verify_wandering(
         ((site, index_of_vector(tangent)) for site, tangent in lead.window_pairs[:: 1 if outgoing else -1]),
         ((ray.site_at(j), ray_slot) for j in itertools.count()),
     )
-    seed = LatticeState.basis(*next(path), unitary.n_internal)
+    head, head_slot = next(path)
     step = unitary.apply if outgoing else unitary.apply_adjoint
-    current = seed
-    worst = defect = 0.0
-    worst_k = None
-    overlaps = []
-    for k, (site, slot) in zip(range(1, k_max + 1), path):
+    current = LatticeState.basis(head, head_slot, unitary.n_internal)
+    overlaps, defect = [], 0.0
+    for site, slot in itertools.islice(path, k_max):
         current = step(current)
-        ov = abs(seed.inner(current))
-        overlaps.append(ov)
-        if ov > worst:
-            worst, worst_k = ov, k
-        defect = max(defect, abs(abs(current.vector_at(site)[slot]) - 1.0))
+        sites, values = current.site_list(), current.value_array
+        overlaps.append(abs(values[sites.index(head), head_slot, 0]) if head in sites else 0.0)
+        amp = abs(values[sites.index(site), slot, 0]) if site in sites else 0.0
+        defect = max(defect, abs(amp - 1.0))
+    worst = max(overlaps)
+    worst_k = overlaps.index(worst) + 1 if worst > 0 else None
     transport_ok = defect <= tol.wandering
     return WanderingReport(worst <= tol.wandering and transport_ok, worst, worst_k, transport_ok, defect, overlaps)
 

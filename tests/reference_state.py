@@ -6,8 +6,10 @@ used before the packed layout, and the functions below are the per-site
 loops that the walk, projection, network and cell actions ran on it.  The
 tests compare the packed results against them bit for bit, row order
 included; ``state`` packs a dict of site vectors, the form that tests write
-states in, and ``columns`` splits a stacked state into single-column
-states.  ``flux_apply`` applies a flux through its box stack alone.
+states in, ``columns`` splits a stacked state into single-column states,
+and ``vector_at`` reads one site's vector of a single-vector state (the
+reader that ``LatticeState`` dropped once the wandering check read its two
+entries off the iterate's site list).  ``flux_apply`` applies a flux through its box stack alone.
 The cell references describe one cell, or one site of a region,
 at a time, from the model's fields and the scalar ``in_cell``/``out_cell``.
 ``random_phase_window`` is the per-cell draw loop that ``fluxwalk.cc``
@@ -166,11 +168,22 @@ class DictState:
         return self + other.scaled(-1.0)
 
 
-def items(psi: LatticeState):
-    """Each site with its vector, of a single-vector state, in row order."""
+def _single(psi: LatticeState) -> None:
     if psi.n_columns != 1:
         raise DimensionMismatchError(f"a single-vector reader on {psi.n_columns} columns")
+
+
+def items(psi: LatticeState):
+    """Each site with its vector, of a single-vector state, in row order."""
+    _single(psi)
     return zip(psi.site_list(), psi.value_array[:, :, 0])
+
+
+def vector_at(psi: LatticeState, site) -> np.ndarray:
+    """The vector of a single-vector state at one site, zeros where it vanishes."""
+    _single(psi)
+    row = psi.rows_of(np.array([site], dtype=np.int64))[0]
+    return psi.value_array[row, :, 0].copy() if row >= 0 else np.zeros(psi.n_internal, dtype=complex)
 
 
 def to_dict(psi: LatticeState) -> DictState:
@@ -903,7 +916,7 @@ def verify_wandering(unitary, lead, k_max: int, tol=DEFAULT) -> walks.WanderingR
         if ov > worst:
             worst, worst_k = ov, k
         t = sign * (1 + k)
-        amp = current.vector_at(lead_site(lead, t))[index_of_vector(lead_tangent(lead, t))]
+        amp = vector_at(current, lead_site(lead, t))[index_of_vector(lead_tangent(lead, t))]
         defect = max(defect, abs(abs(amp) - 1.0))
     transport_ok = defect <= tol.wandering
     return walks.WanderingReport(worst <= tol.wandering and transport_ok, worst, worst_k, transport_ok, defect, overlaps)

@@ -473,7 +473,7 @@ def test_single_vector_readers_refuse_stacked_states():
         lambda: stacked.inner(stacked),
         lambda: psi.inner(stacked),
         lambda: ref.items(stacked),
-        lambda: stacked.vector_at((0, 0)),
+        lambda: ref.vector_at(stacked, (0, 0)),
     ):
         with pytest.raises(DimensionMismatchError):
             read()

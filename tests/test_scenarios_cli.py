@@ -455,6 +455,40 @@ def test_cli_exit_code_names_the_error_class(monkeypatch, tmp_path, capsys, erro
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("name", 7, "scenario name 7 must name one file"),
+        ("name", True, "scenario name True must name one file"),
+        ("name", math.nan, "scenario name nan must name one file"),
+        ("name", [], "scenario name [] must name one file"),
+        ("name", "", "scenario name '' must name one file"),
+        ("name", ".", "scenario name '.' must name one file"),
+        ("name", "..", "scenario name '..' must name one file"),
+        ("name", "../x", "scenario name '../x' must name one file"),
+        ("name", "/tmp/x", "scenario name '/tmp/x' must name one file"),
+        ("name", "a\\b", "scenario name 'a\\\\b' must name one file"),
+        ("name", "a\0b", "scenario name 'a\\x00b' must name one file"),
+        ("schema_version", True, "unsupported schema_version True"),
+    ],
+    ids=["int", "bool", "nan", "list", "empty", "dot", "dotdot", "parent", "absolute", "backslash", "nul", "version_bool"],
+)
+def test_a_scenario_name_names_one_file_and_the_version_is_the_integer_1(tmp_path, capsys, key, value, message):
+    # a name that is no string used to validate and then crash the run on
+    # ``Path(out) / name``; "../x" and "/tmp/x" wrote outside --out
+    spec = load("basic_example")
+    spec[key] = value
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_scenario(spec)
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["validate", str(scenario_file)]) == 3
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
     "path, value, message",
     [
         (["analyses"], [1], "analysis #0 must be a JSON object"),
