@@ -1,11 +1,13 @@
 """Batch runner: run, validate, and list scenario files.
 
 Exit codes: 0 all assertions passed, 1 an embedded assertion failed,
-2 a scenario file failed to parse, 3 a scenario failed validation, 4 an
-internal consistency check failed or an analysis raised any other
-exception (its block names the type under ``internal_error``), 5 a
-quantity the scenario asks for is undefined (a failed certificate, an
-ambiguous eigenvalue, a trace norm that does not sum).
+2 a scenario file failed to parse, 3 a scenario failed validation, before
+any analysis ran (this covers each analysis's argument values and two
+analyses with one report key), 4 an internal consistency check failed or
+an analysis raised any other exception (its block names the type under
+``internal_error``), 5 a quantity the scenario asks for is undefined (a
+failed certificate, an ambiguous eigenvalue, a trace norm that does not
+sum).
 """
 
 from __future__ import annotations

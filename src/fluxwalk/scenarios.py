@@ -6,10 +6,13 @@ geometry, and a list of analyses with embedded expectations.
 
 Validation turns the file into a setup (``WalkSetup`` or ``CCSetup``) that
 owns the model's data, the scenario generator and the validation notes; it
-builds no operator and no flux.  A run gives the setup its tolerance profile
-and passes it to each analysis in turn.  The checked unitary, the base flux
-and the base index are built by the first analysis that reads them and then
-shared.  The same file and seed produce byte-identical reports.
+builds no operator and no flux.  It parses each analysis's arguments by
+their row of ``ARGUMENTS`` and refuses two analyses with one report key, so
+a bad value fails before any analysis runs.  A run gives the setup its
+tolerance profile and passes each analysis its parsed arguments in turn.
+The checked unitary, the base flux and the base index are built by the
+first analysis that reads them and then shared.  The same file and seed
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -189,13 +192,16 @@ def _path_from_json(obj: dict) -> ccm.DualPath:
 
 @dataclass(kw_only=True)
 class _Setup:
-    """A setup's generator, tolerance profile and notes.  ``unitary``, ``flux``
-    and ``index_report`` are built on first use and kept; a build that raises
-    keeps nothing, so the next reader retries."""
+    """A setup's generator, tolerance profile and notes; validation adds the
+    seed and each analysis's type and parsed arguments under its report key.
+    ``unitary``, ``flux`` and ``index_report`` are built on first use and
+    kept; a build that raises keeps nothing, so the next reader retries."""
 
     rng: np.random.Generator
     tol: Tolerances = DEFAULT
     notes: list[str] = field(default_factory=list)
+    seed: int = 0
+    analyses: dict[str, tuple[str, dict]] = field(default_factory=dict)
     network = None
 
     @cached_property
@@ -414,7 +420,8 @@ def build_cc_setup(spec: dict, rng: np.random.Generator, tol: Tolerances) -> CCS
 
 def _checked_setup(spec: dict, tol: Tolerances = DEFAULT):
     """Structural and precondition checks, raising on the first violation;
-    returns the setup they build under ``tol``, with its generator and notes."""
+    returns the setup they build under ``tol``, with its generator, notes and
+    parsed analyses."""
     if not isinstance(spec, dict):
         raise ValidationError("scenario must be a JSON object")
     version = spec.get("schema_version")
@@ -424,9 +431,7 @@ def _checked_setup(spec: dict, tol: Tolerances = DEFAULT):
     name = _need(spec, "name", "scenario")
     if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
         raise ValidationError(f"scenario name {name!r} must name one file: not empty, . or .., and no /, \\ or NUL")
-    seed = _need(spec, "seed", "scenario")
-    if not isinstance(seed, int) or seed < 0:
-        raise ValidationError("seed must be a nonnegative integer")
+    seed = _number(_need(spec, "seed", "scenario"), "seed", low=0)
     analyses = _need(spec, "analyses", "scenario")
     if not isinstance(analyses, list) or not analyses:
         raise ValidationError("analyses must be a nonempty list")
@@ -434,7 +439,8 @@ def _checked_setup(spec: dict, tol: Tolerances = DEFAULT):
     if not isinstance(kind, str) or kind not in build_setup:
         raise ValidationError(f"unknown scenario kind {kind!r}")
     _object(spec, "scenario", ("schema_version", "name", "description", "kind", "seed", *KEYS[kind], "analyses"))
-    setup = build_setup[kind](spec, _rng(int(seed)), tol)
+    setup = build_setup[kind](spec, _rng(seed), tol)
+    setup.seed = seed
     for name in ("coin", "projection", "path"):  # each of a type that the setup's builder accepted
         if name in spec:
             _object(spec[name], name, ("type", *KEYS[spec[name]["type"]]))
@@ -442,10 +448,36 @@ def _checked_setup(spec: dict, tol: Tolerances = DEFAULT):
         atype = _need(analysis, "type", f"analysis #{i}")
         if not isinstance(atype, str) or atype not in ANALYSES[kind]:
             raise ValidationError(f"analysis type {atype!r} not available for kind {kind!r}")
-        if not isinstance(analysis.get("label", ""), str):
+        key = analysis.get("label", f"{atype}#{i}")
+        if not isinstance(key, str):
             raise ValidationError(f"analysis #{i} label must be a string")
-        _object(analysis, f"analysis #{i} ({atype})", ("type", "label", *ANALYSIS_KEYS[atype]))
+        if key in setup.analyses:
+            raise ValidationError(f"analyses #{list(setup.analyses).index(key)} and #{i} share the report key {key!r}")
+        context = f"analysis #{i} ({atype})"
+        _object(analysis, context, ("type", "label", *ARGUMENTS[atype]))
+        setup.analyses[key] = atype, _arguments(setup, atype, analysis, context)
     return setup
+
+
+def _arguments(setup, atype: str, analysis: dict, context: str) -> dict:
+    """The arguments of an ``atype`` analysis, each parsed by its row of
+    ``ARGUMENTS``; an absent key takes its default, read from the setup
+    where the default is a function of it."""
+    args = {}
+    for key, (kind, low, default) in ARGUMENTS[atype].items():
+        name = f"{context} {key}"
+        value = analysis[key] if key in analysis else default(setup) if callable(default) else default
+        if key not in analysis and default is None:
+            args[key] = None  # an optional argument, left out
+        elif kind is bool:
+            args[key] = _flag(value, name)
+        elif kind is not list:
+            args[key] = _number(value, name, kind, low)
+        elif isinstance(value, list) and value:
+            args[key] = [_number(v, name, float, low) for v in value]
+        else:
+            raise ValidationError(f"{name} must be a nonempty list of numbers")
+    return args
 
 
 def validate_scenario(spec: dict) -> list[str]:
@@ -457,18 +489,22 @@ def validate_scenario(spec: dict) -> list[str]:
 # analyses: both models, then walks
 
 
-def _index_analysis(setup, analysis, files):
-    """Index report fields plus the verdict on the analysis' expectation."""
+def _expected(out: dict, indices: list[int], args: dict) -> bool:
+    """Whether every index meets each expectation that ``args`` sets, each
+    recorded in ``out``: ``expect`` of the index, ``expect_abs`` of its size."""
+    ok = True
+    for key, name, of in (("expect", "expected", int), ("expect_abs", "expected_abs", abs)):
+        if args[key] is not None:
+            out[name] = args[key]
+            ok = ok and all(of(i) == args[key] for i in indices)
+    return ok
+
+
+def _index_analysis(setup, args, files):
+    """Index report fields plus the verdict on the analysis' expectations."""
     report = setup.index_report
     out = index_report_dict(report)
-    if "expect" in analysis:
-        out["expected"] = _number(analysis["expect"], "expect")
-        out["pass"] = report.index == out["expected"]
-    elif "expect_abs" in analysis:
-        out["expected_abs"] = _number(analysis["expect_abs"], "expect_abs", low=0)
-        out["pass"] = abs(report.index) == out["expected_abs"]
-    else:
-        out["pass"] = True
+    out["pass"] = _expected(out, [report.index], args)
     return out
 
 
@@ -481,8 +517,8 @@ def _dense_window(ranges, n_internal: int) -> list:
     return list(itertools.product(*ranges))
 
 
-def _spectrum_window_analysis(setup, analysis, files):
-    box = _number(analysis.get("box", 5), "box", low=0)
+def _spectrum_window_analysis(setup, args, files):
+    box = args["box"]
     unitary = setup.unitary
     sites = _dense_window([range(-box, box + 1)] * unitary.d, unitary.n_internal)
     m = matrix_on_window(unitary, sites)
@@ -490,29 +526,23 @@ def _spectrum_window_analysis(setup, analysis, files):
     rows = ["phase,modulus"]
     rows += [f"{np.angle(z):.12f},{abs(z):.12f}" for z in sorted(evals, key=np.angle)]
     files["eigenphases.csv"] = "\n".join(rows) + "\n"
-    return {
-        "box": box,
-        "count": len(evals),
-        "note": "finite-window compression; boundary-affected, no assertion",
-        "pass": True,
-    }
+    note = "finite-window compression; boundary-affected, no assertion"
+    return {"box": box, "count": len(evals), "note": note, "pass": True}
 
 
-def _walk_flux_zero_analysis(setup, analysis, files):
+def _walk_flux_zero_analysis(setup, args, files):
     worst = max_block_norm(setup.flux)
     return {"max_block_norm": worst, "pass": worst <= VANISHING_FLUX_BOUND}
 
 
-def _walk_wandering_analysis(setup, analysis, files):
-    steps = _number(analysis.get("steps", 50), "steps")
+def _walk_wandering_analysis(setup, args, files):
+    steps = args["steps"]
     if setup.network is None or not setup.network.leads():
         raise ValidationError("wandering needs a lead network with at least one lead")
     results = []
-    ok = True
     rows = ["lead,step,overlap"]
     for idx, lead in enumerate(setup.network.leads()):
         rep = verify_wandering(setup.unitary, lead, steps, tol=setup.tol)
-        ok = ok and rep.ok
         results.append(
             {
                 "lead": idx,
@@ -522,33 +552,26 @@ def _walk_wandering_analysis(setup, analysis, files):
                 "transport_defect": rep.transport_defect,
             }
         )
-        for k, ov in enumerate(rep.overlaps, start=1):
-            rows.append(f"{idx},{k},{ov:.3e}")
+        rows += [f"{idx},{k},{ov:.3e}" for k, ov in enumerate(rep.overlaps, start=1)]
     files["wandering_overlaps.csv"] = "\n".join(rows) + "\n"
-    return {"leads": results, "steps": steps, "pass": ok}
+    return {"leads": results, "steps": steps, "pass": all(r["ok"] for r in results)}
 
 
-def _walk_confinement_analysis(setup, analysis, files):
-    steps = _number(analysis.get("steps", 30), "steps", low=1)
-    box = _number(analysis.get("box", 3), "box", low=0)
-    leak = verify_confinement(setup.unitary, setup.rng, steps=steps, box=box)
-    return {"steps": steps, "max_leak": leak, "pass": leak <= setup.tol.wandering}
+def _walk_confinement_analysis(setup, args, files):
+    leak = verify_confinement(setup.unitary, setup.rng, steps=args["steps"], box=args["box"])
+    return {"steps": args["steps"], "max_leak": leak, "pass": leak <= setup.tol.wandering}
 
 
-def _walk_shift_analysis(setup, analysis, files):
-    steps = _number(analysis.get("steps", 30), "steps")
+def _walk_shift_analysis(setup, args, files):
     index = setup.index_report.index
-    flux = setup.flux
-    kernels = extract_kernels(flux)
-    perturbed = build_perturbed(flux, kernels)
-    shift_report = verify_shift_structure(perturbed, k_max=steps)
+    perturbed = build_perturbed(setup.flux, extract_kernels(setup.flux))
+    shift_report = verify_shift_structure(perturbed, k_max=args["steps"])
     return {**shift_report.as_dict(), "index": index, "pass": shift_report.ok}
 
 
-def _walk_stability_analysis(setup, analysis, files):
-    steps = _number(analysis.get("steps", 20), "steps", low=1)
-    strength = _number(analysis.get("strength", 0.1), "strength", float)
-    target = perturb_coin_window(setup.coin, setup.rng, strength)
+def _walk_stability_analysis(setup, args, files):
+    steps = args["steps"]
+    target = perturb_coin_window(setup.coin, setup.rng, args["strength"])
 
     def family(t):
         walk = build_walk(interpolate_matrix_fields(setup.coin, target, t), setup.tol)
@@ -557,19 +580,13 @@ def _walk_stability_analysis(setup, analysis, files):
     probes = index_stability_probe(family, steps)
     indices = sorted({p.index for p in probes if p.certified})
     flagged = [p.t for p in probes if not p.certified]
-    ok = len(indices) == 1 and not flagged
-    return {
-        "steps": steps,
-        "indices": indices,
-        "flagged": flagged,
-        "pass": ok,
-    }
+    return {"steps": steps, "indices": indices, "flagged": flagged, "pass": len(indices) == 1 and not flagged}
 
 
-def _walk_oracle_analysis(setup, analysis, files):
+def _walk_oracle_analysis(setup, args, files):
     """Dense index of the compression to a padded box around the kept window
     blocks; not applicable without such blocks or when the box is wide."""
-    pad = _number(analysis.get("pad", 2), "pad", low=0)
+    pad = args["pad"]
     flux = setup.flux
     labels = flux.box.index.table[flux.kept]
     if not len(labels) or np.ptp(labels, axis=0).max() + 1 > 7:
@@ -579,19 +596,12 @@ def _walk_oracle_analysis(setup, analysis, files):
     box = _dense_window([range(l - pad, h + pad + 1) for l, h in zip(lo, hi)], walk.n_internal)
     dense = dense_window_index(walk, setup.projection.apply, box, walk.n_internal, setup.tol)
     blockwise = setup.index_report.index
-    return {
-        "applicable": True,
-        "blockwise": blockwise,
-        "dense": dense,
-        "pass": blockwise == dense,
-    }
+    return {"applicable": True, "blockwise": blockwise, "dense": dense, "pass": blockwise == dense}
 
 
-def _walk_network_ensemble_analysis(setup, analysis, files):
+def _walk_network_ensemble_analysis(setup, args, files):
     rng = setup.rng
-    draws = _number(analysis.get("draws", 100), "draws", low=1)
-    max_leads = _number(analysis.get("max_leads", 3), "max_leads", low=0)
-    box = _number(analysis.get("box", 10), "box", low=0)
+    draws, max_leads, box = args["draws"], args["max_leads"], args["box"]
     failures = []
     for k in range(draws):
         n_in = int(rng.integers(0, max_leads + 1))
@@ -610,51 +620,32 @@ def _walk_network_ensemble_analysis(setup, analysis, files):
 # analyses: network model
 
 
-def _cc_ensemble_analysis(setup, analysis, files):
-    draws = _number(analysis.get("draws", 100), "draws", low=1)
-    expect = _number(analysis["expect"], "expect") if "expect" in analysis else None
-    expect_abs = _number(analysis["expect_abs"], "expect_abs", low=0) if "expect_abs" in analysis else None
-    constant_sign = _flag(analysis.get("constant_sign", False), "constant_sign")
-    seeds = _child_seeds(int(setup.spec["seed"]) + 1, draws)
+def _cc_ensemble_analysis(setup, args, files):
+    seeds = _child_seeds(setup.seed + 1, args["draws"])
     indices = []
     plan = ccm.FluxPlan()
     for s in seeds:
         scattering = _path_scattering(setup.spec, setup.path, _rng(s))
         report, _ = ccm.cc_index(scattering, setup.path, setup.tol, plan)
         indices.append(report.index)
-    out = {"draws": draws, "distinct": sorted(set(indices))}
-    ok = True
-    if expect is not None:
-        ok = all(i == expect for i in indices)
-        out["expected"] = expect
-    if expect_abs is not None:
-        ok = ok and all(abs(i) == expect_abs for i in indices)
-        out["expected_abs"] = expect_abs
-    if constant_sign:
-        ok = ok and len(set(indices)) == 1
-    out["pass"] = ok
+    out = {"draws": args["draws"], "distinct": sorted(set(indices))}
+    out["pass"] = _expected(out, indices, args) and (len(set(indices)) == 1 or not args["constant_sign"])
     return out
 
 
-def _cc_norm_law_analysis(setup, analysis, files):
-    _, r, _ = setup.scattering.value((0, 0))
-    r_abs = _number(analysis.get("r_abs", abs(r)), "r_abs", float)
+def _cc_norm_law_analysis(setup, args, files):
+    r_abs = args["r_abs"]
     # every window and shell block above the pruning threshold
     box = setup.flux.box
     rows = box.norms > setup.tol.block_prune
     evals = box.eigenvalues[rows]
     worst_norm = float(np.abs(box.norms[rows] - r_abs).max(initial=0.0))
     worst_eig = float(np.minimum(np.abs(evals - r_abs), np.abs(evals + r_abs)).max(initial=0.0))
-    return {
-        "r_abs": r_abs,
-        "norm_defect": worst_norm,
-        "eigenvalue_defect": worst_eig,
-        "pass": worst_norm <= NORM_LAW_BOUND and worst_eig <= NORM_LAW_BOUND,
-    }
+    ok = worst_norm <= NORM_LAW_BOUND and worst_eig <= NORM_LAW_BOUND
+    return {"r_abs": r_abs, "norm_defect": worst_norm, "eigenvalue_defect": worst_eig, "pass": ok}
 
 
-def _cc_surgery_analysis(setup, analysis, files):
-    reroutes = _number(analysis.get("reroutes", 20), "reroutes")
+def _cc_surgery_analysis(setup, args, files):
     base_report = setup.index_report
     extended = setup.path.extended(12, 12)
     split = ccm.RegionSplit(extended, (-40, -40), (40, 40))
@@ -662,7 +653,7 @@ def _cc_surgery_analysis(setup, analysis, files):
     results = []
     ok = True
     seen = {}  # the index and difference rank of each distinct rerouted path
-    for k in range(reroutes):
+    for k in range(args["reroutes"]):
         bumped = ccm.random_bump(extended, setup.rng, t0, t1)
         if bumped is None:
             continue
@@ -671,24 +662,14 @@ def _cc_surgery_analysis(setup, analysis, files):
             index = ccm.cc_index(setup.scattering, new_path, setup.tol)[0].index
             seen[new_path.middle] = index, ccm.region_difference_rank(split, new_path)
         index, diff = seen[new_path.middle]
-        good = index == base_report.index and diff == expected_diff
-        ok = ok and good
+        ok = ok and index == base_report.index and diff == expected_diff
         results.append({"reroute": k, "index": index, "difference_rank": diff})
-    return {
-        "base_index": base_report.index,
-        "reroutes": len(results),
-        "results": results,
-        "pass": ok and bool(results),
-    }
+    return {"base_index": base_report.index, "reroutes": len(results), "results": results, "pass": ok and bool(results)}
 
 
-def _cc_anomalous_analysis(setup, analysis, files):
-    epsilons = analysis.get("epsilons", [0.25, 0.125, 0.0625])
-    if not isinstance(epsilons, list) or not epsilons:
-        raise ValidationError("epsilons must be a nonempty list of numbers")
-    epsilons = [_number(e, "epsilons", float) for e in epsilons]
-    draws = _number(analysis.get("draws", 1), "draws", low=1)
-    seeds = _child_seeds(int(setup.spec["seed"]) + 2, draws)
+def _cc_anomalous_analysis(setup, args, files):
+    epsilons, draws = args["epsilons"], args["draws"]
+    seeds = _child_seeds(setup.seed + 2, draws)
     traces = []
     ok = True
     base_index = None
@@ -702,13 +683,8 @@ def _cc_anomalous_analysis(setup, analysis, files):
         for eps, tr in result["traces"]:
             ok = ok and abs(tr - result["index"]) <= setup.tol.trace_match
             traces.append([eps, tr])
-    return {
-        "index": base_index,
-        "epsilons": epsilons,
-        "draws": draws,
-        "traces": traces[: 4 * len(epsilons)],
-        "pass": ok,
-    }
+    traces = traces[: 4 * len(epsilons)]
+    return {"index": base_index, "epsilons": epsilons, "draws": draws, "traces": traces, "pass": ok}
 
 
 ANALYSES = {
@@ -741,21 +717,27 @@ KEYS = {
     "network": ("incoming", "outgoing", "boundary"), "boundary_full": (), "straight_r": ("height",),
     "crossover": ("west_first",), "wiggled_r": (), "explicit": ("middle", "pre", "post"),
 }
-# the keys each analysis type reads besides "type" and "label"
-ANALYSIS_KEYS = {
-    "index": ("expect", "expect_abs"),
-    "flux_zero": (),
-    "wandering": ("steps",),
-    "confinement": ("steps", "box"),
-    "shift_decomposition": ("steps",),
-    "stability_probe": ("steps", "strength"),
-    "oracle_equivalence": ("pad",),
-    "network_ensemble": ("draws", "max_leads", "box"),
-    "spectrum_window": ("box",),
-    "ensemble_index": ("draws", "expect", "expect_abs", "constant_sign"),
-    "norm_law": ("r_abs",),
-    "surgery": ("reroutes",),
-    "anomalous_transport": ("epsilons", "draws"),
+# the keys each analysis type reads besides "type" and "label", each with its
+# kind (int, float, bool, or list: a nonempty list of floats), its least value
+# and its default; an expectation with no default is optional, and norm_law's
+# r_abs defaults to the setup's |r| at the origin
+ARGUMENTS = {
+    "index": {"expect": (int, None, None), "expect_abs": (int, 0, None)},
+    "flux_zero": {},
+    "wandering": {"steps": (int, 1, 50)},
+    "confinement": {"steps": (int, 1, 30), "box": (int, 0, 3)},
+    "shift_decomposition": {"steps": (int, 1, 30)},
+    "stability_probe": {"steps": (int, 1, 20), "strength": (float, None, 0.1)},
+    "oracle_equivalence": {"pad": (int, 0, 2)},
+    "network_ensemble": {"draws": (int, 1, 100), "max_leads": (int, 0, 3), "box": (int, 0, 10)},
+    "spectrum_window": {"box": (int, 0, 5)},
+    "ensemble_index": {
+        "draws": (int, 1, 100), "expect": (int, None, None), "expect_abs": (int, 0, None),
+        "constant_sign": (bool, None, False),
+    },
+    "norm_law": {"r_abs": (float, 0, lambda setup: abs(setup.scattering.value((0, 0))[1]))},
+    "surgery": {"reroutes": (int, 1, 20)},
+    "anomalous_transport": {"epsilons": (list, None, [0.25, 0.125, 0.0625]), "draws": (int, 1, 1)},
 }
 
 
@@ -773,40 +755,33 @@ class ScenarioResult:
         return bool(self.report.get("pass"))
 
 
-def run_scenario(
-    spec: dict,
-    seed_override: int | None = None,
-    profile: str = "default",
-) -> ScenarioResult:
+def run_scenario(spec: dict, seed_override: int | None = None, profile: str = "default") -> ScenarioResult:
     if profile not in PROFILES:
         raise ValidationError(f"unknown tolerance profile {profile!r}")
     if seed_override is not None and isinstance(spec, dict):
         spec = {**spec, "seed": seed_override}
     setup = _checked_setup(spec, PROFILES[profile])
-    seed = spec["seed"]
     kind = spec["kind"]
     files: dict[str, str] = {}
     analyses_out = {}
     all_ok = True
-    for i, analysis in enumerate(spec["analyses"]):
-        handler = ANALYSES[kind][analysis["type"]]
+    for i, (key, (atype, args)) in enumerate(setup.analyses.items()):
         try:
-            result = handler(setup, analysis, files)
+            result = ANALYSES[kind][atype](setup, args, files)
         except FluxwalkError as exc:
             result = {"pass": False, "error": str(exc)}
         except Exception as exc:  # an internal fault: logged, recorded, and the other analyses still run
             import logging  # here, so that a run without one never loads it
-            logging.getLogger(__name__).exception("analysis #%d (%s) raised an internal error", i, analysis["type"])
+            logging.getLogger(__name__).exception("analysis #%d (%s) raised an internal error", i, atype)
             result = {"pass": False, "error": f"{type(exc).__name__}: {exc}", "internal_error": type(exc).__name__}
-        key = analysis.get("label", f"{analysis['type']}#{i}")
         analyses_out[key] = result
         all_ok = all_ok and bool(result.get("pass", False))
     report = {
         "schema_version": SCHEMA_VERSION,
         "name": spec["name"],
         "kind": kind,
-        "seed": seed,
-        "rng": {"algorithm": RNG_ALGORITHM, "seed": seed},
+        "seed": setup.seed,
+        "rng": {"algorithm": RNG_ALGORITHM, "seed": setup.seed},
         "tolerance_profile": profile,
         "analyses": analyses_out,
         "pass": all_ok,

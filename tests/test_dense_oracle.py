@@ -138,8 +138,8 @@ def test_the_oracle_equals_the_blockwise_index_on_the_bundled_scenarios(name, mo
     monkeypatch.setattr(flux_module, "component_eigenvalues", checked)
     spec = json.loads(bundled_scenarios()[name].read_text())
     setup = scenarios._checked_setup(spec)
-    analysis = next(a for a in spec["analyses"] if a["type"] == "oracle_equivalence")
-    result = scenarios._walk_oracle_analysis(setup, analysis, {})
+    args = next(args for atype, args in setup.analyses.values() if atype == "oracle_equivalence")
+    result = scenarios._walk_oracle_analysis(setup, args, {})
     assert result["applicable"] and solved
     assert result["dense"] == result["blockwise"] == setup.index_report.index
 

@@ -45,7 +45,7 @@ from fluxwalk.errors import ValidationError
 from fluxwalk.fields import SiteMap
 from fluxwalk.flux import CellGeometry, analyze, assemble_field, kitaev_sum
 from fluxwalk.lattice import SiteIndex
-from fluxwalk.scenarios import ANALYSES, _checked_setup
+from fluxwalk.scenarios import ANALYSES, _arguments, _checked_setup
 from fluxwalk.shift import build_perturbed, extract_kernels
 from fluxwalk.walks import build_walk, build_walk_flux, network_projection, random_background, random_network, synthesize_lead_coin
 from test_assembly import reference_block
@@ -76,6 +76,12 @@ def assert_box_matches_per_label_reference(flux):
 
 def _setup(name):
     return _checked_setup(json.loads(bundled_scenarios()[name].read_text()))
+
+
+def _cc_analysis(setup, atype, **given):
+    """The ``atype`` analysis of ``setup`` run on ``given`` arguments, parsed
+    as validation parses them."""
+    return ANALYSES["cc"][atype](setup, _arguments(setup, atype, given, atype), {})
 
 
 @pytest.mark.parametrize("name", sorted(bundled_scenarios()))
@@ -300,7 +306,7 @@ def test_anomalous_transport_builds_one_split_and_draws_probes_per_window(monkey
 def test_a_plan_serves_every_draw_of_an_anomalous_analysis(monkeypatch):
     setup = _setup("cc_anomalous")
     splits, draws = _counting(monkeypatch)
-    out = ANALYSES["cc"]["anomalous_transport"](setup, {"epsilons": [0.25, 0.125, 0.0625], "draws": 3}, {})
+    out = _cc_analysis(setup, "anomalous_transport", epsilons=[0.25, 0.125, 0.0625], draws=3)
     assert out["pass"] and out["draws"] == 3
     # the one window of each draw's stack, shared by every draw
     assert len(splits) == 1 and len(draws) == 1
@@ -309,7 +315,7 @@ def test_a_plan_serves_every_draw_of_an_anomalous_analysis(monkeypatch):
 def test_an_ensemble_builds_one_split(monkeypatch):
     setup = _setup("cc_rpath")
     splits, draws = _counting(monkeypatch)
-    out = ANALYSES["cc"]["ensemble_index"](setup, {"draws": 6}, {})
+    out = _cc_analysis(setup, "ensemble_index", draws=6)
     assert out["draws"] == 6
     assert len(splits) == 1 and len(draws) == 1
 
@@ -319,7 +325,7 @@ def test_surgery_builds_the_extended_split_once(monkeypatch):
     setup.flux  # the base index, whose split is not the extended path's
     extended = setup.path.extended(12, 12)
     splits, _ = _counting(monkeypatch)
-    out = ANALYSES["cc"]["surgery"](setup, {"reroutes": 6}, {})
+    out = _cc_analysis(setup, "surgery", reroutes=6)
     assert out["pass"] and out["reroutes"] >= 2
     assert sum(path.middle == extended.middle for path in splits) == 1
 
@@ -334,7 +340,7 @@ def test_surgery_analyses_each_distinct_reroute_once(monkeypatch):
     bumps, random_bump = [], cc_module.random_bump
     monkeypatch.setattr(cc_module, "random_bump", lambda *args: bumps.append(random_bump(*args)) or bumps[-1])
     splits, _ = _counting(monkeypatch)
-    out = ANALYSES["cc"]["surgery"](setup, {"reroutes": 20}, {})
+    out = _cc_analysis(setup, "surgery", reroutes=20)
     distinct = {bumped[0].middle for bumped in bumps if bumped is not None}
     assert out["pass"] and len(bumps) == 20
     assert len(distinct) < out["reroutes"]  # 11 distinct paths in 20 reroutes

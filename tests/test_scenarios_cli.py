@@ -21,7 +21,7 @@ from fluxwalk.errors import (
     ValidationError,
 )
 from fluxwalk.report import dump_report
-from fluxwalk.scenarios import ANALYSES, ANALYSIS_KEYS, _checked_setup, run_scenario, validate_scenario
+from fluxwalk.scenarios import ANALYSES, ARGUMENTS, _checked_setup, run_scenario, validate_scenario
 
 
 def load(name):
@@ -38,6 +38,22 @@ def test_every_bundled_scenario_validates():
     for name, path in bundled_scenarios().items():
         spec = json.loads(path.read_text())
         validate_scenario(spec)
+
+
+def assert_invalid(tmp_path, capsys, spec, message):
+    """``spec`` fails validation with ``message``, and the CLI exits 3 on it
+    from ``validate`` and from ``run``, writing no report."""
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_scenario(spec)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        run_scenario(spec)
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(spec))  # Python's json writes NaN and Infinity
+    out = tmp_path / "out"
+    assert main(["validate", str(scenario_file)]) == 3
+    assert main(["run", str(scenario_file), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.count(message) == 2
+    assert not out.exists()
 
 
 def test_validate_rejects_missing_keys():
@@ -277,11 +293,14 @@ def test_a_failing_base_flux_fails_every_reader(monkeypatch, name, module, build
 def test_oracle_without_window_blocks_is_not_applicable():
     # the reflecting boundary's flux vanishes, so there is no box to compress
     spec = load("bulk_boundary")
-    spec["analyses"] = [{"type": "oracle_equivalence"}, {"type": "oracle_equivalence", "pad": -1}]
+    spec["analyses"] = [{"type": "oracle_equivalence"}]
     analyses = run_scenario(spec).report["analyses"]
     assert analyses["oracle_equivalence#0"] == {"applicable": False, "pass": True}
-    # its parameters are checked all the same
-    assert analyses["oracle_equivalence#1"] == {"pass": False, "error": "pad must be at least 0, got -1"}
+    # its parameters are checked all the same, before the run
+    spec["analyses"].append({"type": "oracle_equivalence", "pad": -1})
+    message = "analysis #1 (oracle_equivalence) pad must be at least 0, got -1"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        run_scenario(spec)
 
 
 def test_each_dual_step_is_classified_once(monkeypatch):
@@ -304,6 +323,11 @@ def test_each_dual_step_is_classified_once(monkeypatch):
 def test_run_scenario_validates_seed_override_and_spec_type():
     with pytest.raises(ValidationError, match="seed"):
         run_scenario(load("half_line_plus"), seed_override=-1)
+    # a boolean is no seed: true used to run as seed 1 and be recorded as true
+    with pytest.raises(ValidationError, match="seed must be a number, got True"):
+        run_scenario(load("half_line_plus"), seed_override=True)
+    with pytest.raises(ValidationError, match="seed must be a number, got True"):
+        validate_scenario({**load("half_line_plus"), "seed": True})
     with pytest.raises(ValidationError, match="JSON object"):
         run_scenario([load("half_line_plus")])
     with pytest.raises(ValidationError, match="JSON object"):
@@ -322,6 +346,28 @@ def test_failed_expectation_reports_failure():
     result = run_scenario(spec)
     assert not result.ok
     assert result.report["analyses"]["index#0"]["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "name, atype, expect, expect_abs, passes",
+    [
+        ("half_line_plus", "index", 1, 7, False),
+        ("half_line_plus", "index", 7, 1, False),
+        ("half_line_plus", "index", 1, 1, True),
+        ("cc_rpath", "ensemble_index", 0, 1, False),
+        ("cc_rpath", "ensemble_index", 0, 0, True),
+    ],
+    ids=["index_abs_missed", "index_signed_missed", "index_both_met", "ensemble_abs_missed", "ensemble_both_met"],
+)
+def test_every_expectation_given_is_checked(name, atype, expect, expect_abs, passes):
+    # the index analysis used to skip expect_abs when expect was also given,
+    # so index 1 passed an expect_abs of 7
+    spec = load(name)
+    spec["analyses"] = [{"type": atype, "expect": expect, "expect_abs": expect_abs}]
+    if atype == "ensemble_index":
+        spec["analyses"][0]["draws"] = 2
+    block = run_scenario(spec).report["analyses"][f"{atype}#0"]
+    assert (block["expected"], block["expected_abs"], block["pass"]) == (expect, expect_abs, passes)
 
 
 @pytest.mark.parametrize(
@@ -646,10 +692,10 @@ def test_a_window_too_large_fails_validation(tmp_path, capsys, name, edits, mess
 
 @pytest.mark.parametrize("kind, atype", [(kind, atype) for kind, types in ANALYSES.items() for atype in types])
 def test_an_unknown_analysis_key_fails_validation(kind, atype):
-    assert ANALYSIS_KEYS.keys() == {t for types in ANALYSES.values() for t in types}
+    assert ARGUMENTS.keys() == {t for types in ANALYSES.values() for t in types}
     spec = load({"walk": "two_incoming_leads", "cc": "cc_rpath"}[kind])
     spec["analyses"] = [{"type": atype, "label": "x", "bogus": 1}]
-    allowed = ", ".join(("type", "label", *ANALYSIS_KEYS[atype]))
+    allowed = ", ".join(("type", "label", *ARGUMENTS[atype]))
     message = f"analysis #0 ({atype}) has unknown key 'bogus'; allowed keys: {allowed}"
     with pytest.raises(ValidationError, match=re.escape(message)):
         validate_scenario(spec)
@@ -742,15 +788,10 @@ def test_wandering_without_leads_fails_only_that_analysis():
     setup = _checked_setup(spec)
     message = "wandering needs a lead network with at least one lead"
     with pytest.raises(ValidationError, match=message):
-        ANALYSES["walk"]["wandering"](setup, {"type": "wandering"}, {})
+        ANALYSES["walk"]["wandering"](setup, setup.analyses["wandering#2"][1], {})
     analyses = run_scenario(spec).report["analyses"]
     assert analyses.pop("wandering#2") == {"pass": False, "error": message}
     assert all(result["pass"] for result in analyses.values())
-
-
-@pytest.fixture
-def two_incoming_leads_analyses(bundled_run):
-    return bundled_run("two_incoming_leads").report["analyses"]
 
 
 @pytest.mark.parametrize(
@@ -758,37 +799,19 @@ def two_incoming_leads_analyses(bundled_run):
     [(2.9, "steps must be an integer, got 2.9"), (True, "steps must be a number, got True")],
     ids=["fraction", "boolean"],
 )
-def test_an_integer_field_rejects_fractions_and_booleans(two_incoming_leads_analyses, steps, message):
+def test_an_integer_field_rejects_fractions_and_booleans(tmp_path, capsys, steps, message):
     spec = load("two_incoming_leads")
     wandering = next(i for i, a in enumerate(spec["analyses"]) if a["type"] == "wandering")
     spec["analyses"][wandering]["steps"] = steps
-    validate_scenario(spec)
-    analyses = run_scenario(spec).report["analyses"]
-    key = f"wandering#{wandering}"
-    assert analyses[key] == {"pass": False, "error": message}
-    assert {k: v for k, v in analyses.items() if k != key} == {
-        k: v for k, v in two_incoming_leads_analyses.items() if k != key
-    }
+    assert_invalid(tmp_path, capsys, spec, f"analysis #{wandering} (wandering) {message}")
 
 
-def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys, two_incoming_leads_analyses):
+def test_a_bad_analysis_parameter_fails_validation(tmp_path, capsys):
+    # it used to validate and then fail its analysis only, in the run
     spec = load("two_incoming_leads")
-    good = two_incoming_leads_analyses
     wandering = next(i for i, a in enumerate(spec["analyses"]) if a["type"] == "wandering")
     spec["analyses"][wandering]["steps"] = "many"
-    validate_scenario(spec)
-    analyses = run_scenario(spec).report["analyses"]
-    key = f"wandering#{wandering}"
-    assert analyses[key] == {"pass": False, "error": "steps must be a number, got 'many'"}
-    assert {k: v for k, v in analyses.items() if k != key} == {
-        k: v for k, v in good.items() if k != key
-    }
-    path = tmp_path / "bad_steps.json"
-    path.write_text(json.dumps(spec))
-    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
-    report = json.loads((tmp_path / "two_incoming_leads" / "report.json").read_text())
-    assert report["pass"] is False
-    assert report["analyses"] == json.loads(json.dumps(analyses))
+    assert_invalid(tmp_path, capsys, spec, f"analysis #{wandering} (wandering) steps must be a number, got 'many'")
 
 
 @pytest.mark.parametrize(
@@ -805,6 +828,7 @@ def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys, two_
         ("cc_anomalous", "anomalous_transport", "draws", 0, "draws must be at least 1, got 0"),
         ("cc_anomalous", "anomalous_transport", "epsilons", [], "epsilons must be a nonempty list of numbers"),
         ("lead_stability", "stability_probe", "steps", 0, "steps must be at least 1, got 0"),
+        ("lead_stability", "stability_probe", "steps", -3, "steps must be at least 1, got -3"),
         ("lead_stability", "stability_probe", "strength", math.inf, "strength must be finite, got inf"),
         ("half_line_plus", "oracle_equivalence", "pad", -1, "pad must be at least 0, got -1"),
         ("cc_rpath", "norm_law", "r_abs", math.nan, "r_abs must be finite, got nan"),
@@ -812,6 +836,13 @@ def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys, two_
         ("cc_crossover_r02", "index", "expect_abs", -1, "expect_abs must be at least 0, got -1"),
         ("cc_crossover_r02", "ensemble_index", "expect_abs", True, "expect_abs must be a number, got True"),
         ("cc_crossover_r02", "ensemble_index", "constant_sign", "false", "constant_sign must be true or false, got 'false'"),
+        ("basic_example", "spectrum_window", "box", -1, "box must be at least 0, got -1"),
+        # these four ran: the first two failed on k_max, surgery passed no
+        # reroute and failed empty, and a negative |r| recorded a defect
+        ("two_incoming_leads", "wandering", "steps", 0, "steps must be at least 1, got 0"),
+        ("basic_example", "shift_decomposition", "steps", 0, "steps must be at least 1, got 0"),
+        ("cc_rpath", "surgery", "reroutes", 0, "reroutes must be at least 1, got 0"),
+        ("cc_rpath", "norm_law", "r_abs", -0.5, "r_abs must be at least 0, got -0.5"),
     ],
     ids=[
         "confinement_steps_0",
@@ -825,6 +856,7 @@ def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys, two_
         "anomalous_transport_draws_0",
         "anomalous_transport_no_epsilons",
         "stability_probe_steps_0",
+        "stability_probe_steps_negative",
         "stability_probe_infinite_strength",
         "oracle_equivalence_pad",
         "norm_law_nan",
@@ -832,25 +864,26 @@ def test_a_bad_analysis_parameter_fails_only_its_analysis(tmp_path, capsys, two_
         "index_expect_abs_negative",
         "ensemble_expect_abs_boolean",
         "ensemble_constant_sign_string",
+        "spectrum_window_negative_box",
+        "wandering_steps_0",
+        "shift_decomposition_steps_0",
+        "surgery_reroutes_0",
+        "norm_law_negative",
     ],
 )
-def test_a_degenerate_or_non_finite_parameter_fails_only_its_analysis(name, atype, key, value, message):
+def test_a_degenerate_or_non_finite_parameter_fails_validation(tmp_path, capsys, name, atype, key, value, message):
     # a count below 1 would pass vacuously, NaN compares false everywhere,
-    # and a negative size or an infinite strength raises a bare error that
-    # would drop the whole report
+    # and a negative size or an infinite strength raises a bare error; each
+    # used to validate and then fail its analysis only, in the run
     spec = load(name)
     bad = next(a for a in spec["analyses"] if a["type"] == atype)
-    spec["analyses"] = [{**bad, key: value}, {"type": "spectrum_window", "box": 1}]
-    validate_scenario(spec)
-    analyses = run_scenario(spec).report["analyses"]
-    assert analyses[f"{atype}#0"] == {"pass": False, "error": message}
-    assert analyses["spectrum_window#1"]["pass"]
+    spec["analyses"] = [{"type": "spectrum_window", "box": 1}, {**bad, key: value}]
+    assert_invalid(tmp_path, capsys, spec, f"analysis #1 ({atype}) {message}")
 
 
 @pytest.mark.parametrize(
     "name, analysis, message",
     [
-        ("basic_example", {"type": "spectrum_window", "box": -1}, "box must be at least 0, got -1"),
         (
             "two_outgoing_leads",
             {"type": "spectrum_window", "box": 100},
@@ -862,7 +895,7 @@ def test_a_degenerate_or_non_finite_parameter_fails_only_its_analysis(name, atyp
             "a dense window of 4356 basis vectors exceeds DENSE_BASIS = 4096",
         ),
     ],
-    ids=["spectrum_window_negative_box", "spectrum_window_wide_box", "oracle_wide_pad"],
+    ids=["spectrum_window_wide_box", "oracle_wide_pad"],
 )
 def test_a_dense_window_above_its_bound_fails_only_its_analysis(monkeypatch, name, analysis, message):
     # a dense window allocates a matrix of its basis size squared (box 100
@@ -884,21 +917,50 @@ def test_a_dense_window_above_its_bound_fails_only_its_analysis(monkeypatch, nam
 @pytest.mark.parametrize(
     "name, analysis, message",
     [
-        ("cc_rpath", {"type": "norm_law", "r_abs": math.nan}, "r_abs must be finite, got nan"),
-        ("lead_stability", {"type": "stability_probe", "strength": math.inf}, "strength must be finite, got inf"),
+        ("cc_rpath", {"type": "norm_law", "r_abs": math.nan}, "analysis #0 (norm_law) r_abs must be finite, got nan"),
+        (
+            "lead_stability",
+            {"type": "stability_probe", "strength": math.inf},
+            "analysis #0 (stability_probe) strength must be finite, got inf",
+        ),
     ],
     ids=["nan", "infinity"],
 )
-def test_the_cli_reports_a_non_finite_parameter_as_a_failed_analysis(tmp_path, capsys, name, analysis, message):
+def test_the_cli_refuses_a_non_finite_parameter_before_the_run(tmp_path, capsys, name, analysis, message):
+    # it used to write a report with the analysis failed
     spec = load(name)
     spec["analyses"] = [analysis]
-    path = tmp_path / "non_finite.json"
-    path.write_text(json.dumps(spec))  # Python's json writes NaN and Infinity
-    assert main(["run", str(path), "--out", str(tmp_path)]) == 1
-    text = (tmp_path / name / "report.json").read_text()
-    assert "NaN" not in text and "Infinity" not in text
-    key = f"{analysis['type']}#0"
-    assert json.loads(text)["analyses"][key] == {"pass": False, "error": message}
+    assert_invalid(tmp_path, capsys, spec, message)
+
+
+@pytest.mark.parametrize(
+    "analyses, message",
+    [
+        (
+            [{"type": "index", "expect": 5}, {"type": "oracle_equivalence", "label": "index#0"}],
+            "analyses #0 and #1 share the report key 'index#0'",
+        ),
+        (
+            [{"type": "index", "label": "a"}, {"type": "spectrum_window"}, {"type": "oracle_equivalence", "label": "a"}],
+            "analyses #0 and #2 share the report key 'a'",
+        ),
+        (
+            [{"type": "index", "label": ""}, {"type": "index", "label": ""}],
+            "analyses #0 and #1 share the report key ''",
+        ),
+        (
+            [{"type": "spectrum_window", "label": "index#1"}, {"type": "index"}],
+            "analyses #0 and #1 share the report key 'index#1'",
+        ),
+    ],
+    ids=["label_of_a_default_key", "two_labels", "two_empty_labels", "default_key_of_a_label"],
+)
+def test_two_analyses_with_one_report_key_fail_validation(tmp_path, capsys, analyses, message):
+    # the first used to validate and report only the oracle's passing
+    # index#0 block, under a top-level "pass": false
+    spec = load("basic_example")
+    spec["analyses"] = analyses
+    assert_invalid(tmp_path, capsys, spec, message)
 
 
 def test_interior_keys_are_integer_sites(tmp_path, capsys):

@@ -9,21 +9,26 @@ a number, put ``NaN`` or ``inf`` there, nest the value in a list, or drop
 the last coordinate of an integer site.  ``run_scenario`` must then raise
 ``ValidationError`` or return a report in which no analysis recorded an
 internal error, and a renamed key never leaves a valid scenario.
+
+A second, table-driven test puts a bad value at each key of each analysis
+type in ``scenarios.ARGUMENTS`` and requires ``validate_scenario`` to raise.
 """
 
 import copy
 import functools
 import json
 import math
+import re
 import runpy
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxwalk.cli import bundled_scenarios
 from fluxwalk.errors import ValidationError
-from fluxwalk.scenarios import run_scenario
+from fluxwalk.scenarios import ANALYSES, ARGUMENTS, run_scenario, validate_scenario
 
 
 def cut(spec: dict) -> dict:
@@ -97,3 +102,32 @@ def test_a_mutated_scenario_fails_validation_or_runs_to_a_report(case):
         return
     assert mutation != "rename", f"renamed key {key!r} passed validation"
     assert not [block for block in result.report["analyses"].values() if "internal_error" in block]
+
+
+# one base scenario of each kind, to which each analysis type belongs
+TABLE_SCENARIOS = {"walk": "two_incoming_leads", "cc": "cc_rpath"}
+
+
+def bad_arguments():
+    """(kind, type, key, value) for each analysis argument in ``ARGUMENTS``:
+    values of the wrong type, one under its least value where it has one,
+    ``NaN`` and ``inf``; a list argument also takes them as its entry."""
+    for kind, types in ANALYSES.items():
+        for atype in types:
+            for key, (argkind, low, _) in ARGUMENTS[atype].items():
+                values = ["x", None, [], math.nan, math.inf, -math.inf]
+                values += [["x"], [math.nan], [math.inf]] if argkind is list else [[1]]
+                if low is not None:
+                    values.append(low - 1 if argkind is int else low - 0.5)
+                for value in values:
+                    yield kind, atype, key, value
+
+
+@pytest.mark.parametrize("kind, atype, key, value", list(bad_arguments()))
+def test_every_analysis_argument_is_checked_at_validation(kind, atype, key, value):
+    spec = json.loads(bundled_scenarios()[TABLE_SCENARIOS[kind]].read_text())
+    spec["analyses"] = [{"type": atype}]
+    validate_scenario(spec)
+    spec["analyses"][0][key] = value
+    with pytest.raises(ValidationError, match=re.escape(f"analysis #0 ({atype}) {key} must be")):
+        validate_scenario(spec)
