@@ -1,13 +1,14 @@
 """Batch runner: run, validate, and list scenario files.
 
-Exit codes: 0 all assertions passed, 1 an embedded assertion failed,
-2 a scenario file failed to parse, 3 a scenario failed validation, before
-any analysis ran (this covers each analysis's argument values and two
-analyses with one report key), 4 an internal consistency check failed or
-an analysis raised any other exception (its block names the type under
-``internal_error``), 5 a quantity the scenario asks for is undefined (a
-failed certificate, an ambiguous eigenvalue, a trace norm that does not
-sum).
+Exit codes: 0 all assertions passed, 1 an embedded assertion failed, 2 a
+scenario file failed to parse or the command line is malformed (``--jobs``
+must be at least 1; it is capped at the scenario count), 3 a scenario failed
+validation, before any analysis ran (this covers every part's and analysis's
+values, each coin window's size, and two analyses with one report key), 4 an
+internal consistency check failed or an analysis raised any other exception
+(its block names the type under ``internal_error``), 5 a quantity the
+scenario asks for is undefined (a failed certificate, an ambiguous
+eigenvalue, a trace norm that does not sum).
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
     run_cmd = sub.add_parser("run", help="Run scenario files and write reports")
     run_cmd.add_argument("scenarios", nargs="+", help="Scenario paths or bundled names")
     run_cmd.add_argument("--out", default=None, help="Output directory (default: $FLUXWALK_OUT or ./reports)")
-    run_cmd.add_argument("--jobs", type=int, default=1, help="Parallel scenario processes")
+    run_cmd.add_argument("--jobs", type=int, default=1, help="Parallel scenario processes, at least 1 (capped at the scenario count)")
     run_cmd.add_argument("--seed", type=int, default=None, help="Override every scenario seed")
     run_cmd.add_argument(
         "--tolerance-profile",
@@ -114,6 +115,8 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="List bundled scenarios")
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     if args.command == "list":
         for name, path in bundled_scenarios().items():
@@ -147,7 +150,7 @@ def main(argv=None) -> int:
     out_dir = args.out or os.environ.get(OUT_ENV) or "reports"
     tasks = [(token, args.seed, args.tolerance_profile, out_dir) for token in args.scenarios]
     if args.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             codes = list(pool.map(_run_one, tasks))
     else:
         codes = [_run_one(t) for t in tasks]

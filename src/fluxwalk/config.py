@@ -38,10 +38,11 @@ STRICT = replace(DEFAULT, eigenvalue_unit=1e-10, trace_match=1e-10)
 
 PROFILES = {"default": DEFAULT, "strict": STRICT}
 
-# Most labels, points or cells that a window sized from feature coordinates
-# may hold (flux labels, the region box, the random-phase window).  A larger
-# one raises ``ValidationError`` before anything is allocated; the bundled
-# scenarios stay about 40 times below it.
+# Most labels, points, cells or sites that a window sized from feature
+# coordinates or a scenario's box may hold (flux labels, the region box, the
+# random-phase window, each coin window and the confinement box).  A larger
+# one raises ``ValidationError`` before any site is listed or drawn; the
+# bundled scenarios stay about 40 times below it.
 WINDOW_SITES = 1 << 18
 
 # Most basis vectors N of a dense window compression, refused before its sites

@@ -6,10 +6,13 @@ geometry, and a list of analyses with embedded expectations.
 
 Validation turns the file into a setup (``WalkSetup`` or ``CCSetup``) that
 owns the model's data, the scenario generator and the validation notes; it
-builds no operator and no flux.  It parses each analysis's arguments by
-their row of ``ARGUMENTS`` and refuses two analyses with one report key, so
-a bad value fails before any analysis runs.  A run gives the setup its
-tolerance profile and passes each analysis its parsed arguments in turn.
+builds no operator and no flux.  It parses every part (geometry, coin,
+projection, path, scattering) by its rows of ``PARTS`` before the builders
+run, which read only parsed values and size each window before listing or
+drawing it; it parses each analysis's arguments by their row of
+``ARGUMENTS`` and refuses two analyses with one report key, so a bad value
+fails before any analysis runs.  A run gives the setup its tolerance profile
+and passes each analysis its parsed arguments in turn.
 The checked unitary, the base flux and the base index are built by the
 first analysis that reads them and then shared.  The same file and seed
 produce byte-identical reports.
@@ -17,7 +20,7 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +33,7 @@ from .config import DEFAULT, DENSE_BASIS, PROFILES, WINDOW_SITES, Tolerances
 from .errors import FluxwalkError, ValidationError
 from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
 from .flux import VANISHING_FLUX_BOUND, analyze, dense_window_index, index_stability_probe, max_block_norm
-from .lattice import haar_unitary, index_of_vector
+from .lattice import haar_unitaries, haar_unitary, index_of_vector
 from .operators import matrix_on_window
 from .report import SCHEMA_VERSION, index_report_dict
 from .shift import build_perturbed, extract_kernels, verify_shift_structure
@@ -54,6 +57,7 @@ from .walks import (
     verify_wandering,
     walk_flux_window,
     walk_index,
+    window_sites,
     boundary_projection_full,
 )
 
@@ -97,16 +101,16 @@ def _need(spec: dict, key: str, context: str):
 
 
 def _number(value, name: str, kind=int, low=None):
-    """A numeric scenario or analysis field as ``kind``, at least ``low``
-    when given.  Booleans are not numbers, a float field must be finite
+    """A numeric scenario or analysis field as ``kind``, within ``low`` when
+    given: a least value, or a ``(least, most)`` pair.  Only JSON numbers
+    are numbers, not booleans or strings; a float field must be finite
     (Python's ``json`` reads ``NaN`` and ``Infinity``), and an integer field
-    takes only integral values within int64 (numbers or strings such as the
-    ``interior`` keys)."""
+    takes only integral values within int64."""
     try:
-        out = kind(value)
+        out = None if isinstance(value, (bool, str)) else kind(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or isinstance(value, bool):
+    if out is None:
         raise ValidationError(f"{name} must be a number, got {value!r}")
     if kind is float and not math.isfinite(out):
         raise ValidationError(f"{name} must be finite, got {value!r}")
@@ -114,76 +118,59 @@ def _number(value, name: str, kind=int, low=None):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if kind is int and not -(1 << 63) <= out < 1 << 63:
         raise ValidationError(f"{name} must fit in 64 bits, got {value!r}")
-    if low is not None and out < low:
-        raise ValidationError(f"{name} must be at least {low}, got {value!r}")
+    least, most = low if isinstance(low, tuple) else (low, None)
+    if least is not None and out < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value!r}")
+    if most is not None and out > most:
+        raise ValidationError(f"{name} must be at most {most}, got {value!r}")
     return out
 
 
-def _flag(value, name: str) -> bool:
-    """A JSON boolean field; strings such as ``"false"`` are not flags."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _numbers(value, name: str, length: int | None = None) -> tuple[int, ...]:
-    """A JSON list of integers, of ``length`` entries when given."""
-    if not isinstance(value, list) or length not in (None, len(value)):
-        count = "" if length is None else f"{length} "
-        raise ValidationError(f"{name} must be a list of {count}integers, got {value!r}")
+def _numbers(value, name: str, length: int) -> tuple[int, ...]:
+    """A JSON list of ``length`` integers."""
+    if not isinstance(value, list) or len(value) != length:
+        raise ValidationError(f"{name} must be a list of {length} integers, got {value!r}")
     return tuple(_number(c, name) for c in value)
 
 
-def _interior_from_json(obj) -> dict:
+def _vertex(value, name: str, parts=None) -> tuple[int, int]:
+    return _numbers(value, name, 2)
+
+
+def _vertices(value, name: str, parts) -> list[tuple[int, int]]:
+    return [_vertex(v, f"{name} vertex") for v in _list(value, name)]
+
+
+def _interior_from_json(obj, name: str, parts) -> dict:
     """Open slots chosen in the strip of a ``basic_halfspace`` projection.
     JSON object keys are strings, so each key is the site's one integer
-    coordinate, bare or in brackets (``"-1"``, ``"[-1]"``)."""
+    coordinate, bare or in brackets (``"-1"``, ``"[-1]"``): the only field
+    read from a string."""
     if not isinstance(obj, dict):
-        raise ValidationError("projection interior must map sites to slot lists")
+        raise ValidationError(f"{name} must map sites to slot lists")
     interior = {}
     for key, slots in obj.items():
-        site = (_number(key.strip("[] "), f"interior key {key!r}"),)
+        text = key.strip("[] ")
+        site = (_number(int(text) if text.removeprefix("-").isdecimal() else text, f"{name} key {key!r}"),)
         if not isinstance(slots, list) or not all(type(s) is int and 0 <= s < 2 for s in slots):
-            raise ValidationError(f"interior slots at {key!r} must be a list of slots 0 and 1")
+            raise ValidationError(f"{name} slots at {key!r} must be a list of slots 0 and 1")
         interior[site] = set(slots)
     return interior
 
 
-def _leads_from_json(obj: dict, side: str, d: int) -> tuple[LeadSpec, ...]:
+def _leads_from_json(side: str, value, name: str, parts) -> tuple[LeadSpec, ...]:
     """The ``side`` leads, named by side and place, each of kind ``side``
     and with ``d`` integers in each site and ray."""
+    d = parts["geometry"]["d"]
     leads = []
-    for i, lead in enumerate(_list(obj.get(side, []), f"network {side}")):
-        name = f"{side}[{i}] lead"
-        kind = _need(_object(lead, name, ("kind", "prefix", "ray")), "kind", name)
+    for i, lead in enumerate(_list(value, name)):
+        where = f"{side}[{i}] lead"
+        kind = _need(_object(lead, where, ("kind", "prefix", "ray")), "kind", where)
         if kind != side:
-            raise ValidationError(f"{name} kind must be {json.dumps(side)}, got {json.dumps(kind, default=repr)}")
-        prefix = [_numbers(site, f"{name} site", d) for site in _list(_need(lead, "prefix", name), f"{name} prefix")]
-        leads.append(LeadSpec(kind, prefix, _numbers(_need(lead, "ray", name), f"{name} ray", d)))
+            raise ValidationError(f"{where} kind must be {json.dumps(side)}, got {json.dumps(kind, default=repr)}")
+        prefix = [_numbers(site, f"{where} site", d) for site in _list(_need(lead, "prefix", where), f"{where} prefix")]
+        leads.append(LeadSpec(kind, prefix, _numbers(_need(lead, "ray", where), f"{where} ray", d)))
     return tuple(leads)
-
-
-def _network_from_json(obj: dict, d_total: int) -> NetworkSpec:
-    incoming, outgoing = (_leads_from_json(obj, side, d_total) for side in ("incoming", "outgoing"))
-    boundary = BoundarySpec(d_total) if _flag(obj.get("boundary", False), "projection boundary") else None
-    return validate_network(NetworkSpec(incoming=incoming, outgoing=outgoing, boundary=boundary))
-
-
-def _path_from_json(obj: dict) -> ccm.DualPath:
-    ptype = _need(obj, "type", "path")
-    if ptype == "straight_r":
-        return ccm.straight_r_path(_number(obj.get("height", 0), "path height"))
-    if ptype == "crossover":
-        return ccm.crossover_path(_flag(obj.get("west_first", True), "path west_first"))
-    if ptype == "wiggled_r":
-        return ccm.wiggled_r_path()
-    if ptype == "explicit":
-        return ccm.DualPath(
-            [_numbers(v, "path vertex", 2) for v in _list(_need(obj, "middle", "path"), "path middle")],
-            _numbers(_need(obj, "pre", "path"), "path pre", 2),
-            _numbers(_need(obj, "post", "path"), "path post", 2),
-        )
-    raise ValidationError(f"unknown path type {ptype!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -242,87 +229,47 @@ def _commuting_coin(rng: np.random.Generator, n: int, slot: int) -> np.ndarray:
 
 
 def build_walk_setup(spec: dict, rng: np.random.Generator, tol: Tolerances) -> WalkSetup:
-    d = _number(_need(_object(spec.get("geometry", {}), "geometry", ("d",)), "d", "geometry"), "geometry d", low=1)
-    coin_spec = _need(spec, "coin", "scenario")
-    proj_spec = _need(spec, "projection", "scenario")
-    ctype = _need(coin_spec, "type", "coin")
-    ptype = _need(proj_spec, "type", "projection")
+    """The walk of a scenario whose parts ``_checked_setup`` parsed; each
+    coin window is sized before any of its sites is listed or drawn."""
+    d, coin_part, proj_part = spec["geometry"]["d"], spec["coin"], spec["projection"]
+    ctype = coin_part["type"]
     network = None
 
     if ctype == "basic_example":
         if d != 1:
             raise ValidationError("basic_example coin requires d = 1")
-        n_cut = _number(coin_spec.get("n_cut", 2), "coin n_cut", low=0)
-        box = _number(coin_spec.get("box", n_cut + 4), "coin box", low=0)
+        n_cut, box = coin_part["n_cut"], coin_part["box"]
         slot = index_of_vector((1,))
-        window = {}
-        for x in range(-box, n_cut):
-            window[(x,)] = haar_unitary(rng, 2)
-        for x in range(n_cut, n_cut + box):
-            window[(x,)] = _commuting_coin(rng, 2, slot)
+        sites = window_sites([range(-box, n_cut + box)])
+        window = dict(zip(sites, haar_unitaries(rng, 2, box + n_cut)))
+        for site in sites[box + n_cut :]:
+            window[site] = _commuting_coin(rng, 2, slot)
         tail = _commuting_coin(rng, 2, slot)
-        coin = SiteMap(
-            1,
-            window=window,
-            halfspaces=[(HalfSpace(0, 1, n_cut), tail)],
-            background=np.eye(2, dtype=complex),
-        )
-        if ptype != "basic_halfspace":
-            raise ValidationError("basic_example coin pairs with basic_halfspace")
-        interior = proj_spec.get("interior")
-        if interior is not None:
-            interior = _interior_from_json(interior)
-        proj = basic_halfspace_projection(_number(proj_spec.get("n_cut", n_cut), "n_cut"), interior)
+        coin = SiteMap(1, window=window, halfspaces=[(HalfSpace(0, 1, n_cut), tail)], background=np.eye(2, dtype=complex))
+        proj = basic_halfspace_projection(proj_part["n_cut"], proj_part["interior"])
 
     elif ctype == "halfline_commuting":
-        sign = _number(coin_spec.get("sign", 1), "coin sign")
-        if sign not in (-1, 1):
-            raise ValidationError(f"coin sign must be 1 or -1, got {sign}")
-        box = _number(coin_spec.get("box", 3), "coin box", low=0)
-        n = 2 * d
-        slot = index_of_vector(tuple([sign] + [0] * (d - 1)))
-        window = {}
-        for site in itertools.product(*([range(-box, box + 1)] * d)):
-            window[site] = haar_unitary(rng, n)
+        box, n, e1 = coin_part["box"], 2 * d, (1,) + (0,) * (d - 1)
+        sites = window_sites([range(-box, box + 1)] * d)
+        slot = index_of_vector((coin_part["sign"],) + e1[1:])
+        window = dict(zip(sites, haar_unitaries(rng, n, len(sites))))
         for x in range(1, box + 1):
-            site = tuple([x] + [0] * (d - 1))
-            window[site] = _commuting_coin(rng, n, slot)
+            window[(x,) + e1[1:]] = _commuting_coin(rng, n, slot)
         ray_coin = _commuting_coin(rng, n, slot)
-        e1 = tuple([1] + [0] * (d - 1))
-        coin = SiteMap(
-            d,
-            window=window,
-            rays=[(Ray(e1, e1), [ray_coin])],
-            background=np.eye(n, dtype=complex),
-        )
-        if ptype != "halfline":
-            raise ValidationError("halfline_commuting coin pairs with halfline")
-        proj_sign = _number(proj_spec.get("sign", sign), "projection sign")
-        if proj_sign not in (-1, 1):
-            raise ValidationError(f"projection sign must be 1 or -1, got {proj_sign}")
-        proj = halfline_projection(d, proj_sign)
+        coin = SiteMap(d, window=window, rays=[(Ray(e1, e1), [ray_coin])], background=np.eye(n, dtype=complex))
+        proj = halfline_projection(d, proj_part["sign"])
 
     elif ctype == "lead_network":
-        if ptype != "network":
-            raise ValidationError("lead_network coin pairs with a network projection")
-        network = _network_from_json(proj_spec, d_total=d)
-        box = _number(coin_spec.get("background_box", 4), "coin background_box", low=0)
-        if network.boundary is not None:
-            background = reflecting_coin(d, rng, box=box)
-        else:
-            background = random_background(rng, d, box=box)
+        boundary = BoundarySpec(d) if proj_part["boundary"] else None
+        network = validate_network(NetworkSpec(proj_part["incoming"], proj_part["outgoing"], boundary))
+        box = coin_part["background_box"]
+        background = reflecting_coin(d, rng, box=box) if proj_part["boundary"] else random_background(rng, d, box=box)
         coin = synthesize_lead_coin(network, background, tol)
         proj = network_projection(network)
 
-    elif ctype == "reflecting":
-        if ptype != "boundary_full":
-            raise ValidationError("reflecting coin pairs with boundary_full")
-        box = _number(coin_spec.get("box", 3), "coin box", low=0)
-        coin = reflecting_coin(d, rng, box=box)
-        proj = boundary_projection_full(d)
-
     else:
-        raise ValidationError(f"unknown coin type {ctype!r}")
+        coin = reflecting_coin(d, rng, box=coin_part["box"])
+        proj = boundary_projection_full(d)
     setup = WalkSetup(coin, proj, network=network, rng=rng, tol=tol)
     walk_flux_window(setup.coin, setup.projection)  # the window checks, before any flux is built
     setup.notes.append(f"coin and projection constructed (d = {setup.coin.d})")
@@ -341,8 +288,8 @@ def build_walk_setup(spec: dict, rng: np.random.Generator, tol: Tolerances) -> W
 @dataclass
 class CCSetup(_Setup):
     """A Chalker-Coddington network: scattering field, the dual path whose
-    left region is the projection, and the spec, which seeds the ensembles.
-    ``unitary`` is the checked network; ``flux`` is self-checked."""
+    left region is the projection, and the parsed scenario, which seeds the
+    ensembles.  ``unitary`` is the checked network; ``flux`` is self-checked."""
 
     scattering: SiteMap
     path: ccm.DualPath
@@ -357,44 +304,35 @@ class CCSetup(_Setup):
         return ccm.cc_flux([self.scattering], self.path, self.tol)[0]
 
 
-def _path_scattering(spec: dict, path: ccm.DualPath, rng: np.random.Generator) -> SiteMap:
-    """The scenario's scattering field; a random-phase window reaches 8 cells
-    beyond the path's explicit vertices unless the spec sets its extent."""
-    spec = _object(_need(spec, "scattering", "scenario"), "scattering", ("template", "r_abs", "phases", "window"))
-    template = spec.get("template")
-    if template not in (None, "critical"):
-        raise ValidationError(f"unknown scattering template {template!r}")
-    if template == "critical":
+def _path_scattering(part: dict, path: ccm.DualPath, rng: np.random.Generator) -> SiteMap:
+    """The scattering field of a parsed ``scattering`` part; a random-phase
+    window reaches 8 cells beyond the path's explicit vertices unless the
+    part sets its extent."""
+    if part["template"]:
         base = ccm.CRITICAL
         r_abs = float(abs(base.r))
     else:
-        r_abs = _number(_need(spec, "r_abs", "scattering"), "scattering r_abs", float)
-        if not 0.0 <= r_abs <= 1.0:
-            raise ValidationError("r_abs must lie in [0, 1]")
+        r_abs = part["r_abs"]
         base = ccm.ScatteringParams(1.0, r_abs, math.sqrt(max(0.0, 1.0 - r_abs**2)))
-    phases = spec.get("phases", "unity")
-    if phases == "unity":
+    if part["phases"] == "unity":
         return SiteMap(2, background=base)
-    if phases == "random":
+    extent = part["window"]
+    if extent is None:
         (lo, lo2), (hi, hi2) = path.bounds()
         extent = max(map(abs, (lo, lo2, hi, hi2))) + 8
-        if "window" in spec:
-            extent = _number(spec["window"], "window", low=0)
-        cells = (2 * extent + 1) * (extent // 2 * 2 + 1)
-        if cells > WINDOW_SITES:
-            raise ValidationError(f"the phase window holds {cells} cells, more than {WINDOW_SITES}")
-        window = ccm.random_phase_window(
-            rng, r_abs, range(-extent, extent + 1), range(-extent, extent + 1)
-        )
-        return SiteMap(2, window=window, background=base)
-    raise ValidationError(f"unknown phase mode {phases!r}")
+    cells = (2 * extent + 1) * (extent // 2 * 2 + 1)
+    if cells > WINDOW_SITES:
+        raise ValidationError(f"the phase window holds {cells} cells, more than {WINDOW_SITES}")
+    window = ccm.random_phase_window(rng, r_abs, range(-extent, extent + 1), range(-extent, extent + 1))
+    return SiteMap(2, window=window, background=base)
 
 
 def build_cc_setup(spec: dict, rng: np.random.Generator, tol: Tolerances) -> CCSetup:
-    """The setup, once the index is defined at infinity: a ray whose steps
-    all carry one weight tag must not conduct perfectly along that tag."""
-    path = _path_from_json(_need(spec, "path", "scenario"))
-    setup = CCSetup(_path_scattering(spec, path, rng), path, spec, rng=rng, tol=tol)
+    """The setup of parsed parts, once the index is defined at infinity: a
+    ray whose steps all carry one weight tag must not conduct perfectly along that tag."""
+    ptype = spec["path"]["type"]
+    path = PATHS[ptype](*(spec["path"][key] for key in PARTS[ptype]))
+    setup = CCSetup(_path_scattering(spec["scattering"], path, rng), path, spec, rng=rng, tol=tol)
     ccm.region_box(*ccm.points_box(ccm.cc_flux_window(setup.scattering, path)))  # the window and region box checks
     path.crossings(-50, path.m_last + 51)  # one pass over every step read below
     t0, t1 = path.switch_window()
@@ -438,12 +376,17 @@ def _checked_setup(spec: dict, tol: Tolerances = DEFAULT):
     build_setup = {"walk": build_walk_setup, "cc": build_cc_setup}
     if not isinstance(kind, str) or kind not in build_setup:
         raise ValidationError(f"unknown scenario kind {kind!r}")
-    _object(spec, "scenario", ("schema_version", "name", "description", "kind", "seed", *KEYS[kind], "analyses"))
-    setup = build_setup[kind](spec, _rng(seed), tol)
+    _object(spec, "scenario", ("schema_version", "name", "description", "kind", "seed", *SLOTS[kind], "analyses"))
+    parts = {"seed": seed}
+    for slot, types in SLOTS[kind].items():  # a coin's type fixes its projection's
+        part = _object(_need(spec, slot, "scenario"), slot)
+        types = (PAIRS[parts["coin"]["type"]],) if slot == "projection" else types
+        ptype = _arguments(parts, {"type": (types, None, REQUIRED)}, part, slot)["type"] if types else slot
+        _object(part, slot, ("type", *PARTS[ptype]) if types else PARTS[ptype])
+        parts[slot] = {"type": ptype}
+        _arguments(parts, PARTS[ptype], part, slot, parts[slot])
+    setup = build_setup[kind](parts, _rng(seed), tol)
     setup.seed = seed
-    for name in ("coin", "projection", "path"):  # each of a type that the setup's builder accepted
-        if name in spec:
-            _object(spec[name], name, ("type", *KEYS[spec[name]["type"]]))
     for i, analysis in enumerate(analyses):
         atype = _need(analysis, "type", f"analysis #{i}")
         if not isinstance(atype, str) or atype not in ANALYSES[kind]:
@@ -455,29 +398,36 @@ def _checked_setup(spec: dict, tol: Tolerances = DEFAULT):
             raise ValidationError(f"analyses #{list(setup.analyses).index(key)} and #{i} share the report key {key!r}")
         context = f"analysis #{i} ({atype})"
         _object(analysis, context, ("type", "label", *ARGUMENTS[atype]))
-        setup.analyses[key] = atype, _arguments(setup, atype, analysis, context)
+        setup.analyses[key] = atype, _arguments(setup, ARGUMENTS[atype], analysis, context)
     return setup
 
 
-def _arguments(setup, atype: str, analysis: dict, context: str) -> dict:
-    """The arguments of an ``atype`` analysis, each parsed by its row of
-    ``ARGUMENTS``; an absent key takes its default, read from the setup
-    where the default is a function of it."""
-    args = {}
-    for key, (kind, low, default) in ARGUMENTS[atype].items():
+def _arguments(source, rows: dict, given: dict, context: str, out: dict | None = None) -> dict:
+    """``out``, or a new dict, with each key of ``rows`` parsed from ``given``
+    by its row and named ``"{context} {key}"``.  An absent key takes its
+    default, where it is a function read from ``source``: the setup for an
+    analysis, the parts parsed so far for a part."""
+    out = {} if out is None else out
+    for key, (kind, low, default) in rows.items():
         name = f"{context} {key}"
-        value = analysis[key] if key in analysis else default(setup) if callable(default) else default
-        if key not in analysis and default is None:
-            args[key] = None  # an optional argument, left out
-        elif kind is bool:
-            args[key] = _flag(value, name)
+        value = given[key] if key in given else default(source) if callable(default) else default
+        if value is REQUIRED:
+            raise ValidationError(f"{context}: missing required key {key!r}")
+        if key not in given and value is None:
+            out[key] = None
+        elif kind in (int, float):
+            out[key] = _number(value, name, kind, low)
+        elif isinstance(kind, tuple):  # one of these values, of its JSON type: neither true nor 1.0 is the sign 1
+            if type(value) not in map(type, kind) or value not in kind:
+                raise ValidationError(f"{name} must be {' or '.join(map(json.dumps, kind))}, got {value!r}")
+            out[key] = value
         elif kind is not list:
-            args[key] = _number(value, name, kind, low)
+            out[key] = kind(value, name, source)
         elif isinstance(value, list) and value:
-            args[key] = [_number(v, name, float, low) for v in value]
+            out[key] = [_number(v, name, float, low) for v in value]
         else:
             raise ValidationError(f"{name} must be a nonempty list of numbers")
-    return args
+    return out
 
 
 def validate_scenario(spec: dict) -> list[str]:
@@ -514,7 +464,7 @@ def _dense_window(ranges, n_internal: int) -> list:
     basis = math.prod(r.stop - r.start for r in ranges) * n_internal
     if basis > DENSE_BASIS:
         raise ValidationError(f"a dense window of {basis} basis vectors exceeds DENSE_BASIS = {DENSE_BASIS}")
-    return list(itertools.product(*ranges))
+    return window_sites(ranges, "dense window")
 
 
 def _spectrum_window_analysis(setup, args, files):
@@ -625,7 +575,7 @@ def _cc_ensemble_analysis(setup, args, files):
     indices = []
     plan = ccm.FluxPlan()
     for s in seeds:
-        scattering = _path_scattering(setup.spec, setup.path, _rng(s))
+        scattering = _path_scattering(setup.spec["scattering"], setup.path, _rng(s))
         report, _ = ccm.cc_index(scattering, setup.path, setup.tol, plan)
         indices.append(report.index)
     out = {"draws": args["draws"], "distinct": sorted(set(indices))}
@@ -675,7 +625,7 @@ def _cc_anomalous_analysis(setup, args, files):
     base_index = None
     plan = ccm.FluxPlan()
     for s in seeds:
-        scattering = _path_scattering(setup.spec, setup.path, _rng(s))
+        scattering = _path_scattering(setup.spec["scattering"], setup.path, _rng(s))
         result = ccm.anomalous_transport(scattering, setup.path, epsilons, setup.tol, plan)
         if base_index is None:
             base_index = result["index"]
@@ -709,17 +659,52 @@ ANALYSES = {
     },
 }
 
-# the top-level keys of each kind besides the common ones, and the keys of each coin, projection and path type
-KEYS = {
-    "walk": ("geometry", "coin", "projection"), "cc": ("path", "scattering"),
-    "basic_example": ("n_cut", "box"), "halfline_commuting": ("sign", "box"), "reflecting": ("box",),
-    "lead_network": ("background_box",), "basic_halfspace": ("n_cut", "interior"), "halfline": ("sign",),
-    "network": ("incoming", "outgoing", "boundary"), "boundary_full": (), "straight_r": ("height",),
-    "crossover": ("west_first",), "wiggled_r": (), "explicit": ("middle", "pre", "post"),
+REQUIRED = object()  # the default of a key that must be given
+# each coin type with the projection type it pairs with, each path type with
+# its builder, which takes the path's keys in order, and each kind's parts in
+# parse order with their types (None: an untyped part, parsed by its own rows)
+PAIRS = {
+    "basic_example": "basic_halfspace", "halfline_commuting": "halfline",
+    "lead_network": "network", "reflecting": "boundary_full",
 }
-# the keys each analysis type reads besides "type" and "label", each with its
-# kind (int, float, bool, or list: a nonempty list of floats), its least value
-# and its default; an expectation with no default is optional, and norm_law's
+PATHS = {
+    "straight_r": ccm.straight_r_path, "crossover": ccm.crossover_path,
+    "wiggled_r": ccm.wiggled_r_path, "explicit": ccm.DualPath,
+}
+SLOTS = {
+    "walk": {"geometry": None, "coin": tuple(PAIRS), "projection": tuple(PAIRS.values())},
+    "cc": {"path": tuple(PATHS), "scattering": None},
+}
+# the keys of each part type (and of the untyped geometry and scattering) but
+# "type": each with its kind (int, float, a tuple of the values it may take,
+# or a parser of structured values), its least value or (least, most) pair,
+# and its default: REQUIRED, None (optional), or a function of earlier parts
+PARTS = {
+    "geometry": {"d": (int, 1, REQUIRED)},
+    "basic_example": {"n_cut": (int, 0, 2), "box": (int, 0, lambda parts: parts["coin"]["n_cut"] + 4)},
+    "halfline_commuting": {"sign": ((1, -1), None, 1), "box": (int, 0, 3)},
+    "lead_network": {"background_box": (int, 0, 4)}, "reflecting": {"box": (int, 0, 3)}, "boundary_full": {},
+    "basic_halfspace": {
+        "n_cut": (int, 0, lambda parts: parts["coin"]["n_cut"]), "interior": (_interior_from_json, None, None),
+    },
+    "halfline": {"sign": ((1, -1), None, lambda parts: parts["coin"]["sign"])},
+    "network": {
+        "incoming": (functools.partial(_leads_from_json, "incoming"), None, []),
+        "outgoing": (functools.partial(_leads_from_json, "outgoing"), None, []),
+        "boundary": ((True, False), None, False),
+    },
+    "straight_r": {"height": (int, None, 0)}, "crossover": {"west_first": ((True, False), None, True)}, "wiggled_r": {},
+    "explicit": {
+        "middle": (_vertices, None, REQUIRED), "pre": (_vertex, None, REQUIRED), "post": (_vertex, None, REQUIRED),
+    },
+    "scattering": {
+        "template": (("critical",), None, None),
+        "r_abs": (float, (0, 1), lambda parts: None if parts["scattering"]["template"] else REQUIRED),
+        "phases": (("unity", "random"), None, "unity"), "window": (int, 0, None),
+    },
+}
+# the keys each analysis type reads besides "type" and "label", in the row
+# format of PARTS (and the kind list: a nonempty list of floats); norm_law's
 # r_abs defaults to the setup's |r| at the origin
 ARGUMENTS = {
     "index": {"expect": (int, None, None), "expect_abs": (int, 0, None)},
@@ -733,7 +718,7 @@ ARGUMENTS = {
     "spectrum_window": {"box": (int, 0, 5)},
     "ensemble_index": {
         "draws": (int, 1, 100), "expect": (int, None, None), "expect_abs": (int, 0, None),
-        "constant_sign": (bool, None, False),
+        "constant_sign": ((True, False), None, False),
     },
     "norm_law": {"r_abs": (float, 0, lambda setup: abs(setup.scattering.value((0, 0))[1]))},
     "surgery": {"reroutes": (int, 1, 20)},

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, WINDOW_SITES, Tolerances
 from .errors import ValidationError
 from .fields import AdaptedProjection, HalfSpace, Plane, Ray, SiteMap
 from .flux import (
@@ -542,6 +542,15 @@ def boundary_projection_full(d_total: int) -> AdaptedProjection:
     )
 
 
+def window_sites(ranges: list[range], what: str = "coin window") -> list[Site]:
+    """The sites of the box that unit-step ``ranges`` span, one per axis,
+    refused above ``WINDOW_SITES`` before any is listed."""
+    count = math.prod(r.stop - r.start for r in ranges)
+    if count > WINDOW_SITES:
+        raise ValidationError(f"the {what} holds {count} sites, more than {WINDOW_SITES}")
+    return list(itertools.product(*ranges))
+
+
 def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> SiteMap:
     """Coin that reflects the normal on the plane x_last = 0 and is otherwise
     arbitrary: random tangent blocks on the plane, random bulk coins inside a
@@ -552,7 +561,7 @@ def reflecting_coin(d_total: int, rng: np.random.Generator, box: int = 4) -> Sit
     n = 2 * d_total
     up, down = b.normal_slots()
     tangents = np.array(b.tangent_slots(), dtype=np.intp)
-    sites = list(itertools.product(*([range(-box, box + 1)] * d_total)))
+    sites = window_sites([range(-box, box + 1)] * d_total)
     on_plane = np.array([s[b.axis] == 0 for s in sites] + [True])
     sizes = np.where(on_plane, 2 * len(tangents) ** 2, 2 * n * n)
     draws, starts = rng.standard_normal(int(sizes.sum())), np.cumsum(sizes) - sizes
@@ -583,7 +592,7 @@ def verify_confinement(
     the worst leakage below it."""
     d_total = walk.d
     axis = d_total - 1
-    sites = list(itertools.product(*([range(-box, box + 1)] * (d_total - 1) + [range(1, box + 2)])))
+    sites = window_sites([range(-box, box + 1)] * (d_total - 1) + [range(1, box + 2)], "confinement box")
     psi = random_state(rng, sites, walk.n_internal)
     worst = 0.0
     for _ in range(steps):
@@ -660,5 +669,5 @@ def perturb_coin_window(
 def random_background(rng: np.random.Generator, d: int, box: int = 6) -> SiteMap:
     """Random unitary coins inside a box, identity outside."""
     n = 2 * d
-    sites = list(itertools.product(*([range(-box, box + 1)] * d)))
+    sites = window_sites([range(-box, box + 1)] * d)
     return SiteMap(d, window=(sites, haar_unitaries(rng, n, len(sites))), background=np.eye(n, dtype=complex))

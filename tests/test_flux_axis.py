@@ -50,7 +50,7 @@ from fluxwalk.flux import (
     index_by_odd_trace,
     selfcheck_against_operator,
 )
-from fluxwalk.scenarios import ANALYSES, _arguments, _checked_setup
+from fluxwalk.scenarios import ANALYSES, ARGUMENTS, _arguments, _checked_setup
 from test_cc import params_r
 
 EPSILONS = [0.25, 0.125, 0.0625]
@@ -116,7 +116,7 @@ def test_the_capped_stacks_of_bundled_draws_are_each_flux_alone(monkeypatch):
     spec = json.loads(bundled_scenarios()["cc_anomalous"].read_text())
     stacks = _recorded_stacks(monkeypatch)
     setup = _checked_setup(spec)
-    args = _arguments(setup, "anomalous_transport", {"epsilons": EPSILONS, "draws": 5}, "")
+    args = _arguments(setup, ARGUMENTS["anomalous_transport"], {"epsilons": EPSILONS, "draws": 5}, "")
     out = ANALYSES["cc"]["anomalous_transport"](setup, args, {})
     assert out["pass"] and len(stacks) == 5
     for geometries, tol in stacks:
@@ -282,7 +282,7 @@ def _bundled_stack():
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(cc_module, "assemble_field", lambda *args: stacks.append(original(*args)) or stacks[-1])
         setup = _checked_setup(spec)
-        args = _arguments(setup, "anomalous_transport", {"epsilons": EPSILONS, "draws": 1}, "")
+        args = _arguments(setup, ARGUMENTS["anomalous_transport"], {"epsilons": EPSILONS, "draws": 1}, "")
         out = ANALYSES["cc"]["anomalous_transport"](setup, args, {})
     (stack,) = stacks
     assert out["pass"] and len(stack) == len(EPSILONS) + 1

@@ -45,7 +45,7 @@ from fluxwalk.errors import ValidationError
 from fluxwalk.fields import SiteMap
 from fluxwalk.flux import CellGeometry, analyze, assemble_field, kitaev_sum
 from fluxwalk.lattice import SiteIndex
-from fluxwalk.scenarios import ANALYSES, _arguments, _checked_setup
+from fluxwalk.scenarios import ANALYSES, ARGUMENTS, _arguments, _checked_setup
 from fluxwalk.shift import build_perturbed, extract_kernels
 from fluxwalk.walks import build_walk, build_walk_flux, network_projection, random_background, random_network, synthesize_lead_coin
 from test_assembly import reference_block
@@ -81,7 +81,7 @@ def _setup(name):
 def _cc_analysis(setup, atype, **given):
     """The ``atype`` analysis of ``setup`` run on ``given`` arguments, parsed
     as validation parses them."""
-    return ANALYSES["cc"][atype](setup, _arguments(setup, atype, given, atype), {})
+    return ANALYSES["cc"][atype](setup, _arguments(setup, ARGUMENTS[atype], given, atype), {})
 
 
 @pytest.mark.parametrize("name", sorted(bundled_scenarios()))

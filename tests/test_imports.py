@@ -185,7 +185,7 @@ def test_module_defines_each_name_once(path):
 # The line count of ``cat src/fluxwalk/*.py | wc -l``.  A change stays at or
 # below it; one that spends a growth budget raises it in the same change and
 # says so in CHANGES.md.
-SRC_LINE_BUDGET = 4773
+SRC_LINE_BUDGET = 4771
 
 
 def test_src_stays_within_its_line_budget():

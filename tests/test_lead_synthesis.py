@@ -179,7 +179,7 @@ def test_a_lead_network_is_built_without_per_parameter_sites(name):
     # pass is all that parsing and synthesis read
     spec = json.loads(bundled_scenarios()[name].read_text())
     d = spec["geometry"]["d"]
-    network = scenarios._network_from_json(spec["projection"], d)
+    network = scenarios._checked_setup(spec).network
     rng = np.random.default_rng(0)
     background = walks.reflecting_coin(d, rng, box=4) if network.boundary else walks.random_background(rng, d, box=4)
     coin = walks.synthesize_lead_coin(network, background)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -22,6 +23,7 @@ from fluxwalk.errors import (
 )
 from fluxwalk.report import dump_report
 from fluxwalk.scenarios import ANALYSES, ARGUMENTS, _checked_setup, run_scenario, validate_scenario
+from fluxwalk.walks import verify_confinement
 
 
 def load(name):
@@ -572,14 +574,14 @@ EXPLICIT_PATH = {"type": "explicit", "middle": [[0, 0]], "pre": [-1, 0], "post":
     "name, path, value, message",
     [
         ("cc_rpath", ["scattering"], 5, "scattering must be a JSON object"),
-        ("two_incoming_leads", ["projection", "incoming"], 5, "network incoming must be a list"),
-        ("two_incoming_leads", ["projection", "outgoing"], {}, "network outgoing must be a list"),
+        ("two_incoming_leads", ["projection", "incoming"], 5, "projection incoming must be a list"),
+        ("two_incoming_leads", ["projection", "outgoing"], {}, "projection outgoing must be a list"),
         ("two_incoming_leads", ["projection", "incoming", 0, "prefix"], 5, "lead prefix must be a list"),
         ("two_incoming_leads", ["projection", "incoming", 0, "prefix"], [1, 2], "lead site must be a list"),
         ("two_incoming_leads", ["projection", "incoming", 0, "ray"], 5, "lead ray must be a list"),
         ("cc_rpath", ["path", "middle"], 5, "path middle must be a list"),
-        ("cc_rpath", ["path", "middle"], [5], "path vertex must be a list of 2 integers"),
-        ("cc_rpath", ["path", "middle"], [[0, "a"]], "path vertex must be a number, got 'a'"),
+        ("cc_rpath", ["path", "middle"], [5], "path middle vertex must be a list of 2 integers"),
+        ("cc_rpath", ["path", "middle"], [[0, "a"]], "path middle vertex must be a number, got 'a'"),
         ("cc_rpath", ["path", "pre"], 5, "path pre must be a list of 2 integers"),
         ("cc_rpath", ["path", "post"], [1], "path post must be a list of 2 integers"),
         ("half_line_plus", ["geometry", "d"], 0, "geometry d must be at least 1, got 0"),
@@ -587,7 +589,7 @@ EXPLICIT_PATH = {"type": "explicit", "middle": [[0, 0]], "pre": [-1, 0], "post":
         ("half_line_plus", ["projection", "sign"], 2, "projection sign must be 1 or -1, got 2"),
         ("cc_crossover_r02", ["path", "west_first"], "false", "path west_first must be true or false, got 'false'"),
         ("bulk_boundary_leads", ["projection", "boundary"], "false", "projection boundary must be true or false"),
-        ("cc_rpath", ["scattering", "template"], "critcal", "unknown scattering template 'critcal'"),
+        ("cc_rpath", ["scattering", "template"], "critcal", "scattering template must be \"critical\", got 'critcal'"),
     ],
     ids=[
         "scattering",
@@ -645,7 +647,7 @@ def test_negative_setup_sizes_fail_validation(tmp_path, capsys, name, path):
     for part in outer:
         target = target[part]
     target[key] = -1
-    message = f"{'window' if key == 'window' else 'coin ' + key} must be at least 0, got -1"
+    message = f"{outer[0]} {key} must be at least 0, got -1"
     with pytest.raises(ValidationError, match=re.escape(message)):
         validate_scenario(spec)
     scenario_file = tmp_path / "negative.json"
@@ -688,6 +690,52 @@ def test_a_window_too_large_fails_validation(tmp_path, capsys, name, edits, mess
     scenario_file.write_text(json.dumps(spec))
     assert main(["validate", str(scenario_file)]) == 3
     assert message in capsys.readouterr().err
+
+
+class Drawn(Exception):
+    """A draw or a site listing that a window reached before it was sized."""
+
+
+def drawn(*args, **kwargs):
+    raise Drawn
+
+
+class DrawlessGenerator:
+    """A generator whose every draw raises ``Drawn``."""
+
+    def __getattr__(self, name):
+        raise Drawn
+
+
+@pytest.mark.parametrize(
+    "name, edits, message",
+    [
+        ("half_line_plus", {"geometry": {"d": 3}, "coin": {"box": 40}}, "the coin window holds 531441 sites, more than 262144"),
+        ("basic_example", {"coin": {"box": 10**7}}, "the coin window holds 20000002 sites, more than 262144"),
+        ("bulk_boundary", {"coin": {"box": 10**4}}, "the coin window holds 400040001 sites, more than 262144"),
+        ("two_incoming_leads", {"coin": {"background_box": 10**4}}, "the coin window holds 400040001 sites"),
+        ("bulk_boundary_leads", {"coin": {"background_box": 10**4}}, "the coin window holds 400040001 sites"),
+    ],
+    ids=["halfline_d3_box40", "basic_example_box_10_7", "reflecting_box_10_4", "background_box", "reflecting_background_box"],
+)
+def test_a_coin_window_is_sized_before_it_is_listed_or_drawn(monkeypatch, tmp_path, capsys, name, edits, message):
+    # each window used to be listed or drawn site by site before any size
+    # check (the reflecting box of 10**4 exhausted the memory); with every
+    # draw and every site listing made to raise, the size check comes first
+    monkeypatch.setattr(scenarios_module, "_rng", lambda seed: DrawlessGenerator())
+    monkeypatch.setattr(itertools, "product", drawn)
+    spec = load(name)
+    for slot, values in edits.items():
+        spec[slot].update(values)
+    assert_invalid(tmp_path, capsys, spec, message)
+
+
+def test_a_confinement_box_is_sized_before_its_sites_are_listed(monkeypatch):
+    walk = _checked_setup(load("bulk_boundary")).unitary
+    monkeypatch.setattr(itertools, "product", drawn)
+    message = "the confinement box holds 200030001 sites, more than 262144"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        verify_confinement(walk, DrawlessGenerator(), steps=1, box=10**4)
 
 
 @pytest.mark.parametrize("kind, atype", [(kind, atype) for kind, types in ANALYSES.items() for atype in types])
@@ -804,6 +852,29 @@ def test_an_integer_field_rejects_fractions_and_booleans(tmp_path, capsys, steps
     wandering = next(i for i, a in enumerate(spec["analyses"]) if a["type"] == "wandering")
     spec["analyses"][wandering]["steps"] = steps
     assert_invalid(tmp_path, capsys, spec, f"analysis #{wandering} (wandering) {message}")
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("half_line_plus", ["seed"], "3", "seed must be a number, got '3'"),
+        ("half_line_plus", ["analyses", 0, "expect"], "1", "analysis #0 (index) expect must be a number, got '1'"),
+        ("basic_example", ["coin", "box"], "2", "coin box must be a number, got '2'"),
+        ("basic_example", ["geometry", "d"], "1", "geometry d must be a number, got '1'"),
+        ("half_line_plus", ["coin", "sign"], "1", "coin sign must be 1 or -1, got '1'"),
+        ("cc_rpath", ["scattering", "r_abs"], "0.3", "scattering r_abs must be a number, got '0.3'"),
+    ],
+    ids=["seed", "expect", "coin_box", "geometry_d", "coin_sign", "r_abs"],
+)
+def test_a_quoted_number_is_no_number(tmp_path, capsys, name, path, value, message):
+    # each validated and ran as the number it quotes
+    spec = load(name)
+    *outer, key = path
+    target = spec
+    for part in outer:
+        target = target[part]
+    target[key] = value
+    assert_invalid(tmp_path, capsys, spec, message)
 
 
 def test_a_bad_analysis_parameter_fails_validation(tmp_path, capsys):
@@ -964,16 +1035,15 @@ def test_two_analyses_with_one_report_key_fail_validation(tmp_path, capsys, anal
 
 
 def test_interior_keys_are_integer_sites(tmp_path, capsys):
-    from fluxwalk.config import DEFAULT
-    from fluxwalk.scenarios import build_walk_setup
-
+    # JSON object keys are strings, so the interior keys are the one field
+    # whose integers are read from strings, bare or in brackets
     spec = load("basic_example")
-    spec["projection"]["interior"] = {"0": [0], "[-1]": [0, 1]}
-    validate_scenario(spec)
-    proj = build_walk_setup(spec, np.random.default_rng(0), DEFAULT).projection
-    assert proj.open_slots((0,)) == {0}
-    assert proj.open_slots((-1,)) == {0, 1}
-    assert proj.open_slots((1,)) == set()
+    for interior in ({"0": [0], "[-1]": [0, 1]}, {"0": [0], "-1": [0, 1]}):
+        spec["projection"]["interior"] = interior
+        proj = _checked_setup(spec).projection
+        assert proj.open_slots((0,)) == {0}
+        assert proj.open_slots((-1,)) == {0, 1}
+        assert proj.open_slots((1,)) == set()
 
     for interior, message in [
         ({"x": [0]}, "interior key 'x'"),
@@ -1012,6 +1082,41 @@ def test_cli_jobs_flag(tmp_path):
     assert code == 0
     assert (tmp_path / "half_line_plus" / "report.json").exists()
     assert (tmp_path / "half_line_minus" / "report.json").exists()
+
+
+def test_cli_run_jobs_are_capped_at_the_scenario_count(tmp_path, monkeypatch):
+    # a process pool forks all of its workers at its first submit, so
+    # --jobs 1000 on two scenarios used to fork 1000 processes
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli_module, "ProcessPoolExecutor", SerialPool)
+    assert main(["run", "half_line_plus", "half_line_minus", "--jobs", "1000", "--out", str(tmp_path)]) == 0
+    assert pools == [2]
+    assert (tmp_path / "half_line_plus" / "report.json").exists()
+    assert (tmp_path / "half_line_minus" / "report.json").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    # each used to fall back to a serial run without a word
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "half_line_plus", "--jobs", jobs, "--out", str(tmp_path)])
+    assert exit_.value.code == 2
+    assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "half_line_plus").exists()
 
 
 def test_console_script_entry_point():

@@ -10,8 +10,9 @@ the last coordinate of an integer site.  ``run_scenario`` must then raise
 ``ValidationError`` or return a report in which no analysis recorded an
 internal error, and a renamed key never leaves a valid scenario.
 
-A second, table-driven test puts a bad value at each key of each analysis
-type in ``scenarios.ARGUMENTS`` and requires ``validate_scenario`` to raise.
+Two table-driven tests put a bad value at each key of each analysis type in
+``scenarios.ARGUMENTS`` and at each key of each part type in
+``scenarios.PARTS``, and require ``validate_scenario`` to raise and name it.
 """
 
 import copy
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from fluxwalk.cli import bundled_scenarios
 from fluxwalk.errors import ValidationError
-from fluxwalk.scenarios import ANALYSES, ARGUMENTS, run_scenario, validate_scenario
+from fluxwalk.scenarios import ANALYSES, ARGUMENTS, PARTS, run_scenario, validate_scenario
 
 
 def cut(spec: dict) -> dict:
@@ -130,4 +131,58 @@ def test_every_analysis_argument_is_checked_at_validation(kind, atype, key, valu
     validate_scenario(spec)
     spec["analyses"][0][key] = value
     with pytest.raises(ValidationError, match=re.escape(f"analysis #0 ({atype}) {key} must be")):
+        validate_scenario(spec)
+
+
+EXPLICIT_PATH = {"type": "explicit", "middle": [[0, 0]], "pre": [-1, 0], "post": [1, 0]}
+# one base scenario of each part type: its name, the slot of the part, and
+# the part put in that slot (None: the bundled one)
+PART_SCENARIOS = {
+    "geometry": ("half_line_plus", "geometry", None),
+    "basic_example": ("basic_example", "coin", None),
+    "halfline_commuting": ("half_line_plus", "coin", None),
+    "lead_network": ("two_incoming_leads", "coin", None),
+    "reflecting": ("bulk_boundary", "coin", None),
+    "basic_halfspace": ("basic_example", "projection", None),
+    "halfline": ("half_line_plus", "projection", None),
+    "network": ("two_incoming_leads", "projection", None),
+    "boundary_full": ("bulk_boundary", "projection", None),
+    "straight_r": ("cc_rpath", "path", None),
+    "crossover": ("cc_anomalous", "path", None),
+    "wiggled_r": ("cc_rpath", "path", {"type": "wiggled_r"}),
+    "explicit": ("cc_rpath", "path", EXPLICIT_PATH),
+    "scattering": ("cc_rpath", "scattering", None),
+}
+
+
+def bad_fields():
+    """(part type, key, value) for each key of each part type in ``PARTS``:
+    a quoted number, a bool where the key takes none, ``null``, ``NaN`` and
+    ``inf``, and a value under its least value or over its most, where it
+    has them."""
+    for ptype, rows in PARTS.items():
+        for key, (kind, low, _) in rows.items():
+            values = ["1", None, math.nan, math.inf] + ([] if kind == (True, False) else [True])
+            least, most = low if isinstance(low, tuple) else (low, None)
+            if least is not None:
+                values.append(least - 1 if kind is int else least - 0.5)
+            if most is not None:
+                values.append(most + 0.5)
+            for value in values:
+                yield ptype, key, value
+
+
+def test_every_part_type_has_a_base_scenario():
+    assert PART_SCENARIOS.keys() == PARTS.keys()
+
+
+@pytest.mark.parametrize("ptype, key, value", list(bad_fields()))
+def test_every_part_field_is_checked_at_validation(ptype, key, value):
+    name, slot, part = PART_SCENARIOS[ptype]
+    spec = json.loads(bundled_scenarios()[name].read_text())
+    if part is not None:
+        spec[slot] = copy.deepcopy(part)
+    validate_scenario(spec)
+    spec[slot][key] = value
+    with pytest.raises(ValidationError, match=re.escape(f"{slot} {key} must")):
         validate_scenario(spec)
