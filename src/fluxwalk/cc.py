@@ -26,7 +26,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .config import DEFAULT, WINDOW_SITES, Tolerances
+from .config import DEFAULT, EPSILON_LEAST, Tolerances, check_size
 from .errors import ValidationError
 from .fields import Ray, SiteMap
 from .flux import (
@@ -76,18 +76,15 @@ SCATTERING_BOUND = 1e-12  # largest miss of |q| = 1 and |r|^2 + |t|^2 = 1 a cell
 
 @dataclass(frozen=True)
 class ScatteringParams:
-    """Parameters (q, r, t) of one scattering matrix, checked so that a NaN
-    fails; it unpacks as ``q, r, t`` like a row of a scattering block."""
+    """Parameters (q, r, t) of one scattering matrix, checked as a row of
+    ``check_rows``; it unpacks as ``q, r, t`` like a row of a scattering block."""
 
     q: complex
     r: complex
     t: complex
 
     def __post_init__(self):
-        if not (abs(abs(self.q) - 1.0) <= SCATTERING_BOUND):
-            raise ValidationError(f"|q| = {abs(self.q):.6g} is not unimodular")
-        if not (abs(abs(self.r) ** 2 + abs(self.t) ** 2 - 1.0) <= SCATTERING_BOUND):
-            raise ValidationError("|r|^2 + |t|^2 must equal 1")
+        check_rows(np.array([tuple(self)], dtype=complex))
 
     def __iter__(self):
         return iter((self.q, self.r, self.t))
@@ -95,7 +92,7 @@ class ScatteringParams:
 
 def check_rows(qrt: np.ndarray) -> np.ndarray:
     """``qrt``, an (N, 3) complex array of (q, r, t) rows, once every row
-    passes the checks of ``ScatteringParams`` (same bounds and messages, NaN
+    has |q| = 1 and |r|^2 + |t|^2 = 1 within ``SCATTERING_BOUND`` (a NaN
     fails); otherwise ``ValidationError`` for the first row that fails."""
     q, r, t = np.abs(qrt).T
     bad_q = ~(np.abs(q - 1.0) <= SCATTERING_BOUND)
@@ -163,9 +160,7 @@ class CCUnitary(LocalUnitary):
         if not all(map(_is_value, entries)):
             desc = next(d for d, p in scattering.template_values() if not _is_value(p))
             raise ValidationError(f"{desc} is not a ScatteringParams")
-        qrt = np.array([tuple(p) for p in entries], dtype=complex).reshape(-1, 3)
-        check_rows(np.concatenate([values, qrt[[isinstance(p, np.ndarray) for p in entries]]]))
-        self._qrt = np.concatenate([values, qrt])
+        self._qrt = check_rows(np.concatenate([values, np.array([tuple(p) for p in entries], dtype=complex).reshape(-1, 3)]))
         # whether each row's r and t are complex numbers (rows always are)
         self._complex = np.ones((len(self._qrt), 2), dtype=bool)
         self._complex[len(values) :] = [[isinstance(v, (complex, np.complexfloating)) for v in (r, t)] for _, r, t in entries]
@@ -406,8 +401,7 @@ def region_box(lo: Site, hi: Site) -> tuple[int, int]:
     """The shape of the box of points from corner ``lo`` to corner ``hi``;
     ``ValidationError`` when it holds more than ``WINDOW_SITES`` points."""
     shape = (hi[0] - lo[0] + 1, hi[1] - lo[1] + 1)
-    if math.prod(shape) > WINDOW_SITES:
-        raise ValidationError(f"the region box holds {math.prod(shape)} points, more than {WINDOW_SITES}")
+    check_size(math.prod(shape), "region box", "points")
     return shape
 
 
@@ -730,7 +724,7 @@ def anomalous_transport(
     t0, t1 = path.switch_window()
     cuts = []
     for eps in epsilons:
-        if not 0.0 < eps <= 1.0:
+        if not EPSILON_LEAST <= eps <= 1.0:
             raise ValidationError(f"epsilon {eps} out of range")
         cuts.append(cut := math.ceil(1.0 / eps))
         if not path.is_pure(-cut - 40, t0, "r") or not path.is_pure(t1, cut + 40, "t"):

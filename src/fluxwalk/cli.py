@@ -4,8 +4,9 @@ Exit codes: 0 all assertions passed, 1 an embedded assertion failed, 2 a
 scenario file failed to parse or the command line is malformed (``--jobs``
 must be at least 1; it is capped at the scenario count), 3 a scenario failed
 validation, before any analysis ran (this covers every part's and analysis's
-values, each coin window's size, and two analyses with one report key), 4 an
-internal consistency check failed or an analysis raised any other exception
+values, each coin window's size, each run's size within the bounds in
+``config``, and two analyses with one report key), 4 an internal
+consistency check failed or an analysis raised any other exception
 (its block names the type under ``internal_error``), 5 a quantity the
 scenario asks for is undefined (a failed certificate, an ambiguous
 eigenvalue, a trace norm that does not sum).
@@ -54,26 +55,29 @@ def _resolve(token: str) -> Path:
     raise FileNotFoundError(f"no scenario file or bundled scenario named {token!r}")
 
 
-def _load(path: Path) -> dict:
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+def _attempt(token: str, action) -> tuple[int, object]:
+    """``(EXIT_OK, action(spec))`` for the scenario that ``token`` names, or the
+    reported exit code of its parse failure or of ``action``'s error, and None."""
+    try:
+        spec = json.loads(_resolve(token).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: parse: {token}: {exc}", file=sys.stderr)
+        return EXIT_PARSE, None
+    try:
+        return EXIT_OK, action(spec)
+    except ValidationError as exc:
+        print(f"error: validation: {token}: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION, None
+    except FluxwalkError as exc:
+        print(f"error: {token}: {exc}", file=sys.stderr)
+        return EXIT_CONSISTENCY if isinstance(exc, ConsistencyError) else EXIT_UNDEFINED, None
 
 
 def _run_one(args: tuple[str, int | None, str, str]) -> int:
     token, seed, profile, out_dir = args
-    try:
-        spec = _load(_resolve(token))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: parse: {token}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        result = run_scenario(spec, seed_override=seed, profile=profile)
-    except ValidationError as exc:
-        print(f"error: validation: {token}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FluxwalkError as exc:
-        print(f"error: {token}: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY if isinstance(exc, ConsistencyError) else EXIT_UNDEFINED
+    code, result = _attempt(token, lambda spec: run_scenario(spec, seed_override=seed, profile=profile))
+    if result is None:
+        return code
     target = Path(out_dir) / result.report["name"]
     target.mkdir(parents=True, exist_ok=True)
     (target / "report.json").write_text(dump_report(result.report), encoding="utf-8")
@@ -120,31 +124,19 @@ def main(argv=None) -> int:
 
     if args.command == "list":
         for name, path in bundled_scenarios().items():
-            try:
-                desc = _load(path).get("description", "")
-            except json.JSONDecodeError:
-                desc = "(unreadable)"
-            print(f"{name}: {desc}")
+            desc = _attempt(str(path), lambda spec: str(spec.get("description", "")))[1]
+            print(f"{name}: {'(unreadable)' if desc is None else desc}")
         return EXIT_OK
 
     if args.command == "validate":
         worst = EXIT_OK
         for token in args.scenarios:
-            try:
-                spec = _load(_resolve(token))
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: parse: {token}: {exc}", file=sys.stderr)
-                worst = max(worst, EXIT_PARSE)
-                continue
-            try:
-                notes = validate_scenario(spec)
-            except ValidationError as exc:
-                print(f"error: validation: {token}: {exc}", file=sys.stderr)
-                worst = max(worst, EXIT_VALIDATION)
-                continue
-            print(f"{token}: valid")
-            for note in notes:
-                print(f"  {note}")
+            code, notes = _attempt(token, validate_scenario)
+            worst = max(worst, code)
+            if notes is not None:
+                print(f"{token}: valid")
+                for note in notes:
+                    print(f"  {note}")
         return worst
 
     out_dir = args.out or os.environ.get(OUT_ENV) or "reports"

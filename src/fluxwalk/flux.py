@@ -7,8 +7,11 @@ by kernel dimensions and by odd-power traces and even-power supertraces of
 the blocks; the Kitaev-style double sum over matrix elements reduces, for
 unitary cells, to rank P_out - rank P_in per cell, so it cross-checks the
 rank formula rather than giving an independent count.  All of them must
-agree.  ``analyze`` is the one path that counts the index and cross-checks
-it; walks, networks and scenario setups all go through it.
+agree.  Each sum and the trace norm form their per-block terms in one stacked
+pass; ``_row_order_sum`` adds the terms in row order as Python floats once the
+tail vanishes, with the bits of adding one block at a time.  ``analyze`` is
+the one path that counts the index and cross-checks it for walks, networks
+and scenario setups.
 
 Certification at infinity works by enumerating a shell of representative
 blocks just outside the feature window.  Every block beyond the window equals
@@ -38,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT, WINDOW_SITES, Tolerances
+from .config import DEFAULT, Tolerances, check_size
 from .errors import CertificationError, ConsistencyError, EigenvalueAmbiguityError, NonSummableError, ValidationError
 from .lattice import LatticeState, SiteIndex, group_sites
 from .operators import compress
@@ -134,9 +137,7 @@ class FluxWindow:
                 raise ValidationError("band widths must be multiples of the label grid")
             if (h - l) % s != 0:
                 raise ValidationError("window bounds must be grid aligned")
-        count = math.prod((h - l + 4 * band) // s + 1 for l, h, band, s in axes)
-        if count > WINDOW_SITES:
-            raise ValidationError(f"the flux window holds {count} labels, more than {WINDOW_SITES}")
+        check_size(math.prod((h - l + 4 * band) // s + 1 for l, h, band, s in axes), "flux window", "labels")
 
     def labels(self) -> np.ndarray:
         """The (N, d) labels that ``assemble_field`` enumerates, in
@@ -516,36 +517,33 @@ def index_by_kernels(flux: FluxField) -> IndexReport:
     )
 
 
-def _require_trace_class(flux: FluxField) -> None:
+def _row_order_sum(flux: FluxField, terms: np.ndarray) -> float:
+    """The sum of a zero-tail flux's per-block terms, added in row order as
+    Python floats: the bits of adding one block's term at a time."""
     if not flux.tail_zero:
-        raise NonSummableError(
-            "tail blocks are not identically zero; block trace norms do not sum"
-        )
+        raise NonSummableError("tail blocks are not identically zero; block trace norms do not sum")
+    total = 0.0
+    for term in terms.ravel().tolist():
+        total += term
+    return total
 
 
 def index_by_odd_trace(flux: FluxField, j: int = 0) -> complex:
     """trace of the (2j+1)-th power, summed over blocks."""
     if j < 0:
         raise ValidationError("j must be nonnegative")
-    _require_trace_class(flux)
-    total = 0.0
-    for evals in flux.eigh.eigenvalues:
-        total += float(np.sum(evals ** (2 * j + 1)))
-    return complex(total)
+    return complex(_row_order_sum(flux, np.sum(flux.eigh.eigenvalues ** (2 * j + 1), axis=1)))
 
 
 def index_by_supertrace(flux: FluxField, j: int = 1) -> complex:
     """trace((P_perp - P) flux^{2j}), summed over blocks."""
     if j < 1:
         raise ValidationError("j must be positive")
-    _require_trace_class(flux)
-    total = 0.0
-    for evals, evecs, p_diag in zip(*flux.eigh, flux.box.p_in[flux.kept]):
-        sign = 1.0 - 2.0 * p_diag
-        # <e_k, (P_perp - P) e_k> weighted by lambda_k^{2j}
-        weights = np.sum((np.abs(evecs) ** 2) * sign[:, None], axis=0)
-        total += float(np.sum((evals ** (2 * j)) * weights))
-    return complex(total)
+    evals, evecs = flux.eigh
+    sign = 1.0 - 2.0 * flux.box.p_in[flux.kept]
+    # <e_k, (P_perp - P) e_k> weighted by lambda_k^{2j}
+    weights = np.sum((np.abs(evecs) ** 2) * sign[:, :, None], axis=1)
+    return complex(_row_order_sum(flux, np.sum((evals ** (2 * j)) * weights, axis=1)))
 
 
 def kitaev_sum(flux: FluxField) -> complex:
@@ -554,24 +552,18 @@ def kitaev_sum(flux: FluxField) -> complex:
     blocks: the |matrix|^2-weighted difference of outgoing and incoming
     memberships, cell by cell.  For unitary cells each term is rank P_out -
     rank P_in, so this cross-checks the rank formula rather than counting
-    the index independently.  The terms are formed in stacked passes (per
-    cell the same row sums, column sums and dot products as one cell alone)
-    and added in row order as Python floats, so the sum keeps its bits."""
-    _require_trace_class(flux)
+    the index independently.  The terms are formed in stacked passes, per
+    cell the same row sums, column sums and dot products as one cell alone."""
     box = flux.box
     rows = np.flatnonzero(box.window & (box.p_in.any(axis=1) | box.p_out.any(axis=1)))
     a2 = np.abs(box.cells[rows]) ** 2
     outs = box.p_out[rows, None, :] @ a2.sum(axis=2)[:, :, None]
     ins = a2.sum(axis=1)[:, None, :] @ box.p_in[rows, :, None]
-    total = 0.0
-    for term in (outs - ins).ravel().tolist():
-        total += term
-    return complex(total)
+    return complex(_row_order_sum(flux, outs - ins))
 
 
 def block_trace_norm(flux: FluxField) -> float:
-    _require_trace_class(flux)
-    return float(sum(float(np.sum(np.abs(evals))) for evals in flux.box.eigenvalues[flux.kept]))
+    return _row_order_sum(flux, np.sum(np.abs(flux.box.eigenvalues[flux.kept]), axis=1))
 
 
 def analyze(flux: FluxField) -> IndexReport:

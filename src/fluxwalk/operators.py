@@ -7,8 +7,6 @@ no truncation ever happens.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
@@ -50,12 +48,12 @@ class CoinedWalk(LocalUnitary):
 
     Acting on a state, the coin reshuffles the internal slots at each site and
     the slot-k component then moves one site along direction k.  The coin
-    values are taken as given; ``walks.build_walk`` checks them.
+    values are stacked once, as ``table``, which ``walks.build_walk`` checks.
 
     The cells of ``flux.CellGeometry`` are the sites (``cell_labels``
     returns its input): the coin at x maps every slot of x onto slot k of
-    x + dir_k (``out_basis``).  ``table_rows`` gives the stacked coin table
-    and each label's ``value_index`` row in it.  ``step`` is the one step
+    x + dir_k (``out_basis``).  ``table_rows`` gives ``table`` and each
+    label's ``value_index`` row in it.  ``step`` is the one step
     core: ``apply`` and ``apply_adjoint`` run it on sites with ``coins``
     (one ``coin.value`` call per site on states of at most ``SCALAR_LOOKUPS``
     sites, where that is cheaper than an array lookup, one ``value_index``
@@ -66,21 +64,17 @@ class CoinedWalk(LocalUnitary):
         self.coin = coin
         self.d = coin.d
         self.n_internal = 2 * coin.d
+        self.table = np.array(coin.table, dtype=complex)
         self._slot_array = np.arange(self.n_internal)
         self._step_array = np.array(all_direction_vectors(coin.d), dtype=np.int64)
 
     def cell_labels(self, sites: np.ndarray) -> np.ndarray:
         return sites
 
-    @cached_property
-    def _coin_table(self) -> np.ndarray:
-        """Every row of ``coin.table`` as one (T, n, n) stack."""
-        return np.array(self.coin.table, dtype=complex)
-
     def coins(self, sites: np.ndarray) -> np.ndarray:
         """(S, n, n) stack of the coins at an (S, d) site array: one
         ``coin.value`` per site up to ``SCALAR_LOOKUPS`` sites, one
-        ``value_index`` into the stacked table above."""
+        ``value_index`` into ``table``."""
         if len(sites) > SCALAR_LOOKUPS:
             return super().coins(sites)
         return np.array([self.coin.value(x) for x in sites.tolist()], dtype=complex)
@@ -93,7 +87,7 @@ class CoinedWalk(LocalUnitary):
         return np.asarray(labels, dtype=np.int64)[:, None, :] + self._step_array, self._slot_array
 
     def table_rows(self, labels: np.ndarray):
-        return self._coin_table, self.coin.value_index(labels)
+        return self.table, self.coin.value_index(labels)
 
     def apply(self, psi: LatticeState) -> LatticeState:
         """Coin every site in one stacked product, then move slot k of each

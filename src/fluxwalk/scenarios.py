@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from . import cc as ccm
-from .config import DEFAULT, DENSE_BASIS, PROFILES, WINDOW_SITES, Tolerances
+from .config import DEFAULT, DENSE_BASIS, DRAWS_MOST, EPSILON_LEAST, LEADS_MOST, NETWORK_BOX_MOST, PROFILES, STEPS_MOST
+from .config import Tolerances, check_size
 from .errors import FluxwalkError, ValidationError
 from .fields import HalfSpace, Ray, SiteMap, interpolate_matrix_fields
 from .flux import VANISHING_FLUX_BOUND, analyze, dense_window_index, index_stability_probe, max_block_norm
@@ -139,6 +140,13 @@ def _vertex(value, name: str, parts=None) -> tuple[int, int]:
 
 def _vertices(value, name: str, parts) -> list[tuple[int, int]]:
     return [_vertex(v, f"{name} vertex") for v in _list(value, name)]
+
+
+def _steps(value, name: str, setup) -> int:
+    """Walk steps, at most ``STEPS_MOST``, whose (2 steps + 1)^d reach is sized."""
+    steps = _number(value, name, int, (1, STEPS_MOST))
+    check_size((2 * steps + 1) ** setup.coin.d, f"box that {name} reach", "sites")
+    return steps
 
 
 def _interior_from_json(obj, name: str, parts) -> dict:
@@ -320,9 +328,7 @@ def _path_scattering(part: dict, path: ccm.DualPath, rng: np.random.Generator) -
     if extent is None:
         (lo, lo2), (hi, hi2) = path.bounds()
         extent = max(map(abs, (lo, lo2, hi, hi2))) + 8
-    cells = (2 * extent + 1) * (extent // 2 * 2 + 1)
-    if cells > WINDOW_SITES:
-        raise ValidationError(f"the phase window holds {cells} cells, more than {WINDOW_SITES}")
+    check_size((2 * extent + 1) * (extent // 2 * 2 + 1), "phase window", "cells")
     window = ccm.random_phase_window(rng, r_abs, range(-extent, extent + 1), range(-extent, extent + 1))
     return SiteMap(2, window=window, background=base)
 
@@ -704,25 +710,26 @@ PARTS = {
     },
 }
 # the keys each analysis type reads besides "type" and "label", in the row
-# format of PARTS (and the kind list: a nonempty list of floats); norm_law's
-# r_abs defaults to the setup's |r| at the origin
+# format of PARTS (the kind list: a nonempty list of floats within its pair);
+# norm_law's r_abs defaults to the setup's |r| at the origin
 ARGUMENTS = {
     "index": {"expect": (int, None, None), "expect_abs": (int, 0, None)},
     "flux_zero": {},
-    "wandering": {"steps": (int, 1, 50)},
-    "confinement": {"steps": (int, 1, 30), "box": (int, 0, 3)},
-    "shift_decomposition": {"steps": (int, 1, 30)},
-    "stability_probe": {"steps": (int, 1, 20), "strength": (float, None, 0.1)},
+    "wandering": {"steps": (_steps, None, 50)},
+    "confinement": {"steps": (_steps, None, 30), "box": (int, 0, 3)},
+    "shift_decomposition": {"steps": (_steps, None, 30)},
+    "stability_probe": {"steps": (int, (1, STEPS_MOST), 20), "strength": (float, None, 0.1)},
     "oracle_equivalence": {"pad": (int, 0, 2)},
-    "network_ensemble": {"draws": (int, 1, 100), "max_leads": (int, 0, 3), "box": (int, 0, 10)},
+    "network_ensemble": {"draws": (int, (1, DRAWS_MOST), 100), "max_leads": (int, (0, LEADS_MOST), 3),
+                         "box": (int, (0, NETWORK_BOX_MOST), 10)},
     "spectrum_window": {"box": (int, 0, 5)},
     "ensemble_index": {
-        "draws": (int, 1, 100), "expect": (int, None, None), "expect_abs": (int, 0, None),
+        "draws": (int, (1, DRAWS_MOST), 100), "expect": (int, None, None), "expect_abs": (int, 0, None),
         "constant_sign": ((True, False), None, False),
     },
     "norm_law": {"r_abs": (float, 0, lambda setup: abs(setup.scattering.value((0, 0))[1]))},
-    "surgery": {"reroutes": (int, 1, 20)},
-    "anomalous_transport": {"epsilons": (list, None, [0.25, 0.125, 0.0625]), "draws": (int, 1, 1)},
+    "surgery": {"reroutes": (int, (1, DRAWS_MOST), 20)},
+    "anomalous_transport": {"epsilons": (list, (EPSILON_LEAST, 1), [0.25, 0.125, 0.0625]), "draws": (int, (1, DRAWS_MOST), 1)},
 }
 
 

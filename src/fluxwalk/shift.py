@@ -165,14 +165,13 @@ class PerturbedUnitary:
 
     def correction_minus_finite_rank_norm(self) -> float:
         """Operator norm of U*(perturbed U) - 1 - F: the blockwise remainder."""
-        worst = max((float(np.linalg.norm(m, 2)) for m in self._map_stack), default=0.0)
         # tail blocks contribute too when the flux does not vanish out there
         if not self.flux.tail_zero:
             raise ValidationError(
                 "remainder norm over an infinite tail is not implemented; "
                 "use scenarios with vanishing tail blocks"
             )
-        return worst
+        return float(np.linalg.norm(self._map_stack, 2, axis=(1, 2)).max(initial=0.0))
 
 
 def build_perturbed(flux: FluxField, kernels: KernelData) -> PerturbedUnitary:

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT, WINDOW_SITES, Tolerances
+from .config import DEFAULT, Tolerances, check_size
 from .errors import ValidationError
 from .fields import AdaptedProjection, HalfSpace, Plane, Ray, SiteMap
 from .flux import (
@@ -46,12 +46,15 @@ NORM_FLOOR = 1e-12  # least norm that a random generator is divided by
 
 
 def build_walk(coin: SiteMap, tol: Tolerances = DEFAULT) -> CoinedWalk:
-    """Walk from a coin field; every template must be a (2d, 2d) unitary,
-    checked for all templates in one stacked product.  Only a failing check
-    walks ``coin.template_values()``, to name its first failing entry."""
+    """Walk from a coin field; every entry must be a (2d, 2d) unitary,
+    checked on the walk's one stack of them in one product.  Only a failing
+    check walks ``coin.template_values()``, to name its first failing entry."""
     n = 2 * coin.d
-    shaped = all(np.shape(m) == (n, n) for m in coin.table)
-    if not (shaped and (unitary_deviations(np.array(coin.table, dtype=complex)) <= tol.unitary).all()):
+    try:
+        walk = CoinedWalk(coin)
+    except (TypeError, ValueError):  # entries that do not stack
+        walk = None
+    if walk is None or walk.table.shape[1:] != (n, n) or not (unitary_deviations(walk.table) <= tol.unitary).all():
         templates = list(coin.template_values())
         for desc, m in templates:
             shape = np.shape(m)
@@ -60,7 +63,7 @@ def build_walk(coin: SiteMap, tol: Tolerances = DEFAULT) -> CoinedWalk:
         deviations = unitary_deviations(np.array([m for _, m in templates], dtype=complex))
         bad = np.flatnonzero(~(deviations <= tol.unitary))
         raise ValidationError(f"coin matrix at {templates[bad[0]][0]} is not unitary")
-    return CoinedWalk(coin)
+    return walk
 
 
 def build_walk_flux(
@@ -114,9 +117,8 @@ def halfline_projection(d: int, sign: int = 1) -> AdaptedProjection:
     """Characteristic function of {1, 2, ...} x {0}^(d-1) times the rank-one
     projection on the direction +e_1 (sign=+1) or -e_1 (sign=-1)."""
     slot = direction_index(1, sign)
-    base = tuple([1] + [0] * (d - 1))
-    step = tuple([1] + [0] * (d - 1))
-    return AdaptedProjection.from_layers(d, rays=[(Ray(base, step), [{slot}])])
+    e1 = tuple([1] + [0] * (d - 1))
+    return AdaptedProjection.from_layers(d, rays=[(Ray(e1, e1), [{slot}])])
 
 
 def basic_halfspace_projection(n_cut: int, interior: dict | None = None) -> AdaptedProjection:
@@ -545,9 +547,7 @@ def boundary_projection_full(d_total: int) -> AdaptedProjection:
 def window_sites(ranges: list[range], what: str = "coin window") -> list[Site]:
     """The sites of the box that unit-step ``ranges`` span, one per axis,
     refused above ``WINDOW_SITES`` before any is listed."""
-    count = math.prod(r.stop - r.start for r in ranges)
-    if count > WINDOW_SITES:
-        raise ValidationError(f"the {what} holds {count} sites, more than {WINDOW_SITES}")
+    check_size(math.prod(r.stop - r.start for r in ranges), what, "sites")
     return list(itertools.product(*ranges))
 
 
@@ -597,10 +597,7 @@ def verify_confinement(
     worst = 0.0
     for _ in range(steps):
         psi = walk.apply(psi)
-        leak = 0.0
-        for vec in psi.value_array[psi.site_array[:, axis] < 0, :, 0]:
-            leak += float(np.vdot(vec, vec).real)
-        worst = max(worst, np.sqrt(leak))
+        worst = max(worst, float(np.linalg.norm(psi.value_array[psi.site_array[:, axis] < 0, :, 0])))
     return worst
 
 

@@ -26,7 +26,11 @@ its ``CrossedEdge`` with the r/t tag.  ``switch_window``, ``is_pure`` and
 them before ``cc.classify_steps`` classified every step in one array pass.
 
 ``kitaev_sum`` is the per-row loop that ``flux.kitaev_sum`` ran before it
-formed the terms in stacked passes, ``classify_unit`` the per-eigenvalue
+formed the terms in stacked passes, ``odd_trace``, ``supertrace`` and
+``trace_norm`` the per-block loops of ``index_by_odd_trace``,
+``index_by_supertrace`` and ``block_trace_norm``, and ``remainder_norm``
+the per-map loop of ``PerturbedUnitary.correction_minus_finite_rank_norm``,
+before each formed its terms in one stacked pass, ``classify_unit`` the per-eigenvalue
 loop that ``flux.classify_unit`` ran on one block before it classified a
 field's whole ``eigh`` stack in one array pass, and ``two_call_box`` the assembly that
 ``flux.assemble_field`` ran before it called ``block_fn`` once: one call for
@@ -705,6 +709,36 @@ def kitaev_sum(flux) -> complex:
         a2 = np.abs(box.cells[i]) ** 2
         total += float(box.p_out[i] @ a2.sum(axis=1) - a2.sum(axis=0) @ box.p_in[i])
     return complex(total)
+
+
+def odd_trace(flux, j: int) -> complex:
+    """The trace of the (2j+1)-th power of a zero-tail flux, one kept
+    block at a time."""
+    total = 0.0
+    for evals in flux.eigh.eigenvalues:
+        total += float(np.sum(evals ** (2 * j + 1)))
+    return complex(total)
+
+
+def supertrace(flux, j: int) -> complex:
+    """trace((P_perp - P) flux^{2j}) of a zero-tail flux, one kept block at
+    a time."""
+    total = 0.0
+    for evals, evecs, p_diag in zip(*flux.eigh, flux.box.p_in[flux.kept]):
+        sign = 1.0 - 2.0 * p_diag
+        weights = np.sum((np.abs(evecs) ** 2) * sign[:, None], axis=0)
+        total += float(np.sum((evals ** (2 * j)) * weights))
+    return complex(total)
+
+
+def trace_norm(flux) -> float:
+    """The trace norm of a zero-tail flux, one kept block at a time."""
+    return float(sum(float(np.sum(np.abs(evals))) for evals in flux.box.eigenvalues[flux.kept]))
+
+
+def remainder_norm(perturbed) -> float:
+    """The largest 2-norm of a perturbed unitary's block maps, one map at a time."""
+    return max((float(np.linalg.norm(m, 2)) for m in perturbed._map_stack), default=0.0)
 
 
 def classify_unit(evals, tol, label):

@@ -12,6 +12,9 @@ beyond its box, where it must read like that flux's own split.
 box, certificate and rank sum must equal, bit for bit, those of the two-call
 assembly it replaced (``reference_state.two_call_box``), and the stacked
 Kitaev sum must equal the per-row loop (``reference_state.kitaev_sum``).
+So must, bit for bit, every other stacked formula of a zero-tail flux (odd
+traces, supertraces, the trace norm) and the remainder norm of its
+perturbed unitary, each against its per-block loop in ``reference_state``.
 
 A field reads its blocks by box row: analysing a CC flux must not build the
 label tuples of its whole box (``SiteIndex.sites``).
@@ -41,9 +44,17 @@ from fluxwalk.cc import (
     wiggled_r_path,
 )
 from fluxwalk.cli import bundled_scenarios
-from fluxwalk.errors import ValidationError
+from fluxwalk.errors import NonSummableError, ValidationError
 from fluxwalk.fields import SiteMap
-from fluxwalk.flux import CellGeometry, analyze, assemble_field, kitaev_sum
+from fluxwalk.flux import (
+    CellGeometry,
+    analyze,
+    assemble_field,
+    block_trace_norm,
+    index_by_odd_trace,
+    index_by_supertrace,
+    kitaev_sum,
+)
 from fluxwalk.lattice import SiteIndex
 from fluxwalk.scenarios import ANALYSES, ARGUMENTS, _arguments, _checked_setup
 from fluxwalk.shift import build_perturbed, extract_kernels
@@ -204,6 +215,69 @@ def test_random_lead_networks_match_the_two_call_assembly(seed, leads):
     flux = build_walk_flux(build_walk(coin), network_projection(network))
     assert flux.tail_zero
     assert_one_pass_matches_two_calls(flux)
+
+
+# ---------------------------------------------------------------------------
+# stacked formulas against their per-block loops
+
+
+def assert_formulas_match_the_block_loops(flux):
+    """The odd traces at j = 0, 1 and 2, the supertraces at j = 1 and 2 (its
+    least j), the trace norm, the Kitaev sum and the remainder norm of the
+    perturbed unitary of a zero-tail flux against the per-block loops,
+    exactly."""
+    assert flux.tail_zero
+    for j in (0, 1, 2):
+        assert index_by_odd_trace(flux, j) == ref.odd_trace(flux, j)
+    for j in (1, 2):
+        assert index_by_supertrace(flux, j) == ref.supertrace(flux, j)
+    assert block_trace_norm(flux) == ref.trace_norm(flux)
+    assert kitaev_sum(flux) == ref.kitaev_sum(flux)
+    perturbed = build_perturbed(flux, extract_kernels(flux))
+    assert perturbed.correction_minus_finite_rank_norm() == ref.remainder_norm(perturbed)
+
+
+@pytest.mark.parametrize("name", sorted(bundled_scenarios()))
+def test_bundled_formulas_match_the_block_loops(name):
+    flux = _setup(name).flux
+    if name.startswith("cc_"):  # a network's tail does not vanish: no trace formula sums
+        with pytest.raises(NonSummableError):
+            index_by_odd_trace(flux)
+    else:
+        assert_formulas_match_the_block_loops(flux)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 6))
+def test_capped_formulas_match_the_block_loops(seed, r_abs, extent):
+    # capped network fluxes keep blocks with eigenvalues inside (-1, 1), so
+    # their perturbed unitaries have block maps whose norms the remainder takes
+    span = range(-extent, extent + 1)
+    window = random_phase_window(np.random.default_rng(seed), r_abs, span, span)
+    path = crossover_path()
+    flux = cc_flux([capped(SiteMap(2, window=window, background=params_r(r_abs)), path)], path)[0]
+    assert_formulas_match_the_block_loops(flux)
+    assert len(build_perturbed(flux, extract_kernels(flux))._map_stack)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_long_capped_formulas_match_the_block_loops(monkeypatch, seed):
+    # a cutoff of 32 keeps 31 window blocks with eigenvalues inside (-1, 1),
+    # enough terms that a pairwise or compensated sum rounds differently
+    fluxes = _recorded_fluxes(monkeypatch)
+    window = random_phase_window(np.random.default_rng(seed), 0.3, range(-9, 10), range(-9, 10))
+    anomalous_transport(SiteMap(2, window=window, background=params_r(0.3)), crossover_path(), [1 / 32])
+    assert len(fluxes[1].kept) == 31
+    assert_formulas_match_the_block_loops(fluxes[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (2, 1), (1, 2)]))
+def test_random_lead_network_formulas_match_the_block_loops(seed, leads):
+    (n_in, n_out), rng = leads, np.random.default_rng(seed)
+    network = random_network(rng, n_in, n_out, box=5)
+    coin = synthesize_lead_coin(network, random_background(rng, 2, box=3))
+    assert_formulas_match_the_block_loops(build_walk_flux(build_walk(coin), network_projection(network)))
 
 
 # ---------------------------------------------------------------------------

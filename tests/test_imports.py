@@ -1,6 +1,7 @@
 """Every module of the package uses every name it imports, every helper,
-method and property of the package is named by its code, and no module of
-the repository binds a top-level function or class name twice.
+method and property of the package is named by its code, no module of the
+repository binds a top-level function or class name twice, and the size
+check and the row-order sum are each written once.
 
 No linter is installed, so this walks each module's syntax tree with the
 standard ``ast`` module.  ``__init__.py`` is skipped: its imports are the
@@ -182,10 +183,55 @@ def test_module_defines_each_name_once(path):
     assert shadowed_definitions(path.read_text(encoding="utf-8")) == []
 
 
+def written_rules(source: str) -> dict[str, list[str]]:
+    """The functions of a module that write one of two rules out: a
+    comparison with ``WINDOW_SITES`` (the size check), and a ``for`` loop
+    whose whole body adds onto a name that the function starts at a float
+    (the row-order sum of per-block terms)."""
+    found = {"size check": [], "row-order sum": []}
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        floats = {
+            target.id
+            for sub in ast.walk(node) if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Constant)
+            and isinstance(sub.value.value, float) for target in sub.targets if isinstance(target, ast.Name)
+        }
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Compare) and "WINDOW_SITES" in {
+                n.id for n in (sub.left, *sub.comparators) if isinstance(n, ast.Name)
+            }:
+                found["size check"].append(node.name)
+            if isinstance(sub, ast.For) and len(sub.body) == 1 and isinstance(sub.body[0], ast.AugAssign):
+                step = sub.body[0]
+                if isinstance(step.op, ast.Add) and isinstance(step.target, ast.Name) and step.target.id in floats:
+                    found["row-order sum"].append(node.name)
+    return found
+
+
+def test_guard_finds_each_written_rule():
+    source = (
+        "def a(n):\n    if n > WINDOW_SITES:\n        raise ValueError\n"
+        "def b(xs):\n    total = 0.0\n    for x in xs:\n        total += x\n    return total\n"
+        "def c(xs):\n    out = []\n    for x in xs:\n        out += [x]\n    return WINDOW_SITES <= len(out)\n"
+    )
+    assert written_rules(source) == {"size check": ["a", "c"], "row-order sum": ["b"]}
+
+
+def test_each_rule_is_written_once():
+    # the size check lives in config.check_size and the row-order sum in
+    # flux._row_order_sum; every other window and every index sum calls them
+    found = {"size check": [], "row-order sum": []}
+    for path in MODULES:
+        for rule, functions in written_rules(path.read_text(encoding="utf-8")).items():
+            found[rule] += [f"{path.stem}.{name}" for name in functions]
+    assert found == {"size check": ["config.check_size"], "row-order sum": ["flux._row_order_sum"]}
+
+
 # The line count of ``cat src/fluxwalk/*.py | wc -l``.  A change stays at or
 # below it; one that spends a growth budget raises it in the same change and
 # says so in CHANGES.md.
-SRC_LINE_BUDGET = 4771
+SRC_LINE_BUDGET = 4770
 
 
 def test_src_stays_within_its_line_budget():

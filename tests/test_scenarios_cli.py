@@ -14,6 +14,7 @@ import pytest
 import fluxwalk.cli as cli_module
 import fluxwalk.scenarios as scenarios_module
 from fluxwalk.cli import bundled_scenarios, main
+from fluxwalk.config import EPSILON_LEAST
 from fluxwalk.errors import (
     CertificationError,
     ConsistencyError,
@@ -728,6 +729,42 @@ def test_a_coin_window_is_sized_before_it_is_listed_or_drawn(monkeypatch, tmp_pa
     for slot, values in edits.items():
         spec[slot].update(values)
     assert_invalid(tmp_path, capsys, spec, message)
+
+
+@pytest.mark.parametrize(
+    "name, analysis, message",
+    [
+        ("bulk_boundary", {"type": "confinement", "steps": 10**7}, "steps must be at most 255, got 10000000"),
+        ("cc_crossover_r02", {"type": "ensemble_index", "draws": 10**9}, "draws must be at most 256, got 1000000000"),
+        ("lead_networks_random", {"type": "network_ensemble", "max_leads": 10**6}, "max_leads must be at most 16, got 1000000"),
+        ("cc_anomalous", {"type": "anomalous_transport", "epsilons": [1e-12]}, "epsilons must be at least 0.000244140625, got 1e-12"),
+    ],
+    ids=["confinement_steps", "ensemble_draws", "max_leads", "epsilon"],
+)
+def test_an_outsized_run_fails_validation(tmp_path, capsys, name, analysis, message):
+    # each validated and then ran for days, or asked for about 10^12 steps
+    spec = load(name)
+    spec["analyses"] = [analysis]
+    assert_invalid(tmp_path, capsys, spec, f"analysis #0 ({analysis['type']}) {message}")
+
+
+def test_the_least_epsilon_runs_on_the_bundled_crossover():
+    # its cutoff of 4096 steps and its capped window of 140 216 labels fit
+    spec = load("cc_anomalous")
+    spec["analyses"] = [{"type": "anomalous_transport", "epsilons": [EPSILON_LEAST]}]
+    assert run_scenario(spec).report["analyses"]["anomalous_transport#0"]["pass"]
+
+
+def test_evolution_steps_are_sized_by_their_reach():
+    # 255 steps fit any d <= 2; in d = 3 the box that 50 steps reach does not
+    spec = load("half_line_plus")
+    spec["geometry"]["d"] = 3
+    spec["analyses"] = [{"type": "shift_decomposition", "steps": 30}]
+    validate_scenario(spec)  # 61^3 sites
+    spec["analyses"][0]["steps"] = 50
+    message = "the box that analysis #0 (shift_decomposition) steps reach holds 1030301 sites, more than 262144"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        validate_scenario(spec)
 
 
 def test_a_confinement_box_is_sized_before_its_sites_are_listed(monkeypatch):

@@ -12,7 +12,8 @@ internal error, and a renamed key never leaves a valid scenario.
 
 Two table-driven tests put a bad value at each key of each analysis type in
 ``scenarios.ARGUMENTS`` and at each key of each part type in
-``scenarios.PARTS``, and require ``validate_scenario`` to raise and name it.
+``scenarios.PARTS``, and require ``validate_scenario`` to raise and name it;
+every bundled scenario and benchmark spec must still validate whole.
 """
 
 import copy
@@ -27,9 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fluxwalk.scenarios as scenarios_module
+from fluxwalk.cc import DualPath
 from fluxwalk.cli import bundled_scenarios
 from fluxwalk.errors import ValidationError
-from fluxwalk.scenarios import ANALYSES, ARGUMENTS, PARTS, run_scenario, validate_scenario
+from fluxwalk.config import STEPS_MOST
+from fluxwalk.scenarios import ANALYSES, ARGUMENTS, PARTS, _steps, run_scenario, validate_scenario
 
 
 def cut(spec: dict) -> dict:
@@ -39,11 +43,23 @@ def cut(spec: dict) -> dict:
 
 
 @functools.cache
-def specs() -> tuple:
+def full_specs() -> tuple:
     workloads = runpy.run_path(str(Path(__file__).resolve().parents[1] / "fluxbench" / "workloads.py"))
     bench = [job.spec for name in workloads["WORKLOADS"] for job in workloads["generate"](name, 3, 1)]
     bundled = [json.loads(path.read_text()) for path in bundled_scenarios().values()]
-    return tuple(json.dumps(cut(spec)) for spec in (*bundled, *bench))
+    return tuple(json.dumps(spec) for spec in (*bundled, *bench))
+
+
+@functools.cache
+def specs() -> tuple:
+    return tuple(json.dumps(cut(json.loads(spec))) for spec in full_specs())
+
+
+def test_every_bundled_and_bench_spec_validates_whole():
+    # the bounds on steps, draws, reroutes, leads and epsilons admit every
+    # analysis of the bundled scenarios and of a benchmark batch
+    for spec in full_specs():
+        validate_scenario(json.loads(spec))
 
 
 def is_number(value) -> bool:
@@ -111,15 +127,25 @@ TABLE_SCENARIOS = {"walk": "two_incoming_leads", "cc": "cc_rpath"}
 
 def bad_arguments():
     """(kind, type, key, value) for each analysis argument in ``ARGUMENTS``:
-    values of the wrong type, one under its least value where it has one,
-    ``NaN`` and ``inf``; a list argument also takes them as its entry."""
+    values of the wrong type, one under its least value and one over its
+    most where it has them (evolution steps: 1 and ``STEPS_MOST``), ``NaN``
+    and ``inf``; a list argument, the epsilons, also takes them as its entry,
+    and 0, 1e-12 and 1.5."""
     for kind, types in ANALYSES.items():
         for atype in types:
             for key, (argkind, low, _) in ARGUMENTS[atype].items():
                 values = ["x", None, [], math.nan, math.inf, -math.inf]
                 values += [["x"], [math.nan], [math.inf]] if argkind is list else [[1]]
-                if low is not None:
-                    values.append(low - 1 if argkind is int else low - 0.5)
+                least, most = low if isinstance(low, tuple) else (low, None)
+                if argkind is _steps:
+                    least, most = 1, STEPS_MOST
+                if argkind is list:  # the epsilons, within (least, 1)
+                    values += [[0], [1e-12], [1.5]]
+                    least = most = None
+                if least is not None:
+                    values.append(least - 1 if argkind in (int, _steps) else least - 0.5)
+                if most is not None:
+                    values.append(most + 1)
                 for value in values:
                     yield kind, atype, key, value
 
@@ -131,6 +157,34 @@ def test_every_analysis_argument_is_checked_at_validation(kind, atype, key, valu
     validate_scenario(spec)
     spec["analyses"][0][key] = value
     with pytest.raises(ValidationError, match=re.escape(f"analysis #0 ({atype}) {key} must be")):
+        validate_scenario(spec)
+
+
+class Listed(Exception):
+    """Raised by a patched ``DualPath.vertices``."""
+
+
+def listed(*args):
+    raise Listed
+
+
+@pytest.mark.parametrize("epsilons", [[1e-12], [0.25, 1e-12]])
+def test_a_tiny_epsilon_is_refused_before_the_path_is_listed(monkeypatch, epsilons):
+    # 1e-12 validated and then asked DualPath.is_pure for about 10^12 steps;
+    # once the setup is built, validation lists no vertex of the path
+    vertices, build = DualPath.vertices, scenarios_module.build_cc_setup
+
+    def built(*args):
+        monkeypatch.setattr(DualPath, "vertices", vertices)
+        setup = build(*args)
+        monkeypatch.setattr(DualPath, "vertices", listed)
+        return setup
+
+    monkeypatch.setattr(scenarios_module, "build_cc_setup", built)
+    spec = json.loads(bundled_scenarios()["cc_anomalous"].read_text())
+    validate_scenario(spec)
+    spec["analyses"][0]["epsilons"] = epsilons
+    with pytest.raises(ValidationError, match=re.escape("analysis #0 (anomalous_transport) epsilons must be at least")):
         validate_scenario(spec)
 
 

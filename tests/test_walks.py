@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import reference_state as ref
 from reference_state import bulk_boundary_flux, lead_flux_index
 from fluxwalk import scenarios
+from fluxwalk import walks as walks_module
 from fluxwalk.cli import bundled_scenarios
 from fluxwalk.errors import ValidationError
 from fluxwalk.fields import Ray, SiteMap, interpolate_matrix_fields
@@ -498,3 +499,37 @@ def test_trivial_family_is_constant():
 
     probes = index_stability_probe(family, 5)
     assert {p.index for p in probes} == {1}
+
+
+# ---------------------------------------------------------------------------
+# one coin table per walk
+
+
+@pytest.mark.parametrize(
+    "coin, message",
+    [
+        (
+            SiteMap(1, window={(0,): np.eye(3)}, background=np.eye(2)),
+            "coin matrix at window(0,) has shape (3, 3), expected (2, 2)",
+        ),
+        (SiteMap(1, background=np.eye(3)), "coin matrix at background has shape (3, 3), expected (2, 2)"),
+        (
+            SiteMap(1, rays=[(Ray((1,), (1,)), [np.eye(2), 2 * np.eye(2)])], background=np.eye(2)),
+            "coin matrix at ray0[1] is not unitary",
+        ),
+    ],
+    ids=["ragged", "shape", "unitary"],
+)
+def test_build_walk_names_the_first_bad_coin(coin, message):
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        build_walk(coin)
+
+
+def test_a_walk_reads_the_coin_table_that_build_walk_checked(monkeypatch):
+    checked, deviations = [], walks_module.unitary_deviations
+    monkeypatch.setattr(walks_module, "unitary_deviations", lambda table: checked.append(table) or deviations(table))
+    coin = random_background(np.random.default_rng(3), 2, box=2)
+    walk = build_walk(coin)
+    table, rows = walk.table_rows(np.array([[0, 0], [5, -1]]))
+    assert len(checked) == 1 and table is checked[0]
+    assert table[rows].tobytes() == np.array([coin.value((0, 0)), coin.value((5, -1))], dtype=complex).tobytes()
